@@ -12,7 +12,6 @@ import (
 	"probesim/internal/core"
 	"probesim/internal/fingerprint"
 	"probesim/internal/linear"
-	"probesim/internal/prank"
 	"probesim/internal/simjoin"
 	"probesim/internal/trace"
 )
@@ -102,18 +101,6 @@ func BenchmarkJoinTopK(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := simjoin.TopKJoin(context.Background(), g, 10, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPRank measures the P-Rank all-pairs power iteration on the toy
-// scale it is meant for.
-func BenchmarkPRank(b *testing.B) {
-	g := benchGraph(b, "hepth-s")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := prank.Compute(g, prank.Options{Tolerance: 1e-6}); err != nil {
 			b.Fatal(err)
 		}
 	}

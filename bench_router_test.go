@@ -15,12 +15,11 @@ package probesim_test
 //     composite view, router-side stepping, batched delegation) — the
 //     in-memory cost of the distribution seam, network excluded.
 //   - BenchmarkRouterSingleSource/router-tcp-batched: the same topology
-//     over real loopback TCP with the batched wire forms (WalkBatch,
-//     ResolveShards) — what a real fleet pays per query.
-//   - BenchmarkRouterSingleSource/router-tcp-persegment: the same
-//     sockets forced to the pre-batch per-segment wire forms (legacy
-//     servers, one RPC per walk segment) — the distribution tax the
-//     batched plane collapses.
+//     over real loopback TCP (WalkBatch, ResolveShards) — what a real
+//     fleet pays per query.
+//   - BenchmarkRouterSingleSource/router-tcp-batched-churn: the same
+//     sockets with a fresh generation published before every query, so
+//     each iteration pays the cold view.
 //
 // Run with
 //
@@ -39,14 +38,13 @@ import (
 	"probesim/internal/shard"
 )
 
-// benchTCPFleet serves two modern-or-legacy TCP workers splitting shard
-// ownership and returns a router over them.
-func benchTCPFleet(b *testing.B, g *graph.Graph, legacy bool) *router.Router {
+// benchTCPFleet serves two TCP workers splitting shard ownership and
+// returns a router over them.
+func benchTCPFleet(b *testing.B, g *graph.Graph) *router.Router {
 	b.Helper()
 	var engines []router.ShardEngine
 	for i := 0; i < 2; i++ {
 		srv := router.NewServer(router.NewLocalEngine(shard.NewStore(g, shardBenchShards, 0), i, 2))
-		srv.SetLegacy(legacy)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)
@@ -113,8 +111,7 @@ func BenchmarkRouterSingleSource(b *testing.B) {
 	}
 	// Churn variants publish a fresh generation before every query, so
 	// each iteration pays the COLD view: re-materialization plus walk
-	// delegation over the wire. This is where the batched forms earn
-	// their keep — a warm view answers with zero read RPCs either way.
+	// delegation over the wire. A warm view answers with zero read RPCs.
 	runChurn := func(rt *router.Router) func(*testing.B) {
 		return func(b *testing.B) {
 			ex := core.NewExecutorOn(rt, opt)
@@ -144,8 +141,6 @@ func BenchmarkRouterSingleSource(b *testing.B) {
 	b.Run("direct-store", run(st))
 	b.Run("router-local", run(local))
 	b.Run("router-engines", run(split))
-	b.Run("router-tcp-batched", run(benchTCPFleet(b, g, false)))
-	b.Run("router-tcp-persegment", run(benchTCPFleet(b, g, true)))
-	b.Run("router-tcp-batched-churn", runChurn(benchTCPFleet(b, g, false)))
-	b.Run("router-tcp-persegment-churn", runChurn(benchTCPFleet(b, g, true)))
+	b.Run("router-tcp-batched", run(benchTCPFleet(b, g)))
+	b.Run("router-tcp-batched-churn", runChurn(benchTCPFleet(b, g)))
 }

@@ -56,13 +56,18 @@ func (m Mode) String() string {
 	}
 }
 
+// DefaultEpsA is the absolute error bound εa a query runs at when
+// Options.EpsA is zero.
+const DefaultEpsA = 0.1
+
 // Options configures a ProbeSim query. The zero value asks for the paper's
-// defaults: c = 0.6, εa = 0.1, δ = 0.01, ModeAuto, all cores, seed 1.
+// defaults: c = 0.6, εa = DefaultEpsA (0.1), δ = 0.01, ModeAuto, all
+// cores, seed 1.
 type Options struct {
 	// C is the SimRank decay factor in (0, 1). Default 0.6.
 	C float64
 	// EpsA is the maximum absolute error εa of any returned similarity.
-	// Default 0.1.
+	// Default DefaultEpsA.
 	EpsA float64
 	// Delta is the failure probability δ. Default 0.01.
 	Delta float64
@@ -124,7 +129,7 @@ func (o Options) withDefaults() Options {
 		o.C = 0.6
 	}
 	if o.EpsA == 0 {
-		o.EpsA = 0.1
+		o.EpsA = DefaultEpsA
 	}
 	if o.Delta == 0 {
 		o.Delta = 0.01

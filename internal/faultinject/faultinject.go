@@ -42,9 +42,9 @@ type Plan struct {
 	Slow    time.Duration // latency spike for PSlow (default 20ms)
 	MaxHang time.Duration // hang ceiling for PHang (default 2s)
 
-	// ReadsOnly restricts injection to ResolveShard(s) and
-	// WalkSegment/WalkBatch, leaving Apply clean — for tests that fault
-	// the read plane while keeping the write plane converged.
+	// ReadsOnly restricts injection to ResolveShards and WalkBatch,
+	// leaving Apply clean — for tests that fault the read plane while
+	// keeping the write plane converged.
 	ReadsOnly bool
 }
 
@@ -155,32 +155,6 @@ func (e *Engine) Publish(ctx context.Context) (router.Meta, error) { return e.in
 
 // Close implements ShardEngine.
 func (e *Engine) Close() error { return e.inner.Close() }
-
-// ResolveShard implements ShardEngine with read faults.
-func (e *Engine) ResolveShard(ctx context.Context, version uint64, p int) (graph.CSRShard, error) {
-	lost, err := e.before(ctx, e.decide())
-	if err != nil {
-		return graph.CSRShard{}, err
-	}
-	csr, err := e.inner.ResolveShard(ctx, version, p)
-	if lost && err == nil {
-		return graph.CSRShard{}, errInjected("lost reply", e.calls.Load())
-	}
-	return csr, err
-}
-
-// WalkSegment implements ShardEngine with read faults.
-func (e *Engine) WalkSegment(ctx context.Context, version uint64, h budget.Header, sqrtC float64, cur graph.NodeID, state uint64, room int, buf []graph.NodeID) ([]graph.NodeID, uint64, router.SegmentStatus, error) {
-	lost, err := e.before(ctx, e.decide())
-	if err != nil {
-		return buf, state, router.SegmentEnded, err
-	}
-	out, st, status, err := e.inner.WalkSegment(ctx, version, h, sqrtC, cur, state, room, buf)
-	if lost && err == nil {
-		return buf, state, router.SegmentEnded, errInjected("lost reply", e.calls.Load())
-	}
-	return out, st, status, err
-}
 
 // ResolveShards implements ShardEngine with read faults: the batch is
 // one call on the wire, so it draws one fault decision.

@@ -16,13 +16,11 @@ import (
 )
 
 // tcpFleet serves two TCP workers splitting shard ownership and returns
-// a router over them. legacy makes the servers behave as pre-batch
-// workers (per-segment RPCs only); shardLocal gives each worker a
-// stride-scoped store holding only its owned shards.
-func tcpFleet(t *testing.T, g *graph.Graph, shards int, legacy, shardLocal bool) (*router.Router, []*router.Server) {
+// a router over them. shardLocal gives each worker a stride-scoped store
+// holding only its owned shards.
+func tcpFleet(t *testing.T, g *graph.Graph, shards int, shardLocal bool) *router.Router {
 	t.Helper()
 	var engines []router.ShardEngine
-	var servers []*router.Server
 	for i := 0; i < 2; i++ {
 		var st *shard.Store
 		if shardLocal {
@@ -31,7 +29,6 @@ func tcpFleet(t *testing.T, g *graph.Graph, shards int, legacy, shardLocal bool)
 			st = shard.NewStore(g, shards, 0)
 		}
 		srv := router.NewServer(router.NewLocalEngine(st, i, 2))
-		srv.SetLegacy(legacy)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -41,21 +38,19 @@ func tcpFleet(t *testing.T, g *graph.Graph, shards int, legacy, shardLocal bool)
 		re := router.NewRemoteEngine(ln.Addr().String())
 		t.Cleanup(func() { re.Close() })
 		engines = append(engines, re)
-		servers = append(servers, srv)
 	}
 	rt, err := router.New(engines...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rt, servers
+	return rt
 }
 
 // TestTopologyMatrixBitIdentical is the cross-topology property: the
 // same graph, seed and query must answer bit-identically on every
-// serving shape the repo supports — per-segment RPCs (old workers),
-// batched RPCs, router-side stepping over warm views, shard-local
-// workers holding only their stride, and a fault-injected replicated
-// fleet — through rounds of identical churn.
+// serving shape the repo supports — batched RPCs, router-side stepping
+// over warm views, shard-local workers holding only their stride, and a
+// fault-injected replicated fleet — through rounds of identical churn.
 func TestTopologyMatrixBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sockets + many RPC round trips")
@@ -66,9 +61,8 @@ func TestTopologyMatrixBitIdentical(t *testing.T) {
 	opt := testOptions()
 	want := core.NewExecutorOn(ref, opt)
 
-	unbatched, _ := tcpFleet(t, g, shards, true, false)
-	batched, _ := tcpFleet(t, g, shards, false, false)
-	scoped, _ := tcpFleet(t, g, shards, false, true)
+	batched := tcpFleet(t, g, shards, false)
+	scoped := tcpFleet(t, g, shards, true)
 
 	// The faulted topology: replicated in-process fleet with a read-plane
 	// fault schedule on one replica of each group.
@@ -90,7 +84,6 @@ func TestTopologyMatrixBitIdentical(t *testing.T) {
 		name string
 		rt   *router.Router
 	}{
-		{"unbatched", unbatched},
 		{"batched", batched},
 		{"shard-local", scoped},
 		{"faulted", faulted},

@@ -122,9 +122,9 @@ func TestMaxSpansCapCountsDropped(t *testing.T) {
 
 func TestGraftRemapsAndRebases(t *testing.T) {
 	tr := New(NewID())
-	rpc := tr.StartSpan("rpc.walk", 0)
+	rpc := tr.StartSpan("rpc.walkbatch", 0)
 	worker := []Span{
-		{ID: 1, Parent: 0, Name: "worker.walk_segment", Start: 0, End: 5 * time.Millisecond},
+		{ID: 1, Parent: 0, Name: "worker.walk_batch", Start: 0, End: 5 * time.Millisecond},
 		{ID: 2, Parent: 1, Name: "walk.steps", Start: time.Millisecond, End: 4 * time.Millisecond, Attrs: "n=3"},
 	}
 	base := 10 * time.Millisecond

@@ -4,15 +4,15 @@
 //
 // The seam is ShardEngine, the transport-agnostic API of one shard
 // server. It carries exactly the per-shard primitives the kernels need —
-// report version and shape (Meta), resolve a shard's adjacency spans
-// (ResolveShard), sample √c-walk segments (WalkSegment) — plus the write
-// plane (Apply, Publish) that keeps a worker's graph in lockstep with the
-// topology. Two implementations exist: LocalEngine wraps an in-process
-// shard.Store (today's fast path — a Router over a single all-owning
-// LocalEngine serves the store's own published snapshot, zero new
-// allocations on the hot path), and RemoteEngine speaks the
-// length-prefixed binary protocol of internal/rpcwire over TCP to a
-// probesim-shardd worker.
+// report version and shape (Meta), resolve shard adjacency blocks
+// (ResolveShards), continue √c-walk segments (WalkBatch), one call for
+// one item or many — plus the write plane (Apply, Publish) that keeps a
+// worker's graph in lockstep with the topology. Two implementations
+// exist: LocalEngine wraps an in-process shard.Store (today's fast path
+// — a Router over a single all-owning LocalEngine serves the store's own
+// published snapshot, zero new allocations on the hot path), and
+// RemoteEngine speaks the length-prefixed binary protocol of
+// internal/rpcwire over TCP to a probesim-shardd worker.
 //
 // A Router fans a query out to shard owners by the same power-of-two
 // node stride internal/shard partitions with: shard adjacency blocks
@@ -142,28 +142,21 @@ type ShardEngine interface {
 	// answerable even while the engine is lagging or mid-recovery.
 	Ping(ctx context.Context) (version, lastBatch uint64, err error)
 
-	// ResolveShard returns shard p's CSR adjacency block at the pinned
-	// generation. The block is immutable; local engines return it by
-	// reference, remote engines decode it off the wire.
-	ResolveShard(ctx context.Context, version uint64, p int) (graph.CSRShard, error)
-
-	// WalkSegment continues a √c-walk at the pinned generation: starting
-	// from cur (owned by this engine) with the walk RNG at state, it
-	// appends at most room nodes to buf and returns the extended buffer,
-	// the RNG state after the segment, and how the segment ended. The
+	// WalkBatch continues N independent √c-walks at the pinned
+	// generation in one call (one round trip on a remote engine): each
+	// walk starts from its Cur (owned by this engine) with the walk RNG at
+	// its State, appends at most Room nodes, and reports the RNG state
+	// after the segment and how the segment ended. Each walk draws only
+	// from its own state, so how walks are grouped into calls never
+	// changes a bit of any walk. Results come back in request order. The
 	// budget header bounds the engine-side loop.
-	WalkSegment(ctx context.Context, version uint64, h budget.Header, sqrtC float64, cur graph.NodeID, state uint64, room int, buf []graph.NodeID) ([]graph.NodeID, uint64, SegmentStatus, error)
-
-	// WalkBatch continues N independent walks in one call — semantically
-	// N WalkSegment calls (each walk draws only from its own state, so
-	// results are bit-identical to the per-walk form), but one round trip
-	// on a remote engine. Results come back in request order. Engines
-	// without the batch capability emulate it with per-walk calls.
 	WalkBatch(ctx context.Context, version uint64, h budget.Header, sqrtC float64, walks []WalkStart) ([]WalkResult, error)
 
-	// ResolveShards resolves several owned shards' CSR blocks at the
-	// pinned generation in one call, in request order — the batched form
-	// of ResolveShard behind composite-view materialization.
+	// ResolveShards returns owned shards' CSR adjacency blocks at the
+	// pinned generation in one call, in request order: every missing
+	// block when a view materializes, a single one when a probe faults a
+	// shard in. Blocks are immutable; local engines return them by
+	// reference, remote engines decode them off the wire.
 	ResolveShards(ctx context.Context, version uint64, ps []int) ([]graph.CSRShard, error)
 
 	// Apply applies a batch of edge mutations atomically (all-or-rollback)
@@ -287,7 +280,7 @@ func (e *LocalEngine) Store() *shard.Store { return e.st }
 func (e *LocalEngine) SetWAL(lg *wal.Log) { e.wal = lg }
 
 // SetWalkObserver arms a per-walk callback: fn receives the entry node
-// of every walk the router delegates here (WalkBatch and WalkSegment).
+// of every walk the router delegates here (WalkBatch).
 // Entry nodes are a shard-local approximation of source popularity — a
 // hot source's walks enter its owners' shards over and over — so a
 // worker can run a warm-standby hot-source tier without seeing the HTTP
@@ -361,20 +354,8 @@ func (e *LocalEngine) snapshotAt(version uint64) (*shard.StoreSnapshot, error) {
 	return nil, fmt.Errorf("%w: version %d", ErrRetiredGeneration, version)
 }
 
-// ResolveShard implements ShardEngine.
-func (e *LocalEngine) ResolveShard(ctx context.Context, version uint64, p int) (graph.CSRShard, error) {
-	snap, err := e.snapshotAt(version)
-	if err != nil {
-		return graph.CSRShard{}, err
-	}
-	if err := e.checkShard(snap, p); err != nil {
-		return graph.CSRShard{}, err
-	}
-	return snap.Shard(p), nil
-}
-
-// ResolveShards implements ShardEngine: ResolveShard over one pinned
-// generation for every requested shard.
+// ResolveShards implements ShardEngine: every requested shard's block
+// from one pinned generation, each checked against ownership.
 func (e *LocalEngine) ResolveShards(ctx context.Context, version uint64, ps []int) ([]graph.CSRShard, error) {
 	snap, err := e.snapshotAt(version)
 	if err != nil {
@@ -396,64 +377,11 @@ func (e *LocalEngine) ResolveShards(ctx context.Context, version uint64, ps []in
 // steps without measurable cost.
 const walkSegmentPollInterval = 8
 
-// WalkSegment implements ShardEngine: the engine-side √c-walk loop. It
-// runs the exact step loop of walk.Generate (walk.Segment) over the
-// pinned generation's devirtualized adjacency, bounded to owned shards
-// and checkpointed against the propagated budget.
-func (e *LocalEngine) WalkSegment(ctx context.Context, version uint64, h budget.Header, sqrtC float64, cur graph.NodeID, state uint64, room int, buf []graph.NodeID) ([]graph.NodeID, uint64, SegmentStatus, error) {
-	snap, err := e.snapshotAt(version)
-	if err != nil {
-		return buf, state, SegmentEnded, err
-	}
-	if cur < 0 || int(cur) >= snap.NumNodes() {
-		return buf, state, SegmentEnded, fmt.Errorf("router: walk node %d out of range [0, %d)", cur, snap.NumNodes())
-	}
-	shift := snap.Shift()
-	if err := e.checkShard(snap, int(uint32(cur)>>shift)); err != nil {
-		return buf, state, SegmentEnded, fmt.Errorf("router: walk node %d: %w", cur, err)
-	}
-	if e.walkObserver != nil {
-		e.walkObserver(cur)
-	}
-	m := h.Arm(ctx)
-	cp := budget.NewCheckpoint(m, walkSegmentPollInterval)
-	rng := xrand.New(state)
-	adj := graph.ResolveAdj(snap)
-	var owns func(graph.NodeID) bool
-	if e.group > 1 {
-		owns = func(v graph.NodeID) bool { return e.owns(int(uint32(v) >> shift)) }
-	}
-	var stop func() bool
-	if m != nil {
-		stop = cp.Stop
-	}
-	tr, parent := qtrace.FromContext(ctx)
-	ref := tr.StartSpan("walk.steps", parent)
-	before := len(buf)
-	out, ended := walk.Segment(&adj, cur, room, sqrtC, rng, owns, stop, buf)
-	status := SegmentHandoff
-	switch {
-	case m.Stopped():
-		status = SegmentStopped
-		e.segmentsStopped.Add(1)
-	case ended:
-		status = SegmentEnded
-	case len(out) == before:
-		// A handoff with no progress means the caller routed the walk to
-		// the wrong engine; surface it instead of looping forever.
-		tr.EndSpanAnnot(ref, "outcome=noprogress")
-		return out, rng.State(), SegmentEnded, fmt.Errorf("router: walk segment made no progress at node %d", cur)
-	}
-	if tr != nil {
-		tr.EndSpanAnnot(ref, fmt.Sprintf("nodes=%d,status=%d", len(out)-before, status))
-	}
-	return out, rng.State(), status, nil
-}
-
-// WalkBatch implements ShardEngine: the engine-side loop of WalkSegment
-// run once per requested walk over a single pinned generation, resolved
-// adjacency and armed budget meter — N walks, one snapshot pin, one
-// meter, one (remote) round trip.
+// WalkBatch implements ShardEngine: the engine-side √c-walk loop. Each
+// requested walk runs the exact step loop of walk.Generate (walk.Segment)
+// over the pinned generation's devirtualized adjacency, bounded to owned
+// shards and checkpointed against the propagated budget — N walks, one
+// snapshot pin, one meter, one (remote) round trip.
 func (e *LocalEngine) WalkBatch(ctx context.Context, version uint64, h budget.Header, sqrtC float64, walks []WalkStart) ([]WalkResult, error) {
 	snap, err := e.snapshotAt(version)
 	if err != nil {
@@ -491,7 +419,7 @@ func (e *LocalEngine) WalkBatch(ctx context.Context, version uint64, h budget.He
 		}
 		if m.Stopped() {
 			// The budget tripped mid-batch: the rest of the walks report
-			// stopped without stepping, exactly as per-walk calls would.
+			// stopped without stepping.
 			out[i] = WalkResult{State: w.State, Status: SegmentStopped}
 			continue
 		}
@@ -505,6 +433,8 @@ func (e *LocalEngine) WalkBatch(ctx context.Context, version uint64, h budget.He
 		case ended:
 			status = SegmentEnded
 		case len(nodes) == 0:
+			// A handoff with no progress means the caller routed the walk
+			// to the wrong engine; surface it instead of looping forever.
 			tr.EndSpanAnnot(ref, "outcome=noprogress")
 			return nil, fmt.Errorf("router: walk segment made no progress at node %d", w.Cur)
 		}

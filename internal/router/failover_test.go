@@ -32,20 +32,6 @@ func (s *slowReadEngine) stall(ctx context.Context) error {
 	}
 }
 
-func (s *slowReadEngine) ResolveShard(ctx context.Context, version uint64, p int) (graph.CSRShard, error) {
-	if err := s.stall(ctx); err != nil {
-		return graph.CSRShard{}, err
-	}
-	return s.LocalEngine.ResolveShard(ctx, version, p)
-}
-
-func (s *slowReadEngine) WalkSegment(ctx context.Context, version uint64, h budget.Header, sqrtC float64, cur graph.NodeID, state uint64, room int, buf []graph.NodeID) ([]graph.NodeID, uint64, SegmentStatus, error) {
-	if err := s.stall(ctx); err != nil {
-		return buf, state, SegmentEnded, err
-	}
-	return s.LocalEngine.WalkSegment(ctx, version, h, sqrtC, cur, state, room, buf)
-}
-
 func (s *slowReadEngine) ResolveShards(ctx context.Context, version uint64, ps []int) ([]graph.CSRShard, error) {
 	if err := s.stall(ctx); err != nil {
 		return nil, err
@@ -148,14 +134,6 @@ func TestHedgedReadWinsAndCancelsLoser(t *testing.T) {
 // data-plane read — a worker whose disks just vanished.
 type deadReadEngine struct {
 	*LocalEngine
-}
-
-func (d *deadReadEngine) ResolveShard(ctx context.Context, version uint64, p int) (graph.CSRShard, error) {
-	return graph.CSRShard{}, fmt.Errorf("%w: dead read plane", ErrTransport)
-}
-
-func (d *deadReadEngine) WalkSegment(ctx context.Context, version uint64, h budget.Header, sqrtC float64, cur graph.NodeID, state uint64, room int, buf []graph.NodeID) ([]graph.NodeID, uint64, SegmentStatus, error) {
-	return buf, state, SegmentEnded, fmt.Errorf("%w: dead read plane", ErrTransport)
 }
 
 func (d *deadReadEngine) ResolveShards(ctx context.Context, version uint64, ps []int) ([]graph.CSRShard, error) {

@@ -50,17 +50,6 @@ type RemoteEngine struct {
 	version    atomic.Uint64
 	lastErr    atomic.Pointer[string]
 	closed     atomic.Bool
-
-	// traceOK records that the worker advertised rpcwire.CapTrace on a
-	// MetaReply. Until it does (an old worker never does), requests carry
-	// no trace field at all, so mixed-version fleets interop with tracing
-	// silently disabled.
-	traceOK atomic.Bool
-	// batchOK records that the worker advertised rpcwire.CapBatch. Until
-	// it does, WalkBatch and ResolveShards fall back to per-item TWalk /
-	// TShard requests — byte-identical on the wire to a pre-batch router,
-	// so an old worker in a mixed fleet answers new routers unchanged.
-	batchOK atomic.Bool
 }
 
 type remoteConn struct {
@@ -294,17 +283,14 @@ func (e *RemoteEngine) metaFromReply(body []byte) (Meta, []qtrace.Span, error) {
 		m.Owned[i] = int(p)
 	}
 	e.version.Store(m.Version)
-	e.traceOK.Store(rep.Caps&rpcwire.CapTrace != 0)
-	e.batchOK.Store(rep.Caps&rpcwire.CapBatch != 0)
 	return m, rep.Spans, nil
 }
 
-// traceField resolves ctx's trace into the optional request trailer: nil
-// when the query is unsampled OR the worker never advertised CapTrace —
-// an old worker must not see a trace field on the wire at all.
-func (e *RemoteEngine) traceField(ctx context.Context) (*qtrace.Trace, qtrace.SpanRef, *rpcwire.TraceContext) {
+// traceField resolves ctx's trace into the optional request trailer:
+// nil when the query is unsampled.
+func traceField(ctx context.Context) (*qtrace.Trace, qtrace.SpanRef, *rpcwire.TraceContext) {
 	tr, parent := qtrace.FromContext(ctx)
-	if tr == nil || !e.traceOK.Load() {
+	if tr == nil {
 		return tr, parent, nil
 	}
 	id := tr.ID()
@@ -325,67 +311,10 @@ func (e *RemoteEngine) Meta(ctx context.Context) (Meta, error) {
 	return m, err
 }
 
-// ResolveShard implements ShardEngine.
-func (e *RemoteEngine) ResolveShard(ctx context.Context, version uint64, p int) (graph.CSRShard, error) {
-	tr, parent, tc := e.traceField(ctx)
-	req := rpcwire.ShardRequest{Budget: headerFrom(ctx), Version: version, Shard: uint32(p), Trace: tc}
-	base := tr.Since()
-	rtyp, body, err := e.call(ctx, rpcwire.TShard, req.Append(nil))
-	if err != nil {
-		return graph.CSRShard{}, err
-	}
-	if rtyp != rpcwire.TShardRep {
-		return graph.CSRShard{}, fmt.Errorf("router: %s: unexpected reply type %d", e.addr, rtyp)
-	}
-	rep, derr := rpcwire.DecodeShardReply(body)
-	if derr != nil {
-		return graph.CSRShard{}, fmt.Errorf("router: %s: %v", e.addr, derr)
-	}
-	tr.Graft(parent, rep.Spans, base, "worker="+e.addr)
-	return rep.CSR, nil
-}
-
-// WalkSegment implements ShardEngine.
-func (e *RemoteEngine) WalkSegment(ctx context.Context, version uint64, h budget.Header, sqrtC float64, cur graph.NodeID, state uint64, room int, buf []graph.NodeID) ([]graph.NodeID, uint64, SegmentStatus, error) {
-	tr, parent, tc := e.traceField(ctx)
-	req := rpcwire.WalkRequest{
-		Budget: h, Version: version, SqrtC: sqrtC,
-		Cur: cur, State: state, Room: uint32(room), Trace: tc,
-	}
-	base := tr.Since()
-	rtyp, body, err := e.call(ctx, rpcwire.TWalk, req.Append(nil))
-	if err != nil {
-		return buf, state, SegmentEnded, err
-	}
-	if rtyp != rpcwire.TWalkRep {
-		return buf, state, SegmentEnded, fmt.Errorf("router: %s: unexpected reply type %d", e.addr, rtyp)
-	}
-	rep, derr := rpcwire.DecodeWalkReply(body)
-	if derr != nil {
-		return buf, state, SegmentEnded, fmt.Errorf("router: %s: %v", e.addr, derr)
-	}
-	tr.Graft(parent, rep.Spans, base, "worker="+e.addr)
-	return append(buf, rep.Nodes...), rep.State, SegmentStatus(rep.Status), nil
-}
-
-// WalkBatch implements ShardEngine. On a worker that advertised
-// CapBatch the whole batch is one round trip; otherwise it degrades to
-// one WalkSegment call per walk, whose wire form an old worker already
-// serves — bit-identical answers either way, since every walk draws only
-// from its own shipped state.
+// WalkBatch implements ShardEngine: the whole batch is one TWalkBatch
+// round trip.
 func (e *RemoteEngine) WalkBatch(ctx context.Context, version uint64, h budget.Header, sqrtC float64, walks []WalkStart) ([]WalkResult, error) {
-	if !e.batchOK.Load() {
-		out := make([]WalkResult, len(walks))
-		for i, w := range walks {
-			nodes, state, status, err := e.WalkSegment(ctx, version, h, sqrtC, w.Cur, w.State, w.Room, nil)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = WalkResult{Nodes: nodes, State: state, Status: status}
-		}
-		return out, nil
-	}
-	tr, parent, tc := e.traceField(ctx)
+	tr, parent, tc := traceField(ctx)
 	req := rpcwire.WalkBatchRequest{
 		Budget: h, Version: version, SqrtC: sqrtC,
 		Walks: make([]rpcwire.WalkStart, len(walks)), Trace: tc,
@@ -416,22 +345,9 @@ func (e *RemoteEngine) WalkBatch(ctx context.Context, version uint64, h budget.H
 	return out, nil
 }
 
-// ResolveShards implements ShardEngine, with the same capability-gated
-// fallback as WalkBatch: one TShards round trip on a new worker, one
-// TShard per block on an old one.
+// ResolveShards implements ShardEngine: one TShards round trip.
 func (e *RemoteEngine) ResolveShards(ctx context.Context, version uint64, ps []int) ([]graph.CSRShard, error) {
-	if !e.batchOK.Load() {
-		out := make([]graph.CSRShard, len(ps))
-		for i, p := range ps {
-			c, err := e.ResolveShard(ctx, version, p)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = c
-		}
-		return out, nil
-	}
-	tr, parent, tc := e.traceField(ctx)
+	tr, parent, tc := traceField(ctx)
 	req := rpcwire.ShardsRequest{Budget: headerFrom(ctx), Version: version, Shards: make([]uint32, len(ps)), Trace: tc}
 	for i, p := range ps {
 		req.Shards[i] = uint32(p)
@@ -477,7 +393,7 @@ func (e *RemoteEngine) Ping(ctx context.Context) (uint64, uint64, error) {
 
 // Apply implements ShardEngine.
 func (e *RemoteEngine) Apply(ctx context.Context, batch uint64, ops []Op) (uint64, error) {
-	tr, parent, tc := e.traceField(ctx)
+	tr, parent, tc := traceField(ctx)
 	req := rpcwire.ApplyRequest{Budget: headerFrom(ctx), Batch: batch, Ops: make([]rpcwire.Op, len(ops)), Trace: tc}
 	for i, op := range ops {
 		req.Ops[i] = rpcwire.Op{Remove: op.Remove, U: op.U, V: op.V}

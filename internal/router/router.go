@@ -63,7 +63,6 @@ type Router struct {
 	shardFetches     atomic.Int64
 	shardFetchErrors atomic.Int64
 	shardBatches     atomic.Int64
-	walkSegments     atomic.Int64
 	walkHandoffs     atomic.Int64
 	walkBatches      atomic.Int64
 	walkDelegated    atomic.Int64
@@ -818,7 +817,6 @@ type Counters struct {
 	// view materialization): ShardFetches/ShardBatches is the average
 	// blocks-per-RPC amortization the batch plane buys.
 	ShardBatches int64
-	WalkSegments int64
 	WalkHandoffs int64
 	// WalkBatches counts batched WalkBatch round trips and WalkDelegated
 	// the walks they carried (WalkDelegated/WalkBatches is the average
@@ -852,7 +850,6 @@ func (r *Router) Counters() Counters {
 		ShardFetches:      r.shardFetches.Load(),
 		ShardFetchErrors:  r.shardFetchErrors.Load(),
 		ShardBatches:      r.shardBatches.Load(),
-		WalkSegments:      r.walkSegments.Load(),
 		WalkHandoffs:      r.walkHandoffs.Load(),
 		WalkBatches:       r.walkBatches.Load(),
 		WalkDelegated:     r.walkDelegated.Load(),
@@ -928,15 +925,19 @@ func (v *View) block(ctx context.Context, p int) (*graph.CSRShard, error) {
 	}
 	v.r.shardFetches.Add(1)
 	g := v.r.groups[v.ownerOf[p]]
-	csr, err := groupRead(v.r, ctx, g, "rpc.shard", func(ctx context.Context, e ShardEngine) (graph.CSRShard, error) {
-		return e.ResolveShard(ctx, v.version, p)
+	csrs, err := groupRead(v.r, ctx, g, "rpc.shard", func(ctx context.Context, e ShardEngine) ([]graph.CSRShard, error) {
+		return e.ResolveShards(ctx, v.version, []int{p})
 	})
+	if err == nil && len(csrs) != 1 {
+		err = fmt.Errorf("router: group %d returned %d shard blocks for 1 requested", v.ownerOf[p], len(csrs))
+	}
 	if err != nil {
 		v.r.shardFetchErrors.Add(1)
 		return nil, err
 	}
-	slot.ptr.Store(&csr)
-	return &csr, nil
+	csr := &csrs[0]
+	slot.ptr.Store(csr)
+	return csr, nil
 }
 
 // materialize pulls every not-yet-cached shard block — ONE batched
@@ -1180,9 +1181,8 @@ func (b *BoundView) InDegree(nd graph.NodeID) int { return len(b.InNeighbors(nd)
 func (b *BoundView) OutDegree(nd graph.NodeID) int { return len(b.OutNeighbors(nd)) }
 
 var (
-	_ walk.SegmentedView      = (*BoundView)(nil)
-	_ walk.BatchSegmentedView = (*BoundView)(nil)
-	_ graph.AdjProvider       = (*BoundView)(nil)
+	_ walk.SegmentedView = (*BoundView)(nil)
+	_ graph.AdjProvider  = (*BoundView)(nil)
 )
 
 // ProvideAdj implements graph.AdjProvider: when a probe kernel resolves
@@ -1201,92 +1201,19 @@ func (b *BoundView) ProvideAdj() graph.Adj {
 	return *a
 }
 
-// WalkSegment implements walk.SegmentedView: the walk steps on the
-// group owning its current node (any replica — the SplitMix64 state
-// travels in the request, so every replica draws the same steps), with
-// the remaining budget propagated in the request header. A group-wide
-// failure ends the walk and latches the error. When the current node's
-// shard block is already cached, the router steps the walk itself with
-// no RPC at all — bit-identical, because the same step loop draws from
-// the same per-walk stream.
-func (b *BoundView) WalkSegment(cur graph.NodeID, state uint64, room int, sqrtC float64, buf []graph.NodeID) ([]graph.NodeID, uint64, bool) {
-	v := b.view
-	if v.blocks[uint32(cur)>>v.shift].ptr.Load() != nil {
-		return b.walkLocal(cur, state, room, sqrtC, buf)
-	}
-	g := v.r.groups[v.ownerOf[uint32(cur)>>v.shift]]
-	in := buf
-	if len(g.members) > 1 {
-		// Hedged or failover attempts may run concurrently; two appends
-		// into the same backing array would race, so cap the slice and
-		// let each attempt's append allocate its own. Singleton groups
-		// keep the zero-copy append.
-		in = buf[:len(buf):len(buf)]
-	}
-	before := len(buf)
-	type segResult struct {
-		out    []graph.NodeID
-		state  uint64
-		status SegmentStatus
-	}
-	res, err := groupRead(v.r, b.ctx, g, "rpc.walk", func(ctx context.Context, e ShardEngine) (segResult, error) {
-		out, st, status, err := e.WalkSegment(ctx, v.version, b.m.Export(), sqrtC, cur, state, room, in)
-		return segResult{out: out, state: st, status: status}, err
-	})
-	if err != nil {
-		b.fail(err)
-		out := res.out
-		if out == nil {
-			out = buf
-		}
-		return out, state, true
-	}
-	v.r.walkSegments.Add(1)
-	if res.status == SegmentHandoff {
-		if len(res.out) == before {
-			b.fail(fmt.Errorf("router: walk segment handoff without progress at node %d", cur))
-			return res.out, res.state, true
-		}
-		v.r.walkHandoffs.Add(1)
-		return res.out, res.state, false
-	}
-	return res.out, res.state, true
-}
-
-// walkLocal advances one walk over blocks already faulted into the view —
-// router-side stepping, zero RPCs. The draw sequence depends only on the
-// walk's own SplitMix64 state, so where a step runs never changes which
-// step it is: handing off at the first uncached shard resumes the stream
-// exactly where a worker would have.
-func (b *BoundView) walkLocal(cur graph.NodeID, state uint64, room int, sqrtC float64, buf []graph.NodeID) ([]graph.NodeID, uint64, bool) {
-	v := b.view
-	adj, owns := v.steppingAdj()
-	cp := budget.NewCheckpoint(b.m, walkSegmentPollInterval)
-	var rng xrand.RNG
-	rng.SetState(state)
-	before := len(buf)
-	out, ended := walk.Segment(&adj, cur, room, sqrtC, &rng, owns, cp.Stop, buf)
-	v.r.walkLocalSegs.Add(1)
-	if !ended {
-		if len(out) == before {
-			// cur's block was cached, so at least one step must have run;
-			// anything else is a routing bug, not a transient.
-			b.fail(fmt.Errorf("router: local walk segment made no progress at node %d", cur))
-			return out, rng.State(), true
-		}
-		v.r.walkHandoffs.Add(1)
-		return out, rng.State(), false
-	}
-	return out, rng.State(), true
-}
-
-// WalkSegmentBatch implements walk.BatchSegmentedView: one exchange
-// advances every live walk. Walks whose current shard block is cached
-// step router-side with no RPC; the rest are delegated to their owner
-// groups — ONE WalkBatch round trip per group, concurrently across
-// groups, instead of one WalkSegment round trip per walk. Blocks are
-// never faulted in here: the probe phase materializes them in bulk
-// (ProvideAdj), after which every later exchange is RPC-free.
+// WalkSegmentBatch implements walk.SegmentedView: one exchange advances
+// every live walk. Walks whose current shard block is cached step
+// router-side with no RPC — bit-identical, because the same step loop
+// draws from the same per-walk SplitMix64 stream, and a walk handed off
+// at the first uncached shard resumes exactly where a worker would have.
+// The rest are delegated to the group owning their current node (any
+// replica: the stream state travels in the request, so every replica
+// draws the same steps), with the remaining budget propagated in the
+// request header — ONE WalkBatch round trip per group, concurrently
+// across groups. Blocks are never faulted in here: the probe phase
+// materializes them in bulk (ProvideAdj), after which every later
+// exchange is RPC-free. A group-wide failure ends the group's walks and
+// latches the error.
 func (b *BoundView) WalkSegmentBatch(walks []walk.BatchWalk, maxNodes int, sqrtC float64) error {
 	v := b.view
 	adj, owns := v.steppingAdj()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -187,63 +188,106 @@ func startWorker(t *testing.T, g *graph.Graph, shards, index, group int) (*Remot
 // TestBitIdenticalOverRPC is the acceptance property: the same graph,
 // seed and query answered by the direct store and by a router talking to
 // real probesim-shardd-style workers over TCP must agree bit for bit —
-// across shard counts {1, 2, 7} and under churn.
+// across shard counts {1, 2, 7}, under churn, for the batched kernels
+// (ModeAuto, whole waves of walks per exchange) and the per-walk ones
+// (ModePruned, each walk stepped as a one-walk batch).
 func TestBitIdenticalOverRPC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sockets + many RPC round trips")
 	}
 	for _, shards := range []int{1, 2, 7} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			g := testGraph(400, 5)
-			ref := shard.NewStore(g, shards, 0)
-			reA, _, _ := startWorker(t, g, shards, 0, 2)
-			reB, _, _ := startWorker(t, g, shards, 1, 2)
-			rt, err := New(reA, reB)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt := testOptions(core.ModeAuto)
-			want := core.NewExecutorOn(ref, opt)
-			got := core.NewExecutorOn(rt, opt)
-			nodes := []graph.NodeID{0, 42, 399}
-			assertIdentical(t, "static", want, got, nodes)
-
-			rng := xrand.New(17)
-			var added [][2]graph.NodeID
-			for round := 0; round < 2; round++ {
-				ops := randomOps(rng, 400, &added, 12)
-				applyToStore(t, ref, ops)
-				ref.Publish()
-				if err := rt.Apply(context.Background(), ops); err != nil {
-					t.Fatalf("round %d: %v", round, err)
-				}
-				if _, err := rt.PublishView(context.Background()); err != nil {
-					t.Fatalf("round %d publish: %v", round, err)
-				}
-				assertIdentical(t, fmt.Sprintf("churn-%d", round), want, got, nodes[:1])
-			}
-			if err := rt.CheckHealth(context.Background()); err != nil {
-				t.Fatalf("health: %v", err)
-			}
-			for _, ws := range rt.WorkerStats() {
-				if !ws.Healthy || ws.Calls == 0 {
-					t.Fatalf("worker stats: %+v", ws)
-				}
-			}
-			c := rt.Counters()
-			if c.ShardFetches == 0 || c.WalkBatches == 0 || c.WalkDelegated == 0 {
-				t.Fatalf("counters did not move: %+v", c)
-			}
-			if c.WalkLocalSegments == 0 {
-				t.Fatalf("router stepped no walks over cached blocks: %+v", c)
-			}
-			if c.ShardBatches == 0 {
-				t.Fatalf("no batched shard materialization: %+v", c)
-			}
-			if shards >= 2 && c.WalkHandoffs == 0 {
-				t.Fatalf("expected cross-engine walk handoffs with %d shards: %+v", shards, c)
+			for _, mode := range []core.Mode{core.ModeAuto, core.ModePruned} {
+				t.Run(fmt.Sprintf("mode=%v", mode), func(t *testing.T) {
+					checkIdenticalOverRPC(t, shards, mode)
+				})
 			}
 		})
+	}
+}
+
+func checkIdenticalOverRPC(t *testing.T, shards int, mode core.Mode) {
+	g := testGraph(400, 5)
+	ref := shard.NewStore(g, shards, 0)
+	reA, _, _ := startWorker(t, g, shards, 0, 2)
+	reB, _, _ := startWorker(t, g, shards, 1, 2)
+	rt, err := New(reA, reB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := testOptions(mode)
+	want := core.NewExecutorOn(ref, opt)
+	got := core.NewExecutorOn(rt, opt)
+	nodes := []graph.NodeID{0, 42, 399}
+	assertIdentical(t, "static", want, got, nodes)
+
+	rng := xrand.New(17)
+	var added [][2]graph.NodeID
+	for round := 0; round < 2; round++ {
+		ops := randomOps(rng, 400, &added, 12)
+		applyToStore(t, ref, ops)
+		ref.Publish()
+		if err := rt.Apply(context.Background(), ops); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if _, err := rt.PublishView(context.Background()); err != nil {
+			t.Fatalf("round %d publish: %v", round, err)
+		}
+		assertIdentical(t, fmt.Sprintf("churn-%d", round), want, got, nodes[:1])
+	}
+	if err := rt.CheckHealth(context.Background()); err != nil {
+		t.Fatalf("health: %v", err)
+	}
+	for _, ws := range rt.WorkerStats() {
+		if !ws.Healthy || ws.Calls == 0 {
+			t.Fatalf("worker stats: %+v", ws)
+		}
+	}
+	c := rt.Counters()
+	if c.ShardFetches == 0 || c.WalkBatches == 0 || c.WalkDelegated == 0 {
+		t.Fatalf("counters did not move: %+v", c)
+	}
+	if c.WalkLocalSegments == 0 {
+		t.Fatalf("router stepped no walks over cached blocks: %+v", c)
+	}
+	if c.ShardBatches == 0 {
+		t.Fatalf("no batched shard materialization: %+v", c)
+	}
+	// Per-walk kernels delegate only until the first trial's probes
+	// materialize every block, too few walks to count on a handoff.
+	if mode == core.ModeAuto && shards >= 2 && c.WalkHandoffs == 0 {
+		t.Fatalf("expected cross-engine walk handoffs with %d shards: %+v", shards, c)
+	}
+}
+
+// TestBatchingCollapsesRoundTrips is the acceptance counter: one cold
+// single-source query over real TCP workers costs several-fold fewer
+// request frames than one frame per delegated walk segment and per
+// fetched shard block — the per-item count the router's WalkDelegated
+// and ShardFetches counters record.
+func TestBatchingCollapsesRoundTrips(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sockets + many RPC round trips")
+	}
+	const shards = 7
+	g := testGraph(400, 5)
+	reA, srvA, _ := startWorker(t, g, shards, 0, 2)
+	reB, srvB, _ := startWorker(t, g, shards, 1, 2)
+	rt, err := New(reA, reB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, c0 := srvA.Requests()+srvB.Requests(), rt.Counters()
+	if _, err := core.NewExecutorOn(rt, testOptions(core.ModeAuto)).SingleSource(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	frames := srvA.Requests() + srvB.Requests() - before
+	c := rt.Counters()
+	perItem := c.WalkDelegated - c0.WalkDelegated + c.ShardFetches - c0.ShardFetches
+	t.Logf("request frames for one cold single-source query: %d batched, %d at one per walk segment and shard block (%.1fx)",
+		frames, perItem, float64(perItem)/float64(frames))
+	if frames*3 > perItem {
+		t.Fatalf("batching saved too little: %d frames batched vs %d per-item", frames, perItem)
 	}
 }
 
@@ -251,32 +295,20 @@ func TestBitIdenticalOverRPC(t *testing.T) {
 // burns: the deterministic stand-in for a worker crashing mid-query.
 type failingEngine struct {
 	*LocalEngine
-	fuse int
+	fuse atomic.Int64 // calls left before the crash; queries call concurrently
 }
 
-func (f *failingEngine) ResolveShard(ctx context.Context, version uint64, p int) (graph.CSRShard, error) {
-	if f.fuse--; f.fuse < 0 {
-		return graph.CSRShard{}, fmt.Errorf("%w: injected crash", ErrTransport)
-	}
-	return f.LocalEngine.ResolveShard(ctx, version, p)
-}
-
-func (f *failingEngine) WalkSegment(ctx context.Context, version uint64, h budget.Header, sqrtC float64, cur graph.NodeID, state uint64, room int, buf []graph.NodeID) ([]graph.NodeID, uint64, SegmentStatus, error) {
-	if f.fuse < 0 {
-		return buf, state, SegmentEnded, fmt.Errorf("%w: injected crash", ErrTransport)
-	}
-	return f.LocalEngine.WalkSegment(ctx, version, h, sqrtC, cur, state, room, buf)
-}
+func (f *failingEngine) burnt() bool { return f.fuse.Add(-1) < 0 }
 
 func (f *failingEngine) ResolveShards(ctx context.Context, version uint64, ps []int) ([]graph.CSRShard, error) {
-	if f.fuse--; f.fuse < 0 {
+	if f.burnt() {
 		return nil, fmt.Errorf("%w: injected crash", ErrTransport)
 	}
 	return f.LocalEngine.ResolveShards(ctx, version, ps)
 }
 
 func (f *failingEngine) WalkBatch(ctx context.Context, version uint64, h budget.Header, sqrtC float64, walks []WalkStart) ([]WalkResult, error) {
-	if f.fuse--; f.fuse < 0 {
+	if f.burnt() {
 		return nil, fmt.Errorf("%w: injected crash", ErrTransport)
 	}
 	return f.LocalEngine.WalkBatch(ctx, version, h, sqrtC, walks)
@@ -290,7 +322,8 @@ func TestEngineFailureMidQuery(t *testing.T) {
 	g := testGraph(500, 11)
 	stA := shard.NewStore(g, 7, 0)
 	stB := shard.NewStore(g, 7, 0)
-	fe := &failingEngine{LocalEngine: NewLocalEngine(stB, 1, 2), fuse: 1}
+	fe := &failingEngine{LocalEngine: NewLocalEngine(stB, 1, 2)}
+	fe.fuse.Store(1)
 	rt, err := New(NewLocalEngine(stA, 0, 2), fe)
 	if err != nil {
 		t.Fatal(err)
@@ -364,25 +397,26 @@ func TestDeadlinePropagationStopsRemoteWalkLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	walks := []WalkStart{{Cur: 5, State: 42, Room: 95}}
 	h := budget.Header{Remaining: time.Nanosecond} // expired before arrival
-	nodes, _, status, err := re.WalkSegment(context.Background(), meta.Version, h, 0.9999, 5, 42, 95, nil)
+	res, err := re.WalkBatch(context.Background(), meta.Version, h, 0.9999, walks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if status != SegmentStopped {
-		t.Fatalf("want SegmentStopped, got %d with %d nodes", status, len(nodes))
+	if res[0].Status != SegmentStopped {
+		t.Fatalf("want SegmentStopped, got %d with %d nodes", res[0].Status, len(res[0].Nodes))
 	}
 	if got := le.SegmentsStopped(); got == 0 {
 		t.Fatal("worker-side stopped-segment counter did not move")
 	}
 	// Control: the same walk with a live budget runs.
 	h = budget.Header{Remaining: time.Minute}
-	nodes, _, status, err = re.WalkSegment(context.Background(), meta.Version, h, 0.9999, 5, 42, 95, nil)
+	res, err = re.WalkBatch(context.Background(), meta.Version, h, 0.9999, walks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if status != SegmentEnded || len(nodes) == 0 {
-		t.Fatalf("control walk: status %d, %d nodes", status, len(nodes))
+	if res[0].Status != SegmentEnded || len(res[0].Nodes) == 0 {
+		t.Fatalf("control walk: status %d, %d nodes", res[0].Status, len(res[0].Nodes))
 	}
 }
 
@@ -400,7 +434,7 @@ func TestCallerDeadlineNotBlamedOnWorker(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond)
-	_, err = re.ResolveShard(ctx, meta.Version, 0)
+	_, err = re.ResolveShards(ctx, meta.Version, []int{0})
 	if err == nil {
 		t.Fatal("expired context must fail the call")
 	}
@@ -413,7 +447,7 @@ func TestCallerDeadlineNotBlamedOnWorker(t *testing.T) {
 	if !re.Healthy() {
 		t.Fatal("healthy worker marked down by a caller's deadline")
 	}
-	if _, err := re.ResolveShard(context.Background(), meta.Version, 0); err != nil {
+	if _, err := re.ResolveShards(context.Background(), meta.Version, []int{0}); err != nil {
 		t.Fatalf("worker unusable after a caller timeout (backoff wrongly opened): %v", err)
 	}
 }

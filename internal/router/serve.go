@@ -38,29 +38,13 @@ type Server struct {
 	// trace ring. Swappable at runtime (SetTracer), read per request.
 	tracer atomic.Pointer[qtrace.Tracer]
 
-	// legacy, when set (SetLegacy), makes the server answer exactly like
-	// a pre-batch worker: replies advertise no CapBatch and the batched
-	// frame types are rejected as unknown requests. The mixed-version
-	// test double — real old workers are simulated, not re-built.
-	legacy atomic.Bool
-
-	// requests counts every dispatched frame; batchRequests counts the
-	// batched query-path frames (TWalkBatch, TShards) among them. The
-	// ratio is how tests assert the round-trip collapse batching buys.
-	requests      atomic.Int64
-	batchRequests atomic.Int64
+	// requests counts every dispatched frame: how tests assert the
+	// round-trip collapse batching buys.
+	requests atomic.Int64
 }
-
-// SetLegacy switches the server into (or out of) pre-batch compatibility
-// mode; see the legacy field. Intended for mixed-version tests.
-func (s *Server) SetLegacy(on bool) { s.legacy.Store(on) }
 
 // Requests reports how many request frames the server has dispatched.
 func (s *Server) Requests() int64 { return s.requests.Load() }
-
-// BatchRequests reports how many of the dispatched frames used the
-// batched forms (WalkBatch, ResolveShards).
-func (s *Server) BatchRequests() int64 { return s.batchRequests.Load() }
 
 // SetTracer arms (or, with nil, disarms) the worker-side tracer: traced
 // requests record spans and return them on the reply either way; the
@@ -187,14 +171,7 @@ func (s *Server) dispatch(typ uint8, payload, out []byte) (uint8, []byte) {
 			Shift:     m.Shift,
 			Shards:    uint32(m.Shards),
 			Owned:     make([]uint32, len(m.Owned)),
-			// Every reply advertises the trace and batch capabilities;
-			// routers enable the request-side trace field and the batched
-			// message forms per engine once they see them.
-			Caps:  rpcwire.CapTrace | rpcwire.CapBatch,
-			Spans: spans,
-		}
-		if s.legacy.Load() {
-			rep.Caps &^= rpcwire.CapBatch
+			Spans:     spans,
 		}
 		for i, p := range m.Owned {
 			rep.Owned[i] = uint32(p)
@@ -212,44 +189,7 @@ func (s *Server) dispatch(typ uint8, payload, out []byte) (uint8, []byte) {
 		}
 		return metaReply(m, nil)
 
-	case rpcwire.TShard:
-		req, err := rpcwire.DecodeShardRequest(payload)
-		if err != nil {
-			return fail(rpcwire.CodeBadRequest, err)
-		}
-		tr, root, finish := s.traceFor(req.Trace, "worker.resolve_shard")
-		tr.Annotate(root, fmt.Sprintf("shard=%d", req.Shard))
-		ctx, cancel := headerCtx(req.Budget.Remaining)
-		defer cancel()
-		csr, err := s.eng.ResolveShard(qtrace.NewContext(ctx, tr, root), req.Version, int(req.Shard))
-		spans := finish(err)
-		if err != nil {
-			return fail(rpcwire.CodeInternal, err)
-		}
-		return rpcwire.TShardRep, rpcwire.ShardReply{CSR: csr, Spans: spans}.Append(out)
-
-	case rpcwire.TWalk:
-		req, err := rpcwire.DecodeWalkRequest(payload)
-		if err != nil {
-			return fail(rpcwire.CodeBadRequest, err)
-		}
-		tr, root, finish := s.traceFor(req.Trace, "worker.walk_segment")
-		nodes, state, status, err := s.eng.WalkSegment(
-			qtrace.NewContext(context.Background(), tr, root),
-			req.Version, req.Budget, req.SqrtC,
-			req.Cur, req.State, int(req.Room), nil)
-		spans := finish(err)
-		if err != nil {
-			return fail(rpcwire.CodeInternal, err)
-		}
-		rep := rpcwire.WalkReply{State: state, Status: uint8(status), Nodes: nodes, Spans: spans}
-		return rpcwire.TWalkRep, rep.Append(out)
-
 	case rpcwire.TWalkBatch:
-		s.batchRequests.Add(1)
-		if s.legacy.Load() {
-			return fail(rpcwire.CodeBadRequest, fmt.Errorf("router: unknown request type %d", typ))
-		}
 		req, err := rpcwire.DecodeWalkBatchRequest(payload)
 		if err != nil {
 			return fail(rpcwire.CodeBadRequest, err)
@@ -274,10 +214,6 @@ func (s *Server) dispatch(typ uint8, payload, out []byte) (uint8, []byte) {
 		return rpcwire.TWalkBatchRep, rep.Append(out)
 
 	case rpcwire.TShards:
-		s.batchRequests.Add(1)
-		if s.legacy.Load() {
-			return fail(rpcwire.CodeBadRequest, fmt.Errorf("router: unknown request type %d", typ))
-		}
 		req, err := rpcwire.DecodeShardsRequest(payload)
 		if err != nil {
 			return fail(rpcwire.CodeBadRequest, err)

@@ -8,6 +8,7 @@ import (
 
 	"probesim/internal/budget"
 	"probesim/internal/graph"
+	"probesim/internal/qtrace"
 )
 
 // FuzzReadFrame: arbitrary bytes through the frame reader must error or
@@ -17,9 +18,9 @@ import (
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, byte(TMeta)})
-	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, byte(TWalk)}) // huge claimed length
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, byte(TWalkBatch)}) // huge claimed length
 	var ok bytes.Buffer
-	WriteFrame(&ok, TShard, []byte("payload"))
+	WriteFrame(&ok, TShards, []byte("payload"))
 	f.Add(ok.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, payload, err := ReadFrame(bytes.NewReader(data), nil)
@@ -55,7 +56,7 @@ func FuzzReadFrameTruncated(f *testing.F) {
 		var in bytes.Buffer
 		var hdr [5]byte
 		binary.LittleEndian.PutUint32(hdr[:4], claim)
-		hdr[4] = byte(TWalk)
+		hdr[4] = byte(TWalkBatch)
 		in.Write(hdr[:])
 		in.Write(body)
 		_, payload, err := ReadFrame(&in, nil)
@@ -82,14 +83,30 @@ func FuzzDecodeMessages(f *testing.F) {
 	h := budget.Header{Remaining: 1234, MaxWalks: 5, MaxWork: 6}
 	f.Add(MetaRequest{Budget: h}.Append(nil))
 	f.Add(MetaReply{Nodes: 10, Edges: 20, Version: 3, LastBatch: 7, Shift: 4, Shards: 2, Owned: []uint32{0, 1}}.Append(nil))
-	f.Add(ShardRequest{Budget: h, Version: 9, Shard: 1}.Append(nil))
-	f.Add(ShardReply{CSR: graph.CSRShard{InOff: []uint32{0, 1}, InDst: []graph.NodeID{3}, OutOff: []uint32{0, 0}}}.Append(nil))
-	f.Add(WalkRequest{Budget: h, Version: 2, SqrtC: 0.77, Cur: 5, State: 42, Room: 8}.Append(nil))
-	f.Add(WalkReply{State: 9, Status: WalkHandoff, Nodes: []graph.NodeID{1, 2}}.Append(nil))
+	csr := graph.CSRShard{InOff: []uint32{0, 1}, InDst: []graph.NodeID{3}, OutOff: []uint32{0, 0}}
+	walks := []WalkStart{{Cur: 5, State: 42, Room: 8}, {Cur: 6, State: 43, Room: 2}}
+	segs := []WalkSegmentResult{{State: 9, Status: WalkHandoff, Nodes: []graph.NodeID{1, 2}}, {State: 10, Status: WalkEnded}}
+	f.Add(ShardsRequest{Budget: h, Version: 9, Shards: []uint32{1, 3}}.Append(nil))
+	f.Add(ShardsReply{CSRs: []graph.CSRShard{csr, csr}}.Append(nil))
+	f.Add(WalkBatchRequest{Budget: h, Version: 2, SqrtC: 0.77, Walks: walks}.Append(nil))
+	f.Add(WalkBatchReply{Segs: segs}.Append(nil))
 	f.Add(ApplyRequest{Budget: h, Batch: 11, Ops: []Op{{U: 1, V: 2}, {Remove: true, U: 3, V: 4}}}.Append(nil))
 	f.Add(ErrorReply{Code: CodeRetiredGen, Msg: "gone"}.Append(nil))
 	f.Add(PingRequest{Budget: h}.Append(nil))
 	f.Add(PingReply{Version: 8, LastBatch: 13}.Append(nil))
+	// The same messages carrying their trailers: a sampled query's trace
+	// context on requests, recorded worker spans on replies.
+	tc := &TraceContext{Hi: 1, Lo: 2, Parent: 3}
+	spans := []qtrace.Span{{ID: 1, Start: 4, End: 9, Name: "worker.walk_batch", Attrs: "walks=2"}, {ID: 2, Parent: 1, Name: "walk.steps"}}
+	f.Add(ShardsRequest{Budget: h, Version: 9, Shards: []uint32{1}, Trace: tc}.Append(nil))
+	f.Add(ShardsReply{CSRs: []graph.CSRShard{csr}, Spans: spans}.Append(nil))
+	f.Add(WalkBatchRequest{Budget: h, Version: 2, SqrtC: 0.77, Walks: walks[:1], Trace: tc}.Append(nil))
+	f.Add(WalkBatchReply{Segs: segs[:1], Spans: spans}.Append(nil))
+	f.Add(ApplyRequest{Budget: h, Batch: 12, Ops: []Op{{U: 1, V: 2}}, Trace: tc}.Append(nil))
+	f.Add(MetaReply{Nodes: 10, Version: 4, LastBatch: 12, Shards: 1, Owned: []uint32{0}, Spans: spans}.Append(nil))
+	// A reply whose spans follow a trace trailer it never carries: the
+	// decoder must ignore both, or the re-encoded reply is no prefix.
+	f.Add(appendSpansTrailer(appendTraceTrailer(ShardsReply{CSRs: []graph.CSRShard{csr}}.Append(nil), *tc), spans))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if m, err := DecodeMetaRequest(data); err == nil {
 			// MetaRequest rejects trailing bytes, so a successful decode
@@ -100,10 +117,9 @@ func FuzzDecodeMessages(f *testing.F) {
 		}
 		// The remaining decoders tolerate trailing bytes (the dec cursor
 		// stops where the message ends): a successful decode must
-		// re-encode to a PREFIX of the input. WalkRequest/WalkReply are
-		// excluded from the prefix check only because float64 NaN payloads
-		// need not survive a value round trip bit for bit; they still must
-		// not panic.
+		// re-encode to a PREFIX of the input. WalkBatchRequest is excluded
+		// from the prefix check only because float64 NaN payloads need not
+		// survive a value round trip bit for bit; it still must not panic.
 		prefix := func(what string, out []byte) {
 			if !bytes.HasPrefix(data, out) {
 				t.Fatalf("%s: re-encoded %x is not a prefix of input %x", what, out, data)
@@ -112,17 +128,15 @@ func FuzzDecodeMessages(f *testing.F) {
 		if m, err := DecodeMetaReply(data); err == nil {
 			prefix("MetaReply", m.Append(nil))
 		}
-		if m, err := DecodeShardRequest(data); err == nil {
-			prefix("ShardRequest", m.Append(nil))
+		if m, err := DecodeShardsRequest(data); err == nil {
+			prefix("ShardsRequest", m.Append(nil))
 		}
-		if m, err := DecodeShardReply(data); err == nil {
-			prefix("ShardReply", m.Append(nil))
+		if m, err := DecodeShardsReply(data); err == nil {
+			prefix("ShardsReply", m.Append(nil))
 		}
-		if m, err := DecodeWalkRequest(data); err == nil {
-			_ = m
-		}
-		if m, err := DecodeWalkReply(data); err == nil {
-			_ = m
+		DecodeWalkBatchRequest(data)
+		if m, err := DecodeWalkBatchReply(data); err == nil {
+			prefix("WalkBatchReply", m.Append(nil))
 		}
 		if m, err := DecodeApplyRequest(data); err == nil {
 			prefix("ApplyRequest", m.Append(nil))

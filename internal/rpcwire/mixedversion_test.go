@@ -13,42 +13,45 @@ import (
 	"probesim/internal/qtrace"
 )
 
-// The trailer scheme's compatibility claim is that both mixed-version
-// pairings degrade to tracing-off with bit-identical query payloads:
+// The trailer scheme's compatibility claim is that a peer whose decoder
+// predates a trailer still reads every fixed field it knows, and that a
+// message without trailers is byte-for-byte the fixed encoding such a
+// peer has always read:
 //
-//   - new router → old worker: the router never attaches a trace field
-//     to an engine that did not advertise CapTrace, so the request bytes
-//     are exactly the pre-trailer form (verified here byte-for-byte);
-//   - old router → new worker: an untraced request decodes with
-//     Trace == nil, the worker records nothing, and its replies omit the
-//     span trailer entirely — an old decoder that ignores trailing bytes
-//     sees only the fixed fields it always saw.
+//   - router → worker that predates the trace trailer: an unsampled
+//     query's requests are exactly the fixed form, and a sampled one's
+//     decode to the same fixed fields with one trailer left over;
+//   - worker → router that predates the span trailer: replies to
+//     untraced requests carry no spans and are exactly the fixed form,
+//     and traced replies keep the fixed form as their prefix.
 //
-// These tests pin both directions against hand-rolled "old" encoders and
-// decoders that replicate the pre-trailer wire forms.
+// These tests pin both directions against hand-rolled fixed-field
+// encoders and decoders.
 
 func testHeader() budget.Header {
 	return budget.Header{Remaining: time.Second, MaxWalks: 100, MaxWork: 1000}
 }
 
-// oldShardRequestBytes is the pre-trailer ShardRequest encoding: budget
-// header, version, shard — nothing after.
-func oldShardRequestBytes(m ShardRequest) []byte {
+func fixedShardsRequestBytes(m ShardsRequest) []byte {
 	b := m.Budget.AppendBinary(nil)
 	b = binary.LittleEndian.AppendUint64(b, m.Version)
-	return binary.LittleEndian.AppendUint32(b, m.Shard)
+	return appendU32s(b, m.Shards)
 }
 
-func oldWalkRequestBytes(m WalkRequest) []byte {
+func fixedWalkBatchRequestBytes(m WalkBatchRequest) []byte {
 	b := m.Budget.AppendBinary(nil)
 	b = binary.LittleEndian.AppendUint64(b, m.Version)
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.SqrtC))
-	b = binary.LittleEndian.AppendUint32(b, uint32(m.Cur))
-	b = binary.LittleEndian.AppendUint64(b, m.State)
-	return binary.LittleEndian.AppendUint32(b, m.Room)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Walks)))
+	for _, w := range m.Walks {
+		b = binary.LittleEndian.AppendUint32(b, uint32(w.Cur))
+		b = binary.LittleEndian.AppendUint64(b, w.State)
+		b = binary.LittleEndian.AppendUint32(b, w.Room)
+	}
+	return b
 }
 
-func oldApplyRequestBytes(m ApplyRequest) []byte {
+func fixedApplyRequestBytes(m ApplyRequest) []byte {
 	b := m.Budget.AppendBinary(nil)
 	b = binary.LittleEndian.AppendUint64(b, m.Batch)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Ops)))
@@ -64,7 +67,7 @@ func oldApplyRequestBytes(m ApplyRequest) []byte {
 	return b
 }
 
-func oldMetaReplyBytes(m MetaReply) []byte {
+func fixedMetaReplyBytes(m MetaReply) []byte {
 	b := binary.LittleEndian.AppendUint64(nil, m.Nodes)
 	b = binary.LittleEndian.AppendUint64(b, m.Edges)
 	b = binary.LittleEndian.AppendUint64(b, m.Version)
@@ -74,138 +77,129 @@ func oldMetaReplyBytes(m MetaReply) []byte {
 	return appendU32s(b, m.Owned)
 }
 
-func oldWalkReplyBytes(m WalkReply) []byte {
-	b := binary.LittleEndian.AppendUint64(nil, m.State)
-	b = append(b, m.Status)
-	return appendNodes(b, m.Nodes)
+func fixedShardsReplyBytes(m ShardsReply) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(m.CSRs)))
+	for _, c := range m.CSRs {
+		b = appendU32s(b, c.InOff)
+		b = appendNodes(b, c.InDst)
+		b = appendU32s(b, c.OutOff)
+		b = appendNodes(b, c.OutDst)
+	}
+	return b
 }
 
-// New router talking to an old worker: traceOK is false for an engine
-// whose MetaReply carried no CapTrace, so requests go out with Trace ==
-// nil — and a traceless request must be byte-identical to the old wire
-// form so the old worker's strict-prefix decoder is none the wiser.
-func TestNewRouterOldWorkerRequestsBitIdentical(t *testing.T) {
-	sr := ShardRequest{Budget: testHeader(), Version: 7, Shard: 3}
-	if got, want := sr.Append(nil), oldShardRequestBytes(sr); !bytes.Equal(got, want) {
-		t.Fatalf("traceless ShardRequest differs from legacy form:\n got %x\nwant %x", got, want)
+func fixedWalkBatchReplyBytes(m WalkBatchReply) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(m.Segs)))
+	for _, s := range m.Segs {
+		b = binary.LittleEndian.AppendUint64(b, s.State)
+		b = append(b, s.Status)
+		b = appendNodes(b, s.Nodes)
 	}
-	wr := WalkRequest{Budget: testHeader(), Version: 7, SqrtC: 0.8, Cur: 42, State: 0xDEADBEEF, Room: 16}
-	if got, want := wr.Append(nil), oldWalkRequestBytes(wr); !bytes.Equal(got, want) {
-		t.Fatalf("traceless WalkRequest differs from legacy form:\n got %x\nwant %x", got, want)
+	return b
+}
+
+// An unsampled query's requests carry no trace field, so they are
+// byte-identical to the fixed wire form a trailer-unaware worker decodes.
+func TestNewRouterOldWorkerRequestsBitIdentical(t *testing.T) {
+	sr := ShardsRequest{Budget: testHeader(), Version: 7, Shards: []uint32{3, 5}}
+	if got, want := sr.Append(nil), fixedShardsRequestBytes(sr); !bytes.Equal(got, want) {
+		t.Fatalf("traceless ShardsRequest differs from the fixed form:\n got %x\nwant %x", got, want)
+	}
+	wr := WalkBatchRequest{Budget: testHeader(), Version: 7, SqrtC: 0.8,
+		Walks: []WalkStart{{Cur: 42, State: 0xDEADBEEF, Room: 16}, {Cur: 1, State: 2, Room: 3}}}
+	if got, want := wr.Append(nil), fixedWalkBatchRequestBytes(wr); !bytes.Equal(got, want) {
+		t.Fatalf("traceless WalkBatchRequest differs from the fixed form:\n got %x\nwant %x", got, want)
 	}
 	ar := ApplyRequest{Budget: testHeader(), Batch: 9, Ops: []Op{{U: 1, V: 2}, {Remove: true, U: 3, V: 4}}}
-	if got, want := ar.Append(nil), oldApplyRequestBytes(ar); !bytes.Equal(got, want) {
-		t.Fatalf("traceless ApplyRequest differs from legacy form:\n got %x\nwant %x", got, want)
+	if got, want := ar.Append(nil), fixedApplyRequestBytes(ar); !bytes.Equal(got, want) {
+		t.Fatalf("traceless ApplyRequest differs from the fixed form:\n got %x\nwant %x", got, want)
 	}
 }
 
-// Old worker receiving a traced request anyway (e.g. a router from
-// before capability gating): the fixed decoders have always ignored
-// trailing bytes, so the old worker decodes the same fixed fields and
-// just never sees the trace. Replicate the old decode as fixed-fields-
-// then-stop and check it against the new traced encoding.
+// A sampled query's requests carry a trace trailer that a trailer-unaware
+// decoder (fixed fields, then stop) never reaches: it decodes the same
+// fixed fields, with exactly one trace trailer left over.
 func TestOldWorkerDecodesTracedRequests(t *testing.T) {
 	tc := &TraceContext{Hi: 0x1111, Lo: 0x2222, Parent: 5}
-	sr := ShardRequest{Budget: testHeader(), Version: 7, Shard: 3, Trace: tc}
-	b := sr.Append(nil)
-
-	// Old decoder: budget header + fixed fields, trailing bytes dropped.
-	h, rest, err := budget.DecodeHeader(b)
+	sr := ShardsRequest{Budget: testHeader(), Version: 7, Shards: []uint32{3, 5}, Trace: tc}
+	h, rest, err := budget.DecodeHeader(sr.Append(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := dec{b: rest}
-	old := ShardRequest{Budget: h, Version: d.u64(), Shard: d.u32()}
+	old := ShardsRequest{Budget: h, Version: d.u64(), Shards: d.u32s()}
 	if d.err != nil {
 		t.Fatal(d.err)
 	}
-	if old.Version != sr.Version || old.Shard != sr.Shard || old.Budget != sr.Budget {
-		t.Fatalf("old decode mangled fixed fields: %+v", old)
+	if old.Budget != sr.Budget || old.Version != sr.Version || !reflect.DeepEqual(old.Shards, sr.Shards) {
+		t.Fatalf("fixed-field decode mangled the shards request: %+v", old)
 	}
 	if len(d.b) != 8+traceContextSize {
-		t.Fatalf("expected exactly one trace trailer after fixed fields, %d bytes left", len(d.b))
+		t.Fatalf("expected exactly one trace trailer after the fixed fields, %d bytes left", len(d.b))
+	}
+
+	wr := WalkBatchRequest{Budget: testHeader(), Version: 7, SqrtC: 0.8,
+		Walks: []WalkStart{{Cur: 42, State: 0xDEADBEEF, Room: 16}}, Trace: tc}
+	b := wr.Append(nil)
+	fixed := fixedWalkBatchRequestBytes(wr)
+	if !bytes.HasPrefix(b, fixed) || len(b) != len(fixed)+8+traceContextSize {
+		t.Fatalf("traced WalkBatchRequest is not its fixed form plus one trace trailer:\n got %x\nfixed %x", b, fixed)
 	}
 }
 
-// Old router talking to a new worker: an untraced request decodes with
-// Trace == nil on the worker, the worker records no spans, and a
-// zero-caps, span-free reply is byte-identical to the pre-trailer wire
-// form. The capability word on MetaReply is the one deliberate addition;
-// old MetaReply decoders ignore trailing bytes, so verify the fixed
-// prefix survives and the legacy decode still sees the same fields.
+// Replies to untraced requests carry no spans and are byte-identical to
+// the fixed form; traced replies keep that fixed form as their prefix, so
+// a trailer-unaware router reads the same fields either way.
 func TestOldRouterNewWorkerRepliesBitIdentical(t *testing.T) {
-	sr, err := DecodeShardRequest(oldShardRequestBytes(ShardRequest{Budget: testHeader(), Version: 1, Shard: 0}))
+	sr, err := DecodeShardsRequest(fixedShardsRequestBytes(ShardsRequest{Budget: testHeader(), Version: 1, Shards: []uint32{0}}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sr.Trace != nil {
-		t.Fatal("untraced legacy request decoded with a trace context")
+		t.Fatal("fixed-form request decoded with a trace context")
 	}
 
-	// Span-free replies: bit-identical to the legacy form.
-	shardRep := ShardReply{CSR: graph.CSRShard{
+	shardsRep := ShardsReply{CSRs: []graph.CSRShard{{
 		InOff: []uint32{0, 1}, InDst: []graph.NodeID{4},
 		OutOff: []uint32{0, 2}, OutDst: []graph.NodeID{5, 6},
-	}}
-	legacyShard := appendU32s(nil, shardRep.CSR.InOff)
-	legacyShard = appendNodes(legacyShard, shardRep.CSR.InDst)
-	legacyShard = appendU32s(legacyShard, shardRep.CSR.OutOff)
-	legacyShard = appendNodes(legacyShard, shardRep.CSR.OutDst)
-	if got := shardRep.Append(nil); !bytes.Equal(got, legacyShard) {
-		t.Fatalf("span-free ShardReply differs from legacy form:\n got %x\nwant %x", got, legacyShard)
-	}
-	walkRep := WalkReply{State: 77, Status: WalkEnded, Nodes: []graph.NodeID{1, 2, 3}}
-	if got, want := walkRep.Append(nil), oldWalkReplyBytes(walkRep); !bytes.Equal(got, want) {
-		t.Fatalf("span-free WalkReply differs from legacy form:\n got %x\nwant %x", got, want)
-	}
-
-	// MetaReply with CapTrace: fixed prefix unchanged, so a legacy
-	// decoder (fixed fields, drop the tail) reads the same shape.
-	meta := MetaReply{Nodes: 10, Edges: 20, Version: 3, LastBatch: 4, Shift: 2, Shards: 4, Owned: []uint32{0, 2}, Caps: CapTrace}
-	b := meta.Append(nil)
-	legacyPrefix := oldMetaReplyBytes(meta)
-	if !bytes.HasPrefix(b, legacyPrefix) {
-		t.Fatalf("MetaReply fixed prefix changed:\n got %x\nwant prefix %x", b, legacyPrefix)
-	}
-	oldDecoded, err := DecodeMetaReply(legacyPrefix) // what an old worker would have sent
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldDecoded.Caps != 0 || oldDecoded.Spans != nil {
-		t.Fatalf("legacy MetaReply decoded with trailer fields set: %+v", oldDecoded)
-	}
-	newDecoded, err := DecodeMetaReply(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if newDecoded.Caps != CapTrace {
-		t.Fatalf("CapTrace lost in round trip: %+v", newDecoded)
-	}
-	// A zero-caps reply from a new worker is exactly the legacy bytes.
-	meta.Caps = 0
-	if got := meta.Append(nil); !bytes.Equal(got, legacyPrefix) {
-		t.Fatalf("zero-caps MetaReply differs from legacy form:\n got %x\nwant %x", got, legacyPrefix)
+	}}}
+	walkRep := WalkBatchReply{Segs: []WalkSegmentResult{{State: 77, Status: WalkEnded, Nodes: []graph.NodeID{1, 2, 3}}}}
+	meta := MetaReply{Nodes: 10, Edges: 20, Version: 3, LastBatch: 4, Shift: 2, Shards: 4, Owned: []uint32{0, 2}}
+	for _, c := range []struct {
+		name        string
+		got, fixed  []byte
+		traced      []byte
+		decodeFixed func([]byte) error
+	}{
+		{"ShardsReply", shardsRep.Append(nil), fixedShardsReplyBytes(shardsRep),
+			ShardsReply{CSRs: shardsRep.CSRs, Spans: testSpans}.Append(nil),
+			func(b []byte) error { _, err := DecodeShardsReply(b); return err }},
+		{"WalkBatchReply", walkRep.Append(nil), fixedWalkBatchReplyBytes(walkRep),
+			WalkBatchReply{Segs: walkRep.Segs, Spans: testSpans}.Append(nil),
+			func(b []byte) error { _, err := DecodeWalkBatchReply(b); return err }},
+		{"MetaReply", meta.Append(nil), fixedMetaReplyBytes(meta),
+			MetaReply{Nodes: meta.Nodes, Edges: meta.Edges, Version: meta.Version, LastBatch: meta.LastBatch,
+				Shift: meta.Shift, Shards: meta.Shards, Owned: meta.Owned, Spans: testSpans}.Append(nil),
+			func(b []byte) error { _, err := DecodeMetaReply(b); return err }},
+	} {
+		if !bytes.Equal(c.got, c.fixed) {
+			t.Fatalf("span-free %s differs from the fixed form:\n got %x\nwant %x", c.name, c.got, c.fixed)
+		}
+		if !bytes.HasPrefix(c.traced, c.fixed) {
+			t.Fatalf("traced %s changed the fixed prefix:\n got %x\nwant prefix %x", c.name, c.traced, c.fixed)
+		}
+		if err := c.decodeFixed(c.fixed); err != nil {
+			t.Fatalf("fixed-form %s: %v", c.name, err)
+		}
 	}
 }
 
-// Traced round trip: the full new-router/new-worker path preserves the
-// trace context and spans exactly.
+// The write plane's trailers round-trip exactly: a traced ApplyRequest
+// keeps its trace context and the MetaReply answering it keeps the
+// worker's spans. (The query-path messages' trailers are covered by
+// TestShardRoundTrip and TestWalkRoundTrip.)
 func TestTracedRoundTrip(t *testing.T) {
 	tc := &TraceContext{Hi: 0xA, Lo: 0xB, Parent: 3}
-	sr, err := DecodeShardRequest(ShardRequest{Budget: testHeader(), Version: 1, Shard: 2, Trace: tc}.Append(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.Trace == nil || *sr.Trace != *tc {
-		t.Fatalf("trace context mangled: %+v", sr.Trace)
-	}
-	wr, err := DecodeWalkRequest(WalkRequest{Budget: testHeader(), Version: 1, SqrtC: 0.8, Cur: 9, State: 1, Room: 4, Trace: tc}.Append(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wr.Trace == nil || *wr.Trace != *tc {
-		t.Fatalf("trace context mangled: %+v", wr.Trace)
-	}
 	ar, err := DecodeApplyRequest(ApplyRequest{Budget: testHeader(), Batch: 1, Ops: []Op{{U: 1, V: 2}}, Trace: tc}.Append(nil))
 	if err != nil {
 		t.Fatal(err)
@@ -215,10 +209,10 @@ func TestTracedRoundTrip(t *testing.T) {
 	}
 
 	spans := []qtrace.Span{
-		{ID: 1, Parent: 0, Start: 10, End: 20, Name: "worker.walk_segment", Attrs: "batch=3"},
-		{ID: 2, Parent: 1, Start: 12, End: 18, Name: "walk.steps"},
+		{ID: 1, Parent: 0, Start: 10, End: 20, Name: "worker.apply", Attrs: "batch=1,ops=1"},
+		{ID: 2, Parent: 1, Start: 12, End: 18, Name: "store.apply"},
 	}
-	rep, err := DecodeWalkReply(WalkReply{State: 5, Status: WalkHandoff, Nodes: []graph.NodeID{7}, Spans: spans}.Append(nil))
+	rep, err := DecodeMetaReply(MetaReply{Version: 5, LastBatch: 1, Spans: spans}.Append(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

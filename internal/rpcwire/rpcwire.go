@@ -2,9 +2,11 @@
 // plane: length-prefixed frames over a byte stream, with hand-rolled
 // little-endian message encodings. The protocol is deliberately tiny —
 // a handful of request/reply pairs and an error frame — because the
-// shard engine API it carries (report version / resolve adjacency spans /
-// sample walk segments / apply mutations / publish, each with a batched
-// variant behind CapBatch) is tiny.
+// shard engine API it carries (report version / resolve shard adjacency
+// blocks / continue walk segments / apply mutations / publish) is tiny.
+// Each operation has exactly one wire form: the query path speaks only
+// the batched TShards and TWalkBatch messages, so fetching one shard or
+// continuing one walk is a batch of one.
 //
 // Frame layout:
 //
@@ -21,25 +23,24 @@
 // semantic errors (unknown generation, bad shard id) from transport
 // failures (broken/timed-out connection), which surface as I/O errors.
 //
-// # Versioned optional trailers
+// # Optional trailers
 //
-// Query-path messages may carry optional tagged trailers after their
-// fixed encoding: a trace context on requests (TShard/TWalk/TApply, next
-// to the budget header they already carry), recorded worker spans on the
-// corresponding replies, and a capability word on MetaReply. The fixed
-// decoders of those messages have always ignored trailing bytes, so an
-// old worker silently drops a new router's trace field and an old router
-// silently drops a new worker's trailers — tracing degrades to off, and
-// query answers stay bit-identical because the walk state never moved.
-// TMeta/TPing requests reject trailing bytes on old workers, so trailers
-// are never attached to them; capability discovery rides the MetaReply a
-// router already fetches at assembly.
+// TShards, TWalkBatch and TApply requests may carry a tagged trailer
+// after their fixed encoding: the trace context of a sampled query, next
+// to the budget header they already carry. Every worker parses it, so a
+// sampled query's requests always carry one and an unsampled query's
+// never do. The corresponding replies (and the MetaReply answering
+// TApply) carry the worker's recorded spans back the same way. A message
+// without trailers is exactly its fixed encoding, and the fixed decoders
+// stop where the fixed fields end, so a peer whose decoder predates a
+// trailer reads the same fields and ignores it. TMeta/TPing requests
+// reject trailing bytes, so trailers are never attached to them.
 //
-// Trailers are canonical: emitted in a fixed tag order with exact body
-// lengths, and the parser accepts only that form (stopping at the first
-// unknown or non-canonical trailer, which legacy peers treat the same as
-// arbitrary trailing garbage). Canonical form keeps decode→encode an
-// identity on the trailer bytes.
+// Trailers are canonical: a message carries at most one, under the tag
+// its kind allows, with an exact body length. The parser accepts only
+// that form and treats anything else after the fixed fields as arbitrary
+// trailing garbage. Canonical form keeps decode→encode an identity on
+// the trailer bytes.
 package rpcwire
 
 import (
@@ -54,28 +55,20 @@ import (
 	"probesim/internal/qtrace"
 )
 
-// Message types.
+// Message types. Codes 3–6 are retired and not reused.
 const (
-	TMeta     uint8 = iota + 1 // MetaRequest -> MetaReply: report version/shape
-	TMetaRep                   // MetaReply
-	TShard                     // ShardRequest -> ShardReply: resolve adjacency spans
-	TShardRep                  // ShardReply
-	TWalk                      // WalkRequest -> WalkReply: sample a walk segment
-	TWalkRep                   // WalkReply
-	TApply                     // ApplyRequest -> MetaReply: apply edge mutations
-	TPublish                   // PublishRequest -> MetaReply: republish + report
-	TErr                       // ErrorReply
-	TPing                      // PingRequest -> PingReply: version/watermark probe
-	TPingRep                   // PingReply
+	TMeta    uint8 = 1  // MetaRequest -> MetaReply: report version/shape
+	TMetaRep uint8 = 2  // MetaReply
+	TApply   uint8 = 7  // ApplyRequest -> MetaReply: apply edge mutations
+	TPublish uint8 = 8  // PublishRequest -> MetaReply: republish + report
+	TErr     uint8 = 9  // ErrorReply
+	TPing    uint8 = 10 // PingRequest -> PingReply: version/watermark probe
+	TPingRep uint8 = 11 // PingReply
 
-	// Batched query-path messages (CapBatch). A peer that lacks the
-	// capability never sees them: routers fall back to the per-item
-	// TShard/TWalk forms, which are byte-identical on the wire to a
-	// pre-batch router.
-	TWalkBatch    // WalkBatchRequest -> WalkBatchReply: sample N walk segments
-	TWalkBatchRep // WalkBatchReply
-	TShards       // ShardsRequest -> ShardsReply: resolve N adjacency blocks
-	TShardsRep    // ShardsReply
+	TWalkBatch    uint8 = 12 // WalkBatchRequest -> WalkBatchReply: continue N walk segments
+	TWalkBatchRep uint8 = 13 // WalkBatchReply
+	TShards       uint8 = 14 // ShardsRequest -> ShardsReply: resolve N adjacency blocks
+	TShardsRep    uint8 = 15 // ShardsReply
 )
 
 // Error codes carried by TErr frames.
@@ -94,22 +87,7 @@ const MaxFrame = 1 << 30
 // Trailer tags. Each trailer is tag (u32) | body length (u32) | body.
 const (
 	tagTrace uint32 = 0x43525451 // "QTRC": TraceContext on a request
-	tagCaps  uint32 = 0x53504143 // "CAPS": capability flags on MetaReply
 	tagSpans uint32 = 0x534E5053 // "SPNS": recorded worker spans on a reply
-)
-
-// Capability flags carried by MetaReply.Caps.
-const (
-	// CapTrace: the worker understands the trace trailer and returns its
-	// spans on traced requests. Routers attach trace contexts only to
-	// engines that advertised it, so an old worker never sees a trace
-	// field on the wire at all.
-	CapTrace uint32 = 1 << 0
-	// CapBatch: the worker serves the batched query-path messages
-	// (TWalkBatch, TShards). Routers send batches only to engines that
-	// advertised it and fall back to per-item TWalk/TShard requests
-	// otherwise, so mixed-version fleets keep answering bit-identically.
-	CapBatch uint32 = 1 << 1
 )
 
 // TraceContext is the cross-process form of "this request belongs to a
@@ -162,69 +140,44 @@ func appendSpansTrailer(b []byte, spans []qtrace.Span) []byte {
 	return appendTrailer(b, tagSpans, body)
 }
 
-// trailers is what the optional tail of a message parsed to.
-type trailers struct {
-	trace *TraceContext
-	caps  uint32
-	spans []qtrace.Span
+// trailer returns the body of the trailer tagged tag at the head of b,
+// or ok = false when b does not start with one (a trailer-free message,
+// another tag, or a truncated body). Whatever follows the trailer is
+// ignored, like any other trailing bytes.
+func trailer(b []byte, tag uint32) (body []byte, ok bool) {
+	if len(b) < 8 || binary.LittleEndian.Uint32(b) != tag {
+		return nil, false
+	}
+	n := int(binary.LittleEndian.Uint32(b[4:]))
+	if len(b)-8 < n {
+		return nil, false
+	}
+	return b[8 : 8+n], true
 }
 
-// parseTrailers consumes canonical trailers from b, stopping (and
-// discarding nothing already parsed) at the first malformed, unknown or
-// out-of-order trailer — the legacy "ignore trailing bytes" behavior.
-// Tag order is fixed: tagTrace, tagCaps, tagSpans.
-func parseTrailers(b []byte) trailers {
-	var t trailers
-	last := uint32(0)
-	rank := func(tag uint32) uint32 {
-		switch tag {
-		case tagTrace:
-			return 1
-		case tagCaps:
-			return 2
-		case tagSpans:
-			return 3
-		}
-		return 0
+// parseTrace reads a request's optional trace-context trailer: nil unless
+// b starts with a canonical one.
+func parseTrace(b []byte) *TraceContext {
+	body, ok := trailer(b, tagTrace)
+	if !ok || len(body) != traceContextSize {
+		return nil
 	}
-	for len(b) >= 8 {
-		tag := binary.LittleEndian.Uint32(b)
-		n := int(binary.LittleEndian.Uint32(b[4:]))
-		r := rank(tag)
-		if r == 0 || r <= last || n < 0 || len(b) < 8+n {
-			return t
-		}
-		body := b[8 : 8+n]
-		switch tag {
-		case tagTrace:
-			if n != traceContextSize {
-				return t
-			}
-			t.trace = &TraceContext{
-				Hi:     binary.LittleEndian.Uint64(body[0:]),
-				Lo:     binary.LittleEndian.Uint64(body[8:]),
-				Parent: binary.LittleEndian.Uint32(body[16:]),
-			}
-		case tagCaps:
-			if n != 4 {
-				return t
-			}
-			caps := binary.LittleEndian.Uint32(body)
-			if caps == 0 { // canonical form omits a zero word
-				return t
-			}
-			t.caps = caps
-		case tagSpans:
-			spans, ok := decodeSpansBody(body)
-			if !ok {
-				return t
-			}
-			t.spans = spans
-		}
-		last = r
-		b = b[8+n:]
+	return &TraceContext{
+		Hi:     binary.LittleEndian.Uint64(body[0:]),
+		Lo:     binary.LittleEndian.Uint64(body[8:]),
+		Parent: binary.LittleEndian.Uint32(body[16:]),
 	}
-	return t
+}
+
+// parseSpans reads a reply's optional span trailer: nil unless b starts
+// with a canonical one.
+func parseSpans(b []byte) []qtrace.Span {
+	body, ok := trailer(b, tagSpans)
+	if !ok {
+		return nil
+	}
+	spans, _ := decodeSpansBody(body)
+	return spans
 }
 
 // decodeSpansBody decodes a span trailer body; ok is false unless the
@@ -444,10 +397,6 @@ type MetaReply struct {
 	Shards    uint32
 	Owned     []uint32 // shard ids this engine serves
 
-	// Caps advertises optional protocol capabilities (CapTrace). Encoded
-	// as a trailer only when non-zero, so a zero-caps reply is
-	// byte-identical to the pre-trailer wire form; old routers ignore it.
-	Caps uint32
 	// Spans carries the worker's recorded spans back to a traced caller
 	// (TApply replies). Empty for untraced requests.
 	Spans []qtrace.Span
@@ -461,11 +410,6 @@ func (m MetaReply) Append(b []byte) []byte {
 	b = binary.LittleEndian.AppendUint32(b, m.Shift)
 	b = binary.LittleEndian.AppendUint32(b, m.Shards)
 	b = appendU32s(b, m.Owned)
-	if m.Caps != 0 {
-		var body [4]byte
-		binary.LittleEndian.PutUint32(body[:], m.Caps)
-		b = appendTrailer(b, tagCaps, body[:])
-	}
 	if len(m.Spans) > 0 {
 		b = appendSpansTrailer(b, m.Spans)
 	}
@@ -484,156 +428,17 @@ func DecodeMetaReply(b []byte) (MetaReply, error) {
 		Owned:     d.u32s(),
 	}
 	if d.err == nil {
-		t := parseTrailers(d.b)
-		m.Caps, m.Spans = t.caps, t.spans
+		m.Spans = parseSpans(d.b)
 	}
 	return m, d.err
 }
 
-// ShardRequest asks for shard Shard's CSR block at generation Version.
-type ShardRequest struct {
-	Budget  budget.Header
-	Version uint64
-	Shard   uint32
-	// Trace, when non-nil, ties this request to a sampled caller-side
-	// trace (optional trailer; old workers ignore it).
-	Trace *TraceContext
-}
-
-func (m ShardRequest) Append(b []byte) []byte {
-	b = m.Budget.AppendBinary(b)
-	b = binary.LittleEndian.AppendUint64(b, m.Version)
-	b = binary.LittleEndian.AppendUint32(b, m.Shard)
-	if m.Trace != nil {
-		b = appendTraceTrailer(b, *m.Trace)
-	}
-	return b
-}
-
-func DecodeShardRequest(b []byte) (ShardRequest, error) {
-	h, rest, err := budget.DecodeHeader(b)
-	if err != nil {
-		return ShardRequest{}, err
-	}
-	d := dec{b: rest}
-	m := ShardRequest{Budget: h, Version: d.u64(), Shard: d.u32()}
-	if d.err == nil {
-		m.Trace = parseTrailers(d.b).trace
-	}
-	return m, d.err
-}
-
-// ShardReply carries one shard's CSR adjacency block.
-type ShardReply struct {
-	CSR graph.CSRShard
-	// Spans carries the worker's recorded spans for a traced request.
-	Spans []qtrace.Span
-}
-
-func (m ShardReply) Append(b []byte) []byte {
-	b = appendU32s(b, m.CSR.InOff)
-	b = appendNodes(b, m.CSR.InDst)
-	b = appendU32s(b, m.CSR.OutOff)
-	b = appendNodes(b, m.CSR.OutDst)
-	if len(m.Spans) > 0 {
-		b = appendSpansTrailer(b, m.Spans)
-	}
-	return b
-}
-
-func DecodeShardReply(b []byte) (ShardReply, error) {
-	d := dec{b: b}
-	m := ShardReply{CSR: graph.CSRShard{
-		InOff:  d.u32s(),
-		InDst:  d.nodes(),
-		OutOff: d.u32s(),
-		OutDst: d.nodes(),
-	}}
-	if d.err == nil {
-		m.Spans = parseTrailers(d.b).spans
-	}
-	return m, d.err
-}
-
-// WalkRequest asks the engine owning Cur's shard to continue a √c-walk:
-// append at most Room nodes, drawing from the SplitMix64 stream at State.
-type WalkRequest struct {
-	Budget  budget.Header
-	Version uint64
-	SqrtC   float64
-	Cur     graph.NodeID
-	State   uint64
-	Room    uint32
-	// Trace, when non-nil, ties this request to a sampled caller-side
-	// trace (optional trailer; old workers ignore it).
-	Trace *TraceContext
-}
-
-func (m WalkRequest) Append(b []byte) []byte {
-	b = m.Budget.AppendBinary(b)
-	b = binary.LittleEndian.AppendUint64(b, m.Version)
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.SqrtC))
-	b = binary.LittleEndian.AppendUint32(b, uint32(m.Cur))
-	b = binary.LittleEndian.AppendUint64(b, m.State)
-	b = binary.LittleEndian.AppendUint32(b, m.Room)
-	if m.Trace != nil {
-		b = appendTraceTrailer(b, *m.Trace)
-	}
-	return b
-}
-
-func DecodeWalkRequest(b []byte) (WalkRequest, error) {
-	h, rest, err := budget.DecodeHeader(b)
-	if err != nil {
-		return WalkRequest{}, err
-	}
-	d := dec{b: rest}
-	m := WalkRequest{Budget: h, Version: d.u64()}
-	m.SqrtC = math.Float64frombits(d.u64())
-	m.Cur = graph.NodeID(int32(d.u32()))
-	m.State = d.u64()
-	m.Room = d.u32()
-	if d.err == nil {
-		m.Trace = parseTrailers(d.b).trace
-	}
-	return m, d.err
-}
-
-// Walk segment statuses.
+// Walk segment statuses (WalkSegmentResult.Status).
 const (
 	WalkEnded   uint8 = 0 // terminated (survival draw, dead end, or room)
 	WalkHandoff uint8 = 1 // crossed to a shard this engine does not own
 	WalkStopped uint8 = 2 // stopped by the propagated budget
 )
-
-// WalkReply returns the appended segment nodes and the stream state after
-// them.
-type WalkReply struct {
-	State  uint64
-	Status uint8
-	Nodes  []graph.NodeID
-	// Spans carries the worker's recorded spans for a traced request.
-	Spans []qtrace.Span
-}
-
-func (m WalkReply) Append(b []byte) []byte {
-	b = binary.LittleEndian.AppendUint64(b, m.State)
-	b = append(b, m.Status)
-	b = appendNodes(b, m.Nodes)
-	if len(m.Spans) > 0 {
-		b = appendSpansTrailer(b, m.Spans)
-	}
-	return b
-}
-
-func DecodeWalkReply(b []byte) (WalkReply, error) {
-	d := dec{b: b}
-	m := WalkReply{State: d.u64(), Status: d.u8(), Nodes: d.nodes()}
-	if d.err == nil {
-		m.Spans = parseTrailers(d.b).spans
-	}
-	return m, d.err
-}
 
 // WalkStart is one walk of a WalkBatchRequest: continue a √c-walk whose
 // current node is Cur, appending at most Room nodes, drawing from the
@@ -649,7 +454,7 @@ const walkStartSize = 16
 // WalkBatchRequest asks one engine to continue N walks in a single round
 // trip. Every Cur must land in a shard the engine owns; each walk draws
 // only from its own State, so the batch is semantically N independent
-// WalkRequests — batching changes the wire shape, never the streams.
+// walk segments — batching changes the wire shape, never the streams.
 type WalkBatchRequest struct {
 	Budget  budget.Header
 	Version uint64
@@ -696,13 +501,14 @@ func DecodeWalkBatchRequest(b []byte) (WalkBatchRequest, error) {
 		m.Walks = append(m.Walks, w)
 	}
 	if d.err == nil {
-		m.Trace = parseTrailers(d.b).trace
+		m.Trace = parseTrace(d.b)
 	}
 	return m, d.err
 }
 
-// WalkSegmentResult is one walk's outcome within a WalkBatchReply,
-// mirroring WalkReply.
+// WalkSegmentResult is one walk's outcome within a WalkBatchReply: the
+// appended segment nodes, the stream state after them, and a Walk*
+// status.
 type WalkSegmentResult struct {
 	State  uint64
 	Status uint8
@@ -744,14 +550,14 @@ func DecodeWalkBatchReply(b []byte) (WalkBatchReply, error) {
 		m.Segs = append(m.Segs, s)
 	}
 	if d.err == nil {
-		m.Spans = parseTrailers(d.b).spans
+		m.Spans = parseSpans(d.b)
 	}
 	return m, d.err
 }
 
-// ShardsRequest asks for several shards' CSR blocks at generation
-// Version in one round trip — the batched form of ShardRequest, used
-// when a router materializes its composite view's dense adjacency.
+// ShardsRequest asks for shards' CSR blocks at generation Version in one
+// round trip: every block when a router materializes its composite
+// view's dense adjacency, one when a probe faults in a single shard.
 type ShardsRequest struct {
 	Budget  budget.Header
 	Version uint64
@@ -779,7 +585,7 @@ func DecodeShardsRequest(b []byte) (ShardsRequest, error) {
 	d := dec{b: rest}
 	m := ShardsRequest{Budget: h, Version: d.u64(), Shards: d.u32s()}
 	if d.err == nil {
-		m.Trace = parseTrailers(d.b).trace
+		m.Trace = parseTrace(d.b)
 	}
 	return m, d.err
 }
@@ -823,7 +629,7 @@ func DecodeShardsReply(b []byte) (ShardsReply, error) {
 		})
 	}
 	if d.err == nil {
-		m.Spans = parseTrailers(d.b).spans
+		m.Spans = parseSpans(d.b)
 	}
 	return m, d.err
 }
@@ -891,7 +697,7 @@ func DecodeApplyRequest(b []byte) (ApplyRequest, error) {
 		m.Ops = append(m.Ops, Op{Remove: k == 1, U: u, V: v})
 	}
 	if d.err == nil {
-		m.Trace = parseTrailers(d.b).trace
+		m.Trace = parseTrace(d.b)
 	}
 	return m, d.err
 }

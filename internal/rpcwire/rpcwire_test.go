@@ -11,19 +11,20 @@ import (
 
 	"probesim/internal/budget"
 	"probesim/internal/graph"
+	"probesim/internal/qtrace"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello shard plane")
-	if err := WriteFrame(&buf, TShard, payload); err != nil {
+	if err := WriteFrame(&buf, TShards, payload); err != nil {
 		t.Fatal(err)
 	}
 	typ, got, err := ReadFrame(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != TShard || !bytes.Equal(got, payload) {
+	if typ != TShards || !bytes.Equal(got, payload) {
 		t.Fatalf("got type %d payload %q", typ, got)
 	}
 }
@@ -76,37 +77,63 @@ func TestMetaRoundTrip(t *testing.T) {
 	}
 }
 
+// testSpans is a worker span tree as it travels back on a traced reply.
+var testSpans = []qtrace.Span{
+	{ID: 1, Parent: 0, Start: 10, End: 20, Name: "worker.walk_batch", Attrs: "walks=2"},
+	{ID: 2, Parent: 1, Start: 12, End: 18, Name: "walk.steps"},
+}
+
 func TestShardRoundTrip(t *testing.T) {
-	req := ShardRequest{Version: 7, Shard: 3}
-	got, err := DecodeShardRequest(req.Append(nil))
-	if err != nil || got != req {
-		t.Fatalf("shard request: %+v err %v", got, err)
+	for _, tc := range []*TraceContext{nil, {Hi: 0xA, Lo: 0xB, Parent: 3}} {
+		req := ShardsRequest{Budget: budget.Header{Remaining: time.Second}, Version: 7, Shards: []uint32{3, 5}, Trace: tc}
+		got, err := DecodeShardsRequest(req.Append(nil))
+		if err != nil || !reflect.DeepEqual(got, req) {
+			t.Fatalf("shards request: %+v err %v, want %+v", got, err, req)
+		}
 	}
-	rep := ShardReply{CSR: graph.CSRShard{
+	rep := ShardsReply{CSRs: []graph.CSRShard{{
 		InOff:  []uint32{0, 1, 3},
 		InDst:  []graph.NodeID{5, 6, 7},
 		OutOff: []uint32{0, 0, 2},
 		OutDst: []graph.NodeID{1, 2},
-	}}
-	gotRep, err := DecodeShardReply(rep.Append(nil))
-	if err != nil || !reflect.DeepEqual(gotRep, rep) {
-		t.Fatalf("shard reply: %+v err %v", gotRep, err)
+	}, {
+		InOff: []uint32{0}, InDst: []graph.NodeID{}, OutOff: []uint32{0}, OutDst: []graph.NodeID{},
+	}}}
+	for _, spans := range [][]qtrace.Span{nil, testSpans} {
+		rep.Spans = spans
+		gotRep, err := DecodeShardsReply(rep.Append(nil))
+		if err != nil || !reflect.DeepEqual(gotRep, rep) {
+			t.Fatalf("shards reply: %+v err %v, want %+v", gotRep, err, rep)
+		}
 	}
 }
 
 func TestWalkRoundTrip(t *testing.T) {
-	req := WalkRequest{
-		Budget:  budget.Header{Remaining: time.Second},
-		Version: 9, SqrtC: 0.7745966692414834, Cur: 12, State: 0xdeadbeefcafef00d, Room: 95,
+	for _, tc := range []*TraceContext{nil, {Hi: 0xA, Lo: 0xB, Parent: 3}} {
+		req := WalkBatchRequest{
+			Budget:  budget.Header{Remaining: time.Second},
+			Version: 9, SqrtC: 0.7745966692414834,
+			Walks: []WalkStart{
+				{Cur: 12, State: 0xdeadbeefcafef00d, Room: 95},
+				{Cur: 3, State: 42, Room: 1},
+			},
+			Trace: tc,
+		}
+		got, err := DecodeWalkBatchRequest(req.Append(nil))
+		if err != nil || !reflect.DeepEqual(got, req) {
+			t.Fatalf("walk batch request: %+v err %v, want %+v", got, err, req)
+		}
 	}
-	got, err := DecodeWalkRequest(req.Append(nil))
-	if err != nil || got != req {
-		t.Fatalf("walk request: %+v err %v", got, err)
-	}
-	rep := WalkReply{State: 17, Status: WalkHandoff, Nodes: []graph.NodeID{3, 1, 4, 1, 5}}
-	gotRep, err := DecodeWalkReply(rep.Append(nil))
-	if err != nil || !reflect.DeepEqual(gotRep, rep) {
-		t.Fatalf("walk reply: %+v err %v", gotRep, err)
+	rep := WalkBatchReply{Segs: []WalkSegmentResult{
+		{State: 17, Status: WalkHandoff, Nodes: []graph.NodeID{3, 1, 4, 1, 5}},
+		{State: 18, Status: WalkStopped, Nodes: []graph.NodeID{}},
+	}}
+	for _, spans := range [][]qtrace.Span{nil, testSpans} {
+		rep.Spans = spans
+		gotRep, err := DecodeWalkBatchReply(rep.Append(nil))
+		if err != nil || !reflect.DeepEqual(gotRep, rep) {
+			t.Fatalf("walk batch reply: %+v err %v, want %+v", gotRep, err, rep)
+		}
 	}
 }
 
@@ -142,14 +169,30 @@ func TestErrorRoundTrip(t *testing.T) {
 	}
 }
 
+// Every byte of a trailer-free message is a fixed field, so any
+// truncation must fail to decode rather than yield a shorter message.
 func TestTruncatedPayloadsRejected(t *testing.T) {
-	rep := ShardReply{CSR: graph.CSRShard{
-		InOff: []uint32{0, 2}, InDst: []graph.NodeID{1, 2}, OutOff: []uint32{0, 0}, OutDst: nil,
-	}}
-	full := rep.Append(nil)
-	for cut := 0; cut < len(full); cut++ {
-		if _, err := DecodeShardReply(full[:cut]); err == nil {
-			t.Fatalf("truncation at %d of %d accepted", cut, len(full))
+	h := budget.Header{Remaining: time.Second, MaxWalks: 3}
+	for _, m := range []struct {
+		name   string
+		full   []byte
+		decode func([]byte) error
+	}{
+		{"ShardsRequest", ShardsRequest{Budget: h, Version: 4, Shards: []uint32{0, 2}}.Append(nil),
+			func(b []byte) error { _, err := DecodeShardsRequest(b); return err }},
+		{"ShardsReply", ShardsReply{CSRs: []graph.CSRShard{{
+			InOff: []uint32{0, 2}, InDst: []graph.NodeID{1, 2}, OutOff: []uint32{0, 0}, OutDst: nil,
+		}}}.Append(nil),
+			func(b []byte) error { _, err := DecodeShardsReply(b); return err }},
+		{"WalkBatchRequest", WalkBatchRequest{Budget: h, Version: 4, SqrtC: 0.8, Walks: []WalkStart{{Cur: 1, State: 2, Room: 3}}}.Append(nil),
+			func(b []byte) error { _, err := DecodeWalkBatchRequest(b); return err }},
+		{"WalkBatchReply", WalkBatchReply{Segs: []WalkSegmentResult{{State: 5, Status: WalkEnded, Nodes: []graph.NodeID{7, 8}}}}.Append(nil),
+			func(b []byte) error { _, err := DecodeWalkBatchReply(b); return err }},
+	} {
+		for cut := 0; cut < len(m.full); cut++ {
+			if err := m.decode(m.full[:cut]); err == nil {
+				t.Fatalf("%s: truncation at %d of %d accepted", m.name, cut, len(m.full))
+			}
 		}
 	}
 }

@@ -287,7 +287,7 @@ func (s *Server) degradedOptions() core.Options {
 	opt := s.opt
 	epsA := opt.EpsA
 	if epsA == 0 {
-		epsA = 0.1 // the documented default applied by core
+		epsA = core.DefaultEpsA
 	}
 	epsA *= f
 	if epsA > 0.9 {
@@ -342,13 +342,13 @@ func (s *Server) singleSourceScores(w http.ResponseWriter, r *http.Request, u gr
 }
 
 // servedEpsA is the εa a normally admitted query runs at (the configured
-// bound, or core's documented default when unset) — the baseline band of
-// the served-εa histogram.
+// bound, or core's default when unset) — the baseline band of the
+// served-εa histogram.
 func (s *Server) servedEpsA() float64 {
 	if s.opt.EpsA > 0 {
 		return s.opt.EpsA
 	}
-	return 0.1
+	return core.DefaultEpsA
 }
 
 // admit applies the route class's admission policy. It either returns a
@@ -666,7 +666,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			promexpo.WriteCounter(out, "probesim_router_shard_fetches_total", "Shard adjacency blocks fetched from workers.", rc.ShardFetches)
 			promexpo.WriteCounter(out, "probesim_router_shard_fetch_errors_total", "Shard block fetches that failed.", rc.ShardFetchErrors)
 			promexpo.WriteCounter(out, "probesim_router_shard_batches_total", "Batched ResolveShards round trips (fetches per batch = fetches/batches).", rc.ShardBatches)
-			promexpo.WriteCounter(out, "probesim_router_walk_segments_total", "Walk segments sampled on workers via per-walk RPCs.", rc.WalkSegments)
 			promexpo.WriteCounter(out, "probesim_router_walk_handoffs_total", "Walks handed off across shard owners.", rc.WalkHandoffs)
 			promexpo.WriteCounter(out, "probesim_router_walk_batches_total", "Batched WalkBatch round trips to workers.", rc.WalkBatches)
 			promexpo.WriteCounter(out, "probesim_router_walk_delegated_total", "Walks carried by batched round trips (batch size = delegated/batches).", rc.WalkDelegated)

@@ -121,7 +121,6 @@ func TestRoutedStatsAndMetrics(t *testing.T) {
 		"probesim_router_hedges_sent_total",
 		"probesim_router_shard_fetches_total",
 		"probesim_router_shard_batches_total",
-		"probesim_router_walk_segments_total",
 		"probesim_router_walk_batches_total",
 		"probesim_router_walk_delegated_total",
 		"probesim_router_walk_local_segments_total",
@@ -282,20 +281,6 @@ func TestRoutedWorkerDeathReturns502(t *testing.T) {
 type dyingEngine struct {
 	*router.LocalEngine
 	dead atomic.Bool
-}
-
-func (d *dyingEngine) ResolveShard(ctx context.Context, version uint64, p int) (graph.CSRShard, error) {
-	if d.dead.Load() {
-		return graph.CSRShard{}, fmt.Errorf("%w: injected crash", router.ErrTransport)
-	}
-	return d.LocalEngine.ResolveShard(ctx, version, p)
-}
-
-func (d *dyingEngine) WalkSegment(ctx context.Context, version uint64, h budget.Header, sqrtC float64, cur graph.NodeID, state uint64, room int, buf []graph.NodeID) ([]graph.NodeID, uint64, router.SegmentStatus, error) {
-	if d.dead.Load() {
-		return buf, state, router.SegmentEnded, fmt.Errorf("%w: injected crash", router.ErrTransport)
-	}
-	return d.LocalEngine.WalkSegment(ctx, version, h, sqrtC, cur, state, room, buf)
 }
 
 func (d *dyingEngine) ResolveShards(ctx context.Context, version uint64, ps []int) ([]graph.CSRShard, error) {

@@ -595,7 +595,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		body["routerShardFetches"] = rc.ShardFetches
 		body["routerShardFetchErrors"] = rc.ShardFetchErrors
 		body["routerShardBatches"] = rc.ShardBatches
-		body["routerWalkSegments"] = rc.WalkSegments
 		body["routerWalkHandoffs"] = rc.WalkHandoffs
 		// Batched walk plane: round trips (routerWalkBatches), the walks
 		// they carried (routerWalkDelegated; the ratio is the average

@@ -42,20 +42,6 @@ func (d *delayEngine) stall(ctx context.Context) error {
 	}
 }
 
-func (d *delayEngine) ResolveShard(ctx context.Context, version uint64, p int) (graph.CSRShard, error) {
-	if err := d.stall(ctx); err != nil {
-		return graph.CSRShard{}, err
-	}
-	return d.LocalEngine.ResolveShard(ctx, version, p)
-}
-
-func (d *delayEngine) WalkSegment(ctx context.Context, version uint64, h budget.Header, sqrtC float64, cur graph.NodeID, state uint64, room int, buf []graph.NodeID) ([]graph.NodeID, uint64, router.SegmentStatus, error) {
-	if err := d.stall(ctx); err != nil {
-		return buf, state, router.SegmentEnded, err
-	}
-	return d.LocalEngine.WalkSegment(ctx, version, h, sqrtC, cur, state, room, buf)
-}
-
 func (d *delayEngine) ResolveShards(ctx context.Context, version uint64, ps []int) ([]graph.CSRShard, error) {
 	if err := d.stall(ctx); err != nil {
 		return nil, err

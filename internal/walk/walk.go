@@ -20,42 +20,26 @@ import (
 // so the cap is statistically invisible while keeping buffers bounded.
 const HardCap = 96
 
-// SegmentedView is a graph view that samples walk segments itself instead
-// of exposing per-node adjacency to the walk loop. The router's
-// distributed view implements it: each segment runs on the shard engine
-// owning the walk's current node (locally or over RPC), consuming exactly
-// the same SplitMix64 stream as an in-process walk, so results stay
-// bit-identical across topologies.
-type SegmentedView interface {
-	// WalkSegment continues a √c-walk whose current (last) node is cur,
-	// appending at most room further nodes to buf. state is the walk RNG's
-	// SplitMix64 state before the segment; the returned state is the
-	// stream position after it. done reports that the walk ended
-	// (termination draw, dead end, budget stop, or transport failure);
-	// !done means the walk crossed to a node owned by another shard engine
-	// and the caller should request the next segment from the new current
-	// node (the last element of the returned buf).
-	WalkSegment(cur graph.NodeID, state uint64, room int, sqrtC float64, buf []graph.NodeID) (out []graph.NodeID, newState uint64, done bool)
-}
-
-// BatchWalk is one walk of a batched generation. Buf holds the walk's
-// nodes so far (the start node first), State is the walk's SplitMix64
-// position after the last appended node, and Done reports that the walk
-// ended (termination draw, dead end, length cap, or budget stop).
+// BatchWalk is one walk stepped by a SegmentedView. Buf holds the
+// walk's nodes so far (the start node first), State is the walk's
+// SplitMix64 position after the last appended node, and Done reports that
+// the walk ended (termination draw, dead end, length cap, or budget
+// stop).
 type BatchWalk struct {
 	Buf   []graph.NodeID
 	State uint64
 	Done  bool
 }
 
-// BatchSegmentedView is a SegmentedView that can advance many walks per
-// exchange. The router's distributed view implements it: walks whose
-// current shard block is already cached step locally, and the remainder
-// are delegated in one RPC per owning worker group instead of one per
-// walk. Each walk draws only from its own State, so the batched stepping
-// is bit-identical to per-walk WalkSegment calls by construction.
-type BatchSegmentedView interface {
-	SegmentedView
+// SegmentedView is a graph view that steps walks itself instead of
+// exposing per-node adjacency to the walk loop. The router's distributed
+// view implements it: walks whose current shard block is already cached
+// step locally, and the remainder are delegated to the shard engines
+// owning their current nodes, in one RPC per owning worker group per
+// exchange. Each walk draws only from its own State — exactly the
+// SplitMix64 stream an in-process walk consumes — so results stay
+// bit-identical across topologies however walks are grouped.
+type SegmentedView interface {
 	// WalkSegmentBatch advances every walk with Done == false by at least
 	// one segment, appending to its Buf (never past maxNodes nodes) and
 	// updating its State. A walk left !Done crossed into a shard the view
@@ -68,8 +52,7 @@ type BatchSegmentedView interface {
 // Generator produces √c-walks over a fixed graph view.
 type Generator struct {
 	adj   graph.Adj
-	seg   SegmentedView      // non-nil: delegate stepping to the view
-	batch BatchSegmentedView // non-nil: the view can step many walks at once
+	seg   SegmentedView // non-nil: delegate stepping to the view
 	sqrtC float64
 	rng   *xrand.RNG
 	meter *budget.Meter
@@ -92,9 +75,6 @@ func NewGenerator(g graph.View, c float64, rng *xrand.RNG) *Generator {
 	gen := &Generator{sqrtC: math.Sqrt(c), rng: rng}
 	if sv, ok := g.(SegmentedView); ok {
 		gen.seg = sv
-		if bv, ok := g.(BatchSegmentedView); ok {
-			gen.batch = bv
-		}
 	} else {
 		gen.adj = graph.ResolveAdj(g)
 	}
@@ -129,19 +109,13 @@ func (gen *Generator) Generate(u graph.NodeID, maxNodes int, buf []graph.NodeID)
 	clk := gen.meter.StageStart()
 	if gen.seg != nil {
 		// Segmented view: the view steps the walk (shard-locally or over
-		// RPC), round-tripping the RNG state so the stream is the one an
-		// in-process walk would consume.
-		state := gen.rng.State()
-		for len(buf) < maxNodes {
-			var done bool
-			buf, state, done = gen.seg.WalkSegment(buf[len(buf)-1], state, maxNodes-len(buf), gen.sqrtC, buf)
-			if done {
-				break
-			}
-		}
-		gen.rng.SetState(state)
+		// RPC) as a batch of one, round-tripping the RNG state so the
+		// stream is the one an in-process walk would consume.
+		w := [1]BatchWalk{{Buf: buf, State: gen.rng.State()}}
+		gen.stepSegmented(w[:], maxNodes)
+		gen.rng.SetState(w[0].State)
 		gen.meter.StageEnd(qtrace.StageWalk, clk)
-		return buf
+		return w[0].Buf
 	}
 	buf, _ = Segment(&gen.adj, u, maxNodes-1, gen.sqrtC, gen.rng, nil, nil, buf)
 	gen.meter.StageEnd(qtrace.StageWalk, clk)
@@ -153,7 +127,7 @@ func (gen *Generator) Generate(u graph.NodeID, maxNodes int, buf []graph.NodeID)
 // reused (its node buffers are recycled) and returned resized to
 // len(states). Each walk draws exclusively from its own stream, so the
 // result is bit-identical to len(states) sequential Generate calls with
-// those streams — but over a BatchSegmentedView all walks advance per
+// those streams — but over a SegmentedView all walks advance per
 // exchange, collapsing per-walk RPC round trips into per-group ones.
 func (gen *Generator) GenerateMany(u graph.NodeID, states []uint64, maxNodes int, walks []BatchWalk) []BatchWalk {
 	if maxNodes <= 0 || maxNodes > HardCap {
@@ -175,41 +149,9 @@ func (gen *Generator) GenerateMany(u graph.NodeID, states []uint64, maxNodes int
 		return walks
 	}
 	clk := gen.meter.StageStart()
-	switch {
-	case gen.batch != nil:
-		for {
-			live := 0
-			for i := range walks {
-				if !walks[i].Done {
-					live++
-				}
-			}
-			if live == 0 {
-				break
-			}
-			if err := gen.batch.WalkSegmentBatch(walks, maxNodes, gen.sqrtC); err != nil {
-				// The view latched the failure (and tripped the meter);
-				// surviving prefixes stand as the walks' partial results.
-				for i := range walks {
-					walks[i].Done = true
-				}
-				break
-			}
-			for i := range walks {
-				if !walks[i].Done && len(walks[i].Buf) >= maxNodes {
-					walks[i].Done = true
-				}
-			}
-		}
-	case gen.seg != nil:
-		for i := range walks {
-			w := &walks[i]
-			for !w.Done && len(w.Buf) < maxNodes {
-				w.Buf, w.State, w.Done = gen.seg.WalkSegment(w.Buf[len(w.Buf)-1], w.State, maxNodes-len(w.Buf), gen.sqrtC, w.Buf)
-			}
-			w.Done = true
-		}
-	default:
+	if gen.seg != nil {
+		gen.stepSegmented(walks, maxNodes)
+	} else {
 		var rng xrand.RNG
 		for i := range walks {
 			w := &walks[i]
@@ -221,6 +163,34 @@ func (gen *Generator) GenerateMany(u graph.NodeID, states []uint64, maxNodes int
 	}
 	gen.meter.StageEnd(qtrace.StageWalk, clk)
 	return walks
+}
+
+// stepSegmented has the segmented view advance walks, one exchange at a
+// time, until every walk is done or holds maxNodes nodes.
+func (gen *Generator) stepSegmented(walks []BatchWalk, maxNodes int) {
+	for {
+		live := 0
+		for i := range walks {
+			w := &walks[i]
+			if len(w.Buf) >= maxNodes {
+				w.Done = true
+			}
+			if !w.Done {
+				live++
+			}
+		}
+		if live == 0 {
+			return
+		}
+		if err := gen.seg.WalkSegmentBatch(walks, maxNodes, gen.sqrtC); err != nil {
+			// The view latched the failure (and tripped the meter);
+			// surviving prefixes stand as the walks' partial results.
+			for i := range walks {
+				walks[i].Done = true
+			}
+			return
+		}
+	}
 }
 
 // Segment advances a √c-walk from cur, appending at most room further

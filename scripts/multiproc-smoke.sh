@@ -106,7 +106,7 @@ echo "$TRACE" | grep -q "\"traceId\":\"$HDR_ID\"" || {
   echo "traced response body id does not match header id $HDR_ID" >&2
   exit 1
 }
-echo "$TRACE" | grep -Eq '"name":"worker\.(resolve_shards|resolve_shard|walk_batch|walk_segment)"' || {
+echo "$TRACE" | grep -Eq '"name":"worker\.(resolve_shards|walk_batch)"' || {
   echo "traced response has no worker-side span (resolve/walk)" >&2
   exit 1
 }
