@@ -4,12 +4,13 @@ package probesim_test
 // the same single-source query answered by
 //
 //   - Slices:   core.SingleSource on the mutable slice-of-slice *Graph,
-//     allocating per-worker scratch per query — the seed's code path; and
-//   - Snapshot: core.Executor on the immutable CSR snapshot with pooled
-//     scratch — the serving path.
+//     returning a fresh result vector per query; and
+//   - Snapshot: core.Executor on the immutable CSR snapshot, writing into
+//     a reused result buffer — the serving path.
 //
-// Results are bit-identical (asserted once per graph before timing); the
-// pair measures pure representation + allocation effects. Run with
+// Both draw per-query scratch from core's one scratch pool. Results are
+// bit-identical (asserted once per graph before timing); the pair
+// measures the representation plus the result vector. Run with
 //
 //	go test -run '^$' -bench 'BenchmarkSingleSource(Slices|Snapshot)' -benchmem
 //

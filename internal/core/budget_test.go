@@ -11,6 +11,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -117,15 +118,29 @@ func TestBudgetTimeoutWithoutContextDeadline(t *testing.T) {
 	}
 }
 
-// TestCancellationLeavesScratchPoolClean is the scratch-corruption check:
-// interrupt many pooled queries mid-flight, then verify a full query on
-// the same executor is bit-identical to one from a fresh executor whose
-// pool never saw a cancellation.
+// TestCancellationLeavesScratchPoolClean is the scratch-corruption check.
+// Every query draws from the package's one scratch pool and get does not
+// clear, so a stopped query that parked a dirty scratch would corrupt
+// every later answer. Reference answers are taken first, then many
+// queries are interrupted mid-flight — by deadlines, through the
+// executor and the plain TopK, and by MaxWalks and MaxProbeWork trips —
+// and the same queries must then return the reference bits.
 func TestCancellationLeavesScratchPoolClean(t *testing.T) {
 	g := gen.PreferentialAttachment(800, 5, 13)
-	opt := Options{Seed: 5, NumWalks: 4000}
-	dirty := NewExecutor(g, opt)
-	clean := NewExecutor(g, opt)
+	opt := Options{Seed: 5, NumWalks: 4000, Workers: 3}
+	ex := NewExecutor(g, opt)
+	sources := []graph.NodeID{1, 17, 99, 250}
+	wantEst := make([][]float64, len(sources))
+	wantTop := make([][]ScoredNode, len(sources))
+	for i, u := range sources {
+		var err error
+		if wantEst[i], err = ex.SingleSource(context.Background(), u); err != nil {
+			t.Fatal(err)
+		}
+		if wantTop[i], err = TopK(context.Background(), g, u, 10, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// Mixed timeouts from "dead on arrival" to "might just finish": the
 	// point is to interrupt queries at many different places, not that
@@ -134,7 +149,11 @@ func TestCancellationLeavesScratchPoolClean(t *testing.T) {
 	canceled := 0
 	for i := 0; i < 20; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%5)*100*time.Microsecond)
-		if _, err := dirty.SingleSource(ctx, graph.NodeID(i%100)); err != nil {
+		u := graph.NodeID(i % 100)
+		if _, err := ex.SingleSource(ctx, u); err != nil {
+			canceled++
+		}
+		if _, err := TopK(ctx, g, u, 10, opt); err != nil {
 			canceled++
 		}
 		cancel()
@@ -142,18 +161,37 @@ func TestCancellationLeavesScratchPoolClean(t *testing.T) {
 	if canceled == 0 {
 		t.Fatal("no query was ever interrupted; the test exercised nothing")
 	}
-	for _, u := range []graph.NodeID{1, 17, 99, 250} {
-		want, err := clean.SingleSource(context.Background(), u)
+	for _, b := range []Budget{{MaxWalks: 7}, {MaxWalks: 900}, {MaxProbeWork: 300}, {MaxProbeWork: 3000}} {
+		capped := opt
+		capped.Budget = b
+		if _, err := SingleSource(context.Background(), g, sources[0], capped); !errors.Is(err, ErrBudget) {
+			t.Fatalf("budget %+v: err = %v, want ErrBudget", b, err)
+		}
+		if _, err := TopK(context.Background(), g, sources[0], 10, capped); !errors.Is(err, ErrBudget) {
+			t.Fatalf("budget %+v: top-k err = %v, want ErrBudget", b, err)
+		}
+	}
+
+	for i, u := range sources {
+		got, err := ex.SingleSource(context.Background(), u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := dirty.SingleSource(context.Background(), u)
+		for v := range wantEst[i] {
+			if math.Float64bits(got[v]) != math.Float64bits(wantEst[i][v]) {
+				t.Fatalf("query %d: scratch corruption after interrupted queries: est[%d] = %v, want %v", u, v, got[v], wantEst[i][v])
+			}
+		}
+		top, err := TopK(context.Background(), g, u, 10, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for v := range want {
-			if want[v] != got[v] {
-				t.Fatalf("query %d: scratch corruption after cancellations: est[%d] = %v, want %v", u, v, got[v], want[v])
+		if len(top) != len(wantTop[i]) {
+			t.Fatalf("query %d: top-k has %d entries after interrupted queries, want %d", u, len(top), len(wantTop[i]))
+		}
+		for j := range top {
+			if top[j] != wantTop[i][j] {
+				t.Fatalf("query %d: scratch corruption after interrupted queries: top[%d] = %v, want %v", u, j, top[j], wantTop[i][j])
 			}
 		}
 	}

@@ -64,7 +64,7 @@ func (p *graphProvider) PublishView(ctx context.Context) (graph.VersionedView, e
 }
 
 // Executor is the serving-path front end for ProbeSim queries over a
-// dynamic graph: a snapshot manager plus a pooled query runner.
+// dynamic graph: a snapshot manager in front of the query kernels.
 //
 // It serves queries against the immutable view its SnapshotProvider has
 // published. Queries load the view once and run entirely against it — no
@@ -77,18 +77,17 @@ func (p *graphProvider) PublishView(ctx context.Context) (graph.VersionedView, e
 // permits, since ProbeSim has no index to patch).
 //
 // Per-query working memory (dense accumulators, probe frontiers, walk
-// buffers, the batch-mode walk tree — ~56n bytes per worker) comes from a
-// size-keyed sync.Pool, so steady-state queries allocate almost nothing
-// beyond their result vector.
+// buffers, the batch-mode walk tree) comes from the package's size-keyed
+// scratch pool, shared with the plain SingleSource and TopK entry points,
+// so steady-state queries allocate almost nothing beyond their result.
 //
 // Concurrency contract: any number of goroutines may query concurrently.
 // Mutating the graph and calling Refresh must be externally serialized
 // against other mutations (e.g. internal/server holds its write mutex
 // across both), but never against queries.
 type Executor struct {
-	src  SnapshotProvider
-	opt  Options
-	pool scratchPool
+	src SnapshotProvider
+	opt Options
 }
 
 // NewExecutor builds an executor over g with the given default query
@@ -125,26 +124,19 @@ func (e *Executor) RefreshCtx(ctx context.Context) (graph.VersionedView, error) 
 	return e.src.PublishView(ctx)
 }
 
-// SingleSource answers a single-source query against the current view
-// using pooled scratch. The returned vector is freshly allocated and owned
-// by the caller. ctx and the executor options' Budget bound the query; a
-// stopped query returns its partial estimate alongside the error (see the
+// SingleSource answers a single-source query against the current view.
+// The returned vector is freshly allocated and owned by the caller. ctx
+// and the executor options' Budget bound the query; a stopped query
+// returns its partial estimate alongside the error (see the
 // package-level SingleSource).
 func (e *Executor) SingleSource(ctx context.Context, u graph.NodeID) ([]float64, error) {
-	return singleSource(ctx, e.src.PublishedView(), u, e.opt, &e.pool)
+	return SingleSource(ctx, e.src.PublishedView(), u, e.opt)
 }
 
-// TopK answers a top-k query against the current view using pooled
-// scratch.
+// TopK answers a top-k query against the current view, ranking straight
+// from pooled scratch like the package-level TopK.
 func (e *Executor) TopK(ctx context.Context, u graph.NodeID, k int) ([]ScoredNode, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("core: top-k requires k >= 1, got %d", k)
-	}
-	est, err := e.SingleSource(ctx, u)
-	if est == nil {
-		return nil, err
-	}
-	return SelectTopK(est, u, k), err
+	return TopK(ctx, e.src.PublishedView(), u, k, e.opt)
 }
 
 // SingleSourceInto answers a single-source query against the current
@@ -154,32 +146,31 @@ func (e *Executor) TopK(ctx context.Context, u graph.NodeID, k int) ([]ScoredNod
 // bookkeeping objects; it is meant for callers that consume a vector and
 // move on (serializers, aggregators) rather than retain it.
 func (e *Executor) SingleSourceInto(ctx context.Context, u graph.NodeID, dst []float64) ([]float64, error) {
-	return singleSourceInto(ctx, e.src.PublishedView(), u, e.opt, &e.pool, dst)
+	return singleSourceInto(ctx, e.src.PublishedView(), u, e.opt, dst)
 }
 
 // SingleSourceWith answers a single-source query against the current view
-// with per-call option overrides, sharing the executor's scratch pool.
-// This is the degrade-instead-of-reject seam: under admission pressure
-// the server re-runs the standard query shape with a wider εa (fewer
-// walks) instead of turning the request away, and the pooled scratch
-// keeps even the degraded path allocation-free.
+// with per-call option overrides. This is the degrade-instead-of-reject
+// seam: under admission pressure the server re-runs the standard query
+// shape with a wider εa (fewer walks) instead of turning the request
+// away.
 func (e *Executor) SingleSourceWith(ctx context.Context, u graph.NodeID, opt Options) ([]float64, error) {
-	return singleSource(ctx, e.src.PublishedView(), u, opt, &e.pool)
+	return SingleSource(ctx, e.src.PublishedView(), u, opt)
 }
 
-// SingleSourceOn runs a single-source query with the executor's scratch
-// pool against an explicit view (normally a view previously obtained
-// from Snapshot, so a caller can pin one consistent view across several
+// SingleSourceOn runs a single-source query with the executor's options
+// against an explicit view (normally a view previously obtained from
+// Snapshot, so a caller can pin one consistent view across several
 // queries).
 func (e *Executor) SingleSourceOn(ctx context.Context, v graph.View, u graph.NodeID) ([]float64, error) {
-	return singleSource(ctx, v, u, e.opt, &e.pool)
+	return SingleSource(ctx, v, u, e.opt)
 }
 
 // SingleSourceOnWith combines SingleSourceOn and SingleSourceWith: an
-// explicit pinned view AND per-call option overrides, sharing the
-// executor's scratch pool. Background work (the hot-source tier's index
-// builds) uses it to run against a pinned snapshot generation under its
-// own budget and worker count without disturbing the serving defaults.
+// explicit pinned view AND per-call option overrides. Background work
+// (the hot-source tier's index builds) uses it to run against a pinned
+// snapshot generation under its own budget and worker count without
+// disturbing the serving defaults.
 func (e *Executor) SingleSourceOnWith(ctx context.Context, v graph.View, u graph.NodeID, opt Options) ([]float64, error) {
-	return singleSource(ctx, v, u, opt, &e.pool)
+	return SingleSource(ctx, v, u, opt)
 }

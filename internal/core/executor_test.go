@@ -134,20 +134,28 @@ func TestExecutorRefresh(t *testing.T) {
 	}
 }
 
-// TestScratchPoolReuse checks that the pool actually recycles scratch
-// sets (same pointer back on the second get) and keys them by size.
+// TestScratchPoolReuse checks that put zeroes what a query touched, that
+// the pool actually recycles scratch sets (same pointer back on the
+// second get), and that it keys them by size.
 func TestScratchPoolReuse(t *testing.T) {
 	var p scratchPool
 	s1 := p.get(100)
+	s1.add(7, 0.25)
+	s1.add(42, 1)
+	s1.add(7, 0.5)
+	s1.set(3, 1)
 	p.put(s1)
+	if len(s1.touched) != 0 {
+		t.Fatalf("put left %d touched entries", len(s1.touched))
+	}
+	for i, x := range s1.acc {
+		if x != 0 {
+			t.Fatalf("put left the accumulator dirty at %d", i)
+		}
+	}
 	s2 := p.get(100)
 	if s1 != s2 {
 		t.Skip("sync.Pool dropped the entry (GC pressure); nothing to assert")
-	}
-	for i, x := range s2.acc {
-		if x != 0 {
-			t.Fatalf("reused accumulator not zeroed at %d", i)
-		}
 	}
 	p.put(s2)
 	if s3 := p.get(200); s3.n != 200 || len(s3.acc) != 200 {

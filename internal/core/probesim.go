@@ -67,8 +67,9 @@ func bindQuery(ctx context.Context, g graph.View, m *budget.Meter) (graph.View, 
 // g may be a mutable *graph.Graph or an immutable *graph.Snapshot; results
 // are bit-identical between the two for the same seed. A *graph.Graph must
 // not be mutated while the query runs; concurrent queries on the same view
-// are safe. For serving workloads prefer Executor, which adds snapshot
-// publication and scratch pooling on top of this entry point.
+// are safe. Per-query working memory comes from a package-level pool
+// shared with Executor; for serving workloads prefer Executor, which adds
+// snapshot publication on top of this entry point.
 //
 // The query honors ctx and opt.Budget: cancellation, a deadline, or an
 // exhausted walk/work budget stops every worker at its next checkpoint
@@ -77,29 +78,37 @@ func bindQuery(ctx context.Context, g graph.View, m *budget.Meter) (graph.View, 
 // estimate together with a non-nil error wrapping the cause — the partial
 // vector carries no accuracy guarantee.
 func SingleSource(ctx context.Context, g graph.View, u graph.NodeID, opt Options) ([]float64, error) {
-	return singleSource(ctx, g, u, opt, nil)
+	return singleSourceInto(ctx, g, u, opt, nil)
 }
 
-func singleSource(ctx context.Context, g graph.View, u graph.NodeID, opt Options, pool *scratchPool) ([]float64, error) {
-	return singleSourceInto(ctx, g, u, opt, pool, nil)
-}
-
-// singleSourceInto is singleSource with an optional caller-provided result
+// singleSourceInto is SingleSource with an optional caller-provided result
 // buffer: when cap(dst) suffices the answer is written in place and no
 // result vector is allocated.
-func singleSourceInto(ctx context.Context, g graph.View, u graph.NodeID, opt Options, pool *scratchPool, dst []float64) ([]float64, error) {
+func singleSourceInto(ctx context.Context, g graph.View, u graph.NodeID, opt Options, dst []float64) ([]float64, error) {
+	var est []float64
+	err := runQuery(ctx, g, u, opt, func(sc *queryScratch) { est = sc.scatter(dst) })
+	return est, err
+}
+
+// runQuery runs one query and hands its estimate to consume: the merged
+// worker accumulators, scaled, compensated and with s̃(u, u) = 1, held in
+// pooled scratch that returns to the pool once consume returns. consume
+// runs whenever the kernel ran, also for a stopped query (its partial
+// estimate); a query that fails validation or is dead on arrival returns
+// its error without calling it.
+func runQuery(ctx context.Context, g graph.View, u graph.NodeID, opt Options, consume func(*queryScratch)) error {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
-		return nil, err
+		return err
 	}
 	n := g.NumNodes()
 	if u < 0 || int(u) >= n {
-		return nil, fmt.Errorf("core: query node %d out of range [0, %d)", u, n)
+		return fmt.Errorf("core: query node %d out of range [0, %d)", u, n)
 	}
 	m := budget.New(ctx, opt.Budget.Timeout, opt.Budget.MaxWalks, opt.Budget.MaxProbeWork)
 	if m.Poll() {
 		// Dead on arrival: no work was done, so there is no partial result.
-		return nil, queryError(u, m)
+		return queryError(u, m)
 	}
 	g, finish := bindQuery(ctx, g, m)
 	plan := planFor(opt, n)
@@ -108,37 +117,42 @@ func singleSourceInto(ctx context.Context, g graph.View, u graph.NodeID, opt Opt
 	tr, parent := qtrace.FromContext(ctx)
 	kref := tr.StartSpan("kernel", parent)
 	tr.Annotate(kref, fmt.Sprintf("mode=%d,walks=%d,workers=%d", plan.Mode, plan.NumWalks, plan.Workers))
-	var est []float64
+	var scs []*queryScratch
 	switch plan.Mode {
 	case ModeBasic, ModePruned, ModeRandomized:
-		est = runPerWalk(g, u, plan, pool, dst, m)
+		scs = runPerWalk(g, u, plan, m)
 	case ModeAuto, ModeBatch, ModeHybrid:
-		est = runBatched(g, u, plan, pool, dst, m)
+		scs = runBatched(g, u, plan, m)
 	}
 	if tr != nil {
 		tr.EndSpanAnnot(kref, fmt.Sprintf("walks=%d,work=%d", m.Walks(), m.Work()))
 	}
+	est := mergeScratch(scs, 1/float64(plan.NumWalks))
 	if plan.Compensate && plan.EpsT > 0 {
 		half := plan.EpsT / 2
-		for v := range est {
-			if est[v] > 0 && est[v]+half <= 1 {
-				est[v] += half
+		for _, v := range est.touched {
+			if est.acc[v] > 0 && est.acc[v]+half <= 1 {
+				est.acc[v] += half
 			}
 		}
 	}
-	est[u] = 1 // s(u, u) = 1 by definition
+	est.set(u, 1) // s(u, u) = 1 by definition
+	consume(est)
+	for _, sc := range scs {
+		pool.put(sc)
+	}
 	if finish != nil {
 		if err := finish(); err != nil {
 			// A transport failure outranks whatever the meter latched (it
 			// usually IS the meter's cause, via Fail): the partial estimate
 			// still comes back for diagnostics, per the budget contract.
-			return est, fmt.Errorf("core: query %d: %w", u, err)
+			return fmt.Errorf("core: query %d: %w", u, err)
 		}
 	}
 	if m.Stopped() {
-		return est, queryError(u, m)
+		return queryError(u, m)
 	}
-	return est, nil
+	return nil
 }
 
 // queryError wraps a tripped meter's error with the query identity.
@@ -151,16 +165,16 @@ func queryError(u graph.NodeID, m *budget.Meter) error {
 // in descending score order with node id breaking ties. If the graph has
 // fewer than k other nodes, all of them are returned. Cancellation and
 // budget semantics follow SingleSource: a stopped query returns the
-// ranking of its partial estimate together with the error.
+// ranking of its partial estimate together with the error. The answer
+// equals SelectTopK over SingleSource's vector, bit for bit, but is
+// ranked straight from the pooled scratch without building that vector.
 func TopK(ctx context.Context, g graph.View, u graph.NodeID, k int, opt Options) ([]ScoredNode, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: top-k requires k >= 1, got %d", k)
 	}
-	est, err := SingleSource(ctx, g, u, opt)
-	if est == nil {
-		return nil, err
-	}
-	return SelectTopK(est, u, k), err
+	var top []ScoredNode
+	err := runQuery(ctx, g, u, opt, func(sc *queryScratch) { top = sc.topK(u, k) })
+	return top, err
 }
 
 // SelectTopK extracts the k highest-scoring nodes from a single-source
@@ -168,59 +182,113 @@ func TopK(ctx context.Context, g graph.View, u graph.NodeID, k int, opt Options)
 // and ascending node id. It is shared by every algorithm in this
 // repository so that ranking semantics are identical across competitors.
 func SelectTopK(est []float64, u graph.NodeID, k int) []ScoredNode {
-	// Min-heap of size k over (score, node), then sorted descending.
-	h := make([]ScoredNode, 0, k)
-	less := func(a, b ScoredNode) bool {
-		// Heap order: smallest score first; for equal scores the LARGER id
-		// is weaker (so ties resolve toward smaller ids in the answer).
-		if a.Score != b.Score {
-			return a.Score < b.Score
+	h := topKHeap{k: k, h: make([]ScoredNode, 0, k)}
+	for v, sc := range est {
+		if x := (ScoredNode{Node: graph.NodeID(v), Score: sc}); x.Node != u && h.admits(x) {
+			h.insert(x)
 		}
-		return a.Node > b.Node
 	}
-	push := func(x ScoredNode) {
-		h = append(h, x)
+	return h.sorted()
+}
+
+// topKHeap is SelectTopK's bounded selection: a min-heap of at most k
+// candidates, weakest at the root.
+type topKHeap struct {
+	k int
+	h []ScoredNode
+}
+
+// weaker is the heap order: smallest score first; for equal scores the
+// LARGER id is weaker (so ties resolve toward smaller ids in the answer).
+func weaker(a, b ScoredNode) bool {
+	if a.Score != b.Score {
+		return a.Score < b.Score
+	}
+	return a.Node > b.Node
+}
+
+// admits reports whether x enters the heap: it holds fewer than k
+// candidates, or x beats the weakest. It inlines, so a scan over a dense
+// vector pays one comparison per entry that stays out.
+func (t *topKHeap) admits(x ScoredNode) bool {
+	return len(t.h) < t.k || weaker(t.h[0], x)
+}
+
+// insert adds an admitted x, replacing the weakest candidate when the
+// heap is full.
+func (t *topKHeap) insert(x ScoredNode) {
+	if len(t.h) < t.k {
+		h := append(t.h, x)
 		for i := len(h) - 1; i > 0; {
 			p := (i - 1) / 2
-			if less(h[i], h[p]) {
-				h[i], h[p] = h[p], h[i]
-				i = p
-			} else {
+			if !weaker(h[i], h[p]) {
 				break
 			}
+			h[i], h[p] = h[p], h[i]
+			i = p
+		}
+		t.h = h
+		return
+	}
+	h := t.h
+	h[0] = x
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < len(h) && weaker(h[l], h[small]) {
+			small = l
+		}
+		if r < len(h) && weaker(h[r], h[small]) {
+			small = r
+		}
+		if small == i {
+			break
+		}
+		h[i], h[small] = h[small], h[i]
+		i = small
+	}
+}
+
+// sorted returns the candidates strongest first, consuming the heap.
+func (t *topKHeap) sorted() []ScoredNode {
+	sort.Slice(t.h, func(i, j int) bool { return weaker(t.h[j], t.h[i]) })
+	return t.h
+}
+
+// scatter writes the estimate into a dense n-vector, reusing dst when its
+// capacity suffices.
+func (sc *queryScratch) scatter(dst []float64) []float64 {
+	var out []float64
+	if cap(dst) >= sc.n {
+		out = dst[:sc.n]
+		clear(out)
+	} else {
+		out = make([]float64, sc.n)
+	}
+	for _, v := range sc.touched {
+		out[v] = sc.acc[v]
+	}
+	return out
+}
+
+// topK ranks the estimate exactly as SelectTopK ranks its dense vector,
+// without building that vector: the heap runs over the touched entries
+// only, and since scores are non-negative, any zero scorers the answer
+// needs follow every non-zero one, by ascending id.
+func (sc *queryScratch) topK(u graph.NodeID, k int) []ScoredNode {
+	h := topKHeap{k: k, h: make([]ScoredNode, 0, min(k, len(sc.touched)))}
+	for _, v := range sc.touched {
+		if x := (ScoredNode{Node: v, Score: sc.acc[v]}); x.Score != 0 && v != u && h.admits(x) {
+			h.insert(x)
 		}
 	}
-	popReplace := func(x ScoredNode) {
-		h[0] = x
-		for i := 0; ; {
-			l, r := 2*i+1, 2*i+2
-			small := i
-			if l < len(h) && less(h[l], h[small]) {
-				small = l
-			}
-			if r < len(h) && less(h[r], h[small]) {
-				small = r
-			}
-			if small == i {
-				break
-			}
-			h[i], h[small] = h[small], h[i]
-			i = small
+	top := h.sorted()
+	for v := graph.NodeID(0); len(top) < k && int(v) < sc.n; v++ {
+		if v != u && sc.acc[v] == 0 {
+			top = append(top, ScoredNode{Node: v})
 		}
 	}
-	for v, sc := range est {
-		if graph.NodeID(v) == u {
-			continue
-		}
-		cand := ScoredNode{Node: graph.NodeID(v), Score: sc}
-		if len(h) < k {
-			push(cand)
-		} else if less(h[0], cand) {
-			popReplace(cand)
-		}
-	}
-	sort.Slice(h, func(i, j int) bool { return less(h[j], h[i]) })
-	return h
+	return top
 }
 
 // walkStreamBase offsets the per-trial walk RNG streams: walk trial t of
@@ -243,15 +311,15 @@ const walkWave = 256
 // generating one √c-walk and probing all of its prefixes. Trials are
 // partitioned across workers, each trial drawing from its own seed-derived
 // RNG stream (walkStreamBase + trial), so estimates do not depend on the
-// worker count. Scratch comes from pool when one is supplied (the
-// Executor's steady-state path) and is allocated fresh otherwise.
+// worker count. It returns the workers' scratch sets, which the caller
+// merges and returns to the pool.
 //
 // Each worker checkpoints the shared meter at every trial boundary (one
 // atomic load, with a full clock/context poll every checkpoint interval)
 // and between the probes of one walk's prefixes; once any worker trips
 // the meter, every worker drains out at its next check and the partial
 // accumulators merge normally, so scratch always returns to the pool.
-func runPerWalk(g graph.View, u graph.NodeID, plan Plan, pool *scratchPool, dst []float64, m *budget.Meter) []float64 {
+func runPerWalk(g graph.View, u graph.NodeID, plan Plan, m *budget.Meter) []*queryScratch {
 	n := g.NumNodes()
 	workers := plan.Workers
 	if workers > plan.NumWalks {
@@ -271,7 +339,6 @@ func runPerWalk(g graph.View, u graph.NodeID, plan Plan, pool *scratchPool, dst 
 		wg.Add(1)
 		go func(lo, hi int, sc *queryScratch) {
 			defer wg.Done()
-			acc := sc.acc
 			var rng xrand.RNG
 			gen := walk.NewGenerator(g, plan.C, &rng)
 			gen.SetMeter(m)
@@ -295,12 +362,12 @@ func runPerWalk(g graph.View, u graph.NodeID, plan Plan, pool *scratchPool, dst 
 					prefix := buf[:i]
 					if plan.Mode == ModeRandomized {
 						for _, v := range probe.Randomized(g, prefix, plan.SqrtC, &rng, s) {
-							acc[v]++
+							sc.add(v, 1)
 						}
 					} else {
 						res := probe.Deterministic(g, prefix, plan.SqrtC, plan.EpsP, s)
 						for _, v := range res.Nodes {
-							acc[v] += res.Scores[v]
+							sc.add(v, res.Scores[v])
 						}
 					}
 				}
@@ -311,14 +378,15 @@ func runPerWalk(g graph.View, u graph.NodeID, plan Plan, pool *scratchPool, dst 
 		}(lo, hi, sc)
 	}
 	wg.Wait()
-	return mergeScratch(scs, n, 1/float64(plan.NumWalks), pool, dst)
+	return scs
 }
 
 // runBatched executes the batch and hybrid modes: build the reverse
 // reachability tree from nr walks (§4.2), then probe each root-to-node
 // path once, weighted by how many walks share it. Paths are distributed
-// across workers by index.
-func runBatched(g graph.View, u graph.NodeID, plan Plan, pool *scratchPool, dst []float64, m *budget.Meter) []float64 {
+// across workers by index. Like runPerWalk it returns the workers'
+// scratch sets for the caller to merge and pool.
+func runBatched(g graph.View, u graph.NodeID, plan Plan, m *budget.Meter) []*queryScratch {
 	n := g.NumNodes()
 	rootRNG := xrand.New(plan.Seed)
 	// Walk trial t draws from the same per-trial stream the per-walk modes
@@ -363,7 +431,7 @@ func runBatched(g graph.View, u graph.NodeID, plan Plan, pool *scratchPool, dst 
 	}
 	walkSC.wave = wave
 	// Enumerate paths into the pooled arena; they are consumed before the
-	// scratch returns to the pool in mergeScratch.
+	// scratch returns to the pool.
 	paths, arena := tree.AppendPaths(walkSC.paths[:0], walkSC.arena[:0])
 	walkSC.paths, walkSC.arena = paths, arena
 
@@ -387,7 +455,6 @@ func runBatched(g graph.View, u graph.NodeID, plan Plan, pool *scratchPool, dst 
 		wg.Add(1)
 		go func(w int, sc *queryScratch) {
 			defer wg.Done()
-			acc := sc.acc
 			det := sc.det
 			det.SetMeter(m)
 			var rnd *probe.Scratch
@@ -408,12 +475,12 @@ func runBatched(g graph.View, u graph.NodeID, plan Plan, pool *scratchPool, dst 
 				// depend on the worker count.
 				rng := rootRNG.Split(uint64(pi) + 0x10000)
 				if hybrid {
-					probePathHybrid(g, p, plan, acc, det, rnd, rng, m)
+					probePathHybrid(g, p, plan, sc, rnd, rng, m)
 				} else {
 					res := probe.Deterministic(g, p.Nodes, plan.SqrtC, plan.EpsP, det)
 					scale := float64(p.Weight)
 					for _, v := range res.Nodes {
-						acc[v] += scale * res.Scores[v]
+						sc.add(v, scale*res.Scores[v])
 					}
 				}
 			}
@@ -421,7 +488,7 @@ func runBatched(g graph.View, u graph.NodeID, plan Plan, pool *scratchPool, dst 
 		}(w, scs[w])
 	}
 	wg.Wait()
-	return mergeScratch(scs, n, 1/float64(plan.NumWalks), pool, dst)
+	return scs
 }
 
 // probePathHybrid probes one weighted path with the §4.4 strategy: expand
@@ -429,9 +496,9 @@ func runBatched(g graph.View, u graph.NodeID, plan Plan, pool *scratchPool, dst 
 // would cost more than c0·w·n edge traversals, finish each of the w walk
 // replicas with a randomized continuation seeded by Bernoulli(score)
 // membership of the current level (unbiased by Lemma 6).
-func probePathHybrid(g graph.View, p Path, plan Plan, acc []float64, det, rnd *probe.Scratch, rng *xrand.RNG, m *budget.Meter) {
-	workCap := plan.HybridC0 * float64(p.Weight) * float64(len(acc))
-	st := probe.NewStepper(g, p.Nodes, plan.SqrtC, plan.EpsP, det)
+func probePathHybrid(g graph.View, p Path, plan Plan, sc *queryScratch, rnd *probe.Scratch, rng *xrand.RNG, m *budget.Meter) {
+	workCap := plan.HybridC0 * float64(p.Weight) * float64(sc.n)
+	st := probe.NewStepper(g, p.Nodes, plan.SqrtC, plan.EpsP, sc.det)
 	for !st.Done() {
 		nodes, scores := st.Frontier()
 		if float64(st.FrontierOutDegreeSum()) > workCap {
@@ -457,7 +524,7 @@ func probePathHybrid(g graph.View, p Path, plan Plan, acc []float64, det, rnd *p
 					}
 				}
 				for _, v := range probe.ContinueRandomized(g, p.Nodes, level, members, plan.SqrtC, rng, rnd) {
-					acc[v]++
+					sc.add(v, 1)
 				}
 			}
 			return
@@ -470,33 +537,24 @@ func probePathHybrid(g graph.View, p Path, plan Plan, acc []float64, det, rnd *p
 	nodes, scores := st.Frontier()
 	scale := float64(p.Weight)
 	for _, v := range nodes {
-		acc[v] += scale * scores[v]
+		sc.add(v, scale*scores[v])
 	}
 }
 
-// mergeScratch sums the worker accumulators into the result vector,
-// multiplies by scale, and returns every scratch set to the pool. The
-// result reuses dst when its capacity suffices and is allocated fresh
-// otherwise.
-func mergeScratch(scs []*queryScratch, n int, scale float64, pool *scratchPool, dst []float64) []float64 {
-	var out []float64
-	if cap(dst) >= n {
-		out = dst[:n]
-		clear(out)
-	} else {
-		out = make([]float64, n)
-	}
-	for _, sc := range scs {
-		if sc == nil {
-			continue
+// mergeScratch folds the worker accumulators into the first one over
+// their touched lists, in worker order, and multiplies the merged entries
+// by scale. Per entry these are the additions, in the same order, that
+// summing the dense vectors makes (an untouched entry adds an exact
+// zero), so the estimate is bit-identical to the dense merge.
+func mergeScratch(scs []*queryScratch, scale float64) *queryScratch {
+	out := scs[0]
+	for _, sc := range scs[1:] {
+		for _, v := range sc.touched {
+			out.add(v, sc.acc[v])
 		}
-		for i, v := range sc.acc {
-			out[i] += v
-		}
-		pool.put(sc)
 	}
-	for i := range out {
-		out[i] *= scale
+	for _, v := range out.touched {
+		out.acc[v] *= scale
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"probesim/internal/gen"
 	"probesim/internal/graph"
 	"probesim/internal/power"
 	"probesim/internal/xrand"
@@ -336,6 +337,79 @@ func TestTopKOrderingAndClamp(t *testing.T) {
 	for _, r := range all {
 		if r.Node == graph.ToyA {
 			t.Fatal("query node included in top-k")
+		}
+	}
+}
+
+// TestTopKMatchesDenseSelection pins the sparse top-k path to the dense
+// one: TopK and Executor.TopK rank straight from the pooled accumulator's
+// touched list, and must return exactly SelectTopK over SingleSource's
+// vector — same nodes, same order, same score bits — for every mode and
+// worker count, for k below, around and beyond the number of non-zero
+// scores (where zero scorers fill in by ascending id).
+func TestTopKMatchesDenseSelection(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"pa", gen.PreferentialAttachment(300, 4, 9)},
+		{"er", gen.ErdosRenyi(300, 1200, 4)},
+	} {
+		name, g := tc.name, tc.g
+		n := g.NumNodes()
+		// The best-connected source, and the first with a single
+		// in-neighbour: its estimate is nearly all zeros.
+		var hub, sparse graph.NodeID = 0, -1
+		for v := graph.NodeID(0); int(v) < n; v++ {
+			if g.InDegree(v) > g.InDegree(hub) {
+				hub = v
+			}
+			if sparse < 0 && g.InDegree(v) == 1 {
+				sparse = v
+			}
+		}
+		if sparse < 0 {
+			t.Fatalf("%s: no source with one in-neighbour", name)
+		}
+		for _, mode := range allModes {
+			for _, workers := range []int{1, 2, 3} {
+				opt := Options{Mode: mode, Workers: workers, EpsA: 0.2, Seed: 3, NumWalks: 400}
+				ex := NewExecutor(g, opt)
+				for _, u := range []graph.NodeID{hub, sparse} {
+					est, err := SingleSource(ctx, g, u, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					nonZero := 0
+					for v, s := range est {
+						if s != 0 && graph.NodeID(v) != u {
+							nonZero++
+						}
+					}
+					for _, k := range []int{1, 10, nonZero + 5, n - 1, n + 3} {
+						want := SelectTopK(est, u, k)
+						got, err := TopK(ctx, g, u, k, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						fromEx, err := ex.TopK(ctx, u, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, res := range [][]ScoredNode{got, fromEx} {
+							if len(res) != len(want) {
+								t.Fatalf("%s %v w=%d u=%d k=%d: %d entries, want %d", name, mode, workers, u, k, len(res), len(want))
+							}
+							for i := range want {
+								if res[i].Node != want[i].Node || math.Float64bits(res[i].Score) != math.Float64bits(want[i].Score) {
+									t.Fatalf("%s %v w=%d u=%d k=%d: entry %d = %v, want %v", name, mode, workers, u, k, i, res[i], want[i])
+								}
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -9,17 +9,22 @@ import (
 )
 
 // queryScratch bundles every reusable buffer one worker needs to run
-// ProbeSim trials on a graph with n nodes: the dense score accumulator,
-// deterministic and randomized probe scratch, and the walk buffer. At the
-// paper's defaults a fresh set is ~56n bytes, which is what every query
-// used to allocate per worker; pooling them is where the executor's
-// near-zero steady-state allocation comes from.
+// ProbeSim trials on a graph with n nodes: the dense score accumulator
+// and its touched list, deterministic and randomized probe scratch, and
+// the walk buffer. A fresh set is ~56n bytes, so every query takes its
+// sets from the package's scratch pool.
 type queryScratch struct {
-	n   int
-	acc []float64
-	det *probe.Scratch
-	rnd *probe.Scratch
-	buf []graph.NodeID
+	n int
+	// acc is the dense score accumulator. touched lists, in order of
+	// their first non-zero add, the entries of acc that are non-zero;
+	// every other entry is zero. An estimate touches a few hundred of
+	// n entries on typical graphs, so merging, scaling, ranking and
+	// zeroing walk touched rather than acc.
+	acc     []float64
+	touched []graph.NodeID
+	det     *probe.Scratch
+	rnd     *probe.Scratch
+	buf     []graph.NodeID
 
 	// Batch-mode extras, lazily grown and recycled with the scratch: the
 	// reverse-reachability walk tree, the enumerated path headers, and the
@@ -30,6 +35,29 @@ type queryScratch struct {
 	paths []Path
 	arena []graph.NodeID
 	wave  []walk.BatchWalk
+}
+
+// add accumulates x into acc[v], recording v in touched on its first
+// non-zero add. Every contribution is non-negative, so an entry that is
+// non-zero stays non-zero and is listed exactly once; skipping x == 0
+// leaves acc bit-identical to adding it.
+func (sc *queryScratch) add(v graph.NodeID, x float64) {
+	if x == 0 {
+		return
+	}
+	if sc.acc[v] == 0 {
+		sc.touched = append(sc.touched, v)
+	}
+	sc.acc[v] += x
+}
+
+// set overwrites acc[v] with a non-zero x, recording v in touched if it
+// was zero.
+func (sc *queryScratch) set(v graph.NodeID, x float64) {
+	if sc.acc[v] == 0 {
+		sc.touched = append(sc.touched, v)
+	}
+	sc.acc[v] = x
 }
 
 // walkTree returns the pooled tree reset to root u, allocating it on
@@ -60,9 +88,13 @@ func (sc *queryScratch) randomized() *probe.Scratch {
 	return sc.rnd
 }
 
-// scratchPool hands out queryScratch sets keyed by graph size. A nil
-// *scratchPool is valid and always allocates fresh sets (the behavior of
-// the plain SingleSource entry point); the Executor owns a real pool.
+// pool is the scratch pool every query in the package draws from: the
+// plain SingleSource and TopK entry points and every Executor alike.
+// Answers never depend on it — a pooled set is indistinguishable from a
+// fresh one — so sharing it across executors is safe.
+var pool scratchPool
+
+// scratchPool hands out queryScratch sets keyed by graph size.
 //
 // Sizes are pooled independently so a graph that grows via AddNode does
 // not poison the pool: stale sizes simply stop being requested and their
@@ -71,32 +103,30 @@ type scratchPool struct {
 	pools sync.Map // int (n) -> *sync.Pool
 }
 
-// get returns a scratch set for graphs with n nodes. The accumulator is
-// zeroed; probe scratch invalidates itself via epochs.
+// get returns a scratch set for graphs with n nodes. Its accumulator is
+// zero and its touched list empty (put restores both); probe scratch
+// invalidates itself via epochs.
 func (p *scratchPool) get(n int) *queryScratch {
-	if p == nil {
-		return newQueryScratch(n)
-	}
 	v, ok := p.pools.Load(n)
 	if !ok {
 		v, _ = p.pools.LoadOrStore(n, &sync.Pool{})
 	}
 	if s, ok := v.(*sync.Pool).Get().(*queryScratch); ok {
-		clear(s.acc)
 		return s
 	}
 	return newQueryScratch(n)
 }
 
-// put returns a scratch set to the pool, dropping any cached view
-// resolution first so a parked scratch never pins a retired snapshot
-// generation in memory, and detaching any budget meter so a recycled
-// scratch can never observe a previous query's expiry. No-op on a nil
-// pool.
+// put returns a scratch set to the pool. It zeroes the accumulator over
+// the touched list, so no caller can park a dirty set; drops any cached
+// view resolution, so a parked scratch never pins a retired snapshot
+// generation in memory; and detaches any budget meter, so a recycled
+// scratch can never observe a previous query's expiry.
 func (p *scratchPool) put(s *queryScratch) {
-	if p == nil || s == nil {
-		return
+	for _, v := range s.touched {
+		s.acc[v] = 0
 	}
+	s.touched = s.touched[:0]
 	s.det.ReleaseView()
 	s.det.SetMeter(nil)
 	if s.rnd != nil {

@@ -99,3 +99,37 @@ func TestSelectTopKSound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: ranking an accumulator straight from its touched list equals
+// the sort-based reference over its dense vector, on mostly-zero vectors
+// with forced ties and a query node that is sometimes touched.
+func TestSparseTopKMatchesReference(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := xrand.New(seed)
+		n := 1 + rng.Intn(200)
+		sc := newQueryScratch(n)
+		for i := rng.Intn(n/4 + 2); i > 0; i-- {
+			// Quantized, sometimes repeated adds: ties and accumulation.
+			sc.add(graph.NodeID(rng.Intn(n)), float64(1+rng.Intn(4))/8)
+		}
+		u := graph.NodeID(rng.Intn(n))
+		if rng.Intn(2) == 0 {
+			sc.set(u, 1)
+		}
+		k := 1 + rng.Intn(n+3) // sometimes larger than n-1
+		got := sc.topK(u, k)
+		want := referenceTopK(sc.acc, u, k)
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}

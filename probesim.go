@@ -34,7 +34,9 @@
 // With Options{EpsA: εa, Delta: δ}, every returned similarity satisfies
 // |s̃(u,v) − s(u,v)| <= εa simultaneously for all v with probability at
 // least 1 − δ (Theorems 1-3 of the paper). Queries run in
-// O(n/εa²·log(n/δ)) expected time and keep no state between calls.
+// O(n/εa²·log(n/δ)) expected time. Their working memory is pooled
+// between calls, but no answer depends on it: a query returns the same
+// bits on a fresh process as after any number of earlier queries.
 //
 // # Dynamic graphs
 //
