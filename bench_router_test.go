@@ -119,7 +119,7 @@ func BenchmarkRouterSingleSource(b *testing.B) {
 			ctx := context.Background()
 			// Net-zero churn: add and remove the same edge in one batch.
 			// The version still moves, invalidating the cached view.
-			ops := []router.Op{{U: u, V: u + 1}, {Remove: true, U: u, V: u + 1}}
+			ops := []graph.EdgeOp{{U: u, V: u + 1}, {Remove: true, U: u, V: u + 1}}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -27,14 +27,13 @@
 // get 503 backpressure instead of piling onto the lock. -max-walks and
 // -max-probe-work cap each query's work directly (503 when exhausted).
 //
-// With -shards=P the graph is partitioned by source node into up to P
-// shards, each with its own CSR snapshot: an edge update republishes only
-// the shards it touched (O(batch + touched shards) instead of O(n+m)),
-// which is the configuration for high-churn dynamic workloads. -shards=0
-// (the default) keeps the monolithic snapshot. -eager-spans additionally
-// materializes each new snapshot's dense span arrays on a background
-// goroutine right after publication, so the first query after a batch
-// never pays the densification.
+// The graph is partitioned by source node into up to -shards shards
+// (default 16), each with its own CSR snapshot: an edge update
+// republishes only the shards it touched (O(batch + touched shards)
+// instead of O(n+m)), which keeps high-churn dynamic workloads cheap.
+// -eager-spans additionally materializes each new snapshot's dense span
+// arrays on a background goroutine right after publication, so the
+// first query after a batch never pays the densification.
 //
 // With -workers the graph is not loaded here at all: the server routes
 // every query to a fleet of probesim-shardd workers over the binary
@@ -88,10 +87,9 @@
 // segments), and on boot the server recovers the newest checkpoint plus
 // the log tail — an acknowledged write survives kill -9. A data dir that
 // already holds state wins over -graph (the graph file is only the
-// bootstrap seed for an empty dir). Durability requires the sharded
-// backend; -shards defaults to 16 when -data-dir is set without it. In
-// routed mode (-workers) durability belongs on the workers
-// (probesim-shardd -data-dir), not here.
+// bootstrap seed for an empty dir). In routed mode (-workers)
+// durability belongs on the workers (probesim-shardd -data-dir), not
+// here.
 //
 // # Probes
 //
@@ -191,9 +189,9 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "random seed")
 		cacheCap   = flag.Int("cache", 64, "cached single-source vectors")
 		limit      = flag.Int("limit", 100, "max entries returned by /single-source")
-		hotSources = flag.Int("hot-sources", 0, "precompute single-source results for up to this many hot sources, kept fresh by the applied-batch stream (0 = off; requires the sharded backend)")
+		hotSources = flag.Int("hot-sources", 0, "precompute single-source results for up to this many hot sources, kept fresh by the applied-batch stream (0 = off; not in routed mode)")
 		hotBudget  = flag.Duration("hot-refresh-budget", 200*time.Millisecond, "per-entry time budget for background hot-source builds")
-		shards     = flag.Int("shards", 0, "partition the graph into up to this many shards (0 = monolithic snapshot)")
+		shards     = flag.Int("shards", server.DefaultShards, "partition the graph into up to this many shards")
 		rebuildW   = flag.Int("rebuild-workers", 0, "bound on concurrent shard rebuilds (0 = GOMAXPROCS)")
 		workers    = flag.String("workers", "", "probesim-shardd replica groups (semicolons separate shard owners, commas separate replicas: \"a,b;c,d\"); route queries to these workers instead of serving the graph in-process")
 		healthIvl  = flag.Duration("health-interval", 5*time.Second, "with -workers: background per-replica health/version probe + catch-up interval")
@@ -201,7 +199,7 @@ func main() {
 		hedgeMin   = flag.Duration("hedge-min", 2*time.Millisecond, "lower clamp on the hedge delay")
 		hedgeMax   = flag.Duration("hedge-max", 200*time.Millisecond, "upper clamp on the hedge delay (also the cold-start delay)")
 
-		dataDir   = flag.String("data-dir", "", "durable state directory: write-ahead log + checkpoints; recovered on boot (requires the sharded backend)")
+		dataDir   = flag.String("data-dir", "", "durable state directory: write-ahead log + checkpoints; recovered on boot")
 		fsync     = flag.String("fsync", "always", "WAL fsync policy: always (every acknowledged batch is on disk), interval, or off")
 		fsyncIvl  = flag.Duration("fsync-interval", 100*time.Millisecond, "background fsync cadence under -fsync=interval")
 		ckptEvery = flag.Int64("checkpoint-every", 1024, "checkpoint after this many batches beyond the last checkpoint")
@@ -215,7 +213,7 @@ func main() {
 		maxWriteQ    = flag.Int("max-write-queue", 64, "writers queued on the mutation lock before 503 backpressure (0 = unlimited)")
 		maxWalks     = flag.Int64("max-walks", 0, "per-query cap on √c-walk trials (0 = the plan's derived count)")
 		maxWork      = flag.Int64("max-probe-work", 0, "per-query cap on probe edge traversals (0 = uncapped)")
-		eagerSpans   = flag.Bool("eager-spans", false, "with -shards: materialize snapshot span arrays in the background after each publication")
+		eagerSpans   = flag.Bool("eager-spans", false, "materialize snapshot span arrays in the background after each publication")
 		drainTO      = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain window for in-flight requests")
 
 		tenantSpec  = flag.String("tenants", "", "arm multi-tenant admission: \"name=class,...\" with classes latency-strict, throughput-batch, degrade-tolerant; requests name their tenant in the X-ProbeSim-Tenant header, queries fair-queue per tenant instead of 503ing at -max-inflight (empty = single-tenant behavior)")
@@ -304,20 +302,24 @@ func main() {
 		}
 		return probesim.LoadEdgeList(f, *undirected)
 	}
+	// In-process topology: one shard store, recovered from (or
+	// bootstrapped into) -data-dir when durability is on, loaded from
+	// -graph otherwise.
+	var (
+		st      *shard.Store
+		lg      *wal.Log
+		cleanup func()
+		attrs   []any
+	)
 	if *dataDir != "" {
-		// Durable sharded backend: recover (or bootstrap) the store from
-		// the data dir, arm the write-ahead log, checkpoint in the
-		// background. An acknowledged /edges or /edges/batch is on disk
-		// before its 200.
-		if *shards <= 0 {
-			*shards = 16
-			slog.Info("-data-dir requires the sharded backend; defaulting shards", "shards", *shards)
-		}
+		// An acknowledged /edges or /edges/batch is on disk before its
+		// 200: the log is armed below, before serving.
 		policy, err := wal.ParseSyncPolicy(*fsync)
 		if err != nil {
 			fatal("parsing -fsync", "err", err)
 		}
-		st, lg, rstats, err := persist.OpenStore(*dataDir, *shards, *rebuildW,
+		var rstats persist.RecoveryStats
+		st, lg, rstats, err = persist.OpenStore(*dataDir, *shards, *rebuildW,
 			wal.Options{Sync: policy, SyncEvery: *fsyncIvl, SegmentBytes: *segBytes}, loadGraph)
 		if err != nil {
 			fatal("opening data dir", "dir", *dataDir, "err", err)
@@ -330,59 +332,41 @@ func main() {
 				"replayed", rstats.Replayed, "skipped", rstats.ReplaySkipped,
 				"torn_bytes", rstats.TornBytes, "watermark", rstats.LastBatch)
 		}
-		if *eagerSpans {
-			st.EnableEagerSpans()
-		}
 		ck := persist.StartCheckpointer(st, lg, *ckptEvery, time.Second)
-		srv = server.NewSharded(st, opt, *cacheCap, *limit)
-		srv.SetWAL(lg)
-		if *hotSources > 0 {
-			// After SetWAL so the tier also observes the append-side
-			// watermark (probesim_hot_wal_watermark).
-			tier := srv.EnableHotTier(*hotSources, *hotBudget)
-			defer tier.Close()
-			slog.Info("hot-source tier armed", "max_entries", *hotSources, "refresh_budget", *hotBudget)
-		}
-		slog.Info("serving",
-			"nodes", st.NumNodes(), "edges", st.NumEdges(), "addr", *addr,
-			"shards", st.NumShards(), "fsync", policy.String(), "checkpoint_every", *ckptEvery)
-		serve(srv, addr, queryTimeout, maxInflight, softInflight, degradeF, maxJoins, maxWriteQ, drainTO, traceSlow, traceSample, debugAddr, reg, slotr, func() {
+		cleanup = func() {
 			if err := ck.Stop(); err != nil {
 				slog.Error("final checkpoint", "err", err)
 			}
 			if err := lg.Close(); err != nil {
 				slog.Error("closing wal", "err", err)
 			}
-		})
-		return
-	}
-	g, err := loadGraph()
-	if err != nil {
-		fatal("loading graph", "err", err)
-	}
-	if *shards > 0 {
-		st := shard.NewStore(g, *shards, *rebuildW)
-		if *eagerSpans {
-			st.EnableEagerSpans()
 		}
-		srv = server.NewSharded(st, opt, *cacheCap, *limit)
-		if *hotSources > 0 {
-			tier := srv.EnableHotTier(*hotSources, *hotBudget)
-			defer tier.Close()
-			slog.Info("hot-source tier armed", "max_entries", *hotSources, "refresh_budget", *hotBudget)
-		}
-		slog.Info("serving",
-			"nodes", g.NumNodes(), "edges", g.NumEdges(), "addr", *addr,
-			"shards", st.NumShards(), "stride", st.Partition().Stride(), "eager_spans", *eagerSpans)
+		attrs = []any{"fsync", policy.String(), "checkpoint_every", *ckptEvery}
 	} else {
-		if *hotSources > 0 {
-			slog.Warn("-hot-sources requires the sharded backend (-shards > 0); disabled")
+		g, err := loadGraph()
+		if err != nil {
+			fatal("loading graph", "err", err)
 		}
-		srv = server.New(g, opt, *cacheCap, *limit)
-		slog.Info("serving",
-			"nodes", g.NumNodes(), "edges", g.NumEdges(), "addr", *addr, "backend", "monolithic")
+		st = shard.NewStore(g, *shards, *rebuildW)
 	}
-	serve(srv, addr, queryTimeout, maxInflight, softInflight, degradeF, maxJoins, maxWriteQ, drainTO, traceSlow, traceSample, debugAddr, reg, slotr, nil)
+	if *eagerSpans {
+		st.EnableEagerSpans()
+	}
+	srv = server.NewSharded(st, opt, *cacheCap, *limit)
+	if lg != nil {
+		srv.SetWAL(lg)
+	}
+	if *hotSources > 0 {
+		// After SetWAL so the tier also observes the append-side
+		// watermark (probesim_hot_wal_watermark).
+		tier := srv.EnableHotTier(*hotSources, *hotBudget)
+		defer tier.Close()
+		slog.Info("hot-source tier armed", "max_entries", *hotSources, "refresh_budget", *hotBudget)
+	}
+	slog.Info("serving", append([]any{
+		"nodes", st.NumNodes(), "edges", st.NumEdges(), "addr", *addr,
+		"shards", st.NumShards(), "stride", st.Partition().Stride(), "eager_spans", *eagerSpans}, attrs...)...)
+	serve(srv, addr, queryTimeout, maxInflight, softInflight, degradeF, maxJoins, maxWriteQ, drainTO, traceSlow, traceSample, debugAddr, reg, slotr, cleanup)
 }
 
 // serve installs the admission limits and runs the HTTP server with

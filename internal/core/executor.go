@@ -11,11 +11,13 @@ import (
 
 // SnapshotProvider is the snapshot-management seam behind an Executor:
 // something that can hand out the currently published immutable view and
-// republish it when the underlying mutable graph moved. Two
+// republish it when the underlying mutable graph moved. Three
 // implementations exist — the monolithic graphProvider below (one CSR
-// snapshot, full O(n+m) rebuild) and the sharded shard.Store (per-shard
-// CSR, O(batch + touched shards) republish) — and the executor, querier
-// and server are agnostic between them.
+// snapshot, full O(n+m) rebuild; the library facade's), the sharded
+// shard.Store (per-shard CSR, O(batch + touched shards) republish), and
+// router.Router (the server's only backend: the store's own snapshots on
+// its single-engine fast path, a composite view over a worker fleet) —
+// and the executor and querier are agnostic between them.
 type SnapshotProvider interface {
 	// PublishedView returns the current published view. Never blocks.
 	PublishedView() graph.VersionedView

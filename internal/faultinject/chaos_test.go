@@ -60,15 +60,15 @@ func assertIdentical(t *testing.T, tag string, want, got *core.Executor, nodes [
 	}
 }
 
-func randomOps(rng *xrand.RNG, n int, added *[][2]graph.NodeID, count int) []router.Op {
-	ops := make([]router.Op, 0, count)
+func randomOps(rng *xrand.RNG, n int, added *[][2]graph.NodeID, count int) []graph.EdgeOp {
+	ops := make([]graph.EdgeOp, 0, count)
 	for len(ops) < count {
 		if len(*added) > 0 && rng.Float64() < 0.3 {
 			i := rng.Intn(len(*added))
 			e := (*added)[i]
 			(*added)[i] = (*added)[len(*added)-1]
 			*added = (*added)[:len(*added)-1]
-			ops = append(ops, router.Op{Remove: true, U: e[0], V: e[1]})
+			ops = append(ops, graph.EdgeOp{Remove: true, U: e[0], V: e[1]})
 			continue
 		}
 		u := graph.NodeID(rng.Intn(n))
@@ -76,13 +76,13 @@ func randomOps(rng *xrand.RNG, n int, added *[][2]graph.NodeID, count int) []rou
 		if u == v {
 			continue
 		}
-		ops = append(ops, router.Op{U: u, V: v})
+		ops = append(ops, graph.EdgeOp{U: u, V: v})
 		*added = append(*added, [2]graph.NodeID{u, v})
 	}
 	return ops
 }
 
-func applyToStore(t *testing.T, st *shard.Store, ops []router.Op) {
+func applyToStore(t *testing.T, st *shard.Store, ops []graph.EdgeOp) {
 	t.Helper()
 	for _, op := range ops {
 		var err error
@@ -307,7 +307,7 @@ func TestChaosProxyKillMidReply(t *testing.T) {
 	// on B alone.
 	proxy.Cut()
 	_ = rt.CheckHealth(context.Background())
-	ops := []router.Op{{U: 1, V: 250}, {U: 3, V: 77}}
+	ops := []graph.EdgeOp{{U: 1, V: 250}, {U: 3, V: 77}}
 	applyToStore(t, ref, ops)
 	ref.Publish()
 	if err := rt.Apply(context.Background(), ops); err != nil {

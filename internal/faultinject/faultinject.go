@@ -188,7 +188,7 @@ func (e *Engine) WalkBatch(ctx context.Context, version uint64, h budget.Header,
 // ReadsOnly). A lost reply here is the classic apply-then-die window
 // the batch ids close: the inner engine HAS the batch, the caller sees
 // a transport error.
-func (e *Engine) Apply(ctx context.Context, batch uint64, ops []router.Op) (uint64, error) {
+func (e *Engine) Apply(ctx context.Context, batch uint64, ops []graph.EdgeOp) (uint64, error) {
 	if e.plan.ReadsOnly {
 		return e.inner.Apply(ctx, batch, ops)
 	}

@@ -22,6 +22,16 @@ import (
 // NodeID identifies a node. Nodes are dense integers in [0, NumNodes).
 type NodeID = int32
 
+// EdgeOp is one edge mutation: insert the directed edge U -> V, or with
+// Remove set, delete one occurrence of it. It is the single op type of
+// the whole write plane — the HTTP write endpoints, the router's
+// broadcast, the shard RPC, the write-ahead log and the shard store's
+// batch apply all speak it.
+type EdgeOp struct {
+	Remove bool
+	U, V   NodeID
+}
+
 // Graph is a directed multigraph with dynamic edge updates.
 //
 // The zero value is an empty graph with no nodes.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,8 +23,10 @@ type Config struct {
 	// the live serving options (same seed, εa, mode, ...) — the hot
 	// tier's whole contract is that a served entry is byte-identical to
 	// what the live kernel would return right now, and that only holds
-	// when both run the same plan. Workers and Budget are overridden per
-	// build (results are worker-count independent; see below).
+	// when both run the same plan — Workers included: the kernel's
+	// per-worker float accumulators merge in a worker-count-dependent
+	// order, so a build at another width can differ in the last bits.
+	// Only Budget is overridden per build (with RefreshBudget).
 	Opt core.Options
 	// RefreshBudget bounds each background build. It is forced non-zero
 	// (default: 200ms timeout) so every refresh runs under an armed
@@ -37,11 +38,6 @@ type Config struct {
 	// Interval is the refresher's scan cadence (default 100ms). Applied
 	// batches additionally wake it immediately.
 	Interval time.Duration
-	// BuildWorkers is the kernel worker count for background builds
-	// (default max(1, GOMAXPROCS/2)). Safe to lower freely: ProbeSim
-	// results are deterministic per (view, seed) and independent of the
-	// worker count, so a half-width build is still bit-identical.
-	BuildWorkers int
 	// Yield, when non-nil, is polled before each build; true means
 	// foreground load wants the CPU and the refresher ends its round.
 	// The server wires this to its admission inflight gauge.
@@ -112,12 +108,6 @@ func New(ex *core.Executor, shift uint32, cfg Config) *Tier {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 100 * time.Millisecond
 	}
-	if cfg.BuildWorkers <= 0 {
-		cfg.BuildWorkers = runtime.GOMAXPROCS(0) / 2
-		if cfg.BuildWorkers < 1 {
-			cfg.BuildWorkers = 1
-		}
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	t := &Tier{
 		ex: ex, shift: shift, cfg: cfg,
@@ -169,7 +159,7 @@ func (t *Tier) SingleSource(view graph.View, u graph.NodeID) ([]float64, bool) {
 // endpoints touch — everything else would re-execute bit-identically and
 // stays servable. Called under the store's apply lock, so it only takes
 // the tier lock and never calls back into the store.
-func (t *Tier) OnBatch(id uint64, ops []shard.EdgeOp) {
+func (t *Tier) OnBatch(id uint64, ops []graph.EdgeOp) {
 	touched := make(map[uint32]struct{}, len(ops)*2)
 	maxNode := graph.NodeID(0)
 	for _, op := range ops {
@@ -295,8 +285,9 @@ func (t *Tier) Handler() http.Handler {
 // refresher is the single background goroutine: each round it reconciles
 // the entry set against the sketch's current hot set, rebuilding missing
 // or invalidated entries one at a time (kernel-internal parallelism is
-// BuildWorkers wide) and evicting entries that went cold. Rounds run on
-// Interval ticks and immediately after applied batches.
+// Opt.Workers wide, as on the live path) and evicting entries that went
+// cold. Rounds run on Interval ticks and immediately after applied
+// batches.
 func (t *Tier) refresher() {
 	defer close(t.done)
 	tick := time.NewTicker(t.cfg.Interval)
@@ -372,7 +363,6 @@ func (t *Tier) buildOne(src graph.NodeID) {
 	rv := newRecordingView(s0, t.shift)
 	opt := t.cfg.Opt
 	opt.Budget = t.cfg.RefreshBudget
-	opt.Workers = t.cfg.BuildWorkers
 	t.builds.Add(1)
 	scores, err := t.ex.SingleSourceOnWith(t.ctx, rv, src, opt)
 	if err != nil {

@@ -41,9 +41,6 @@ func newTierOver(t *testing.T, g *graph.Graph, cfg Config) (*shard.Store, *core.
 	if cfg.Interval == 0 {
 		cfg.Interval = 2 * time.Millisecond
 	}
-	if cfg.BuildWorkers == 0 {
-		cfg.BuildWorkers = testOpt().Workers
-	}
 	tier := New(ex, st.Partition().Shift(), cfg)
 	st.SubscribeApplied(tier.OnBatch)
 	t.Cleanup(tier.Close)

@@ -168,11 +168,7 @@ func TestOpenStoreScopedDeltaRecovery(t *testing.T) {
 	var id uint64
 	for i, ops := range batches {
 		id++
-		wops := make([]wal.Op, len(ops))
-		for j, op := range ops {
-			wops[j] = wal.Op{Remove: op.Remove, U: op.U, V: op.V}
-		}
-		if _, err := lg.Append(id, wops); err != nil {
+		if _, err := lg.Append(id, ops); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := st.ApplyBatch(id, ops); err != nil {
@@ -255,11 +251,7 @@ func TestDeltaRecoveryFallsBackWhenDeltaCorrupt(t *testing.T) {
 	var id uint64
 	apply := func(ops []shard.EdgeOp) {
 		id++
-		wops := make([]wal.Op, len(ops))
-		for j, op := range ops {
-			wops[j] = wal.Op{Remove: op.Remove, U: op.U, V: op.V}
-		}
-		if _, err := lg.Append(id, wops); err != nil {
+		if _, err := lg.Append(id, ops); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := st.ApplyBatch(id, ops); err != nil {

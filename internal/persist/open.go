@@ -130,12 +130,8 @@ func OpenStoreScoped(dir string, shards, workers, index, group int, wopt wal.Opt
 	// here failed identically when first submitted (same ops against the
 	// same state) and was rejected to its client; the store marks it
 	// decided and moves on, converging on the acknowledged graph.
-	if err := rec.Replay(st.LastBatch(), func(id uint64, ops []wal.Op) error {
-		sops := make([]shard.EdgeOp, len(ops))
-		for i, op := range ops {
-			sops[i] = shard.EdgeOp{Remove: op.Remove, U: op.U, V: op.V}
-		}
-		if _, err := st.ApplyBatch(id, sops); err != nil {
+	if err := rec.Replay(st.LastBatch(), func(id uint64, ops []graph.EdgeOp) error {
+		if _, err := st.ApplyBatch(id, ops); err != nil {
 			stats.ReplaySkipped++
 		} else {
 			stats.Replayed++

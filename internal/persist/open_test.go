@@ -109,14 +109,10 @@ func TestCrashRecoveryProperty(t *testing.T) {
 					// rejected, which both sides must agree on.
 					ops[i] = shard.EdgeOp{Remove: r.Intn(5) == 0, U: u, V: v}
 				}
-				wops := make([]wal.Op, len(ops))
-				for i, op := range ops {
-					wops[i] = wal.Op{Remove: op.Remove, U: op.U, V: op.V}
-				}
 				// The server's discipline: append (durable), then apply, then
 				// acknowledge. A batch the store rejects is still "decided":
 				// the reference must decide it identically.
-				id, err := lg.Append(0, wops)
+				id, err := lg.Append(0, ops)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"probesim/internal/graph"
 	"probesim/internal/shard"
 	"probesim/internal/wal"
 )
@@ -19,7 +20,7 @@ func TestApplyIdempotentOverTCP(t *testing.T) {
 	re, _, le := startWorker(t, g, 8, 0, 1)
 	before := le.Store().NumEdges()
 
-	ops := []Op{{U: 1, V: 2}, {U: 3, V: 4}}
+	ops := []graph.EdgeOp{{U: 1, V: 2}, {U: 3, V: 4}}
 	v1, err := re.Apply(context.Background(), 1, ops)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +62,7 @@ type lostReplyEngine struct {
 	applies     atomic.Int32
 }
 
-func (e *lostReplyEngine) Apply(ctx context.Context, batch uint64, ops []Op) (uint64, error) {
+func (e *lostReplyEngine) Apply(ctx context.Context, batch uint64, ops []graph.EdgeOp) (uint64, error) {
 	v, err := e.ShardEngine.Apply(ctx, batch, ops)
 	e.applies.Add(1)
 	if err == nil && e.dropReplies.Add(-1) >= 0 {
@@ -85,7 +86,7 @@ func TestRouterApplyRetriesLostReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := stA.NumEdges()
-	if err := rt.Apply(context.Background(), []Op{{U: 5, V: 6}}); err != nil {
+	if err := rt.Apply(context.Background(), []graph.EdgeOp{{U: 5, V: 6}}); err != nil {
 		t.Fatalf("apply with one lost reply failed: %v", err)
 	}
 	if got := stA.NumEdges(); got != before+1 {
@@ -116,7 +117,7 @@ type deadEngine struct {
 	calls atomic.Int32
 }
 
-func (e *deadEngine) Apply(ctx context.Context, batch uint64, ops []Op) (uint64, error) {
+func (e *deadEngine) Apply(ctx context.Context, batch uint64, ops []graph.EdgeOp) (uint64, error) {
 	e.calls.Add(1)
 	return 0, fmt.Errorf("%w: injected dead worker", ErrTransport)
 }
@@ -135,7 +136,7 @@ func TestRouterApplyExhaustsRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := stB.NumEdges()
-	err = rt.Apply(context.Background(), []Op{{U: 1, V: 3}})
+	err = rt.Apply(context.Background(), []graph.EdgeOp{{U: 1, V: 3}})
 	if !errors.Is(err, ErrTransport) {
 		t.Fatalf("want ErrTransport after exhausted retries, got %v", err)
 	}
@@ -158,7 +159,7 @@ func TestRouterApplySemanticRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := stA.NumEdges()
-	ops := []Op{{U: 1, V: 2}, {Remove: true, U: 58, V: 57}}
+	ops := []graph.EdgeOp{{U: 1, V: 2}, {Remove: true, U: 58, V: 57}}
 	if err := rt.Apply(context.Background(), ops); err == nil {
 		t.Skip("edge 58->57 existed; batch applied cleanly")
 	}
@@ -181,7 +182,7 @@ type vetoEngine struct {
 	veto atomic.Int32
 }
 
-func (e *vetoEngine) Apply(ctx context.Context, batch uint64, ops []Op) (uint64, error) {
+func (e *vetoEngine) Apply(ctx context.Context, batch uint64, ops []graph.EdgeOp) (uint64, error) {
 	if e.veto.Add(-1) >= 0 {
 		// Decide the batch like a real semantic rejection does (rollback
 		// inside ApplyBatch advances the watermark), then refuse.
@@ -208,7 +209,7 @@ func TestMixedSemanticRollbackConvergesWatermarks(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := stB.NumEdges()
-	if err := rt.Apply(context.Background(), []Op{{U: 2, V: 5}}); err == nil {
+	if err := rt.Apply(context.Background(), []graph.EdgeOp{{U: 2, V: 5}}); err == nil {
 		t.Fatal("vetoed batch reported success")
 	}
 	if got := stB.NumEdges(); got != before {
@@ -237,7 +238,7 @@ func TestWorkerWALSurvivesRestart(t *testing.T) {
 	st := shard.NewStore(g, 4, 0)
 	eng := NewLocalEngine(st, 0, 1)
 	eng.SetWAL(lg)
-	if _, err := eng.Apply(context.Background(), 1, []Op{{U: 2, V: 3}, {U: 4, V: 5}}); err != nil {
+	if _, err := eng.Apply(context.Background(), 1, []graph.EdgeOp{{U: 2, V: 3}, {U: 4, V: 5}}); err != nil {
 		t.Fatal(err)
 	}
 	wantEdges := st.NumEdges()
@@ -248,12 +249,8 @@ func TestWorkerWALSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.Replay(st2.LastBatch(), func(id uint64, ops []wal.Op) error {
-		sops := make([]shard.EdgeOp, len(ops))
-		for i, op := range ops {
-			sops[i] = shard.EdgeOp{Remove: op.Remove, U: op.U, V: op.V}
-		}
-		_, err := st2.ApplyBatch(id, sops)
+	if err := rec.Replay(st2.LastBatch(), func(id uint64, ops []graph.EdgeOp) error {
+		_, err := st2.ApplyBatch(id, ops)
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -263,7 +260,7 @@ func TestWorkerWALSurvivesRestart(t *testing.T) {
 	}
 	// And the retried batch is still a no-op after recovery.
 	eng2 := NewLocalEngine(st2, 0, 1)
-	if _, err := eng2.Apply(context.Background(), 1, []Op{{U: 2, V: 3}, {U: 4, V: 5}}); err != nil {
+	if _, err := eng2.Apply(context.Background(), 1, []graph.EdgeOp{{U: 2, V: 3}, {U: 4, V: 5}}); err != nil {
 		t.Fatal(err)
 	}
 	if st2.NumEdges() != wantEdges {

@@ -8,11 +8,12 @@
 // (ResolveShards), continue √c-walk segments (WalkBatch), one call for
 // one item or many — plus the write plane (Apply, Publish) that keeps a
 // worker's graph in lockstep with the topology. Two implementations
-// exist: LocalEngine wraps an in-process shard.Store (today's fast path
-// — a Router over a single all-owning LocalEngine serves the store's own
-// published snapshot, zero new allocations on the hot path), and
-// RemoteEngine speaks the length-prefixed binary protocol of
-// internal/rpcwire over TCP to a probesim-shardd worker.
+// exist: LocalEngine wraps an in-process shard.Store (the fast path every
+// in-process server runs on — a Router over a single all-owning
+// LocalEngine serves the store's own published snapshot, zero new
+// allocations on the hot path, and applies writes straight to the
+// engine), and RemoteEngine speaks the length-prefixed binary protocol
+// of internal/rpcwire over TCP to a probesim-shardd worker.
 //
 // A Router fans a query out to shard owners by the same power-of-two
 // node stride internal/shard partitions with: shard adjacency blocks
@@ -84,12 +85,6 @@ type Meta struct {
 	Shift     uint32 // node stride is 1 << Shift
 	Shards    int
 	Owned     []int // shard ids this engine serves, ascending
-}
-
-// Op is one edge mutation for the engine write plane.
-type Op struct {
-	Remove bool
-	U, V   graph.NodeID
 }
 
 // WalkStart is one walk of a WalkBatch call: continue a √c-walk whose
@@ -168,8 +163,10 @@ type ShardEngine interface {
 	// reply was lost in transit is safe — the engine that already holds
 	// it no-ops, the one that never saw it applies. Durable engines
 	// append the batch to their write-ahead log before applying. batch 0
-	// means un-identified (not retry-safe, not logged with an id).
-	Apply(ctx context.Context, batch uint64, ops []Op) (uint64, error)
+	// means un-identified: not retry-safe, and the engine takes the next
+	// id itself (from its log when armed). Only the Router's single-engine
+	// fast path sends it.
+	Apply(ctx context.Context, batch uint64, ops []graph.EdgeOp) (uint64, error)
 
 	// Publish republishes the engine's snapshot if mutations are pending
 	// and reports the resulting Meta.
@@ -235,8 +232,8 @@ type LocalEngine struct {
 	// WAL append and the store apply are one atomic step with respect to
 	// other Apply calls.
 	wmu sync.Mutex
-	// wal, when set (SetWAL), receives every identified batch BEFORE it
-	// is applied: the worker's durability point.
+	// wal, when set (SetWAL), receives every batch BEFORE it is
+	// applied: the engine's durability point.
 	wal *wal.Log
 
 	// segmentsStopped counts engine-side walk loops stopped by a
@@ -273,10 +270,12 @@ func NewLocalEngine(st *shard.Store, index, group int) *LocalEngine {
 // Store returns the underlying shard store (for the worker's stats).
 func (e *LocalEngine) Store() *shard.Store { return e.st }
 
-// SetWAL arms the engine's durability point: every identified batch is
-// appended to lg before it is applied, so an Apply the engine
-// acknowledged survives a worker crash (cmd/probesim-shardd recovers it
-// on boot and the fleet converges). Call before serving.
+// SetWAL arms the engine's durability point: every batch is appended to
+// lg before it is applied (an un-identified batch 0 takes the id the log
+// assigns), so an Apply the engine acknowledged survives a crash
+// (persist.OpenStore recovers it on boot, and a fleet converges). Both
+// probesim-shardd and the in-process server (server.SetWAL) arm it. Call
+// before serving.
 func (e *LocalEngine) SetWAL(lg *wal.Log) { e.wal = lg }
 
 // SetWalkObserver arms a per-walk callback: fn receives the entry node
@@ -453,7 +452,7 @@ func (e *LocalEngine) WalkBatch(ctx context.Context, version uint64, h budget.He
 // between the reply being lost and the worker dying still leaves the
 // batch recoverable, and the router's retry converges instead of
 // double-applying.
-func (e *LocalEngine) Apply(ctx context.Context, batch uint64, ops []Op) (uint64, error) {
+func (e *LocalEngine) Apply(ctx context.Context, batch uint64, ops []graph.EdgeOp) (uint64, error) {
 	tr, parent := qtrace.FromContext(ctx)
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
@@ -464,11 +463,7 @@ func (e *LocalEngine) Apply(ctx context.Context, batch uint64, ops []Op) (uint64
 	}
 	if e.wal != nil {
 		wref := tr.StartSpan("wal.append", parent)
-		wops := make([]wal.Op, len(ops))
-		for i, op := range ops {
-			wops[i] = wal.Op{Remove: op.Remove, U: op.U, V: op.V}
-		}
-		id, err := e.wal.Append(batch, wops)
+		id, err := e.wal.Append(batch, ops)
 		if err != nil {
 			// The append was annulled (or the log fail-stopped): nothing
 			// was applied and the id was not consumed, so the router may
@@ -484,11 +479,7 @@ func (e *LocalEngine) Apply(ctx context.Context, batch uint64, ops []Op) (uint64
 		batch = id
 	}
 	aref := tr.StartSpan("store.apply", parent)
-	sops := make([]shard.EdgeOp, len(ops))
-	for i, op := range ops {
-		sops[i] = shard.EdgeOp{Remove: op.Remove, U: op.U, V: op.V}
-	}
-	v, err := e.st.ApplyBatch(batch, sops)
+	v, err := e.st.ApplyBatch(batch, ops)
 	tr.EndSpan(aref)
 	return v, err
 }

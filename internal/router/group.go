@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"probesim/internal/graph"
 	"probesim/internal/qtrace"
 )
 
@@ -156,20 +157,20 @@ type batchRing struct {
 
 type ringEntry struct {
 	id  uint64
-	ops []Op
+	ops []graph.EdgeOp
 }
 
 const defaultReplayHorizon = 1024
 
 func newBatchRing(n int) *batchRing { return &batchRing{entries: make([]ringEntry, n)} }
 
-func (b *batchRing) put(id uint64, ops []Op) {
+func (b *batchRing) put(id uint64, ops []graph.EdgeOp) {
 	b.entries[id%uint64(len(b.entries))] = ringEntry{id: id, ops: ops}
 }
 
 // get reports the ops recorded for id; ids start at 1, so a zero slot
 // never aliases a real batch.
-func (b *batchRing) get(id uint64) ([]Op, bool) {
+func (b *batchRing) get(id uint64) ([]graph.EdgeOp, bool) {
 	e := b.entries[id%uint64(len(b.entries))]
 	if e.id != id {
 		return nil, false

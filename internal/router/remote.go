@@ -392,12 +392,9 @@ func (e *RemoteEngine) Ping(ctx context.Context) (uint64, uint64, error) {
 }
 
 // Apply implements ShardEngine.
-func (e *RemoteEngine) Apply(ctx context.Context, batch uint64, ops []Op) (uint64, error) {
+func (e *RemoteEngine) Apply(ctx context.Context, batch uint64, ops []graph.EdgeOp) (uint64, error) {
 	tr, parent, tc := traceField(ctx)
-	req := rpcwire.ApplyRequest{Budget: headerFrom(ctx), Batch: batch, Ops: make([]rpcwire.Op, len(ops)), Trace: tc}
-	for i, op := range ops {
-		req.Ops[i] = rpcwire.Op{Remove: op.Remove, U: op.U, V: op.V}
-	}
+	req := rpcwire.ApplyRequest{Budget: headerFrom(ctx), Batch: batch, Ops: ops, Trace: tc}
 	base := tr.Since()
 	rtyp, body, err := e.call(ctx, rpcwire.TApply, req.Append(nil))
 	if err != nil {

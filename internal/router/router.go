@@ -32,13 +32,15 @@ import (
 // given call never changes the bits of the result.
 //
 // Fast path: a Router over a single LocalEngine that owns every shard
-// serves the store's own published StoreSnapshot (no wrapper, no new
-// allocation, bit-identical and benchmark-identical to PR 2's direct
-// store). Any other topology serves a *View whose shard blocks fault in
-// from their owners on first touch.
+// (NewLocal) serves the store's own published StoreSnapshot (no wrapper,
+// no new allocation, bit-identical and benchmark-identical to the direct
+// store) and hands each write batch straight to that engine: with no
+// replica there is nothing to retry, demote, replay or level. Any other
+// topology serves a *View whose shard blocks fault in from their owners
+// on first touch.
 type Router struct {
 	groups []*replicaGroup
-	fast   *shard.Store // non-nil: single all-owning local engine
+	fast   *LocalEngine // non-nil: single all-owning local engine
 
 	// mu serializes the control plane (Apply, PublishView, health
 	// re-assembly, catch-up) — never the read path.
@@ -115,9 +117,8 @@ func NewReplicated(groups [][]ShardEngine) (*Router, error) {
 	}
 	if len(r.groups) == 1 && len(r.groups[0].members) == 1 {
 		if le, ok := r.groups[0].members[0].eng.(*LocalEngine); ok && le.group == 1 {
-			r.fast = le.st
+			r.fast = le
 			r.groups[0].members[0].current.Store(true)
-			r.nextBatch.Store(le.st.LastBatch())
 			return r, nil
 		}
 	}
@@ -341,7 +342,7 @@ func (r *Router) assembleLocked(metas [][]memberMeta) (*View, error) {
 // PublishedView implements core.SnapshotProvider. It never blocks.
 func (r *Router) PublishedView() graph.VersionedView {
 	if r.fast != nil {
-		return r.fast.Current()
+		return r.fast.st.Current()
 	}
 	return r.cur.Load()
 }
@@ -353,7 +354,10 @@ func (r *Router) PublishedView() graph.VersionedView {
 // current and is returned alongside the error.
 func (r *Router) PublishView(ctx context.Context) (graph.VersionedView, error) {
 	if r.fast != nil {
-		return r.fast.PublishCtx(ctx)
+		// The store itself, not LocalEngine.Publish: the engine pins the
+		// last genRetain generations for remote readers, and an
+		// in-process server must not keep them alive.
+		return r.fast.st.PublishCtx(ctx)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -409,9 +413,19 @@ type applyResult struct {
 // applied rolls back via the inverse batch under one fresh shared id,
 // converging the fleet on the pre-batch graph, and the client gets the
 // rejection.
-func (r *Router) Apply(ctx context.Context, ops []Op) error {
+//
+// On the fast path none of that machinery applies: the batch goes to
+// the one engine under id 0, so its log (when armed) assigns the id,
+// and the engine's all-or-rollback apply is the whole story. An
+// ErrUnavailable from it means the log append was annulled and nothing
+// was applied.
+func (r *Router) Apply(ctx context.Context, ops []graph.EdgeOp) error {
 	if len(ops) == 0 {
 		return nil
+	}
+	if r.fast != nil {
+		_, err := r.fast.Apply(ctx, 0, ops)
+		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -471,7 +485,7 @@ func (r *Router) Apply(ctx context.Context, ops []Op) error {
 		// entry for the level id is empty too: a demoted member replaying
 		// the forward batch in order will deterministically reject it just
 		// as the live members did, then level on the empty batch.
-		inverse := make([]Op, len(ops))
+		inverse := make([]graph.EdgeOp, len(ops))
 		for i := range ops {
 			inv := ops[len(ops)-1-i]
 			inv.Remove = !inv.Remove
@@ -543,7 +557,7 @@ func (r *Router) Apply(ctx context.Context, ops []Op) error {
 // member concurrently, retrying transport failures per member. Demoted
 // members are skipped (counted) — they get the batch later, in order,
 // from the replay ring.
-func (r *Router) applyBroadcastLocked(ctx context.Context, batch uint64, ops []Op) [][]applyResult {
+func (r *Router) applyBroadcastLocked(ctx context.Context, batch uint64, ops []graph.EdgeOp) [][]applyResult {
 	out := make([][]applyResult, len(r.groups))
 	var wg sync.WaitGroup
 	for gi, g := range r.groups {
@@ -630,20 +644,6 @@ func (r *Router) catchUpLocked(ctx context.Context) (readmitted int) {
 		}
 	}
 	return readmitted
-}
-
-// AddEdge implements the server's mutator seam.
-func (r *Router) AddEdge(u, v graph.NodeID) error {
-	ctx, cancel := context.WithTimeout(context.Background(), controlTimeout)
-	defer cancel()
-	return r.Apply(ctx, []Op{{U: u, V: v}})
-}
-
-// RemoveEdge implements the server's mutator seam.
-func (r *Router) RemoveEdge(u, v graph.NodeID) error {
-	ctx, cancel := context.WithTimeout(context.Background(), controlTimeout)
-	defer cancel()
-	return r.Apply(ctx, []Op{{Remove: true, U: u, V: v}})
 }
 
 // CheckHealth probes every member (Ping also refreshes RemoteEngine
@@ -867,10 +867,10 @@ func (r *Router) Counters() Counters {
 // (multi-engine or remote) path rather than the single-store fast path.
 func (r *Router) Distributed() bool { return r.fast == nil }
 
-// LocalStore returns the fast-path store, or nil in a distributed
-// topology. The serving stack uses it to keep the sharded store's
-// publication and GC stats on /stats when the router is local.
-func (r *Router) LocalStore() *shard.Store { return r.fast }
+// Local returns the fast-path engine, or nil in a distributed topology.
+// The serving stack arms its write-ahead log (LocalEngine.SetWAL) and
+// reads the store's publication and GC stats through it.
+func (r *Router) Local() *LocalEngine { return r.fast }
 
 // View is the composite read side the generic path serves: the shape and
 // version agreed by every group, plus per-shard adjacency blocks that

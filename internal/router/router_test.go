@@ -30,7 +30,7 @@ func testGraph(n int, seed uint64) *graph.Graph {
 
 // mirrorOps applies the same edge batch to a plain store (the reference)
 // and returns it for comparison publishes.
-func applyToStore(t *testing.T, st *shard.Store, ops []Op) {
+func applyToStore(t *testing.T, st *shard.Store, ops []graph.EdgeOp) {
 	t.Helper()
 	for _, op := range ops {
 		var err error
@@ -47,15 +47,15 @@ func applyToStore(t *testing.T, st *shard.Store, ops []Op) {
 
 // randomOps derives a deterministic churn batch that only removes edges
 // it previously added, so reference and router stay applyable.
-func randomOps(rng *xrand.RNG, n int, added *[][2]graph.NodeID, count int) []Op {
-	ops := make([]Op, 0, count)
+func randomOps(rng *xrand.RNG, n int, added *[][2]graph.NodeID, count int) []graph.EdgeOp {
+	ops := make([]graph.EdgeOp, 0, count)
 	for len(ops) < count {
 		if len(*added) > 0 && rng.Float64() < 0.3 {
 			i := rng.Intn(len(*added))
 			e := (*added)[i]
 			(*added)[i] = (*added)[len(*added)-1]
 			*added = (*added)[:len(*added)-1]
-			ops = append(ops, Op{Remove: true, U: e[0], V: e[1]})
+			ops = append(ops, graph.EdgeOp{Remove: true, U: e[0], V: e[1]})
 			continue
 		}
 		u := graph.NodeID(rng.Intn(n))
@@ -63,7 +63,7 @@ func randomOps(rng *xrand.RNG, n int, added *[][2]graph.NodeID, count int) []Op 
 		if u == v {
 			continue
 		}
-		ops = append(ops, Op{U: u, V: v})
+		ops = append(ops, graph.EdgeOp{U: u, V: v})
 		*added = append(*added, [2]graph.NodeID{u, v})
 	}
 	return ops
@@ -501,7 +501,7 @@ func TestGenerationRetirement(t *testing.T) {
 		if u == v {
 			continue
 		}
-		if err := rt.Apply(context.Background(), []Op{{U: u, V: v}}); err != nil {
+		if err := rt.Apply(context.Background(), []graph.EdgeOp{{U: u, V: v}}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := rt.PublishView(context.Background()); err != nil {
@@ -535,7 +535,7 @@ func TestApplyRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	edgesBefore := stA.NumEdges()
-	ops := []Op{
+	ops := []graph.EdgeOp{
 		{U: 1, V: 2},
 		{U: 3, V: 4},
 		{Remove: true, U: 98, V: 97}, // almost certainly absent

@@ -238,15 +238,11 @@ func (s *Server) dispatch(typ uint8, payload, out []byte) (uint8, []byte) {
 		if err != nil {
 			return fail(rpcwire.CodeBadRequest, err)
 		}
-		ops := make([]Op, len(req.Ops))
-		for i, op := range req.Ops {
-			ops[i] = Op{Remove: op.Remove, U: op.U, V: op.V}
-		}
 		tr, root, finish := s.traceFor(req.Trace, "worker.apply")
-		tr.Annotate(root, fmt.Sprintf("batch=%d,ops=%d", req.Batch, len(ops)))
+		tr.Annotate(root, fmt.Sprintf("batch=%d,ops=%d", req.Batch, len(req.Ops)))
 		ctx, cancel := headerCtx(req.Budget.Remaining)
 		defer cancel()
-		version, err := s.eng.Apply(qtrace.NewContext(ctx, tr, root), req.Batch, ops)
+		version, err := s.eng.Apply(qtrace.NewContext(ctx, tr, root), req.Batch, req.Ops)
 		spans := finish(err)
 		if err != nil {
 			return fail(rpcwire.CodeInternal, err)

@@ -90,7 +90,7 @@ func FuzzDecodeMessages(f *testing.F) {
 	f.Add(ShardsReply{CSRs: []graph.CSRShard{csr, csr}}.Append(nil))
 	f.Add(WalkBatchRequest{Budget: h, Version: 2, SqrtC: 0.77, Walks: walks}.Append(nil))
 	f.Add(WalkBatchReply{Segs: segs}.Append(nil))
-	f.Add(ApplyRequest{Budget: h, Batch: 11, Ops: []Op{{U: 1, V: 2}, {Remove: true, U: 3, V: 4}}}.Append(nil))
+	f.Add(ApplyRequest{Budget: h, Batch: 11, Ops: []graph.EdgeOp{{U: 1, V: 2}, {Remove: true, U: 3, V: 4}}}.Append(nil))
 	f.Add(ErrorReply{Code: CodeRetiredGen, Msg: "gone"}.Append(nil))
 	f.Add(PingRequest{Budget: h}.Append(nil))
 	f.Add(PingReply{Version: 8, LastBatch: 13}.Append(nil))
@@ -102,7 +102,7 @@ func FuzzDecodeMessages(f *testing.F) {
 	f.Add(ShardsReply{CSRs: []graph.CSRShard{csr}, Spans: spans}.Append(nil))
 	f.Add(WalkBatchRequest{Budget: h, Version: 2, SqrtC: 0.77, Walks: walks[:1], Trace: tc}.Append(nil))
 	f.Add(WalkBatchReply{Segs: segs[:1], Spans: spans}.Append(nil))
-	f.Add(ApplyRequest{Budget: h, Batch: 12, Ops: []Op{{U: 1, V: 2}}, Trace: tc}.Append(nil))
+	f.Add(ApplyRequest{Budget: h, Batch: 12, Ops: []graph.EdgeOp{{U: 1, V: 2}}, Trace: tc}.Append(nil))
 	f.Add(MetaReply{Nodes: 10, Version: 4, LastBatch: 12, Shards: 1, Owned: []uint32{0}, Spans: spans}.Append(nil))
 	// A reply whose spans follow a trace trailer it never carries: the
 	// decoder must ignore both, or the re-encoded reply is no prefix.

@@ -110,7 +110,7 @@ func TestNewRouterOldWorkerRequestsBitIdentical(t *testing.T) {
 	if got, want := wr.Append(nil), fixedWalkBatchRequestBytes(wr); !bytes.Equal(got, want) {
 		t.Fatalf("traceless WalkBatchRequest differs from the fixed form:\n got %x\nwant %x", got, want)
 	}
-	ar := ApplyRequest{Budget: testHeader(), Batch: 9, Ops: []Op{{U: 1, V: 2}, {Remove: true, U: 3, V: 4}}}
+	ar := ApplyRequest{Budget: testHeader(), Batch: 9, Ops: []graph.EdgeOp{{U: 1, V: 2}, {Remove: true, U: 3, V: 4}}}
 	if got, want := ar.Append(nil), fixedApplyRequestBytes(ar); !bytes.Equal(got, want) {
 		t.Fatalf("traceless ApplyRequest differs from the fixed form:\n got %x\nwant %x", got, want)
 	}
@@ -200,7 +200,7 @@ func TestOldRouterNewWorkerRepliesBitIdentical(t *testing.T) {
 // TestShardRoundTrip and TestWalkRoundTrip.)
 func TestTracedRoundTrip(t *testing.T) {
 	tc := &TraceContext{Hi: 0xA, Lo: 0xB, Parent: 3}
-	ar, err := DecodeApplyRequest(ApplyRequest{Budget: testHeader(), Batch: 1, Ops: []Op{{U: 1, V: 2}}, Trace: tc}.Append(nil))
+	ar, err := DecodeApplyRequest(ApplyRequest{Budget: testHeader(), Batch: 1, Ops: []graph.EdgeOp{{U: 1, V: 2}}, Trace: tc}.Append(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

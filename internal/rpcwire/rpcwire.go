@@ -634,23 +634,17 @@ func DecodeShardsReply(b []byte) (ShardsReply, error) {
 	return m, d.err
 }
 
-// Op is one edge mutation in an ApplyRequest.
-type Op struct {
-	Remove bool
-	U, V   graph.NodeID
-}
-
 // ApplyRequest carries a batch of edge mutations, applied atomically
 // (all-or-rollback) on the worker. Batch is the router-assigned batch
 // id: a worker applies each id at most once (retries after a lost reply
 // are no-ops) and logs it to its write-ahead log before applying when
-// durability is on. Batch 0 means un-identified (legacy single-op
-// paths); such batches are not retry-safe. The reply is a MetaReply
+// durability is on. Batch 0 means un-identified (the worker assigns
+// the next id itself); such batches are not retry-safe. The reply is a MetaReply
 // with the worker's post-apply (unpublished) version and watermark.
 type ApplyRequest struct {
 	Budget budget.Header
 	Batch  uint64
-	Ops    []Op
+	Ops    []graph.EdgeOp
 	// Trace, when non-nil, ties this request to a sampled caller-side
 	// trace (optional trailer; old workers ignore it).
 	Trace *TraceContext
@@ -686,7 +680,7 @@ func DecodeApplyRequest(b []byte) (ApplyRequest, error) {
 	if d.err == nil && len(d.b) < 9*int(n) {
 		return ApplyRequest{}, fmt.Errorf("rpcwire: truncated op array")
 	}
-	m := ApplyRequest{Budget: h, Batch: batch, Ops: make([]Op, 0, n)}
+	m := ApplyRequest{Budget: h, Batch: batch, Ops: make([]graph.EdgeOp, 0, n)}
 	for i := uint32(0); i < n; i++ {
 		k := d.u8()
 		if d.err == nil && k > 1 {
@@ -694,7 +688,7 @@ func DecodeApplyRequest(b []byte) (ApplyRequest, error) {
 		}
 		u := graph.NodeID(int32(d.u32()))
 		v := graph.NodeID(int32(d.u32()))
-		m.Ops = append(m.Ops, Op{Remove: k == 1, U: u, V: v})
+		m.Ops = append(m.Ops, graph.EdgeOp{Remove: k == 1, U: u, V: v})
 	}
 	if d.err == nil {
 		m.Trace = parseTrace(d.b)

@@ -138,7 +138,7 @@ func TestWalkRoundTrip(t *testing.T) {
 }
 
 func TestApplyRoundTrip(t *testing.T) {
-	req := ApplyRequest{Ops: []Op{{U: 1, V: 2}, {Remove: true, U: 3, V: 4}}}
+	req := ApplyRequest{Ops: []graph.EdgeOp{{U: 1, V: 2}, {Remove: true, U: 3, V: 4}}}
 	got, err := DecodeApplyRequest(req.Append(nil))
 	if err != nil || !reflect.DeepEqual(got, req) {
 		t.Fatalf("apply request: %+v err %v", got, err)

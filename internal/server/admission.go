@@ -623,7 +623,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			promexpo.WriteGauge(out, "probesim_wal_last_batch", "Id of the last batch appended to the log.", int64(ws.LastBatch))
 			promexpo.WriteGauge(out, "probesim_wal_checkpoint_batch", "Batch id the newest checkpoint covers through.", int64(ws.LastCheckpoint))
 		}
-		if s.rt != nil && s.rt.Distributed() {
+		if s.rt.Distributed() {
 			workers := s.rt.WorkerStats()
 			// worker stays the FIRST label (dashboards and the smoke tests
 			// match on it); group/replica identify the member's slot in the

@@ -193,7 +193,7 @@ func TestDegradeInsteadOfReject(t *testing.T) {
 }
 
 // TestSnapshotGCStats: retired-generation gauges appear on /stats and
-// /metrics for the sharded backend and move with publications.
+// /metrics for an in-process store and move with publications.
 func TestSnapshotGCStats(t *testing.T) {
 	g := gen.PreferentialAttachment(400, 4, 5)
 	s := NewSharded(shard.NewStore(g, 8, 0), core.Options{Seed: 1, NumWalks: 100}, 4, 50)
@@ -275,12 +275,52 @@ func TestRoutedWorkerDeathReturns502(t *testing.T) {
 	}
 }
 
+// TestRoutedGroupLossOnEdgeWriteReturns502: a routed POST /edges whose
+// whole replica group fails Apply with a transport error answers 502
+// without Retry-After and tells the client not to re-submit blindly:
+// the surviving group holds the batch durably (the router does not roll
+// back), so a blind retry would double-apply there. It is the same
+// contract /edges/batch has, because both endpoints share one write path.
+func TestRoutedGroupLossOnEdgeWriteReturns502(t *testing.T) {
+	g := gen.PreferentialAttachment(400, 4, 21)
+	stA := shard.NewStore(g, 4, 0)
+	stB := shard.NewStore(g, 4, 0)
+	failing := &dyingEngine{LocalEngine: router.NewLocalEngine(stB, 1, 2)}
+	rt, err := router.New(router.NewLocalEngine(stA, 0, 2), failing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewRouted(rt, core.Options{Seed: 3, NumWalks: 100}, 4, 50)
+	before := stA.NumEdges()
+	failing.dead.Store(true)
+	rec, body := do(t, s, http.MethodPost, "/edges?u=1&v=300")
+	if rec.Code != http.StatusBadGateway {
+		t.Fatalf("status %d (%v), want 502", rec.Code, body)
+	}
+	if ra := rec.Header().Get("Retry-After"); ra != "" {
+		t.Fatalf("group-loss 502 carries Retry-After %q; a blind retry double-applies", ra)
+	}
+	if msg, _ := body["error"].(string); !strings.Contains(msg, "do not blindly re-submit") {
+		t.Fatalf("error %q lacks the do-not-resubmit warning", msg)
+	}
+	if got := stA.NumEdges(); got != before+1 {
+		t.Fatalf("surviving group holds %d edges, want %d: the batch must not be rolled back", got, before+1)
+	}
+}
+
 // dyingEngine forwards to a LocalEngine until dead flips, then fails
-// every read with a transport error — an in-process stand-in for a
-// worker crash.
+// every read and write with a transport error — an in-process stand-in
+// for a worker crash.
 type dyingEngine struct {
 	*router.LocalEngine
 	dead atomic.Bool
+}
+
+func (d *dyingEngine) Apply(ctx context.Context, batch uint64, ops []graph.EdgeOp) (uint64, error) {
+	if d.dead.Load() {
+		return 0, fmt.Errorf("%w: injected crash", router.ErrTransport)
+	}
+	return d.LocalEngine.Apply(ctx, batch, ops)
 }
 
 func (d *dyingEngine) ResolveShards(ctx context.Context, version uint64, ps []int) ([]graph.CSRShard, error) {

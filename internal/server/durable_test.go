@@ -124,6 +124,34 @@ func TestDurableWritePath(t *testing.T) {
 	}
 }
 
+// TestDurableAppendFailureIs500: when the write-ahead log refuses a batch
+// (here it was closed under the server), nothing is applied: both write
+// endpoints answer 500, and the served edge count and the store's batch
+// watermark stay where they were.
+func TestDurableAppendFailureIs500(t *testing.T) {
+	s, closeLog := durableServer(t, t.TempDir(), graph.Toy())
+	closeLog()
+	edges, watermark := s.ex.Snapshot().NumEdges(), s.st.LastBatch()
+	for _, req := range []*http.Request{
+		httptest.NewRequest(http.MethodPost, "/edges?u=0&v=3", nil),
+		httptest.NewRequest(http.MethodPost, "/edges/batch", strings.NewReader(`[{"op":"add","u":0,"v":3}]`)),
+	} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("%s: status %d (%s), want 500", req.URL.Path, rec.Code, rec.Body)
+		}
+	}
+	// Republish whatever the store holds so the check reads its mutable
+	// side, not the snapshot from before the failed writes.
+	if got := s.ex.Refresh().NumEdges(); got != edges {
+		t.Fatalf("edges %d after refused appends, want %d", got, edges)
+	}
+	if got := s.st.LastBatch(); got != watermark {
+		t.Fatalf("watermark %d after refused appends, want %d", got, watermark)
+	}
+}
+
 // TestWALStatsAndEpsaHistogramOnMetrics: the new observability surfaces
 // are present and move.
 func TestWALStatsAndEpsaHistogramOnMetrics(t *testing.T) {

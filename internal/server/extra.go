@@ -4,15 +4,13 @@ package server
 // reports, and batched edge updates. These sit on the same snapshot
 // discipline as the core handlers: every read — including the analysis
 // endpoints /join/topk and /components — runs lock-free against the
-// published snapshot, updates take the write mutex and republish, and
-// the Querier invalidates itself via the snapshot version. A join or
+// published snapshot, updates go through the one write path (applyBatch),
+// and the Querier invalidates itself via the snapshot version. A join or
 // component scan therefore never stalls an edge update (and vice versa);
 // it simply reports the consistent state it pinned at the start.
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -20,8 +18,6 @@ import (
 	"probesim/internal/budget"
 	"probesim/internal/core"
 	"probesim/internal/graph"
-	"probesim/internal/router"
-	"probesim/internal/shard"
 	"probesim/internal/simjoin"
 )
 
@@ -168,7 +164,7 @@ func (s *Server) handleComponents(w http.ResponseWriter, r *http.Request) {
 	// interference with the write path — and, through the Ctx variants,
 	// under the request's deadline: the traversal checkpoints the budget
 	// meter mid-scan, so a huge snapshot cannot pin the analysis slot past
-	// its timeout. On a routed backend the scan binds to the request like
+	// its timeout. Over a worker fleet the scan binds to the request like
 	// any query, so a worker failure surfaces as 502 instead of silently
 	// under-counting components.
 	view := graph.View(s.ex.Snapshot())
@@ -226,105 +222,41 @@ type batchOp struct {
 	V  graph.NodeID `json:"v"`
 }
 
-// handleEdgeBatch applies a JSON array of edge updates atomically under one
-// write lock: either every op applies, or the graph is rolled back and the
-// failing op is reported. Dynamic workloads stream churn through this
-// endpoint instead of paying one round trip per edge.
+// handleEdgeBatch applies a JSON array of edge updates atomically as one
+// batch (see applyBatch): either every op applies, or the batch is
+// rolled back and the failing op is reported. Dynamic workloads stream
+// churn through this endpoint instead of paying one round trip per edge.
 func (s *Server) handleEdgeBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
 		return
 	}
-	var ops []batchOp
-	if err := json.NewDecoder(r.Body).Decode(&ops); err != nil {
+	var body []batchOp
+	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("body: %v", err))
 		return
 	}
-	if len(ops) > 100000 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("batch of %d ops exceeds limit", len(ops)))
+	if len(body) > 100000 {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("batch of %d ops exceeds limit", len(body)))
 		return
 	}
-	// Deferred idempotent unlock: a panic mid-batch (rollback panics on
-	// inconsistency by design) must not leave the write mutex held forever
-	// under net/http's handler-panic recovery.
-	s.mu.Lock()
-	unlock := s.unlockOnce()
-	defer unlock()
-	if s.rt != nil && s.rt.Distributed() {
-		// Routed backend: ship the whole batch through the router's write
-		// plane in ONE broadcast per worker (not one RPC per op). Each
-		// worker applies all-or-rollback; the router rolls back workers
-		// that succeeded if any failed, so the atomicity contract holds
-		// across the fleet.
-		rops := make([]router.Op, 0, len(ops))
-		for i, op := range ops {
-			switch op.Op {
-			case "add":
-				rops = append(rops, router.Op{U: op.U, V: op.V})
-			case "remove":
-				rops = append(rops, router.Op{Remove: true, U: op.U, V: op.V})
-			default:
-				unlock()
-				writeError(w, http.StatusBadRequest, fmt.Errorf("op %d: unknown op %q", i, op.Op))
-				return
-			}
-		}
-		// The batch does not inherit the request context: aborting half a
-		// fleet broadcast on a client disconnect would orphan an
-		// identified batch mid-retry for nothing (see the publication
-		// comment below).
-		if err := s.rt.Apply(context.Background(), rops); err != nil {
-			unlock()
-			if errors.Is(err, router.ErrTransport) || errors.Is(err, router.ErrUnavailable) {
-				// An entire replica group stayed unreachable through the
-				// retry budget: the batch is NOT acknowledged fleet-wide,
-				// but every replica that took it HOLDS it durably (a single
-				// unreachable replica is no longer an error — its group
-				// peers ack and the ring replays it later). This
-				// deliberately carries no Retry-After: re-POSTing the same
-				// ops would get a fresh batch id and double-apply on the
-				// replicas that already hold the original (parallel edges
-				// are legal, so the damage is silent). The client must
-				// verify state (or wait for the health pass to name the
-				// lost group) before re-submitting.
-				writeError(w, http.StatusBadGateway, fmt.Errorf("batch partially acknowledged (surviving appliers hold it durably); do not blindly re-submit — verify before retrying: %v", err))
-				return
-			}
-			writeError(w, http.StatusBadRequest, fmt.Errorf("batch rejected: %v", err))
+	ops := make([]graph.EdgeOp, len(body))
+	for i, op := range body {
+		switch op.Op {
+		case "add":
+		case "remove":
+			ops[i].Remove = true
+		default:
+			writeError(w, http.StatusBadRequest, fmt.Errorf("op %d: unknown op %q", i, op.Op))
 			return
 		}
-	} else {
-		// In-process backends share one write path: append to the
-		// write-ahead log when durability is armed, then apply
-		// all-or-rollback. An acknowledged batch is on disk before the
-		// 200 goes out.
-		sops := make([]shard.EdgeOp, 0, len(ops))
-		for i, op := range ops {
-			switch op.Op {
-			case "add":
-				sops = append(sops, shard.EdgeOp{U: op.U, V: op.V})
-			case "remove":
-				sops = append(sops, shard.EdgeOp{Remove: true, U: op.U, V: op.V})
-			default:
-				unlock()
-				writeError(w, http.StatusBadRequest, fmt.Errorf("op %d: unknown op %q", i, op.Op))
-				return
-			}
-		}
-		if err := s.applyOps(sops); err != nil {
-			unlock()
-			writeApplyError(w, err)
-			return
-		}
+		ops[i].U, ops[i].V = op.U, op.V
 	}
-	// One snapshot publication for the whole batch: queries switch from the
-	// pre-batch graph to the post-batch graph atomically and never observe
-	// a partially applied batch. Publication does not inherit the request
-	// context — the batch is already applied, and aborting the publish on
-	// a client disconnect would hide a durable mutation from every query
-	// until some later write republishes (see handleEdges).
-	snap := s.ex.Refresh()
-	unlock()
+	snap, err := s.applyBatch(ops)
+	if err != nil {
+		s.writeApplyError(w, err)
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"applied": len(ops), "edges": snap.NumEdges(), "version": snap.Version(),
 	})

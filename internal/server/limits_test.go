@@ -172,7 +172,7 @@ func TestWriteBackpressureRejects(t *testing.T) {
 }
 
 func TestMetricsEndpointCoversQueryRoutes(t *testing.T) {
-	s, _ := testServer(t)
+	s := testServer(t)
 	// Touch every query route once so histograms have observations.
 	for _, route := range []string{"/topk?u=1&k=2", "/single-source?u=1", "/pair?u=1&v=2", "/progressive-topk?u=1&k=2", "/join/topk?k=2", "/components"} {
 		if rec, body := do(t, s, http.MethodGet, route); rec.Code != http.StatusOK {

@@ -102,13 +102,13 @@ func TestConcurrentQueriesDuringEdgeBatch(t *testing.T) {
 	}()
 	wg.Wait()
 
-	// After the dust settles the published snapshot matches the graph.
+	// After the dust settles the published snapshot matches the store.
 	code, body, err := get("/stats")
 	if err != nil || code != http.StatusOK {
 		t.Fatalf("final stats: code %d err %v", code, err)
 	}
-	if v := body["graphVersion"].(float64); uint64(v) != g.Version() {
-		t.Fatalf("published version %v != graph version %d", v, g.Version())
+	if v := body["graphVersion"].(float64); uint64(v) != srv.st.Version() {
+		t.Fatalf("published version %v != store version %d", v, srv.st.Version())
 	}
 }
 

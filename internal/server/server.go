@@ -6,15 +6,17 @@
 // analysis endpoints (/join/topk, /components) — is lock-free: each runs
 // against the immutable snapshot the core.Executor has published, so an
 // edge update never stalls a read and a long read never stalls an update.
-// Edge updates serialize among themselves on the write mutex, mutate the
-// backend, and publish a fresh snapshot before releasing it; in-flight
-// reads keep the (consistent) snapshot they grabbed. Cache invalidation
-// is automatic via the snapshot version counter.
+// Edge updates serialize among themselves on the write mutex, apply
+// through the router, and publish a fresh snapshot before releasing it;
+// in-flight reads keep the (consistent) snapshot they grabbed. Cache
+// invalidation is automatic via the snapshot version counter.
 //
-// The server runs over either backend: the monolithic *graph.Graph
-// (every publication rebuilds the full CSR snapshot) or the sharded
-// shard.Store (NewSharded; publication re-encodes only the shards an
-// update touched, and /stats reports the rebuild counters).
+// The server has one backend, a router.Router, and one write path: every
+// edge update is one batch through Router.Apply. Over an in-process
+// shard.Store (New, NewSharded: the router's single-engine fast path)
+// publication re-encodes only the shards an update touched and /stats
+// reports the rebuild counters; over a worker fleet (NewRouted) the
+// router fans reads out and broadcasts writes.
 //
 // Serving contract (see admission.go): every route is instrumented
 // (per-route latency histograms, in-flight gauges and outcome counters
@@ -26,6 +28,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -49,19 +52,11 @@ import (
 	"probesim/internal/wal"
 )
 
-// mutator is the write-side surface the edge endpoints need; both
-// *graph.Graph and *shard.Store provide it.
-type mutator interface {
-	AddEdge(u, v graph.NodeID) error
-	RemoveEdge(u, v graph.NodeID) error
-}
-
 // Server is the http.Handler for the similarity service.
 type Server struct {
-	mu    sync.Mutex // serializes backend mutations
-	mut   mutator
-	st    *shard.Store   // non-nil only for the sharded backend
-	rt    *router.Router // non-nil only for the routed backend
+	mu    sync.Mutex     // serializes writes: rt.Apply plus the republish after it
+	rt    *router.Router // the backend: reads and writes both go through it
+	st    *shard.Store   // the router's fast-path store; nil over a worker fleet
 	ex    *core.Executor
 	q     *core.Querier
 	opt   core.Options
@@ -115,11 +110,12 @@ type Server struct {
 	// BEFORE listeners close, so load balancers stop routing first.
 	hstate health.State
 
-	// wal, when set (SetWAL), is the durability point of the in-process
-	// write path: every edge batch is appended (and fsynced, per policy)
-	// BEFORE it is applied and acknowledged, so an HTTP 200 means the
-	// batch survives a crash. In routed topologies the workers own their
-	// logs instead and this stays nil.
+	// wal, when set (SetWAL), is the log the router's fast-path engine
+	// appends every edge batch to (and fsyncs, per policy) BEFORE it is
+	// applied and acknowledged, so an HTTP 200 means the batch survives
+	// a crash. The server keeps it for /stats and the hot tier's append
+	// watermark. Over a worker fleet the workers own their logs instead
+	// and this stays nil.
 	wal *wal.Log
 
 	// hot, when set (EnableHotTier), answers hot-source queries from
@@ -130,42 +126,88 @@ type Server struct {
 	hot *hotidx.Tier
 }
 
-// New builds a Server over g. cacheCap bounds the Querier cache; limit
-// bounds the number of entries /single-source returns. The server takes
-// ownership of g: all further mutations must go through the HTTP API.
+// DefaultShards is the shard count New partitions its graph into, and
+// the default of probesim-server's -shards.
+const DefaultShards = 16
+
+// New builds a Server over a DefaultShards-shard store built from g (see
+// NewSharded). cacheCap bounds the Querier cache; limit bounds the
+// number of entries /single-source returns. The store copies g's
+// adjacency, so g itself is never written; all further mutations must go
+// through the HTTP API.
 func New(g *graph.Graph, opt core.Options, cacheCap, limit int) *Server {
-	return newServer(g, nil, core.NewExecutor(g, opt), opt, cacheCap, limit)
+	return NewSharded(shard.NewStore(g, DefaultShards, 0), opt, cacheCap, limit)
 }
 
 // NewSharded builds a Server over a sharded snapshot store: queries and
 // analysis reads serve from the composite per-shard snapshot, and each
-// update batch republishes only the shards it touched. The server takes
-// ownership of st.
+// update batch republishes only the shards it touched. It is
+// NewRouted(router.NewLocal(st), ...). The server takes ownership of st.
 func NewSharded(st *shard.Store, opt core.Options, cacheCap, limit int) *Server {
-	return newServer(st, st, core.NewExecutorOn(st, opt), opt, cacheCap, limit)
+	return NewRouted(router.NewLocal(st), opt, cacheCap, limit)
 }
 
-// NewRouted builds a Server over a shard router: queries fan out to the
-// router's engines (in-process or probesim-shardd workers over RPC),
-// writes broadcast through its write plane, and /stats + /metrics grow
-// per-worker health/version rows and router counters. The single-engine
-// local topology (router.NewLocal) is exactly NewSharded with extra
-// steps removed — the fast path serves the store's own snapshots.
+// NewRouted builds a Server over a shard router, the server's only
+// backend: queries run on the router's published view and every edge
+// update is one rt.Apply batch. Over router.NewLocal the router's fast
+// path serves the store's own snapshots and applies each batch straight
+// to its one engine. Over a fleet, queries fan out to the engines
+// (in-process or probesim-shardd workers over RPC), writes broadcast
+// through the router's write plane, and /stats + /metrics grow
+// per-worker health/version rows and router counters.
 func NewRouted(rt *router.Router, opt core.Options, cacheCap, limit int) *Server {
-	s := newServer(rt, rt.LocalStore(), core.NewExecutorOn(rt, opt), opt, cacheCap, limit)
-	s.rt = rt
+	if limit <= 0 {
+		limit = 100
+	}
+	ex := core.NewExecutorOn(rt, opt)
+	s := &Server{
+		rt:      rt,
+		ex:      ex,
+		q:       core.NewQuerierOn(ex, cacheCap),
+		opt:     opt,
+		limit:   limit,
+		mux:     http.NewServeMux(),
+		joinSem: make(chan struct{}, 1),
+		reg:     promexpo.NewRegistry(),
+		// Bounds double from one half of the tightest production εa up
+		// through the widest degradation the admission layer can apply
+		// (DegradeFactor caps εa at 0.9).
+		epsaHist: promexpo.NewValueHistogram([]float64{0.0125, 0.025, 0.05, 0.1, 0.2, 0.4, 0.8}),
+	}
+	if le := rt.Local(); le != nil {
+		s.st = le.Store()
+	}
+	for st := range s.stageHist {
+		// Seconds of stage time per query, 100µs up to 5s.
+		s.stageHist[st] = promexpo.NewValueHistogram([]float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5})
+	}
+	s.handle("/topk", classQuery, s.handleTopK)
+	s.handle("/single-source", classQuery, s.handleSingleSource)
+	s.handle("/edges", classWrite, s.handleEdges)
+	s.handle("/stats", classMeta, s.handleStats)
+	s.handle("/metrics", classMeta, s.handleMetrics)
+	s.handle("/debug/queries", classMeta, s.handleDebugQueries)
+	s.handle("/debug/slo", classMeta, s.handleDebugSLO)
+	// Probes bypass admission control and instrumentation entirely: an
+	// orchestrator must get an answer even when the server is saturated.
+	s.hstate.SetReady(true)
+	s.hstate.Register(s.mux)
+	s.registerExtra()
 	return s
 }
 
-// SetWAL arms the durable write path: every subsequent edge batch is
-// appended to lg before it is applied, and acknowledged only once the
-// log has it (under the log's fsync policy). Requires the sharded
-// backend (NewSharded, or NewRouted over a local store) — the batch-id
-// watermark lives in shard.Store. Call before serving.
+// SetWAL arms the durable write path: the router's fast-path engine
+// appends every subsequent edge batch to lg before applying it, and the
+// server acknowledges only once the log has it (under the log's fsync
+// policy). Requires an in-process store (New, NewSharded, or NewRouted
+// over router.NewLocal); over a fleet the workers own their logs. Call
+// before serving.
 func (s *Server) SetWAL(lg *wal.Log) {
-	if s.st == nil {
-		panic("server: SetWAL requires the sharded backend")
+	le := s.rt.Local()
+	if le == nil {
+		panic("server: SetWAL requires an in-process store")
 	}
+	le.SetWAL(lg)
 	s.wal = lg
 }
 
@@ -174,7 +216,7 @@ func (s *Server) SetWAL(lg *wal.Log) {
 // precomputes their single-source vectors with the SAME options the live
 // path serves (so a hot answer is byte-identical to the live kernel's),
 // and the store's applied-batch stream invalidates exactly the entries
-// each write batch can affect. Requires the sharded backend — the
+// each write batch can affect. Requires an in-process store — the
 // dependency filter speaks shard indices, and the tier subscribes to
 // shard.Store's applied-batch hook. Call after SetWAL (when durable) and
 // before serving; the returned tier is the caller's to Close on
@@ -182,7 +224,7 @@ func (s *Server) SetWAL(lg *wal.Log) {
 // defaults.
 func (s *Server) EnableHotTier(maxEntries int, refreshBudget time.Duration) *hotidx.Tier {
 	if s.st == nil {
-		panic("server: EnableHotTier requires the sharded backend")
+		panic("server: EnableHotTier requires an in-process store")
 	}
 	if s.hot != nil {
 		panic("server: hot tier already enabled")
@@ -199,7 +241,7 @@ func (s *Server) EnableHotTier(maxEntries int, refreshBudget time.Duration) *hot
 	})
 	s.st.SubscribeApplied(tier.OnBatch)
 	if s.wal != nil {
-		s.wal.Subscribe(func(id uint64, ops []wal.Op) { tier.ObserveAppend(id) })
+		s.wal.Subscribe(func(id uint64, ops []graph.EdgeOp) { tier.ObserveAppend(id) })
 	}
 	s.hot = tier
 	return tier
@@ -225,44 +267,6 @@ func (s *Server) hotYield() bool {
 		return n >= int64(soft)
 	}
 	return false
-}
-
-func newServer(mut mutator, st *shard.Store, ex *core.Executor, opt core.Options, cacheCap, limit int) *Server {
-	if limit <= 0 {
-		limit = 100
-	}
-	s := &Server{
-		mut:     mut,
-		st:      st,
-		ex:      ex,
-		q:       core.NewQuerierOn(ex, cacheCap),
-		opt:     opt,
-		limit:   limit,
-		mux:     http.NewServeMux(),
-		joinSem: make(chan struct{}, 1),
-		reg:     promexpo.NewRegistry(),
-		// Bounds double from one half of the tightest production εa up
-		// through the widest degradation the admission layer can apply
-		// (DegradeFactor caps εa at 0.9).
-		epsaHist: promexpo.NewValueHistogram([]float64{0.0125, 0.025, 0.05, 0.1, 0.2, 0.4, 0.8}),
-	}
-	for st := range s.stageHist {
-		// Seconds of stage time per query, 100µs up to 5s.
-		s.stageHist[st] = promexpo.NewValueHistogram([]float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5})
-	}
-	s.handle("/topk", classQuery, s.handleTopK)
-	s.handle("/single-source", classQuery, s.handleSingleSource)
-	s.handle("/edges", classWrite, s.handleEdges)
-	s.handle("/stats", classMeta, s.handleStats)
-	s.handle("/metrics", classMeta, s.handleMetrics)
-	s.handle("/debug/queries", classMeta, s.handleDebugQueries)
-	s.handle("/debug/slo", classMeta, s.handleDebugSLO)
-	// Probes bypass admission control and instrumentation entirely: an
-	// orchestrator must get an answer even when the server is saturated.
-	s.hstate.SetReady(true)
-	s.hstate.Register(s.mux)
-	s.registerExtra()
-	return s
 }
 
 // Health exposes the server's liveness/readiness state so the owning
@@ -398,124 +402,71 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	var op shard.EdgeOp
+	op := graph.EdgeOp{U: u, V: v}
 	switch r.Method {
 	case http.MethodPost:
-		op = shard.EdgeOp{U: u, V: v}
 	case http.MethodDelete:
-		op = shard.EdgeOp{Remove: true, U: u, V: v}
+		op.Remove = true
 	default:
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST or DELETE"))
 		return
 	}
-	// The unlock is deferred (idempotently) so a panic inside the critical
-	// section — net/http recovers handler panics and keeps serving — can
-	// never wedge the write mutex; response writing happens after the
-	// explicit early unlock, off the critical section.
-	s.mu.Lock()
-	unlock := s.unlockOnce()
-	defer unlock()
-	if err := s.applyOps([]shard.EdgeOp{op}); err != nil {
-		unlock()
-		writeApplyError(w, err)
+	snap, err := s.applyBatch([]graph.EdgeOp{op})
+	if err != nil {
+		s.writeApplyError(w, err)
 		return
 	}
-	// Publish the new snapshot before releasing the write mutex so the
-	// next query (and the next mutator) sees the update. Publication
-	// deliberately does NOT inherit the request context: the mutation is
-	// already applied (and logged), and aborting the publish on a client
-	// disconnect would leave the write invisible to every query until the
-	// next write republishes — a staleness window no other client could
-	// see or fix. Publication is bounded work (O(batch + touched shards)
-	// on the sharded backend), so completing it unconditionally is safe.
-	snap := s.ex.Refresh()
-	unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"edges": snap.NumEdges(), "version": snap.Version(),
 	})
 }
 
-// errDurability marks a write-ahead-log append failure: the batch was
-// NOT acknowledged and NOT applied (append-then-apply means a log that
-// cannot take the batch stops it before the store sees it). Clients get
-// a 500 and may retry; the graph is unchanged.
-type errDurability struct{ err error }
+// applyBatch is the one write path, shared by /edges and /edges/batch:
+// under the write mutex, one rt.Apply for the whole batch, then one
+// publication, so queries switch from the pre-batch graph to the
+// post-batch graph atomically and the next writer sees the batch. The
+// deferred unlock keeps a panic inside the critical section (net/http
+// recovers handler panics and keeps serving) from wedging the mutex.
+//
+// Neither step inherits the request context. Aborting half a fleet
+// broadcast on a client disconnect would orphan an identified batch
+// mid-retry for nothing; aborting the publish would leave an applied
+// (and logged) batch invisible to every query until some later write
+// republishes — a staleness window no other client could see or fix.
+// Publication is bounded work (O(batch + touched shards)).
+func (s *Server) applyBatch(ops []graph.EdgeOp) (graph.VersionedView, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.rt.Apply(context.Background(), ops); err != nil {
+		return nil, err
+	}
+	return s.ex.Refresh(), nil
+}
 
-func (e errDurability) Error() string { return fmt.Sprintf("durability: %v", e.err) }
-func (e errDurability) Unwrap() error { return e.err }
-
-// writeApplyError maps a write-path failure: a durability failure is the
-// server's fault (500), anything else is a rejected batch (400).
-func writeApplyError(w http.ResponseWriter, err error) {
-	var de errDurability
-	if errors.As(err, &de) {
+// writeApplyError maps a failed write batch to its status.
+//
+//   - Over the in-process fast path, ErrUnavailable means the log append
+//     was annulled and nothing was applied: the server's fault, 500, and
+//     the client may retry.
+//   - Over a fleet, ErrTransport or ErrUnavailable means an entire
+//     replica group stayed unreachable through the retry budget: the
+//     batch is NOT acknowledged fleet-wide, but every replica that took
+//     it HOLDS it durably (the router does not roll back). That 502
+//     deliberately carries no Retry-After: re-POSTing the same ops would
+//     get a fresh batch id and double-apply on the replicas that already
+//     hold the original (parallel edges are legal, so the damage is
+//     silent). The client must verify state (or wait for the health pass
+//     to name the lost group) before re-submitting.
+//   - Anything else is a rejected batch, rolled back everywhere: 400.
+func (s *Server) writeApplyError(w http.ResponseWriter, err error) {
+	transient := errors.Is(err, router.ErrTransport) || errors.Is(err, router.ErrUnavailable)
+	switch {
+	case transient && s.rt.Distributed():
+		writeError(w, http.StatusBadGateway, fmt.Errorf("batch partially acknowledged (surviving appliers hold it durably); do not blindly re-submit — verify before retrying: %v", err))
+	case errors.Is(err, router.ErrUnavailable):
 		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeError(w, http.StatusBadRequest, err)
-}
-
-// applyOps is the single in-process write path: append to the
-// write-ahead log (when armed), then apply to the backend, all under the
-// caller-held write mutex. The routed distributed path does not come
-// here (it broadcasts identified batches through the router, and the
-// workers own durability); see handleEdgeBatch.
-func (s *Server) applyOps(ops []shard.EdgeOp) error {
-	if s.st != nil {
-		var id uint64
-		if s.wal != nil {
-			wops := make([]wal.Op, len(ops))
-			for i, op := range ops {
-				wops[i] = wal.Op{Remove: op.Remove, U: op.U, V: op.V}
-			}
-			var err error
-			if id, err = s.wal.Append(0, wops); err != nil {
-				return errDurability{err}
-			}
-		}
-		_, err := s.st.ApplyBatch(id, ops)
-		return err
-	}
-	// Monolithic backend: per-op apply with rollback, no batch ids (the
-	// monolithic *graph.Graph carries no watermark; -data-dir requires
-	// the sharded backend).
-	applied := make([]shard.EdgeOp, 0, len(ops))
-	apply := func(op shard.EdgeOp) error {
-		if op.Remove {
-			return s.mut.RemoveEdge(op.U, op.V)
-		}
-		return s.mut.AddEdge(op.U, op.V)
-	}
-	for i, op := range ops {
-		if err := apply(op); err != nil {
-			for j := len(applied) - 1; j >= 0; j-- {
-				inv := applied[j]
-				inv.Remove = !inv.Remove
-				if rerr := apply(inv); rerr != nil {
-					panic(fmt.Sprintf("server: rollback failed at op %d: %v", j, rerr))
-				}
-			}
-			kind := "add"
-			if op.Remove {
-				kind = "remove"
-			}
-			return fmt.Errorf("op %d (%s %d->%d): %w; batch rolled back", i, kind, op.U, op.V, err)
-		}
-		applied = append(applied, op)
-	}
-	return nil
-}
-
-// unlockOnce returns an idempotent unlocker for the write mutex (which
-// the caller must already hold): call it early to end the critical
-// section, and defer it so panics cannot leave the mutex held.
-func (s *Server) unlockOnce() func() {
-	locked := true
-	return func() {
-		if locked {
-			locked = false
-			s.mu.Unlock()
-		}
+	default:
+		writeError(w, http.StatusBadRequest, err)
 	}
 }
 
@@ -554,7 +505,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		body["hotLagBatches"] = hs.LagBatches
 	}
 	if s.st != nil {
-		// Sharded backend: publication effectiveness counters. A healthy
+		// In-process store: publication effectiveness counters. A healthy
 		// dynamic workload shows shardsReused >> shardsRebuilt — the point of
 		// per-shard publication.
 		ss := s.st.Stats()
@@ -589,7 +540,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		body["walLastBatch"] = ws.LastBatch
 		body["walCheckpointBatch"] = ws.LastCheckpoint
 	}
-	if s.rt != nil && s.rt.Distributed() {
+	if s.rt.Distributed() {
 		body["routerWorkers"] = s.rt.WorkerStats()
 		rc := s.rt.Counters()
 		body["routerShardFetches"] = rc.ShardFetches

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,14 +14,21 @@ import (
 	"probesim/internal/graph"
 )
 
-func testServer(t *testing.T) (*Server, *graph.Graph) {
+func testServer(t *testing.T) *Server {
 	t.Helper()
 	// The diamond: 0 -> {1,2} -> 3; s(1,2) = c.
 	g, err := graph.FromEdges(4, [][2]graph.NodeID{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(g, core.Options{EpsA: 0.02, Seed: 1}, 8, 50), g
+	return New(g, core.Options{EpsA: 0.02, Seed: 1}, 8, 50)
+}
+
+// servedHasEdge reports whether the graph s serves — its published
+// snapshot — holds the edge u -> v. The server copies the graph it is
+// built from, so writes are observable only here.
+func servedHasEdge(s *Server, u, v graph.NodeID) bool {
+	return slices.Contains(s.ex.Snapshot().OutNeighbors(u), v)
 }
 
 func do(t *testing.T, s *Server, method, target string) (*httptest.ResponseRecorder, map[string]any) {
@@ -36,7 +44,7 @@ func do(t *testing.T, s *Server, method, target string) (*httptest.ResponseRecor
 }
 
 func TestTopKEndpoint(t *testing.T) {
-	s, _ := testServer(t)
+	s := testServer(t)
 	rec, body := do(t, s, http.MethodGet, "/topk?u=1&k=2")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %v", rec.Code, body)
@@ -55,7 +63,7 @@ func TestTopKEndpoint(t *testing.T) {
 }
 
 func TestSingleSourceEndpoint(t *testing.T) {
-	s, _ := testServer(t)
+	s := testServer(t)
 	rec, body := do(t, s, http.MethodGet, "/single-source?u=1")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %v", rec.Code, body)
@@ -70,7 +78,7 @@ func TestSingleSourceEndpoint(t *testing.T) {
 }
 
 func TestEdgeUpdateInvalidates(t *testing.T) {
-	s, g := testServer(t)
+	s := testServer(t)
 	_, before := do(t, s, http.MethodGet, "/topk?u=1&k=1")
 	firstNode := before["results"].([]any)[0].(map[string]any)["node"].(float64)
 	if firstNode != 2 {
@@ -81,7 +89,7 @@ func TestEdgeUpdateInvalidates(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("delete failed: %v", body)
 	}
-	if g.HasEdge(0, 2) {
+	if servedHasEdge(s, 0, 2) {
 		t.Fatal("edge not removed")
 	}
 	_, after := do(t, s, http.MethodGet, "/single-source?u=1")
@@ -91,12 +99,12 @@ func TestEdgeUpdateInvalidates(t *testing.T) {
 }
 
 func TestAddEdgeEndpoint(t *testing.T) {
-	s, g := testServer(t)
+	s := testServer(t)
 	rec, body := do(t, s, http.MethodPost, "/edges?u=3&v=0")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("add failed: %v", body)
 	}
-	if !g.HasEdge(3, 0) {
+	if !servedHasEdge(s, 3, 0) {
 		t.Fatal("edge not added")
 	}
 	if body["version"].(float64) <= 0 {
@@ -105,7 +113,7 @@ func TestAddEdgeEndpoint(t *testing.T) {
 }
 
 func TestStatsEndpoint(t *testing.T) {
-	s, _ := testServer(t)
+	s := testServer(t)
 	do(t, s, http.MethodGet, "/topk?u=1&k=1")
 	do(t, s, http.MethodGet, "/topk?u=1&k=2") // cache hit (same vector)
 	rec, body := do(t, s, http.MethodGet, "/stats")
@@ -121,7 +129,7 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	s, _ := testServer(t)
+	s := testServer(t)
 	cases := []struct {
 		method, target string
 		wantStatus     int
@@ -149,7 +157,7 @@ func TestBadRequests(t *testing.T) {
 // Concurrent queries against concurrent updates must be race-free (run
 // with -race) and never return malformed answers.
 func TestConcurrentQueriesAndUpdates(t *testing.T) {
-	s, _ := testServer(t)
+	s := testServer(t)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

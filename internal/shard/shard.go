@@ -146,7 +146,7 @@ type Store struct {
 	// (never for rejected/rolled-back batches or apply-once retry
 	// no-ops), under st.mu and in subscription order. See
 	// SubscribeApplied for the callback contract.
-	onApplied []func(id uint64, ops []EdgeOp)
+	onApplied []func(id uint64, ops []graph.EdgeOp)
 
 	// Publication counters (atomics so /stats can read them lock-free).
 	publications     atomic.Int64
@@ -469,12 +469,10 @@ func (st *Store) removeEdgeLocked(u, v graph.NodeID) error {
 	return nil
 }
 
-// EdgeOp is one edge mutation in a durable batch: the op form the write
-// plane (write-ahead log, ApplyBatch, router broadcast) works in.
-type EdgeOp struct {
-	Remove bool
-	U, V   graph.NodeID
-}
+// EdgeOp is an alias of graph.EdgeOp, the write plane's one op type,
+// kept for callers that spell it shard.EdgeOp (the benchmark's
+// SubscribeApplied hook).
+type EdgeOp = graph.EdgeOp
 
 // LastBatch returns the id of the last batch ApplyBatch decided (applied
 // or rejected); 0 means none. It is the apply-once watermark recovery and
@@ -498,7 +496,7 @@ func (st *Store) LastBatch() uint64 {
 // semantically is decided (rejected) exactly once too: replaying the log
 // after a crash re-runs it against the same state, fails it identically,
 // and the store converges on the same graph either way.
-func (st *Store) ApplyBatch(id uint64, ops []EdgeOp) (uint64, error) {
+func (st *Store) ApplyBatch(id uint64, ops []graph.EdgeOp) (uint64, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if id == 0 {
@@ -507,7 +505,7 @@ func (st *Store) ApplyBatch(id uint64, ops []EdgeOp) (uint64, error) {
 		return st.version, nil // already decided: apply-once
 	}
 	st.lastBatch = id
-	apply := func(op EdgeOp) error {
+	apply := func(op graph.EdgeOp) error {
 		if op.Remove {
 			return st.removeEdgeLocked(op.U, op.V)
 		}
@@ -546,7 +544,7 @@ func (st *Store) ApplyBatch(id uint64, ops []EdgeOp) (uint64, error) {
 // back into the store, and must not retain ops past the call (the slice
 // is the caller's). Not safe to call concurrently with ApplyBatch;
 // subscribe during wiring, before writes flow.
-func (st *Store) SubscribeApplied(fn func(id uint64, ops []EdgeOp)) {
+func (st *Store) SubscribeApplied(fn func(id uint64, ops []graph.EdgeOp)) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.onApplied = append(st.onApplied, fn)

@@ -53,11 +53,9 @@ import (
 	"probesim/internal/graph"
 )
 
-// Op is one edge mutation in a logged batch.
-type Op struct {
-	Remove bool
-	U, V   graph.NodeID
-}
+// Op is an alias of graph.EdgeOp, the write plane's one op type, kept
+// for callers that spell it wal.Op (the benchmark's Subscribe hook).
+type Op = graph.EdgeOp
 
 // SyncPolicy selects when appends reach stable storage.
 type SyncPolicy int
@@ -145,7 +143,7 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 // Batch is one recovered record.
 type Batch struct {
 	ID  uint64
-	Ops []Op
+	Ops []graph.EdgeOp
 }
 
 // Recovery describes what Open found on disk.
@@ -174,7 +172,7 @@ type Recovery struct {
 }
 
 // Replay invokes fn for every recovered batch with id > after, in order.
-func (r *Recovery) Replay(after uint64, fn func(id uint64, ops []Op) error) error {
+func (r *Recovery) Replay(after uint64, fn func(id uint64, ops []graph.EdgeOp) error) error {
 	for _, b := range r.Batches {
 		if b.ID <= after {
 			continue
@@ -233,7 +231,7 @@ type Log struct {
 
 	// subs fire after every successful Append (never for failed/annulled
 	// appends), under l.mu and in subscription order. See Subscribe.
-	subs []func(id uint64, ops []Op)
+	subs []func(id uint64, ops []graph.EdgeOp)
 }
 
 type segment struct {
@@ -521,10 +519,10 @@ func decodeRecord(p []byte) (Batch, error) {
 	if id == 0 {
 		return Batch{}, fmt.Errorf("%w: record with batch id 0", ErrCorrupt)
 	}
-	ops := make([]Op, n)
+	ops := make([]graph.EdgeOp, n)
 	off := 12
 	for i := range ops {
-		ops[i] = Op{
+		ops[i] = graph.EdgeOp{
 			Remove: p[off] == 1,
 			U:      graph.NodeID(int32(binary.LittleEndian.Uint32(p[off+1:]))),
 			V:      graph.NodeID(int32(binary.LittleEndian.Uint32(p[off+5:]))),
@@ -534,7 +532,7 @@ func decodeRecord(p []byte) (Batch, error) {
 	return Batch{ID: id, Ops: ops}, nil
 }
 
-func appendRecord(b []byte, id uint64, ops []Op) []byte {
+func appendRecord(b []byte, id uint64, ops []graph.EdgeOp) []byte {
 	payloadLen := 12 + 9*len(ops)
 	b = binary.LittleEndian.AppendUint32(b, uint32(payloadLen))
 	b = append(b, 0, 0, 0, 0) // CRC placeholder
@@ -616,7 +614,7 @@ func (l *Log) closeSegmentLocked() error {
 // via the store watermark, the log itself never rewrites history. Under
 // SyncAlways the record is on stable storage when Append returns; that
 // is the moment the batch may be acknowledged.
-func (l *Log) Append(id uint64, ops []Op) (uint64, error) {
+func (l *Log) Append(id uint64, ops []graph.EdgeOp) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -692,7 +690,7 @@ func (l *Log) Append(id uint64, ops []Op) (uint64, error) {
 // fire it. fn runs under the log's lock: it must be fast, must not call
 // back into the log, and must not retain ops past the call. Subscribe
 // during wiring, before writes flow.
-func (l *Log) Subscribe(fn func(id uint64, ops []Op)) {
+func (l *Log) Subscribe(fn func(id uint64, ops []graph.EdgeOp)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.subs = append(l.subs, fn)
