@@ -21,19 +21,18 @@
 // Every query route runs under -query-timeout (surfaced as HTTP 504 with
 // Retry-After when it expires — the kernels stop at their next budget
 // checkpoint, so an expired deadline never keeps burning CPU). At most
-// -max-inflight similarity queries execute concurrently; excess requests
-// are rejected immediately with 503 + Retry-After. Writers queue on the
-// mutation mutex at most -max-write-queue deep; beyond that edge batches
-// get 503 backpressure instead of piling onto the lock. -max-walks and
+// -max-inflight similarity queries execute concurrently, each holding a
+// slot of one fair queue; without -tenants every query is the one
+// default tenant, which never waits, so excess requests are rejected
+// immediately with 503 + Retry-After. Writers queue on the mutation
+// mutex at most -max-write-queue deep; beyond that edge batches get 503
+// backpressure instead of piling onto the lock. -max-walks and
 // -max-probe-work cap each query's work directly (503 when exhausted).
 //
 // The graph is partitioned by source node into up to -shards shards
 // (default 16), each with its own CSR snapshot: an edge update
 // republishes only the shards it touched (O(batch + touched shards)
 // instead of O(n+m)), which keeps high-churn dynamic workloads cheap.
-// -eager-spans additionally materializes each new snapshot's dense span
-// arrays on a background goroutine right after publication, so the
-// first query after a batch never pays the densification.
 //
 // With -workers the graph is not loaded here at all: the server routes
 // every query to a fleet of probesim-shardd workers over the binary
@@ -64,13 +63,15 @@
 //
 // With -tenants="search=latency-strict,crawl=throughput-batch" requests
 // carry their tenant in the X-ProbeSim-Tenant header (absent = the
-// "default" tenant) and query admission becomes deficit-weighted fair
-// queueing: each tenant gets a bounded wait queue and a class-derived
-// weight, and a request 503s only when its OWN tenant's queue is full —
-// a batch tenant saturating the server no longer starves an interactive
-// one. Class policy also governs degradation (latency-strict tenants
-// always get full-accuracy answers) and per-tenant budget caps. Clients
-// can pin an accuracy floor with X-ProbeSim-Max-Epsa: the server
+// "default" tenant) and take their admission slot as that tenant, under
+// deficit-weighted fair queueing: each tenant gets a bounded wait queue
+// and a class-derived weight, and a request 503s only when its OWN
+// tenant's queue is full — a batch tenant saturating the server no
+// longer starves an interactive one. With -max-inflight 0 slots are
+// unbounded and tenant accounting still counts every query. Class
+// policy also governs degradation (latency-strict tenants always get
+// full-accuracy answers) and per-tenant budget caps. Clients can pin
+// an accuracy floor with X-ProbeSim-Max-Epsa: the server
 // answers 503 instead of silently serving a wider εa than the header
 // allows. -slo / -slo-default attach per-tenant p99+availability
 // objectives measured over -slo-window; the windowed state (including
@@ -213,7 +214,6 @@ func main() {
 		maxWriteQ    = flag.Int("max-write-queue", 64, "writers queued on the mutation lock before 503 backpressure (0 = unlimited)")
 		maxWalks     = flag.Int64("max-walks", 0, "per-query cap on √c-walk trials (0 = the plan's derived count)")
 		maxWork      = flag.Int64("max-probe-work", 0, "per-query cap on probe edge traversals (0 = uncapped)")
-		eagerSpans   = flag.Bool("eager-spans", false, "materialize snapshot span arrays in the background after each publication")
 		drainTO      = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain window for in-flight requests")
 
 		tenantSpec  = flag.String("tenants", "", "arm multi-tenant admission: \"name=class,...\" with classes latency-strict, throughput-batch, degrade-tolerant; requests name their tenant in the X-ProbeSim-Tenant header, queries fair-queue per tenant instead of 503ing at -max-inflight (empty = single-tenant behavior)")
@@ -349,9 +349,6 @@ func main() {
 		}
 		st = shard.NewStore(g, *shards, *rebuildW)
 	}
-	if *eagerSpans {
-		st.EnableEagerSpans()
-	}
 	srv = server.NewSharded(st, opt, *cacheCap, *limit)
 	if lg != nil {
 		srv.SetWAL(lg)
@@ -365,7 +362,7 @@ func main() {
 	}
 	slog.Info("serving", append([]any{
 		"nodes", st.NumNodes(), "edges", st.NumEdges(), "addr", *addr,
-		"shards", st.NumShards(), "stride", st.Partition().Stride(), "eager_spans", *eagerSpans}, attrs...)...)
+		"shards", st.NumShards(), "stride", st.Partition().Stride()}, attrs...)...)
 	serve(srv, addr, queryTimeout, maxInflight, softInflight, degradeF, maxJoins, maxWriteQ, drainTO, traceSlow, traceSample, debugAddr, reg, slotr, cleanup)
 }
 
@@ -383,7 +380,6 @@ func serve(srv *server.Server, addr *string, queryTimeout *time.Duration, maxInf
 		MaxWriteQueue:   *maxWriteQ,
 		QueryTimeout:    *queryTimeout,
 	})
-	// After SetLimits: the fair queue's capacity is MaxInflight.
 	srv.SetTenants(reg)
 	srv.SetSLO(slotr)
 	// Tracing is always armed: ?trace=1 must work without a restart, and

@@ -96,7 +96,6 @@ func main() {
 		group      = flag.Int("group", 1, "worker-group size; this worker owns shards p with p%group==index")
 		shardLocal = flag.Bool("shard-local", false, "hold adjacency (and checkpoint arrays) only for owned shards: per-worker memory and boot I/O shrink to ~1/group")
 		rebuildW   = flag.Int("rebuild-workers", 0, "bound on concurrent shard rebuilds (0 = GOMAXPROCS)")
-		eagerSpans = flag.Bool("eager-spans", false, "materialize snapshot span arrays in the background after each publication")
 		healthAddr = flag.String("health-addr", "", "serve HTTP /healthz and /readyz on this address (empty = off)")
 
 		dataDir   = flag.String("data-dir", "", "durable state directory: write-ahead log + checkpoints; recovered on boot")
@@ -188,9 +187,6 @@ func main() {
 	// most of it); hand that garbage back to the OS now so the worker's
 	// resident set reflects what it actually serves.
 	debug.FreeOSMemory()
-	if *eagerSpans {
-		st.EnableEagerSpans()
-	}
 	eng := router.NewLocalEngine(st, *index, *group)
 	if lg != nil {
 		eng.SetWAL(lg)

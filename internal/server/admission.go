@@ -7,15 +7,16 @@ package server
 //
 // The control model, per route class:
 //
-//   - Queries (classQuery): a bounded in-flight counter. Without a
-//     tenant registry (SetTenants), a request over the limit is rejected
-//     immediately with 503 + Retry-After rather than queued — queueing
-//     work the client will time out on anyway only grows the latency
-//     tail. With tenants configured, admission switches to deficit-
-//     weighted fair queueing (tenant.FairQueue): each tenant waits in
+//   - Queries (classQuery): a slot from one deficit-weighted fair queue
+//     (tenant.FairQueue) over MaxInflight slots, taken for the request's
+//     tenant. With a tenant registry (SetTenants), each tenant waits in
 //     its own small bounded queue and 503s only when THAT queue is full,
 //     so a batch tenant's backlog can never reject an interactive
-//     tenant. Admitted queries run under the configured query timeout
+//     tenant. Without one, every query belongs to one default tenant
+//     whose queue depth is 0: a request over the limit is rejected
+//     immediately with 503 + Retry-After rather than queued — queueing
+//     work the client will time out on anyway only grows the latency
+//     tail. Admitted queries run under the configured query timeout
 //     (capped further by the tenant's class budget), which the kernels
 //     honor at their budget checkpoints (504 on expiry, with the partial
 //     work discarded).
@@ -80,21 +81,16 @@ type Limits struct {
 	QueryTimeout time.Duration
 }
 
-// SetLimits installs admission-control limits. Call before serving.
+// SetLimits installs admission-control limits, building the query fair
+// queue over MaxInflight slots. Call before serving.
 func (s *Server) SetLimits(l Limits) {
 	if l.MaxJoinInflight <= 0 {
 		l.MaxJoinInflight = 1
 	}
 	s.limits = l
+	s.fairq = tenant.NewFairQueue(l.MaxInflight)
 	s.joinSem = make(chan struct{}, l.MaxJoinInflight)
 }
-
-// Limits returns the active limits.
-func (s *Server) Limits() Limits { return s.limits }
-
-// Metrics returns the server's metrics registry (for tests and for
-// embedding the server in a larger process).
-func (s *Server) Metrics() *promexpo.Registry { return s.reg }
 
 type routeClass int
 
@@ -139,9 +135,10 @@ func (s *Server) handle(route string, cl routeClass, h http.HandlerFunc) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
 		// Tenant identity resolves before anything can refuse the request
-		// so rejections are attributed too; meta routes stay anonymous
-		// (probes and scrapes are nobody's traffic).
-		var ten *tenant.Tenant
+		// so rejections are attributed too. Without a registry every
+		// request is the one default tenant; meta routes never resolve
+		// one (probes and scrapes are nobody's traffic).
+		ten := s.solo
 		if s.tenants != nil && cl != classMeta {
 			ten = s.tenants.Resolve(r.Header.Get(tenant.Header))
 		}
@@ -173,22 +170,14 @@ func (s *Server) handle(route string, cl routeClass, h http.HandlerFunc) {
 					s.observeServiceTime(dur)
 				}
 				if s.slo != nil {
-					name := tenant.DefaultName
-					if ten != nil {
-						name = ten.Name
-					}
 					status := sw.status
 					if status == 0 {
 						status = http.StatusOK
 					}
-					s.slo.Observe(name, dur, status, degradedServed)
+					s.slo.Observe(ten.Name, dur, status, degradedServed)
 				}
 			}
-			tname := ""
-			if ten != nil {
-				tname = ten.Name
-			}
-			s.finishTrace(tr, tid, route, tname, sw.status, start, dur)
+			s.finishTrace(tr, tid, route, ten.Name, sw.status, start, dur)
 		}()
 
 		// The timeout wraps the request BEFORE admission, so time spent
@@ -199,10 +188,8 @@ func (s *Server) handle(route string, cl routeClass, h http.HandlerFunc) {
 		// budget cap tightens the server-wide timeout, never loosens it.
 		if cl == classQuery || cl == classJoin {
 			timeout := s.limits.QueryTimeout
-			if ten != nil {
-				if cap := ten.Config.BudgetCap; cap > 0 && (timeout == 0 || cap < timeout) {
-					timeout = cap
-				}
+			if cap := ten.Config.BudgetCap; cap > 0 && (timeout == 0 || cap < timeout) {
+				timeout = cap
 			}
 			if timeout > 0 {
 				ctx, cancel := context.WithTimeout(r.Context(), timeout)
@@ -221,7 +208,7 @@ func (s *Server) handle(route string, cl routeClass, h http.HandlerFunc) {
 		// Tenant degrade policy: a class that did not accept the degrade
 		// path is served at full accuracy even over the soft watermark —
 		// the watermark still sheds their load via the hard limit/queue.
-		if degraded && ten != nil && !ten.Config.AllowDegrade {
+		if degraded && !ten.Config.AllowDegrade {
 			degraded = false
 		}
 		// X-ProbeSim-Max-Epsa: the client's accuracy floor. Unsatisfiable
@@ -242,9 +229,7 @@ func (s *Server) handle(route string, cl routeClass, h http.HandlerFunc) {
 					return
 				}
 				if degraded && s.degradedOptions().EpsA > maxEpsa {
-					if ten != nil {
-						ten.DegradeRefused.Add(1)
-					}
+					ten.DegradeRefused.Add(1)
 					s.writeRejection(sw, fmt.Errorf(
 						"server: degraded to epsa %g under load, over the requested bound %g",
 						s.degradedOptions().EpsA, maxEpsa))
@@ -254,9 +239,7 @@ func (s *Server) handle(route string, cl routeClass, h http.HandlerFunc) {
 		}
 		if degraded {
 			rm.Degraded.Add(1)
-			if ten != nil {
-				ten.Degraded.Add(1)
-			}
+			ten.Degraded.Add(1)
 			degradedServed = true
 			r = r.WithContext(context.WithValue(r.Context(), degradedKey{}, true))
 		}
@@ -358,37 +341,32 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, cl routeClass, te
 	nop := func() {}
 	switch cl {
 	case classQuery:
-		max := s.limits.MaxInflight
-		soft := s.limits.SoftInflight
-		if s.fairq != nil && ten != nil {
-			return s.admitFair(w, r, ten)
-		}
-		if max <= 0 && soft <= 0 {
-			return nop, false, true
-		}
-		n := s.queryInflight.Add(1)
-		if max > 0 && n > int64(max) {
-			s.queryInflight.Add(-1)
-			if ten != nil {
-				ten.Rejected.Add(1)
-			}
-			s.writeRejection(w, fmt.Errorf("server: %d similarity queries in flight (limit %d)", n-1, max))
+		// A deadline expiring while queued surfaces as the usual 504 (the
+		// timeout was applied before admission, so queueing time counts
+		// against it).
+		rel, err := s.fairq.Acquire(r.Context(), ten)
+		switch {
+		case errors.Is(err, tenant.ErrQueueFull):
+			ten.Rejected.Add(1)
+			s.writeRejection(w, fmt.Errorf("server: all %d similarity query slots in flight and tenant %s wait queue full (%d deep)",
+				s.limits.MaxInflight, ten.Name, ten.Config.QueueDepth))
+			return nil, false, false
+		case err != nil:
+			s.writeQueryError(w, fmt.Errorf("server: queued for admission: %w", err))
 			return nil, false, false
 		}
-		release := func() { s.queryInflight.Add(-1) }
-		if ten != nil {
-			ten.Inflight.Add(1)
-			ten.Admitted.Add(1)
-			release = func() {
-				s.queryInflight.Add(-1)
-				ten.Inflight.Add(-1)
-			}
+		ten.Inflight.Add(1)
+		ten.Admitted.Add(1)
+		release := func() {
+			ten.Inflight.Add(-1)
+			rel()
 		}
 		// Between the soft watermark and the hard limit, serve degraded
 		// instead of refusing: a wider εa keeps latency bounded under
 		// pressure, and the response header keeps the client honest about
 		// what it got.
-		return release, soft > 0 && n > int64(soft), true
+		soft := s.limits.SoftInflight
+		return release, soft > 0 && s.fairq.Inflight() > soft, true
 	case classJoin:
 		// Joins queue (bounded by the request's deadline — the middleware
 		// applies QueryTimeout before admission) instead of rejecting:
@@ -422,35 +400,6 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, cl routeClass, te
 	}
 }
 
-// admitFair is the tenant-aware query admission: a slot from the
-// deficit-weighted fair queue, waiting in the tenant's own bounded line
-// when the server is saturated. The only 503 here is the tenant's OWN
-// queue filling; a deadline expiring while queued surfaces as the usual
-// 504 (the timeout was applied before admission, so queueing time
-// counts against it).
-func (s *Server) admitFair(w http.ResponseWriter, r *http.Request, ten *tenant.Tenant) (func(), bool, bool) {
-	rel, err := s.fairq.Acquire(r.Context(), ten)
-	switch {
-	case errors.Is(err, tenant.ErrQueueFull):
-		ten.Rejected.Add(1)
-		s.writeRejection(w, fmt.Errorf("server: tenant %s wait queue full (%d deep)", ten.Name, ten.Config.QueueDepth))
-		return nil, false, false
-	case err != nil:
-		s.writeQueryError(w, fmt.Errorf("server: queued for admission: %w", err))
-		return nil, false, false
-	}
-	n := s.queryInflight.Add(1)
-	ten.Inflight.Add(1)
-	ten.Admitted.Add(1)
-	release := func() {
-		s.queryInflight.Add(-1)
-		ten.Inflight.Add(-1)
-		rel()
-	}
-	soft := s.limits.SoftInflight
-	return release, soft > 0 && n > int64(soft), true
-}
-
 // retryAfter bounds the load-derived Retry-After hint: at least 1s (the
 // old hard-coded hint — short enough that a polite client retries while
 // its user is still waiting), at most 30s (past that the client should
@@ -470,10 +419,7 @@ func (s *Server) retryAfterHint() string {
 	if ewma <= 0 {
 		return strconv.Itoa(retryAfterMin)
 	}
-	depth := 1
-	if s.fairq != nil {
-		depth += s.fairq.QueuedLen()
-	}
+	depth := 1 + s.fairq.QueuedLen()
 	slots := s.limits.MaxInflight
 	if slots < 1 {
 		slots = 1

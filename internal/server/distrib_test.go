@@ -164,7 +164,7 @@ func TestDegradeInsteadOfReject(t *testing.T) {
 	}()
 	<-started
 	deadline := time.Now().Add(5 * time.Second)
-	for s.queryInflight.Load() == 0 {
+	for s.fairq.Inflight() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("slow query never entered the handler")
 		}

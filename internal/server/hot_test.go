@@ -7,6 +7,7 @@ package server
 // from the CPU under inflight pressure.
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -150,7 +151,11 @@ func TestHotRefreshYieldsToForegroundPressure(t *testing.T) {
 	s, tier := hotServer(t)
 	s.SetLimits(Limits{MaxInflight: 2})
 
-	s.queryInflight.Add(1) // hold foreground pressure at the yield watermark
+	// Hold foreground pressure at the yield watermark with a real slot.
+	rel, err := s.fairq.Acquire(context.Background(), s.solo)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tier.Touch(7)
 	tier.Touch(7)
 	deadline := time.Now().Add(10 * time.Second)
@@ -164,7 +169,7 @@ func TestHotRefreshYieldsToForegroundPressure(t *testing.T) {
 		t.Fatalf("entry built while the refresher should be yielding: %+v", st)
 	}
 
-	s.queryInflight.Add(-1) // pressure gone: the pending build lands
+	rel() // pressure gone: the pending build lands
 	waitHotHeader(t, s, "/single-source?u=7")
 }
 

@@ -101,7 +101,7 @@ func TestAdmissionRejectsOverInflightLimit(t *testing.T) {
 	<-started
 	// Wait until the slow query is inside the handler.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.queryInflight.Load() == 0 {
+	for s.fairq.Inflight() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("slow query never entered the handler")
 		}
@@ -122,7 +122,7 @@ func TestAdmissionRejectsOverInflightLimit(t *testing.T) {
 	// The slot drains: a later query is admitted again (and may time out
 	// for other reasons, but must not be 503-rejected).
 	deadline = time.Now().Add(5 * time.Second)
-	for s.queryInflight.Load() != 0 {
+	for s.fairq.Inflight() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("in-flight gauge never drained")
 		}
@@ -256,7 +256,6 @@ func TestShardedMetricsIncludePublicationCounters(t *testing.T) {
 func TestCancellationUnderConcurrentLoad(t *testing.T) {
 	g := gen.PreferentialAttachment(400, 4, 21)
 	st := shard.NewStore(g, 8, 0)
-	st.EnableEagerSpans()
 	s := NewSharded(st, core.Options{Seed: 3, NumWalks: 3000}, 8, 50)
 	s.SetLimits(Limits{MaxInflight: 16, MaxWriteQueue: 8, QueryTimeout: time.Second})
 	ts := httptest.NewServer(s)
@@ -316,30 +315,6 @@ func TestCancellationUnderConcurrentLoad(t *testing.T) {
 	rec, body := do(t, s, http.MethodGet, "/topk?u=1&k=3")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("post-churn query: status %d (%v)", rec.Code, body)
-	}
-}
-
-// TestEagerSpansMaterializeInBackground pins the -eager-spans satellite:
-// after a publication with the flag on, the snapshot's span arrays
-// appear without any query touching the store.
-func TestEagerSpansMaterializeInBackground(t *testing.T) {
-	g := gen.PreferentialAttachment(300, 3, 4)
-	st := shard.NewStore(g, 8, 0)
-	st.EnableEagerSpans()
-	if err := st.AddEdge(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	snap := st.Publish()
-	deadline := time.Now().Add(5 * time.Second)
-	for snap.SpansMaterialized() == false {
-		if time.Now().After(deadline) {
-			t.Fatal("span arrays never materialized in the background")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// And the snapshot still validates (spans agree with offsets).
-	if err := snap.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -20,11 +20,12 @@
 //
 // Serving contract (see admission.go): every route is instrumented
 // (per-route latency histograms, in-flight gauges and outcome counters
-// behind /metrics) and admission-controlled per Limits — bounded
-// in-flight queries with 503+Retry-After rejection, queue-depth write
-// backpressure, and a per-request query timeout the kernels honor at
-// their budget checkpoints (504 on expiry). Partial results are never
-// served.
+// behind /metrics) and admission-controlled per Limits — in-flight
+// queries bounded by one fair queue that answers 503+Retry-After when
+// the request's tenant may wait no longer (at once for the untenanted
+// server's default tenant), queue-depth write backpressure, and a
+// per-request query timeout the kernels honor at their budget
+// checkpoints (504 on expiry). Partial results are never served.
 package server
 
 import (
@@ -64,26 +65,28 @@ type Server struct {
 	mux   *http.ServeMux
 
 	// Admission control (see admission.go): the active limits, the
-	// similarity-query in-flight counter, the analysis-scan semaphore
-	// (capacity MaxJoinInflight; joins used to queue on the write mutex,
-	// this keeps their O(n·query) fan-out bounded without ever blocking
-	// queries or writes), and the write-queue depth gauge behind the
-	// backpressure rejection.
-	limits        Limits
-	queryInflight atomic.Int64
-	joinSem       chan struct{}
-	writeWaiters  atomic.Int64
+	// fair queue every similarity query takes a slot from (MaxInflight
+	// slots, built by SetLimits; unbounded until then), the analysis-scan
+	// semaphore (capacity MaxJoinInflight; joins used to queue on the
+	// write mutex, this keeps their O(n·query) fan-out bounded without
+	// ever blocking queries or writes), and the write-queue depth gauge
+	// behind the backpressure rejection.
+	limits       Limits
+	fairq        *tenant.FairQueue
+	joinSem      chan struct{}
+	writeWaiters atomic.Int64
 
 	// Multi-tenant QoS plane (see tenantslo.go): the tenant registry
-	// (SetTenants) resolves X-ProbeSim-Tenant to class policy; fairq,
-	// built when both tenants and MaxInflight are configured, replaces
-	// immediate-503 query admission with deficit-weighted fair queueing;
-	// slo (SetSLO) tracks per-tenant rolling-window objectives behind
+	// (SetTenants) resolves X-ProbeSim-Tenant to class policy. Without
+	// one, solo — the default tenant: weight 1, queue depth 0,
+	// degradable, no budget cap — stands in for every request, so a
+	// query over MaxInflight is refused at once instead of queued. slo
+	// (SetSLO) tracks per-tenant rolling-window objectives behind
 	// /debug/slo and the probesim_slo_* metric families. svcTimeEWMA is
 	// the observed per-query service time (ns) behind the load-derived
 	// Retry-After hint.
 	tenants     *tenant.Registry
-	fairq       *tenant.FairQueue
+	solo        *tenant.Tenant
 	slo         *slo.Tracker
 	svcTimeEWMA atomic.Int64
 
@@ -167,7 +170,9 @@ func NewRouted(rt *router.Router, opt core.Options, cacheCap, limit int) *Server
 		opt:     opt,
 		limit:   limit,
 		mux:     http.NewServeMux(),
+		fairq:   tenant.NewFairQueue(0),
 		joinSem: make(chan struct{}, 1),
+		solo:    &tenant.Tenant{Name: tenant.DefaultName, Class: tenant.DegradeTolerant, Config: tenant.Config{Weight: 1, AllowDegrade: true}},
 		reg:     promexpo.NewRegistry(),
 		// Bounds double from one half of the tightest production εa up
 		// through the widest degradation the admission layer can apply
@@ -255,16 +260,16 @@ func (s *Server) EnableHotTier(maxEntries int, refreshBudget time.Duration) *hot
 // not slots: live queries keep their full MaxInflight headroom under a
 // refresh storm.
 func (s *Server) hotYield() bool {
-	n := s.queryInflight.Load()
+	n := s.fairq.Inflight()
 	if max := s.limits.MaxInflight; max > 0 {
-		half := int64(max) / 2
+		half := max / 2
 		if half < 1 {
 			half = 1
 		}
 		return n >= half
 	}
 	if soft := s.limits.SoftInflight; soft > 0 {
-		return n >= int64(soft)
+		return n >= soft
 	}
 	return false
 }

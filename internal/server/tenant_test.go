@@ -41,6 +41,17 @@ func doTenant(t *testing.T, s *Server, method, target, ten string, hdr map[strin
 	return rec
 }
 
+// holdSlot takes one real admission slot for the rest of the test, as
+// an in-flight query would.
+func holdSlot(t *testing.T, s *Server) {
+	t.Helper()
+	rel, err := s.fairq.Acquire(context.Background(), s.solo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rel)
+}
+
 func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -85,7 +96,7 @@ func TestFairQueueingUnderBatchSaturation(t *testing.T) {
 	blockerCtx, cancelBlocker := context.WithCancel(context.Background())
 	defer cancelBlocker()
 	_, blockerDone := serve(blockerCtx, "batch")
-	waitUntil(t, "blocker in flight", func() bool { return s.queryInflight.Load() == 1 })
+	waitUntil(t, "blocker in flight", func() bool { return s.fairq.Inflight() == 1 })
 
 	// Fill batch's wait queue (depth 2).
 	waitCtx, cancelWaiters := context.WithCancel(context.Background())
@@ -148,6 +159,68 @@ func TestFairQueueingUnderBatchSaturation(t *testing.T) {
 	}
 }
 
+// TestTenantsWithoutInflightLimitCountAdmissions: with no in-flight
+// limit every query is admitted at once, and the tenant's admission
+// counters still count it.
+func TestTenantsWithoutInflightLimitCountAdmissions(t *testing.T) {
+	g := gen.PreferentialAttachment(200, 3, 4)
+	s := New(g, core.Options{Seed: 1, EpsA: 0.1, NumWalks: 200}, 4, 50)
+	s.SetLimits(Limits{})
+	reg := tenant.NewRegistry(tenant.DegradeTolerant, nil)
+	reg.Configure("search", tenant.LatencyStrict)
+	s.SetTenants(reg)
+	if rec := doTenant(t, s, http.MethodGet, "/topk?u=1&k=5", "search", nil); rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	search := reg.Resolve("search")
+	if got := search.Admitted.Load(); got != 1 {
+		t.Fatalf("search admitted = %d, want 1", got)
+	}
+	if got := search.Inflight.Load(); got != 0 {
+		t.Fatalf("search inflight = %d after the query finished, want 0", got)
+	}
+}
+
+// TestSetTenantsBeforeSetLimitsQueues: arming tenants before the limits
+// still fair-queues — a query arriving while the only slot is held waits
+// in its tenant's queue (and here outlives its deadline: 504) instead of
+// bouncing off the limit with a 503.
+func TestSetTenantsBeforeSetLimitsQueues(t *testing.T) {
+	s := slowServer(t, Limits{})
+	reg := tenant.NewRegistry(tenant.DegradeTolerant, nil)
+	reg.Configure("batch", tenant.ThroughputBatch)
+	reg.Configure("strict", tenant.LatencyStrict)
+	s.SetTenants(reg)
+	s.SetLimits(Limits{MaxInflight: 1})
+
+	blockerCtx, cancelBlocker := context.WithCancel(context.Background())
+	blocker := httptest.NewRequest(http.MethodGet, "/topk?u=1&k=5", nil).WithContext(blockerCtx)
+	blocker.Header.Set(tenant.Header, "batch")
+	blockerDone := make(chan struct{})
+	go func() {
+		defer close(blockerDone)
+		s.ServeHTTP(httptest.NewRecorder(), blocker)
+	}()
+	defer func() {
+		cancelBlocker()
+		<-blockerDone
+	}()
+	waitUntil(t, "blocker in flight", func() bool { return s.fairq.Inflight() == 1 })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	req := httptest.NewRequest(http.MethodGet, "/topk?u=2&k=5", nil).WithContext(ctx)
+	req.Header.Set(tenant.Header, "strict")
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d (%s), want 504 after waiting in the tenant's queue", rec.Code, rec.Body.String())
+	}
+	if got := reg.Resolve("strict").Queued.Load(); got != 1 {
+		t.Fatalf("strict queued = %d, want 1", got)
+	}
+}
+
 // degradeServer builds a fast server one bumped in-flight count away
 // from the degrade watermark, with tenants armed.
 func degradeServer(t *testing.T, defClass tenant.Class) (*Server, *tenant.Registry) {
@@ -165,8 +238,7 @@ func TestMaxEpsaContract(t *testing.T) {
 	s, reg := degradeServer(t, tenant.DegradeTolerant)
 	// Push the in-flight count over the soft watermark so every request
 	// below is a degrade candidate.
-	s.queryInflight.Add(1)
-	defer s.queryInflight.Add(-1)
+	holdSlot(t, s)
 
 	// Baseline: a degrade-tolerant tenant is served degraded, honestly
 	// labeled.
@@ -232,8 +304,7 @@ func TestTenantsOffKeepsLegacyBehavior(t *testing.T) {
 	g := gen.PreferentialAttachment(200, 3, 4)
 	s := New(g, core.Options{Seed: 1, EpsA: 0.1, NumWalks: 200}, 4, 50)
 	s.SetLimits(Limits{MaxInflight: 8, SoftInflight: 1, DegradeFactor: 2})
-	s.queryInflight.Add(1)
-	defer s.queryInflight.Add(-1)
+	holdSlot(t, s)
 	rec := doTenant(t, s, http.MethodGet, "/topk?u=1&k=5", "whoever", nil)
 	if rec.Code != http.StatusOK || rec.Header().Get(degradedHeader) == "" {
 		t.Fatalf("legacy degrade path changed: status %d, degraded header %q",

@@ -1,10 +1,11 @@
 package server
 
-// Tenant QoS + SLO plane glue: arming the tenant registry (which flips
-// query admission from immediate-503 to deficit-weighted fair queueing),
-// arming the per-tenant SLO tracker, the /debug/slo endpoint, and the
-// tenant-labeled families on /metrics. The policy engines live in
-// internal/tenant and internal/slo; this file is the HTTP surface.
+// Tenant QoS + SLO plane glue: arming the tenant registry (which gives
+// each query its own tenant's place in the admission fair queue instead
+// of the default tenant's), arming the per-tenant SLO tracker, the
+// /debug/slo endpoint, and the tenant-labeled families on /metrics. The
+// policy engines live in internal/tenant and internal/slo; this file is
+// the HTTP surface.
 
 import (
 	"fmt"
@@ -17,31 +18,18 @@ import (
 )
 
 // SetTenants arms multi-tenant admission: requests resolve their tenant
-// from the X-ProbeSim-Tenant header, tenant class policy governs
-// degradation and budget caps, and — when MaxInflight is set — query
-// admission switches from immediate-503 to the deficit-weighted fair
-// queue, where a tenant 503s only when its OWN wait queue is full.
-// Call after SetLimits and before serving (like SetLimits, it is not
-// synchronized with requests). A nil registry keeps the pre-tenant
-// behavior exactly.
-func (s *Server) SetTenants(reg *tenant.Registry) {
-	s.tenants = reg
-	s.fairq = nil
-	if reg != nil && s.limits.MaxInflight > 0 {
-		s.fairq = tenant.NewFairQueue(s.limits.MaxInflight)
-	}
-}
-
-// Tenants returns the armed registry, nil when multi-tenancy is off.
-func (s *Server) Tenants() *tenant.Registry { return s.tenants }
+// from the X-ProbeSim-Tenant header, and tenant class policy governs
+// the tenant's fair-queue weight and wait depth, degradation and budget
+// cap, so a tenant 503s only when its OWN wait queue is full. A nil
+// registry puts every query on the one default tenant, which never
+// waits. Call before serving, before or after SetLimits (like
+// SetLimits, it is not synchronized with requests).
+func (s *Server) SetTenants(reg *tenant.Registry) { s.tenants = reg }
 
 // SetSLO arms per-tenant SLO tracking: every completed query feeds the
 // tracker's rolling windows, /debug/slo serves the windowed state, and
 // /metrics grows the probesim_slo_* families. Call before serving.
 func (s *Server) SetSLO(tr *slo.Tracker) { s.slo = tr }
-
-// SLO returns the armed tracker, nil when SLO tracking is off.
-func (s *Server) SLO() *slo.Tracker { return s.slo }
 
 // handleDebugSLO serves the per-tenant windowed SLO state as JSON. With
 // the tracker unarmed it reports the fact instead of an empty mystery.

@@ -26,9 +26,6 @@ const traceHeader = "X-ProbeSim-Trace-Id"
 // requests). A nil tracer (the default) keeps every hook disabled.
 func (s *Server) SetTracer(t *qtrace.Tracer) { s.tracer = t }
 
-// Tracer returns the armed tracer, nil when tracing is disabled.
-func (s *Server) Tracer() *qtrace.Tracer { return s.tracer }
-
 // forceTrace reports the ?trace=1 opt-in. It scans the raw query instead
 // of parsing it: this runs on every request, sampled or not.
 func forceTrace(r *http.Request) bool {

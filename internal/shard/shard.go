@@ -133,11 +133,6 @@ type Store struct {
 
 	cur atomic.Pointer[StoreSnapshot]
 
-	// eagerSpans, when set, makes every publication kick off a background
-	// materialization of the new snapshot's dense span arrays (see
-	// EnableEagerSpans).
-	eagerSpans atomic.Bool
-
 	// gc tracks superseded generations with weak pointers for the
 	// retired-generation gauges (see gc.go).
 	gc gcTracker

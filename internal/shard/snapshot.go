@@ -112,10 +112,6 @@ func (s *StoreSnapshot) spanArrays() *spanArrays {
 	return sp
 }
 
-// SpansMaterialized reports whether the dense span arrays have been
-// built (eagerly or by a query) — observability for the eager-span path.
-func (s *StoreSnapshot) SpansMaterialized() bool { return s.spans.Load() != nil }
-
 // Shift returns log2 of the node stride: node v's lists live in shard
 // v>>Shift(). Exposed for the shard engine plane, which must agree with
 // the store about ownership without holding a *Store.
@@ -295,16 +291,6 @@ func (st *Store) PublishView(ctx context.Context) (graph.VersionedView, error) {
 	return st.PublishCtx(ctx)
 }
 
-// EnableEagerSpans makes every subsequent publication materialize the new
-// snapshot's dense span arrays on a background goroutine instead of
-// leaving them to the generation's first query. Publication latency is
-// unchanged (the goroutine runs after the atomic store), but a
-// latency-sensitive deployment no longer pays the O(n) densification on
-// the first query after a batch. The materialization is the same benign
-// CAS race as the lazy path, so a query racing the background build at
-// worst duplicates it.
-func (st *Store) EnableEagerSpans() { st.eagerSpans.Store(true) }
-
 // Publish re-encodes every shard whose mutable side moved since the last
 // publication and atomically publishes the new composite snapshot. Cost
 // is O(changed shards' nodes+edges + shard count), not O(n+m): untouched
@@ -375,9 +361,6 @@ func (st *Store) PublishCtx(ctx context.Context) (*StoreSnapshot, error) {
 	st.cur.Store(next)
 	if prev != nil {
 		st.gc.track(prev)
-	}
-	if st.eagerSpans.Load() {
-		go next.spanArrays()
 	}
 	return next, nil
 }

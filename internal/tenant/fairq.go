@@ -1,9 +1,9 @@
 package tenant
 
 // Deficit-weighted fair admission. The queue guards a fixed number of
-// execution slots (the server's MaxInflight). While slots are free and
-// nobody waits, Acquire is a mutex-protected counter bump — the
-// uncontended fast path. Once slots run out, each tenant gets a small
+// execution slots (the server's MaxInflight; 0 = unbounded). While slots
+// are free and nobody waits, Acquire is a mutex-protected counter bump —
+// the uncontended fast path. Once slots run out, each tenant gets a small
 // bounded FIFO of waiters and a place in a round-robin ring; every
 // released slot runs one step of deficit round robin (quantum = the
 // tenant's weight, unit cost per query), so over any contention window
@@ -12,7 +12,9 @@ package tenant
 // day and a latency-strict tenant's queries still reach the front
 // within one ring rotation. The ONLY overload answer a tenant sees is
 // its own queue filling (ErrQueueFull -> 503 + Retry-After); another
-// tenant's backlog never rejects it.
+// tenant's backlog never rejects it. A tenant with queue depth 0 never
+// waits: with every slot busy its Acquire fails at once, which is how
+// the untenanted server keeps its immediate-503 contract.
 
 import (
 	"context"
@@ -20,8 +22,8 @@ import (
 	"sync"
 )
 
-// ErrQueueFull reports that the acquiring tenant's own wait queue is at
-// capacity — the fair-queueing analogue of the old immediate 503.
+// ErrQueueFull reports that every slot is busy and the acquiring
+// tenant's own wait queue is at capacity (for a depth-0 tenant, always).
 var ErrQueueFull = errors.New("tenant: wait queue full")
 
 type waiter struct {
@@ -41,19 +43,22 @@ type tq struct {
 // concurrent use.
 type FairQueue struct {
 	mu       sync.Mutex
-	capacity int
+	capacity int // <= 0: unbounded
 	inflight int
 	tenants  map[*Tenant]*tq
 	ring     []*tq // rotation order; only tenants with waiters are in it
 }
 
-// NewFairQueue builds a queue over capacity execution slots (capacity
-// must be >= 1).
+// NewFairQueue builds a queue over capacity execution slots; capacity
+// <= 0 means unbounded (every Acquire is granted at once, and Inflight
+// still counts the holders).
 func NewFairQueue(capacity int) *FairQueue {
-	if capacity < 1 {
-		capacity = 1
-	}
 	return &FairQueue{capacity: capacity, tenants: make(map[*Tenant]*tq)}
+}
+
+// freeLocked reports whether a slot is free.
+func (q *FairQueue) freeLocked() bool {
+	return q.capacity <= 0 || q.inflight < q.capacity
 }
 
 // Acquire obtains an execution slot for t, waiting in t's own bounded
@@ -63,7 +68,7 @@ func NewFairQueue(capacity int) *FairQueue {
 // request's deadline — the caller applies its timeout before admission.
 func (q *FairQueue) Acquire(ctx context.Context, t *Tenant) (func(), error) {
 	q.mu.Lock()
-	if q.inflight < q.capacity && len(q.ring) == 0 {
+	if q.freeLocked() && len(q.ring) == 0 {
 		// Fast path: free slot and no one queued anywhere. Skipping the
 		// queue while waiters exist would let a lucky arrival overtake the
 		// rotation, so it is gated on an empty ring, not just a free slot.
@@ -76,11 +81,7 @@ func (q *FairQueue) Acquire(ctx context.Context, t *Tenant) (func(), error) {
 		tqe = &tq{t: t}
 		q.tenants[t] = tqe
 	}
-	depth := t.Config.QueueDepth
-	if depth < 1 {
-		depth = 1
-	}
-	if len(tqe.waiters) >= depth {
+	if len(tqe.waiters) >= t.Config.QueueDepth {
 		q.mu.Unlock()
 		return nil, ErrQueueFull
 	}
@@ -134,7 +135,7 @@ func (q *FairQueue) releaseFunc() func() {
 // robin: the ring head earns its weight in deficit each pass and spends
 // one deficit per granted query; an emptied tenant leaves the ring.
 func (q *FairQueue) dispatchLocked() {
-	for q.inflight < q.capacity && len(q.ring) > 0 {
+	for q.freeLocked() && len(q.ring) > 0 {
 		head := q.ring[0]
 		if len(head.waiters) == 0 {
 			head.inRing = false
@@ -150,7 +151,7 @@ func (q *FairQueue) dispatchLocked() {
 			// Earned its quantum; spend it before rotating so a lone
 			// tenant doesn't spin the ring.
 		}
-		for q.inflight < q.capacity && head.deficit >= 1 && len(head.waiters) > 0 {
+		for q.freeLocked() && head.deficit >= 1 && len(head.waiters) > 0 {
 			w := head.waiters[0]
 			head.waiters = head.waiters[1:]
 			head.deficit--
@@ -206,5 +207,10 @@ func (q *FairQueue) TenantQueuedLen(t *Tenant) int {
 	return 0
 }
 
-// Capacity returns the number of execution slots.
-func (q *FairQueue) Capacity() int { return q.capacity }
+// Inflight returns how many slots are held now — the foreground
+// pressure signal behind the degrade watermark and the hot tier's yield.
+func (q *FairQueue) Inflight() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.inflight
+}

@@ -34,6 +34,53 @@ func TestFairQueueFastPath(t *testing.T) {
 	}
 }
 
+// TestFairQueueDepthZeroNeverWaits: a depth-0 tenant (the untenanted
+// server's default) takes a free slot, but with every slot busy it is
+// refused at once instead of queued.
+func TestFairQueueDepthZeroNeverWaits(t *testing.T) {
+	q := NewFairQueue(1)
+	solo := &Tenant{Name: DefaultName, Config: Config{Weight: 1}}
+	rel, err := q.Acquire(context.Background(), solo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Acquire(context.Background(), solo); err != ErrQueueFull {
+		t.Fatalf("second acquire: %v, want ErrQueueFull", err)
+	}
+	if solo.Queued.Load() != 0 || q.QueuedLen() != 0 {
+		t.Fatal("depth-0 tenant queued")
+	}
+	rel()
+	if _, err := q.Acquire(context.Background(), solo); err != nil {
+		t.Fatalf("acquire after release: %v", err)
+	}
+}
+
+// TestFairQueueUnboundedCountsInflight: capacity 0 grants every acquire
+// at once, and Inflight follows the grants and releases.
+func TestFairQueueUnboundedCountsInflight(t *testing.T) {
+	q := NewFairQueue(0)
+	ten := &Tenant{Name: DefaultName, Config: Config{Weight: 1}}
+	rels := make([]func(), 1000)
+	for i := range rels {
+		r, err := q.Acquire(context.Background(), ten)
+		if err != nil {
+			t.Fatalf("acquire %d: %v", i, err)
+		}
+		rels[i] = r
+		if got := q.Inflight(); got != i+1 {
+			t.Fatalf("inflight after %d grants = %d", i+1, got)
+		}
+	}
+	for i, r := range rels {
+		r()
+		r() // idempotent: a second release frees nothing
+		if got, want := q.Inflight(), len(rels)-i-1; got != want {
+			t.Fatalf("inflight after %d releases = %d, want %d", i+1, got, want)
+		}
+	}
+}
+
 func TestFairQueueOwnQueueFull(t *testing.T) {
 	q := NewFairQueue(1)
 	a := newTenant("a", LatencyStrict) // queue depth 8

@@ -82,7 +82,8 @@ type Config struct {
 	// have waiters.
 	Weight int
 	// QueueDepth bounds the tenant's wait queue; a request arriving with
-	// the queue full is the ONLY case that 503s under fair queueing.
+	// the queue full is the ONLY case that 503s under fair queueing. 0
+	// means the tenant never waits: with every slot busy it 503s at once.
 	QueueDepth int
 	// AllowDegrade says whether the soft-watermark degrade path (wider
 	// εa under pressure) is acceptable for this class. When false the

@@ -5,15 +5,25 @@
 # replayed back in; then the OTHER replica of each group is killed so
 # every answer must come from the replicas that just caught up.
 #
+# Failover is asserted on a second, read-only router booted just before
+# that last kill: it has fetched no shard blocks and its health loop
+# never ticks, so its first read must fetch every block from replicas it
+# still believes healthy and fail over from each dead one. (The main
+# router cannot show this deterministically: a warm view answers with
+# no read RPCs, and its writes and health ticks demote the dead replicas
+# before any cold read reaches them.)
+#
 # Topology (all on localhost):
 #   group 0: shardd -index 0 (replicas A0, A1)   shards 0,2,4,...
 #   group 1: shardd -index 1 (replicas B0, B1)   shards 1,3,5,...
 #   probesim-server -workers "A0,A1;B0,B1"       (routing tier)
+#   probesim-server -workers "A0,A1;B0,B1"       (read-only failover probe)
 #   probesim-server -shards ...                  (single-process reference)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-A0=19401 A1=19402 B0=19403 B1=19404 ROUTED=19405 SINGLE=19406 HEALTH=19407
+A0=19401 A1=19402 B0=19403 B1=19404 ROUTED=19405 SINGLE=19406 HEALTH=19407 PROBE=19408
+FLEET="127.0.0.1:$A0,127.0.0.1:$A1;127.0.0.1:$B0,127.0.0.1:$B1"
 TMP="$(mktemp -d)"
 declare -A PID
 PIDS=()
@@ -55,8 +65,7 @@ start_worker b0 "$B0" 1
 start_worker b1 "$B1" 1
 
 echo "== starting servers"
-"$TMP/bin/probesim-server" \
-  -workers "127.0.0.1:$A0,127.0.0.1:$A1;127.0.0.1:$B0,127.0.0.1:$B1" \
+"$TMP/bin/probesim-server" -workers "$FLEET" \
   -addr "127.0.0.1:$ROUTED" -epsa 0.3 -health-interval 250ms -hedge-max 50ms &
 PIDS+=($!)
 "$TMP/bin/probesim-server" -graph "$TMP/g.txt" -shards 16 -addr "127.0.0.1:$SINGLE" -epsa 0.3 &
@@ -70,8 +79,8 @@ for port in "$ROUTED" "$SINGLE"; do
   done
 done
 
-check() { # path  (strict: one request, no client retry)
-  curl -sf "http://127.0.0.1:$ROUTED$1" >"$TMP/routed.json"
+check() { # path [router port]  (strict: one request, no client retry)
+  curl -sf "http://127.0.0.1:${2:-$ROUTED}$1" >"$TMP/routed.json"
   curl -sf "http://127.0.0.1:$SINGLE$1" >"$TMP/single.json"
   if ! diff -u "$TMP/single.json" "$TMP/routed.json"; then
     echo "MISMATCH on $1" >&2
@@ -129,8 +138,21 @@ start_worker b1 "$B1" 1
 wait_all_current 4
 echo "   all 4 replicas current again"
 
+echo "== booting a read-only failover probe router (never writes; health ticks hourly)"
+# It must never write: two routers writing to one fleet would both
+# assign batch ids.
+"$TMP/bin/probesim-server" -workers "$FLEET" \
+  -addr "127.0.0.1:$PROBE" -epsa 0.3 -health-interval 1h &
+PIDS+=($!)
+wait_tcp 127.0.0.1 "$PROBE"
+# /readyz, not /stats: /stats computes every node's degree, which would
+# fetch every shard block before the kill.
+curl -sf "http://127.0.0.1:$PROBE/readyz" | grep -q ready
+
 echo "== kill -9 the surviving originals (a0, b0): answers must come from the caught-up replicas"
 kill -9 "${PID[a0]}" "${PID[b0]}"
+echo "   probe router: first cold read fails over from a0 and b0"
+check "/topk?u=7&k=10" "$PROBE"
 check_retry "/topk?u=7&k=10"
 check "/topk?u=3&k=10"
 check "/topk?u=11&k=10"
@@ -143,7 +165,7 @@ METRICS="$(curl -sf "http://127.0.0.1:$ROUTED/metrics")"
 echo "$METRICS" | grep -q 'probesim_router_worker_current{worker="127.0.0.1:' || {
   echo "missing per-replica currency gauge" >&2; exit 1
 }
-failovers="$(echo "$METRICS" | awk '/^probesim_router_failovers_total/ {print $2}')"
+failovers="$(curl -sf "http://127.0.0.1:$PROBE/metrics" | awk '/^probesim_router_failovers_total/ {print $2}')"
 catchup="$(echo "$METRICS" | awk '/^probesim_router_catchup_batches_total/ {print $2}')"
 [ "${failovers:-0}" -gt 0 ] || { echo "no failovers recorded ($failovers)" >&2; exit 1; }
 [ "${catchup:-0}" -gt 0 ] || { echo "no ring catch-up recorded ($catchup)" >&2; exit 1; }
