@@ -11,12 +11,13 @@ package probesim_test
 //     router.NewLocal — the fast path must add nothing (it serves the
 //     store's own snapshots).
 //   - BenchmarkRouterSingleSource/router-engines: two in-process engines
-//     splitting shard ownership through the generic path (materialized
-//     composite view, router-side stepping, batched delegation) — the
-//     in-memory cost of the distribution seam, network excluded.
+//     splitting shard ownership through the generic path (one bulk fetch
+//     per view generation, then walks and probes over the materialized
+//     composite view) — the in-memory cost of the distribution seam,
+//     network excluded.
 //   - BenchmarkRouterSingleSource/router-tcp-batched: the same topology
-//     over real loopback TCP (WalkBatch, ResolveShards) — what a real
-//     fleet pays per query.
+//     over real loopback TCP (one ResolveShards per worker group per
+//     generation) — what a real fleet pays per query.
 //   - BenchmarkRouterSingleSource/router-tcp-batched-churn: the same
 //     sockets with a fresh generation published before every query, so
 //     each iteration pays the cold view.

@@ -36,9 +36,10 @@
 //
 // With -workers the graph is not loaded here at all: the server routes
 // every query to a fleet of probesim-shardd workers over the binary
-// shard RPC (internal/rpcwire), fanning the walk/probe frontier out to
-// shard owners and merging the results — bit-identically to the
-// single-process answer for the same seed. The grammar is replica
+// shard RPC (internal/rpcwire): each view generation fetches its shard
+// blocks from their owners once, in one request per group, and queries
+// walk and probe over them here — bit-identically to the single-process
+// answer for the same seed. The grammar is replica
 // groups: semicolons separate shard owners, commas separate replicas of
 // one owner, so "a:9101,b:9101;c:9101,d:9101" is two shard groups of
 // two replicas each (and "a:9101;b:9101" is the old unreplicated
@@ -47,7 +48,7 @@
 // apply-once batches; reads fail over to a group peer on transport
 // errors and, with -hedge, race a second replica after a p99-derived
 // delay (first answer wins, the loser is canceled — bit-identity is
-// unaffected because the walk RNG state travels in the RPC). A replica
+// unaffected because every replica serves the same blocks). A replica
 // that misses writes is demoted, replayed from the in-memory batch ring
 // by the health pass, and re-admitted; only a whole group dying
 // surfaces as HTTP 502. Per-replica health/version/currency and
@@ -270,8 +271,7 @@ func main() {
 		if *hotSources > 0 {
 			// The tier's dependency filter subscribes to an in-process
 			// shard.Store's applied-batch stream; a pure routing tier has
-			// none. Workers can run their own warm-standby tier instead
-			// (probesim-shardd -hot-sources).
+			// none.
 			slog.Warn("-hot-sources requires an in-process shard store; disabled in routed mode")
 		}
 		if *hedge && replicated {

@@ -12,10 +12,9 @@
 // the same graph with the same -shards so the routers' version checks
 // agree. The worker serves:
 //
-//   - shard adjacency blocks (a query's probe frontier faults them in),
-//   - √c-walk segments (walks step HERE, with the query's remaining
-//     budget propagated in each request — an expired router-side deadline
-//     stops the worker-side walk loop at its next poll),
+//   - shard adjacency blocks (a router fetches every block its view
+//     lacks before a query's first walk step, in one request per worker
+//     group, and walks and probes over them itself),
 //   - the write plane (edge batches + publication), driven by the router
 //     so the fleet stays in lockstep with the serving tier.
 //
@@ -68,9 +67,7 @@ import (
 	"time"
 
 	"probesim"
-	"probesim/internal/core"
 	"probesim/internal/health"
-	"probesim/internal/hotidx"
 	"probesim/internal/obs"
 	"probesim/internal/persist"
 	"probesim/internal/qtrace"
@@ -103,9 +100,6 @@ func main() {
 		fsyncIvl  = flag.Duration("fsync-interval", 100*time.Millisecond, "background fsync cadence under -fsync=interval")
 		ckptEvery = flag.Int64("checkpoint-every", 1024, "checkpoint after this many batches beyond the last checkpoint")
 		segBytes  = flag.Int64("segment-bytes", 64<<20, "WAL segment rotation threshold")
-
-		hotSources = flag.Int("hot-sources", 0, "warm-standby hot-source tier: precompute single-source results for up to this many popular sources, fed by the walks routed here (0 = off; requires a full-copy worker)")
-		hotBudget  = flag.Duration("hot-refresh-budget", 200*time.Millisecond, "per-entry time budget for background hot-source builds")
 
 		logFormat   = flag.String("log-format", "text", "log output format: text or json")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof and /debug/queries on this address (empty = off)")
@@ -191,34 +185,6 @@ func main() {
 	if lg != nil {
 		eng.SetWAL(lg)
 	}
-	// Warm-standby hot-source tier: a full-copy worker holds the whole
-	// graph, so it can precompute entries for the sources whose walks the
-	// router keeps sending it (walk entry nodes approximate source
-	// popularity shard-locally) and keep them fresh from its own
-	// applied-batch stream. The entries are served at /debug/hotsources
-	// for inspection and are ready the moment this worker is promoted to
-	// serve queries directly; the RPC read path itself is unchanged.
-	// Entries are built with default kernel options — a promotion that
-	// serves different options must rebuild.
-	var tier *hotidx.Tier
-	if *hotSources > 0 {
-		if scopeGroup > 1 {
-			slog.Warn("-hot-sources requires a full-copy worker (a -shard-local store cannot run whole-graph builds); disabled")
-		} else {
-			hex := core.NewExecutorOn(st, core.Options{})
-			tier = hotidx.New(hex, st.Partition().Shift(), hotidx.Config{
-				MaxEntries:    *hotSources,
-				RefreshBudget: core.Budget{Timeout: *hotBudget},
-			})
-			defer tier.Close()
-			st.SubscribeApplied(tier.OnBatch)
-			if lg != nil {
-				lg.Subscribe(func(id uint64, ops []wal.Op) { tier.ObserveAppend(id) })
-			}
-			eng.SetWalkObserver(tier.Touch)
-			slog.Info("hot-source standby tier armed", "max_entries", *hotSources, "refresh_budget", *hotBudget)
-		}
-	}
 	srv, ln, err := router.ListenAndServe(*addr, eng)
 	if err != nil {
 		fatal("listen", "addr", *addr, "err", err)
@@ -229,14 +195,10 @@ func main() {
 	tracer := qtrace.NewTracer(*traceSlow, *traceSample, 0, nil)
 	srv.SetTracer(tracer)
 	if *debugAddr != "" {
-		handlers := map[string]http.Handler{
+		dln, err := obs.ListenDebug(*debugAddr, map[string]http.Handler{
 			"/debug/queries": obs.QueriesHandler(tracer),
 			"/metrics":       obs.MetricsHandler("probesim-shardd"),
-		}
-		if tier != nil {
-			handlers["/debug/hotsources"] = tier.Handler()
-		}
-		dln, err := obs.ListenDebug(*debugAddr, handlers)
+		})
 		if err != nil {
 			fatal("debug listener", "addr", *debugAddr, "err", err)
 		}
@@ -291,5 +253,5 @@ func main() {
 			slog.Error("closing wal", "err", err)
 		}
 	}
-	slog.Info("bye", "segments_budget_stopped", eng.SegmentsStopped())
+	slog.Info("bye")
 }

@@ -1,23 +1,21 @@
 package budget
 
-// Cross-process budget propagation. When a query fans out over the shard
-// RPC plane, the worker must honor the same constraints the router-side
-// Meter enforces — otherwise a remote walk loop could keep burning CPU
-// after the query's deadline passed on the router. A Header is the wire
-// form of "what is left of this query's budget at send time": remaining
-// wall clock and remaining walk/work caps. The worker arms its own Meter
-// from it, so the kernels on both sides of the wire run the same
-// checkpoint discipline. The remaining-time encoding re-anchors at the
-// worker's clock, so the worker's effective deadline lags the router's
-// by up to one network delay — a worker can overshoot the query deadline
-// by that delay, never undershoot it. The router does not wait for the
+// Cross-process budget propagation. When a query's shard fetches cross
+// the RPC plane, the worker must honor the same deadline the router-side
+// Meter enforces — otherwise a worker could keep serving a request after
+// the query's deadline passed on the router. A Header is the wire form of
+// "what is left of this query's budget at send time": remaining wall
+// clock and remaining walk/work caps. The worker bounds the request by
+// the remaining wall clock. The remaining-time encoding re-anchors at the
+// worker's clock, so the worker's effective deadline lags the router's by
+// up to one network delay — a worker can overshoot the query deadline by
+// that delay, never undershoot it. The router does not wait for the
 // stragglers: its own meter trips on time, the query returns, and the
 // per-call socket deadline reaps the request. (Encoding remaining time
 // rather than an absolute instant is deliberate: it needs no cross-host
 // clock agreement.)
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"time"
@@ -30,51 +28,14 @@ type Header struct {
 	// <= 0 means no deadline.
 	Remaining time.Duration
 	// MaxWalks and MaxWork are the remaining walk-trial and probe-work
-	// caps; <= 0 means uncapped.
+	// caps; <= 0 means uncapped. The shard plane sends 0: its workers
+	// run no kernel a cap could bound.
 	MaxWalks int64
 	MaxWork  int64
 }
 
 // HeaderSize is the encoded size of a Header in bytes.
 const HeaderSize = 24
-
-// Export captures what remains of the meter's budget for propagation to a
-// remote worker. A nil meter exports the unbounded Header. A tripped or
-// expired meter exports a Header with a 1ns Remaining, so the remote side
-// trips at its first poll instead of racing an already-lost deadline.
-func (m *Meter) Export() Header {
-	if m == nil {
-		return Header{}
-	}
-	var h Header
-	if m.hasDL {
-		h.Remaining = time.Until(m.deadline)
-		if h.Remaining <= 0 || m.stopped.Load() {
-			h.Remaining = time.Nanosecond
-		}
-	} else if m.stopped.Load() {
-		h.Remaining = time.Nanosecond
-	}
-	if m.maxWalks > 0 {
-		if h.MaxWalks = m.maxWalks - m.walks.Load(); h.MaxWalks < 1 {
-			h.MaxWalks = 1 // crossed: let the remote charge once and trip
-		}
-	}
-	if m.maxWork > 0 {
-		if h.MaxWork = m.maxWork - m.work.Load(); h.MaxWork < 1 {
-			h.MaxWork = 1
-		}
-	}
-	return h
-}
-
-// Arm builds the worker-side meter for one remote request: the decoded
-// remaining budget re-anchored at the local clock, combined with ctx (the
-// connection/request context) exactly like New combines a caller context
-// with Budget.Timeout. Returns nil when nothing constrains the request.
-func (h Header) Arm(ctx context.Context) *Meter {
-	return New(ctx, h.Remaining, h.MaxWalks, h.MaxWork)
-}
 
 // AppendBinary appends the fixed-size wire encoding (little-endian
 // nanoseconds remaining, walk cap, work cap).

@@ -36,11 +36,11 @@ type ScoredNode struct {
 }
 
 // QueryBinder is implemented by views that need per-query state — the
-// distributed router view binds each query to its context (so lazy shard
-// fetches and remote walk segments run under the query's deadline) and to
-// its budget meter (so a worker transport failure trips every kernel
-// worker at its next checkpoint instead of letting the query run to
-// completion over a half-dead topology).
+// distributed router view binds each query to its context (so its shard
+// fetches run under the query's deadline) and to its budget meter (so a
+// worker transport failure trips every kernel worker at its next
+// checkpoint instead of letting the query run to completion over a
+// half-dead topology).
 //
 // BindQuery returns the view the kernels should run against and a finish
 // function the query calls once all workers have drained; finish reports
@@ -297,14 +297,13 @@ func (sc *queryScratch) topK(u graph.NodeID, k int) []ScoredNode {
 // streams a query derives (per-path probe streams at +0x10000, the
 // progressive kernel's 0 and 1). Deriving one independent stream per
 // TRIAL — rather than per worker — is what makes results independent of
-// the worker count and, crucially, makes every walk's start state known
-// before any walk steps: the batched distributed plane ships those states
-// N at a time in one WalkBatch RPC.
+// the worker count.
 const walkStreamBase = 1 << 32
 
 // walkWave is how many trials a batched run generates per GenerateMany
-// call: large enough to amortize one round trip per owning group across
-// hundreds of walks, small enough to keep budget-stop latency low.
+// call before inserting them into the walk tree. GenerateMany checks the
+// budget meter once per call, so the wave also bounds the walks a budget
+// stop cannot interrupt.
 const walkWave = 256
 
 // runPerWalk executes the non-batched modes: nr independent trials, each
@@ -391,10 +390,7 @@ func runBatched(g graph.View, u graph.NodeID, plan Plan, m *budget.Meter) []*que
 	rootRNG := xrand.New(plan.Seed)
 	// Walk trial t draws from the same per-trial stream the per-walk modes
 	// use (walkStreamBase + t), so batching is observably a pure
-	// deduplication of probes. Trials are generated in waves: all start
-	// states of a wave are known upfront, which lets a batch-aware
-	// distributed view advance the whole wave with one RPC per owning
-	// group instead of one per walk segment.
+	// deduplication of probes. Trials are generated in waves of walkWave.
 	walkSC := pool.get(n)
 	tree := walkSC.walkTree(u)
 	gen := walk.NewGenerator(g, plan.C, rootRNG)
@@ -422,7 +418,7 @@ func runBatched(g graph.View, u graph.NodeID, plan Plan, m *budget.Meter) []*que
 				stopped = true
 				break
 			}
-			if err := tree.Insert(wave[i].Buf); err != nil {
+			if err := tree.Insert(wave[i]); err != nil {
 				// Unreachable: walks always start at u.
 				panic(err)
 			}

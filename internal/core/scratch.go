@@ -5,7 +5,6 @@ import (
 
 	"probesim/internal/graph"
 	"probesim/internal/probe"
-	"probesim/internal/walk"
 )
 
 // queryScratch bundles every reusable buffer one worker needs to run
@@ -34,7 +33,7 @@ type queryScratch struct {
 	tree  *WalkTree
 	paths []Path
 	arena []graph.NodeID
-	wave  []walk.BatchWalk
+	wave  [][]graph.NodeID
 }
 
 // add accumulates x into acc[v], recording v in touched on its first

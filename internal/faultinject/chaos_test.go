@@ -102,7 +102,7 @@ func applyToStore(t *testing.T, st *shard.Store, ops []graph.EdgeOp) {
 // seeded fault schedule (transport errors, lost replies, latency
 // spikes, hangs) answers EVERY query — and bit-identically to a
 // fault-free single store — because at least one replica per group
-// stays reachable and the SplitMix64 walk state travels on the wire.
+// stays reachable and every replica serves the same blocks.
 func TestChaosBitIdenticalUnderFaultSchedule(t *testing.T) {
 	const n = 400
 	for _, seed := range []uint64{1, 2, 3} {
@@ -133,9 +133,9 @@ func TestChaosBitIdenticalUnderFaultSchedule(t *testing.T) {
 					t.Fatal(err)
 				}
 				if hedged {
-					// MaxDelay sits below the plan's Slow latency: the batched
-					// walk plane sends only a handful of RPCs per query, so the
-					// latency tracker never warms past its cold start and
+					// MaxDelay sits below the plan's Slow latency: each view
+					// generation costs one fetch per group, fewer in this test
+					// than the latency tracker needs for its first p99, so
 					// MaxDelay IS the effective hedge delay — it must be short
 					// enough that a slow-faulted primary triggers the hedge.
 					rt.SetHedge(router.HedgePolicy{Enabled: true, MinDelay: 200 * time.Microsecond, MaxDelay: time.Millisecond})
@@ -147,10 +147,14 @@ func TestChaosBitIdenticalUnderFaultSchedule(t *testing.T) {
 				assertIdentical(t, "static", want, got, nodes)
 
 				// Churn through the faulted fleet (Apply is clean under
-				// ReadsOnly; the read plane keeps faulting).
+				// ReadsOnly; the read plane keeps faulting). Each round is
+				// a new view generation and so one more cold fetch per
+				// group, the only calls the fault schedule sees: 14 rounds
+				// give every seed at least one failover and, hedged, one
+				// hedge.
 				rng := xrand.New(seed * 1000)
 				var added [][2]graph.NodeID
-				for round := 0; round < 2; round++ {
+				for round := 0; round < 14; round++ {
 					ops := randomOps(rng, n, &added, 12)
 					applyToStore(t, ref, ops)
 					ref.Publish()
@@ -279,7 +283,7 @@ func TestChaosProxyKillMidReply(t *testing.T) {
 	// PKillMid 1 with a byte budget: EVERY connection through the proxy
 	// dies mid-reply once it has relayed 8KB — deterministic regardless
 	// of how the client pools connections, and guaranteed to land inside
-	// walk-segment replies during the first query burst.
+	// the first query's shard-block reply.
 	proxy, err := NewProxy(addrA, ProxyPlan{Seed: 5, PKillMid: 1, KillAfter: 8192})
 	if err != nil {
 		t.Fatal(err)

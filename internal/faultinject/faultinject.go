@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"probesim/internal/budget"
 	"probesim/internal/graph"
 	"probesim/internal/router"
 	"probesim/internal/xrand"
@@ -42,9 +41,9 @@ type Plan struct {
 	Slow    time.Duration // latency spike for PSlow (default 20ms)
 	MaxHang time.Duration // hang ceiling for PHang (default 2s)
 
-	// ReadsOnly restricts injection to ResolveShards and WalkBatch,
-	// leaving Apply clean — for tests that fault the read plane while
-	// keeping the write plane converged.
+	// ReadsOnly restricts injection to ResolveShards, leaving Apply
+	// clean — for tests that fault the read plane while keeping the
+	// write plane converged.
 	ReadsOnly bool
 }
 
@@ -168,20 +167,6 @@ func (e *Engine) ResolveShards(ctx context.Context, version uint64, ps []int) ([
 		return nil, errInjected("lost reply", e.calls.Load())
 	}
 	return csrs, err
-}
-
-// WalkBatch implements ShardEngine with read faults: one decision per
-// batch, matching its single round trip.
-func (e *Engine) WalkBatch(ctx context.Context, version uint64, h budget.Header, sqrtC float64, walks []router.WalkStart) ([]router.WalkResult, error) {
-	lost, err := e.before(ctx, e.decide())
-	if err != nil {
-		return nil, err
-	}
-	out, err := e.inner.WalkBatch(ctx, version, h, sqrtC, walks)
-	if lost && err == nil {
-		return nil, errInjected("lost reply", e.calls.Load())
-	}
-	return out, err
 }
 
 // Apply implements ShardEngine with write faults (disabled by

@@ -48,9 +48,10 @@ func tcpFleet(t *testing.T, g *graph.Graph, shards int, shardLocal bool) *router
 
 // TestTopologyMatrixBitIdentical is the cross-topology property: the
 // same graph, seed and query must answer bit-identically on every
-// serving shape the repo supports — batched RPCs, router-side stepping
-// over warm views, shard-local workers holding only their stride, and a
-// fault-injected replicated fleet — through rounds of identical churn.
+// serving shape the repo supports — full-copy TCP workers, warm views
+// that call no engine, shard-local workers holding only their stride,
+// and a fault-injected replicated fleet — through rounds of identical
+// churn.
 func TestTopologyMatrixBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sockets + many RPC round trips")
@@ -93,24 +94,20 @@ func TestTopologyMatrixBitIdentical(t *testing.T) {
 		assertIdentical(t, tp.name, want, core.NewExecutorOn(tp.rt, opt), nodes)
 	}
 
-	// Router-side stepping: the passes above warmed every router's view,
-	// so a repeat query steps walks locally instead of delegating. Assert
-	// both the bits and the counters that prove the plane engaged.
+	// Warm views: the passes above fetched every router's blocks, so a
+	// repeat query runs on router-side adjacency alone and calls no
+	// engine. Assert both the bits and the calls.
 	for _, tp := range topologies {
-		before := tp.rt.Counters()
+		before := engineCalls(tp.rt)
 		assertIdentical(t, tp.name+"-warm", want, core.NewExecutorOn(tp.rt, opt), nodes[:2])
-		after := tp.rt.Counters()
-		if after.WalkLocalSegments <= before.WalkLocalSegments {
-			t.Fatalf("%s: warm queries stepped no walks router-side: %+v", tp.name, after)
-		}
-		if after.WalkDelegated != before.WalkDelegated {
-			t.Fatalf("%s: warm queries still delegated %d walks", tp.name, after.WalkDelegated-before.WalkDelegated)
+		if d := engineCalls(tp.rt) - before; d != 0 {
+			t.Fatalf("%s: warm queries made %d engine calls", tp.name, d)
 		}
 	}
 
 	// Churn: identical batches through every topology and the reference,
-	// republish, re-verify. Fresh shards faulting in exercises delegation
-	// again on each shape.
+	// republish, re-verify. Each new generation is fetched cold again on
+	// each shape.
 	rng := xrand.New(99)
 	var added [][2]graph.NodeID
 	for round := 0; round < 3; round++ {
@@ -131,4 +128,15 @@ func TestTopologyMatrixBitIdentical(t *testing.T) {
 	if f0.Injected()+f1.Injected() == 0 {
 		t.Fatal("fault schedule injected nothing; the faulted topology was not exercised")
 	}
+}
+
+// engineCalls is what queries have cost a router's engines: every shard
+// block it fetched (or tried to), plus every request its remote engines
+// sent.
+func engineCalls(rt *router.Router) int64 {
+	n := rt.Counters().ShardFetches
+	for _, ws := range rt.WorkerStats() {
+		n += ws.Calls
+	}
+	return n
 }

@@ -113,12 +113,21 @@ func ResolveAdj(v View) Adj {
 	}
 }
 
-// ViewAdj returns the interface-dispatch fallback Adj over v: what
-// ResolveAdj's default case builds. An AdjProvider outside this package
-// uses it when its devirtualized path is unavailable (for example the
-// router's bound view after a failed bulk materialization) — calling
-// ResolveAdj again would just re-enter the provider.
-func ViewAdj(v View) Adj { return Adj{view: v, n: v.NumNodes()} }
+// EmptyAdj returns an Adj over n nodes with no edges. An AdjProvider
+// whose storage could not be fetched (the router's bound view after a
+// failed bulk fetch) returns it, so the kernels drain over empty lists
+// without touching the failed storage again.
+func EmptyAdj(n int) Adj { return Adj{view: emptyView(n), n: n} }
+
+// emptyView is the edgeless View behind EmptyAdj.
+type emptyView int
+
+func (e emptyView) NumNodes() int              { return int(e) }
+func (emptyView) NumEdges() int64              { return 0 }
+func (emptyView) InNeighbors(NodeID) []NodeID  { return nil }
+func (emptyView) OutNeighbors(NodeID) []NodeID { return nil }
+func (emptyView) InDegree(NodeID) int          { return 0 }
+func (emptyView) OutDegree(NodeID) int         { return 0 }
 
 // PackSpan encodes a shard-local [start, end) list span for the dense
 // span arrays of the sharded Adj path.

@@ -2,8 +2,6 @@ package hotidx
 
 import (
 	"context"
-	"encoding/json"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -267,20 +265,6 @@ func (t *Tier) Stats() TierStats {
 
 // Hot returns the sketch's current top sources (diagnostics).
 func (t *Tier) Hot(limit int) []SourceCount { return t.sketch.Top(limit) }
-
-// Handler serves tier stats and the hot-source list as JSON (mounted at
-// /debug/hotsources on the worker's debug listener).
-func (t *Tier) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(struct {
-			Stats TierStats     `json:"stats"`
-			Hot   []SourceCount `json:"hot"`
-		}{t.Stats(), t.Hot(0)})
-	})
-}
 
 // refresher is the single background goroutine: each round it reconciles
 // the entry set against the sketch's current hot set, rebuilding missing

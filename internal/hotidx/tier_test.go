@@ -97,14 +97,18 @@ func TestTierServesBitIdenticalScores(t *testing.T) {
 
 func TestTierInvalidatesOnTouchingBatchAndRebuilds(t *testing.T) {
 	g := gen.PreferentialAttachment(400, 4, 13)
-	st, ex, tier := newTierOver(t, g, Config{})
+	var hold atomic.Bool
+	st, ex, tier := newTierOver(t, g, Config{Yield: hold.Load})
 
 	const src = graph.NodeID(5)
 	tier.Touch(src)
 	waitHot(t, tier, ex, src)
 
 	// Mutate the source's own shard: its bucket is always in the entry's
-	// dependency set, so this batch must invalidate the entry.
+	// dependency set, so this batch must invalidate the entry. The
+	// refresher is held off until the check below, or the batch's wake-up
+	// could rebuild the entry before the test looks for its absence.
+	hold.Store(true)
 	if _, err := st.ApplyBatch(0, []shard.EdgeOp{{U: src, V: 399}}); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
@@ -119,6 +123,7 @@ func TestTierInvalidatesOnTouchingBatchAndRebuilds(t *testing.T) {
 	if s := tier.Stats(); s.Invalidations < 1 {
 		t.Fatalf("no invalidation recorded: %+v", s)
 	}
+	hold.Store(false)
 
 	// The refresher rebuilds against the NEW snapshot; the served vector
 	// must match the live kernel on that snapshot, not the old one.

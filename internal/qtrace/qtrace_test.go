@@ -122,10 +122,10 @@ func TestMaxSpansCapCountsDropped(t *testing.T) {
 
 func TestGraftRemapsAndRebases(t *testing.T) {
 	tr := New(NewID())
-	rpc := tr.StartSpan("rpc.walkbatch", 0)
+	rpc := tr.StartSpan("rpc.apply", 0)
 	worker := []Span{
-		{ID: 1, Parent: 0, Name: "worker.walk_batch", Start: 0, End: 5 * time.Millisecond},
-		{ID: 2, Parent: 1, Name: "walk.steps", Start: time.Millisecond, End: 4 * time.Millisecond, Attrs: "n=3"},
+		{ID: 1, Parent: 0, Name: "worker.apply", Start: 0, End: 5 * time.Millisecond},
+		{ID: 2, Parent: 1, Name: "store.apply", Start: time.Millisecond, End: 4 * time.Millisecond, Attrs: "ops=3"},
 	}
 	base := 10 * time.Millisecond
 	tr.Graft(rpc, worker, base, "worker=1.2.3.4:9")

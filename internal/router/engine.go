@@ -4,35 +4,36 @@
 //
 // The seam is ShardEngine, the transport-agnostic API of one shard
 // server. It carries exactly the per-shard primitives the kernels need —
-// report version and shape (Meta), resolve shard adjacency blocks
-// (ResolveShards), continue √c-walk segments (WalkBatch), one call for
-// one item or many — plus the write plane (Apply, Publish) that keeps a
-// worker's graph in lockstep with the topology. Two implementations
-// exist: LocalEngine wraps an in-process shard.Store (the fast path every
-// in-process server runs on — a Router over a single all-owning
-// LocalEngine serves the store's own published snapshot, zero new
-// allocations on the hot path, and applies writes straight to the
-// engine), and RemoteEngine speaks the length-prefixed binary protocol
-// of internal/rpcwire over TCP to a probesim-shardd worker.
+// report version and shape (Meta) and resolve shard adjacency blocks
+// (ResolveShards, one call for one block or many) — plus the write plane
+// (Apply, Publish) that keeps a worker's graph in lockstep with the
+// topology. Two implementations exist: LocalEngine wraps an in-process
+// shard.Store (the fast path every in-process server runs on — a Router
+// over a single all-owning LocalEngine serves the store's own published
+// snapshot, zero new allocations on the hot path, and applies writes
+// straight to the engine), and RemoteEngine speaks the length-prefixed
+// binary protocol of internal/rpcwire over TCP to a probesim-shardd
+// worker.
 //
-// A Router fans a query out to shard owners by the same power-of-two
-// node stride internal/shard partitions with: shard adjacency blocks
-// fault in lazily as the query's walk/probe frontier first touches them
-// (and are cached for the generation), and walk segments run on the
-// engine owning the walk's current node, hopping engines at shard
-// crossings with the SplitMix64 state carried along — which is what keeps
-// results bit-identical between a single process and a fleet of workers.
-// The Router plugs into core.Executor through the SnapshotProvider seam,
-// so single-source, top-k, progressive, join and component queries run
-// unchanged over either engine.
+// A Router reads shards from their owners by the same power-of-two node
+// stride internal/shard partitions with. Before a query's first walk
+// step it fetches every shard block its view lacks, in one batched call
+// per owner group, and caches them for the generation; the kernels then
+// walk and probe over that local adjacency with the same code as in
+// process — which is what keeps results bit-identical between a single
+// process and a fleet of workers. The Router plugs into core.Executor
+// through the SnapshotProvider seam, so single-source, top-k,
+// progressive, join and component queries run unchanged over either
+// engine.
 //
 // Failure semantics: every remote call is bounded by the query's deadline
 // (propagated in the request's budget header) and by a call timeout. A
-// worker dying mid-query trips the query's budget meter with the
-// transport error — every kernel worker drains at its next checkpoint and
-// the query returns its partial result wrapped in an error chain that
-// errors.Is recognizes as ErrTransport. Partial-result-with-error
-// semantics are therefore preserved across the wire.
+// worker that fails a query's fetch trips the query's budget meter with
+// the transport error — every kernel worker drains at its next
+// checkpoint, over empty adjacency, and the query returns its partial
+// result wrapped in an error chain that errors.Is recognizes as
+// ErrTransport. Partial-result-with-error semantics are therefore
+// preserved across the wire.
 package router
 
 import (
@@ -40,15 +41,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
-	"probesim/internal/budget"
 	"probesim/internal/graph"
 	"probesim/internal/qtrace"
 	"probesim/internal/shard"
 	"probesim/internal/wal"
-	"probesim/internal/walk"
-	"probesim/internal/xrand"
 )
 
 // ErrTransport marks engine failures caused by the transport (dial,
@@ -87,38 +84,6 @@ type Meta struct {
 	Owned     []int // shard ids this engine serves, ascending
 }
 
-// WalkStart is one walk of a WalkBatch call: continue a √c-walk whose
-// current node is Cur, drawing from the SplitMix64 stream at State,
-// appending at most Room nodes.
-type WalkStart struct {
-	Cur   graph.NodeID
-	State uint64
-	Room  int
-}
-
-// WalkResult is one walk's outcome from a WalkBatch call: the nodes the
-// segment appended, the stream state after them, and how it ended.
-type WalkResult struct {
-	Nodes  []graph.NodeID
-	State  uint64
-	Status SegmentStatus
-}
-
-// SegmentStatus reports how a walk segment ended.
-type SegmentStatus uint8
-
-const (
-	// SegmentEnded: the walk terminated (survival draw, dead end, or the
-	// caller's room was exhausted).
-	SegmentEnded SegmentStatus = iota
-	// SegmentHandoff: the walk stepped into a shard this engine does not
-	// own; the caller must continue it on the owner of the last node.
-	SegmentHandoff
-	// SegmentStopped: the propagated budget stopped the engine-side walk
-	// loop (deadline or cap from the request header).
-	SegmentStopped
-)
-
 // ShardEngine is the transport-agnostic API of one shard server.
 //
 // Version arguments pin a snapshot generation: engines retain the last
@@ -137,21 +102,11 @@ type ShardEngine interface {
 	// answerable even while the engine is lagging or mid-recovery.
 	Ping(ctx context.Context) (version, lastBatch uint64, err error)
 
-	// WalkBatch continues N independent √c-walks at the pinned
-	// generation in one call (one round trip on a remote engine): each
-	// walk starts from its Cur (owned by this engine) with the walk RNG at
-	// its State, appends at most Room nodes, and reports the RNG state
-	// after the segment and how the segment ended. Each walk draws only
-	// from its own state, so how walks are grouped into calls never
-	// changes a bit of any walk. Results come back in request order. The
-	// budget header bounds the engine-side loop.
-	WalkBatch(ctx context.Context, version uint64, h budget.Header, sqrtC float64, walks []WalkStart) ([]WalkResult, error)
-
 	// ResolveShards returns owned shards' CSR adjacency blocks at the
 	// pinned generation in one call, in request order: every missing
-	// block when a view materializes, a single one when a probe faults a
-	// shard in. Blocks are immutable; local engines return them by
-	// reference, remote engines decode them off the wire.
+	// block when a view materializes, a single one when a shape reader
+	// faults a shard in. Blocks are immutable; local engines return them
+	// by reference, remote engines decode them off the wire.
 	ResolveShards(ctx context.Context, version uint64, ps []int) ([]graph.CSRShard, error)
 
 	// Apply applies a batch of edge mutations atomically (all-or-rollback)
@@ -235,16 +190,6 @@ type LocalEngine struct {
 	// wal, when set (SetWAL), receives every batch BEFORE it is
 	// applied: the engine's durability point.
 	wal *wal.Log
-
-	// segmentsStopped counts engine-side walk loops stopped by a
-	// propagated budget — the observable fact that remote deadlines
-	// actually reach the walk loop.
-	segmentsStopped atomic.Int64
-
-	// walkObserver, when set (SetWalkObserver), sees the entry node of
-	// every walk delegated to this engine — the worker-side popularity
-	// signal feeding a warm-standby hot-source tier.
-	walkObserver func(graph.NodeID)
 }
 
 // NewLocalEngine wraps st as a shard engine owning shards p with
@@ -277,19 +222,6 @@ func (e *LocalEngine) Store() *shard.Store { return e.st }
 // probesim-shardd and the in-process server (server.SetWAL) arm it. Call
 // before serving.
 func (e *LocalEngine) SetWAL(lg *wal.Log) { e.wal = lg }
-
-// SetWalkObserver arms a per-walk callback: fn receives the entry node
-// of every walk the router delegates here (WalkBatch).
-// Entry nodes are a shard-local approximation of source popularity — a
-// hot source's walks enter its owners' shards over and over — so a
-// worker can run a warm-standby hot-source tier without seeing the HTTP
-// query stream. fn runs on the RPC serving path: keep it cheap. Call
-// before serving; not safe to swap concurrently with walks.
-func (e *LocalEngine) SetWalkObserver(fn func(graph.NodeID)) { e.walkObserver = fn }
-
-// SegmentsStopped reports how many walk segments the propagated budget
-// stopped on this engine.
-func (e *LocalEngine) SegmentsStopped() int64 { return e.segmentsStopped.Load() }
 
 func (e *LocalEngine) owns(p int) bool { return p%e.group == e.index }
 
@@ -366,82 +298,6 @@ func (e *LocalEngine) ResolveShards(ctx context.Context, version uint64, ps []in
 			return nil, err
 		}
 		out[i] = snap.Shard(p)
-	}
-	return out, nil
-}
-
-// walkSegmentPollInterval is the per-step budget poll cadence of the
-// engine-side walk loop. Segments are at most walk.HardCap steps, so a
-// small interval keeps a propagated deadline's detection latency at a few
-// steps without measurable cost.
-const walkSegmentPollInterval = 8
-
-// WalkBatch implements ShardEngine: the engine-side √c-walk loop. Each
-// requested walk runs the exact step loop of walk.Generate (walk.Segment)
-// over the pinned generation's devirtualized adjacency, bounded to owned
-// shards and checkpointed against the propagated budget — N walks, one
-// snapshot pin, one meter, one (remote) round trip.
-func (e *LocalEngine) WalkBatch(ctx context.Context, version uint64, h budget.Header, sqrtC float64, walks []WalkStart) ([]WalkResult, error) {
-	snap, err := e.snapshotAt(version)
-	if err != nil {
-		return nil, err
-	}
-	shift := snap.Shift()
-	n := snap.NumNodes()
-	m := h.Arm(ctx)
-	cp := budget.NewCheckpoint(m, walkSegmentPollInterval)
-	adj := graph.ResolveAdj(snap)
-	var owns func(graph.NodeID) bool
-	if e.group > 1 {
-		owns = func(v graph.NodeID) bool { return e.owns(int(uint32(v) >> shift)) }
-	}
-	var stop func() bool
-	if m != nil {
-		stop = cp.Stop
-	}
-	tr, parent := qtrace.FromContext(ctx)
-	ref := tr.StartSpan("walk.steps", parent)
-	out := make([]WalkResult, len(walks))
-	var rng xrand.RNG
-	appended := 0
-	for i, w := range walks {
-		if w.Cur < 0 || int(w.Cur) >= n {
-			tr.EndSpanAnnot(ref, "outcome=badnode")
-			return nil, fmt.Errorf("router: walk node %d out of range [0, %d)", w.Cur, n)
-		}
-		if err := e.checkShard(snap, int(uint32(w.Cur)>>shift)); err != nil {
-			tr.EndSpanAnnot(ref, "outcome=notowned")
-			return nil, fmt.Errorf("router: walk node %d: %w", w.Cur, err)
-		}
-		if e.walkObserver != nil {
-			e.walkObserver(w.Cur)
-		}
-		if m.Stopped() {
-			// The budget tripped mid-batch: the rest of the walks report
-			// stopped without stepping.
-			out[i] = WalkResult{State: w.State, Status: SegmentStopped}
-			continue
-		}
-		rng.SetState(w.State)
-		nodes, ended := walk.Segment(&adj, w.Cur, w.Room, sqrtC, &rng, owns, stop, nil)
-		status := SegmentHandoff
-		switch {
-		case m.Stopped():
-			status = SegmentStopped
-			e.segmentsStopped.Add(1)
-		case ended:
-			status = SegmentEnded
-		case len(nodes) == 0:
-			// A handoff with no progress means the caller routed the walk
-			// to the wrong engine; surface it instead of looping forever.
-			tr.EndSpanAnnot(ref, "outcome=noprogress")
-			return nil, fmt.Errorf("router: walk segment made no progress at node %d", w.Cur)
-		}
-		out[i] = WalkResult{Nodes: nodes, State: rng.State(), Status: status}
-		appended += len(nodes)
-	}
-	if tr != nil {
-		tr.EndSpanAnnot(ref, fmt.Sprintf("walks=%d,nodes=%d", len(walks), appended))
 	}
 	return out, nil
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"probesim/internal/budget"
 	"probesim/internal/core"
 	"probesim/internal/graph"
 	"probesim/internal/shard"
@@ -37,13 +36,6 @@ func (s *slowReadEngine) ResolveShards(ctx context.Context, version uint64, ps [
 		return nil, err
 	}
 	return s.LocalEngine.ResolveShards(ctx, version, ps)
-}
-
-func (s *slowReadEngine) WalkBatch(ctx context.Context, version uint64, h budget.Header, sqrtC float64, walks []WalkStart) ([]WalkResult, error) {
-	if err := s.stall(ctx); err != nil {
-		return nil, err
-	}
-	return s.LocalEngine.WalkBatch(ctx, version, h, sqrtC, walks)
 }
 
 // startEngineWorker serves an arbitrary engine over TCP and returns the
@@ -137,10 +129,6 @@ type deadReadEngine struct {
 }
 
 func (d *deadReadEngine) ResolveShards(ctx context.Context, version uint64, ps []int) ([]graph.CSRShard, error) {
-	return nil, fmt.Errorf("%w: dead read plane", ErrTransport)
-}
-
-func (d *deadReadEngine) WalkBatch(ctx context.Context, version uint64, h budget.Header, sqrtC float64, walks []WalkStart) ([]WalkResult, error) {
 	return nil, fmt.Errorf("%w: dead read plane", ErrTransport)
 }
 

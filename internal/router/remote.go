@@ -311,40 +311,6 @@ func (e *RemoteEngine) Meta(ctx context.Context) (Meta, error) {
 	return m, err
 }
 
-// WalkBatch implements ShardEngine: the whole batch is one TWalkBatch
-// round trip.
-func (e *RemoteEngine) WalkBatch(ctx context.Context, version uint64, h budget.Header, sqrtC float64, walks []WalkStart) ([]WalkResult, error) {
-	tr, parent, tc := traceField(ctx)
-	req := rpcwire.WalkBatchRequest{
-		Budget: h, Version: version, SqrtC: sqrtC,
-		Walks: make([]rpcwire.WalkStart, len(walks)), Trace: tc,
-	}
-	for i, w := range walks {
-		req.Walks[i] = rpcwire.WalkStart{Cur: w.Cur, State: w.State, Room: uint32(w.Room)}
-	}
-	base := tr.Since()
-	rtyp, body, err := e.call(ctx, rpcwire.TWalkBatch, req.Append(nil))
-	if err != nil {
-		return nil, err
-	}
-	if rtyp != rpcwire.TWalkBatchRep {
-		return nil, fmt.Errorf("router: %s: unexpected reply type %d", e.addr, rtyp)
-	}
-	rep, derr := rpcwire.DecodeWalkBatchReply(body)
-	if derr != nil {
-		return nil, fmt.Errorf("router: %s: %v", e.addr, derr)
-	}
-	if len(rep.Segs) != len(walks) {
-		return nil, fmt.Errorf("router: %s: %d segments for %d walks", e.addr, len(rep.Segs), len(walks))
-	}
-	tr.Graft(parent, rep.Spans, base, "worker="+e.addr)
-	out := make([]WalkResult, len(rep.Segs))
-	for i, s := range rep.Segs {
-		out[i] = WalkResult{Nodes: s.Nodes, State: s.State, Status: SegmentStatus(s.Status)}
-	}
-	return out, nil
-}
-
 // ResolveShards implements ShardEngine: one TShards round trip.
 func (e *RemoteEngine) ResolveShards(ctx context.Context, version uint64, ps []int) ([]graph.CSRShard, error) {
 	tr, parent, tc := traceField(ctx)
@@ -437,8 +403,8 @@ func (e *RemoteEngine) Close() error {
 	return nil
 }
 
-// headerFrom derives a budget header from a bare context (for control-
-// plane calls that carry no meter): just the remaining deadline.
+// headerFrom derives a request's budget header from its context: just
+// the remaining deadline, which the worker re-arms as its own.
 func headerFrom(ctx context.Context) budget.Header {
 	if dl, ok := ctx.Deadline(); ok {
 		if rem := time.Until(dl); rem > 0 {

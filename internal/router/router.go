@@ -12,8 +12,6 @@ import (
 	"probesim/internal/budget"
 	"probesim/internal/graph"
 	"probesim/internal/shard"
-	"probesim/internal/walk"
-	"probesim/internal/xrand"
 )
 
 // Router fans queries out over a fleet of replica groups and assembles
@@ -27,9 +25,10 @@ import (
 // many owners as its group has replicas: reads fail over (and optionally
 // hedge) across the group's members, writes broadcast to every member
 // that is still in-order ("current"), and a member that misses batches
-// is demoted and replayed back in from the router's replay ring. The
-// SplitMix64 walk state travels on the wire, so which replica answers a
-// given call never changes the bits of the result.
+// is demoted and replayed back in from the router's replay ring. Every
+// replica serves the same immutable blocks of a pinned generation, so
+// which replica answers a given call never changes the bits of the
+// result.
 //
 // Fast path: a Router over a single LocalEngine that owns every shard
 // (NewLocal) serves the store's own published StoreSnapshot (no wrapper,
@@ -62,19 +61,15 @@ type Router struct {
 	hedge atomic.Pointer[HedgePolicy]
 
 	// Read- and write-path counters for /metrics.
-	shardFetches     atomic.Int64
-	shardFetchErrors atomic.Int64
-	shardBatches     atomic.Int64
-	walkHandoffs     atomic.Int64
-	walkBatches      atomic.Int64
-	walkDelegated    atomic.Int64
-	walkLocalSegs    atomic.Int64
-	applyRetries     atomic.Int64
-	failovers        atomic.Int64
-	hedgesSent       atomic.Int64
-	hedgesWon        atomic.Int64
-	applySkips       atomic.Int64
-	catchupBatches   atomic.Int64
+	shardFetches   atomic.Int64
+	fetchErrs      fetchErrCounters
+	shardBatches   atomic.Int64
+	applyRetries   atomic.Int64
+	failovers      atomic.Int64
+	hedgesSent     atomic.Int64
+	hedgesWon      atomic.Int64
+	applySkips     atomic.Int64
+	catchupBatches atomic.Int64
 }
 
 // controlTimeout bounds control-plane broadcasts (Meta, Publish, Apply)
@@ -809,24 +804,51 @@ func (r *Router) WorkerStats() []WorkerStat {
 	return out
 }
 
+// FetchErrors splits failed shard-block fetches by cause.
+type FetchErrors struct {
+	Transport int64 // the owner group was unreachable (ErrTransport)
+	Retired   int64 // the pinned generation was retired (ErrRetiredGeneration)
+	Deadline  int64 // the caller's deadline or cancellation cut the fetch short
+	Other     int64 // anything else, such as a worker rejecting the request
+}
+
+// Total is the number of failed fetches.
+func (f FetchErrors) Total() int64 { return f.Transport + f.Retired + f.Deadline + f.Other }
+
+// fetchErrCounters counts failed fetches by cause.
+type fetchErrCounters struct{ transport, retired, deadline, other atomic.Int64 }
+
+// count files one failed fetch under its cause.
+func (f *fetchErrCounters) count(err error) {
+	switch {
+	case errors.Is(err, ErrRetiredGeneration):
+		f.retired.Add(1)
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		f.deadline.Add(1)
+	case errors.Is(err, ErrTransport):
+		f.transport.Add(1)
+	default:
+		f.other.Add(1)
+	}
+}
+
+func (f *fetchErrCounters) load() FetchErrors {
+	return FetchErrors{
+		Transport: f.transport.Load(),
+		Retired:   f.retired.Load(),
+		Deadline:  f.deadline.Load(),
+		Other:     f.other.Load(),
+	}
+}
+
 // Counters are the router's aggregate read- and write-path counters.
 type Counters struct {
 	ShardFetches     int64
-	ShardFetchErrors int64
+	ShardFetchErrors FetchErrors
 	// ShardBatches counts batched ResolveShards round trips (composite-
 	// view materialization): ShardFetches/ShardBatches is the average
 	// blocks-per-RPC amortization the batch plane buys.
 	ShardBatches int64
-	WalkHandoffs int64
-	// WalkBatches counts batched WalkBatch round trips and WalkDelegated
-	// the walks they carried (WalkDelegated/WalkBatches is the average
-	// batch size); WalkLocalSegments counts walk segments the router
-	// stepped itself over cached blocks, with no RPC at all. The
-	// delegation rate of the walk plane is
-	// WalkDelegated / (WalkDelegated + WalkLocalSegments).
-	WalkBatches       int64
-	WalkDelegated     int64
-	WalkLocalSegments int64
 	// ApplyRetries counts per-member re-sends of an identified batch
 	// after a transport failure — each one is a lost-reply window the
 	// batch ids closed.
@@ -847,19 +869,15 @@ type Counters struct {
 // Counters reports the read/write-path counters for /metrics.
 func (r *Router) Counters() Counters {
 	return Counters{
-		ShardFetches:      r.shardFetches.Load(),
-		ShardFetchErrors:  r.shardFetchErrors.Load(),
-		ShardBatches:      r.shardBatches.Load(),
-		WalkHandoffs:      r.walkHandoffs.Load(),
-		WalkBatches:       r.walkBatches.Load(),
-		WalkDelegated:     r.walkDelegated.Load(),
-		WalkLocalSegments: r.walkLocalSegs.Load(),
-		ApplyRetries:      r.applyRetries.Load(),
-		Failovers:         r.failovers.Load(),
-		HedgesSent:        r.hedgesSent.Load(),
-		HedgesWon:         r.hedgesWon.Load(),
-		ApplySkips:        r.applySkips.Load(),
-		CatchupBatches:    r.catchupBatches.Load(),
+		ShardFetches:     r.shardFetches.Load(),
+		ShardFetchErrors: r.fetchErrs.load(),
+		ShardBatches:     r.shardBatches.Load(),
+		ApplyRetries:     r.applyRetries.Load(),
+		Failovers:        r.failovers.Load(),
+		HedgesSent:       r.hedgesSent.Load(),
+		HedgesWon:        r.hedgesWon.Load(),
+		ApplySkips:       r.applySkips.Load(),
+		CatchupBatches:   r.catchupBatches.Load(),
 	}
 }
 
@@ -873,11 +891,12 @@ func (r *Router) Distributed() bool { return r.fast == nil }
 func (r *Router) Local() *LocalEngine { return r.fast }
 
 // View is the composite read side the generic path serves: the shape and
-// version agreed by every group, plus per-shard adjacency blocks that
-// fault in from their owner group on first touch and stay cached for the
-// generation. It implements graph.VersionedView for shape readers
-// (stats, validation) and core.QueryBinder so queries run through a
-// BoundView that carries their context and budget meter.
+// version agreed by every group, plus per-shard adjacency blocks fetched
+// from their owner groups and cached for the generation — all of them
+// before a query's first walk step, or one at a time for shape readers.
+// It implements graph.VersionedView for shape readers (stats,
+// validation) and core.QueryBinder so queries run through a BoundView
+// that carries their context and budget meter.
 type View struct {
 	r       *Router
 	nodes   int
@@ -932,7 +951,7 @@ func (v *View) block(ctx context.Context, p int) (*graph.CSRShard, error) {
 		err = fmt.Errorf("router: group %d returned %d shard blocks for 1 requested", v.ownerOf[p], len(csrs))
 	}
 	if err != nil {
-		v.r.shardFetchErrors.Add(1)
+		v.r.fetchErrs.count(err)
 		return nil, err
 	}
 	csr := &csrs[0]
@@ -983,7 +1002,7 @@ func (v *View) materialize(ctx context.Context) (*graph.Adj, error) {
 				err = fmt.Errorf("router: group %d returned %d shard blocks for %d requested", gi, len(csrs), len(ps))
 			}
 			if err != nil {
-				v.r.shardFetchErrors.Add(1)
+				v.r.fetchErrs.count(err)
 				errMu.Lock()
 				if firstErr == nil {
 					firstErr = err
@@ -1023,45 +1042,6 @@ func (v *View) materialize(ctx context.Context) (*graph.Adj, error) {
 	adj := graph.NewShardedAdj(v, csrs, v.shift, in, out)
 	v.adj.Store(&adj)
 	return &adj, nil
-}
-
-// cachedView exposes only already-fetched blocks as a graph.View for the
-// router-side walk stepper. It never faults a block in: the stepper's
-// owns predicate guarantees it is only asked for nodes whose shard block
-// is cached.
-type cachedView struct{ v *View }
-
-func (c cachedView) NumNodes() int   { return c.v.nodes }
-func (c cachedView) NumEdges() int64 { return c.v.edges }
-
-func (c cachedView) InNeighbors(nd graph.NodeID) []graph.NodeID {
-	b := c.v.blocks[uint32(nd)>>c.v.shift].ptr.Load()
-	l := uint32(nd) & (uint32(1)<<c.v.shift - 1)
-	return b.InDst[b.InOff[l]:b.InOff[l+1]]
-}
-
-func (c cachedView) OutNeighbors(nd graph.NodeID) []graph.NodeID {
-	b := c.v.blocks[uint32(nd)>>c.v.shift].ptr.Load()
-	l := uint32(nd) & (uint32(1)<<c.v.shift - 1)
-	return b.OutDst[b.OutOff[l]:b.OutOff[l+1]]
-}
-
-func (c cachedView) InDegree(nd graph.NodeID) int  { return len(c.InNeighbors(nd)) }
-func (c cachedView) OutDegree(nd graph.NodeID) int { return len(c.OutNeighbors(nd)) }
-
-// steppingAdj returns the adjacency router-side walk stepping runs over:
-// the fully materialized devirtualized Adj when the view has one (owns
-// is nil — every shard is locally readable), else an Adj over the cached
-// blocks plus an owns predicate that hands the walk off at the first
-// uncached shard, exactly as a worker hands off at the first unowned one.
-func (v *View) steppingAdj() (graph.Adj, func(graph.NodeID) bool) {
-	if a := v.adj.Load(); a != nil {
-		return *a, nil
-	}
-	owns := func(nd graph.NodeID) bool {
-		return v.blocks[uint32(nd)>>v.shift].ptr.Load() != nil
-	}
-	return graph.ResolveAdj(cachedView{v}), owns
 }
 
 func (v *View) inNeighbors(ctx context.Context, nd graph.NodeID) ([]graph.NodeID, error) {
@@ -1105,8 +1085,8 @@ func (v *View) InDegree(nd graph.NodeID) int { return len(v.InNeighbors(nd)) }
 func (v *View) OutDegree(nd graph.NodeID) int { return len(v.OutNeighbors(nd)) }
 
 // BindQuery implements core.QueryBinder: the per-query view carrying the
-// query's context (lazy fetches and walk segments run under its
-// deadline) and meter (a transport failure trips every kernel worker).
+// query's context (its fetches run under its deadline) and meter (a
+// transport failure trips every kernel worker).
 func (v *View) BindQuery(ctx context.Context, m *budget.Meter) (graph.View, func() error) {
 	b := &BoundView{view: v, ctx: ctx, m: m}
 	return b, b.finish
@@ -1114,14 +1094,18 @@ func (v *View) BindQuery(ctx context.Context, m *budget.Meter) (graph.View, func
 
 // BoundView is one query's handle on a View. It is what the kernels
 // actually traverse in a distributed topology: same adjacency, plus the
-// query's context on every fetch, the walk-segment delegation that keeps
-// the RNG stream identical across topologies, and the error latch that
-// turns a mid-query worker death into a prompt partial-result-with-error
-// return instead of a hang.
+// query's context on every fetch, and the error latch that turns a
+// mid-query worker death into a prompt partial-result-with-error return
+// instead of a hang.
 type BoundView struct {
 	view *View
 	ctx  context.Context
 	m    *budget.Meter
+
+	// adjOnce makes ProvideAdj one fetch attempt per query, shared by
+	// every kernel worker; adj is its result.
+	adjOnce sync.Once
+	adj     graph.Adj
 
 	mu  sync.Mutex
 	err error
@@ -1180,128 +1164,26 @@ func (b *BoundView) InDegree(nd graph.NodeID) int { return len(b.InNeighbors(nd)
 // OutDegree implements graph.View.
 func (b *BoundView) OutDegree(nd graph.NodeID) int { return len(b.OutNeighbors(nd)) }
 
-var (
-	_ walk.SegmentedView = (*BoundView)(nil)
-	_ graph.AdjProvider  = (*BoundView)(nil)
-)
+var _ graph.AdjProvider = (*BoundView)(nil)
 
-// ProvideAdj implements graph.AdjProvider: when a probe kernel resolves
-// a devirtualized adjacency over the bound view, the view materializes
-// every shard block in bulk (one batched ResolveShards per owner group)
-// and serves the same dense-span sharded Adj the in-process store does.
-// On failure the error latches on the query — the same partial-result
-// semantics as any block fetch failure — and the returned Adj falls back
-// to per-call interface dispatch over the bound view.
+// ProvideAdj implements graph.AdjProvider, which the kernels resolve
+// before their first walk step: the view materializes every shard block
+// it lacks in bulk (one batched ResolveShards per owner group, none on a
+// warm view) and serves the same dense-span sharded Adj the in-process
+// store does, so walks and probes step over local adjacency. A query
+// makes one attempt, shared by all its kernel workers. On failure the
+// error latches on the query — the same partial-result semantics as any
+// block fetch failure — and the query gets an adjacency with every list
+// empty, so its kernels drain without calling an engine again.
 func (b *BoundView) ProvideAdj() graph.Adj {
-	a, err := b.view.materialize(b.ctx)
-	if err != nil {
-		b.fail(err)
-		return graph.ViewAdj(b)
-	}
-	return *a
-}
-
-// WalkSegmentBatch implements walk.SegmentedView: one exchange advances
-// every live walk. Walks whose current shard block is cached step
-// router-side with no RPC — bit-identical, because the same step loop
-// draws from the same per-walk SplitMix64 stream, and a walk handed off
-// at the first uncached shard resumes exactly where a worker would have.
-// The rest are delegated to the group owning their current node (any
-// replica: the stream state travels in the request, so every replica
-// draws the same steps), with the remaining budget propagated in the
-// request header — ONE WalkBatch round trip per group, concurrently
-// across groups. Blocks are never faulted in here: the probe phase
-// materializes them in bulk (ProvideAdj), after which every later
-// exchange is RPC-free. A group-wide failure ends the group's walks and
-// latches the error.
-func (b *BoundView) WalkSegmentBatch(walks []walk.BatchWalk, maxNodes int, sqrtC float64) error {
-	v := b.view
-	adj, owns := v.steppingAdj()
-	cp := budget.NewCheckpoint(b.m, walkSegmentPollInterval)
-	var rng xrand.RNG
-	pending := make([][]int, len(v.r.groups))
-	local := int64(0)
-	for i := range walks {
-		w := &walks[i]
-		if w.Done {
-			continue
+	b.adjOnce.Do(func() {
+		a, err := b.view.materialize(b.ctx)
+		if err != nil {
+			b.fail(err)
+			b.adj = graph.EmptyAdj(b.view.nodes)
+			return
 		}
-		cur := w.Buf[len(w.Buf)-1]
-		if v.blocks[uint32(cur)>>v.shift].ptr.Load() != nil {
-			rng.SetState(w.State)
-			out, ended := walk.Segment(&adj, cur, maxNodes-len(w.Buf), sqrtC, &rng, owns, cp.Stop, w.Buf)
-			w.Buf = out
-			w.State = rng.State()
-			local++
-			if ended {
-				w.Done = true
-				continue
-			}
-			cur = w.Buf[len(w.Buf)-1]
-		}
-		gi := v.ownerOf[uint32(cur)>>v.shift]
-		pending[gi] = append(pending[gi], i)
-	}
-	if local > 0 {
-		v.r.walkLocalSegs.Add(local)
-	}
-	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	for gi := range pending {
-		idxs := pending[gi]
-		if len(idxs) == 0 {
-			continue
-		}
-		v.r.walkBatches.Add(1)
-		v.r.walkDelegated.Add(int64(len(idxs)))
-		wg.Add(1)
-		go func(gi int, idxs []int) {
-			defer wg.Done()
-			starts := make([]WalkStart, len(idxs))
-			for j, wi := range idxs {
-				w := &walks[wi]
-				starts[j] = WalkStart{Cur: w.Buf[len(w.Buf)-1], State: w.State, Room: maxNodes - len(w.Buf)}
-			}
-			g := v.r.groups[gi]
-			res, err := groupRead(v.r, b.ctx, g, "rpc.walkbatch", func(ctx context.Context, e ShardEngine) ([]WalkResult, error) {
-				return e.WalkBatch(ctx, v.version, b.m.Export(), sqrtC, starts)
-			})
-			if err == nil && len(res) != len(idxs) {
-				err = fmt.Errorf("router: group %d returned %d walk results for %d walks", gi, len(res), len(idxs))
-			}
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				for _, wi := range idxs {
-					walks[wi].Done = true
-				}
-				return
-			}
-			handoffs := int64(0)
-			for j, wi := range idxs {
-				w := &walks[wi]
-				r := res[j]
-				w.Buf = append(w.Buf, r.Nodes...)
-				w.State = r.State
-				if r.Status == SegmentHandoff {
-					handoffs++
-				} else {
-					w.Done = true
-				}
-			}
-			if handoffs > 0 {
-				v.r.walkHandoffs.Add(handoffs)
-			}
-		}(gi, idxs)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		b.fail(firstErr)
-		return firstErr
-	}
-	return nil
+		b.adj = *a
+	})
+	return b.adj
 }

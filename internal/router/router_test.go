@@ -9,10 +9,10 @@ import (
 	"testing"
 	"time"
 
-	"probesim/internal/budget"
 	"probesim/internal/core"
 	"probesim/internal/gen"
 	"probesim/internal/graph"
+	"probesim/internal/rpcwire"
 	"probesim/internal/shard"
 	"probesim/internal/xrand"
 )
@@ -189,8 +189,7 @@ func startWorker(t *testing.T, g *graph.Graph, shards, index, group int) (*Remot
 // seed and query answered by the direct store and by a router talking to
 // real probesim-shardd-style workers over TCP must agree bit for bit —
 // across shard counts {1, 2, 7}, under churn, for the batched kernels
-// (ModeAuto, whole waves of walks per exchange) and the per-walk ones
-// (ModePruned, each walk stepped as a one-walk batch).
+// (ModeAuto) and the per-walk ones (ModePruned).
 func TestBitIdenticalOverRPC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sockets + many RPC round trips")
@@ -221,6 +220,13 @@ func checkIdenticalOverRPC(t *testing.T, shards int, mode core.Mode) {
 	nodes := []graph.NodeID{0, 42, 399}
 	assertIdentical(t, "static", want, got, nodes)
 
+	// The static pass left the view warm: a repeat calls no engine.
+	calls := engineCalls(rt)
+	assertIdentical(t, "warm", want, got, nodes[:1])
+	if d := engineCalls(rt) - calls; d != 0 {
+		t.Fatalf("warm repeat made %d engine calls", d)
+	}
+
 	rng := xrand.New(17)
 	var added [][2]graph.NodeID
 	for round := 0; round < 2; round++ {
@@ -244,30 +250,27 @@ func checkIdenticalOverRPC(t *testing.T, shards int, mode core.Mode) {
 		}
 	}
 	c := rt.Counters()
-	if c.ShardFetches == 0 || c.WalkBatches == 0 || c.WalkDelegated == 0 {
-		t.Fatalf("counters did not move: %+v", c)
-	}
-	if c.WalkLocalSegments == 0 {
-		t.Fatalf("router stepped no walks over cached blocks: %+v", c)
-	}
-	if c.ShardBatches == 0 {
+	if c.ShardFetches == 0 || c.ShardBatches == 0 {
 		t.Fatalf("no batched shard materialization: %+v", c)
-	}
-	// Per-walk kernels delegate only until the first trial's probes
-	// materialize every block, too few walks to count on a handoff.
-	if mode == core.ModeAuto && shards >= 2 && c.WalkHandoffs == 0 {
-		t.Fatalf("expected cross-engine walk handoffs with %d shards: %+v", shards, c)
 	}
 }
 
-// TestBatchingCollapsesRoundTrips is the acceptance counter: one cold
-// single-source query over real TCP workers costs several-fold fewer
-// request frames than one frame per delegated walk segment and per
-// fetched shard block — the per-item count the router's WalkDelegated
-// and ShardFetches counters record.
+// engineCalls is every request the router's remote engines have sent.
+func engineCalls(rt *Router) int64 {
+	var n int64
+	for _, ws := range rt.WorkerStats() {
+		n += ws.Calls
+	}
+	return n
+}
+
+// TestBatchingCollapsesRoundTrips pins the routed read plane's round
+// trips over two TCP workers: a cold query fetches every shard block it
+// lacks in one request frame per owner group before its first walk step,
+// and a warm repeat on the same view sends none.
 func TestBatchingCollapsesRoundTrips(t *testing.T) {
 	if testing.Short() {
-		t.Skip("sockets + many RPC round trips")
+		t.Skip("sockets")
 	}
 	const shards = 7
 	g := testGraph(400, 5)
@@ -277,53 +280,47 @@ func TestBatchingCollapsesRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, c0 := srvA.Requests()+srvB.Requests(), rt.Counters()
-	if _, err := core.NewExecutorOn(rt, testOptions(core.ModeAuto)).SingleSource(context.Background(), 0); err != nil {
-		t.Fatal(err)
-	}
-	frames := srvA.Requests() + srvB.Requests() - before
-	c := rt.Counters()
-	perItem := c.WalkDelegated - c0.WalkDelegated + c.ShardFetches - c0.ShardFetches
-	t.Logf("request frames for one cold single-source query: %d batched, %d at one per walk segment and shard block (%.1fx)",
-		frames, perItem, float64(perItem)/float64(frames))
-	if frames*3 > perItem {
-		t.Fatalf("batching saved too little: %d frames batched vs %d per-item", frames, perItem)
+	ex := core.NewExecutorOn(rt, testOptions(core.ModeAuto))
+	for _, pass := range []struct {
+		name   string
+		frames [2]int64
+	}{{"cold", [2]int64{1, 1}}, {"warm", [2]int64{0, 0}}} {
+		a0, b0 := srvA.Requests(), srvB.Requests()
+		if _, err := ex.SingleSource(context.Background(), 0); err != nil {
+			t.Fatal(err)
+		}
+		if got := [2]int64{srvA.Requests() - a0, srvB.Requests() - b0}; got != pass.frames {
+			t.Fatalf("%s query sent %v request frames to the two groups, want %v", pass.name, got, pass.frames)
+		}
 	}
 }
 
-// failingEngine wraps an engine and fails every call after the fuse
-// burns: the deterministic stand-in for a worker crashing mid-query.
+// failingEngine wraps an engine and fails every fetch after the fuse
+// burns: the deterministic stand-in for a worker crashing. It counts the
+// fetches it received.
 type failingEngine struct {
 	*LocalEngine
-	fuse atomic.Int64 // calls left before the crash; queries call concurrently
+	fuse  atomic.Int64 // calls left before the crash; queries call concurrently
+	calls atomic.Int64
 }
 
-func (f *failingEngine) burnt() bool { return f.fuse.Add(-1) < 0 }
-
 func (f *failingEngine) ResolveShards(ctx context.Context, version uint64, ps []int) ([]graph.CSRShard, error) {
-	if f.burnt() {
+	f.calls.Add(1)
+	if f.fuse.Add(-1) < 0 {
 		return nil, fmt.Errorf("%w: injected crash", ErrTransport)
 	}
 	return f.LocalEngine.ResolveShards(ctx, version, ps)
 }
 
-func (f *failingEngine) WalkBatch(ctx context.Context, version uint64, h budget.Header, sqrtC float64, walks []WalkStart) ([]WalkResult, error) {
-	if f.burnt() {
-		return nil, fmt.Errorf("%w: injected crash", ErrTransport)
-	}
-	return f.LocalEngine.WalkBatch(ctx, version, h, sqrtC, walks)
-}
-
 // TestEngineFailureMidQuery proves the partial-result-with-error
-// contract on the deterministic in-process path: once an engine starts
-// failing, the query returns promptly with an error chain that unwraps
-// to ErrTransport.
+// contract on the deterministic in-process path: when an engine fails
+// the query's fetch, the query returns promptly with an error chain that
+// unwraps to ErrTransport.
 func TestEngineFailureMidQuery(t *testing.T) {
 	g := testGraph(500, 11)
 	stA := shard.NewStore(g, 7, 0)
 	stB := shard.NewStore(g, 7, 0)
 	fe := &failingEngine{LocalEngine: NewLocalEngine(stB, 1, 2)}
-	fe.fuse.Store(1)
 	rt, err := New(NewLocalEngine(stA, 0, 2), fe)
 	if err != nil {
 		t.Fatal(err)
@@ -338,9 +335,39 @@ func TestEngineFailureMidQuery(t *testing.T) {
 	}
 }
 
+// TestFailedFetchStopsEngineCalls: a query whose bulk fetch fails makes
+// that one attempt and no more — its kernel workers share it and drain
+// over empty adjacency — in the batched and the per-walk kernels alike,
+// and the router counts the failure under its cause.
+func TestFailedFetchStopsEngineCalls(t *testing.T) {
+	g := testGraph(500, 11)
+	for _, mode := range []core.Mode{core.ModeAuto, core.ModePruned} {
+		t.Run(fmt.Sprintf("mode=%v", mode), func(t *testing.T) {
+			fe := &failingEngine{LocalEngine: NewLocalEngine(shard.NewStore(g, 7, 0), 1, 2)}
+			rt, err := New(NewLocalEngine(shard.NewStore(g, 7, 0), 0, 2), fe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := core.NewExecutorOn(rt, testOptions(mode))
+			for q := int64(1); q <= 2; q++ {
+				if _, err := ex.SingleSource(context.Background(), 3); !errors.Is(err, ErrTransport) {
+					t.Fatalf("query %d: want ErrTransport in chain, got %v", q, err)
+				}
+				if got := fe.calls.Load(); got != q {
+					t.Fatalf("after %d queries the failing engine got %d calls, want %d", q, got, q)
+				}
+			}
+			if fe := rt.Counters().ShardFetchErrors; fe.Transport != 2 || fe.Total() != 2 {
+				t.Fatalf("fetch errors by cause %+v, want 2 transport", fe)
+			}
+		})
+	}
+}
+
 // TestWorkerKilledMidQuery is the socket-level acceptance criterion: a
-// query against a router whose worker dies mid-flight returns a wrapped
-// transport error well within the query deadline, instead of hanging.
+// query against a router whose worker died after assembly returns a
+// wrapped transport error well within the query deadline, instead of
+// hanging.
 func TestWorkerKilledMidQuery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sockets")
@@ -353,9 +380,10 @@ func TestWorkerKilledMidQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := testOptions(core.ModeAuto)
-	opt.NumWalks = 500000 // long enough that the kill lands mid-query
+	opt.NumWalks = 500000 // a query that would run for seconds over live workers
 	opt.Budget.Timeout = 30 * time.Second
 	ex := core.NewExecutorOn(rt, opt)
+	srvB.Close() // kill the worker before the query's fetch meets it
 
 	type result struct {
 		err     error
@@ -367,8 +395,6 @@ func TestWorkerKilledMidQuery(t *testing.T) {
 		_, err := ex.SingleSource(context.Background(), 1)
 		done <- result{err, time.Since(start)}
 	}()
-	time.Sleep(50 * time.Millisecond)
-	srvB.Close() // kill the worker mid-query
 
 	select {
 	case res := <-done:
@@ -386,37 +412,43 @@ func TestWorkerKilledMidQuery(t *testing.T) {
 	}
 }
 
-// TestDeadlinePropagationStopsRemoteWalkLoop is the second acceptance
-// criterion: a budget deadline propagated in the request header stops the
-// walk loop on the worker itself (observed via the engine's
-// segments-stopped counter), not just on the router.
-func TestDeadlinePropagationStopsRemoteWalkLoop(t *testing.T) {
-	g := gen.Cycle(512) // walks on a cycle only end by survival draw or budget
-	re, _, le := startWorker(t, g, 4, 0, 1)
-	meta, err := re.Meta(context.Background())
+// TestRetiredFrameTypeGetsBadRequest: a router that predates the retired
+// walk-batch frame (type 12) gets the unknown-type error reply from a
+// current worker — never a hang or a dropped connection — and the
+// connection keeps serving.
+func TestRetiredFrameTypeGetsBadRequest(t *testing.T) {
+	st := shard.NewStore(testGraph(100, 3), 4, 0)
+	srv := NewServer(NewLocalEngine(st, 0, 1))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	walks := []WalkStart{{Cur: 5, State: 42, Room: 95}}
-	h := budget.Header{Remaining: time.Nanosecond} // expired before arrival
-	res, err := re.WalkBatch(context.Background(), meta.Version, h, 0.9999, walks)
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	c, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0].Status != SegmentStopped {
-		t.Fatalf("want SegmentStopped, got %d with %d nodes", res[0].Status, len(res[0].Nodes))
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	exchange := func(typ uint8) (uint8, []byte) {
+		t.Helper()
+		if err := rpcwire.WriteFrame(c, typ, rpcwire.PingRequest{}.Append(nil)); err != nil {
+			t.Fatal(err)
+		}
+		rtyp, body, err := rpcwire.ReadFrame(c, nil)
+		if err != nil {
+			t.Fatalf("frame type %d: %v", typ, err)
+		}
+		return rtyp, body
 	}
-	if got := le.SegmentsStopped(); got == 0 {
-		t.Fatal("worker-side stopped-segment counter did not move")
+	rtyp, body := exchange(12)
+	rep, err := rpcwire.DecodeErrorReply(body)
+	if rtyp != rpcwire.TErr || err != nil || rep.Code != rpcwire.CodeBadRequest {
+		t.Fatalf("retired frame: reply type %d, %+v (%v), want CodeBadRequest", rtyp, rep, err)
 	}
-	// Control: the same walk with a live budget runs.
-	h = budget.Header{Remaining: time.Minute}
-	res, err = re.WalkBatch(context.Background(), meta.Version, h, 0.9999, walks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Status != SegmentEnded || len(res[0].Nodes) == 0 {
-		t.Fatalf("control walk: status %d, %d nodes", res[0].Status, len(res[0].Nodes))
+	if rtyp, _ := exchange(rpcwire.TPing); rtyp != rpcwire.TPingRep {
+		t.Fatalf("ping after the retired frame: reply type %d", rtyp)
 	}
 }
 
@@ -449,6 +481,16 @@ func TestCallerDeadlineNotBlamedOnWorker(t *testing.T) {
 	}
 	if _, err := re.ResolveShards(context.Background(), meta.Version, []int{0}); err != nil {
 		t.Fatalf("worker unusable after a caller timeout (backoff wrongly opened): %v", err)
+	}
+	// Through a router the same cut-short fetch counts as a deadline.
+	rt, err := New(re)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, finish := rt.PublishedView().(*View).BindQuery(ctx, nil)
+	b.InNeighbors(0)
+	if fe := rt.Counters().ShardFetchErrors; !errors.Is(finish(), context.DeadlineExceeded) || fe.Deadline != 1 || fe.Total() != 1 {
+		t.Fatalf("caller deadline counted as %+v", fe)
 	}
 }
 
@@ -522,6 +564,9 @@ func TestGenerationRetirement(t *testing.T) {
 	}
 	if !errors.Is(err, ErrRetiredGeneration) {
 		t.Fatalf("want ErrRetiredGeneration, got %v", err)
+	}
+	if fe := rt.Counters().ShardFetchErrors; fe.Retired == 0 || fe.Retired != fe.Total() {
+		t.Fatalf("retired generation counted as %+v", fe)
 	}
 }
 

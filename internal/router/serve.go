@@ -38,8 +38,8 @@ type Server struct {
 	// trace ring. Swappable at runtime (SetTracer), read per request.
 	tracer atomic.Pointer[qtrace.Tracer]
 
-	// requests counts every dispatched frame: how tests assert the
-	// round-trip collapse batching buys.
+	// requests counts every dispatched frame: how tests assert how many
+	// round trips a query cost.
 	requests atomic.Int64
 }
 
@@ -188,30 +188,6 @@ func (s *Server) dispatch(typ uint8, payload, out []byte) (uint8, []byte) {
 			return fail(rpcwire.CodeInternal, err)
 		}
 		return metaReply(m, nil)
-
-	case rpcwire.TWalkBatch:
-		req, err := rpcwire.DecodeWalkBatchRequest(payload)
-		if err != nil {
-			return fail(rpcwire.CodeBadRequest, err)
-		}
-		tr, root, finish := s.traceFor(req.Trace, "worker.walk_batch")
-		tr.Annotate(root, fmt.Sprintf("walks=%d", len(req.Walks)))
-		walks := make([]WalkStart, len(req.Walks))
-		for i, w := range req.Walks {
-			walks[i] = WalkStart{Cur: w.Cur, State: w.State, Room: int(w.Room)}
-		}
-		results, err := s.eng.WalkBatch(
-			qtrace.NewContext(context.Background(), tr, root),
-			req.Version, req.Budget, req.SqrtC, walks)
-		spans := finish(err)
-		if err != nil {
-			return fail(rpcwire.CodeInternal, err)
-		}
-		rep := rpcwire.WalkBatchReply{Segs: make([]rpcwire.WalkSegmentResult, len(results)), Spans: spans}
-		for i, r := range results {
-			rep.Segs[i] = rpcwire.WalkSegmentResult{State: r.State, Status: uint8(r.Status), Nodes: r.Nodes}
-		}
-		return rpcwire.TWalkBatchRep, rep.Append(out)
 
 	case rpcwire.TShards:
 		req, err := rpcwire.DecodeShardsRequest(payload)

@@ -18,7 +18,7 @@ import (
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, byte(TMeta)})
-	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, byte(TWalkBatch)}) // huge claimed length
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, byte(TShards)}) // huge claimed length
 	var ok bytes.Buffer
 	WriteFrame(&ok, TShards, []byte("payload"))
 	f.Add(ok.Bytes())
@@ -56,7 +56,7 @@ func FuzzReadFrameTruncated(f *testing.F) {
 		var in bytes.Buffer
 		var hdr [5]byte
 		binary.LittleEndian.PutUint32(hdr[:4], claim)
-		hdr[4] = byte(TWalkBatch)
+		hdr[4] = byte(TShards)
 		in.Write(hdr[:])
 		in.Write(body)
 		_, payload, err := ReadFrame(&in, nil)
@@ -84,12 +84,8 @@ func FuzzDecodeMessages(f *testing.F) {
 	f.Add(MetaRequest{Budget: h}.Append(nil))
 	f.Add(MetaReply{Nodes: 10, Edges: 20, Version: 3, LastBatch: 7, Shift: 4, Shards: 2, Owned: []uint32{0, 1}}.Append(nil))
 	csr := graph.CSRShard{InOff: []uint32{0, 1}, InDst: []graph.NodeID{3}, OutOff: []uint32{0, 0}}
-	walks := []WalkStart{{Cur: 5, State: 42, Room: 8}, {Cur: 6, State: 43, Room: 2}}
-	segs := []WalkSegmentResult{{State: 9, Status: WalkHandoff, Nodes: []graph.NodeID{1, 2}}, {State: 10, Status: WalkEnded}}
 	f.Add(ShardsRequest{Budget: h, Version: 9, Shards: []uint32{1, 3}}.Append(nil))
 	f.Add(ShardsReply{CSRs: []graph.CSRShard{csr, csr}}.Append(nil))
-	f.Add(WalkBatchRequest{Budget: h, Version: 2, SqrtC: 0.77, Walks: walks}.Append(nil))
-	f.Add(WalkBatchReply{Segs: segs}.Append(nil))
 	f.Add(ApplyRequest{Budget: h, Batch: 11, Ops: []graph.EdgeOp{{U: 1, V: 2}, {Remove: true, U: 3, V: 4}}}.Append(nil))
 	f.Add(ErrorReply{Code: CodeRetiredGen, Msg: "gone"}.Append(nil))
 	f.Add(PingRequest{Budget: h}.Append(nil))
@@ -97,16 +93,22 @@ func FuzzDecodeMessages(f *testing.F) {
 	// The same messages carrying their trailers: a sampled query's trace
 	// context on requests, recorded worker spans on replies.
 	tc := &TraceContext{Hi: 1, Lo: 2, Parent: 3}
-	spans := []qtrace.Span{{ID: 1, Start: 4, End: 9, Name: "worker.walk_batch", Attrs: "walks=2"}, {ID: 2, Parent: 1, Name: "walk.steps"}}
+	spans := []qtrace.Span{{ID: 1, Start: 4, End: 9, Name: "worker.apply", Attrs: "batch=12,ops=1"}, {ID: 2, Parent: 1, Name: "store.apply"}}
 	f.Add(ShardsRequest{Budget: h, Version: 9, Shards: []uint32{1}, Trace: tc}.Append(nil))
 	f.Add(ShardsReply{CSRs: []graph.CSRShard{csr}, Spans: spans}.Append(nil))
-	f.Add(WalkBatchRequest{Budget: h, Version: 2, SqrtC: 0.77, Walks: walks[:1], Trace: tc}.Append(nil))
-	f.Add(WalkBatchReply{Segs: segs[:1], Spans: spans}.Append(nil))
 	f.Add(ApplyRequest{Budget: h, Batch: 12, Ops: []graph.EdgeOp{{U: 1, V: 2}}, Trace: tc}.Append(nil))
 	f.Add(MetaReply{Nodes: 10, Version: 4, LastBatch: 12, Shards: 1, Owned: []uint32{0}, Spans: spans}.Append(nil))
 	// A reply whose spans follow a trace trailer it never carries: the
 	// decoder must ignore both, or the re-encoded reply is no prefix.
 	f.Add(appendSpansTrailer(appendTraceTrailer(ShardsReply{CSRs: []graph.CSRShard{csr}}.Append(nil), *tc), spans))
+	// Trailers out of canonical form: a trace trailer on the request kinds
+	// that take none, a trace trailer with a short body, and a span
+	// trailer with a zero count. The first two must fail to decode; the
+	// rest must decode as if no trailer were there.
+	f.Add(appendTraceTrailer(MetaRequest{Budget: h}.Append(nil), *tc))
+	f.Add(appendTraceTrailer(PingRequest{Budget: h}.Append(nil), *tc))
+	f.Add(appendTrailer(ShardsRequest{Budget: h, Version: 9, Shards: []uint32{1}}.Append(nil), tagTrace, []byte{1, 2, 3}))
+	f.Add(appendTrailer(ShardsReply{CSRs: []graph.CSRShard{csr}}.Append(nil), tagSpans, []byte{0, 0, 0, 0}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if m, err := DecodeMetaRequest(data); err == nil {
 			// MetaRequest rejects trailing bytes, so a successful decode
@@ -117,9 +119,7 @@ func FuzzDecodeMessages(f *testing.F) {
 		}
 		// The remaining decoders tolerate trailing bytes (the dec cursor
 		// stops where the message ends): a successful decode must
-		// re-encode to a PREFIX of the input. WalkBatchRequest is excluded
-		// from the prefix check only because float64 NaN payloads need not
-		// survive a value round trip bit for bit; it still must not panic.
+		// re-encode to a PREFIX of the input.
 		prefix := func(what string, out []byte) {
 			if !bytes.HasPrefix(data, out) {
 				t.Fatalf("%s: re-encoded %x is not a prefix of input %x", what, out, data)
@@ -133,10 +133,6 @@ func FuzzDecodeMessages(f *testing.F) {
 		}
 		if m, err := DecodeShardsReply(data); err == nil {
 			prefix("ShardsReply", m.Append(nil))
-		}
-		DecodeWalkBatchRequest(data)
-		if m, err := DecodeWalkBatchReply(data); err == nil {
-			prefix("WalkBatchReply", m.Append(nil))
 		}
 		if m, err := DecodeApplyRequest(data); err == nil {
 			prefix("ApplyRequest", m.Append(nil))

@@ -3,7 +3,6 @@ package rpcwire
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -36,19 +35,6 @@ func fixedShardsRequestBytes(m ShardsRequest) []byte {
 	b := m.Budget.AppendBinary(nil)
 	b = binary.LittleEndian.AppendUint64(b, m.Version)
 	return appendU32s(b, m.Shards)
-}
-
-func fixedWalkBatchRequestBytes(m WalkBatchRequest) []byte {
-	b := m.Budget.AppendBinary(nil)
-	b = binary.LittleEndian.AppendUint64(b, m.Version)
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.SqrtC))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Walks)))
-	for _, w := range m.Walks {
-		b = binary.LittleEndian.AppendUint32(b, uint32(w.Cur))
-		b = binary.LittleEndian.AppendUint64(b, w.State)
-		b = binary.LittleEndian.AppendUint32(b, w.Room)
-	}
-	return b
 }
 
 func fixedApplyRequestBytes(m ApplyRequest) []byte {
@@ -88,27 +74,12 @@ func fixedShardsReplyBytes(m ShardsReply) []byte {
 	return b
 }
 
-func fixedWalkBatchReplyBytes(m WalkBatchReply) []byte {
-	b := binary.LittleEndian.AppendUint32(nil, uint32(len(m.Segs)))
-	for _, s := range m.Segs {
-		b = binary.LittleEndian.AppendUint64(b, s.State)
-		b = append(b, s.Status)
-		b = appendNodes(b, s.Nodes)
-	}
-	return b
-}
-
 // An unsampled query's requests carry no trace field, so they are
 // byte-identical to the fixed wire form a trailer-unaware worker decodes.
 func TestNewRouterOldWorkerRequestsBitIdentical(t *testing.T) {
 	sr := ShardsRequest{Budget: testHeader(), Version: 7, Shards: []uint32{3, 5}}
 	if got, want := sr.Append(nil), fixedShardsRequestBytes(sr); !bytes.Equal(got, want) {
 		t.Fatalf("traceless ShardsRequest differs from the fixed form:\n got %x\nwant %x", got, want)
-	}
-	wr := WalkBatchRequest{Budget: testHeader(), Version: 7, SqrtC: 0.8,
-		Walks: []WalkStart{{Cur: 42, State: 0xDEADBEEF, Room: 16}, {Cur: 1, State: 2, Room: 3}}}
-	if got, want := wr.Append(nil), fixedWalkBatchRequestBytes(wr); !bytes.Equal(got, want) {
-		t.Fatalf("traceless WalkBatchRequest differs from the fixed form:\n got %x\nwant %x", got, want)
 	}
 	ar := ApplyRequest{Budget: testHeader(), Batch: 9, Ops: []graph.EdgeOp{{U: 1, V: 2}, {Remove: true, U: 3, V: 4}}}
 	if got, want := ar.Append(nil), fixedApplyRequestBytes(ar); !bytes.Equal(got, want) {
@@ -137,14 +108,6 @@ func TestOldWorkerDecodesTracedRequests(t *testing.T) {
 	if len(d.b) != 8+traceContextSize {
 		t.Fatalf("expected exactly one trace trailer after the fixed fields, %d bytes left", len(d.b))
 	}
-
-	wr := WalkBatchRequest{Budget: testHeader(), Version: 7, SqrtC: 0.8,
-		Walks: []WalkStart{{Cur: 42, State: 0xDEADBEEF, Room: 16}}, Trace: tc}
-	b := wr.Append(nil)
-	fixed := fixedWalkBatchRequestBytes(wr)
-	if !bytes.HasPrefix(b, fixed) || len(b) != len(fixed)+8+traceContextSize {
-		t.Fatalf("traced WalkBatchRequest is not its fixed form plus one trace trailer:\n got %x\nfixed %x", b, fixed)
-	}
 }
 
 // Replies to untraced requests carry no spans and are byte-identical to
@@ -163,7 +126,6 @@ func TestOldRouterNewWorkerRepliesBitIdentical(t *testing.T) {
 		InOff: []uint32{0, 1}, InDst: []graph.NodeID{4},
 		OutOff: []uint32{0, 2}, OutDst: []graph.NodeID{5, 6},
 	}}}
-	walkRep := WalkBatchReply{Segs: []WalkSegmentResult{{State: 77, Status: WalkEnded, Nodes: []graph.NodeID{1, 2, 3}}}}
 	meta := MetaReply{Nodes: 10, Edges: 20, Version: 3, LastBatch: 4, Shift: 2, Shards: 4, Owned: []uint32{0, 2}}
 	for _, c := range []struct {
 		name        string
@@ -174,9 +136,6 @@ func TestOldRouterNewWorkerRepliesBitIdentical(t *testing.T) {
 		{"ShardsReply", shardsRep.Append(nil), fixedShardsReplyBytes(shardsRep),
 			ShardsReply{CSRs: shardsRep.CSRs, Spans: testSpans}.Append(nil),
 			func(b []byte) error { _, err := DecodeShardsReply(b); return err }},
-		{"WalkBatchReply", walkRep.Append(nil), fixedWalkBatchReplyBytes(walkRep),
-			WalkBatchReply{Segs: walkRep.Segs, Spans: testSpans}.Append(nil),
-			func(b []byte) error { _, err := DecodeWalkBatchReply(b); return err }},
 		{"MetaReply", meta.Append(nil), fixedMetaReplyBytes(meta),
 			MetaReply{Nodes: meta.Nodes, Edges: meta.Edges, Version: meta.Version, LastBatch: meta.LastBatch,
 				Shift: meta.Shift, Shards: meta.Shards, Owned: meta.Owned, Spans: testSpans}.Append(nil),
@@ -196,8 +155,8 @@ func TestOldRouterNewWorkerRepliesBitIdentical(t *testing.T) {
 
 // The write plane's trailers round-trip exactly: a traced ApplyRequest
 // keeps its trace context and the MetaReply answering it keeps the
-// worker's spans. (The query-path messages' trailers are covered by
-// TestShardRoundTrip and TestWalkRoundTrip.)
+// worker's spans. (The query-path message's trailers are covered by
+// TestShardRoundTrip.)
 func TestTracedRoundTrip(t *testing.T) {
 	tc := &TraceContext{Hi: 0xA, Lo: 0xB, Parent: 3}
 	ar, err := DecodeApplyRequest(ApplyRequest{Budget: testHeader(), Batch: 1, Ops: []graph.EdgeOp{{U: 1, V: 2}}, Trace: tc}.Append(nil))

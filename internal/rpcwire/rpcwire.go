@@ -3,20 +3,18 @@
 // little-endian message encodings. The protocol is deliberately tiny —
 // a handful of request/reply pairs and an error frame — because the
 // shard engine API it carries (report version / resolve shard adjacency
-// blocks / continue walk segments / apply mutations / publish) is tiny.
-// Each operation has exactly one wire form: the query path speaks only
-// the batched TShards and TWalkBatch messages, so fetching one shard or
-// continuing one walk is a batch of one.
+// blocks / apply mutations / publish) is tiny. Each operation has exactly
+// one wire form: the query path speaks only the batched TShards message,
+// so fetching one shard is a batch of one.
 //
 // Frame layout:
 //
 //	u32 payload length | u8 message type | payload
 //
 // Every REQUEST payload begins with a budget.Header (remaining deadline +
-// remaining walk/work caps), so the worker can arm a meter equivalent to
-// the router-side query's: a deadline that expired on the router stops a
-// remote walk loop at its first poll, and a worker never keeps burning
-// CPU for a query whose client already gave up.
+// remaining walk/work caps), so the worker bounds the request by the
+// router-side query's deadline and never keeps working for a query whose
+// client already gave up.
 //
 // Replies carry no budget header. A handler failure of any kind travels
 // as a TErr frame (code + message) so the client can distinguish
@@ -25,9 +23,9 @@
 //
 // # Optional trailers
 //
-// TShards, TWalkBatch and TApply requests may carry a tagged trailer
-// after their fixed encoding: the trace context of a sampled query, next
-// to the budget header they already carry. Every worker parses it, so a
+// TShards and TApply requests may carry a tagged trailer after their
+// fixed encoding: the trace context of a sampled query, next to the
+// budget header they already carry. Every worker parses it, so a
 // sampled query's requests always carry one and an unsampled query's
 // never do. The corresponding replies (and the MetaReply answering
 // TApply) carry the worker's recorded spans back the same way. A message
@@ -47,7 +45,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"probesim/internal/budget"
@@ -55,20 +52,19 @@ import (
 	"probesim/internal/qtrace"
 )
 
-// Message types. Codes 3–6 are retired and not reused.
+// Message types. Codes 3–6 and 12–13 are retired and not reused: a
+// worker answers a frame of a retired type with CodeBadRequest, like any
+// unknown type.
 const (
-	TMeta    uint8 = 1  // MetaRequest -> MetaReply: report version/shape
-	TMetaRep uint8 = 2  // MetaReply
-	TApply   uint8 = 7  // ApplyRequest -> MetaReply: apply edge mutations
-	TPublish uint8 = 8  // PublishRequest -> MetaReply: republish + report
-	TErr     uint8 = 9  // ErrorReply
-	TPing    uint8 = 10 // PingRequest -> PingReply: version/watermark probe
-	TPingRep uint8 = 11 // PingReply
-
-	TWalkBatch    uint8 = 12 // WalkBatchRequest -> WalkBatchReply: continue N walk segments
-	TWalkBatchRep uint8 = 13 // WalkBatchReply
-	TShards       uint8 = 14 // ShardsRequest -> ShardsReply: resolve N adjacency blocks
-	TShardsRep    uint8 = 15 // ShardsReply
+	TMeta      uint8 = 1  // MetaRequest -> MetaReply: report version/shape
+	TMetaRep   uint8 = 2  // MetaReply
+	TApply     uint8 = 7  // ApplyRequest -> MetaReply: apply edge mutations
+	TPublish   uint8 = 8  // PublishRequest -> MetaReply: republish + report
+	TErr       uint8 = 9  // ErrorReply
+	TPing      uint8 = 10 // PingRequest -> PingReply: version/watermark probe
+	TPingRep   uint8 = 11 // PingReply
+	TShards    uint8 = 14 // ShardsRequest -> ShardsReply: resolve N adjacency blocks
+	TShardsRep uint8 = 15 // ShardsReply
 )
 
 // Error codes carried by TErr frames.
@@ -426,128 +422,6 @@ func DecodeMetaReply(b []byte) (MetaReply, error) {
 		Shift:     d.u32(),
 		Shards:    d.u32(),
 		Owned:     d.u32s(),
-	}
-	if d.err == nil {
-		m.Spans = parseSpans(d.b)
-	}
-	return m, d.err
-}
-
-// Walk segment statuses (WalkSegmentResult.Status).
-const (
-	WalkEnded   uint8 = 0 // terminated (survival draw, dead end, or room)
-	WalkHandoff uint8 = 1 // crossed to a shard this engine does not own
-	WalkStopped uint8 = 2 // stopped by the propagated budget
-)
-
-// WalkStart is one walk of a WalkBatchRequest: continue a √c-walk whose
-// current node is Cur, appending at most Room nodes, drawing from the
-// SplitMix64 stream at State.
-type WalkStart struct {
-	Cur   graph.NodeID
-	State uint64
-	Room  uint32
-}
-
-const walkStartSize = 16
-
-// WalkBatchRequest asks one engine to continue N walks in a single round
-// trip. Every Cur must land in a shard the engine owns; each walk draws
-// only from its own State, so the batch is semantically N independent
-// walk segments — batching changes the wire shape, never the streams.
-type WalkBatchRequest struct {
-	Budget  budget.Header
-	Version uint64
-	SqrtC   float64
-	Walks   []WalkStart
-	// Trace, when non-nil, ties this request to a sampled caller-side
-	// trace (optional trailer).
-	Trace *TraceContext
-}
-
-func (m WalkBatchRequest) Append(b []byte) []byte {
-	b = m.Budget.AppendBinary(b)
-	b = binary.LittleEndian.AppendUint64(b, m.Version)
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.SqrtC))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Walks)))
-	for _, w := range m.Walks {
-		b = binary.LittleEndian.AppendUint32(b, uint32(w.Cur))
-		b = binary.LittleEndian.AppendUint64(b, w.State)
-		b = binary.LittleEndian.AppendUint32(b, w.Room)
-	}
-	if m.Trace != nil {
-		b = appendTraceTrailer(b, *m.Trace)
-	}
-	return b
-}
-
-func DecodeWalkBatchRequest(b []byte) (WalkBatchRequest, error) {
-	h, rest, err := budget.DecodeHeader(b)
-	if err != nil {
-		return WalkBatchRequest{}, err
-	}
-	d := dec{b: rest}
-	m := WalkBatchRequest{Budget: h, Version: d.u64()}
-	m.SqrtC = math.Float64frombits(d.u64())
-	n := d.u32()
-	if d.err == nil && len(d.b) < walkStartSize*int(n) {
-		return WalkBatchRequest{}, fmt.Errorf("rpcwire: truncated walk batch")
-	}
-	m.Walks = make([]WalkStart, 0, n)
-	for i := uint32(0); i < n; i++ {
-		w := WalkStart{Cur: graph.NodeID(int32(d.u32()))}
-		w.State = d.u64()
-		w.Room = d.u32()
-		m.Walks = append(m.Walks, w)
-	}
-	if d.err == nil {
-		m.Trace = parseTrace(d.b)
-	}
-	return m, d.err
-}
-
-// WalkSegmentResult is one walk's outcome within a WalkBatchReply: the
-// appended segment nodes, the stream state after them, and a Walk*
-// status.
-type WalkSegmentResult struct {
-	State  uint64
-	Status uint8
-	Nodes  []graph.NodeID
-}
-
-// WalkBatchReply returns one WalkSegmentResult per requested walk, in
-// request order.
-type WalkBatchReply struct {
-	Segs []WalkSegmentResult
-	// Spans carries the worker's recorded spans for a traced request.
-	Spans []qtrace.Span
-}
-
-func (m WalkBatchReply) Append(b []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Segs)))
-	for _, s := range m.Segs {
-		b = binary.LittleEndian.AppendUint64(b, s.State)
-		b = append(b, s.Status)
-		b = appendNodes(b, s.Nodes)
-	}
-	if len(m.Spans) > 0 {
-		b = appendSpansTrailer(b, m.Spans)
-	}
-	return b
-}
-
-func DecodeWalkBatchReply(b []byte) (WalkBatchReply, error) {
-	d := dec{b: b}
-	n := d.u32()
-	// Each segment is at least 13 bytes (state + status + empty node
-	// array), so a hostile count cannot allocate past the payload.
-	if d.err == nil && len(d.b) < 13*int(n) {
-		return WalkBatchReply{}, fmt.Errorf("rpcwire: truncated walk batch reply")
-	}
-	m := WalkBatchReply{Segs: make([]WalkSegmentResult, 0, n)}
-	for i := uint32(0); i < n; i++ {
-		s := WalkSegmentResult{State: d.u64(), Status: d.u8(), Nodes: d.nodes()}
-		m.Segs = append(m.Segs, s)
 	}
 	if d.err == nil {
 		m.Spans = parseSpans(d.b)

@@ -79,8 +79,8 @@ func TestMetaRoundTrip(t *testing.T) {
 
 // testSpans is a worker span tree as it travels back on a traced reply.
 var testSpans = []qtrace.Span{
-	{ID: 1, Parent: 0, Start: 10, End: 20, Name: "worker.walk_batch", Attrs: "walks=2"},
-	{ID: 2, Parent: 1, Start: 12, End: 18, Name: "walk.steps"},
+	{ID: 1, Parent: 0, Start: 10, End: 20, Name: "worker.apply", Attrs: "batch=1,ops=2"},
+	{ID: 2, Parent: 1, Start: 12, End: 18, Name: "store.apply"},
 }
 
 func TestShardRoundTrip(t *testing.T) {
@@ -104,35 +104,6 @@ func TestShardRoundTrip(t *testing.T) {
 		gotRep, err := DecodeShardsReply(rep.Append(nil))
 		if err != nil || !reflect.DeepEqual(gotRep, rep) {
 			t.Fatalf("shards reply: %+v err %v, want %+v", gotRep, err, rep)
-		}
-	}
-}
-
-func TestWalkRoundTrip(t *testing.T) {
-	for _, tc := range []*TraceContext{nil, {Hi: 0xA, Lo: 0xB, Parent: 3}} {
-		req := WalkBatchRequest{
-			Budget:  budget.Header{Remaining: time.Second},
-			Version: 9, SqrtC: 0.7745966692414834,
-			Walks: []WalkStart{
-				{Cur: 12, State: 0xdeadbeefcafef00d, Room: 95},
-				{Cur: 3, State: 42, Room: 1},
-			},
-			Trace: tc,
-		}
-		got, err := DecodeWalkBatchRequest(req.Append(nil))
-		if err != nil || !reflect.DeepEqual(got, req) {
-			t.Fatalf("walk batch request: %+v err %v, want %+v", got, err, req)
-		}
-	}
-	rep := WalkBatchReply{Segs: []WalkSegmentResult{
-		{State: 17, Status: WalkHandoff, Nodes: []graph.NodeID{3, 1, 4, 1, 5}},
-		{State: 18, Status: WalkStopped, Nodes: []graph.NodeID{}},
-	}}
-	for _, spans := range [][]qtrace.Span{nil, testSpans} {
-		rep.Spans = spans
-		gotRep, err := DecodeWalkBatchReply(rep.Append(nil))
-		if err != nil || !reflect.DeepEqual(gotRep, rep) {
-			t.Fatalf("walk batch reply: %+v err %v, want %+v", gotRep, err, rep)
 		}
 	}
 }
@@ -184,10 +155,8 @@ func TestTruncatedPayloadsRejected(t *testing.T) {
 			InOff: []uint32{0, 2}, InDst: []graph.NodeID{1, 2}, OutOff: []uint32{0, 0}, OutDst: nil,
 		}}}.Append(nil),
 			func(b []byte) error { _, err := DecodeShardsReply(b); return err }},
-		{"WalkBatchRequest", WalkBatchRequest{Budget: h, Version: 4, SqrtC: 0.8, Walks: []WalkStart{{Cur: 1, State: 2, Room: 3}}}.Append(nil),
-			func(b []byte) error { _, err := DecodeWalkBatchRequest(b); return err }},
-		{"WalkBatchReply", WalkBatchReply{Segs: []WalkSegmentResult{{State: 5, Status: WalkEnded, Nodes: []graph.NodeID{7, 8}}}}.Append(nil),
-			func(b []byte) error { _, err := DecodeWalkBatchReply(b); return err }},
+		{"ApplyRequest", ApplyRequest{Budget: h, Batch: 4, Ops: []graph.EdgeOp{{U: 1, V: 2}, {Remove: true, U: 3, V: 4}}}.Append(nil),
+			func(b []byte) error { _, err := DecodeApplyRequest(b); return err }},
 	} {
 		for cut := 0; cut < len(m.full); cut++ {
 			if err := m.decode(m.full[:cut]); err == nil {

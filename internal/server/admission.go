@@ -610,12 +610,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				sample(func(ws router.WorkerStat) int64 { return ws.Reconnects }))
 			rc := s.rt.Counters()
 			promexpo.WriteCounter(out, "probesim_router_shard_fetches_total", "Shard adjacency blocks fetched from workers.", rc.ShardFetches)
-			promexpo.WriteCounter(out, "probesim_router_shard_fetch_errors_total", "Shard block fetches that failed.", rc.ShardFetchErrors)
+			fe := rc.ShardFetchErrors
+			promexpo.WriteLabeled(out, "probesim_router_shard_fetch_errors_total", "Shard block fetches that failed, by cause.", "counter", []promexpo.Sample{
+				{Label: `cause="transport"`, Value: fe.Transport},
+				{Label: `cause="retired"`, Value: fe.Retired},
+				{Label: `cause="deadline"`, Value: fe.Deadline},
+				{Label: `cause="other"`, Value: fe.Other},
+			})
 			promexpo.WriteCounter(out, "probesim_router_shard_batches_total", "Batched ResolveShards round trips (fetches per batch = fetches/batches).", rc.ShardBatches)
-			promexpo.WriteCounter(out, "probesim_router_walk_handoffs_total", "Walks handed off across shard owners.", rc.WalkHandoffs)
-			promexpo.WriteCounter(out, "probesim_router_walk_batches_total", "Batched WalkBatch round trips to workers.", rc.WalkBatches)
-			promexpo.WriteCounter(out, "probesim_router_walk_delegated_total", "Walks carried by batched round trips (batch size = delegated/batches).", rc.WalkDelegated)
-			promexpo.WriteCounter(out, "probesim_router_walk_local_segments_total", "Walk segments the router stepped over cached blocks with no RPC (delegation rate = delegated/(delegated+local)).", rc.WalkLocalSegments)
 			promexpo.WriteCounter(out, "probesim_router_apply_retries_total", "Identified batches re-sent to a worker after a transport failure.", rc.ApplyRetries)
 			promexpo.WriteCounter(out, "probesim_router_failovers_total", "Reads retried on another replica after a retryable failure.", rc.Failovers)
 			promexpo.WriteCounter(out, "probesim_router_hedges_sent_total", "Speculative duplicate reads launched after the hedge delay.", rc.HedgesSent)

@@ -17,10 +17,10 @@ import (
 	"testing"
 	"time"
 
-	"probesim/internal/budget"
 	"probesim/internal/core"
 	"probesim/internal/gen"
 	"probesim/internal/graph"
+	"probesim/internal/promexpo"
 	"probesim/internal/router"
 	"probesim/internal/shard"
 )
@@ -106,9 +106,6 @@ func TestRoutedStatsAndMetrics(t *testing.T) {
 	if _, ok := body["routerWorkers"]; !ok {
 		t.Fatalf("/stats missing routerWorkers: %v", body)
 	}
-	if body["routerWalkBatches"].(float64) == 0 || body["routerWalkDelegated"].(float64) == 0 {
-		t.Fatalf("/stats batched walk counters did not move: %v", body)
-	}
 	if body["routerShardBatches"].(float64) == 0 {
 		t.Fatalf("/stats routerShardBatches did not move: %v", body)
 	}
@@ -120,15 +117,17 @@ func TestRoutedStatsAndMetrics(t *testing.T) {
 		"probesim_router_failovers_total",
 		"probesim_router_hedges_sent_total",
 		"probesim_router_shard_fetches_total",
+		`probesim_router_shard_fetch_errors_total{cause="transport"} 0`,
+		`probesim_router_shard_fetch_errors_total{cause="deadline"} 0`,
 		"probesim_router_shard_batches_total",
-		"probesim_router_walk_batches_total",
-		"probesim_router_walk_delegated_total",
-		"probesim_router_walk_local_segments_total",
 		"probesim_router_worker_calls_total",
 	} {
 		if !strings.Contains(page, want) {
 			t.Fatalf("/metrics missing %q", want)
 		}
+	}
+	if errs := promexpo.Lint(strings.NewReader(page)); len(errs) != 0 {
+		t.Fatalf("routed /metrics fails exposition lint: %v", errs)
 	}
 }
 
@@ -328,11 +327,4 @@ func (d *dyingEngine) ResolveShards(ctx context.Context, version uint64, ps []in
 		return nil, fmt.Errorf("%w: injected crash", router.ErrTransport)
 	}
 	return d.LocalEngine.ResolveShards(ctx, version, ps)
-}
-
-func (d *dyingEngine) WalkBatch(ctx context.Context, version uint64, h budget.Header, sqrtC float64, walks []router.WalkStart) ([]router.WalkResult, error) {
-	if d.dead.Load() {
-		return nil, fmt.Errorf("%w: injected crash", router.ErrTransport)
-	}
-	return d.LocalEngine.WalkBatch(ctx, version, h, sqrtC, walks)
 }

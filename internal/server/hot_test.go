@@ -89,11 +89,18 @@ func TestHotTierHeaderAndBitIdenticalBody(t *testing.T) {
 
 func TestHotTierInvalidatedByWrite(t *testing.T) {
 	s, tier := hotServer(t)
+	s.SetLimits(Limits{MaxInflight: 2})
 	waitHotHeader(t, s, "/single-source?u=7")
 
 	// A write touching node 7's shard must invalidate its entry; the next
 	// query falls back to live (correct answer on the new snapshot), and
-	// the refresher re-promotes it eventually.
+	// the refresher re-promotes it eventually. A held slot keeps the
+	// refresher yielding across the write and that first read, so the
+	// write's wake-up cannot rebuild the entry before the read.
+	rel, err := s.fairq.Acquire(context.Background(), s.solo)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rec, body := do(t, s, http.MethodPost, "/edges?u=7&v=399"); rec.Code != http.StatusOK {
 		t.Fatalf("write: status %d (%v)", rec.Code, body)
 	}
@@ -104,6 +111,7 @@ func TestHotTierInvalidatedByWrite(t *testing.T) {
 	if st := tier.Stats(); st.Invalidations == 0 {
 		t.Fatalf("write did not invalidate: %+v", st)
 	}
+	rel()
 	waitHotHeader(t, s, "/single-source?u=7")
 }
 

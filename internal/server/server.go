@@ -549,16 +549,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		body["routerWorkers"] = s.rt.WorkerStats()
 		rc := s.rt.Counters()
 		body["routerShardFetches"] = rc.ShardFetches
-		body["routerShardFetchErrors"] = rc.ShardFetchErrors
+		body["routerShardFetchErrors"] = rc.ShardFetchErrors.Total()
 		body["routerShardBatches"] = rc.ShardBatches
-		body["routerWalkHandoffs"] = rc.WalkHandoffs
-		// Batched walk plane: round trips (routerWalkBatches), the walks
-		// they carried (routerWalkDelegated; the ratio is the average
-		// batch size) and the segments the router stepped itself over
-		// cached blocks with no RPC at all (routerWalkLocalSegments).
-		body["routerWalkBatches"] = rc.WalkBatches
-		body["routerWalkDelegated"] = rc.WalkDelegated
-		body["routerWalkLocalSegments"] = rc.WalkLocalSegments
 		body["routerApplyRetries"] = rc.ApplyRetries
 		// Replicated read plane: failover/hedging activity and the write
 		// plane's replica book-keeping (skipped demoted members, ring

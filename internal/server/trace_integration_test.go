@@ -4,7 +4,7 @@ package server
 // 2-group × 2-replica TCP fleet with a dead replica (failover) and a
 // slow replica (hedging) must come back as ONE stitched span tree — the
 // admission wait, every router-side RPC attempt (the hedge winner and
-// the canceled loser), and the worker-side walk segments grafted under
+// the canceled loser), and the worker-side shard fetches grafted under
 // the same 128-bit id.
 
 import (
@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"probesim/internal/budget"
 	"probesim/internal/core"
 	"probesim/internal/gen"
 	"probesim/internal/graph"
@@ -47,13 +46,6 @@ func (d *delayEngine) ResolveShards(ctx context.Context, version uint64, ps []in
 		return nil, err
 	}
 	return d.LocalEngine.ResolveShards(ctx, version, ps)
-}
-
-func (d *delayEngine) WalkBatch(ctx context.Context, version uint64, h budget.Header, sqrtC float64, walks []router.WalkStart) ([]router.WalkResult, error) {
-	if err := d.stall(ctx); err != nil {
-		return nil, err
-	}
-	return d.LocalEngine.WalkBatch(ctx, version, h, sqrtC, walks)
 }
 
 // startTCPWorker serves eng over TCP and returns the address plus a
@@ -136,11 +128,10 @@ func TestTracedQueryAcrossHedgedFailoverFleet(t *testing.T) {
 	srv.SetTracer(qtrace.NewTracer(0, 0, 8, slog.New(slog.NewTextHandler(io.Discard, nil))))
 
 	// Kill group 0's first replica BEFORE the first query: the traced
-	// query must be the one that materializes the view and delegates the
-	// walk batches, because once a view is warm the batched plane serves
-	// every later query with zero read RPCs — nothing left to hedge or
-	// fail over. (The router's construction-time Meta broadcast already
-	// warmed the connection pools.)
+	// query must be the one that fetches the view's blocks, because once a
+	// view is warm every later query runs with zero read RPCs — nothing
+	// left to hedge or fail over. (The router's construction-time Meta
+	// broadcast already warmed the connection pools.)
 	stopDead()
 
 	rec, body := do(t, srv, http.MethodGet, "/topk?u=2&k=5&trace=1")
@@ -158,7 +149,7 @@ func TestTracedQueryAcrossHedgedFailoverFleet(t *testing.T) {
 	}
 
 	spans := spanViews(t, body)
-	var admission, hedgeWon, canceled, failover, workerWalk, workerLabeled bool
+	var admission, hedgeWon, canceled, failover, workerFetch, workerLabeled bool
 	for _, s := range spans {
 		switch {
 		case s.name == "admission":
@@ -170,8 +161,8 @@ func TestTracedQueryAcrossHedgedFailoverFleet(t *testing.T) {
 		case strings.Contains(s.attrs, "kind=failover"):
 			failover = true
 		}
-		if s.name == "worker.walk_batch" {
-			workerWalk = true
+		if s.name == "worker.resolve_shards" {
+			workerFetch = true
 			if strings.Contains(s.attrs, "worker=") {
 				workerLabeled = true
 			}
@@ -189,8 +180,8 @@ func TestTracedQueryAcrossHedgedFailoverFleet(t *testing.T) {
 	if !failover {
 		t.Error("no failover span (kind=failover)")
 	}
-	if !workerWalk {
-		t.Error("no grafted worker.walk_batch span")
+	if !workerFetch {
+		t.Error("no grafted worker.resolve_shards span")
 	}
 	if !workerLabeled {
 		t.Error("grafted worker span carries no worker= label")

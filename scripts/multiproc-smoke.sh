@@ -92,7 +92,7 @@ echo "== end-to-end query trace"
 # a shardd reply — proof the trace context crossed the RPC wire. A warm
 # view answers entirely router-side (zero worker read RPCs), so write
 # an edge first: the traced query then lands on a cold generation and
-# must delegate to the workers (batched shard fetches and/or walks).
+# must fetch its shard blocks from the workers.
 curl -sf -X POST "http://127.0.0.1:$ROUTED/edges?u=5&v=1997" >/dev/null
 curl -sf -X POST "http://127.0.0.1:$SINGLE/edges?u=5&v=1997" >/dev/null
 TRACE_HDRS="$TMP/trace-headers"
@@ -106,8 +106,8 @@ echo "$TRACE" | grep -q "\"traceId\":\"$HDR_ID\"" || {
   echo "traced response body id does not match header id $HDR_ID" >&2
   exit 1
 }
-echo "$TRACE" | grep -Eq '"name":"worker\.(resolve_shards|walk_batch)"' || {
-  echo "traced response has no worker-side span (resolve/walk)" >&2
+echo "$TRACE" | grep -q '"name":"worker\.resolve_shards"' || {
+  echo "traced response has no worker-side resolve_shards span" >&2
   exit 1
 }
 echo "   trace $HDR_ID stitched across router and workers"
@@ -124,10 +124,18 @@ echo "$METRICS" | grep -Eq 'probesim_router_shard_batches_total [1-9]' || {
   echo "routed /metrics shows no batched shard fetches" >&2
   exit 1
 }
-echo "$METRICS" | grep -Eq 'probesim_router_walk_local_segments_total [1-9]' || {
-  echo "routed /metrics shows no router-side walk stepping" >&2
-  exit 1
+# The traced query fetched the new generation's blocks, so another read
+# on it must run on them with no fetch at all. (A source the result
+# cache has not seen, so the kernel really runs.)
+shard_fetches() {
+  curl -sf "http://127.0.0.1:$ROUTED/metrics" | awk '$1 == "probesim_router_shard_fetches_total" { print $2 }'
 }
+FETCHES="$(shard_fetches)"
+check "$SINGLE" "$ROUTED" "/topk?u=13&k=5"
+if [ "$(shard_fetches)" != "$FETCHES" ]; then
+  echo "warm read fetched shard blocks: probesim_router_shard_fetches_total moved from $FETCHES" >&2
+  exit 1
+fi
 STATS="$(curl -sf "http://127.0.0.1:$ROUTED/stats")"
 echo "$STATS" | grep -q 'routerWorkers' || {
   echo "routed /stats missing routerWorkers" >&2
