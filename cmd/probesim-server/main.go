@@ -189,7 +189,7 @@ func main() {
 		delta      = flag.Float64("delta", 0.01, "failure probability")
 		c          = flag.Float64("c", 0.6, "SimRank decay factor")
 		seed       = flag.Uint64("seed", 1, "random seed")
-		cacheCap   = flag.Int("cache", 64, "cached single-source vectors")
+		cacheCap   = flag.Int("cache", 64, "cached single-source answers (each keeps only its non-zero scores)")
 		limit      = flag.Int("limit", 100, "max entries returned by /single-source")
 		hotSources = flag.Int("hot-sources", 0, "precompute single-source results for up to this many hot sources, kept fresh by the applied-batch stream (0 = off; not in routed mode)")
 		hotBudget  = flag.Duration("hot-refresh-budget", 200*time.Millisecond, "per-entry time budget for background hot-source builds")

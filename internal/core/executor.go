@@ -135,8 +135,9 @@ func (e *Executor) SingleSource(ctx context.Context, u graph.NodeID) ([]float64,
 	return SingleSource(ctx, e.src.PublishedView(), u, e.opt)
 }
 
-// TopK answers a top-k query against the current view, ranking straight
-// from pooled scratch like the package-level TopK.
+// TopK answers a top-k query against the current view through the
+// package-level TopK, which ranks a sparse Ranked answer instead of a
+// dense vector.
 func (e *Executor) TopK(ctx context.Context, u graph.NodeID, k int) ([]ScoredNode, error) {
 	return TopK(ctx, e.src.PublishedView(), u, k, e.opt)
 }
@@ -149,30 +150,4 @@ func (e *Executor) TopK(ctx context.Context, u graph.NodeID, k int) ([]ScoredNod
 // move on (serializers, aggregators) rather than retain it.
 func (e *Executor) SingleSourceInto(ctx context.Context, u graph.NodeID, dst []float64) ([]float64, error) {
 	return singleSourceInto(ctx, e.src.PublishedView(), u, e.opt, dst)
-}
-
-// SingleSourceWith answers a single-source query against the current view
-// with per-call option overrides. This is the degrade-instead-of-reject
-// seam: under admission pressure the server re-runs the standard query
-// shape with a wider εa (fewer walks) instead of turning the request
-// away.
-func (e *Executor) SingleSourceWith(ctx context.Context, u graph.NodeID, opt Options) ([]float64, error) {
-	return SingleSource(ctx, e.src.PublishedView(), u, opt)
-}
-
-// SingleSourceOn runs a single-source query with the executor's options
-// against an explicit view (normally a view previously obtained from
-// Snapshot, so a caller can pin one consistent view across several
-// queries).
-func (e *Executor) SingleSourceOn(ctx context.Context, v graph.View, u graph.NodeID) ([]float64, error) {
-	return SingleSource(ctx, v, u, e.opt)
-}
-
-// SingleSourceOnWith combines SingleSourceOn and SingleSourceWith: an
-// explicit pinned view AND per-call option overrides. Background work
-// (the hot-source tier's index builds) uses it to run against a pinned
-// snapshot generation under its own budget and worker count without
-// disturbing the serving defaults.
-func (e *Executor) SingleSourceOnWith(ctx context.Context, v graph.View, u graph.NodeID, opt Options) ([]float64, error) {
-	return SingleSource(ctx, v, u, opt)
 }

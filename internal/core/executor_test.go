@@ -165,7 +165,7 @@ func TestScratchPoolReuse(t *testing.T) {
 
 // TestQuerierSingleFlight launches many concurrent misses for one node
 // and asserts exactly one computation ran, all callers got the same
-// vector, and the shared-flight counter saw the rest.
+// answer, and the shared-flight counter saw the rest.
 func TestQuerierSingleFlight(t *testing.T) {
 	g := gen.PreferentialAttachment(300, 4, 21)
 	// Workers: 1 inside the query so the concurrency is all at the Querier
@@ -175,17 +175,17 @@ func TestQuerierSingleFlight(t *testing.T) {
 
 	const callers = 16
 	var wg sync.WaitGroup
-	results := make([][]float64, callers)
+	results := make([]*Ranked, callers)
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			scores, err := q.SingleSource(context.Background(), 7)
+			r, err := q.Ranked(context.Background(), 7)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			results[i] = scores
+			results[i] = r
 		}(i)
 	}
 	wg.Wait()
@@ -197,8 +197,8 @@ func TestQuerierSingleFlight(t *testing.T) {
 		t.Fatalf("hits+shared = %d, want %d", got, callers-1)
 	}
 	for i := 1; i < callers; i++ {
-		if &results[i][0] != &results[0][0] {
-			t.Fatalf("caller %d received a different vector than caller 0", i)
+		if results[i] != results[0] {
+			t.Fatalf("caller %d received a different answer than caller 0", i)
 		}
 	}
 }

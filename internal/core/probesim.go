@@ -81,6 +81,19 @@ func SingleSource(ctx context.Context, g graph.View, u graph.NodeID, opt Options
 	return singleSourceInto(ctx, g, u, opt, nil)
 }
 
+// SingleSourceRanked answers the same query as SingleSource, kept sparse:
+// the returned Ranked holds only the non-zero scores, strongest first,
+// and its Dense method rebuilds SingleSource's vector bit for bit. It
+// never builds an n-vector, so it is the form serving caches hold and
+// rank from. Cancellation and budget semantics follow SingleSource: a
+// stopped query returns its partial answer together with the error, and
+// a query that never ran returns nil.
+func SingleSourceRanked(ctx context.Context, g graph.View, u graph.NodeID, opt Options) (*Ranked, error) {
+	var r *Ranked
+	err := runQuery(ctx, g, u, opt, func(sc *queryScratch) { r = sc.ranked(u) })
+	return r, err
+}
+
 // singleSourceInto is SingleSource with an optional caller-provided result
 // buffer: when cap(dst) suffices the answer is written in place and no
 // result vector is allocated.
@@ -165,16 +178,18 @@ func queryError(u graph.NodeID, m *budget.Meter) error {
 // in descending score order with node id breaking ties. If the graph has
 // fewer than k other nodes, all of them are returned. Cancellation and
 // budget semantics follow SingleSource: a stopped query returns the
-// ranking of its partial estimate together with the error. The answer
-// equals SelectTopK over SingleSource's vector, bit for bit, but is
-// ranked straight from the pooled scratch without building that vector.
+// ranking of its partial estimate together with the error. The answer is
+// SingleSourceRanked's prefix, which equals SelectTopK over
+// SingleSource's vector bit for bit without building that vector.
 func TopK(ctx context.Context, g graph.View, u graph.NodeID, k int, opt Options) ([]ScoredNode, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: top-k requires k >= 1, got %d", k)
 	}
-	var top []ScoredNode
-	err := runQuery(ctx, g, u, opt, func(sc *queryScratch) { top = sc.topK(u, k) })
-	return top, err
+	r, err := SingleSourceRanked(ctx, g, u, opt)
+	if r == nil {
+		return nil, err
+	}
+	return r.TopK(k), err
 }
 
 // SelectTopK extracts the k highest-scoring nodes from a single-source
@@ -269,26 +284,6 @@ func (sc *queryScratch) scatter(dst []float64) []float64 {
 		out[v] = sc.acc[v]
 	}
 	return out
-}
-
-// topK ranks the estimate exactly as SelectTopK ranks its dense vector,
-// without building that vector: the heap runs over the touched entries
-// only, and since scores are non-negative, any zero scorers the answer
-// needs follow every non-zero one, by ascending id.
-func (sc *queryScratch) topK(u graph.NodeID, k int) []ScoredNode {
-	h := topKHeap{k: k, h: make([]ScoredNode, 0, min(k, len(sc.touched)))}
-	for _, v := range sc.touched {
-		if x := (ScoredNode{Node: v, Score: sc.acc[v]}); x.Score != 0 && v != u && h.admits(x) {
-			h.insert(x)
-		}
-	}
-	top := h.sorted()
-	for v := graph.NodeID(0); len(top) < k && int(v) < sc.n; v++ {
-		if v != u && sc.acc[v] == 0 {
-			top = append(top, ScoredNode{Node: v})
-		}
-	}
-	return top
 }
 
 // walkStreamBase offsets the per-trial walk RNG streams: walk trial t of

@@ -341,12 +341,13 @@ func TestTopKOrderingAndClamp(t *testing.T) {
 	}
 }
 
-// TestTopKMatchesDenseSelection pins the sparse top-k path to the dense
-// one: TopK and Executor.TopK rank straight from the pooled accumulator's
-// touched list, and must return exactly SelectTopK over SingleSource's
-// vector — same nodes, same order, same score bits — for every mode and
-// worker count, for k below, around and beyond the number of non-zero
-// scores (where zero scorers fill in by ascending id).
+// TestTopKMatchesDenseSelection pins the sparse answer to the dense one:
+// SingleSourceRanked's Dense and Score must reproduce SingleSource's
+// vector entry for entry, and its TopK — which TopK and Executor.TopK
+// return — must be exactly SelectTopK over that vector (same nodes, same
+// order, same score bits), for every mode and worker count, for k below,
+// around and beyond the number of non-zero scores (where zero scorers
+// fill in by ascending id).
 func TestTopKMatchesDenseSelection(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -381,11 +382,29 @@ func TestTopKMatchesDenseSelection(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					r, err := SingleSourceRanked(ctx, g, u, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dense := r.Dense()
+					if len(dense) != n {
+						t.Fatalf("%s %v w=%d u=%d: Dense has %d entries, want %d", name, mode, workers, u, len(dense), n)
+					}
+					for v := range est {
+						want := math.Float64bits(est[v])
+						if math.Float64bits(dense[v]) != want || math.Float64bits(r.Score(graph.NodeID(v))) != want {
+							t.Fatalf("%s %v w=%d u=%d: node %d: Dense %v, Score %v, want %v",
+								name, mode, workers, u, v, dense[v], r.Score(graph.NodeID(v)), est[v])
+						}
+					}
 					nonZero := 0
 					for v, s := range est {
 						if s != 0 && graph.NodeID(v) != u {
 							nonZero++
 						}
+					}
+					if len(r.Top) != nonZero {
+						t.Fatalf("%s %v w=%d u=%d: Top holds %d scores, want the %d non-zero ones", name, mode, workers, u, len(r.Top), nonZero)
 					}
 					for _, k := range []int{1, 10, nonZero + 5, n - 1, n + 3} {
 						want := SelectTopK(est, u, k)
@@ -397,7 +416,7 @@ func TestTopKMatchesDenseSelection(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						for _, res := range [][]ScoredNode{got, fromEx} {
+						for _, res := range [][]ScoredNode{got, fromEx, r.TopK(k)} {
 							if len(res) != len(want) {
 								t.Fatalf("%s %v w=%d u=%d k=%d: %d entries, want %d", name, mode, workers, u, k, len(res), len(want))
 							}

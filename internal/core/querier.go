@@ -18,14 +18,17 @@ import (
 // invalidates every cached answer automatically (a fresh snapshot carries
 // a fresh version).
 //
-// The cache holds at most Capacity single-source vectors (8n bytes each)
-// with LRU eviction. A Querier is safe for concurrent use; cache misses
-// run queries outside the lock so distinct-node misses proceed in
-// parallel, while concurrent misses for the SAME node are de-duplicated
-// single-flight style: one goroutine computes, the rest wait for its
-// result. (Under serving load the duplicate work the seed tolerated is
-// anything but benign: a popular node going viral would multiply an
-// O(n/εa²·log n) computation by the number of concurrent requests.)
+// The cache holds at most Capacity answers with LRU eviction. Each is a
+// sparse Ranked answer, 16 bytes per non-zero score (tens to thousands
+// of them on typical graphs, against 8n bytes for a dense vector), so a
+// hit ranks by reading a prefix. A Querier is safe for concurrent use;
+// cache misses run queries outside the lock so distinct-node misses
+// proceed in parallel, while concurrent misses for the SAME node are
+// de-duplicated single-flight style: one goroutine computes, the rest
+// wait for its result. (Under serving load the duplicate work the seed
+// tolerated is anything but benign: a popular node going viral would
+// multiply an O(n/εa²·log n) computation by the number of concurrent
+// requests.)
 type Querier struct {
 	ex *Executor
 	// track controls staleness detection: a standalone Querier built by
@@ -47,19 +50,19 @@ type Querier struct {
 
 type cacheEntry struct {
 	node   graph.NodeID
-	scores []float64
+	ranked *Ranked
 }
 
 // flight is one in-progress single-source computation that concurrent
 // misses for the same node attach to.
 type flight struct {
 	done   chan struct{}
-	scores []float64
+	ranked *Ranked
 	err    error
 }
 
 // NewQuerier wraps g with a result cache of the given capacity (number of
-// cached single-source vectors; minimum 1). The graph may be mutated
+// cached single-source answers; minimum 1). The graph may be mutated
 // between queries (each query picks up the latest state) but not while
 // queries are in flight; use NewQuerierOn with an externally refreshed
 // Executor for that.
@@ -110,8 +113,8 @@ func isOwnerSpecific(err error) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
-// SingleSource returns the cached single-source vector for u, computing
-// and caching it on a miss. The returned slice is shared with the cache
+// Ranked returns the cached single-source answer for u, computing and
+// caching it on a miss. The returned Ranked is shared with the cache
 // (and with any concurrent callers that joined the same computation):
 // callers must not modify it.
 //
@@ -123,7 +126,7 @@ func isOwnerSpecific(err error) bool {
 // one request's tight deadline never poisons another's answer. Partial
 // (canceled) results are returned to their owner with the error but are
 // never cached.
-func (q *Querier) SingleSource(ctx context.Context, u graph.NodeID) ([]float64, error) {
+func (q *Querier) Ranked(ctx context.Context, u graph.NodeID) (*Ranked, error) {
 	snap := q.ex.Snapshot()
 	if q.track {
 		snap = q.ex.Refresh()
@@ -147,14 +150,14 @@ func (q *Querier) SingleSource(ctx context.Context, u graph.NodeID) ([]float64, 
 		// overlaps a write.
 		q.misses++
 		q.mu.Unlock()
-		return q.ex.SingleSourceOn(ctx, snap, u)
+		return SingleSourceRanked(ctx, snap, u, q.ex.opt)
 	}
 	if el, ok := q.entries[u]; ok {
 		q.order.MoveToFront(el)
 		q.hits++
-		scores := el.Value.(*cacheEntry).scores
+		r := el.Value.(*cacheEntry).ranked
 		q.mu.Unlock()
-		return scores, nil
+		return r, nil
 	}
 	if f, ok := q.flights[u]; ok {
 		// Another goroutine is already computing u at this version: wait
@@ -170,16 +173,16 @@ func (q *Querier) SingleSource(ctx context.Context, u graph.NodeID) ([]float64, 
 		if f.err != nil && isOwnerSpecific(f.err) && ctx.Err() == nil {
 			// The flight owner ran out of time or budget, but this caller
 			// has not: re-enter the cache path instead of inheriting a
-			// stranger's partial answer. Going through SingleSource (not
-			// straight to the executor) matters under load — the first
+			// stranger's partial answer. Going through Ranked (not
+			// straight to the kernel) matters under load — the first
 			// live waiter registers a fresh flight and the rest join IT,
 			// so a canceled owner costs one recomputation, not one per
 			// waiter. Terminates because each recursion requires the new
 			// owner to be canceled while this caller is not, and this
 			// caller's own expiry exits via the selects above.
-			return q.SingleSource(ctx, u)
+			return q.Ranked(ctx, u)
 		}
-		return f.scores, f.err
+		return f.ranked, f.err
 	}
 	q.misses++
 	f := &flight{done: make(chan struct{})}
@@ -187,13 +190,13 @@ func (q *Querier) SingleSource(ctx context.Context, u graph.NodeID) ([]float64, 
 	version := q.version
 	q.mu.Unlock()
 
-	scores, err := q.ex.SingleSourceOn(ctx, snap, u)
-	f.scores, f.err = scores, err
+	r, err := SingleSourceRanked(ctx, snap, u, q.ex.opt)
+	f.ranked, f.err = r, err
 
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	// Deregister BEFORE closing f.done (both under the mutex): a waiter
-	// that wakes on the close and re-enters SingleSource to retry an
+	// that wakes on the close and re-enters Ranked to retry an
 	// owner-specific failure must never re-find this completed flight,
 	// or it would spin joining it until the owner won the mutex race.
 	if q.flights[u] == f {
@@ -201,9 +204,9 @@ func (q *Querier) SingleSource(ctx context.Context, u graph.NodeID) ([]float64, 
 	}
 	close(f.done)
 	if err != nil {
-		// Partial (canceled/budget-stopped) vectors go back to the caller
+		// Partial (canceled/budget-stopped) answers go back to the caller
 		// for diagnostics but must never enter the cache.
-		return scores, err
+		return r, err
 	}
 	// Only cache if no newer snapshot was published underneath the
 	// computation.
@@ -211,7 +214,7 @@ func (q *Querier) SingleSource(ctx context.Context, u graph.NodeID) ([]float64, 
 		if el, ok := q.entries[u]; ok {
 			q.order.MoveToFront(el)
 		} else {
-			el := q.order.PushFront(&cacheEntry{node: u, scores: scores})
+			el := q.order.PushFront(&cacheEntry{node: u, ranked: r})
 			q.entries[u] = el
 			for q.order.Len() > q.capacity {
 				last := q.order.Back()
@@ -221,19 +224,31 @@ func (q *Querier) SingleSource(ctx context.Context, u graph.NodeID) ([]float64, 
 			}
 		}
 	}
-	return scores, nil
+	return r, nil
 }
 
-// TopK answers a top-k query through the cache.
+// SingleSource returns u's answer through the cache as a dense n-vector
+// (see Ranked for the cache and error semantics). The vector is built
+// fresh from the cached answer on every call and owned by the caller.
+func (q *Querier) SingleSource(ctx context.Context, u graph.NodeID) ([]float64, error) {
+	r, err := q.Ranked(ctx, u)
+	if r == nil {
+		return nil, err
+	}
+	return r.Dense(), err
+}
+
+// TopK answers a top-k query through the cache: a hit reads a prefix of
+// the cached answer.
 func (q *Querier) TopK(ctx context.Context, u graph.NodeID, k int) ([]ScoredNode, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: top-k requires k >= 1, got %d", k)
 	}
-	est, err := q.SingleSource(ctx, u)
+	r, err := q.Ranked(ctx, u)
 	if err != nil {
 		return nil, err
 	}
-	return SelectTopK(est, u, k), nil
+	return r.TopK(k), nil
 }
 
 // Stats reports cache effectiveness.
@@ -259,7 +274,7 @@ type CacheStats struct {
 	Misses    int64 // answers computed (includes stale-snapshot serves)
 	Shared    int64 // callers that joined another goroutine's flight
 	Evictions int64 // entries dropped by LRU capacity pressure
-	Cached    int   // vectors currently held
+	Cached    int   // answers currently held
 }
 
 // CacheStats returns all cache counters in one consistent read.

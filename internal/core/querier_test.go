@@ -18,15 +18,15 @@ func querierGraph(t *testing.T) *graph.Graph {
 func TestQuerierCachesHits(t *testing.T) {
 	g := querierGraph(t)
 	q := NewQuerier(g, Options{NumWalks: 300, Seed: 1}, 4)
-	a, err := q.SingleSource(context.Background(), 3)
+	a, err := q.Ranked(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := q.SingleSource(context.Background(), 3)
+	b, err := q.Ranked(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &a[0] != &b[0] {
+	if a != b {
 		t.Fatal("second query did not hit the cache")
 	}
 	hits, misses, cached := q.Stats()

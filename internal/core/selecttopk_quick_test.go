@@ -100,9 +100,11 @@ func TestSelectTopKSound(t *testing.T) {
 	}
 }
 
-// Property: ranking an accumulator straight from its touched list equals
-// the sort-based reference over its dense vector, on mostly-zero vectors
-// with forced ties and a query node that is sometimes touched.
+// Property: ranking an accumulator's touched list into a Ranked answer
+// and reading its top k equals the sort-based reference over its dense
+// vector, on mostly-zero vectors with forced ties, a query node that is
+// sometimes touched, and k sometimes past the non-zero count (the zero
+// fill) or past n-1.
 func TestSparseTopKMatchesReference(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
@@ -117,7 +119,7 @@ func TestSparseTopKMatchesReference(t *testing.T) {
 			sc.set(u, 1)
 		}
 		k := 1 + rng.Intn(n+3) // sometimes larger than n-1
-		got := sc.topK(u, k)
+		got := sc.ranked(u).TopK(k)
 		want := referenceTopK(sc.acc, u, k)
 		if len(got) != len(want) {
 			return false

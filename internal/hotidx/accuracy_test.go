@@ -102,14 +102,14 @@ func checkHotAnswers(t *testing.T, g *graph.Graph, ex *core.Executor, tier *Tier
 	}
 	view := ex.Snapshot()
 	for _, u := range sources {
-		live, err := ex.SingleSourceOn(context.Background(), view, u)
+		live, err := core.SingleSource(context.Background(), view, u, testOpt())
 		if err != nil {
 			t.Fatalf("%s: live kernel for %d: %v", phase, u, err)
 		}
 		answer := live
-		if scores, ok := tier.SingleSource(view, u); ok {
-			assertBitIdentical(t, scores, live, fmt.Sprintf("%s: source %d", phase, u))
-			answer = scores
+		if r, ok := tier.SingleSource(view, u); ok {
+			answer = r.Dense()
+			assertBitIdentical(t, answer, live, fmt.Sprintf("%s: source %d", phase, u))
 		}
 		maxErr := 0.0
 		row := truth.Row(u)

@@ -75,7 +75,7 @@ func BenchmarkHotVsLive(b *testing.B) {
 	b.Run("live", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := ex.SingleSourceOn(context.Background(), view, hot); err != nil {
+			if _, err := core.SingleSourceRanked(context.Background(), view, hot, tier.cfg.Opt); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -127,7 +127,7 @@ func TestZipfBenchSmoke(t *testing.T) {
 		if len(liveLat) >= 2000 {
 			continue // enough live samples; don't burn the wall clock
 		}
-		if _, err := ex.SingleSourceOn(context.Background(), view, u); err != nil {
+		if _, err := core.SingleSourceRanked(context.Background(), view, u, tier.cfg.Opt); err != nil {
 			t.Fatalf("live query for %d: %v", u, err)
 		}
 		liveLat = append(liveLat, time.Since(t0))

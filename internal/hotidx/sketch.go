@@ -1,11 +1,11 @@
 // Package hotidx is the hot-source serving tier in front of the live
 // ProbeSim kernel: it tracks source popularity with a space-saving top-K
-// sketch fed by the query path, precomputes full single-source result
-// vectors for the hot set on a bounded background pool (reusing
-// core.Executor and its scratch pooling, pinned to a published snapshot
-// generation), and answers hot-source queries from those entries at
-// microsecond latency. Cold sources fall through to the live kernel
-// completely unchanged.
+// sketch fed by the query path, precomputes full single-source answers
+// (sparse core.Ranked entries) for the hot set on one background
+// goroutine (reusing the kernel's scratch pooling, pinned to a published
+// snapshot generation), and answers hot-source queries from those
+// entries at microsecond latency. Cold sources fall through to the live
+// kernel completely unchanged.
 //
 // Freshness is incremental, not rebuild-the-world: every entry records
 // the dependency set its computation actually touched (the shard-stride

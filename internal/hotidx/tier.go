@@ -15,7 +15,9 @@ import (
 // default applied by New.
 type Config struct {
 	// MaxEntries bounds the number of precomputed hot-source entries
-	// (default 64). Memory cost is one n-float64 vector per entry.
+	// (default 64). Each entry is a sparse core.Ranked answer, 16 bytes
+	// per non-zero score: tens to thousands per source on typical
+	// graphs, never n.
 	MaxEntries int
 	// Opt is the kernel option set entries are built with. It MUST equal
 	// the live serving options (same seed, εa, mode, ...) — the hot
@@ -46,10 +48,9 @@ type Config struct {
 // generation it was built on plus the dependency buckets the build read.
 type entry struct {
 	source  graph.NodeID
-	scores  []float64 // served as-is; callers must not modify
-	n       int       // NumNodes at build time (AddNode guard)
-	version uint64    // snapshot version at build time (debugging)
-	batch   uint64    // applied-batch watermark at install time
+	ranked  *core.Ranked // served as-is; its N is NumNodes at build time (AddNode guard)
+	version uint64       // snapshot version at build time (debugging)
+	batch   uint64       // applied-batch watermark at install time
 	deps    depSet
 }
 
@@ -57,7 +58,7 @@ type entry struct {
 // design; the consistency contract in one line: an entry is served only
 // while no applied batch has touched its recorded dependency set (or
 // grown the node space), and under the kernel's fixed seed that means
-// the served vector is byte-identical to what the live kernel would
+// the served answer is bit-identical to what the live kernel would
 // compute against the currently published view.
 //
 // All methods are safe for concurrent use. SingleSource is the query
@@ -79,7 +80,8 @@ type Tier struct {
 	misses        atomic.Int64
 	invalidations atomic.Int64
 	builds        atomic.Int64
-	buildErrors   atomic.Int64
+	buildsStopped atomic.Int64
+	buildsRaced   atomic.Int64
 	evictions     atomic.Int64
 	yields        atomic.Int64
 
@@ -134,21 +136,21 @@ func (t *Tier) Close() {
 func (t *Tier) Touch(u graph.NodeID) { t.sketch.Touch(u) }
 
 // SingleSource answers u from the index if a fresh entry exists for the
-// given published view. The returned slice is shared — callers must not
+// given published view. The returned answer is shared — callers must not
 // modify it. A false return means the caller should run the live kernel
 // unchanged (the entry may be missing, invalidated, or built for a
 // smaller node space than view now has).
-func (t *Tier) SingleSource(view graph.View, u graph.NodeID) ([]float64, bool) {
+func (t *Tier) SingleSource(view graph.View, u graph.NodeID) (*core.Ranked, bool) {
 	t.sketch.Touch(u)
 	t.mu.RLock()
 	e, ok := t.entries[u]
 	t.mu.RUnlock()
-	if !ok || view == nil || e.n != view.NumNodes() {
+	if !ok || view == nil || e.ranked.N != view.NumNodes() {
 		t.misses.Add(1)
 		return nil, false
 	}
 	t.hits.Add(1)
-	return e.scores, true
+	return e.ranked, true
 }
 
 // OnBatch is the applied-batch subscription hook (wire it to
@@ -175,7 +177,7 @@ func (t *Tier) OnBatch(id uint64, ops []graph.EdgeOp) {
 		t.watermark = id
 	}
 	for src, e := range t.entries {
-		hit := graph.NodeID(e.n) <= maxNode // batch grows the node space past the entry's vector
+		hit := graph.NodeID(e.ranked.N) <= maxNode // batch grows the node space past the entry's answer
 		if !hit {
 			for b := range touched {
 				if e.deps.has(b) {
@@ -221,7 +223,8 @@ type TierStats struct {
 	Misses         int64 // queries that fell through to the live kernel
 	Invalidations  int64 // entries dropped by applied batches
 	Builds         int64 // background build attempts
-	BuildErrors    int64 // builds that failed or lost the install race
+	BuildsStopped  int64 // builds a budget stop or cancellation cut short
+	BuildsRaced    int64 // finished builds discarded for losing the install race
 	Evictions      int64 // entries dropped for falling out of the hot set
 	Yields         int64 // refresher rounds cut short for foreground load
 
@@ -256,7 +259,8 @@ func (t *Tier) Stats() TierStats {
 	s.Misses = t.misses.Load()
 	s.Invalidations = t.invalidations.Load()
 	s.Builds = t.builds.Load()
-	s.BuildErrors = t.buildErrors.Load()
+	s.BuildsStopped = t.buildsStopped.Load()
+	s.BuildsRaced = t.buildsRaced.Load()
 	s.Evictions = t.evictions.Load()
 	s.Yields = t.yields.Load()
 	s.WALWatermark = t.walWatermark.Load()
@@ -348,11 +352,11 @@ func (t *Tier) buildOne(src graph.NodeID) {
 	opt := t.cfg.Opt
 	opt.Budget = t.cfg.RefreshBudget
 	t.builds.Add(1)
-	scores, err := t.ex.SingleSourceOnWith(t.ctx, rv, src, opt)
+	ranked, err := core.SingleSourceRanked(t.ctx, rv, src, opt)
 	if err != nil {
 		// Budget-stopped or canceled: a partial estimate is NOT
 		// bit-identical to the live kernel, so it never enters the index.
-		t.buildErrors.Add(1)
+		t.buildsStopped.Add(1)
 		return
 	}
 	deps := rv.deps()
@@ -362,13 +366,12 @@ func (t *Tier) buildOne(src graph.NodeID) {
 	defer t.mu.Unlock()
 	cur := t.ex.Snapshot()
 	if !t.installOK(s0, cur, deps, wm0) {
-		t.buildErrors.Add(1)
+		t.buildsRaced.Add(1)
 		return
 	}
 	t.entries[src] = &entry{
-		source: src, scores: scores,
-		n: s0.NumNodes(), version: s0.Version(),
-		batch: t.watermark, deps: deps,
+		source: src, ranked: ranked,
+		version: s0.Version(), batch: t.watermark, deps: deps,
 	}
 	delete(t.dirty, src)
 }

@@ -2,6 +2,7 @@ package hotidx
 
 import (
 	"context"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -48,14 +49,14 @@ func newTierOver(t *testing.T, g *graph.Graph, cfg Config) (*shard.Store, *core.
 }
 
 // waitHot polls until the tier serves src from the index, returning the
-// served vector. Polling goes through SingleSource, so the polls also
-// keep the source hot in the sketch.
+// served answer as a dense vector. Polling goes through SingleSource, so
+// the polls also keep the source hot in the sketch.
 func waitHot(t *testing.T, tier *Tier, ex *core.Executor, src graph.NodeID) []float64 {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if scores, ok := tier.SingleSource(ex.Snapshot(), src); ok {
-			return scores
+		if r, ok := tier.SingleSource(ex.Snapshot(), src); ok {
+			return r.Dense()
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -83,7 +84,7 @@ func TestTierServesBitIdenticalScores(t *testing.T) {
 	tier.Touch(src)
 	got := waitHot(t, tier, ex, src)
 
-	want, err := ex.SingleSourceOn(context.Background(), ex.Snapshot(), src)
+	want, err := core.SingleSource(context.Background(), ex.Snapshot(), src, testOpt())
 	if err != nil {
 		t.Fatalf("live kernel: %v", err)
 	}
@@ -125,10 +126,10 @@ func TestTierInvalidatesOnTouchingBatchAndRebuilds(t *testing.T) {
 	}
 	hold.Store(false)
 
-	// The refresher rebuilds against the NEW snapshot; the served vector
+	// The refresher rebuilds against the NEW snapshot; the served answer
 	// must match the live kernel on that snapshot, not the old one.
 	got := waitHot(t, tier, ex, src)
-	want, err := ex.SingleSourceOn(context.Background(), ex.Snapshot(), src)
+	want, err := core.SingleSource(context.Background(), ex.Snapshot(), src, testOpt())
 	if err != nil {
 		t.Fatalf("live kernel: %v", err)
 	}
@@ -166,7 +167,7 @@ func TestTierEntrySurvivesUnrelatedBatch(t *testing.T) {
 	if !ok {
 		t.Fatalf("entry for %d was invalidated by a batch outside its dependency set: %+v", src, tier.Stats())
 	}
-	assertBitIdentical(t, after, before, "surviving entry")
+	assertBitIdentical(t, after.Dense(), before, "surviving entry")
 }
 
 // TestTierMissesAfterNodeGrowth exercises the serve-time guard: AddNode
@@ -276,5 +277,65 @@ func TestTierObserveAppendWatermark(t *testing.T) {
 	tier.ObserveAppend(7)
 	if s := tier.Stats(); s.WALWatermark != 7 {
 		t.Fatalf("wal watermark = %d, want 7", s.WALWatermark)
+	}
+}
+
+// pinFirst is a snapshot provider over a store whose first
+// PublishedView returns an older generation: a build that pins it runs
+// on a snapshot a write has already superseded, as a build overtaken by
+// a write does.
+type pinFirst struct {
+	st    *shard.Store
+	first graph.VersionedView
+	used  atomic.Bool
+}
+
+func (p *pinFirst) PublishedView() graph.VersionedView {
+	if p.used.CompareAndSwap(false, true) {
+		return p.first
+	}
+	return p.st.PublishedView()
+}
+
+func (p *pinFirst) PublishView(ctx context.Context) (graph.VersionedView, error) {
+	return p.st.PublishView(ctx)
+}
+
+// TestTierCountsBuildFailuresByCause drives one build into each failure
+// cause and checks each lands in its own counter: a build its budget
+// stops, and a finished build that a write to its own shard beat to the
+// install. The refresher never builds on its own here (MinHits is out of
+// reach), so each build runs exactly once, on the test's goroutine.
+func TestTierCountsBuildFailuresByCause(t *testing.T) {
+	g := gen.PreferentialAttachment(400, 4, 31)
+	st := shard.NewStore(g, 8, 0)
+	newTier := func(src core.SnapshotProvider, budget core.Budget) *Tier {
+		tier := New(core.NewExecutorOn(src, testOpt()), st.Partition().Shift(), Config{
+			Opt: testOpt(), RefreshBudget: budget, MinHits: math.MaxInt64,
+		})
+		t.Cleanup(tier.Close)
+		return tier
+	}
+	const src = graph.NodeID(5)
+
+	stopped := newTier(st, core.Budget{MaxWalks: 1})
+	stopped.buildOne(src)
+	if s := stopped.Stats(); s.BuildsStopped != 1 || s.BuildsRaced != 0 || s.Entries != 0 {
+		t.Fatalf("one-walk budget: %+v, want one stopped build and no entry", s)
+	}
+
+	old := st.Current()
+	if _, err := st.ApplyBatch(0, []shard.EdgeOp{{U: src, V: 399}}); err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+	st.Publish()
+	raced := newTier(&pinFirst{st: st, first: old}, core.Budget{Timeout: 5 * time.Second})
+	raced.buildOne(src)
+	if s := raced.Stats(); s.BuildsRaced != 1 || s.BuildsStopped != 0 || s.Entries != 0 {
+		t.Fatalf("build overtaken by a write: %+v, want one raced build and no entry", s)
+	}
+	raced.buildOne(src) // pins the current generation this time
+	if s := raced.Stats(); s.Entries != 1 || s.BuildsRaced != 1 || s.BuildsStopped != 0 {
+		t.Fatalf("build on the current generation: %+v, want it installed", s)
 	}
 }

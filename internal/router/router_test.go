@@ -558,7 +558,7 @@ func TestGenerationRetirement(t *testing.T) {
 	}
 	// The old view's blocks were never fetched; fetching now must fail
 	// with the retirement error through the core error chain.
-	_, err = ex.SingleSourceOn(context.Background(), old, 2)
+	_, err = core.SingleSource(context.Background(), old, 2, opt)
 	if err == nil {
 		t.Skip("old generation still resolvable (all its shards retained)")
 	}

@@ -293,24 +293,28 @@ func (s *Server) degradedOptions() core.Options {
 const tierHeader = "X-ProbeSim-Tier"
 
 // singleSourceScores answers the request's single-source query under its
-// admission verdict. With the hot tier armed, the index is consulted
+// admission verdict, as a sparse core.Ranked answer: every path below
+// (hot entry, cache hit, live miss, degraded run) hands the handlers the
+// same form, so they read a prefix or look up one node and no path
+// builds an n-vector. With the hot tier armed, the index is consulted
 // FIRST — even for degraded admissions, since a hot hit costs
 // microseconds and serves FULL accuracy, strictly better than degrading
 // — unless the request opts out with ?tier=live. Cold sources fall
 // through to the pre-tier paths completely unchanged: the normal path
-// goes through the cache; a degraded request runs directly on the
-// executor with the wider εa (degraded vectors must never pollute the
-// full-accuracy cache) and stamps the response with the accuracy it got.
-func (s *Server) singleSourceScores(w http.ResponseWriter, r *http.Request, u graph.NodeID) ([]float64, error) {
+// goes through the cache; a degraded request runs the kernel directly
+// on the published snapshot with the wider εa (degraded answers must
+// never pollute the full-accuracy cache) and stamps the response with
+// the accuracy it got.
+func (s *Server) singleSourceScores(w http.ResponseWriter, r *http.Request, u graph.NodeID) (*core.Ranked, error) {
 	if s.hot != nil {
 		if r.URL.Query().Get("tier") == "live" {
 			// Escape hatch: bypass the index but keep feeding the
 			// popularity sketch, so escaped traffic still shapes the hot set.
 			s.hot.Touch(u)
-		} else if scores, ok := s.hot.SingleSource(s.ex.Snapshot(), u); ok {
+		} else if ranked, ok := s.hot.SingleSource(s.ex.Snapshot(), u); ok {
 			w.Header().Set(tierHeader, "hot")
 			s.epsaHist.Observe(s.servedEpsA())
-			return scores, nil
+			return ranked, nil
 		}
 		w.Header().Set(tierHeader, "live")
 	}
@@ -318,10 +322,10 @@ func (s *Server) singleSourceScores(w http.ResponseWriter, r *http.Request, u gr
 		opt := s.degradedOptions()
 		w.Header().Set(degradedHeader, fmt.Sprintf("epsa=%g", opt.EpsA))
 		s.epsaHist.Observe(opt.EpsA)
-		return s.ex.SingleSourceWith(r.Context(), u, opt)
+		return core.SingleSourceRanked(r.Context(), s.ex.Snapshot(), u, opt)
 	}
 	s.epsaHist.Observe(s.servedEpsA())
-	return s.q.SingleSource(r.Context(), u)
+	return s.q.Ranked(r.Context(), u)
 }
 
 // servedEpsA is the εa a normally admitted query runs at (the configured
@@ -513,9 +517,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		promexpo.WriteGauge(out, "probesim_graph_version", "Version of the published snapshot.", int64(snap.Version()))
 		promexpo.WriteCounter(out, "probesim_cache_hits_total", "Querier cache hits.", cs.Hits)
 		promexpo.WriteCounter(out, "probesim_cache_misses_total", "Querier cache misses.", cs.Misses)
-		promexpo.WriteGauge(out, "probesim_cache_vectors", "Cached single-source vectors.", int64(cs.Cached))
+		promexpo.WriteGauge(out, "probesim_cache_vectors", "Cached single-source answers.", int64(cs.Cached))
 		promexpo.WriteCounter(out, "probesim_cache_shared_flights_total", "Queries that joined another's in-flight computation.", cs.Shared)
-		promexpo.WriteCounter(out, "probesim_cache_evictions_total", "Cached vectors dropped by LRU capacity pressure.", cs.Evictions)
+		promexpo.WriteCounter(out, "probesim_cache_evictions_total", "Cached answers dropped by LRU capacity pressure.", cs.Evictions)
 		if s.hot != nil {
 			hs := s.hot.Stats()
 			promexpo.WriteGauge(out, "probesim_hot_entries", "Fresh precomputed hot-source entries.", int64(hs.Entries))
@@ -525,7 +529,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			promexpo.WriteCounter(out, "probesim_hot_misses_total", "Queries that fell through to the live kernel.", hs.Misses)
 			promexpo.WriteCounter(out, "probesim_hot_invalidations_total", "Hot entries dropped by applied write batches.", hs.Invalidations)
 			promexpo.WriteCounter(out, "probesim_hot_builds_total", "Background hot-entry build attempts.", hs.Builds)
-			promexpo.WriteCounter(out, "probesim_hot_build_errors_total", "Hot-entry builds that failed or lost the install race.", hs.BuildErrors)
+			promexpo.WriteLabeled(out, "probesim_hot_build_errors_total", "Hot-entry builds discarded, by cause: cut short by a budget stop or cancellation, or finished but lost the install race to a write.", "counter", []promexpo.Sample{
+				{Label: `cause="stopped"`, Value: hs.BuildsStopped},
+				{Label: `cause="raced"`, Value: hs.BuildsRaced},
+			})
 			promexpo.WriteCounter(out, "probesim_hot_evictions_total", "Hot entries dropped for falling out of the hot set.", hs.Evictions)
 			promexpo.WriteCounter(out, "probesim_hot_yields_total", "Refresher rounds cut short for foreground load.", hs.Yields)
 			promexpo.WriteGauge(out, "probesim_hot_watermark", "Highest applied-batch id the tier has observed.", int64(hs.Watermark))

@@ -202,7 +202,7 @@ func TestDegradedQueriesLandInWiderBuckets(t *testing.T) {
 	req := httptest.NewRequest(http.MethodGet, "/single-source?u=1", nil)
 	req = req.WithContext(context.WithValue(req.Context(), degradedKey{}, true))
 	rec := httptest.NewRecorder()
-	if scores, err := s.singleSourceScores(rec, req, 1); err != nil || len(scores) == 0 {
+	if ranked, err := s.singleSourceScores(rec, req, 1); err != nil || ranked == nil {
 		t.Fatalf("degraded query: %v", err)
 	}
 	if got := rec.Header().Get("X-ProbeSim-Degraded"); got != "epsa=0.4" {

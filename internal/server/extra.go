@@ -74,8 +74,8 @@ func (s *Server) handleProgressiveTopK(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// handlePair answers s(u, v) from the cached single-source vector of u, so
-// repeated pair probes against one node cost a single query.
+// handlePair answers s(u, v) by looking v up in u's cached single-source
+// answer, so repeated pair probes against one node cost a single query.
 func (s *Server) handlePair(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
@@ -91,13 +91,13 @@ func (s *Server) handlePair(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	scores, err := s.singleSourceScores(w, r, u)
+	ranked, err := s.singleSourceScores(w, r, u)
 	if err != nil {
 		s.writeQueryError(w, err)
 		return
 	}
 	body := map[string]any{
-		"u": u, "v": v, "score": scores[v],
+		"u": u, "v": v, "score": ranked.Score(v),
 	}
 	addTrace(r, body)
 	writeJSON(w, http.StatusOK, body)

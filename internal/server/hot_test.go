@@ -18,6 +18,7 @@ import (
 	"probesim/internal/core"
 	"probesim/internal/gen"
 	"probesim/internal/hotidx"
+	"probesim/internal/promexpo"
 	"probesim/internal/shard"
 )
 
@@ -141,13 +142,17 @@ func TestStatsAndMetricsExposeHotAndCacheCounters(t *testing.T) {
 	for _, m := range []string{
 		"probesim_hot_entries", "probesim_hot_stale_entries", "probesim_hot_tracked_sources",
 		"probesim_hot_hits_total", "probesim_hot_misses_total", "probesim_hot_invalidations_total",
-		"probesim_hot_builds_total", "probesim_hot_build_errors_total", "probesim_hot_evictions_total",
+		"probesim_hot_builds_total", "probesim_hot_evictions_total",
+		`probesim_hot_build_errors_total{cause="stopped"}`, `probesim_hot_build_errors_total{cause="raced"}`,
 		"probesim_hot_yields_total", "probesim_hot_watermark", "probesim_hot_wal_watermark",
 		"probesim_hot_lag_batches", "probesim_cache_evictions_total",
 	} {
 		if !strings.Contains(page, m) {
 			t.Fatalf("/metrics missing %s", m)
 		}
+	}
+	if errs := promexpo.Lint(strings.NewReader(page)); len(errs) != 0 {
+		t.Fatalf("/metrics fails lint: %v", errs)
 	}
 }
 

@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -218,7 +217,7 @@ func (s *Server) SetWAL(lg *wal.Log) {
 
 // EnableHotTier arms the hot-source index tier: a space-saving sketch on
 // the query path discovers hot sources, a background refresher
-// precomputes their single-source vectors with the SAME options the live
+// precomputes their single-source answers with the SAME options the live
 // path serves (so a hot answer is byte-identical to the live kernel's),
 // and the store's applied-batch stream invalidates exactly the entries
 // each write batch can affect. Requires an in-process store — the
@@ -335,12 +334,12 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	scores, err := s.singleSourceScores(w, r, u)
+	ranked, err := s.singleSourceScores(w, r, u)
 	if err != nil {
 		s.writeQueryError(w, err)
 		return
 	}
-	res := core.SelectTopK(scores, u, k)
+	res := ranked.TopK(k)
 	out := make([]scoredNodeJSON, len(res))
 	for i, r := range res {
 		out[i] = scoredNodeJSON{Node: r.Node, Score: r.Score}
@@ -360,37 +359,21 @@ func (s *Server) handleSingleSource(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	scores, err := s.singleSourceScores(w, r, u)
+	ranked, err := s.singleSourceScores(w, r, u)
 	if err != nil {
 		s.writeQueryError(w, err)
 		return
 	}
-	type entry struct {
-		v graph.NodeID
-		s float64
-	}
-	var nonzero []entry
-	for v, sc := range scores {
-		if graph.NodeID(v) != u && sc > 0 {
-			nonzero = append(nonzero, entry{graph.NodeID(v), sc})
-		}
-	}
-	sort.Slice(nonzero, func(i, j int) bool {
-		if nonzero[i].s != nonzero[j].s {
-			return nonzero[i].s > nonzero[j].s
-		}
-		return nonzero[i].v < nonzero[j].v
-	})
-	top := nonzero
+	top := ranked.Top
 	if len(top) > s.limit {
 		top = top[:s.limit]
 	}
 	m := make(map[string]float64, len(top))
 	for _, e := range top {
-		m[strconv.Itoa(int(e.v))] = e.s
+		m[strconv.Itoa(int(e.Node))] = e.Score
 	}
 	body := map[string]any{
-		"query": u, "nonzero": len(nonzero), "scores": m,
+		"query": u, "nonzero": len(ranked.Top), "scores": m,
 	}
 	addTrace(r, body)
 	writeJSON(w, http.StatusOK, body)
@@ -502,7 +485,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		body["hotMisses"] = hs.Misses
 		body["hotInvalidations"] = hs.Invalidations
 		body["hotBuilds"] = hs.Builds
-		body["hotBuildErrors"] = hs.BuildErrors
+		body["hotBuildErrors"] = hs.BuildsStopped + hs.BuildsRaced
 		body["hotEvictions"] = hs.Evictions
 		body["hotYields"] = hs.Yields
 		body["hotWatermark"] = hs.Watermark

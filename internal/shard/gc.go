@@ -2,46 +2,48 @@ package shard
 
 // Snapshot-generation GC visibility. Queries pin the generation they
 // grabbed for as long as they run, so superseded snapshots can stay live
-// long after publication replaced them — and before this file, operators
-// had no way to see how many were live or how much memory they held. The
-// store tracks every retired generation with a weak pointer: the tracking
-// itself can never extend a generation's lifetime (the whole point is to
-// observe the collector, not fight it), and a scrape walks the list,
-// counts the pointers that still resolve, and sums the bytes each live
-// retiree uniquely pins — the shard CSRs the current snapshot does NOT
-// share with it, plus its own dense span arrays. The numbers are
-// approximate by construction (two retirees sharing a block double-count
-// it, and a collected-but-unswept pointer lags one GC cycle) but they move
-// with reality, which is what an operator watching a leak needs.
+// long after publication replaced them, and operators need to see how
+// many are live and how much memory they hold. The store keeps the
+// ledger as counters: when a generation retires, the live count and the
+// bytes it uniquely pins go up, and a runtime cleanup attached to the
+// retiree takes them back down once the collector frees it.
+//
+// The ledger never touches a retiree after retirement: resolving a weak
+// pointer during a GC mark phase shades its object, so a ledger that
+// resolved its retirees on every publication would keep every uncollected
+// retiree alive for another cycle whenever a write landed in a mark, and
+// under steady writes they would pile up.
+//
+// A retiree's bytes are counted against its successor when it retires:
+// the shard CSRs the successor re-encoded, plus its span arrays if a
+// query had built them by then. The numbers are approximate by
+// construction (two retirees sharing a block double-count it, spans built
+// after retirement go uncounted, and a cleanup runs shortly after the
+// cycle that frees its retiree) but they move with reality, which is what
+// an operator watching a leak needs.
 
 import (
-	"sync"
-	"weak"
+	"runtime"
+	"sync/atomic"
 )
 
 // gcTracker is the store's retired-generation ledger.
 type gcTracker struct {
-	mu sync.Mutex
-	// retired holds one weak pointer per superseded generation, pruned of
-	// collected entries on every track and scrape.
-	retired []weak.Pointer[StoreSnapshot]
-	// total counts generations ever retired (monotonic).
-	total int64
+	total atomic.Int64 // generations ever retired (monotonic)
+	live  atomic.Int64 // retired generations not yet collected
+	bytes atomic.Int64 // bytes the live retirees uniquely pinned when they retired
 }
 
-// track records that prev was superseded. Collected entries are pruned in
-// the same pass, so the slice stays proportional to the LIVE retirees.
-func (t *gcTracker) track(prev *StoreSnapshot) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.total++
-	live := t.retired[:0]
-	for _, w := range t.retired {
-		if w.Value() != nil {
-			live = append(live, w)
-		}
-	}
-	t.retired = append(live, weak.Make(prev))
+// track records that prev was superseded by next.
+func (t *gcTracker) track(prev, next *StoreSnapshot) {
+	b := prev.retainedBytes(next)
+	t.total.Add(1)
+	t.live.Add(1)
+	t.bytes.Add(b)
+	runtime.AddCleanup(prev, func(b int64) {
+		t.live.Add(-1)
+		t.bytes.Add(-b)
+	}, b)
 }
 
 // GCStats reports the retired-generation picture at one scrape.
@@ -52,50 +54,39 @@ type GCStats struct {
 	// by in-flight queries, or not yet collected).
 	RetiredLive int
 	// RetiredBytes approximates the memory the live retirees uniquely
-	// pin: shard CSRs the current snapshot does not share with them, plus
-	// their dense span arrays.
+	// pin: for each, the shard CSRs its successor re-encoded, plus its
+	// dense span arrays, as they stood when it retired.
 	RetiredBytes int64
 	// CurrentBytes is the resident size of the current snapshot.
 	CurrentBytes int64
 }
 
-// GC scans the retired-generation ledger. It never blocks publication or
-// queries (the ledger has its own mutex; snapshots are immutable).
+// GC reads the retired-generation ledger. It never blocks publication or
+// queries: the ledger is atomic counters and snapshots are immutable.
 func (st *Store) GC() GCStats {
-	cur := st.cur.Load()
-	s := GCStats{}
-	if cur != nil {
+	s := GCStats{
+		RetiredTotal: st.gc.total.Load(),
+		RetiredLive:  int(st.gc.live.Load()),
+		RetiredBytes: st.gc.bytes.Load(),
+	}
+	if cur := st.cur.Load(); cur != nil {
 		s.CurrentBytes = cur.MemoryBytes()
 	}
-	st.gc.mu.Lock()
-	defer st.gc.mu.Unlock()
-	s.RetiredTotal = st.gc.total
-	live := st.gc.retired[:0]
-	for _, w := range st.gc.retired {
-		snap := w.Value()
-		if snap == nil {
-			continue
-		}
-		live = append(live, w)
-		s.RetiredLive++
-		s.RetiredBytes += snap.retainedBytes(cur)
-	}
-	st.gc.retired = live
 	return s
 }
 
-// retainedBytes approximates the bytes s pins that cur does not share
-// with it: every shard CSR encoded at a version cur has since re-encoded
-// (or that cur no longer has at all), plus s's span arrays — those are
+// retainedBytes approximates the bytes s pins that next does not share
+// with it: every shard CSR encoded at a version next has since re-encoded
+// (or that next no longer has at all), plus s's span arrays — those are
 // built per generation and never shared.
-func (s *StoreSnapshot) retainedBytes(cur *StoreSnapshot) int64 {
+func (s *StoreSnapshot) retainedBytes(next *StoreSnapshot) int64 {
 	var b int64
 	if sp := s.spans.Load(); sp != nil {
 		b += int64(len(sp.in)+len(sp.out)) * 8
 	}
 	for p := range s.csr {
-		if cur != nil && p < len(cur.csr) && cur.versions[p] == s.versions[p] {
-			continue // shared by reference with the current snapshot
+		if p < len(next.csr) && next.versions[p] == s.versions[p] {
+			continue // shared by reference with the successor
 		}
 		sh := &s.csr[p]
 		b += int64(len(sh.InOff)+len(sh.OutOff)) * 4

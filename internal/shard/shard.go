@@ -133,8 +133,8 @@ type Store struct {
 
 	cur atomic.Pointer[StoreSnapshot]
 
-	// gc tracks superseded generations with weak pointers for the
-	// retired-generation gauges (see gc.go).
+	// gc counts superseded generations for the retired-generation
+	// gauges (see gc.go).
 	gc gcTracker
 
 	// onApplied callbacks fire after every SUCCESSFULLY applied batch

@@ -360,7 +360,7 @@ func (st *Store) PublishCtx(ctx context.Context) (*StoreSnapshot, error) {
 	st.shardsReused.Add(int64(len(st.shards) - len(dirty)))
 	st.cur.Store(next)
 	if prev != nil {
-		st.gc.track(prev)
+		st.gc.track(prev, next)
 	}
 	return next, nil
 }

@@ -190,7 +190,9 @@ func PlanFor(opt Options, n int) (Plan, error) { return core.PlanFor(opt, n) }
 type Querier = core.Querier
 
 // NewQuerier wraps g with a result cache holding up to capacity
-// single-source vectors (LRU eviction).
+// single-source answers (LRU eviction). Each entry keeps only the
+// answer's non-zero scores, 16 bytes apiece, so an entry costs far less
+// than the 8n-byte vector Querier.SingleSource rebuilds from it.
 func NewQuerier(g *Graph, opt Options, capacity int) *Querier {
 	return core.NewQuerier(g, opt, capacity)
 }
