@@ -20,7 +20,8 @@ package probesim_test
 //     generation) — what a real fleet pays per query.
 //   - BenchmarkRouterSingleSource/router-tcp-batched-churn: the same
 //     sockets with a fresh generation published before every query, so
-//     each iteration pays the cold view.
+//     each iteration refetches the shards its churn batch moved (every
+//     other block carries over from the previous generation).
 //
 // Run with
 //
@@ -111,8 +112,8 @@ func BenchmarkRouterSingleSource(b *testing.B) {
 		}
 	}
 	// Churn variants publish a fresh generation before every query, so
-	// each iteration pays the COLD view: re-materialization plus walk
-	// delegation over the wire. A warm view answers with zero read RPCs.
+	// each iteration refetches the blocks of the shards the batch moved
+	// and carries the rest. A warm view answers with zero read RPCs.
 	runChurn := func(rt *router.Router) func(*testing.B) {
 		return func(b *testing.B) {
 			ex := core.NewExecutorOn(rt, opt)

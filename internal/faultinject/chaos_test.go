@@ -148,10 +148,11 @@ func TestChaosBitIdenticalUnderFaultSchedule(t *testing.T) {
 
 				// Churn through the faulted fleet (Apply is clean under
 				// ReadsOnly; the read plane keeps faulting). Each round is
-				// a new view generation and so one more cold fetch per
-				// group, the only calls the fault schedule sees: 14 rounds
-				// give every seed at least one failover and, hedged, one
-				// hedge.
+				// a new view generation and so one more fetch per group
+				// that owns a shard the round moved (12 random edges move
+				// shards of both groups), the only calls the fault schedule
+				// sees: 14 rounds give every seed at least one failover
+				// and, hedged, one hedge.
 				rng := xrand.New(seed * 1000)
 				var added [][2]graph.NodeID
 				for round := 0; round < 14; round++ {

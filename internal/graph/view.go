@@ -47,10 +47,11 @@ type AdjProvider interface {
 // LOCAL node index. Destination ids remain global. internal/shard builds
 // one per shard and republishes only the shards an edge batch touched.
 //
-// The hot Adj accessors do not read InOff/OutOff: they go through the
-// dense global span arrays of NewShardedAdj (derived lazily from these
-// offsets), which keep the sharded access chain as short as the
-// monolithic CSR's.
+// A block is self-contained: the sharded Adj reads a node's lists
+// straight from its shard's InOff/OutOff, so an unchanged block serves
+// every generation that shares it (by reference in process, carried
+// across view generations by the router) with no per-generation
+// derived state.
 type CSRShard struct {
 	InOff  []uint32 // len localNodes+1
 	InDst  []NodeID // global ids
@@ -79,17 +80,13 @@ type Adj struct {
 	inOff, outOff []uint32
 	inDst, outDst []NodeID
 
-	// Sharded CSR path (internal/shard snapshots): node v's lists live in
-	// shards[v>>shardShift]; its in-list is InDst[start:end] where
-	// inSpan[v] packs start (high 32 bits) and end (low 32 bits), both
-	// local to the shard's dst arrays. The spans are dense GLOBAL arrays,
-	// so one independent load yields both offsets (and the degree, by
-	// subtraction) — the sharded access chain stays as short as the
-	// monolithic CSR's.
+	// Sharded CSR path (internal/shard snapshots, router views): node v's
+	// lists live in shards[v>>shardShift] at local index v&shardMask, and
+	// read through that shard's own offsets, so the Adj holds nothing
+	// per node and a generation costs nothing beyond its blocks.
 	shards     []CSRShard
-	inSpan     []uint64
-	outSpan    []uint64
 	shardShift uint32
+	shardMask  uint32
 
 	n int
 }
@@ -129,24 +126,22 @@ func (emptyView) OutNeighbors(NodeID) []NodeID { return nil }
 func (emptyView) InDegree(NodeID) int          { return 0 }
 func (emptyView) OutDegree(NodeID) int         { return 0 }
 
-// PackSpan encodes a shard-local [start, end) list span for the dense
-// span arrays of the sharded Adj path.
-func PackSpan(start, end uint32) uint64 { return uint64(start)<<32 | uint64(end) }
-
 // NewShardedAdj builds the devirtualized accessor over sharded CSR
-// storage with a 1<<shift node stride. It is the Adj an AdjProvider in
-// internal/shard returns. shards must cover [0, view.NumNodes());
-// inSpan/outSpan hold each node's PackSpan-encoded shard-local list
-// bounds, dense global arrays of length NumNodes.
-func NewShardedAdj(view View, shards []CSRShard, shift uint32, inSpan, outSpan []uint64) Adj {
+// storage with a 1<<shift node stride: the Adj internal/shard's snapshot
+// and the router's view return. shards must cover [0, view.NumNodes()).
+func NewShardedAdj(view View, shards []CSRShard, shift uint32) Adj {
 	return Adj{
 		view:       view,
 		shards:     shards,
-		inSpan:     inSpan,
-		outSpan:    outSpan,
 		shardShift: shift,
+		shardMask:  uint32(1)<<shift - 1,
 		n:          view.NumNodes(),
 	}
+}
+
+// shard returns node v's shard block and its local index there.
+func (a *Adj) shard(v NodeID) (*CSRShard, uint32) {
+	return &a.shards[uint32(v)>>a.shardShift], uint32(v) & a.shardMask
 }
 
 // NumNodes returns the node count of the resolved view.
@@ -162,8 +157,8 @@ func (a *Adj) In(v NodeID) []NodeID {
 		return a.inL[v]
 	}
 	if a.shards != nil {
-		sp := a.inSpan[v]
-		return a.shards[uint32(v)>>a.shardShift].InDst[sp>>32 : sp&0xffffffff]
+		sh, l := a.shard(v)
+		return sh.InDst[sh.InOff[l]:sh.InOff[l+1]]
 	}
 	return a.view.InNeighbors(v)
 }
@@ -178,8 +173,8 @@ func (a *Adj) Out(u NodeID) []NodeID {
 		return a.outL[u]
 	}
 	if a.shards != nil {
-		sp := a.outSpan[u]
-		return a.shards[uint32(u)>>a.shardShift].OutDst[sp>>32 : sp&0xffffffff]
+		sh, l := a.shard(u)
+		return sh.OutDst[sh.OutOff[l]:sh.OutOff[l+1]]
 	}
 	return a.view.OutNeighbors(u)
 }
@@ -192,9 +187,9 @@ func (a *Adj) InDegree(v NodeID) int {
 	if a.inL != nil {
 		return len(a.inL[v])
 	}
-	if a.inSpan != nil {
-		sp := a.inSpan[v]
-		return int(uint32(sp) - uint32(sp>>32))
+	if a.shards != nil {
+		sh, l := a.shard(v)
+		return int(sh.InOff[l+1] - sh.InOff[l])
 	}
 	return a.view.InDegree(v)
 }
@@ -207,9 +202,9 @@ func (a *Adj) OutDegree(u NodeID) int {
 	if a.outL != nil {
 		return len(a.outL[u])
 	}
-	if a.outSpan != nil {
-		sp := a.outSpan[u]
-		return int(uint32(sp) - uint32(sp>>32))
+	if a.shards != nil {
+		sh, l := a.shard(u)
+		return int(sh.OutOff[l+1] - sh.OutOff[l])
 	}
 	return a.view.OutDegree(u)
 }

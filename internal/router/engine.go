@@ -21,10 +21,12 @@
 // per owner group, and caches them for the generation; the kernels then
 // walk and probe over that local adjacency with the same code as in
 // process — which is what keeps results bit-identical between a single
-// process and a fleet of workers. The Router plugs into core.Executor
-// through the SnapshotProvider seam, so single-source, top-k,
-// progressive, join and component queries run unchanged over either
-// engine.
+// process and a fleet of workers. A new generation inherits every block
+// whose shard version its owners report unchanged, so the read after a
+// write fetches only the shards the write moved. The Router plugs into
+// core.Executor through the SnapshotProvider seam, so single-source,
+// top-k, progressive, join and component queries run unchanged over
+// either engine.
 //
 // Failure semantics: every remote call is bounded by the query's deadline
 // (propagated in the request's budget header) and by a call timeout. A
@@ -82,6 +84,15 @@ type Meta struct {
 	Shift     uint32 // node stride is 1 << Shift
 	Shards    int
 	Owned     []int // shard ids this engine serves, ascending
+	// ShardVersions, aligned with Owned, is the store version each owned
+	// shard's block was encoded at. A shard's version rises whenever its
+	// adjacency changes (a rollback re-applies inverse ops, which bump it
+	// again), and replicas in lockstep agree on it, so an unchanged
+	// version names an unchanged block: the router carries such blocks
+	// into the next view instead of fetching them. Nil when the engine
+	// does not report versions; the router then fetches every block of
+	// every generation.
+	ShardVersions []uint64
 }
 
 // ShardEngine is the transport-agnostic API of one shard server.
@@ -92,8 +103,9 @@ type Meta struct {
 // the exact generation its view was assembled from even while churn
 // publishes newer ones. All methods are safe for concurrent use.
 type ShardEngine interface {
-	// Meta reports the engine's published shape and pins the current
-	// generation in its retention ring.
+	// Meta reports the engine's published shape, including the version
+	// of every owned shard's block, and pins the current generation in
+	// its retention ring.
 	Meta(ctx context.Context) (Meta, error)
 
 	// Ping reports the engine's published snapshot version and durable
@@ -254,6 +266,7 @@ func (e *LocalEngine) meta(snap *shard.StoreSnapshot) Meta {
 	}
 	for p := e.index; p < m.Shards; p += e.group {
 		m.Owned = append(m.Owned, p)
+		m.ShardVersions = append(m.ShardVersions, snap.ShardVersion(p))
 	}
 	return m
 }

@@ -271,13 +271,14 @@ func (e *RemoteEngine) metaFromReply(body []byte) (Meta, []qtrace.Span, error) {
 		return Meta{}, nil, fmt.Errorf("router: %s: %v", e.addr, err)
 	}
 	m := Meta{
-		Nodes:     int(rep.Nodes),
-		Edges:     int64(rep.Edges),
-		Version:   rep.Version,
-		LastBatch: rep.LastBatch,
-		Shift:     rep.Shift,
-		Shards:    int(rep.Shards),
-		Owned:     make([]int, len(rep.Owned)),
+		Nodes:         int(rep.Nodes),
+		Edges:         int64(rep.Edges),
+		Version:       rep.Version,
+		LastBatch:     rep.LastBatch,
+		Shift:         rep.Shift,
+		Shards:        int(rep.Shards),
+		Owned:         make([]int, len(rep.Owned)),
+		ShardVersions: rep.ShardVersions,
 	}
 	for i, p := range rep.Owned {
 		m.Owned[i] = int(p)

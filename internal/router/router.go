@@ -62,6 +62,7 @@ type Router struct {
 
 	// Read- and write-path counters for /metrics.
 	shardFetches   atomic.Int64
+	shardCarried   atomic.Int64
 	fetchErrs      fetchErrCounters
 	shardBatches   atomic.Int64
 	applyRetries   atomic.Int64
@@ -323,7 +324,7 @@ func (r *Router) assembleLocked(metas [][]memberMeta) (*View, error) {
 			return nil, fmt.Errorf("router: shard %d has no owner", p)
 		}
 	}
-	return &View{
+	view := &View{
 		r:       r,
 		nodes:   m0.Nodes,
 		edges:   m0.Edges,
@@ -331,7 +332,17 @@ func (r *Router) assembleLocked(metas [][]memberMeta) (*View, error) {
 		shift:   m0.Shift,
 		ownerOf: ownerOf,
 		blocks:  make([]blockSlot, m0.Shards),
-	}, nil
+	}
+	for _, m := range chosen {
+		if len(m.ShardVersions) != len(m.Owned) {
+			continue // the group reports no versions: its blocks are never carried
+		}
+		for i, p := range m.Owned {
+			view.blocks[p].version = m.ShardVersions[i]
+			view.blocks[p].versioned = true
+		}
+	}
+	return view, nil
 }
 
 // PublishedView implements core.SnapshotProvider. It never blocks.
@@ -344,9 +355,10 @@ func (r *Router) PublishedView() graph.VersionedView {
 
 // PublishView implements core.SnapshotProvider: it asks every current
 // member to republish, validates agreement, and installs a fresh
-// composite view. An unchanged version keeps the current view (and its
-// warm block cache). On failure the previously published view stays
-// current and is returned alongside the error.
+// composite view that inherits every block whose shard version did not
+// move (see View.inherit). An unchanged version keeps the current view
+// (and its warm block cache). On failure the previously published view
+// stays current and is returned alongside the error.
 func (r *Router) PublishView(ctx context.Context) (graph.VersionedView, error) {
 	if r.fast != nil {
 		// The store itself, not LocalEngine.Publish: the engine pins the
@@ -369,6 +381,7 @@ func (r *Router) publishLocked(ctx context.Context) (graph.VersionedView, error)
 	if prev != nil && view.version == prev.version {
 		return prev, nil // keep the warm block cache
 	}
+	r.shardCarried.Add(int64(view.inherit(prev)))
 	r.cur.Store(view)
 	return view, nil
 }
@@ -845,6 +858,10 @@ func (f *fetchErrCounters) load() FetchErrors {
 type Counters struct {
 	ShardFetches     int64
 	ShardFetchErrors FetchErrors
+	// ShardBlocksCarried counts shard blocks a new view generation
+	// inherited from its predecessor instead of fetching: next to
+	// ShardFetches it shows what a write cost the next read.
+	ShardBlocksCarried int64
 	// ShardBatches counts batched ResolveShards round trips (composite-
 	// view materialization): ShardFetches/ShardBatches is the average
 	// blocks-per-RPC amortization the batch plane buys.
@@ -869,15 +886,16 @@ type Counters struct {
 // Counters reports the read/write-path counters for /metrics.
 func (r *Router) Counters() Counters {
 	return Counters{
-		ShardFetches:     r.shardFetches.Load(),
-		ShardFetchErrors: r.fetchErrs.load(),
-		ShardBatches:     r.shardBatches.Load(),
-		ApplyRetries:     r.applyRetries.Load(),
-		Failovers:        r.failovers.Load(),
-		HedgesSent:       r.hedgesSent.Load(),
-		HedgesWon:        r.hedgesWon.Load(),
-		ApplySkips:       r.applySkips.Load(),
-		CatchupBatches:   r.catchupBatches.Load(),
+		ShardFetches:       r.shardFetches.Load(),
+		ShardFetchErrors:   r.fetchErrs.load(),
+		ShardBlocksCarried: r.shardCarried.Load(),
+		ShardBatches:       r.shardBatches.Load(),
+		ApplyRetries:       r.applyRetries.Load(),
+		Failovers:          r.failovers.Load(),
+		HedgesSent:         r.hedgesSent.Load(),
+		HedgesWon:          r.hedgesWon.Load(),
+		ApplySkips:         r.applySkips.Load(),
+		CatchupBatches:     r.catchupBatches.Load(),
 	}
 }
 
@@ -891,9 +909,11 @@ func (r *Router) Distributed() bool { return r.fast == nil }
 func (r *Router) Local() *LocalEngine { return r.fast }
 
 // View is the composite read side the generic path serves: the shape and
-// version agreed by every group, plus per-shard adjacency blocks fetched
-// from their owner groups and cached for the generation — all of them
-// before a query's first walk step, or one at a time for shape readers.
+// version agreed by every group, plus per-shard adjacency blocks — carried
+// over from the previous generation where the shard did not change, else
+// fetched from their owner groups and cached for the generation: all of
+// them before a query's first walk step, or one at a time for shape
+// readers.
 // It implements graph.VersionedView for shape readers (stats,
 // validation) and core.QueryBinder so queries run through a BoundView
 // that carries their context and budget meter.
@@ -916,6 +936,11 @@ type View struct {
 type blockSlot struct {
 	mu  sync.Mutex // single-flight fetch
 	ptr atomic.Pointer[graph.CSRShard]
+	// version is the shard version the owner group's reference member
+	// reported at assembly; versioned is false when it reported none.
+	// Both are fixed before the view is published.
+	version   uint64
+	versioned bool
 }
 
 var _ graph.VersionedView = (*View)(nil)
@@ -928,6 +953,32 @@ func (v *View) NumEdges() int64 { return v.edges }
 
 // Version implements graph.VersionedView.
 func (v *View) Version() uint64 { return v.version }
+
+// inherit fills v's slots from prev, the view it replaces, with every
+// block prev holds whose shard both generations' owners report at the
+// same version, and returns how many it carried. A shard's version only
+// rises, and replicas in lockstep agree on it, so an unchanged version
+// names an unchanged block — the same trust the router already places
+// in an unchanged view version when it keeps a warm view. Nothing is
+// carried across a change of stride or shard count. v must not be
+// published yet.
+func (v *View) inherit(prev *View) int {
+	if prev == nil || prev.shift != v.shift || len(prev.blocks) != len(v.blocks) {
+		return 0
+	}
+	carried := 0
+	for p := range v.blocks {
+		slot, old := &v.blocks[p], &prev.blocks[p]
+		if !slot.versioned || !old.versioned || slot.version != old.version {
+			continue
+		}
+		if b := old.ptr.Load(); b != nil {
+			slot.ptr.Store(b)
+			carried++
+		}
+	}
+	return carried
+}
 
 // block returns shard p's adjacency block, fetching it from the owner
 // group (any replica, with failover) on first touch. Concurrent first
@@ -959,10 +1010,10 @@ func (v *View) block(ctx context.Context, p int) (*graph.CSRShard, error) {
 	return csr, nil
 }
 
-// materialize pulls every not-yet-cached shard block — ONE batched
-// ResolveShards call per owner group, concurrently across groups — and
-// builds the same dense PackSpan span arrays the in-process sharded
-// snapshot serves, so probe hot loops index slices instead of paying an
+// materialize pulls every block the view neither carried nor cached —
+// ONE batched ResolveShards call per owner group, concurrently across
+// groups — and serves them through the same sharded Adj the in-process
+// snapshot does, so probe hot loops index slices instead of paying an
 // interface call per edge list. The result is cached on the view: later
 // queries on the same generation reuse it without any RPC.
 func (v *View) materialize(ctx context.Context) (*graph.Adj, error) {
@@ -1025,21 +1076,11 @@ func (v *View) materialize(ctx context.Context) (*graph.Adj, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	stride := 1 << v.shift
 	csrs := make([]graph.CSRShard, len(v.blocks))
-	in := make([]uint64, v.nodes)
-	out := make([]uint64, v.nodes)
 	for p := range v.blocks {
-		blk := v.blocks[p].ptr.Load()
-		csrs[p] = *blk
-		base := p * stride
-		local := min(stride, v.nodes-base)
-		for l := 0; l < local; l++ {
-			in[base+l] = graph.PackSpan(blk.InOff[l], blk.InOff[l+1])
-			out[base+l] = graph.PackSpan(blk.OutOff[l], blk.OutOff[l+1])
-		}
+		csrs[p] = *v.blocks[p].ptr.Load()
 	}
-	adj := graph.NewShardedAdj(v, csrs, v.shift, in, out)
+	adj := graph.NewShardedAdj(v, csrs, v.shift)
 	v.adj.Store(&adj)
 	return &adj, nil
 }
@@ -1169,8 +1210,8 @@ var _ graph.AdjProvider = (*BoundView)(nil)
 // ProvideAdj implements graph.AdjProvider, which the kernels resolve
 // before their first walk step: the view materializes every shard block
 // it lacks in bulk (one batched ResolveShards per owner group, none on a
-// warm view) and serves the same dense-span sharded Adj the in-process
-// store does, so walks and probes step over local adjacency. A query
+// warm view) and serves the same sharded Adj the in-process store does,
+// so walks and probes step over local adjacency. A query
 // makes one attempt, shared by all its kernel workers. On failure the
 // error latches on the query — the same partial-result semantics as any
 // block fetch failure — and the query gets an adjacency with every list

@@ -171,9 +171,16 @@ func TestBitIdenticalLocalEngines(t *testing.T) {
 // remote engine plus the serving stack for fault injection.
 func startWorker(t *testing.T, g *graph.Graph, shards, index, group int) (*RemoteEngine, *Server, *LocalEngine) {
 	t.Helper()
-	st := shard.NewStore(g, shards, 0)
-	le := NewLocalEngine(st, index, group)
-	srv := NewServer(le)
+	le := NewLocalEngine(shard.NewStore(g, shards, 0), index, group)
+	re, srv := serveEngine(t, le)
+	return re, srv, le
+}
+
+// serveEngine serves eng over a real TCP socket and returns the remote
+// engine talking to it.
+func serveEngine(t *testing.T, eng ShardEngine) (*RemoteEngine, *Server) {
+	t.Helper()
+	srv := NewServer(eng)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +189,7 @@ func startWorker(t *testing.T, g *graph.Graph, shards, index, group int) (*Remot
 	t.Cleanup(func() { srv.Close() })
 	re := NewRemoteEngine(ln.Addr().String())
 	t.Cleanup(func() { re.Close() })
-	return re, srv, le
+	return re, srv
 }
 
 // TestBitIdenticalOverRPC is the acceptance property: the same graph,
@@ -292,6 +299,199 @@ func TestBatchingCollapsesRoundTrips(t *testing.T) {
 		if got := [2]int64{srvA.Requests() - a0, srvB.Requests() - b0}; got != pass.frames {
 			t.Fatalf("%s query sent %v request frames to the two groups, want %v", pass.name, got, pass.frames)
 		}
+	}
+}
+
+// versionlessEngine is a worker that predates shard versions: its Meta
+// and Publish replies report none, so a router must fetch every block it
+// owns on every generation.
+type versionlessEngine struct{ ShardEngine }
+
+func (e versionlessEngine) Meta(ctx context.Context) (Meta, error) {
+	m, err := e.ShardEngine.Meta(ctx)
+	m.ShardVersions = nil
+	return m, err
+}
+
+func (e versionlessEngine) Publish(ctx context.Context) (Meta, error) {
+	m, err := e.ShardEngine.Publish(ctx)
+	m.ShardVersions = nil
+	return m, err
+}
+
+// churnFleet is a router over two TCP workers on 64-shard stores of one
+// PA graph next to an in-process reference store, for pinning what each
+// write costs the next read.
+type churnFleet struct {
+	rt        *Router
+	ref       *shard.Store
+	owners    [2]*LocalEngine
+	want, got *core.Executor
+}
+
+func newChurnFleet(t *testing.T, versioned [2]bool) *churnFleet {
+	t.Helper()
+	g := testGraph(2000, 21)
+	f := &churnFleet{ref: shard.NewStore(g, 64, 0)}
+	var engines []ShardEngine
+	for i := range f.owners {
+		f.owners[i] = NewLocalEngine(shard.NewStore(g, 64, 0), i, 2)
+		var eng ShardEngine = f.owners[i]
+		if !versioned[i] {
+			eng = versionlessEngine{eng}
+		}
+		re, _ := serveEngine(t, eng)
+		engines = append(engines, re)
+	}
+	rt, err := New(engines...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.rt = rt
+	opt := testOptions(core.ModeAuto)
+	f.want = core.NewExecutorOn(f.ref, opt)
+	f.got = core.NewExecutorOn(rt, opt)
+	return f
+}
+
+// round sends ops through the router and the reference, republishes,
+// and runs one query on the new generation, requiring bit-identical
+// answers. It returns the shard blocks that query fetched and the number
+// of each worker's owned shards whose version the batch moved.
+func (f *churnFleet) round(t *testing.T, tag string, ops []graph.EdgeOp, rejected bool) (fetched int64, moved [2]int) {
+	t.Helper()
+	ctx := context.Background()
+	var before [2]*shard.StoreSnapshot
+	for i, le := range f.owners {
+		before[i] = le.Store().Current()
+	}
+	fetches := f.rt.Counters().ShardFetches
+	if _, err := f.ref.ApplyBatch(0, ops); (err != nil) != rejected {
+		t.Fatalf("%s: reference apply: %v (rejection expected: %v)", tag, err, rejected)
+	}
+	f.ref.Publish()
+	if err := f.rt.Apply(ctx, ops); (err != nil) != rejected {
+		t.Fatalf("%s: routed apply: %v (rejection expected: %v)", tag, err, rejected)
+	}
+	if _, err := f.rt.PublishView(ctx); err != nil {
+		t.Fatalf("%s: publish: %v", tag, err)
+	}
+	assertIdentical(t, tag, f.want, f.got, []graph.NodeID{0})
+	for i, le := range f.owners {
+		for _, p := range le.Store().Current().TouchedSince(before[i]) {
+			if p%2 == i {
+				moved[i]++
+			}
+		}
+	}
+	return f.rt.Counters().ShardFetches - fetches, moved
+}
+
+// TestWriteRefetchesOnlyMovedShards pins what a write costs the next
+// routed read: the first query on the new generation fetches exactly the
+// shards whose version the batch moved on their owning workers, and
+// carries every other block over from the previous view. A semantically
+// rejected batch moves its shards' versions too (the store rolls back by
+// applying inverse ops), so those blocks are refetched. Answers stay
+// bit-identical to an in-process store that took the same ops.
+func TestWriteRefetchesOnlyMovedShards(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sockets")
+	}
+	f := newChurnFleet(t, [2]bool{true, true})
+	shards := f.ref.Current().NumShards()
+	assertIdentical(t, "static", f.want, f.got, []graph.NodeID{0, 42, 1999})
+
+	check := func(tag string, ops []graph.EdgeOp, rejected bool) {
+		t.Helper()
+		carried := f.rt.Counters().ShardBlocksCarried
+		fetched, moved := f.round(t, tag, ops, rejected)
+		mv := moved[0] + moved[1]
+		if mv == 0 || mv >= shards {
+			t.Fatalf("%s: the batch moved %d of %d shards; the test needs some but not all", tag, mv, shards)
+		}
+		if fetched != int64(mv) {
+			t.Fatalf("%s: the next read fetched %d shard blocks, want the %d the batch moved (of %d)", tag, fetched, mv, shards)
+		}
+		if d := f.rt.Counters().ShardBlocksCarried - carried; d != int64(shards-mv) {
+			t.Fatalf("%s: %d blocks carried, want %d", tag, d, shards-mv)
+		}
+	}
+	rng := xrand.New(5)
+	var added [][2]graph.NodeID
+	for round := 0; round < 3; round++ {
+		check(fmt.Sprintf("churn-%d", round), randomOps(rng, 2000, &added, 4), false)
+	}
+	// A valid add followed by the removal of an edge that does not
+	// exist: every worker rejects the batch and rolls the add back.
+	check("rollback", []graph.EdgeOp{{U: 1500, V: 7}, {Remove: true, U: 1999, V: 1998}}, true)
+}
+
+// TestVersionlessWorkerRefetchesEveryBlock: in a fleet where one worker
+// predates shard versions, the router fetches all of that worker's
+// blocks on every generation, and still only the moved ones of the
+// worker that reports versions. Answers stay bit-identical either way.
+func TestVersionlessWorkerRefetchesEveryBlock(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sockets")
+	}
+	f := newChurnFleet(t, [2]bool{false, true})
+	assertIdentical(t, "static", f.want, f.got, []graph.NodeID{0, 42, 1999})
+	ownedByOld := len(f.owners[0].meta(f.owners[0].Store().Current()).Owned)
+	rng := xrand.New(6)
+	var added [][2]graph.NodeID
+	for round := 0; round < 3; round++ {
+		tag := fmt.Sprintf("churn-%d", round)
+		fetched, moved := f.round(t, tag, randomOps(rng, 2000, &added, 4), false)
+		if want := int64(ownedByOld + moved[1]); fetched != want {
+			t.Fatalf("%s: the next read fetched %d blocks, want all %d of the versionless worker's plus the %d moved on the other", tag, fetched, ownedByOld, moved[1])
+		}
+	}
+}
+
+// TestInheritRule pins when a new view generation may carry a block
+// over: only for a shard both generations report at the same version,
+// never across a change of stride or shard count, and never a block the
+// previous view had not fetched.
+func TestInheritRule(t *testing.T) {
+	blk := &graph.CSRShard{InOff: []uint32{0, 0}, OutOff: []uint32{0, 0}}
+	view := func(shift uint32, versions ...int64) *View {
+		v := &View{shift: shift, blocks: make([]blockSlot, len(versions))}
+		for p, ver := range versions {
+			if ver >= 0 {
+				v.blocks[p].version, v.blocks[p].versioned = uint64(ver), true
+			}
+		}
+		return v
+	}
+	prev := view(4, 1, 2, 3, -1, 5)
+	for p := range prev.blocks {
+		if p != 4 {
+			prev.blocks[p].ptr.Store(blk)
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		next    *View
+		carried []int
+	}{
+		{"same versions", view(4, 1, 2, 3, -1, 5), []int{0, 1, 2}},
+		{"moved shard", view(4, 1, 9, 3, -1, 5), []int{0, 2}},
+		{"unversioned now", view(4, -1, 2, 3, -1, 5), []int{1, 2}},
+		{"stride changed", view(5, 1, 2, 3, -1, 5), nil},
+		{"shard count changed", view(4, 1, 2, 3, -1), nil},
+	} {
+		if got := c.next.inherit(prev); got != len(c.carried) {
+			t.Fatalf("%s: carried %d blocks, want %d", c.name, got, len(c.carried))
+		}
+		for _, p := range c.carried {
+			if c.next.blocks[p].ptr.Load() != blk {
+				t.Fatalf("%s: shard %d not carried", c.name, p)
+			}
+		}
+	}
+	if got := view(4, 1).inherit(nil); got != 0 {
+		t.Fatalf("a first generation carried %d blocks", got)
 	}
 }
 

@@ -172,6 +172,9 @@ func (s *Server) dispatch(typ uint8, payload, out []byte) (uint8, []byte) {
 			Shards:    uint32(m.Shards),
 			Owned:     make([]uint32, len(m.Owned)),
 			Spans:     spans,
+			// Set only on TMeta/TPublish: an Apply's Meta carries no
+			// shard list, so its reply keeps just the span trailer.
+			ShardVersions: m.ShardVersions,
 		}
 		for i, p := range m.Owned {
 			rep.Owned[i] = uint32(p)

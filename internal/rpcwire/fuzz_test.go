@@ -109,6 +109,13 @@ func FuzzDecodeMessages(f *testing.F) {
 	f.Add(appendTraceTrailer(PingRequest{Budget: h}.Append(nil), *tc))
 	f.Add(appendTrailer(ShardsRequest{Budget: h, Version: 9, Shards: []uint32{1}}.Append(nil), tagTrace, []byte{1, 2, 3}))
 	f.Add(appendTrailer(ShardsReply{CSRs: []graph.CSRShard{csr}}.Append(nil), tagSpans, []byte{0, 0, 0, 0}))
+	// The shard-version trailer of TMeta/TPublish replies: canonical, a
+	// body one byte short, and a body holding one version too many. The
+	// last two must decode as if no trailer were there.
+	versioned := MetaReply{Nodes: 10, Edges: 20, Version: 3, LastBatch: 7, Shift: 4, Shards: 2, Owned: []uint32{0, 1}, ShardVersions: []uint64{3, 2}}
+	f.Add(versioned.Append(nil))
+	f.Add(appendTrailer(MetaReply{Nodes: 10, Shards: 2, Owned: []uint32{0, 1}}.Append(nil), tagVersions, make([]byte, 15)))
+	f.Add(appendTrailer(MetaReply{Nodes: 10, Shards: 2, Owned: []uint32{0, 1}}.Append(nil), tagVersions, make([]byte, 24)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if m, err := DecodeMetaRequest(data); err == nil {
 			// MetaRequest rejects trailing bytes, so a successful decode

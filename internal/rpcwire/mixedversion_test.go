@@ -153,6 +153,61 @@ func TestOldRouterNewWorkerRepliesBitIdentical(t *testing.T) {
 	}
 }
 
+// The shard-version trailer on TMeta/TPublish replies keeps both
+// directions of a mixed fleet working: a reply without versions is
+// exactly the fixed form an old router has always read; a router that
+// predates the trailer reads the same fixed fields from a reply that
+// carries versions and leaves exactly one trailer unread; and a new
+// router decodes an old worker's fixed-form reply, or a malformed
+// trailer, as no versions at all — it then refetches every block.
+func TestShardVersionsTrailerMixedVersion(t *testing.T) {
+	meta := MetaReply{Nodes: 10, Edges: 20, Version: 3, LastBatch: 4, Shift: 2, Shards: 4, Owned: []uint32{0, 2}}
+	fixed := fixedMetaReplyBytes(meta)
+	if got := meta.Append(nil); !bytes.Equal(got, fixed) {
+		t.Fatalf("version-free MetaReply differs from the fixed form:\n got %x\nwant %x", got, fixed)
+	}
+
+	versioned := meta
+	versioned.ShardVersions = []uint64{3, 1}
+	enc := versioned.Append(nil)
+	if !bytes.HasPrefix(enc, fixed) {
+		t.Fatalf("versioned MetaReply changed the fixed prefix:\n got %x\nwant prefix %x", enc, fixed)
+	}
+	d := dec{b: enc}
+	old := MetaReply{Nodes: d.u64(), Edges: d.u64(), Version: d.u64(), LastBatch: d.u64(),
+		Shift: d.u32(), Shards: d.u32(), Owned: d.u32s()}
+	if d.err != nil {
+		t.Fatal(d.err)
+	}
+	if !reflect.DeepEqual(old, meta) {
+		t.Fatalf("fixed-field decode mangled the versioned reply: %+v", old)
+	}
+	if len(d.b) != 8+8*len(meta.Owned) {
+		t.Fatalf("expected exactly one versions trailer after the fixed fields, %d bytes left", len(d.b))
+	}
+
+	body := binary.LittleEndian.AppendUint64(nil, 3)
+	for _, c := range []struct {
+		name  string
+		reply []byte
+	}{
+		{"fixed form", fixed},
+		{"short body", appendTrailer(fixed, tagVersions, body[:7])},
+		{"wrong count", appendTrailer(fixed, tagVersions, body)},
+	} {
+		got, err := DecodeMetaReply(c.reply)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got.ShardVersions != nil {
+			t.Fatalf("%s: decoded versions %v, want none", c.name, got.ShardVersions)
+		}
+		if !reflect.DeepEqual(got, meta) {
+			t.Fatalf("%s: fixed fields mangled: %+v", c.name, got)
+		}
+	}
+}
+
 // The write plane's trailers round-trip exactly: a traced ApplyRequest
 // keeps its trace context and the MetaReply answering it keeps the
 // worker's spans. (The query-path message's trailers are covered by

@@ -28,11 +28,15 @@
 // budget header they already carry. Every worker parses it, so a
 // sampled query's requests always carry one and an unsampled query's
 // never do. The corresponding replies (and the MetaReply answering
-// TApply) carry the worker's recorded spans back the same way. A message
-// without trailers is exactly its fixed encoding, and the fixed decoders
-// stop where the fixed fields end, so a peer whose decoder predates a
-// trailer reads the same fields and ignores it. TMeta/TPing requests
-// reject trailing bytes, so trailers are never attached to them.
+// TApply) carry the worker's recorded spans back the same way. The
+// MetaReply answering TMeta or TPublish instead carries the version of
+// each owned shard's block, 8 bytes per entry of Owned in Owned order,
+// which lets a router keep every block whose version did not move. A
+// message without trailers is exactly its fixed encoding, and the fixed
+// decoders stop where the fixed fields end, so a peer whose decoder
+// predates a trailer reads the same fields and ignores it. TMeta/TPing
+// requests reject trailing bytes, so trailers are never attached to
+// them.
 //
 // Trailers are canonical: a message carries at most one, under the tag
 // its kind allows, with an exact body length. The parser accepts only
@@ -82,8 +86,9 @@ const MaxFrame = 1 << 30
 
 // Trailer tags. Each trailer is tag (u32) | body length (u32) | body.
 const (
-	tagTrace uint32 = 0x43525451 // "QTRC": TraceContext on a request
-	tagSpans uint32 = 0x534E5053 // "SPNS": recorded worker spans on a reply
+	tagTrace    uint32 = 0x43525451 // "QTRC": TraceContext on a request
+	tagSpans    uint32 = 0x534E5053 // "SPNS": recorded worker spans on a reply
+	tagVersions uint32 = 0x52455653 // "SVER": owned shards' versions on a MetaReply
 )
 
 // TraceContext is the cross-process form of "this request belongs to a
@@ -136,6 +141,16 @@ func appendSpansTrailer(b []byte, spans []qtrace.Span) []byte {
 	return appendTrailer(b, tagSpans, body)
 }
 
+// appendVersionsTrailer emits owned shards' versions. Callers skip it
+// unless there is one version per owned shard and at least one.
+func appendVersionsTrailer(b []byte, versions []uint64) []byte {
+	body := make([]byte, 0, 8*len(versions))
+	for _, v := range versions {
+		body = binary.LittleEndian.AppendUint64(body, v)
+	}
+	return appendTrailer(b, tagVersions, body)
+}
+
 // trailer returns the body of the trailer tagged tag at the head of b,
 // or ok = false when b does not start with one (a trailer-free message,
 // another tag, or a truncated body). Whatever follows the trailer is
@@ -174,6 +189,20 @@ func parseSpans(b []byte) []qtrace.Span {
 	}
 	spans, _ := decodeSpansBody(body)
 	return spans
+}
+
+// parseVersions reads a MetaReply's optional shard-version trailer: nil
+// unless b starts with a canonical one holding exactly owned versions.
+func parseVersions(b []byte, owned int) []uint64 {
+	body, ok := trailer(b, tagVersions)
+	if !ok || owned == 0 || len(body) != 8*owned {
+		return nil
+	}
+	versions := make([]uint64, owned)
+	for i := range versions {
+		versions[i] = binary.LittleEndian.Uint64(body[8*i:])
+	}
+	return versions
 }
 
 // decodeSpansBody decodes a span trailer body; ok is false unless the
@@ -396,8 +425,14 @@ type MetaReply struct {
 	// Spans carries the worker's recorded spans back to a traced caller
 	// (TApply replies). Empty for untraced requests.
 	Spans []qtrace.Span
+	// ShardVersions, aligned with Owned, carries the version of each
+	// owned shard's block (TMeta and TPublish replies). Nil when the
+	// worker reports none.
+	ShardVersions []uint64
 }
 
+// Append encodes the reply with at most one trailer: Spans when set,
+// otherwise ShardVersions when it holds one version per owned shard.
 func (m MetaReply) Append(b []byte) []byte {
 	b = binary.LittleEndian.AppendUint64(b, m.Nodes)
 	b = binary.LittleEndian.AppendUint64(b, m.Edges)
@@ -406,8 +441,11 @@ func (m MetaReply) Append(b []byte) []byte {
 	b = binary.LittleEndian.AppendUint32(b, m.Shift)
 	b = binary.LittleEndian.AppendUint32(b, m.Shards)
 	b = appendU32s(b, m.Owned)
-	if len(m.Spans) > 0 {
+	switch {
+	case len(m.Spans) > 0:
 		b = appendSpansTrailer(b, m.Spans)
+	case len(m.ShardVersions) > 0 && len(m.ShardVersions) == len(m.Owned):
+		b = appendVersionsTrailer(b, m.ShardVersions)
 	}
 	return b
 }
@@ -425,6 +463,7 @@ func DecodeMetaReply(b []byte) (MetaReply, error) {
 	}
 	if d.err == nil {
 		m.Spans = parseSpans(d.b)
+		m.ShardVersions = parseVersions(d.b, len(m.Owned))
 	}
 	return m, d.err
 }

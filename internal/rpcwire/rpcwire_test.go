@@ -71,9 +71,20 @@ func TestMetaRoundTrip(t *testing.T) {
 		t.Fatalf("meta request: %+v err %v", got, err)
 	}
 	rep := MetaReply{Nodes: 1000, Edges: 5000, Version: 42, Shift: 6, Shards: 16, Owned: []uint32{0, 2, 4}}
-	gotRep, err := DecodeMetaReply(rep.Append(nil))
-	if err != nil || !reflect.DeepEqual(gotRep, rep) {
-		t.Fatalf("meta reply: %+v err %v", gotRep, err)
+	versioned := rep
+	versioned.ShardVersions = []uint64{40, 7, 42}
+	for _, want := range []MetaReply{rep, versioned} {
+		gotRep, err := DecodeMetaReply(want.Append(nil))
+		if err != nil || !reflect.DeepEqual(gotRep, want) {
+			t.Fatalf("meta reply: %+v err %v", gotRep, err)
+		}
+	}
+	// A reply with spans (a traced TApply's) keeps only them: no message
+	// carries two trailers.
+	versioned.Spans = testSpans
+	gotRep, err := DecodeMetaReply(versioned.Append(nil))
+	if err != nil || !reflect.DeepEqual(gotRep.Spans, testSpans) || gotRep.ShardVersions != nil {
+		t.Fatalf("meta reply with spans and versions: %+v err %v, want the spans alone", gotRep, err)
 	}
 }
 

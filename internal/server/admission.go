@@ -617,6 +617,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				sample(func(ws router.WorkerStat) int64 { return ws.Reconnects }))
 			rc := s.rt.Counters()
 			promexpo.WriteCounter(out, "probesim_router_shard_fetches_total", "Shard adjacency blocks fetched from workers.", rc.ShardFetches)
+			promexpo.WriteCounter(out, "probesim_router_shard_blocks_carried_total", "Shard blocks a new view generation inherited instead of fetching.", rc.ShardBlocksCarried)
 			fe := rc.ShardFetchErrors
 			promexpo.WriteLabeled(out, "probesim_router_shard_fetch_errors_total", "Shard block fetches that failed, by cause.", "counter", []promexpo.Sample{
 				{Label: `cause="transport"`, Value: fe.Transport},

@@ -102,12 +102,20 @@ func TestRoutedStatsAndMetrics(t *testing.T) {
 	if rec, _ := do(t, routed, http.MethodGet, "/topk?u=1&k=5"); rec.Code != http.StatusOK {
 		t.Fatalf("warm-up query: %d", rec.Code)
 	}
+	// An edge between shards 0 and 3 leaves shards 1 and 2 unchanged: the
+	// next generation carries their blocks.
+	if rec, body := do(t, routed, http.MethodPost, "/edges?u=3&v=499"); rec.Code != http.StatusOK {
+		t.Fatalf("add edge: %d (%v)", rec.Code, body)
+	}
 	_, body := do(t, routed, http.MethodGet, "/stats")
 	if _, ok := body["routerWorkers"]; !ok {
 		t.Fatalf("/stats missing routerWorkers: %v", body)
 	}
 	if body["routerShardBatches"].(float64) == 0 {
 		t.Fatalf("/stats routerShardBatches did not move: %v", body)
+	}
+	if got := body["routerShardBlocksCarried"].(float64); got != 2 {
+		t.Fatalf("/stats routerShardBlocksCarried = %v after a write touching 2 of 4 shards, want 2", got)
 	}
 	rec, _ := do2(routed, http.MethodGet, "/metrics")
 	page := rec.Body.String()
@@ -117,6 +125,7 @@ func TestRoutedStatsAndMetrics(t *testing.T) {
 		"probesim_router_failovers_total",
 		"probesim_router_hedges_sent_total",
 		"probesim_router_shard_fetches_total",
+		"probesim_router_shard_blocks_carried_total",
 		`probesim_router_shard_fetch_errors_total{cause="transport"} 0`,
 		`probesim_router_shard_fetch_errors_total{cause="deadline"} 0`,
 		"probesim_router_shard_batches_total",

@@ -533,6 +533,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		rc := s.rt.Counters()
 		body["routerShardFetches"] = rc.ShardFetches
 		body["routerShardFetchErrors"] = rc.ShardFetchErrors.Total()
+		body["routerShardBlocksCarried"] = rc.ShardBlocksCarried
 		body["routerShardBatches"] = rc.ShardBatches
 		body["routerApplyRetries"] = rc.ApplyRetries
 		// Replicated read plane: failover/hedging activity and the write

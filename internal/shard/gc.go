@@ -15,12 +15,10 @@ package shard
 // under steady writes they would pile up.
 //
 // A retiree's bytes are counted against its successor when it retires:
-// the shard CSRs the successor re-encoded, plus its span arrays if a
-// query had built them by then. The numbers are approximate by
-// construction (two retirees sharing a block double-count it, spans built
-// after retirement go uncounted, and a cleanup runs shortly after the
-// cycle that frees its retiree) but they move with reality, which is what
-// an operator watching a leak needs.
+// the shard CSRs the successor re-encoded. The numbers are approximate by
+// construction (two retirees sharing a block double-count it, and a
+// cleanup runs shortly after the cycle that frees its retiree) but they
+// move with reality, which is what an operator watching a leak needs.
 
 import (
 	"runtime"
@@ -54,8 +52,8 @@ type GCStats struct {
 	// by in-flight queries, or not yet collected).
 	RetiredLive int
 	// RetiredBytes approximates the memory the live retirees uniquely
-	// pin: for each, the shard CSRs its successor re-encoded, plus its
-	// dense span arrays, as they stood when it retired.
+	// pin: for each, the shard CSRs its successor re-encoded when it
+	// retired.
 	RetiredBytes int64
 	// CurrentBytes is the resident size of the current snapshot.
 	CurrentBytes int64
@@ -77,13 +75,9 @@ func (st *Store) GC() GCStats {
 
 // retainedBytes approximates the bytes s pins that next does not share
 // with it: every shard CSR encoded at a version next has since re-encoded
-// (or that next no longer has at all), plus s's span arrays — those are
-// built per generation and never shared.
+// (or that next no longer has at all).
 func (s *StoreSnapshot) retainedBytes(next *StoreSnapshot) int64 {
 	var b int64
-	if sp := s.spans.Load(); sp != nil {
-		b += int64(len(sp.in)+len(sp.out)) * 8
-	}
 	for p := range s.csr {
 		if p < len(next.csr) && next.versions[p] == s.versions[p] {
 			continue // shared by reference with the successor

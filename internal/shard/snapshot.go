@@ -15,7 +15,9 @@ import (
 // per shard plus the per-shard versions they encode. It implements
 // graph.View and graph.AdjProvider, so every kernel runs on it through
 // the same devirtualized graph.Adj fast path it uses on a monolithic
-// *graph.Snapshot, with bit-identical results.
+// *graph.Snapshot, with bit-identical results. That Adj reads each
+// node's lists through its shard's own offsets, so a snapshot holds no
+// per-node state beyond its shard blocks.
 //
 // Snapshots share unrebuilt shard CSRs with their predecessors by
 // reference; all of it is immutable, so any number of queries may read
@@ -34,26 +36,6 @@ type StoreSnapshot struct {
 
 	csr      []graph.CSRShard
 	versions []uint64 // store version each shard CSR was built at
-
-	// spans caches the dense per-node span arrays behind the devirtualized
-	// Adj path: node v's list within its shard's dst array is the packed
-	// [start, end) span (graph.PackSpan). Keeping these global rather than
-	// per-shard is what puts the sharded READ path at parity with the
-	// monolithic CSR — one independent load yields both offsets and the
-	// degree, and no offset load ever waits on a shard-header load.
-	//
-	// They are materialized LAZILY by the first query on this snapshot
-	// (and shared by every later one), so the WRITE path stays strictly
-	// O(batch + touched shards): publication never touches them. The
-	// densification itself is an O(n) scan of the per-shard offsets
-	// (16 bytes/node written, a few percent of a full CSR rebuild),
-	// amortized across every query served from this generation.
-	spans atomic.Pointer[spanArrays]
-}
-
-// spanArrays bundles the lazily built dense span arrays.
-type spanArrays struct {
-	in, out []uint64
 }
 
 var (
@@ -80,36 +62,9 @@ func (s *StoreSnapshot) LastBatch() uint64 { return s.lastBatch }
 func (s *StoreSnapshot) NumShards() int { return len(s.csr) }
 
 // ProvideAdj implements graph.AdjProvider: the sharded devirtualized
-// accessor over the per-shard dst arrays and the dense global span
-// arrays, materializing the latter on first use.
+// accessor over the snapshot's shard blocks. It allocates nothing.
 func (s *StoreSnapshot) ProvideAdj() graph.Adj {
-	sp := s.spanArrays()
-	return graph.NewShardedAdj(s, s.csr, s.shift, sp.in, sp.out)
-}
-
-// spanArrays returns the dense span arrays, building them on the first
-// call. Concurrent first queries may build duplicates; the content is
-// deterministic, one wins the CAS, and the rest are garbage — a benign
-// race that keeps the query path lock-free.
-func (s *StoreSnapshot) spanArrays() *spanArrays {
-	if sp := s.spans.Load(); sp != nil {
-		return sp
-	}
-	buf := make([]uint64, 2*s.n)
-	sp := &spanArrays{in: buf[:s.n:s.n], out: buf[s.n:]}
-	stride := 1 << s.shift
-	for p := range s.csr {
-		sh := &s.csr[p]
-		base := p * stride
-		for l := 0; l+1 < len(sh.InOff); l++ {
-			sp.in[base+l] = graph.PackSpan(sh.InOff[l], sh.InOff[l+1])
-			sp.out[base+l] = graph.PackSpan(sh.OutOff[l], sh.OutOff[l+1])
-		}
-	}
-	if !s.spans.CompareAndSwap(nil, sp) {
-		return s.spans.Load()
-	}
-	return sp
+	return graph.NewShardedAdj(s, s.csr, s.shift)
 }
 
 // Shift returns log2 of the node stride: node v's lists live in shard
@@ -162,8 +117,7 @@ func (s *StoreSnapshot) Scoped() bool { return s.scoped }
 // this snapshot. Always true on a full store's snapshot (a present shard
 // covers at least one node, so its offset arrays are never empty);
 // false for a scoped snapshot's non-owned shards. Engines must refuse to
-// serve adjacency or walks out of an absent shard — its spans read as
-// empty lists, which would silently truncate walks.
+// serve adjacency out of an absent shard: it has no offsets to read.
 func (s *StoreSnapshot) ShardPresent(p int) bool { return len(s.csr[p].InOff) > 0 }
 
 func (s *StoreSnapshot) shardOf(v graph.NodeID) (*graph.CSRShard, uint32) {
@@ -201,13 +155,9 @@ func (s *StoreSnapshot) OutDegree(u graph.NodeID) int {
 // lock-free from the sharded path too.
 func (s *StoreSnapshot) ComputeStats() graph.Stats { return graph.ComputeViewStats(s) }
 
-// MemoryBytes reports the resident size of the per-shard CSR arrays plus
-// the dense span arrays when they have been materialized.
+// MemoryBytes reports the resident size of the per-shard CSR arrays.
 func (s *StoreSnapshot) MemoryBytes() int64 {
 	var b int64
-	if sp := s.spans.Load(); sp != nil {
-		b += int64(len(sp.in)+len(sp.out)) * 8
-	}
 	for i := range s.csr {
 		sh := &s.csr[i]
 		b += int64(len(sh.InOff)+len(sh.OutOff)) * 4
@@ -227,10 +177,6 @@ func (s *StoreSnapshot) Validate() error {
 		return fmt.Errorf("shard: %d shards for %d nodes at stride %d, want %d", len(s.csr), s.n, stride, wantShards)
 	}
 	var mIn, mOut int64
-	sp := s.spanArrays()
-	if len(sp.in) != s.n || len(sp.out) != s.n {
-		return fmt.Errorf("shard: span arrays of length %d/%d, want %d", len(sp.in), len(sp.out), s.n)
-	}
 	for p := range s.csr {
 		sh := &s.csr[p]
 		if s.scoped && len(sh.InOff) == 0 && len(sh.OutOff) == 0 {
@@ -252,10 +198,6 @@ func (s *StoreSnapshot) Validate() error {
 			l := v - lo
 			if sh.InOff[l] > sh.InOff[l+1] || sh.OutOff[l] > sh.OutOff[l+1] {
 				return fmt.Errorf("shard %d: offsets decrease at node %d", p, v)
-			}
-			if sp.in[v] != graph.PackSpan(sh.InOff[l], sh.InOff[l+1]) ||
-				sp.out[v] != graph.PackSpan(sh.OutOff[l], sh.OutOff[l+1]) {
-				return fmt.Errorf("shard %d: dense spans disagree with offsets at node %d", p, v)
 			}
 		}
 		if int(sh.InOff[local]) != len(sh.InDst) || int(sh.OutOff[local]) != len(sh.OutDst) {

@@ -65,6 +65,10 @@ for port in "$ROUTED" "$SINGLE"; do
   done
 done
 
+shard_fetches() {
+  curl -sf "http://127.0.0.1:$ROUTED/metrics" | awk '$1 == "probesim_router_shard_fetches_total" { print $2 }'
+}
+
 check() { # portA portB path
   curl -sf "http://127.0.0.1:$1$3" >"$TMP/a.json"
   curl -sf "http://127.0.0.1:$2$3" >"$TMP/b.json"
@@ -93,6 +97,7 @@ echo "== end-to-end query trace"
 # view answers entirely router-side (zero worker read RPCs), so write
 # an edge first: the traced query then lands on a cold generation and
 # must fetch its shard blocks from the workers.
+FETCHES_BEFORE_WRITE="$(shard_fetches)"
 curl -sf -X POST "http://127.0.0.1:$ROUTED/edges?u=5&v=1997" >/dev/null
 curl -sf -X POST "http://127.0.0.1:$SINGLE/edges?u=5&v=1997" >/dev/null
 TRACE_HDRS="$TMP/trace-headers"
@@ -111,6 +116,15 @@ echo "$TRACE" | grep -q '"name":"worker\.resolve_shards"' || {
   exit 1
 }
 echo "   trace $HDR_ID stitched across router and workers"
+# The new generation carried every block the write left unchanged, so
+# the traced read fetched only the shards of u=5 and v=1997 (one or two
+# of the 16), not every block.
+WRITE_FETCHES=$(( $(shard_fetches) - FETCHES_BEFORE_WRITE ))
+if [ "$WRITE_FETCHES" -lt 1 ] || [ "$WRITE_FETCHES" -gt 2 ]; then
+  echo "the read after a one-edge write fetched $WRITE_FETCHES shard blocks, want 1-2 (the shards of u and v)" >&2
+  exit 1
+fi
+echo "   the read after a one-edge write fetched $WRITE_FETCHES shard blocks"
 
 echo "== router observability"
 # Capture, THEN grep: `curl | grep -q` under pipefail dies of SIGPIPE
@@ -127,9 +141,6 @@ echo "$METRICS" | grep -Eq 'probesim_router_shard_batches_total [1-9]' || {
 # The traced query fetched the new generation's blocks, so another read
 # on it must run on them with no fetch at all. (A source the result
 # cache has not seen, so the kernel really runs.)
-shard_fetches() {
-  curl -sf "http://127.0.0.1:$ROUTED/metrics" | awk '$1 == "probesim_router_shard_fetches_total" { print $2 }'
-}
 FETCHES="$(shard_fetches)"
 check "$SINGLE" "$ROUTED" "/topk?u=13&k=5"
 if [ "$(shard_fetches)" != "$FETCHES" ]; then
