@@ -1,13 +1,16 @@
 // Command probesim-server exposes SimRank similarity search over HTTP: a
-// small, production-shaped service wrapping the library with the
-// version-keyed result cache, demonstrating how a downstream system would
-// deploy index-free SimRank behind an API with live graph updates.
+// small, production-shaped service wrapping the library with a result
+// cache, demonstrating how a downstream system would deploy index-free
+// SimRank behind an API with live graph updates. Over its own shard store
+// the cache keeps each answer's read set and a write drops only the
+// answers it touched; with -workers the cache is version-keyed and every
+// write empties it.
 //
 //	probesim-server -graph web.txt -addr :8080
 //
 //	GET  /topk?u=42&k=10          -> {"query":42,"results":[{"node":7,"score":0.31},...]}
 //	GET  /single-source?u=42      -> {"query":42,"nonzero":1234,"scores":{"7":0.31,...}}  (top -limit entries)
-//	POST /edges?u=1&v=2           -> add edge 1->2 (invalidates cached answers)
+//	POST /edges?u=1&v=2           -> add edge 1->2 (drops the cached answers that read node 1 or 2)
 //	DELETE /edges?u=1&v=2         -> remove edge 1->2
 //	GET  /stats                   -> graph, cache and shard-publication statistics
 //	GET  /metrics                 -> Prometheus text: per-route latency histograms,
@@ -189,7 +192,7 @@ func main() {
 		delta      = flag.Float64("delta", 0.01, "failure probability")
 		c          = flag.Float64("c", 0.6, "SimRank decay factor")
 		seed       = flag.Uint64("seed", 1, "random seed")
-		cacheCap   = flag.Int("cache", 64, "cached single-source answers (each keeps only its non-zero scores)")
+		cacheCap   = flag.Int("cache", 64, "cached single-source answers (each keeps its non-zero scores and, over a local store, the nodes it read; a write drops only the answers it touched)")
 		limit      = flag.Int("limit", 100, "max entries returned by /single-source")
 		hotSources = flag.Int("hot-sources", 0, "precompute single-source results for up to this many hot sources, kept fresh by the applied-batch stream (0 = off; not in routed mode)")
 		hotBudget  = flag.Duration("hot-refresh-budget", 200*time.Millisecond, "per-entry time budget for background hot-source builds")

@@ -90,7 +90,7 @@ func SingleSource(ctx context.Context, g graph.View, u graph.NodeID, opt Options
 // a query that never ran returns nil.
 func SingleSourceRanked(ctx context.Context, g graph.View, u graph.NodeID, opt Options) (*Ranked, error) {
 	var r *Ranked
-	err := runQuery(ctx, g, u, opt, func(sc *queryScratch) { r = sc.ranked(u) })
+	err := runQuery(ctx, g, u, opt, nil, func(sc *queryScratch) { r = sc.ranked(u) })
 	return r, err
 }
 
@@ -99,7 +99,7 @@ func SingleSourceRanked(ctx context.Context, g graph.View, u graph.NodeID, opt O
 // result vector is allocated.
 func singleSourceInto(ctx context.Context, g graph.View, u graph.NodeID, opt Options, dst []float64) ([]float64, error) {
 	var est []float64
-	err := runQuery(ctx, g, u, opt, func(sc *queryScratch) { est = sc.scatter(dst) })
+	err := runQuery(ctx, g, u, opt, nil, func(sc *queryScratch) { est = sc.scatter(dst) })
 	return est, err
 }
 
@@ -108,8 +108,10 @@ func singleSourceInto(ctx context.Context, g graph.View, u graph.NodeID, opt Opt
 // pooled scratch that returns to the pool once consume returns. consume
 // runs whenever the kernel ran, also for a stopped query (its partial
 // estimate); a query that fails validation or is dead on arrival returns
-// its error without calling it.
-func runQuery(ctx context.Context, g graph.View, u graph.NodeID, opt Options, consume func(*queryScratch)) error {
+// its error without calling it. A non-nil reads asks for the query's read
+// set, which runQuery stores there whenever the kernel ran (nil, the
+// unbounded set, unless a batched mode recorded it).
+func runQuery(ctx context.Context, g graph.View, u graph.NodeID, opt Options, reads *ReadSet, consume func(*queryScratch)) error {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return err
@@ -131,11 +133,13 @@ func runQuery(ctx context.Context, g graph.View, u graph.NodeID, opt Options, co
 	kref := tr.StartSpan("kernel", parent)
 	tr.Annotate(kref, fmt.Sprintf("mode=%d,walks=%d,workers=%d", plan.Mode, plan.NumWalks, plan.Workers))
 	var scs []*queryScratch
+	tracked := false
 	switch plan.Mode {
 	case ModeBasic, ModePruned, ModeRandomized:
 		scs = runPerWalk(g, u, plan, m)
 	case ModeAuto, ModeBatch, ModeHybrid:
-		scs = runBatched(g, u, plan, m)
+		tracked = reads != nil
+		scs = runBatched(g, u, plan, m, tracked)
 	}
 	if tr != nil {
 		tr.EndSpanAnnot(kref, fmt.Sprintf("walks=%d,work=%d", m.Walks(), m.Work()))
@@ -151,6 +155,9 @@ func runQuery(ctx context.Context, g graph.View, u graph.NodeID, opt Options, co
 	}
 	est.set(u, 1) // s(u, u) = 1 by definition
 	consume(est)
+	if tracked {
+		*reads = est.readSet()
+	}
 	for _, sc := range scs {
 		pool.put(sc)
 	}
@@ -379,8 +386,11 @@ func runPerWalk(g graph.View, u graph.NodeID, plan Plan, m *budget.Meter) []*que
 // reachability tree from nr walks (§4.2), then probe each root-to-node
 // path once, weighted by how many walks share it. Paths are distributed
 // across workers by index. Like runPerWalk it returns the workers'
-// scratch sets for the caller to merge and pool.
-func runBatched(g graph.View, u graph.NodeID, plan Plan, m *budget.Meter) []*queryScratch {
+// scratch sets for the caller to merge and pool. With track set, the
+// first scratch's read log ends up holding the query's read set: the
+// tree's nodes, whose in-lists the walks read, and every node the
+// workers' probes logged.
+func runBatched(g graph.View, u graph.NodeID, plan Plan, m *budget.Meter, track bool) []*queryScratch {
 	n := g.NumNodes()
 	rootRNG := xrand.New(plan.Seed)
 	// Walk trial t draws from the same per-trial stream the per-walk modes
@@ -425,6 +435,12 @@ func runBatched(g graph.View, u graph.NodeID, plan Plan, m *budget.Meter) []*que
 	// scratch returns to the pool.
 	paths, arena := tree.AppendPaths(walkSC.paths[:0], walkSC.arena[:0])
 	walkSC.paths, walkSC.arena = paths, arena
+	if track {
+		log := walkSC.readLog()
+		for _, v := range tree.node {
+			log.Add(v)
+		}
+	}
 
 	hybrid := plan.Mode == ModeHybrid || plan.Mode == ModeAuto
 	workers := plan.Workers
@@ -453,6 +469,12 @@ func runBatched(g graph.View, u graph.NodeID, plan Plan, m *budget.Meter) []*que
 				rnd = sc.randomized()
 				rnd.SetMeter(m)
 			}
+			if track {
+				det.SetReadLog(sc.readLog())
+				if rnd != nil {
+					rnd.SetReadLog(sc.reads)
+				}
+			}
 			cp := budget.NewCheckpoint(m, budget.DefaultInterval)
 			// One probe window per worker: stage totals aggregate the
 			// workers' concurrent probe time (CPU-seconds, not wall clock).
@@ -479,6 +501,15 @@ func runBatched(g graph.View, u graph.NodeID, plan Plan, m *budget.Meter) []*que
 		}(w, scs[w])
 	}
 	wg.Wait()
+	if track {
+		log := scs[0].reads
+		for _, sc := range scs[1:] {
+			for _, v := range sc.reads.Nodes {
+				log.Add(v)
+			}
+			log.Unbounded = log.Unbounded || sc.reads.Unbounded
+		}
+	}
 	return scs
 }
 

@@ -13,10 +13,20 @@ import (
 
 // Querier is the "lightweight indexing" idea the paper's conclusion (§7)
 // sketches as future work: keep ProbeSim index-free, but memoize recent
-// query results keyed by (query node, snapshot version) so that repeated
-// queries on an unchanged graph are free, while any graph mutation
-// invalidates every cached answer automatically (a fresh snapshot carries
-// a fresh version).
+// query results so that repeated queries are free while every cached
+// answer stays bit-identical to a fresh kernel run on the current graph.
+//
+// How a write reaches the cache depends on what the Querier can see of
+// it. By default the cache is keyed by snapshot version: a fresh snapshot
+// carries a fresh version, and the first query to see it empties the
+// cache. That is the library's NewQuerier over a mutable graph, and a
+// server over a worker fleet. A Querier that Follows its source's
+// applied-batch stream (a server over an in-process shard.Store) instead
+// keeps each answer's read set (SingleSourceTracked) and drops only the
+// answers a batch touched: every other answer carries to the new
+// snapshot, because a rerun there would read the same bytes. Anything the
+// stream does not explain — a node added, a batch rolled back, a move of
+// the source it never reported — still empties the cache.
 //
 // The cache holds at most Capacity answers with LRU eviction. Each is a
 // sparse Ranked answer, 16 bytes per non-zero score (tens to thousands
@@ -38,19 +48,28 @@ type Querier struct {
 	// and never touches the mutable graph on the read path.
 	track    bool
 	capacity int
+	// followed is set by Follow: misses then record their read sets, and
+	// applied batches drop only the entries they touch.
+	followed bool
 
 	mu      sync.Mutex
 	entries map[graph.NodeID]*list.Element
 	order   *list.List // front = most recent
-	version uint64
-	flights map[graph.NodeID]*flight
+	// Every entry holds at every published version in [version, tail].
+	// Without a stream tail == version. With one, tail is the source's
+	// version after the last reported batch: the batches from version to
+	// tail were all reported, and each dropped the entries it touched.
+	version, tail uint64
+	flights       map[graph.NodeID]*flight
 
 	hits, misses, shared, evictions int64
+	inv                             Invalidations
 }
 
 type cacheEntry struct {
 	node   graph.NodeID
 	ranked *Ranked
+	reads  ReadSet // nil (unbounded) unless the Querier follows a stream
 }
 
 // flight is one in-progress single-source computation that concurrent
@@ -83,15 +102,71 @@ func newQuerier(ex *Executor, capacity int, track bool) *Querier {
 	if capacity < 1 {
 		capacity = 1
 	}
+	v := ex.Snapshot().Version()
 	return &Querier{
 		ex:       ex,
 		track:    track,
 		capacity: capacity,
 		entries:  make(map[graph.NodeID]*list.Element),
 		order:    list.New(),
-		version:  ex.Snapshot().Version(),
+		version:  v,
+		tail:     v,
 		flights:  make(map[graph.NodeID]*flight),
 	}
+}
+
+// Follow switches q from version-keyed invalidation to its source's
+// applied-batch stream and returns the hook to subscribe to that stream
+// (shard.Store.SubscribeApplied). Call it while wiring, before queries
+// and writes flow.
+//
+// version must report the source's mutation counter when the hook runs
+// (shard.Store.Version, which the store holds still during its hooks),
+// and a batch of k ops must advance that counter by exactly k. That is
+// how the hook tells a batch that continues the stream from a move it
+// never reported (an AddNode, a rolled-back batch), which empties the
+// cache instead.
+func (q *Querier) Follow(version func() uint64) func(id uint64, ops []graph.EdgeOp) {
+	q.mu.Lock()
+	q.followed = true
+	q.mu.Unlock()
+	return func(_ uint64, ops []graph.EdgeOp) { q.onBatch(version(), ops) }
+}
+
+// onBatch drops the entries that one applied batch, which left the
+// source at version to, can change.
+func (q *Querier) onBatch(to uint64, ops []graph.EdgeOp) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if to-uint64(len(ops)) != q.tail {
+		q.flushLocked(to)
+		return
+	}
+	q.tail = to
+	for el := q.order.Front(); el != nil; {
+		next := el.Next()
+		if e := el.Value.(*cacheEntry); e.reads.Touched(e.ranked.N, ops) {
+			if e.reads == nil {
+				q.inv.Unbounded++
+			} else {
+				q.inv.Touched++
+			}
+			q.order.Remove(el)
+			delete(q.entries, e.node)
+		}
+		el = next
+	}
+}
+
+// flushLocked empties the cache and keys it to version v. In-progress
+// flights stay in the map until their owners finish; new misses start
+// fresh flights, so the stale ones are dropped here.
+func (q *Querier) flushLocked(v uint64) {
+	q.inv.Flush += int64(q.order.Len())
+	q.entries = make(map[graph.NodeID]*list.Element)
+	q.order.Init()
+	q.flights = make(map[graph.NodeID]*flight)
+	q.version, q.tail = v, v
 }
 
 // Executor returns the underlying executor.
@@ -132,16 +207,17 @@ func (q *Querier) Ranked(ctx context.Context, u graph.NodeID) (*Ranked, error) {
 		snap = q.ex.Refresh()
 	}
 	q.mu.Lock()
-	if v := snap.Version(); v > q.version {
-		// The graph moved forward: all cached answers are stale. In-progress
-		// flights stay in the map until their owners finish; new misses for
-		// the same node under the new version start fresh flights keyed by
-		// the node, so we drop the stale ones here.
-		q.entries = make(map[graph.NodeID]*list.Element)
-		q.order.Init()
+	switch v := snap.Version(); {
+	case v > q.tail:
+		// The graph moved further than the stream explains (without a
+		// stream: it moved at all), so every cached answer may be stale.
+		q.flushLocked(v)
+	case v > q.version:
+		// Every entry carries to v. Flights computing at an older version
+		// may not hold at v, so misses at v start fresh ones.
 		q.flights = make(map[graph.NodeID]*flight)
 		q.version = v
-	} else if v < q.version {
+	case v < q.version:
 		// This goroutine grabbed its snapshot, then a mutation published a
 		// newer one and another query already advanced the cache to it.
 		// Serve consistently from the old snapshot WITHOUT touching the
@@ -188,9 +264,19 @@ func (q *Querier) Ranked(ctx context.Context, u graph.NodeID) (*Ranked, error) {
 	f := &flight{done: make(chan struct{})}
 	q.flights[u] = f
 	version := q.version
+	followed := q.followed
 	q.mu.Unlock()
 
-	r, err := SingleSourceRanked(ctx, snap, u, q.ex.opt)
+	var (
+		r     *Ranked
+		reads ReadSet
+		err   error
+	)
+	if followed {
+		r, reads, err = SingleSourceTracked(ctx, snap, u, q.ex.opt)
+	} else {
+		r, err = SingleSourceRanked(ctx, snap, u, q.ex.opt)
+	}
 	f.ranked, f.err = r, err
 
 	q.mu.Lock()
@@ -208,13 +294,14 @@ func (q *Querier) Ranked(ctx context.Context, u graph.NodeID) (*Ranked, error) {
 		// for diagnostics but must never enter the cache.
 		return r, err
 	}
-	// Only cache if no newer snapshot was published underneath the
-	// computation.
-	if q.version == version && q.ex.Snapshot().Version() == version {
+	// Only cache if nothing was applied or published from the start of the
+	// computation on: tail == version means no batch was reported, also
+	// none that was applied but not yet published when the miss began.
+	if q.tail == version && q.ex.Snapshot().Version() == version {
 		if el, ok := q.entries[u]; ok {
 			q.order.MoveToFront(el)
 		} else {
-			el := q.order.PushFront(&cacheEntry{node: u, ranked: r})
+			el := q.order.PushFront(&cacheEntry{node: u, ranked: r, reads: reads})
 			q.entries[u] = el
 			for q.order.Len() > q.capacity {
 				last := q.order.Back()
@@ -270,22 +357,35 @@ func (q *Querier) SharedFlights() int64 {
 // the serving plane exports it on /stats and /metrics so the per-node
 // cache's effectiveness can be compared against other tiers'.
 type CacheStats struct {
-	Hits      int64 // answers served from the cache
-	Misses    int64 // answers computed (includes stale-snapshot serves)
-	Shared    int64 // callers that joined another goroutine's flight
-	Evictions int64 // entries dropped by LRU capacity pressure
-	Cached    int   // answers currently held
+	Hits          int64         // answers served from the cache
+	Misses        int64         // answers computed (includes stale-snapshot serves)
+	Shared        int64         // callers that joined another goroutine's flight
+	Evictions     int64         // entries dropped by LRU capacity pressure
+	Invalidations Invalidations // entries dropped because the graph moved
+	Cached        int           // answers currently held
 }
+
+// Invalidations counts the cached answers the graph's moves dropped, by
+// cause.
+type Invalidations struct {
+	Touched   int64 // a reported batch had an op endpoint in the entry's read set
+	Unbounded int64 // a reported batch met an entry without a bounded read set
+	Flush     int64 // a move the stream did not explain (or any move, without one) emptied the cache
+}
+
+// Total is the number of invalidated answers over every cause.
+func (i Invalidations) Total() int64 { return i.Touched + i.Unbounded + i.Flush }
 
 // CacheStats returns all cache counters in one consistent read.
 func (q *Querier) CacheStats() CacheStats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return CacheStats{
-		Hits:      q.hits,
-		Misses:    q.misses,
-		Shared:    q.shared,
-		Evictions: q.evictions,
-		Cached:    q.order.Len(),
+		Hits:          q.hits,
+		Misses:        q.misses,
+		Shared:        q.shared,
+		Evictions:     q.evictions,
+		Invalidations: q.inv,
+		Cached:        q.order.Len(),
 	}
 }

@@ -34,6 +34,11 @@ type queryScratch struct {
 	paths []Path
 	arena []graph.NodeID
 	wave  [][]graph.NodeID
+
+	// reads is the worker's read log, lazily allocated by a tracked query
+	// (SingleSourceTracked) and recycled with the scratch; untracked
+	// queries never touch it.
+	reads *probe.ReadLog
 }
 
 // add accumulates x into acc[v], recording v in touched on its first
@@ -87,6 +92,15 @@ func (sc *queryScratch) randomized() *probe.Scratch {
 	return sc.rnd
 }
 
+// readLog returns the worker's read log, allocating it on first use. The
+// pool hands it out empty.
+func (sc *queryScratch) readLog() *probe.ReadLog {
+	if sc.reads == nil {
+		sc.reads = probe.NewReadLog(sc.n)
+	}
+	return sc.reads
+}
+
 // pool is the scratch pool every query in the package draws from: the
 // plain SingleSource and TopK entry points and every Executor alike.
 // Answers never depend on it — a pooled set is indistinguishable from a
@@ -119,8 +133,9 @@ func (p *scratchPool) get(n int) *queryScratch {
 // put returns a scratch set to the pool. It zeroes the accumulator over
 // the touched list, so no caller can park a dirty set; drops any cached
 // view resolution, so a parked scratch never pins a retired snapshot
-// generation in memory; and detaches any budget meter, so a recycled
-// scratch can never observe a previous query's expiry.
+// generation in memory; and detaches any budget meter and read log, so a
+// recycled scratch can never observe a previous query's expiry or record
+// into its reads.
 func (p *scratchPool) put(s *queryScratch) {
 	for _, v := range s.touched {
 		s.acc[v] = 0
@@ -128,9 +143,14 @@ func (p *scratchPool) put(s *queryScratch) {
 	s.touched = s.touched[:0]
 	s.det.ReleaseView()
 	s.det.SetMeter(nil)
+	s.det.SetReadLog(nil)
 	if s.rnd != nil {
 		s.rnd.ReleaseView()
 		s.rnd.SetMeter(nil)
+		s.rnd.SetReadLog(nil)
+	}
+	if s.reads != nil {
+		s.reads.Reset()
 	}
 	if v, ok := p.pools.Load(s.n); ok {
 		v.(*sync.Pool).Put(s)

@@ -23,14 +23,14 @@ func benchRig(tb testing.TB) (*shard.Store, *core.Executor, *Tier) {
 	g := gen.PreferentialAttachment(5000, 4, 41)
 	st := shard.NewStore(g, 16, 0)
 	ex := core.NewExecutorOn(st, core.Options{EpsA: 0.2, Seed: 1})
-	tier := New(ex, st.Partition().Shift(), Config{
+	tier := New(ex, Config{
 		MaxEntries:    16,
 		Opt:           core.Options{EpsA: 0.2, Seed: 1},
 		RefreshBudget: core.Budget{Timeout: 5 * time.Second},
 		MinHits:       1,
 		Interval:      2 * time.Millisecond,
 	})
-	st.SubscribeApplied(tier.OnBatch)
+	st.SubscribeApplied(tier.Follow(st.Version))
 	tb.Cleanup(tier.Close)
 	return st, ex, tier
 }
@@ -176,6 +176,8 @@ func TestZipfBenchSmoke(t *testing.T) {
 	}
 	close(stop)
 	applied := <-stormDone
+	after := tier.Stats()
+	failedFrac := float64(after.BuildsStopped+after.BuildsRaced) / float64(max(after.Builds, 1))
 
 	sort.Slice(hotLat, func(i, j int) bool { return hotLat[i] < hotLat[j] })
 	sort.Slice(liveLat, func(i, j int) bool { return liveLat[i] < liveLat[j] })
@@ -201,7 +203,9 @@ func TestZipfBenchSmoke(t *testing.T) {
 				"max":     lags[len(lags)-1],
 			},
 		},
-		"tier_stats": tier.Stats(),
+		"failed_build_frac":   failedFrac,
+		"entries_after_storm": after.Entries,
+		"tier_stats":          after,
 	}
 	f, err := os.Create(out)
 	if err != nil {
@@ -215,8 +219,9 @@ func TestZipfBenchSmoke(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatalf("close report: %v", err)
 	}
-	t.Logf("hot p50=%v p99=%v (%d samples); live p50=%v p99=%v (%d samples); speedup p50 %.0fx; storm lag max %d over %d applied batches",
-		hotP50, hotP99, len(hotLat), liveP50, liveP99, len(liveLat), float64(liveP50)/float64(hotP50), lags[len(lags)-1], applied)
+	t.Logf("hot p50=%v p99=%v (%d samples); live p50=%v p99=%v (%d samples); speedup p50 %.0fx; storm lag max %d over %d applied batches; failed builds %.3f of %d; %d entries after the storm",
+		hotP50, hotP99, len(hotLat), liveP50, liveP99, len(liveLat), float64(liveP50)/float64(hotP50), lags[len(lags)-1], applied,
+		failedFrac, after.Builds, after.Entries)
 
 	if hotP50*10 > liveP50 {
 		t.Fatalf("hot p50 %v is not >= 10x faster than live p50 %v", hotP50, liveP50)

@@ -7,16 +7,17 @@
 // entries at microsecond latency. Cold sources fall through to the live
 // kernel completely unchanged.
 //
-// Freshness is incremental, not rebuild-the-world: every entry records
-// the dependency set its computation actually touched (the shard-stride
-// buckets of every adjacency access, captured by a recording view
-// wrapper), and the tier subscribes to the applied-batch stream
-// (shard.Store.SubscribeApplied). A batch invalidates exactly the entries
-// whose dependency set it intersects; every other entry would re-execute
-// bit-identically under the kernel's fixed seed, so serving it IS serving
-// the live kernel's answer. Staleness is bounded by a watermark-lag
-// metric (applied batches minus the oldest invalidated entry's batch)
-// instead of by full rebuild cycles.
+// Freshness is incremental, not rebuild-the-world: every entry keeps the
+// read set its build reported (core.SingleSourceTracked: the nodes whose
+// adjacency the kernel read), and the tier follows the applied-batch
+// stream (shard.Store.SubscribeApplied). A batch invalidates exactly the
+// entries whose read set holds one of its op endpoints; every other entry
+// would re-execute bit-identically under the kernel's fixed seed, so
+// serving it IS serving the live kernel's answer. A build installs only
+// if the batches applied while it ran missed its read set too.
+// Staleness is bounded by a watermark-lag metric (applied batches minus
+// the oldest invalidated entry's batch) instead of by full rebuild
+// cycles.
 package hotidx
 
 import (

@@ -2,6 +2,7 @@ package hotidx
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,19 +45,23 @@ type Config struct {
 	Yield func() bool
 }
 
-// entry is one precomputed hot-source result, pinned to the snapshot
-// generation it was built on plus the dependency buckets the build read.
+// entry is one precomputed hot-source result and the read set of the
+// build that computed it.
 type entry struct {
-	source  graph.NodeID
-	ranked  *core.Ranked // served as-is; its N is NumNodes at build time (AddNode guard)
-	version uint64       // snapshot version at build time (debugging)
-	batch   uint64       // applied-batch watermark at install time
-	deps    depSet
+	ranked *core.Ranked // served as-is; its N is NumNodes at build time (AddNode guard)
+	reads  core.ReadSet
+}
+
+// appliedBatch is one batch the stream reported: the source's versions
+// before and after it, and a copy of its ops.
+type appliedBatch struct {
+	from, to uint64
+	ops      []graph.EdgeOp
 }
 
 // Tier is the hot-source serving tier. See the package comment for the
 // design; the consistency contract in one line: an entry is served only
-// while no applied batch has touched its recorded dependency set (or
+// while no applied batch has had an endpoint in its build's read set (or
 // grown the node space), and under the kernel's fixed seed that means
 // the served answer is bit-identical to what the live kernel would
 // compute against the currently published view.
@@ -65,7 +70,6 @@ type entry struct {
 // hot path: one sketch touch plus an RLock'd map probe.
 type Tier struct {
 	ex     *core.Executor
-	shift  uint32
 	cfg    Config
 	sketch *Sketch
 
@@ -73,6 +77,17 @@ type Tier struct {
 	entries   map[graph.NodeID]*entry
 	dirty     map[graph.NodeID]uint64 // source -> batch id that first invalidated it
 	watermark uint64                  // highest applied-batch id observed
+	// tail is the source's version after the last reported batch. A
+	// batch that does not start there follows a move the stream never
+	// reported, and drops every entry.
+	tail uint64
+	// recent holds the reported batches that a build's pinned snapshot
+	// may lack, oldest first, for the install check: those past the
+	// published snapshot and, while a build runs (building; builds are
+	// serial), past the version of the snapshot it pinned.
+	recent   []appliedBatch
+	building bool
+	pinned   uint64
 
 	walWatermark atomic.Uint64 // highest WAL-appended batch id observed
 
@@ -82,6 +97,8 @@ type Tier struct {
 	builds        atomic.Int64
 	buildsStopped atomic.Int64
 	buildsRaced   atomic.Int64
+	stoppedNanos  atomic.Int64 // wall time of builds discarded as stopped
+	racedNanos    atomic.Int64 // wall time of builds discarded as raced
 	evictions     atomic.Int64
 	yields        atomic.Int64
 
@@ -91,11 +108,10 @@ type Tier struct {
 	done   chan struct{}
 }
 
-// New builds a tier over ex and starts its background refresher. shift
-// is the dependency-bucket stride in bits — pass the store partition's
-// Shift() so buckets coincide with shard indices (and with the touched
-// sets OnBatch and TouchedSince speak). Close releases the refresher.
-func New(ex *core.Executor, shift uint32, cfg Config) *Tier {
+// New builds a tier over ex and starts its background refresher. Wire
+// the source's applied-batch stream to Follow before writes flow. Close
+// releases the refresher.
+func New(ex *core.Executor, cfg Config) *Tier {
 	if cfg.MaxEntries <= 0 {
 		cfg.MaxEntries = 64
 	}
@@ -110,7 +126,7 @@ func New(ex *core.Executor, shift uint32, cfg Config) *Tier {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	t := &Tier{
-		ex: ex, shift: shift, cfg: cfg,
+		ex: ex, cfg: cfg,
 		// Track 4x the entry budget so sources rotating into the hot set
 		// accumulate counts before they displace current members.
 		sketch:  NewSketch(4 * cfg.MaxEntries),
@@ -153,40 +169,43 @@ func (t *Tier) SingleSource(view graph.View, u graph.NodeID) (*core.Ranked, bool
 	return e.ranked, true
 }
 
-// OnBatch is the applied-batch subscription hook (wire it to
-// shard.Store.SubscribeApplied). It advances the watermark and
-// invalidates exactly the entries whose dependency set the batch's edge
-// endpoints touch — everything else would re-execute bit-identically and
-// stays servable. Called under the store's apply lock, so it only takes
-// the tier lock and never calls back into the store.
-func (t *Tier) OnBatch(id uint64, ops []graph.EdgeOp) {
-	touched := make(map[uint32]struct{}, len(ops)*2)
-	maxNode := graph.NodeID(0)
-	for _, op := range ops {
-		touched[uint32(op.U)>>t.shift] = struct{}{}
-		touched[uint32(op.V)>>t.shift] = struct{}{}
-		if op.U > maxNode {
-			maxNode = op.U
-		}
-		if op.V > maxNode {
-			maxNode = op.V
-		}
-	}
+// Follow returns the applied-batch hook to subscribe to the tier's source
+// (shard.Store.SubscribeApplied). version must report the source's
+// mutation counter when the hook runs (shard.Store.Version), and a batch
+// of k ops must advance it by exactly k; see core.Querier.Follow. Call it
+// while wiring, before writes flow.
+func (t *Tier) Follow(version func() uint64) func(id uint64, ops []graph.EdgeOp) {
+	t.mu.Lock()
+	t.tail = version()
+	t.mu.Unlock()
+	return func(id uint64, ops []graph.EdgeOp) { t.onBatch(id, version(), ops) }
+}
+
+// onBatch advances the watermark and invalidates exactly the entries
+// whose read set the batch's edge endpoints touch — everything else would
+// re-execute bit-identically and stays servable — or every entry, when
+// the batch does not continue the reported stream. Called under the
+// store's apply lock, so besides reading the version it only takes the
+// tier lock and never calls back into the store.
+func (t *Tier) onBatch(id, to uint64, ops []graph.EdgeOp) {
+	from := to - uint64(len(ops))
 	t.mu.Lock()
 	if id > t.watermark {
 		t.watermark = id
 	}
+	unexplained := from != t.tail
+	t.tail = to
+	keep := t.ex.Snapshot().Version()
+	if t.building {
+		keep = min(keep, t.pinned)
+	}
+	i := 0
+	for i < len(t.recent) && t.recent[i].to <= keep {
+		i++
+	}
+	t.recent = append(t.recent[i:], appliedBatch{from: from, to: to, ops: slices.Clone(ops)})
 	for src, e := range t.entries {
-		hit := graph.NodeID(e.ranked.N) <= maxNode // batch grows the node space past the entry's answer
-		if !hit {
-			for b := range touched {
-				if e.deps.has(b) {
-					hit = true
-					break
-				}
-			}
-		}
-		if hit {
+		if unexplained || e.reads.Touched(e.ranked.N, ops) {
 			delete(t.entries, src)
 			if _, dirty := t.dirty[src]; !dirty {
 				t.dirty[src] = id // first invalidation: the lag metric's anchor
@@ -225,8 +244,11 @@ type TierStats struct {
 	Builds         int64 // background build attempts
 	BuildsStopped  int64 // builds a budget stop or cancellation cut short
 	BuildsRaced    int64 // finished builds discarded for losing the install race
-	Evictions      int64 // entries dropped for falling out of the hot set
-	Yields         int64 // refresher rounds cut short for foreground load
+	// Wall seconds the discarded builds ran, by the same causes.
+	StoppedBuildSeconds float64
+	RacedBuildSeconds   float64
+	Evictions           int64 // entries dropped for falling out of the hot set
+	Yields              int64 // refresher rounds cut short for foreground load
 
 	Watermark    uint64 // highest applied-batch id observed
 	WALWatermark uint64 // highest WAL-appended batch id observed
@@ -261,6 +283,8 @@ func (t *Tier) Stats() TierStats {
 	s.Builds = t.builds.Load()
 	s.BuildsStopped = t.buildsStopped.Load()
 	s.BuildsRaced = t.buildsRaced.Load()
+	s.StoppedBuildSeconds = time.Duration(t.stoppedNanos.Load()).Seconds()
+	s.RacedBuildSeconds = time.Duration(t.racedNanos.Load()).Seconds()
 	s.Evictions = t.evictions.Load()
 	s.Yields = t.yields.Load()
 	s.WALWatermark = t.walWatermark.Load()
@@ -332,70 +356,77 @@ func (t *Tier) reconcile() {
 }
 
 // buildOne precomputes one entry: pin the published snapshot, run the
-// kernel through a recording view (capturing the dependency buckets),
-// then install — unless the store moved under the build in a way that
-// could affect it, in which case the result is discarded and the source
-// stays pending (the install race check below).
+// tracked kernel on it (capturing the build's read set), then install —
+// unless a write the build did not see could affect it, in which case the
+// result is discarded and the source stays pending (installOK).
 func (t *Tier) buildOne(src graph.NodeID) {
+	t.mu.Lock()
 	s0 := t.ex.Snapshot()
 	if s0 == nil || int(src) >= s0.NumNodes() {
-		t.mu.Lock()
 		delete(t.dirty, src) // source does not exist in this graph; nothing to build
 		t.mu.Unlock()
 		return
 	}
-	t.mu.RLock()
-	wm0 := t.watermark
-	t.mu.RUnlock()
+	t.building, t.pinned = true, s0.Version()
+	t.mu.Unlock()
+	defer func() {
+		t.mu.Lock()
+		t.building = false
+		t.mu.Unlock()
+	}()
 
-	rv := newRecordingView(s0, t.shift)
 	opt := t.cfg.Opt
 	opt.Budget = t.cfg.RefreshBudget
 	t.builds.Add(1)
-	ranked, err := core.SingleSourceRanked(t.ctx, rv, src, opt)
+	start := time.Now()
+	ranked, reads, err := core.SingleSourceTracked(t.ctx, s0, src, opt)
 	if err != nil {
 		// Budget-stopped or canceled: a partial estimate is NOT
 		// bit-identical to the live kernel, so it never enters the index.
 		t.buildsStopped.Add(1)
+		t.stoppedNanos.Add(int64(time.Since(start)))
 		return
 	}
-	deps := rv.deps()
-	deps.add(uint32(src) >> t.shift) // the source's own bucket, even if never walked
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cur := t.ex.Snapshot()
-	if !t.installOK(s0, cur, deps, wm0) {
+	if !t.installOK(s0, t.ex.Snapshot(), reads) {
 		t.buildsRaced.Add(1)
+		t.racedNanos.Add(int64(time.Since(start)))
 		return
 	}
-	t.entries[src] = &entry{
-		source: src, ranked: ranked,
-		version: s0.Version(), batch: t.watermark, deps: deps,
-	}
+	t.entries[src] = &entry{ranked: ranked, reads: reads}
 	delete(t.dirty, src)
 }
 
 // installOK is the install race check, called with t.mu held: a build
-// ran against pinned snapshot s0 while writes kept flowing; the result
-// may only be installed if nothing that could affect it happened since.
-// Over a shard store that is precise — compare per-shard versions
-// (TouchedSince) against the recorded dependency set, and reject if any
-// applied batch is not yet visible in the published snapshot (the
-// applied-but-unpublished window; the server publishes synchronously
-// after apply, so it is microseconds wide). Over a generic provider the
-// check degrades to "nothing moved at all".
-func (t *Tier) installOK(s0, cur graph.VersionedView, deps depSet, wm0 uint64) bool {
+// with read set reads ran against pinned snapshot s0 while writes kept
+// flowing, and its answer may only be installed if every write s0 lacks
+// is a reported batch that missed reads. Those batches are the ones in
+// recent past s0: from s0 on they must continue one another and miss
+// reads, and the published snapshot cur must be one of the states they
+// explain. Over a shard store, every applied batch must also be
+// published already (the applied-but-unpublished window; the server
+// publishes synchronously after apply, so it is microseconds wide).
+func (t *Tier) installOK(s0, cur graph.VersionedView, reads core.ReadSet) bool {
 	if cur == nil || cur.NumNodes() != s0.NumNodes() {
 		return false
 	}
-	ss0, ok0 := s0.(*shard.StoreSnapshot)
-	ssc, okc := cur.(*shard.StoreSnapshot)
-	if ok0 && okc {
-		if deps.intersects(ssc.TouchedSince(ss0)) {
+	at := s0.Version()
+	for _, b := range t.recent {
+		if b.to <= at {
+			continue // s0 has it
+		}
+		if b.from != at || reads.Touched(s0.NumNodes(), b.ops) {
 			return false
 		}
-		return t.watermark <= ssc.LastBatch()
+		at = b.to
 	}
-	return cur.Version() == s0.Version() && t.watermark == wm0
+	if cur.Version() > at {
+		return false
+	}
+	if ss, ok := cur.(*shard.StoreSnapshot); ok {
+		return t.watermark <= ss.LastBatch()
+	}
+	return true
 }

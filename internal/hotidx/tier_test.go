@@ -42,8 +42,8 @@ func newTierOver(t *testing.T, g *graph.Graph, cfg Config) (*shard.Store, *core.
 	if cfg.Interval == 0 {
 		cfg.Interval = 2 * time.Millisecond
 	}
-	tier := New(ex, st.Partition().Shift(), cfg)
-	st.SubscribeApplied(tier.OnBatch)
+	tier := New(ex, cfg)
+	st.SubscribeApplied(tier.Follow(st.Version))
 	t.Cleanup(tier.Close)
 	return st, ex, tier
 }
@@ -105,12 +105,12 @@ func TestTierInvalidatesOnTouchingBatchAndRebuilds(t *testing.T) {
 	tier.Touch(src)
 	waitHot(t, tier, ex, src)
 
-	// Mutate the source's own shard: its bucket is always in the entry's
-	// dependency set, so this batch must invalidate the entry. The
-	// refresher is held off until the check below, or the batch's wake-up
-	// could rebuild the entry before the test looks for its absence.
+	// Write an edge into the source: every build reads the source's
+	// in-list, so this batch must invalidate the entry. The refresher is
+	// held off until the check below, or the batch's wake-up could rebuild
+	// the entry before the test looks for its absence.
 	hold.Store(true)
-	if _, err := st.ApplyBatch(0, []shard.EdgeOp{{U: src, V: 399}}); err != nil {
+	if _, err := st.ApplyBatch(0, []shard.EdgeOp{{U: 399, V: src}}); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
 	ex.Refresh()
@@ -310,7 +310,7 @@ func TestTierCountsBuildFailuresByCause(t *testing.T) {
 	g := gen.PreferentialAttachment(400, 4, 31)
 	st := shard.NewStore(g, 8, 0)
 	newTier := func(src core.SnapshotProvider, budget core.Budget) *Tier {
-		tier := New(core.NewExecutorOn(src, testOpt()), st.Partition().Shift(), Config{
+		tier := New(core.NewExecutorOn(src, testOpt()), Config{
 			Opt: testOpt(), RefreshBudget: budget, MinHits: math.MaxInt64,
 		})
 		t.Cleanup(tier.Close)
@@ -337,5 +337,125 @@ func TestTierCountsBuildFailuresByCause(t *testing.T) {
 	raced.buildOne(src) // pins the current generation this time
 	if s := raced.Stats(); s.Entries != 1 || s.BuildsRaced != 1 || s.BuildsStopped != 0 {
 		t.Fatalf("build on the current generation: %+v, want it installed", s)
+	}
+}
+
+// TestTierDropsEntryOnDirectStoreWrite pins that the store's direct
+// write methods reach the tier: AddEdge into a hot source, then
+// publication, must leave its entry unservable.
+func TestTierDropsEntryOnDirectStoreWrite(t *testing.T) {
+	g := gen.PreferentialAttachment(400, 4, 13)
+	var hold atomic.Bool
+	st, ex, tier := newTierOver(t, g, Config{Yield: hold.Load})
+
+	const src = graph.NodeID(5)
+	tier.Touch(src)
+	waitHot(t, tier, ex, src)
+
+	hold.Store(true) // no rebuild before the check below
+	if err := st.AddEdge(399, src); err != nil {
+		t.Fatal(err)
+	}
+	ex.Refresh()
+	if _, ok := tier.SingleSource(ex.Snapshot(), src); ok {
+		t.Fatalf("entry for %d still servable after a direct store write into it: %+v", src, tier.Stats())
+	}
+	if s := tier.Stats(); s.Invalidations < 1 {
+		t.Fatalf("no invalidation recorded: %+v", s)
+	}
+}
+
+// TestTierDropsEntriesAfterRolledBackBatch covers a move the stream never
+// reports: a rejected batch rolls back, which can reorder the lists it
+// touched, without firing the hook. The next reported batch does not
+// continue the stream's version count, so it drops every entry, even one
+// whose read set it misses.
+func TestTierDropsEntriesAfterRolledBackBatch(t *testing.T) {
+	const n = 256 // the two components of TestTierEntrySurvivesUnrelatedBatch
+	g := graph.New(n)
+	for i := 0; i < 31; i++ {
+		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1))
+		g.AddEdge(graph.NodeID(i+1), graph.NodeID(i))
+	}
+	for i := 32; i < 63; i++ {
+		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1))
+	}
+	var hold atomic.Bool
+	st, ex, tier := newTierOver(t, g, Config{Yield: hold.Load})
+
+	const src = graph.NodeID(3)
+	tier.Touch(src)
+	waitHot(t, tier, ex, src)
+
+	hold.Store(true)
+	if _, err := st.ApplyBatch(0, []shard.EdgeOp{{U: 40, V: 41, Remove: true}, {U: 50, V: 50}}); err == nil {
+		t.Fatal("a batch with a self-loop applied")
+	}
+	if _, err := st.ApplyBatch(0, []shard.EdgeOp{{U: 40, V: 55}}); err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+	ex.Refresh()
+	if _, ok := tier.SingleSource(ex.Snapshot(), src); ok {
+		t.Fatalf("entry for %d survived a batch that followed an unreported rollback: %+v", src, tier.Stats())
+	}
+}
+
+// pinNext is a snapshot provider over a store whose next PublishedView,
+// once armed, returns an older generation: the build that pins it runs
+// on a snapshot that batches reported since then have superseded.
+type pinNext struct {
+	st   *shard.Store
+	next atomic.Pointer[shard.StoreSnapshot]
+}
+
+func (p *pinNext) PublishedView() graph.VersionedView {
+	if s := p.next.Swap(nil); s != nil {
+		return s
+	}
+	return p.st.PublishedView()
+}
+
+func (p *pinNext) PublishView(ctx context.Context) (graph.VersionedView, error) {
+	return p.st.PublishView(ctx)
+}
+
+// TestTierInstallChecksBatchesSincePinnedSnapshot pins the node-level
+// install check: a build whose pinned snapshot lacks only a reported
+// batch outside its read set installs, and one whose snapshot lacks a
+// batch into its source is discarded as raced.
+func TestTierInstallChecksBatchesSincePinnedSnapshot(t *testing.T) {
+	const n = 256 // the two components of TestTierEntrySurvivesUnrelatedBatch
+	g := graph.New(n)
+	for i := 0; i < 31; i++ {
+		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1))
+		g.AddEdge(graph.NodeID(i+1), graph.NodeID(i))
+	}
+	for i := 32; i < 63; i++ {
+		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1))
+	}
+	st := shard.NewStore(g, 8, 0)
+	p := &pinNext{st: st}
+	tier := New(core.NewExecutorOn(p, testOpt()), Config{
+		Opt: testOpt(), RefreshBudget: core.Budget{Timeout: 5 * time.Second}, MinHits: math.MaxInt64,
+	})
+	t.Cleanup(tier.Close)
+	st.SubscribeApplied(tier.Follow(st.Version))
+
+	const src = graph.NodeID(3)
+	buildBehind := func(op shard.EdgeOp) TierStats {
+		old := st.Current()
+		if _, err := st.ApplyBatch(0, []shard.EdgeOp{op}); err != nil {
+			t.Fatalf("apply: %v", err)
+		}
+		st.Publish()
+		p.next.Store(old)
+		tier.buildOne(src)
+		return tier.Stats()
+	}
+	if s := buildBehind(shard.EdgeOp{U: 40, V: 55}); s.Entries != 1 || s.BuildsRaced != 0 {
+		t.Fatalf("build behind a batch outside its read set: %+v, want it installed", s)
+	}
+	if s := buildBehind(shard.EdgeOp{U: 5, V: src}); s.Entries != 0 || s.BuildsRaced != 1 {
+		t.Fatalf("build behind a batch into its source: %+v, want it discarded as raced", s)
 	}
 }

@@ -51,6 +51,10 @@ type Scratch struct {
 	member   []uint32
 	memberEp uint32
 
+	// reads, when set, records every node whose adjacency the probes on
+	// this Scratch read beyond their path's own nodes (SetReadLog).
+	reads *ReadLog
+
 	// meter, when set, is the owning query's budget meter: every level
 	// charges its edge traversals and the expansion loops stop early once
 	// the meter trips, so even a single huge probe (O(m·i) worst case on a
@@ -96,6 +100,50 @@ func (s *Scratch) adjFor(g graph.View) *graph.Adj {
 // queries must detach before parking it, so a recycled scratch can never
 // observe a previous query's expiry.
 func (s *Scratch) SetMeter(m *budget.Meter) { s.meter = m }
+
+// SetReadLog attaches (or, with nil, detaches) the log the probes record
+// their reads into. Deterministic levels log every node they add to the
+// next frontier (whose in-degree they read, and whose out-list the level
+// after reads); randomized levels log every candidate whose in-list they
+// sample, and a full candidate scan marks the log unbounded. Together
+// with the path's own nodes, which the caller logs, that covers every
+// node whose adjacency a probe reads. Several Scratches of one worker may
+// share a log.
+func (s *Scratch) SetReadLog(r *ReadLog) { s.reads = r }
+
+// ReadLog collects, once each, the nodes whose adjacency a query read.
+// Deduplication stamps an n-length mark array, so one log serves any
+// number of queries on graphs of its size; Reset starts the next.
+type ReadLog struct {
+	mark  []uint32
+	epoch uint32
+	// Nodes lists the recorded nodes in first-read order.
+	Nodes []graph.NodeID
+	// Unbounded is set when the query read more than it can list.
+	Unbounded bool
+}
+
+// NewReadLog returns an empty log for graphs with n nodes.
+func NewReadLog(n int) *ReadLog { return &ReadLog{mark: make([]uint32, n), epoch: 1} }
+
+// Add records v unless it is already recorded.
+func (r *ReadLog) Add(v graph.NodeID) {
+	if r.mark[v] != r.epoch {
+		r.mark[v] = r.epoch
+		r.Nodes = append(r.Nodes, v)
+	}
+}
+
+// Reset empties the log in O(1) (with a wraparound clear).
+func (r *ReadLog) Reset() {
+	r.Nodes = r.Nodes[:0]
+	r.Unbounded = false
+	r.epoch++
+	if r.epoch == 0 {
+		clear(r.mark)
+		r.epoch = 1
+	}
+}
 
 // ReleaseView drops the cached adjacency resolution. Owners that pool a
 // Scratch across queries (core's executor scratch) call it before
@@ -232,6 +280,11 @@ func (s *Scratch) deterministicLevel(adj *graph.Adj, cur []graph.NodeID, exclude
 	// per-edge inner loop free of budget branches.
 	s.meter.ChargeWork(s.Work - levelStart)
 	s.meter.AddProbeLevels(1)
+	if s.reads != nil {
+		for _, v := range next {
+			s.reads.Add(v)
+		}
+	}
 	s.curList, s.nextList = next, cur[:0]
 	s.curScore, s.newScore = s.newScore, s.curScore
 	return next
@@ -339,6 +392,9 @@ func (s *Scratch) randomizedLevel(adj *graph.Adj, cur []graph.NodeID, excluded g
 					continue
 				}
 				s.mark[x] = epoch
+				if s.reads != nil {
+					s.reads.Add(x)
+				}
 				if selected(x) {
 					next = append(next, x)
 				}
@@ -346,6 +402,9 @@ func (s *Scratch) randomizedLevel(adj *graph.Adj, cur []graph.NodeID, excluded g
 		}
 	} else {
 		s.meter.ChargeWork(int64(s.n))
+		if s.reads != nil {
+			s.reads.Unbounded = true
+		}
 		for x := 0; x < s.n; x++ {
 			id := graph.NodeID(x)
 			if id == excluded || adj.InDegree(id) == 0 {

@@ -520,6 +520,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		promexpo.WriteGauge(out, "probesim_cache_vectors", "Cached single-source answers.", int64(cs.Cached))
 		promexpo.WriteCounter(out, "probesim_cache_shared_flights_total", "Queries that joined another's in-flight computation.", cs.Shared)
 		promexpo.WriteCounter(out, "probesim_cache_evictions_total", "Cached answers dropped by LRU capacity pressure.", cs.Evictions)
+		promexpo.WriteLabeled(out, "probesim_cache_invalidations_total", "Cached answers dropped because the graph moved, by cause: a write had an endpoint in the answer's read set, a write met an answer without a bounded read set, or a move the applied stream did not explain emptied the cache.", "counter", []promexpo.Sample{
+			{Label: `cause="touched"`, Value: cs.Invalidations.Touched},
+			{Label: `cause="unbounded"`, Value: cs.Invalidations.Unbounded},
+			{Label: `cause="flush"`, Value: cs.Invalidations.Flush},
+		})
 		if s.hot != nil {
 			hs := s.hot.Stats()
 			promexpo.WriteGauge(out, "probesim_hot_entries", "Fresh precomputed hot-source entries.", int64(hs.Entries))
@@ -532,6 +537,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			promexpo.WriteLabeled(out, "probesim_hot_build_errors_total", "Hot-entry builds discarded, by cause: cut short by a budget stop or cancellation, or finished but lost the install race to a write.", "counter", []promexpo.Sample{
 				{Label: `cause="stopped"`, Value: hs.BuildsStopped},
 				{Label: `cause="raced"`, Value: hs.BuildsRaced},
+			})
+			promexpo.WriteLabeledFloat(out, "probesim_hot_discarded_build_seconds_total", "Wall seconds of hot-entry builds discarded, by cause (as probesim_hot_build_errors_total).", "counter", []promexpo.FloatSample{
+				{Label: `cause="stopped"`, Value: hs.StoppedBuildSeconds},
+				{Label: `cause="raced"`, Value: hs.RacedBuildSeconds},
 			})
 			promexpo.WriteCounter(out, "probesim_hot_evictions_total", "Hot entries dropped for falling out of the hot set.", hs.Evictions)
 			promexpo.WriteCounter(out, "probesim_hot_yields_total", "Refresher rounds cut short for foreground load.", hs.Yields)

@@ -93,16 +93,17 @@ func TestHotTierInvalidatedByWrite(t *testing.T) {
 	s.SetLimits(Limits{MaxInflight: 2})
 	waitHotHeader(t, s, "/single-source?u=7")
 
-	// A write touching node 7's shard must invalidate its entry; the next
-	// query falls back to live (correct answer on the new snapshot), and
-	// the refresher re-promotes it eventually. A held slot keeps the
-	// refresher yielding across the write and that first read, so the
-	// write's wake-up cannot rebuild the entry before the read.
+	// A write into node 7 must invalidate its entry (every build reads
+	// the source's in-list); the next query falls back to live (correct
+	// answer on the new snapshot), and the refresher re-promotes it
+	// eventually. A held slot keeps the refresher yielding across the
+	// write and that first read, so the write's wake-up cannot rebuild
+	// the entry before the read.
 	rel, err := s.fairq.Acquire(context.Background(), s.solo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec, body := do(t, s, http.MethodPost, "/edges?u=7&v=399"); rec.Code != http.StatusOK {
+	if rec, body := do(t, s, http.MethodPost, "/edges?u=399&v=7"); rec.Code != http.StatusOK {
 		t.Fatalf("write: status %d (%v)", rec.Code, body)
 	}
 	rec, _ := do(t, s, http.MethodGet, "/single-source?u=7")
@@ -124,8 +125,8 @@ func TestStatsAndMetricsExposeHotAndCacheCounters(t *testing.T) {
 	for _, key := range []string{
 		"hotEntries", "hotStaleEntries", "hotTrackedSources", "hotHits", "hotMisses",
 		"hotInvalidations", "hotBuilds", "hotBuildErrors", "hotEvictions", "hotYields",
-		"hotWatermark", "hotWALWatermark", "hotLagBatches",
-		"cacheHits", "cacheMisses", "cacheEvictions",
+		"hotWatermark", "hotWALWatermark", "hotLagBatches", "hotDiscardedBuildSeconds",
+		"cacheHits", "cacheMisses", "cacheEvictions", "cacheInvalidations",
 	} {
 		if _, ok := stats[key]; !ok {
 			t.Fatalf("/stats missing %q: %v", key, stats)
@@ -146,6 +147,9 @@ func TestStatsAndMetricsExposeHotAndCacheCounters(t *testing.T) {
 		`probesim_hot_build_errors_total{cause="stopped"}`, `probesim_hot_build_errors_total{cause="raced"}`,
 		"probesim_hot_yields_total", "probesim_hot_watermark", "probesim_hot_wal_watermark",
 		"probesim_hot_lag_batches", "probesim_cache_evictions_total",
+		`probesim_hot_discarded_build_seconds_total{cause="stopped"}`, `probesim_hot_discarded_build_seconds_total{cause="raced"}`,
+		`probesim_cache_invalidations_total{cause="touched"}`, `probesim_cache_invalidations_total{cause="unbounded"}`,
+		`probesim_cache_invalidations_total{cause="flush"}`,
 	} {
 		if !strings.Contains(page, m) {
 			t.Fatalf("/metrics missing %s", m)

@@ -9,7 +9,11 @@
 // Edge updates serialize among themselves on the write mutex, apply
 // through the router, and publish a fresh snapshot before releasing it;
 // in-flight reads keep the (consistent) snapshot they grabbed. Cache
-// invalidation is automatic via the snapshot version counter.
+// invalidation is automatic. Over an in-process store the result cache
+// follows the store's applied-batch stream and a write drops only the
+// cached answers whose read sets hold one of its endpoints; over a worker
+// fleet, which has no such stream at the routing tier, the cache is keyed
+// by snapshot version and every write empties it.
 //
 // The server has one backend, a router.Router, and one write path: every
 // edge update is one batch through Router.Apply. Over an in-process
@@ -180,6 +184,7 @@ func NewRouted(rt *router.Router, opt core.Options, cacheCap, limit int) *Server
 	}
 	if le := rt.Local(); le != nil {
 		s.st = le.Store()
+		s.st.SubscribeApplied(s.q.Follow(s.st.Version))
 	}
 	for st := range s.stageHist {
 		// Seconds of stage time per query, 100µs up to 5s.
@@ -220,12 +225,11 @@ func (s *Server) SetWAL(lg *wal.Log) {
 // precomputes their single-source answers with the SAME options the live
 // path serves (so a hot answer is byte-identical to the live kernel's),
 // and the store's applied-batch stream invalidates exactly the entries
-// each write batch can affect. Requires an in-process store — the
-// dependency filter speaks shard indices, and the tier subscribes to
-// shard.Store's applied-batch hook. Call after SetWAL (when durable) and
-// before serving; the returned tier is the caller's to Close on
-// shutdown. maxEntries <= 0 and refreshBudget <= 0 take the tier's
-// defaults.
+// each write batch can affect. Requires an in-process store — the tier
+// follows shard.Store's applied-batch hook. Call after SetWAL (when
+// durable) and before serving; the returned tier is the caller's to
+// Close on shutdown. maxEntries <= 0 and refreshBudget <= 0 take the
+// tier's defaults.
 func (s *Server) EnableHotTier(maxEntries int, refreshBudget time.Duration) *hotidx.Tier {
 	if s.st == nil {
 		panic("server: EnableHotTier requires an in-process store")
@@ -237,13 +241,13 @@ func (s *Server) EnableHotTier(maxEntries int, refreshBudget time.Duration) *hot
 	if refreshBudget > 0 {
 		rb.Timeout = refreshBudget
 	}
-	tier := hotidx.New(s.ex, s.st.Partition().Shift(), hotidx.Config{
+	tier := hotidx.New(s.ex, hotidx.Config{
 		MaxEntries:    maxEntries,
 		Opt:           s.opt,
 		RefreshBudget: rb,
 		Yield:         s.hotYield,
 	})
-	s.st.SubscribeApplied(tier.OnBatch)
+	s.st.SubscribeApplied(tier.Follow(s.st.Version))
 	if s.wal != nil {
 		s.wal.Subscribe(func(id uint64, ops []graph.EdgeOp) { tier.ObserveAppend(id) })
 	}
@@ -472,9 +476,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"nodes": stats.Nodes, "edges": stats.Edges,
 		"maxInDegree": stats.MaxInDegree, "zeroInDegree": stats.ZeroInDeg,
 		"cacheHits": cs.Hits, "cacheMisses": cs.Misses, "cachedVectors": cs.Cached,
-		"cacheEvictions": cs.Evictions,
-		"sharedFlights":  cs.Shared,
-		"graphVersion":   snap.Version(),
+		"cacheEvictions":     cs.Evictions,
+		"cacheInvalidations": cs.Invalidations.Total(),
+		"sharedFlights":      cs.Shared,
+		"graphVersion":       snap.Version(),
 	}
 	if s.hot != nil {
 		hs := s.hot.Stats()
@@ -486,6 +491,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		body["hotInvalidations"] = hs.Invalidations
 		body["hotBuilds"] = hs.Builds
 		body["hotBuildErrors"] = hs.BuildsStopped + hs.BuildsRaced
+		body["hotDiscardedBuildSeconds"] = hs.StoppedBuildSeconds + hs.RacedBuildSeconds
 		body["hotEvictions"] = hs.Evictions
 		body["hotYields"] = hs.Yields
 		body["hotWatermark"] = hs.Watermark

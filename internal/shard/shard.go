@@ -390,11 +390,16 @@ var _ graph.VersionedView = (*Store)(nil)
 // AddEdge inserts the directed edge u -> v with the same semantics as
 // (*graph.Graph).AddEdge: self-loops rejected, parallel edges permitted,
 // appended at the tail of both adjacency lists (order preservation is
-// what keeps sharded results bit-identical to monolithic ones).
+// what keeps sharded results bit-identical to monolithic ones). The
+// applied-batch subscribers see it as a one-op batch (see notifyDirect).
 func (st *Store) AddEdge(u, v graph.NodeID) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.addEdgeLocked(u, v)
+	if err := st.addEdgeLocked(u, v); err != nil {
+		return err
+	}
+	st.notifyDirect(graph.EdgeOp{U: u, V: v})
+	return nil
 }
 
 func (st *Store) addEdgeLocked(u, v graph.NodeID) error {
@@ -427,11 +432,27 @@ func (st *Store) addEdgeLocked(u, v graph.NodeID) error {
 // RemoveEdge removes one occurrence of u -> v, mirroring
 // (*graph.Graph).RemoveEdge exactly (first match swapped with the tail),
 // so the surviving neighbor order matches a monolithic graph that saw the
-// same operation sequence.
+// same operation sequence. The applied-batch subscribers see it as a
+// one-op batch (see notifyDirect).
 func (st *Store) RemoveEdge(u, v graph.NodeID) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.removeEdgeLocked(u, v)
+	if err := st.removeEdgeLocked(u, v); err != nil {
+		return err
+	}
+	st.notifyDirect(graph.EdgeOp{U: u, V: v, Remove: true})
+	return nil
+}
+
+// notifyDirect reports a write made outside ApplyBatch to the
+// applied-batch subscribers as a one-op batch. It carries the id of the
+// last decided batch: a direct write is no batch of its own, so it
+// neither moves LastBatch nor takes an id a later ApplyBatch could
+// decide.
+func (st *Store) notifyDirect(op graph.EdgeOp) {
+	for _, fn := range st.onApplied {
+		fn(st.lastBatch, []graph.EdgeOp{op})
+	}
 }
 
 func (st *Store) removeEdgeLocked(u, v graph.NodeID) error {
@@ -532,13 +553,17 @@ func (st *Store) ApplyBatch(id uint64, ops []graph.EdgeOp) (uint64, error) {
 
 // SubscribeApplied registers fn to run after every successfully applied
 // batch with the batch's id and ops — the applied-batch stream that
-// keeps derived state (the hot-source index tier) fresh without polling.
-// Retried (apply-once no-op) and rejected batches never fire it.
+// keeps derived state (the result cache, the hot-source index tier)
+// fresh without polling. A direct AddEdge or RemoveEdge fires it too, as
+// a one-op batch under the last decided batch's id. Retried (apply-once
+// no-op) and rejected batches never fire it, nor does AddNode.
 //
 // fn runs under the store's apply lock: it must be fast, must not call
-// back into the store, and must not retain ops past the call (the slice
-// is the caller's). Not safe to call concurrently with ApplyBatch;
-// subscribe during wiring, before writes flow.
+// back into the store beyond Version (which then reports the version the
+// batch produced: each applied op advances it by exactly one), and must
+// not retain ops past the call (the slice is the caller's). Not safe to
+// call concurrently with ApplyBatch; subscribe during wiring, before
+// writes flow.
 func (st *Store) SubscribeApplied(fn func(id uint64, ops []graph.EdgeOp)) {
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -59,8 +59,10 @@
 // ThresholdJoin and TopKJoin answer "find all similar pairs" with the same
 // εa guarantee and no join index; TopKProgressive answers top-k queries
 // any-time, stopping as soon as the ranking provably settles; NewQuerier
-// adds a version-keyed result cache for read-heavy workloads. All three
-// keep the zero-maintenance property that motivates the paper.
+// adds a version-keyed result cache for read-heavy workloads (the server
+// keeps the same cache per node instead, dropping only the answers a
+// write touched). All three keep the zero-maintenance property that
+// motivates the paper.
 package probesim
 
 import (
@@ -182,11 +184,14 @@ func TopKProgressive(ctx context.Context, g *Graph, u NodeID, k int, opt Options
 // on a graph with n nodes.
 func PlanFor(opt Options, n int) (Plan, error) { return core.PlanFor(opt, n) }
 
-// Querier memoizes single-source results keyed by the graph's version
-// counter: repeated queries on an unchanged graph are free, and any
-// mutation invalidates the cache automatically. This implements the
-// "lightweight indexing" direction sketched in the paper's conclusion
-// while keeping ProbeSim's zero-maintenance property.
+// Querier memoizes single-source results. A Querier from NewQuerier is
+// keyed by the graph's version counter: repeated queries on an unchanged
+// graph are free, and any mutation invalidates the whole cache
+// automatically. (The HTTP server's Querier instead follows its shard
+// store's applied-batch stream and drops only the answers whose read sets
+// a write touched.) This implements the "lightweight indexing" direction
+// sketched in the paper's conclusion while keeping ProbeSim's
+// zero-maintenance property.
 type Querier = core.Querier
 
 // NewQuerier wraps g with a result cache holding up to capacity
