@@ -196,18 +196,6 @@ func (m *Meter) trip(cause error) {
 	m.mu.Unlock()
 }
 
-// Fail trips the meter with an external cause — the seam the distributed
-// shard plane uses to stop a query's kernels when a worker RPC fails
-// mid-flight: the transport error becomes the meter's cause, every worker
-// drains at its next checkpoint, and the query returns its partial result
-// wrapped in a budget.Error whose chain unwraps to the transport error.
-// Nil-safe and idempotent (the first cause wins).
-func (m *Meter) Fail(cause error) {
-	if m != nil && cause != nil {
-		m.trip(cause)
-	}
-}
-
 // Stopped reports whether the meter has tripped. One atomic load; safe
 // to call on every hot-loop iteration.
 func (m *Meter) Stopped() bool {

@@ -35,26 +35,23 @@ type ScoredNode struct {
 	Score float64
 }
 
-// QueryBinder is implemented by views that need per-query state — the
-// distributed router view binds each query to its context (so its shard
-// fetches run under the query's deadline) and to its budget meter (so a
-// worker transport failure trips every kernel worker at its next
-// checkpoint instead of letting the query run to completion over a
-// half-dead topology).
-//
-// BindQuery returns the view the kernels should run against and a finish
-// function the query calls once all workers have drained; finish reports
-// the first transport failure the bound view absorbed, which the query
-// returns (wrapped) alongside its partial result.
+// QueryBinder is implemented by views whose adjacency must be fetched
+// before a query can run on it: the distributed router's view fetches
+// every shard block it lacks under the query's context (so the fetch
+// runs under the query's deadline) and returns the snapshot the kernels
+// run on. A failed fetch fails the query before any kernel runs, with no
+// partial estimate, like a query that is dead on arrival.
 type QueryBinder interface {
-	BindQuery(ctx context.Context, m *budget.Meter) (graph.View, func() error)
+	BindQuery(ctx context.Context) (graph.View, error)
 }
 
-// bindQuery resolves the per-query view for g. For ordinary views it is
-// free: g itself and a nil finish.
-func bindQuery(ctx context.Context, g graph.View, m *budget.Meter) (graph.View, func() error) {
+// BindView resolves the view a query on g runs on under ctx: what a
+// QueryBinder binds, and for ordinary views g itself, for free. Callers
+// that scan a view's adjacency outside the query kernels (component
+// scans) bind through it as queries do.
+func BindView(ctx context.Context, g graph.View) (graph.View, error) {
 	if b, ok := g.(QueryBinder); ok {
-		return b.BindQuery(ctx, m)
+		return b.BindQuery(ctx)
 	}
 	return g, nil
 }
@@ -107,10 +104,11 @@ func singleSourceInto(ctx context.Context, g graph.View, u graph.NodeID, opt Opt
 // worker accumulators, scaled, compensated and with s̃(u, u) = 1, held in
 // pooled scratch that returns to the pool once consume returns. consume
 // runs whenever the kernel ran, also for a stopped query (its partial
-// estimate); a query that fails validation or is dead on arrival returns
-// its error without calling it. A non-nil reads asks for the query's read
-// set, which runQuery stores there whenever the kernel ran (nil, the
-// unbounded set, unless a batched mode recorded it).
+// estimate); a query that fails validation, is dead on arrival or whose
+// view cannot be bound returns its error without calling it. A non-nil
+// reads asks for the query's read set, which runQuery stores there
+// whenever the kernel ran (nil, the unbounded set, unless a batched mode
+// recorded it).
 func runQuery(ctx context.Context, g graph.View, u graph.NodeID, opt Options, reads *ReadSet, consume func(*queryScratch)) error {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
@@ -125,7 +123,10 @@ func runQuery(ctx context.Context, g graph.View, u graph.NodeID, opt Options, re
 		// Dead on arrival: no work was done, so there is no partial result.
 		return queryError(u, m)
 	}
-	g, finish := bindQuery(ctx, g, m)
+	g, err := BindView(ctx, g)
+	if err != nil {
+		return fmt.Errorf("core: query %d: %w", u, err)
+	}
 	plan := planFor(opt, n)
 	// One kernel span covers the whole estimator run; the meter's stage
 	// totals (walk vs probe) and probe-level counter refine it.
@@ -160,14 +161,6 @@ func runQuery(ctx context.Context, g graph.View, u graph.NodeID, opt Options, re
 	}
 	for _, sc := range scs {
 		pool.put(sc)
-	}
-	if finish != nil {
-		if err := finish(); err != nil {
-			// A transport failure outranks whatever the meter latched (it
-			// usually IS the meter's cause, via Fail): the partial estimate
-			// still comes back for diagnostics, per the budget contract.
-			return fmt.Errorf("core: query %d: %w", u, err)
-		}
 	}
 	if m.Stopped() {
 		return queryError(u, m)

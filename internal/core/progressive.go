@@ -96,16 +96,9 @@ func TopKProgressive(ctx context.Context, g graph.View, u graph.NodeID, k int, o
 	plan := planFor(opt, n)
 
 	m := budget.New(ctx, opt.Budget.Timeout, opt.Budget.MaxWalks, opt.Budget.MaxProbeWork)
-	g, finish := bindQuery(ctx, g, m)
-	if finish != nil {
-		defer func() {
-			// A transport failure during the progressive rounds outranks the
-			// meter's cause (it usually IS that cause, via Fail); the partial
-			// ranking still goes back for diagnostics.
-			if ferr := finish(); ferr != nil {
-				err = fmt.Errorf("core: query %d: %w", u, ferr)
-			}
-		}()
+	g, err = BindView(ctx, g)
+	if err != nil {
+		return nil, ProgressiveStats{}, fmt.Errorf("core: query %d: %w", u, err)
 	}
 	st := newProgressiveState(n)
 	gen := walk.NewGenerator(g, plan.C, xrand.New(plan.Seed).Split(0))

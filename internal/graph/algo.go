@@ -48,15 +48,7 @@ const componentPollInterval = 4096
 // between requests. A stopped scan returns nil — partial component ids
 // are meaningless — together with the cause.
 func StronglyConnectedCtx(ctx context.Context, v View) (comp []int32, count int, err error) {
-	return StronglyConnectedMeter(budget.New(ctx, 0, 0, 0), v)
-}
-
-// StronglyConnectedMeter is StronglyConnectedCtx with a caller-armed
-// meter, for callers that share one trip point between the traversal and
-// something else — the routed serving path arms a meter, binds the view
-// to it, and a shard-worker failure mid-scan then stops the traversal at
-// its next checkpoint exactly like a deadline would.
-func StronglyConnectedMeter(m *budget.Meter, v View) (comp []int32, count int, err error) {
+	m := budget.New(ctx, 0, 0, 0)
 	cp := budget.NewCheckpoint(m, componentPollInterval)
 	adj := ResolveAdj(v)
 	n := adj.NumNodes()
@@ -156,12 +148,7 @@ func WeaklyConnected(v View) (comp []int32, count int) {
 // WeaklyConnectedCtx is WeaklyConnected under a deadline, with the same
 // mid-scan cancellation contract as StronglyConnectedCtx.
 func WeaklyConnectedCtx(ctx context.Context, v View) (comp []int32, count int, err error) {
-	return WeaklyConnectedMeter(budget.New(ctx, 0, 0, 0), v)
-}
-
-// WeaklyConnectedMeter is WeaklyConnectedCtx with a caller-armed meter;
-// see StronglyConnectedMeter.
-func WeaklyConnectedMeter(m *budget.Meter, v View) (comp []int32, count int, err error) {
+	m := budget.New(ctx, 0, 0, 0)
 	cp := budget.NewCheckpoint(m, componentPollInterval)
 	adj := ResolveAdj(v)
 	n := adj.NumNodes()

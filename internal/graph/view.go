@@ -80,10 +80,12 @@ type Adj struct {
 	inOff, outOff []uint32
 	inDst, outDst []NodeID
 
-	// Sharded CSR path (internal/shard snapshots, router views): node v's
-	// lists live in shards[v>>shardShift] at local index v&shardMask, and
-	// read through that shard's own offsets, so the Adj holds nothing
-	// per node and a generation costs nothing beyond its blocks.
+	// Sharded CSR path (internal/shard snapshots, whether a store
+	// published them or a router assembled them from fetched blocks):
+	// node v's lists live in shards[v>>shardShift] at local index
+	// v&shardMask, and read through that shard's own offsets, so the Adj
+	// holds nothing per node and a generation costs nothing beyond its
+	// blocks.
 	shards     []CSRShard
 	shardShift uint32
 	shardMask  uint32
@@ -110,13 +112,11 @@ func ResolveAdj(v View) Adj {
 	}
 }
 
-// EmptyAdj returns an Adj over n nodes with no edges. An AdjProvider
-// whose storage could not be fetched (the router's bound view after a
-// failed bulk fetch) returns it, so the kernels drain over empty lists
-// without touching the failed storage again.
-func EmptyAdj(n int) Adj { return Adj{view: emptyView(n), n: n} }
+// EmptyView returns an edgeless View of n nodes: what the router's view
+// of a worker fleet reads as to callers outside a query (stats, the
+// join's source scan) when its adjacency could not be fetched.
+func EmptyView(n int) View { return emptyView(n) }
 
-// emptyView is the edgeless View behind EmptyAdj.
 type emptyView int
 
 func (e emptyView) NumNodes() int              { return int(e) }
@@ -128,7 +128,7 @@ func (emptyView) OutDegree(NodeID) int         { return 0 }
 
 // NewShardedAdj builds the devirtualized accessor over sharded CSR
 // storage with a 1<<shift node stride: the Adj internal/shard's snapshot
-// and the router's view return. shards must cover [0, view.NumNodes()).
+// returns. shards must cover [0, view.NumNodes()).
 func NewShardedAdj(view View, shards []CSRShard, shift uint32) Adj {
 	return Adj{
 		view:       view,

@@ -9,7 +9,6 @@ import (
 
 	"probesim/internal/core"
 	"probesim/internal/graph"
-	"probesim/internal/shard"
 )
 
 // Config tunes a Tier. The zero value is usable: every field has a
@@ -405,9 +404,10 @@ func (t *Tier) buildOne(src graph.NodeID) {
 // is a reported batch that missed reads. Those batches are the ones in
 // recent past s0: from s0 on they must continue one another and miss
 // reads, and the published snapshot cur must be one of the states they
-// explain. Over a shard store, every applied batch must also be
-// published already (the applied-but-unpublished window; the server
-// publishes synchronously after apply, so it is microseconds wide).
+// explain. A batch applied but not yet published needs no check of its
+// own: onBatch runs under the store's apply lock, so the batch is in
+// recent before any snapshot can hold it, and the answer is valid both
+// before and after its publication.
 func (t *Tier) installOK(s0, cur graph.VersionedView, reads core.ReadSet) bool {
 	if cur == nil || cur.NumNodes() != s0.NumNodes() {
 		return false
@@ -422,11 +422,5 @@ func (t *Tier) installOK(s0, cur graph.VersionedView, reads core.ReadSet) bool {
 		}
 		at = b.to
 	}
-	if cur.Version() > at {
-		return false
-	}
-	if ss, ok := cur.(*shard.StoreSnapshot); ok {
-		return t.watermark <= ss.LastBatch()
-	}
-	return true
+	return cur.Version() <= at
 }

@@ -459,3 +459,44 @@ func TestTierInstallChecksBatchesSincePinnedSnapshot(t *testing.T) {
 		t.Fatalf("build behind a batch into its source: %+v, want it discarded as raced", s)
 	}
 }
+
+// TestTierInstallsAcrossUnpublishedBatch: a build whose pinned snapshot
+// lacks only a batch that is applied but not yet published, and outside
+// its read set, installs; once the batch is published, the entry serves
+// the bytes the live kernel computes on the new snapshot.
+func TestTierInstallsAcrossUnpublishedBatch(t *testing.T) {
+	const n = 256 // the two components of TestTierEntrySurvivesUnrelatedBatch
+	g := graph.New(n)
+	for i := 0; i < 31; i++ {
+		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1))
+		g.AddEdge(graph.NodeID(i+1), graph.NodeID(i))
+	}
+	for i := 32; i < 63; i++ {
+		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1))
+	}
+	st := shard.NewStore(g, 8, 0)
+	tier := New(core.NewExecutorOn(st, testOpt()), Config{
+		Opt: testOpt(), RefreshBudget: core.Budget{Timeout: 5 * time.Second}, MinHits: math.MaxInt64,
+	})
+	t.Cleanup(tier.Close)
+	st.SubscribeApplied(tier.Follow(st.Version))
+
+	const src = graph.NodeID(3)
+	if _, err := st.ApplyBatch(0, []shard.EdgeOp{{U: 40, V: 55}}); err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+	tier.buildOne(src) // pins the published snapshot, which lacks the batch
+	if s := tier.Stats(); s.Entries != 1 || s.BuildsRaced != 0 {
+		t.Fatalf("build behind an unpublished batch outside its read set: %+v, want it installed", s)
+	}
+	snap := st.Publish()
+	got, ok := tier.SingleSource(snap, src)
+	if !ok {
+		t.Fatalf("entry not served after the batch was published: %+v", tier.Stats())
+	}
+	want, err := core.SingleSourceRanked(context.Background(), snap, src, testOpt())
+	if err != nil {
+		t.Fatalf("live kernel: %v", err)
+	}
+	assertBitIdentical(t, got.Dense(), want.Dense(), "entry built behind an unpublished batch")
+}

@@ -16,26 +16,27 @@
 // worker.
 //
 // A Router reads shards from their owners by the same power-of-two node
-// stride internal/shard partitions with. Before a query's first walk
-// step it fetches every shard block its view lacks, in one batched call
-// per owner group, and caches them for the generation; the kernels then
-// walk and probe over that local adjacency with the same code as in
-// process — which is what keeps results bit-identical between a single
-// process and a fleet of workers. A new generation inherits every block
-// whose shard version its owners report unchanged, so the read after a
-// write fetches only the shards the write moved. The Router plugs into
-// core.Executor through the SnapshotProvider seam, so single-source,
-// top-k, progressive, join and component queries run unchanged over
-// either engine.
+// stride internal/shard partitions with. Before a query on a view
+// generation runs, the view fetches every shard block it lacks, in one
+// batched call per owner group, and assembles the generation's blocks
+// into one shard.StoreSnapshot; the kernels then walk and probe that
+// snapshot with the same code as in process — which is what keeps
+// results bit-identical between a single process and a fleet of
+// workers. A new generation inherits every block whose shard version
+// its owners report unchanged, so the read after a write fetches only
+// the shards the write moved. The Router plugs into core.Executor
+// through the SnapshotProvider seam, so single-source, top-k,
+// progressive, join and component queries run unchanged over either
+// engine.
 //
 // Failure semantics: every remote call is bounded by the query's deadline
 // (propagated in the request's budget header) and by a call timeout. A
-// worker that fails a query's fetch trips the query's budget meter with
-// the transport error — every kernel worker drains at its next
-// checkpoint, over empty adjacency, and the query returns its partial
-// result wrapped in an error chain that errors.Is recognizes as
-// ErrTransport. Partial-result-with-error semantics are therefore
-// preserved across the wire.
+// fetch that fails — a worker's transport error, the caller's deadline,
+// a retired generation or a malformed block — fails the query before any
+// kernel runs, with no partial result, and errors.Is finds the cause in
+// the query's error chain (ErrTransport for a dead worker, so the server
+// answers 502). The blocks the failed attempt did fetch stay with the
+// view, so the next query asks only for the rest.
 package router
 
 import (
@@ -115,10 +116,10 @@ type ShardEngine interface {
 	Ping(ctx context.Context) (version, lastBatch uint64, err error)
 
 	// ResolveShards returns owned shards' CSR adjacency blocks at the
-	// pinned generation in one call, in request order: every missing
-	// block when a view materializes, a single one when a shape reader
-	// faults a shard in. Blocks are immutable; local engines return them
-	// by reference, remote engines decode them off the wire.
+	// pinned generation in one call, in request order: every block a
+	// view generation lacks from the engine's group when its first query
+	// binds. Blocks are immutable; local engines return them by
+	// reference, remote engines decode them off the wire.
 	ResolveShards(ctx context.Context, version uint64, ps []int) ([]graph.CSRShard, error)
 
 	// Apply applies a batch of edge mutations atomically (all-or-rollback)

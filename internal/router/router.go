@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"probesim/internal/budget"
 	"probesim/internal/graph"
 	"probesim/internal/shard"
 )
@@ -35,8 +34,9 @@ import (
 // no new allocation, bit-identical and benchmark-identical to the direct
 // store) and hands each write batch straight to that engine: with no
 // replica there is nothing to retry, demote, replay or level. Any other
-// topology serves a *View whose shard blocks fault in from their owners
-// on first touch.
+// topology serves a *View, whose first query fetches the shard blocks it
+// lacks from their owners and assembles them into a StoreSnapshot that
+// every query on the generation runs on.
 type Router struct {
 	groups []*replicaGroup
 	fast   *LocalEngine // non-nil: single all-owning local engine
@@ -304,6 +304,9 @@ func (r *Router) assembleLocked(metas [][]memberMeta) (*View, error) {
 				gi+1, m0.LastBatch, m.LastBatch)
 		}
 	}
+	if m0.Shift > 31 || m0.Shards != (m0.Nodes+1<<m0.Shift-1)>>m0.Shift {
+		return nil, fmt.Errorf("router: fleet reports %d shards of stride 1<<%d for %d nodes", m0.Shards, m0.Shift, m0.Nodes)
+	}
 	ownerOf := make([]int32, m0.Shards)
 	for p := range ownerOf {
 		ownerOf[p] = -1
@@ -325,13 +328,14 @@ func (r *Router) assembleLocked(metas [][]memberMeta) (*View, error) {
 		}
 	}
 	view := &View{
-		r:       r,
-		nodes:   m0.Nodes,
-		edges:   m0.Edges,
-		version: m0.Version,
-		shift:   m0.Shift,
-		ownerOf: ownerOf,
-		blocks:  make([]blockSlot, m0.Shards),
+		r:         r,
+		nodes:     m0.Nodes,
+		edges:     m0.Edges,
+		version:   m0.Version,
+		lastBatch: m0.LastBatch,
+		shift:     m0.Shift,
+		ownerOf:   ownerOf,
+		blocks:    make([]blockSlot, m0.Shards),
 	}
 	for _, m := range chosen {
 		if len(m.ShardVersions) != len(m.Owned) {
@@ -911,30 +915,28 @@ func (r *Router) Local() *LocalEngine { return r.fast }
 // View is the composite read side the generic path serves: the shape and
 // version agreed by every group, plus per-shard adjacency blocks — carried
 // over from the previous generation where the shard did not change, else
-// fetched from their owner groups and cached for the generation: all of
-// them before a query's first walk step, or one at a time for shape
-// readers.
-// It implements graph.VersionedView for shape readers (stats,
-// validation) and core.QueryBinder so queries run through a BoundView
-// that carries their context and budget meter.
+// fetched from their owner groups on first use — assembled into one
+// shard.StoreSnapshot that every query on the generation runs on.
+// It implements core.QueryBinder for queries and graph.VersionedView for
+// shape readers (stats, the join's source scan).
 type View struct {
-	r       *Router
-	nodes   int
-	edges   int64
-	version uint64
-	shift   uint32
-	ownerOf []int32 // shard -> group index
-	blocks  []blockSlot
+	r         *Router
+	nodes     int
+	edges     int64
+	version   uint64
+	lastBatch uint64
+	shift     uint32
+	ownerOf   []int32 // shard -> group index
+	blocks    []blockSlot
 
-	// adj is the fully materialized devirtualized adjacency over every
-	// shard block, built at most once per view generation (materialize)
-	// and shared by every query on it. adjMu single-flights the build.
-	adjMu sync.Mutex
-	adj   atomic.Pointer[graph.Adj]
+	// snap is the generation's adjacency: a snapshot over every shard
+	// block, assembled at most once (materialize) and shared by every
+	// query on the generation. snapMu single-flights the fetch.
+	snapMu sync.Mutex
+	snap   atomic.Pointer[shard.StoreSnapshot]
 }
 
 type blockSlot struct {
-	mu  sync.Mutex // single-flight fetch
 	ptr atomic.Pointer[graph.CSRShard]
 	// version is the shard version the owner group's reference member
 	// reported at assembly; versioned is false when it reported none.
@@ -980,50 +982,32 @@ func (v *View) inherit(prev *View) int {
 	return carried
 }
 
-// block returns shard p's adjacency block, fetching it from the owner
-// group (any replica, with failover) on first touch. Concurrent first
-// touches single-flight on the slot mutex.
-func (v *View) block(ctx context.Context, p int) (*graph.CSRShard, error) {
-	slot := &v.blocks[p]
-	if b := slot.ptr.Load(); b != nil {
-		return b, nil
-	}
-	slot.mu.Lock()
-	defer slot.mu.Unlock()
-	if b := slot.ptr.Load(); b != nil {
-		return b, nil
-	}
-	v.r.shardFetches.Add(1)
-	g := v.r.groups[v.ownerOf[p]]
-	csrs, err := groupRead(v.r, ctx, g, "rpc.shard", func(ctx context.Context, e ShardEngine) ([]graph.CSRShard, error) {
-		return e.ResolveShards(ctx, v.version, []int{p})
-	})
-	if err == nil && len(csrs) != 1 {
-		err = fmt.Errorf("router: group %d returned %d shard blocks for 1 requested", v.ownerOf[p], len(csrs))
-	}
+// BindQuery implements core.QueryBinder: the generation's snapshot, once
+// every block the view lacks is fetched under the query's context (one
+// batched ResolveShards per owner group, none on a warm view). The
+// kernels then walk and probe it with the same code as an in-process
+// store's snapshot. A failed fetch is the query's error.
+func (v *View) BindQuery(ctx context.Context) (graph.View, error) {
+	s, err := v.materialize(ctx)
 	if err != nil {
-		v.r.fetchErrs.count(err)
 		return nil, err
 	}
-	csr := &csrs[0]
-	slot.ptr.Store(csr)
-	return csr, nil
+	return s, nil
 }
 
-// materialize pulls every block the view neither carried nor cached —
-// ONE batched ResolveShards call per owner group, concurrently across
-// groups — and serves them through the same sharded Adj the in-process
-// snapshot does, so probe hot loops index slices instead of paying an
-// interface call per edge list. The result is cached on the view: later
-// queries on the same generation reuse it without any RPC.
-func (v *View) materialize(ctx context.Context) (*graph.Adj, error) {
-	if a := v.adj.Load(); a != nil {
-		return a, nil
+// materialize fetches every block the view neither carried nor fetched
+// before — ONE batched ResolveShards call per owner group, concurrently
+// across groups — and assembles the generation's snapshot over all of
+// them. Blocks a failed attempt did fetch stay in their slots, so the
+// next attempt asks only for the rest.
+func (v *View) materialize(ctx context.Context) (*shard.StoreSnapshot, error) {
+	if s := v.snap.Load(); s != nil {
+		return s, nil
 	}
-	v.adjMu.Lock()
-	defer v.adjMu.Unlock()
-	if a := v.adj.Load(); a != nil {
-		return a, nil
+	v.snapMu.Lock()
+	defer v.snapMu.Unlock()
+	if s := v.snap.Load(); s != nil {
+		return s, nil
 	}
 	missing := make([][]int, len(v.r.groups))
 	for p := range v.blocks {
@@ -1032,11 +1016,9 @@ func (v *View) materialize(ctx context.Context) (*graph.Adj, error) {
 			missing[gi] = append(missing[gi], p)
 		}
 	}
+	errs := make([]error, len(missing))
 	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	for gi := range missing {
-		ps := missing[gi]
+	for gi, ps := range missing {
 		if len(ps) == 0 {
 			continue
 		}
@@ -1045,186 +1027,80 @@ func (v *View) materialize(ctx context.Context) (*graph.Adj, error) {
 		wg.Add(1)
 		go func(gi int, ps []int) {
 			defer wg.Done()
-			g := v.r.groups[gi]
-			csrs, err := groupRead(v.r, ctx, g, "rpc.shards", func(ctx context.Context, e ShardEngine) ([]graph.CSRShard, error) {
-				return e.ResolveShards(ctx, v.version, ps)
-			})
-			if err == nil && len(csrs) != len(ps) {
-				err = fmt.Errorf("router: group %d returned %d shard blocks for %d requested", gi, len(csrs), len(ps))
-			}
-			if err != nil {
-				v.r.fetchErrs.count(err)
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
-			for i, p := range ps {
-				csr := csrs[i]
-				slot := &v.blocks[p]
-				slot.mu.Lock()
-				if slot.ptr.Load() == nil {
-					slot.ptr.Store(&csr)
-				}
-				slot.mu.Unlock()
-			}
+			errs[gi] = v.fetch(ctx, gi, ps)
 		}(gi, ps)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	csrs := make([]graph.CSRShard, len(v.blocks))
+	versions := make([]uint64, len(v.blocks))
 	for p := range v.blocks {
 		csrs[p] = *v.blocks[p].ptr.Load()
+		versions[p] = v.blocks[p].version
 	}
-	adj := graph.NewShardedAdj(v, csrs, v.shift)
-	v.adj.Store(&adj)
-	return &adj, nil
+	s := shard.Assemble(v.nodes, v.edges, v.version, v.lastBatch, v.shift, csrs, versions)
+	v.snap.Store(s)
+	return s, nil
 }
 
-func (v *View) inNeighbors(ctx context.Context, nd graph.NodeID) ([]graph.NodeID, error) {
-	b, err := v.block(ctx, int(uint32(nd)>>v.shift))
-	if err != nil {
-		return nil, err
-	}
-	l := uint32(nd) & (uint32(1)<<v.shift - 1)
-	return b.InDst[b.InOff[l]:b.InOff[l+1]], nil
-}
-
-func (v *View) outNeighbors(ctx context.Context, nd graph.NodeID) ([]graph.NodeID, error) {
-	b, err := v.block(ctx, int(uint32(nd)>>v.shift))
-	if err != nil {
-		return nil, err
-	}
-	l := uint32(nd) & (uint32(1)<<v.shift - 1)
-	return b.OutDst[b.OutOff[l]:b.OutOff[l+1]], nil
-}
-
-// InNeighbors implements graph.View for shape readers outside the query
-// path (stats, component scans run them through a bound view instead).
-// Fetch failures surface as an empty list here — and as a counted
-// fetch error on /metrics; queries MUST go through BindQuery, which turns
-// the same failure into a query error.
-func (v *View) InNeighbors(nd graph.NodeID) []graph.NodeID {
-	ls, _ := v.inNeighbors(context.Background(), nd)
-	return ls
-}
-
-// OutNeighbors implements graph.View; see InNeighbors.
-func (v *View) OutNeighbors(nd graph.NodeID) []graph.NodeID {
-	ls, _ := v.outNeighbors(context.Background(), nd)
-	return ls
-}
-
-// InDegree implements graph.View.
-func (v *View) InDegree(nd graph.NodeID) int { return len(v.InNeighbors(nd)) }
-
-// OutDegree implements graph.View.
-func (v *View) OutDegree(nd graph.NodeID) int { return len(v.OutNeighbors(nd)) }
-
-// BindQuery implements core.QueryBinder: the per-query view carrying the
-// query's context (its fetches run under its deadline) and meter (a
-// transport failure trips every kernel worker).
-func (v *View) BindQuery(ctx context.Context, m *budget.Meter) (graph.View, func() error) {
-	b := &BoundView{view: v, ctx: ctx, m: m}
-	return b, b.finish
-}
-
-// BoundView is one query's handle on a View. It is what the kernels
-// actually traverse in a distributed topology: same adjacency, plus the
-// query's context on every fetch, and the error latch that turns a
-// mid-query worker death into a prompt partial-result-with-error return
-// instead of a hang.
-type BoundView struct {
-	view *View
-	ctx  context.Context
-	m    *budget.Meter
-
-	// adjOnce makes ProvideAdj one fetch attempt per query, shared by
-	// every kernel worker; adj is its result.
-	adjOnce sync.Once
-	adj     graph.Adj
-
-	mu  sync.Mutex
-	err error
-}
-
-var _ graph.VersionedView = (*BoundView)(nil)
-
-// fail latches the first engine failure and trips the query's meter so
-// every worker drains at its next checkpoint.
-func (b *BoundView) fail(err error) {
-	b.mu.Lock()
-	if b.err == nil {
-		b.err = err
-	}
-	b.mu.Unlock()
-	b.m.Fail(err)
-}
-
-// finish reports the first engine failure the query absorbed.
-func (b *BoundView) finish() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.err
-}
-
-// NumNodes implements graph.View.
-func (b *BoundView) NumNodes() int { return b.view.nodes }
-
-// NumEdges implements graph.View.
-func (b *BoundView) NumEdges() int64 { return b.view.edges }
-
-// Version implements graph.VersionedView.
-func (b *BoundView) Version() uint64 { return b.view.version }
-
-// InNeighbors implements graph.View under the query's context.
-func (b *BoundView) InNeighbors(nd graph.NodeID) []graph.NodeID {
-	ls, err := b.view.inNeighbors(b.ctx, nd)
-	if err != nil {
-		b.fail(err)
-	}
-	return ls
-}
-
-// OutNeighbors implements graph.View under the query's context.
-func (b *BoundView) OutNeighbors(nd graph.NodeID) []graph.NodeID {
-	ls, err := b.view.outNeighbors(b.ctx, nd)
-	if err != nil {
-		b.fail(err)
-	}
-	return ls
-}
-
-// InDegree implements graph.View.
-func (b *BoundView) InDegree(nd graph.NodeID) int { return len(b.InNeighbors(nd)) }
-
-// OutDegree implements graph.View.
-func (b *BoundView) OutDegree(nd graph.NodeID) int { return len(b.OutNeighbors(nd)) }
-
-var _ graph.AdjProvider = (*BoundView)(nil)
-
-// ProvideAdj implements graph.AdjProvider, which the kernels resolve
-// before their first walk step: the view materializes every shard block
-// it lacks in bulk (one batched ResolveShards per owner group, none on a
-// warm view) and serves the same sharded Adj the in-process store does,
-// so walks and probes step over local adjacency. A query
-// makes one attempt, shared by all its kernel workers. On failure the
-// error latches on the query — the same partial-result semantics as any
-// block fetch failure — and the query gets an adjacency with every list
-// empty, so its kernels drain without calling an engine again.
-func (b *BoundView) ProvideAdj() graph.Adj {
-	b.adjOnce.Do(func() {
-		a, err := b.view.materialize(b.ctx)
-		if err != nil {
-			b.fail(err)
-			b.adj = graph.EmptyAdj(b.view.nodes)
-			return
-		}
-		b.adj = *a
+// fetch pulls shards ps from group gi (any replica, with failover and
+// hedging) and fills their slots, checking every block's shape first: a
+// worker's malformed block fails the fetch instead of panicking a kernel.
+// A failure is counted under its cause.
+func (v *View) fetch(ctx context.Context, gi int, ps []int) error {
+	csrs, err := groupRead(v.r, ctx, v.r.groups[gi], "rpc.shards", func(ctx context.Context, e ShardEngine) ([]graph.CSRShard, error) {
+		return e.ResolveShards(ctx, v.version, ps)
 	})
-	return b.adj
+	if err == nil && len(csrs) != len(ps) {
+		err = fmt.Errorf("router: group %d returned %d shard blocks for %d requested", gi, len(csrs), len(ps))
+	}
+	for i := 0; err == nil && i < len(ps); i++ {
+		if cerr := shard.CheckBlock(csrs[i], ps[i], v.shift, v.nodes); cerr != nil {
+			err = fmt.Errorf("router: group %d sent a malformed block: %w", gi, cerr)
+		}
+	}
+	if err != nil {
+		v.r.fetchErrs.count(err)
+		return err
+	}
+	for i, p := range ps {
+		// Each block its own heap value: a pointer into csrs would keep
+		// every block of the reply alive while any one of them is carried.
+		csr := csrs[i]
+		v.blocks[p].ptr.Store(&csr)
+	}
+	return nil
 }
+
+// shape is the adjacency shape readers outside a query see: the
+// generation's snapshot, fetched under no deadline, or — when the fetch
+// fails — an edgeless graph of the view's nodes, the failure counted on
+// /metrics. Queries bind through BindQuery instead, which turns the same
+// failure into their error.
+func (v *View) shape() graph.View {
+	if s, err := v.materialize(context.Background()); err == nil {
+		return s
+	}
+	return graph.EmptyView(v.nodes)
+}
+
+// ProvideAdj implements graph.AdjProvider, so a shape reader that scans
+// every node (graph.ComputeViewStats) resolves the snapshot, and makes
+// its one fetch attempt, once per scan instead of once per node.
+func (v *View) ProvideAdj() graph.Adj { return graph.ResolveAdj(v.shape()) }
+
+// InNeighbors implements graph.View for shape readers; see shape.
+func (v *View) InNeighbors(nd graph.NodeID) []graph.NodeID { return v.shape().InNeighbors(nd) }
+
+// OutNeighbors implements graph.View for shape readers; see shape.
+func (v *View) OutNeighbors(nd graph.NodeID) []graph.NodeID { return v.shape().OutNeighbors(nd) }
+
+// InDegree implements graph.View for shape readers; see shape.
+func (v *View) InDegree(nd graph.NodeID) int { return v.shape().InDegree(nd) }
+
+// OutDegree implements graph.View for shape readers; see shape.
+func (v *View) OutDegree(nd graph.NodeID) int { return v.shape().OutDegree(nd) }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -378,8 +380,9 @@ func (f *churnFleet) round(t *testing.T, tag string, ops []graph.EdgeOp, rejecte
 	}
 	assertIdentical(t, tag, f.want, f.got, []graph.NodeID{0})
 	for i, le := range f.owners {
-		for _, p := range le.Store().Current().TouchedSince(before[i]) {
-			if p%2 == i {
+		cur := le.Store().Current()
+		for p := i; p < cur.NumShards(); p += 2 {
+			if cur.ShardVersion(p) != before[i].ShardVersion(p) {
 				moved[i]++
 			}
 		}
@@ -512,10 +515,10 @@ func (f *failingEngine) ResolveShards(ctx context.Context, version uint64, ps []
 	return f.LocalEngine.ResolveShards(ctx, version, ps)
 }
 
-// TestEngineFailureMidQuery proves the partial-result-with-error
-// contract on the deterministic in-process path: when an engine fails
-// the query's fetch, the query returns promptly with an error chain that
-// unwraps to ErrTransport.
+// TestEngineFailureMidQuery proves the failed-fetch contract on the
+// deterministic in-process path: when an engine fails the query's fetch,
+// the query returns promptly with an error chain that unwraps to
+// ErrTransport.
 func TestEngineFailureMidQuery(t *testing.T) {
 	g := testGraph(500, 11)
 	stA := shard.NewStore(g, 7, 0)
@@ -536,9 +539,9 @@ func TestEngineFailureMidQuery(t *testing.T) {
 }
 
 // TestFailedFetchStopsEngineCalls: a query whose bulk fetch fails makes
-// that one attempt and no more — its kernel workers share it and drain
-// over empty adjacency — in the batched and the per-walk kernels alike,
-// and the router counts the failure under its cause.
+// that one attempt and no more — it fails before any kernel runs — in
+// the batched and the per-walk kernels alike, and the router counts the
+// failure under its cause.
 func TestFailedFetchStopsEngineCalls(t *testing.T) {
 	g := testGraph(500, 11)
 	for _, mode := range []core.Mode{core.ModeAuto, core.ModePruned} {
@@ -561,6 +564,131 @@ func TestFailedFetchStopsEngineCalls(t *testing.T) {
 				t.Fatalf("fetch errors by cause %+v, want 2 transport", fe)
 			}
 		})
+	}
+}
+
+// The kernels find a routed view's snapshot through this interface; a
+// View that stopped implementing it would run every query over per-node
+// interface calls instead.
+var _ core.QueryBinder = (*View)(nil)
+
+// TestViewBindsOneSnapshotPerGeneration: every query on a routed
+// generation binds to the same assembled *shard.StoreSnapshot.
+// Concurrent first binds share one fetch, one engine call per owner
+// group; a later bind makes no engine call.
+func TestViewBindsOneSnapshotPerGeneration(t *testing.T) {
+	g := testGraph(300, 7)
+	var engines [2]*failingEngine
+	for i := range engines {
+		engines[i] = &failingEngine{LocalEngine: NewLocalEngine(shard.NewStore(g, 8, 0), i, 2)}
+		engines[i].fuse.Store(1 << 40)
+	}
+	rt, err := New(engines[0], engines[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := func() int64 { return engines[0].calls.Load() + engines[1].calls.Load() }
+	v := rt.PublishedView().(*View)
+	binds := make([]graph.View, 4)
+	errs := make([]error, len(binds))
+	var wg sync.WaitGroup
+	for i := range binds {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			binds[i], errs[i] = v.BindQuery(context.Background())
+		}(i)
+	}
+	wg.Wait()
+	if got := calls(); got != 2 {
+		t.Fatalf("the first binds made %d engine calls, want one per group", got)
+	}
+	later, err := v.BindQuery(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := calls(); got != 2 {
+		t.Fatalf("a later bind made %d more engine calls", got-2)
+	}
+	snap, ok := later.(*shard.StoreSnapshot)
+	if !ok {
+		t.Fatalf("bind returned %T, want *shard.StoreSnapshot", later)
+	}
+	for i, b := range binds {
+		if errs[i] != nil || b != later {
+			t.Fatalf("bind %d returned %p (%v), want the one snapshot %p", i, b, errs[i], snap)
+		}
+	}
+	if err := snap.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Version() != v.Version() || snap.NumEdges() != g.NumEdges() {
+		t.Fatalf("snapshot at version %d with %d edges, want %d and %d", snap.Version(), snap.NumEdges(), v.Version(), g.NumEdges())
+	}
+}
+
+// truncatingEngine serves blocks whose in-offset array is cut to half its
+// length: the malformed reply of a buggy or corrupted worker.
+type truncatingEngine struct{ *LocalEngine }
+
+func (e truncatingEngine) ResolveShards(ctx context.Context, version uint64, ps []int) ([]graph.CSRShard, error) {
+	csrs, err := e.LocalEngine.ResolveShards(ctx, version, ps)
+	for i := range csrs {
+		csrs[i].InOff = csrs[i].InOff[:len(csrs[i].InOff)/2]
+	}
+	return csrs, err
+}
+
+// TestMalformedBlockFailsQuery: a worker's block whose offsets do not fit
+// its shard fails the query with an error, counted as a fetch error of
+// cause "other", instead of panicking a kernel worker (and with it the
+// routing process).
+func TestMalformedBlockFailsQuery(t *testing.T) {
+	g := testGraph(500, 11)
+	rt, err := New(NewLocalEngine(shard.NewStore(g, 7, 0), 0, 2),
+		truncatingEngine{NewLocalEngine(shard.NewStore(g, 7, 0), 1, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := core.NewExecutorOn(rt, testOptions(core.ModeAuto))
+	if _, err := ex.SingleSource(context.Background(), 3); err == nil {
+		t.Fatal("query over a malformed block must error")
+	}
+	if fe := rt.Counters().ShardFetchErrors; fe.Other != 1 || fe.Total() != 1 {
+		t.Fatalf("fetch errors by cause %+v, want 1 other", fe)
+	}
+}
+
+// shardHidingEngine reports one shard fewer than its store holds, the
+// last one: the shape of a worker that under-reports its shard set.
+type shardHidingEngine struct{ *LocalEngine }
+
+func (e shardHidingEngine) hide(m Meta, err error) (Meta, error) {
+	m.Shards--
+	if n := len(m.Owned); n > 0 && m.Owned[n-1] == m.Shards {
+		m.Owned, m.ShardVersions = m.Owned[:n-1], m.ShardVersions[:n-1]
+	}
+	return m, err
+}
+
+func (e shardHidingEngine) Meta(ctx context.Context) (Meta, error) {
+	return e.hide(e.LocalEngine.Meta(ctx))
+}
+
+func (e shardHidingEngine) Publish(ctx context.Context) (Meta, error) {
+	return e.hide(e.LocalEngine.Publish(ctx))
+}
+
+// TestAssemblyRejectsUncoveredNodes: a fleet whose agreed shard count
+// does not cover its node count at its stride is refused at assembly.
+// Accepted, the view's first query to reach a node past the last shard
+// would index out of range in a kernel worker and kill the process.
+func TestAssemblyRejectsUncoveredNodes(t *testing.T) {
+	g := testGraph(500, 11)
+	_, err := New(shardHidingEngine{NewLocalEngine(shard.NewStore(g, 4, 0), 0, 2)},
+		shardHidingEngine{NewLocalEngine(shard.NewStore(g, 4, 0), 1, 2)})
+	if err == nil || !strings.Contains(err.Error(), "3 shards of stride 1<<7 for 500 nodes") {
+		t.Fatalf("assembly over a fleet hiding its last shard: %v", err)
 	}
 }
 
@@ -687,9 +815,8 @@ func TestCallerDeadlineNotBlamedOnWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, finish := rt.PublishedView().(*View).BindQuery(ctx, nil)
-	b.InNeighbors(0)
-	if fe := rt.Counters().ShardFetchErrors; !errors.Is(finish(), context.DeadlineExceeded) || fe.Deadline != 1 || fe.Total() != 1 {
+	_, err = rt.PublishedView().(*View).BindQuery(ctx)
+	if fe := rt.Counters().ShardFetchErrors; !errors.Is(err, context.DeadlineExceeded) || fe.Deadline != 1 || fe.Total() != 1 {
 		t.Fatalf("caller deadline counted as %+v", fe)
 	}
 }

@@ -469,8 +469,8 @@ func DecodeMetaReply(b []byte) (MetaReply, error) {
 }
 
 // ShardsRequest asks for shards' CSR blocks at generation Version in one
-// round trip: every block when a router materializes its composite
-// view's dense adjacency, one when a probe faults in a single shard.
+// round trip: every block a router's view generation lacks from the
+// worker's group when its first query binds.
 type ShardsRequest struct {
 	Budget  budget.Header
 	Version uint64

@@ -62,6 +62,7 @@ func TestRoutedServerMatchesSharded(t *testing.T) {
 	check("/single-source?u=42")
 	check("/pair?u=1&v=7")
 	check("/components")
+	check("/join/topk?k=5")
 
 	// Writes through both backends: single edge, then a batch.
 	for _, s := range []*Server{ref, routed} {
@@ -92,6 +93,15 @@ func TestRoutedServerMatchesSharded(t *testing.T) {
 		}
 	}
 	check("/topk?u=10&k=10")
+
+	// The shape /stats reads through the routed view's per-node methods.
+	_, statsA := do(t, ref, http.MethodGet, "/stats")
+	_, statsB := do(t, routed, http.MethodGet, "/stats")
+	for _, key := range []string{"nodes", "edges", "maxInDegree", "zeroInDegree", "graphVersion"} {
+		if statsA[key] != statsB[key] {
+			t.Fatalf("/stats %s: %v vs %v", key, statsA[key], statsB[key])
+		}
+	}
 }
 
 // TestRoutedStatsAndMetrics: the routed server surfaces per-worker rows
@@ -280,6 +290,31 @@ func TestRoutedWorkerDeathReturns502(t *testing.T) {
 	rec, body = do(t, s, http.MethodGet, "/components")
 	if rec.Code != http.StatusBadGateway {
 		t.Fatalf("/components over dead worker: status %d (%v), want 502", rec.Code, body)
+	}
+}
+
+// TestRoutedShapeReadersOverDeadWorker: the join binds to the request
+// like a query, so a dead owner group is a 502 instead of a join over
+// the nodes still reachable, and /stats reads the graph's shape with one
+// fetch attempt per request, not one per node.
+func TestRoutedShapeReadersOverDeadWorker(t *testing.T) {
+	g := gen.PreferentialAttachment(400, 4, 21)
+	failing := &dyingEngine{LocalEngine: router.NewLocalEngine(shard.NewStore(g, 4, 0), 1, 2)}
+	rt, err := router.New(router.NewLocalEngine(shard.NewStore(g, 4, 0), 0, 2), failing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewRouted(rt, core.Options{Seed: 3, NumWalks: 100}, 4, 50)
+	failing.dead.Store(true)
+	if rec, body := do(t, s, http.MethodGet, "/join/topk?k=5"); rec.Code != http.StatusBadGateway {
+		t.Fatalf("/join/topk over a dead worker: status %d (%v), want 502", rec.Code, body)
+	}
+	before := rt.Counters().ShardFetchErrors.Total()
+	if rec, body := do(t, s, http.MethodGet, "/stats"); rec.Code != http.StatusOK {
+		t.Fatalf("/stats over a dead worker: status %d (%v)", rec.Code, body)
+	}
+	if got := rt.Counters().ShardFetchErrors.Total() - before; got != 1 {
+		t.Fatalf("/stats made %d failed fetches, want 1", got)
 	}
 }
 

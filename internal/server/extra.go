@@ -15,7 +15,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"probesim/internal/budget"
 	"probesim/internal/core"
 	"probesim/internal/graph"
 	"probesim/internal/simjoin"
@@ -134,7 +133,15 @@ func (s *Server) handleJoinTopK(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("join needs one query per node; graph has %d nodes, limit %d", n, joinNodeLimit))
 		return
 	}
-	pairs, err := simjoin.TopKJoin(r.Context(), snap, k, simjoin.Options{Query: s.opt})
+	// Over a worker fleet the join binds to the request like any query:
+	// one fetch under its deadline, and a worker failure is a 502 rather
+	// than a join over the nodes that stayed reachable.
+	view, err := core.BindView(r.Context(), snap)
+	if err != nil {
+		s.writeQueryError(w, err)
+		return
+	}
+	pairs, err := simjoin.TopKJoin(r.Context(), view, k, simjoin.Options{Query: s.opt})
 	if err != nil {
 		s.writeQueryError(w, err)
 		return
@@ -165,26 +172,19 @@ func (s *Server) handleComponents(w http.ResponseWriter, r *http.Request) {
 	// under the request's deadline: the traversal checkpoints the budget
 	// meter mid-scan, so a huge snapshot cannot pin the analysis slot past
 	// its timeout. Over a worker fleet the scan binds to the request like
-	// any query, so a worker failure surfaces as 502 instead of silently
-	// under-counting components.
-	view := graph.View(s.ex.Snapshot())
-	finish := func() error { return nil }
-	// One meter shared by the traversal checkpoints AND the bound view: a
-	// shard worker dying mid-scan trips it (via BoundView.fail), so the
-	// scan aborts at its next poll instead of walking the rest of the
-	// graph over empty adjacency before reporting the 502.
-	m := budget.New(r.Context(), 0, 0, 0)
-	if b, ok := view.(core.QueryBinder); ok {
-		view, finish = b.BindQuery(r.Context(), m)
+	// any query, so a worker failure fails the fetch before the scan
+	// starts and surfaces as 502 instead of silently under-counting
+	// components.
+	view, err := core.BindView(r.Context(), s.ex.Snapshot())
+	if err != nil {
+		s.writeQueryError(w, err)
+		return
 	}
-	sccIDs, sccCount, err := graph.StronglyConnectedMeter(m, view)
+	sccIDs, sccCount, err := graph.StronglyConnectedCtx(r.Context(), view)
 	var wccIDs []int32
 	var wccCount int
 	if err == nil {
-		wccIDs, wccCount, err = graph.WeaklyConnectedMeter(m, view)
-	}
-	if ferr := finish(); ferr != nil {
-		err = ferr
+		wccIDs, wccCount, err = graph.WeaklyConnectedCtx(r.Context(), view)
 	}
 	if err != nil {
 		s.writeQueryError(w, err)

@@ -287,29 +287,16 @@ func restore(n int, m int64, version, lastBatch uint64, shift uint32, csr []grap
 			st.shards[p] = &shardMut{version: shardVersions[p]}
 			continue
 		}
-		lo := p * stride
-		hi := lo + stride
-		if hi > n {
-			hi = n
+		if err := CheckBlock(*sh, p, shift, n); err != nil {
+			return nil, fmt.Errorf("shard: restore: %w", err)
 		}
-		local := hi - lo
-		if len(sh.InOff) != local+1 || len(sh.OutOff) != local+1 {
-			return nil, fmt.Errorf("shard: restore shard %d: offset arrays of length %d/%d, want %d",
-				p, len(sh.InOff), len(sh.OutOff), local+1)
-		}
-		if int(sh.InOff[local]) != len(sh.InDst) || int(sh.OutOff[local]) != len(sh.OutDst) {
-			return nil, fmt.Errorf("shard: restore shard %d: dst arrays of length %d/%d, want %d/%d",
-				p, len(sh.InDst), len(sh.OutDst), sh.InOff[local], sh.OutOff[local])
-		}
+		local := len(sh.InOff) - 1
 		sm := &shardMut{
 			in:      make([][]graph.NodeID, local),
 			out:     make([][]graph.NodeID, local),
 			version: shardVersions[p],
 		}
 		for l := 0; l < local; l++ {
-			if sh.InOff[l] > sh.InOff[l+1] || sh.OutOff[l] > sh.OutOff[l+1] {
-				return nil, fmt.Errorf("shard: restore shard %d: offsets decrease at local node %d", p, l)
-			}
 			if in := sh.InDst[sh.InOff[l]:sh.InOff[l+1]]; len(in) > 0 {
 				sm.in[l] = append([]graph.NodeID(nil), in...)
 			}
@@ -335,6 +322,17 @@ func restore(n int, m int64, version, lastBatch uint64, shift uint32, csr []grap
 	st.cur.Store(snap)
 	st.publications.Add(1)
 	return st, nil
+}
+
+// Assemble builds a snapshot over shard blocks held outside any Store —
+// the composite a router assembles from the blocks its worker fleet
+// serves — so that queries run on it with the same code as on a store's
+// own snapshot. Like Restore it takes csr as given, one block per shard
+// at the 1<<shift stride, each already checked by CheckBlock; unlike
+// Restore it builds no mutable side. shardVersions, aligned with csr,
+// are the versions ShardVersion reports.
+func Assemble(n int, m int64, version, lastBatch uint64, shift uint32, csr []graph.CSRShard, shardVersions []uint64) *StoreSnapshot {
+	return &StoreSnapshot{n: n, m: m, version: version, lastBatch: lastBatch, shift: shift, csr: csr, versions: shardVersions}
 }
 
 // NumShards returns the current shard count.

@@ -94,7 +94,7 @@ func TestStoreMatchesGraph(t *testing.T) {
 			}
 			assertViewsMatch(t, g, st)
 			assertViewsMatch(t, g, snap)
-			if gs, ss := g.ComputeStats(), snap.ComputeStats(); gs != ss {
+			if gs, ss := g.ComputeStats(), graph.ComputeViewStats(snap); gs != ss {
 				t.Fatalf("p=%d: snapshot stats %+v != graph stats %+v", p, ss, gs)
 			}
 		}

@@ -84,31 +84,6 @@ func (s *StoreSnapshot) Shard(p int) graph.CSRShard { return s.csr[p] }
 // can report fine-grained staleness.
 func (s *StoreSnapshot) ShardVersion(p int) uint64 { return s.versions[p] }
 
-// TouchedSince returns the indices of every shard whose contents differ
-// between prev (an older snapshot of the same store) and s: shards whose
-// encoded version moved, plus any shards s has that prev predates. It is
-// the publish-side complement of the applied-batch stream — a consumer
-// holding per-shard dependency sets (the hot-source index tier's install
-// race check) intersects against it to learn which derived entries the
-// publications since prev could have affected. Both snapshots are
-// immutable, so this is safe anytime and O(shards).
-func (s *StoreSnapshot) TouchedSince(prev *StoreSnapshot) []int {
-	if prev == nil {
-		touched := make([]int, len(s.csr))
-		for p := range touched {
-			touched[p] = p
-		}
-		return touched
-	}
-	var touched []int
-	for p := range s.csr {
-		if p >= len(prev.csr) || s.versions[p] != prev.versions[p] {
-			touched = append(touched, p)
-		}
-	}
-	return touched
-}
-
 // Scoped reports whether this snapshot came from a shard-local store:
 // shards outside the store's scope are absent.
 func (s *StoreSnapshot) Scoped() bool { return s.scoped }
@@ -150,11 +125,6 @@ func (s *StoreSnapshot) OutDegree(u graph.NodeID) int {
 	return int(sh.OutOff[l+1] - sh.OutOff[l])
 }
 
-// ComputeStats scans the snapshot once and returns its degree Stats,
-// mirroring (*graph.Snapshot).ComputeStats so /stats can serve structure
-// lock-free from the sharded path too.
-func (s *StoreSnapshot) ComputeStats() graph.Stats { return graph.ComputeViewStats(s) }
-
 // MemoryBytes reports the resident size of the per-shard CSR arrays.
 func (s *StoreSnapshot) MemoryBytes() int64 {
 	var b int64
@@ -167,9 +137,8 @@ func (s *StoreSnapshot) MemoryBytes() int64 {
 }
 
 // Validate checks the composite invariants: shard coverage of [0, n),
-// end-offset/degree agreement with every shard's dst array lengths,
-// destination ids in global range, and edge counts summing to m. O(n+m),
-// intended for tests.
+// every present block well formed (CheckBlock), and edge counts summing
+// to m. O(n+m), intended for tests.
 func (s *StoreSnapshot) Validate() error {
 	stride := 1 << s.shift
 	wantShards := (s.n + stride - 1) / stride
@@ -182,40 +151,54 @@ func (s *StoreSnapshot) Validate() error {
 		if s.scoped && len(sh.InOff) == 0 && len(sh.OutOff) == 0 {
 			continue // absent shard of a scoped snapshot
 		}
-		lo := p * stride
-		hi := lo + stride
-		if hi > s.n {
-			hi = s.n
+		if err := CheckBlock(*sh, p, s.shift, s.n); err != nil {
+			return err
 		}
-		local := hi - lo
-		if len(sh.InOff) != local+1 || len(sh.OutOff) != local+1 {
-			return fmt.Errorf("shard %d: offset arrays of length %d/%d, want %d", p, len(sh.InOff), len(sh.OutOff), local+1)
-		}
-		if sh.InOff[0] != 0 || sh.OutOff[0] != 0 {
-			return fmt.Errorf("shard %d: offsets start at %d/%d", p, sh.InOff[0], sh.OutOff[0])
-		}
-		for v := lo; v < hi; v++ {
-			l := v - lo
-			if sh.InOff[l] > sh.InOff[l+1] || sh.OutOff[l] > sh.OutOff[l+1] {
-				return fmt.Errorf("shard %d: offsets decrease at node %d", p, v)
-			}
-		}
-		if int(sh.InOff[local]) != len(sh.InDst) || int(sh.OutOff[local]) != len(sh.OutDst) {
-			return fmt.Errorf("shard %d: dst arrays of length %d/%d, want %d/%d",
-				p, len(sh.InDst), len(sh.OutDst), sh.InOff[local], sh.OutOff[local])
-		}
-		mIn += int64(sh.InOff[local])
-		mOut += int64(sh.OutOff[local])
-		for _, dst := range [][]graph.NodeID{sh.InDst, sh.OutDst} {
-			for _, v := range dst {
-				if v < 0 || int(v) >= s.n {
-					return fmt.Errorf("shard %d: destination %d out of range [0, %d)", p, v, s.n)
-				}
-			}
-		}
+		mIn += int64(len(sh.InDst))
+		mOut += int64(len(sh.OutDst))
 	}
 	if !s.scoped && (mIn != s.m || mOut != s.m) {
 		return fmt.Errorf("shard: snapshot edge counts in=%d out=%d, want %d", mIn, mOut, s.m)
+	}
+	return nil
+}
+
+// CheckBlock checks that b is a well-formed CSR block for shard p of an
+// n-node graph at a 1<<shift node stride: the shape the sharded
+// graph.Adj indexes without checks of its own. Both offset arrays must be
+// one longer than the shard's node count, start at 0, never decrease and
+// end at their dst arrays' lengths, and every destination must lie in
+// [0, n). Restore and Validate run it on every block they hold, and the
+// router on every block it fetches from a worker, so a malformed block
+// fails the read instead of panicking a kernel.
+func CheckBlock(b graph.CSRShard, p int, shift uint32, n int) error {
+	local := min(n-p<<shift, 1<<shift)
+	if p < 0 || local < 1 {
+		return fmt.Errorf("shard %d: holds no node of %d at stride %d", p, n, 1<<shift)
+	}
+	if len(b.InOff) != local+1 || len(b.OutOff) != local+1 {
+		return fmt.Errorf("shard %d: offset arrays of length %d/%d, want %d", p, len(b.InOff), len(b.OutOff), local+1)
+	}
+	for _, side := range [2]struct {
+		off []uint32
+		dst []graph.NodeID
+	}{{b.InOff, b.InDst}, {b.OutOff, b.OutDst}} {
+		if side.off[0] != 0 {
+			return fmt.Errorf("shard %d: offsets start at %d", p, side.off[0])
+		}
+		for l := 0; l < local; l++ {
+			if side.off[l] > side.off[l+1] {
+				return fmt.Errorf("shard %d: offsets decrease at local node %d", p, l)
+			}
+		}
+		if int(side.off[local]) != len(side.dst) {
+			return fmt.Errorf("shard %d: dst array of length %d, offsets end at %d", p, len(side.dst), side.off[local])
+		}
+		for _, v := range side.dst {
+			if v < 0 || int(v) >= n {
+				return fmt.Errorf("shard %d: destination %d out of range [0, %d)", p, v, n)
+			}
+		}
 	}
 	return nil
 }
