@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"probesim/internal/graph"
@@ -72,24 +71,7 @@ func OpenStoreScoped(dir string, shards, workers, index, group int, wopt wal.Opt
 		return nil, nil, stats, err
 	}
 	var st *shard.Store
-	if rec.DeltaPath != "" {
-		bc, err := wal.OpenCheckpoint(rec.CheckpointPath)
-		if err != nil {
-			return fail(fmt.Errorf("persist: opening base checkpoint: %w", err))
-		}
-		dc, err := wal.OpenCheckpoint(rec.DeltaPath)
-		if err != nil {
-			bc.Close()
-			return fail(fmt.Errorf("persist: opening delta checkpoint: %w", err))
-		}
-		st, err = ReadStoreDelta(bc, dc, workers, index, group)
-		bc.Close()
-		dc.Close()
-		if err != nil {
-			return fail(fmt.Errorf("persist: decoding checkpoint %s + %s: %w", rec.CheckpointPath, rec.DeltaPath, err))
-		}
-		stats.CheckpointThrough = rec.DeltaThrough
-	} else if rec.CheckpointPath != "" {
+	if rec.CheckpointPath != "" {
 		rc, err := wal.OpenCheckpoint(rec.CheckpointPath)
 		if err != nil {
 			return fail(fmt.Errorf("persist: opening checkpoint: %w", err))
@@ -148,19 +130,10 @@ func OpenStoreScoped(dir string, shards, workers, index, group int, wopt wal.Opt
 	return st, lg, stats, nil
 }
 
-// Checkpointer periodically spills the store's published snapshot into
-// the log's checkpoint slot, truncating covered segments — the cadence
-// knob that bounds both recovery replay time and disk growth.
-//
-// Spills are INCREMENTAL where they can be: after a full spill, the
-// checkpointer remembers the per-shard versions it covered and writes
-// delta spills carrying only the shards that moved since (plus shards
-// added later), cumulatively against that base. A full spill is written
-// when there is no base yet (first checkpoint of the process), when at
-// least half the shards have moved (a delta would no longer save much
-// and would keep old segments alive), or every fullSpillEvery deltas —
-// the backstop that lets the log truncate segments, which deltas never
-// do.
+// Checkpointer periodically spills the store's published snapshot, in
+// full, into the log's checkpoint slot, which supersedes the previous
+// checkpoint and truncates covered segments — the cadence knob that
+// bounds both recovery replay time and disk growth.
 type Checkpointer struct {
 	st    *shard.Store
 	lg    *wal.Log
@@ -171,39 +144,6 @@ type Checkpointer struct {
 	stop    chan struct{}
 	done    chan struct{}
 	errs    []error
-
-	base        *Base // versions the newest full spill covered; nil = none yet
-	deltasSince int
-
-	fulls         atomic.Int64
-	deltas        atomic.Int64
-	shardsSpilled atomic.Int64
-	shardsSkipped atomic.Int64
-}
-
-// fullSpillEvery bounds consecutive delta spills: the next checkpoint
-// after this many deltas is full, letting the log truncate the segments
-// the delta chain kept alive.
-const fullSpillEvery = 8
-
-// CheckpointerStats reports spill effectiveness: how many full and
-// delta spills ran, and how many shard CSRs the deltas wrote vs skipped
-// as unchanged (the saved fraction of checkpoint I/O).
-type CheckpointerStats struct {
-	Fulls         int64
-	Deltas        int64
-	ShardsSpilled int64
-	ShardsSkipped int64
-}
-
-// Stats returns the checkpointer's spill counters.
-func (c *Checkpointer) Stats() CheckpointerStats {
-	return CheckpointerStats{
-		Fulls:         c.fulls.Load(),
-		Deltas:        c.deltas.Load(),
-		ShardsSpilled: c.shardsSpilled.Load(),
-		ShardsSkipped: c.shardsSkipped.Load(),
-	}
 }
 
 // StartCheckpointer runs a background loop that checkpoints whenever at
@@ -243,10 +183,8 @@ func StartCheckpointer(st *shard.Store, lg *wal.Log, every int64, interval time.
 	return c
 }
 
-// Checkpoint spills the currently published snapshot now — as a delta
-// against the last full spill when that saves work, as a full spill
-// otherwise. Safe to call concurrently with the background loop
-// (checkpoint writes serialize).
+// Checkpoint spills the currently published snapshot now. Safe to call
+// concurrently with the background loop (checkpoint writes serialize).
 func (c *Checkpointer) Checkpoint() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -257,40 +195,9 @@ func (c *Checkpointer) Checkpoint() error {
 	if snap.LastBatch() <= c.lg.LastCheckpoint() {
 		return nil // nothing new is published yet
 	}
-	full := func() error {
-		if err := c.lg.Checkpoint(snap.LastBatch(), func(w io.Writer) error {
-			return WriteSnapshot(w, snap)
-		}); err != nil {
-			return err
-		}
-		b := BaseOf(snap)
-		c.base = &b
-		c.deltasSince = 0
-		c.fulls.Add(1)
-		return nil
-	}
-	if c.base == nil || c.deltasSince >= fullSpillEvery {
-		return full()
-	}
-	dirty := 0
-	for p := 0; p < snap.NumShards(); p++ {
-		if p >= len(c.base.Versions) || snap.ShardVersion(p) != c.base.Versions[p] {
-			dirty++
-		}
-	}
-	if 2*dirty >= snap.NumShards() {
-		return full()
-	}
-	if err := c.lg.CheckpointDelta(snap.LastBatch(), func(w io.Writer) error {
-		return WriteSnapshotDelta(w, snap, *c.base)
-	}); err != nil {
-		return err
-	}
-	c.deltasSince++
-	c.deltas.Add(1)
-	c.shardsSpilled.Add(int64(dirty))
-	c.shardsSkipped.Add(int64(snap.NumShards() - dirty))
-	return nil
+	return c.lg.Checkpoint(snap.LastBatch(), func(w io.Writer) error {
+		return WriteSnapshot(w, snap)
+	})
 }
 
 // Errs returns checkpoint failures the background loop absorbed.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -196,5 +197,229 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOpenStoreScopedRecovery drives the full durable loop for a scoped
+// worker: bootstrap, churn through the WAL with a checkpoint midway,
+// crash (drop the Log without final checkpoint), recover, and compare
+// against a full store that saw the same history.
+func TestOpenStoreScopedRecovery(t *testing.T) {
+	dir := t.TempDir()
+	g := testGraph(300, 21)
+	bootstrap := func() (*graph.Graph, error) { return g, nil }
+	ref := shard.NewStore(g, 16, 0)
+
+	st, lg, stats, err := OpenStoreScoped(dir, 16, 0, 1, 2, wal.Options{Sync: wal.SyncAlways}, bootstrap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.Bootstrapped {
+		t.Fatal("expected bootstrap")
+	}
+	ck := &Checkpointer{st: st, lg: lg, stop: make(chan struct{}), done: make(chan struct{})}
+	close(ck.done) // no background loop; we drive Checkpoint directly
+
+	batches := [][]shard.EdgeOp{
+		{{U: 1, V: 2}, {U: 2, V: 3}},
+		{{U: 40, V: 41}},
+		{{Remove: true, U: 1, V: 2}},
+		{{U: 100, V: 200}, {U: 201, V: 100}},
+	}
+	var id uint64
+	for i, ops := range batches {
+		id++
+		if _, err := lg.Append(id, ops); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.ApplyBatch(id, ops); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.ApplyBatch(id, ops); err != nil {
+			t.Fatal(err)
+		}
+		st.Publish()
+		ref.Publish()
+		// Checkpoint after the first two batches only: recovery must
+		// replay the tail above the newest checkpoint.
+		if i < 2 {
+			if err := ck.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	lg.Close() // crash: no final checkpoint
+
+	re, lg2, rstats, err := OpenStoreScoped(dir, 16, 0, 1, 2, wal.Options{Sync: wal.SyncAlways}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg2.Close()
+	if rstats.Bootstrapped {
+		t.Fatal("second open bootstrapped")
+	}
+	if rstats.Replayed != 2 {
+		t.Fatalf("replayed %d batches, want 2", rstats.Replayed)
+	}
+	if re.LastBatch() != id || re.Version() != ref.Version() || re.NumEdges() != ref.NumEdges() {
+		t.Fatalf("recovered watermark/version/edges %d/%d/%d, want %d/%d/%d",
+			re.LastBatch(), re.Version(), re.NumEdges(), id, ref.Version(), ref.NumEdges())
+	}
+	rs, fs := re.Current(), ref.Current()
+	for p := 0; p < rs.NumShards(); p++ {
+		if rs.ShardVersion(p) != fs.ShardVersion(p) {
+			t.Fatalf("shard %d version %d, full ref %d", p, rs.ShardVersion(p), fs.ShardVersion(p))
+		}
+		if owned := p%2 == 1; rs.ShardPresent(p) != owned {
+			t.Fatalf("shard %d present=%v, want %v", p, rs.ShardPresent(p), owned)
+		}
+		if rs.ShardPresent(p) && !reflect.DeepEqual(rs.Shard(p), fs.Shard(p)) {
+			t.Fatalf("shard %d CSR diverged from the full reference", p)
+		}
+	}
+}
+
+// TestLegacyDeltaCheckpointIgnored: a directory that holds a delta
+// checkpoint (.dck, the incremental spill older builds wrote beside
+// their full ones) recovers through the full checkpoint and the log
+// above it, and the .dck is deleted unread. Delta checkpoints never
+// truncated segments, so the log holds every batch one covered; the
+// .dck here holds the intact bootstrap checkpoint, so a recovery that
+// loaded it would lose every batch.
+func TestLegacyDeltaCheckpointIgnored(t *testing.T) {
+	dir := t.TempDir()
+	g := testGraph(200, 17)
+	st, lg, _, err := OpenStore(dir, 8, 0, wal.Options{Sync: wal.SyncAlways}, func() (*graph.Graph, error) { return g, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	bootstrapCkpt, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("checkpoint-%016x.ck", 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := &Checkpointer{st: st, lg: lg} // no background loop: Checkpoint runs on demand
+	var id uint64
+	for i, ops := range [][]shard.EdgeOp{
+		{{U: 3, V: 4}, {U: 150, V: 3}},
+		{{U: 5, V: 6}},
+		{{Remove: true, U: 3, V: 4}},
+		{{U: 7, V: 8}, {U: 190, V: 2}},
+	} {
+		if id, err = lg.Append(0, ops); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.ApplyBatch(id, ops); err != nil {
+			t.Fatal(err)
+		}
+		st.Publish()
+		if i == 1 {
+			if err := ck.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := st.Current()
+	lg.Close() // crash: no final checkpoint
+
+	dck := filepath.Join(dir, fmt.Sprintf("checkpoint-%016x.dck", id-1))
+	if err := os.WriteFile(dck, bootstrapCkpt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	re, lg2, rstats, err := OpenStore(dir, 8, 0, wal.Options{Sync: wal.SyncAlways}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg2.Close()
+	if rstats.CheckpointThrough != 2 || rstats.Replayed != 2 {
+		t.Fatalf("recovered through checkpoint %d with %d replayed, want checkpoint 2 and 2 replayed", rstats.CheckpointThrough, rstats.Replayed)
+	}
+	sameView(t, want, re.Current())
+	if re.LastBatch() != id {
+		t.Fatalf("watermark %d, want %d", re.LastBatch(), id)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*.dck*")); len(left) != 0 {
+		t.Fatalf("legacy delta checkpoint not deleted: %v", left)
+	}
+}
+
+// TestRecoveryFallsBackToOlderCheckpoint: when the newest checkpoint
+// fails its check, recovery sets it aside, loads the older one and
+// replays the longer log tail above it into the same graph. The older
+// file is what a crash between the newer file's rename and the older
+// one's removal leaves; the log has one segment, so no checkpoint
+// truncated it.
+func TestRecoveryFallsBackToOlderCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	g := testGraph(200, 5)
+	st, lg, _, err := OpenStore(dir, 8, 0, wal.Options{Sync: wal.SyncAlways}, func() (*graph.Graph, error) { return g, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := &Checkpointer{st: st, lg: lg} // no background loop: Checkpoint runs on demand
+	var id uint64
+	apply := func(ops []shard.EdgeOp) {
+		t.Helper()
+		if id, err = lg.Append(0, ops); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.ApplyBatch(id, ops); err != nil {
+			t.Fatal(err)
+		}
+		st.Publish()
+	}
+	checkpointFile := func() string {
+		t.Helper()
+		if err := ck.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		cks, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*.ck"))
+		if len(cks) != 1 {
+			t.Fatalf("checkpoint files %v, want one", cks)
+		}
+		return cks[0]
+	}
+	apply([]shard.EdgeOp{{U: 3, V: 4}})
+	older := checkpointFile()
+	saved, err := os.ReadFile(older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply([]shard.EdgeOp{{U: 5, V: 6}, {U: 6, V: 3}})
+	apply([]shard.EdgeOp{{Remove: true, U: 3, V: 4}})
+	newer := checkpointFile()
+	apply([]shard.EdgeOp{{U: 7, V: 8}})
+	want := st.Current()
+	lg.Close()
+	if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg")); len(segs) != 1 {
+		t.Fatalf("segments %v, want one", segs)
+	}
+
+	if err := os.WriteFile(older, saved, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(newer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(newer, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	re, lg2, rstats, err := OpenStore(dir, 8, 0, wal.Options{Sync: wal.SyncAlways}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg2.Close()
+	if _, err := os.Stat(newer + ".corrupt"); err != nil {
+		t.Fatalf("corrupt checkpoint not set aside: %v", err)
+	}
+	if rstats.CheckpointThrough != 1 || rstats.Replayed != 3 {
+		t.Fatalf("recovered through checkpoint %d with %d replayed, want checkpoint 1 and 3 replayed", rstats.CheckpointThrough, rstats.Replayed)
+	}
+	sameView(t, want, re.Current())
+	if re.LastBatch() != id || re.LastBatch() != want.LastBatch() {
+		t.Fatalf("watermark %d, want %d", re.LastBatch(), id)
 	}
 }

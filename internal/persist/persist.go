@@ -7,24 +7,20 @@
 //
 // Spill layout (little-endian):
 //
-//	u32 magic | u32 format
+//	u32 magic | u32 format (1)
 //	u64 nodes | u64 edges | u64 store version | u64 last batch id
-//	[format 2 only: u64 base checkpoint's last batch id]
 //	u32 shift | u32 shard count
 //	per shard: u64 shard version,
-//	           [format 2 only: u8 present; arrays follow only if 1]
 //	           u32 len(InOff)  | InOff...  (u32 each)
 //	           u32 len(InDst)  | InDst...  (u32 each)
 //	           u32 len(OutOff) | OutOff... (u32 each)
 //	           u32 len(OutDst) | OutDst... (u32 each)
 //
-// Format 1 is a FULL spill; a shard-local store's spill is still format
-// 1, with non-owned shards' arrays written zero-length (absent). Format
-// 2 is a DELTA spill against the format-1 base named in its header:
-// shards flagged absent are taken from the base, which must agree on
-// their per-shard version. The stride-scoped readers skip non-owned
-// shards' array bytes wholesale via the length prefixes, so a
-// shard-local worker's boot I/O and heap scale with its owned stride.
+// Every spill is a full one. A shard-local store's spill has the same
+// layout, with non-owned shards' arrays written zero-length (absent).
+// The stride-scoped readers skip non-owned shards' array bytes
+// wholesale via the length prefixes, so a shard-local worker's boot I/O
+// and heap scale with its owned stride.
 //
 // Integrity is layered: the write-ahead log wraps every checkpoint file
 // in a whole-file CRC32C trailer (wal.VerifyFileCRC) before recovery
@@ -48,11 +44,6 @@ import (
 const (
 	spillMagic  = 0x50535053 // "PSPS"
 	spillFormat = 1
-	// deltaFormat marks an incremental spill: only shards whose version
-	// moved since a base full spill carry arrays; the rest ride as a
-	// version + absent marker. The header gains the base's batch
-	// watermark so recovery can refuse a mismatched base/delta pair.
-	deltaFormat = 2
 
 	// maxArrayBytes bounds one decoded array: a corrupt length prefix
 	// must not get to allocate the machine before the CRC check (which
@@ -67,46 +58,12 @@ const (
 // ErrFormat reports a structurally invalid spill.
 var ErrFormat = errors.New("persist: invalid snapshot spill")
 
-// Base identifies the full spill a delta is encoded against: the batch
-// watermark it covered through plus the per-shard versions it carried.
-// The checkpointing loop captures one when it writes a full spill and
-// diffs later snapshots against it.
-type Base struct {
-	LastBatch uint64
-	Versions  []uint64
-}
-
-// BaseOf captures snap's identity as a delta base.
-func BaseOf(snap *shard.StoreSnapshot) Base {
-	b := Base{LastBatch: snap.LastBatch(), Versions: make([]uint64, snap.NumShards())}
-	for p := range b.Versions {
-		b.Versions[p] = snap.ShardVersion(p)
-	}
-	return b
-}
-
 // WriteSnapshot spills snap to w in the durable CSR format.
 func WriteSnapshot(w io.Writer, snap *shard.StoreSnapshot) error {
-	return writeSnapshot(w, snap, nil)
-}
-
-// WriteSnapshotDelta spills only the shards whose version moved since
-// base (plus any shards added after it); the rest are written as absent
-// markers resolved from the base at read time. The spill I/O per
-// checkpoint becomes proportional to churn, not graph size.
-func WriteSnapshotDelta(w io.Writer, snap *shard.StoreSnapshot, base Base) error {
-	return writeSnapshot(w, snap, &base)
-}
-
-func writeSnapshot(w io.Writer, snap *shard.StoreSnapshot, base *Base) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
-	format := uint32(spillFormat)
-	if base != nil {
-		format = deltaFormat
-	}
 	var hdr [40]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], spillMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], format)
+	binary.LittleEndian.PutUint32(hdr[4:8], spillFormat)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(snap.NumNodes()))
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(snap.NumEdges()))
 	binary.LittleEndian.PutUint64(hdr[24:32], snap.Version())
@@ -124,11 +81,6 @@ func writeSnapshot(w io.Writer, snap *shard.StoreSnapshot, base *Base) error {
 		binary.LittleEndian.PutUint64(word[:], x)
 		_, err := bw.Write(word[:])
 		return err
-	}
-	if base != nil {
-		if err := writeU64(base.LastBatch); err != nil {
-			return err
-		}
 	}
 	if err := writeU32(snap.Shift()); err != nil {
 		return err
@@ -178,19 +130,6 @@ func writeSnapshot(w io.Writer, snap *shard.StoreSnapshot, base *Base) error {
 		if err := writeU64(snap.ShardVersion(p)); err != nil {
 			return err
 		}
-		if base != nil {
-			present := p >= len(base.Versions) || snap.ShardVersion(p) != base.Versions[p]
-			b := byte(0)
-			if present {
-				b = 1
-			}
-			if err := bw.WriteByte(b); err != nil {
-				return err
-			}
-			if !present {
-				continue
-			}
-		}
 		sh := snap.Shard(p)
 		if err := writeU32s(sh.InOff); err != nil {
 			return err
@@ -210,16 +149,13 @@ func writeSnapshot(w io.Writer, snap *shard.StoreSnapshot, base *Base) error {
 
 // spill is one decoded checkpoint file.
 type spill struct {
-	format    uint32
 	n         uint64
 	m         uint64
 	version   uint64
 	lastBatch uint64
-	base      uint64 // delta spills: base full spill's lastBatch
 	shift     uint32
 	csr       []graph.CSRShard
 	versions  []uint64
-	present   []bool // delta spills: which shards carry arrays
 }
 
 // readSpill decodes one spill file. When 0 <= index < group, the arrays
@@ -237,15 +173,14 @@ func readSpill(r io.Reader, index, group int) (*spill, error) {
 	if binary.LittleEndian.Uint32(hdr[0:4]) != spillMagic {
 		return nil, fmt.Errorf("%w: magic %#x", ErrFormat, binary.LittleEndian.Uint32(hdr[0:4]))
 	}
+	if format := binary.LittleEndian.Uint32(hdr[4:8]); format != spillFormat {
+		return nil, fmt.Errorf("%w: format %d, want %d", ErrFormat, format, spillFormat)
+	}
 	sp := &spill{
-		format:    binary.LittleEndian.Uint32(hdr[4:8]),
 		n:         binary.LittleEndian.Uint64(hdr[8:16]),
 		m:         binary.LittleEndian.Uint64(hdr[16:24]),
 		version:   binary.LittleEndian.Uint64(hdr[24:32]),
 		lastBatch: binary.LittleEndian.Uint64(hdr[32:40]),
-	}
-	if sp.format != spillFormat && sp.format != deltaFormat {
-		return nil, fmt.Errorf("%w: format %d, want %d or %d", ErrFormat, sp.format, spillFormat, deltaFormat)
 	}
 	if sp.n > 1<<31 {
 		return nil, fmt.Errorf("%w: node count %d exceeds int32 range", ErrFormat, sp.n)
@@ -265,12 +200,6 @@ func readSpill(r io.Reader, index, group int) (*spill, error) {
 			return 0, fmt.Errorf("%w: %v", ErrFormat, err)
 		}
 		return binary.LittleEndian.Uint64(word[:]), nil
-	}
-	var err error
-	if sp.format == deltaFormat {
-		if sp.base, err = readU64(); err != nil {
-			return nil, err
-		}
 	}
 	shift, err := readU32()
 	if err != nil {
@@ -332,25 +261,9 @@ func readSpill(r io.Reader, index, group int) (*spill, error) {
 	}
 	sp.csr = make([]graph.CSRShard, shards)
 	sp.versions = make([]uint64, shards)
-	if sp.format == deltaFormat {
-		sp.present = make([]bool, shards)
-	}
 	for p := range sp.csr {
 		if sp.versions[p], err = readU64(); err != nil {
 			return nil, err
-		}
-		if sp.format == deltaFormat {
-			b, err := br.ReadByte()
-			if err != nil {
-				return nil, fmt.Errorf("%w: present flag: %v", ErrFormat, err)
-			}
-			if b > 1 {
-				return nil, fmt.Errorf("%w: present flag %d", ErrFormat, b)
-			}
-			sp.present[p] = b == 1
-			if b == 0 {
-				continue
-			}
 		}
 		if !owns(p) {
 			for _, what := range [...]string{"InOff", "InDst", "OutOff", "OutDst"} {
@@ -392,21 +305,6 @@ func readSpill(r io.Reader, index, group int) (*spill, error) {
 	return sp, nil
 }
 
-// restore turns a decoded (possibly overlaid) spill into a live store.
-func (sp *spill) restore(workers, index, group int) (*shard.Store, error) {
-	var st *shard.Store
-	var err error
-	if group > 1 {
-		st, err = shard.RestoreScoped(int(sp.n), int64(sp.m), sp.version, sp.lastBatch, sp.shift, sp.csr, sp.versions, workers, index, group)
-	} else {
-		st, err = shard.Restore(int(sp.n), int64(sp.m), sp.version, sp.lastBatch, sp.shift, sp.csr, sp.versions, workers)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	return st, nil
-}
-
 // ReadStore decodes a spill and rebuilds a live store from it: the
 // decoded CSR blocks become the published snapshot, the mutable side is
 // deep-copied out of them, and the version/apply-once watermark resume
@@ -424,53 +322,16 @@ func ReadStoreScoped(r io.Reader, workers, index, group int) (*shard.Store, erro
 	if err != nil {
 		return nil, err
 	}
-	if sp.format != spillFormat {
-		return nil, fmt.Errorf("%w: delta spill without its base (recover through ReadStoreDelta)", ErrFormat)
+	var st *shard.Store
+	if group > 1 {
+		st, err = shard.RestoreScoped(int(sp.n), int64(sp.m), sp.version, sp.lastBatch, sp.shift, sp.csr, sp.versions, workers, index, group)
+	} else {
+		st, err = shard.Restore(int(sp.n), int64(sp.m), sp.version, sp.lastBatch, sp.shift, sp.csr, sp.versions, workers)
 	}
-	return sp.restore(workers, index, group)
-}
-
-// ReadStoreDelta rebuilds a store from a base full spill plus a delta
-// spill encoded against it: shards the delta flags absent are taken from
-// the base, which must agree on their versions and on its batch
-// watermark. The scope arguments work as in ReadStoreScoped.
-func ReadStoreDelta(base, delta io.Reader, workers, index, group int) (*shard.Store, error) {
-	b, err := readSpill(base, index, group)
 	if err != nil {
-		return nil, fmt.Errorf("persist: base: %w", err)
+		return nil, fmt.Errorf("persist: %w", err)
 	}
-	if b.format != spillFormat {
-		return nil, fmt.Errorf("%w: base is not a full spill", ErrFormat)
-	}
-	d, err := readSpill(delta, index, group)
-	if err != nil {
-		return nil, fmt.Errorf("persist: delta: %w", err)
-	}
-	if d.format != deltaFormat {
-		return nil, fmt.Errorf("%w: delta file is a full spill", ErrFormat)
-	}
-	if d.base != b.lastBatch {
-		return nil, fmt.Errorf("%w: delta encoded against base watermark %d, base file covers %d", ErrFormat, d.base, b.lastBatch)
-	}
-	if d.shift != b.shift {
-		return nil, fmt.Errorf("%w: delta stride 2^%d, base 2^%d", ErrFormat, d.shift, b.shift)
-	}
-	if d.n < b.n || len(d.csr) < len(b.csr) {
-		return nil, fmt.Errorf("%w: delta covers %d nodes / %d shards, base %d / %d — nodes never shrink", ErrFormat, d.n, len(d.csr), b.n, len(b.csr))
-	}
-	for p := range d.csr {
-		if d.present[p] {
-			continue
-		}
-		if p >= len(b.csr) {
-			return nil, fmt.Errorf("%w: delta omits shard %d, which the base predates", ErrFormat, p)
-		}
-		if d.versions[p] != b.versions[p] {
-			return nil, fmt.Errorf("%w: delta omits shard %d at version %d but base encodes version %d", ErrFormat, p, d.versions[p], b.versions[p])
-		}
-		d.csr[p] = b.csr[p]
-	}
-	return d.restore(workers, index, group)
+	return st, nil
 }
 
 // u32sToNodes reinterprets decoded u32s as node ids without another pass

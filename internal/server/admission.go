@@ -288,8 +288,9 @@ func (s *Server) degradedOptions() core.Options {
 
 // tierHeader tells the client which serving tier answered: "hot" (the
 // precomputed hot-source index — same bytes the live kernel would
-// produce, at microsecond latency) or "live" (the kernel ran). Sent only
-// when the hot tier is enabled, so pre-tier deployments are untouched.
+// produce, at microsecond latency) or "live" (not served by the hot
+// tier: the result cache or the kernel answered). Sent only when the hot
+// tier is enabled, so pre-tier deployments are untouched.
 const tierHeader = "X-ProbeSim-Tier"
 
 // singleSourceScores answers the request's single-source query under its
@@ -299,15 +300,17 @@ const tierHeader = "X-ProbeSim-Tier"
 // builds an n-vector. With the hot tier armed, the index is consulted
 // FIRST — even for degraded admissions, since a hot hit costs
 // microseconds and serves FULL accuracy, strictly better than degrading
-// — unless the request opts out with ?tier=live. Cold sources fall
-// through to the pre-tier paths completely unchanged: the normal path
-// goes through the cache; a degraded request runs the kernel directly
-// on the published snapshot with the wider εa (degraded answers must
-// never pollute the full-accuracy cache) and stamps the response with
-// the accuracy it got.
+// — unless the request opts out with ?tier=live, which runs the live
+// kernel on the published snapshot, past the result cache too. Cold
+// sources fall through to the pre-tier paths completely unchanged: the
+// normal path goes through the cache; a degraded request runs the
+// kernel directly on the published snapshot with the wider εa (degraded
+// answers must never pollute the full-accuracy cache) and stamps the
+// response with the accuracy it got.
 func (s *Server) singleSourceScores(w http.ResponseWriter, r *http.Request, u graph.NodeID) (*core.Ranked, error) {
+	live := false
 	if s.hot != nil {
-		if r.URL.Query().Get("tier") == "live" {
+		if live = r.URL.Query().Get("tier") == "live"; live {
 			// Escape hatch: bypass the index but keep feeding the
 			// popularity sketch, so escaped traffic still shapes the hot set.
 			s.hot.Touch(u)
@@ -325,6 +328,9 @@ func (s *Server) singleSourceScores(w http.ResponseWriter, r *http.Request, u gr
 		return core.SingleSourceRanked(r.Context(), s.ex.Snapshot(), u, opt)
 	}
 	s.epsaHist.Observe(s.servedEpsA())
+	if live {
+		return core.SingleSourceRanked(r.Context(), s.ex.Snapshot(), u, s.opt)
+	}
 	return s.q.Ranked(r.Context(), u)
 }
 

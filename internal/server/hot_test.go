@@ -88,6 +88,34 @@ func TestHotTierHeaderAndBitIdenticalBody(t *testing.T) {
 	}
 }
 
+// TestHotTierLiveEscapeRunsKernel: ?tier=live runs the live kernel, so
+// on a hot source that the result cache also holds it moves neither the
+// cache's counters nor the tier's hits, and still returns the hot body
+// byte for byte.
+func TestHotTierLiveEscapeRunsKernel(t *testing.T) {
+	s, _ := hotServer(t)
+	waitHotHeader(t, s, "/single-source?u=7")
+	hotRec, _ := do(t, s, http.MethodGet, "/single-source?u=7")
+	if h := hotRec.Header().Get(tierHeader); h != "hot" {
+		t.Fatalf("warm source served from %q, want hot", h)
+	}
+	counters := func() [3]any {
+		_, st := do(t, s, http.MethodGet, "/stats")
+		return [3]any{st["cacheHits"], st["cacheMisses"], st["hotHits"]}
+	}
+	before := counters()
+	rec, _ := do(t, s, http.MethodGet, "/single-source?u=7&tier=live")
+	if h := rec.Header().Get(tierHeader); rec.Code != http.StatusOK || h != "live" {
+		t.Fatalf("tier=live: status %d, tier %q", rec.Code, h)
+	}
+	if after := counters(); after != before {
+		t.Fatalf("tier=live moved [cacheHits cacheMisses hotHits] from %v to %v", before, after)
+	}
+	if got, want := rec.Body.String(), hotRec.Body.String(); got != want {
+		t.Fatalf("tier=live body %s, hot body %s", got, want)
+	}
+}
+
 func TestHotTierInvalidatedByWrite(t *testing.T) {
 	s, tier := hotServer(t)
 	s.SetLimits(Limits{MaxInflight: 2})

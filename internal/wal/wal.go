@@ -27,11 +27,11 @@
 // Checkpoints are the log's garbage collector: Checkpoint durably writes
 // a caller-provided state spill covering every batch through some id
 // (checkpoint-<through>.ck, written via temp file + rename), then deletes
-// the segments that id fully covers. Recovery (Open on a non-empty
-// directory) locates the newest intact checkpoint, truncates a torn tail
-// off the last segment — a partial record can only be a write the crash
-// interrupted, which was never acknowledged — and exposes the surviving
-// records for replay.
+// the checkpoint it supersedes and the segments that id fully covers.
+// Recovery (Open on a non-empty directory) locates the newest intact
+// checkpoint, truncates a torn tail off the last segment — a partial
+// record can only be a write the crash interrupted, which was never
+// acknowledged — and exposes the surviving records for replay above it.
 package wal
 
 import (
@@ -121,11 +121,14 @@ const (
 	segHeaderSize = 16
 	frameHeader   = 8 // u32 len | u32 crc
 
-	segPrefix   = "wal-"
-	segSuffix   = ".seg"
-	ckptPrefix  = "checkpoint-"
-	ckptSuffix  = ".ck"
-	deltaSuffix = ".dck"
+	segPrefix  = "wal-"
+	segSuffix  = ".seg"
+	ckptPrefix = "checkpoint-"
+	ckptSuffix = ".ck"
+	// legacySuffix names the delta checkpoints older builds wrote beside
+	// their full ones. They never truncated segments, so the log above
+	// the full checkpoint covers them, and recovery deletes them unread.
+	legacySuffix = ".dck"
 
 	// maxRecordBytes bounds one record's payload: a corrupt length prefix
 	// must not get to allocate the machine. 9 bytes/op puts the op limit
@@ -148,21 +151,14 @@ type Batch struct {
 
 // Recovery describes what Open found on disk.
 type Recovery struct {
-	// CheckpointPath is the newest intact FULL checkpoint file, "" if
-	// none. When DeltaPath is also set, this file is the delta's base.
+	// CheckpointPath is the newest checkpoint file whose CRC trailer
+	// validates, "" if none. Recovery decodes it, then replays the log
+	// above CheckpointThrough. A newer checkpoint that fails validation
+	// is set aside as .corrupt, and recovery falls back to the next older
+	// one and a longer replay.
 	CheckpointPath string
 	// CheckpointThrough is the batch id the checkpoint covers through.
 	CheckpointThrough uint64
-	// DeltaPath is the newest intact delta checkpoint newer than the
-	// full one, "" if none. A delta is cumulative against its base full
-	// checkpoint: recovery decodes CheckpointPath, overlays DeltaPath,
-	// then replays the log above DeltaThrough. A corrupt or orphaned
-	// delta is set aside and recovery falls back to the base plus a
-	// longer replay — delta checkpoints never truncate segments, so the
-	// log above the base is always intact.
-	DeltaPath string
-	// DeltaThrough is the batch id the delta covers through.
-	DeltaThrough uint64
 	// Batches holds every intact record found in the segments, ascending
 	// by id. Replay applies the suffix above the store's own watermark.
 	Batches []Batch
@@ -190,12 +186,11 @@ type Stats struct {
 	AppendedBytes  int64
 	Syncs          int64 // explicit fsyncs issued
 	Rotations      int64 // segments started (beyond the first)
-	Checkpoints    int64 // full checkpoints written this process lifetime
-	Deltas         int64 // delta checkpoints written this process lifetime
+	Checkpoints    int64 // checkpoints written this process lifetime
 	SegmentsLive   int64 // segment files currently on disk
 	SegmentBytes   int64 // bytes across live segments
 	LastBatch      uint64
-	LastCheckpoint uint64 // batch id the newest checkpoint (full or delta) covers through
+	LastCheckpoint uint64 // batch id the newest checkpoint covers through
 }
 
 // Log is an open write-ahead log. All methods are safe for concurrent
@@ -213,21 +208,17 @@ type Log struct {
 	dirty    bool      // buffered/unsynced appends (interval & off policies)
 	closed   bool
 
-	// lastCkpt is the public replay-debt watermark: the through id of
-	// the newest checkpoint of either kind. lastFull/lastDelta track the
-	// files themselves so supersession removes the right ones.
-	lastCkpt  atomic.Uint64
-	lastFull  atomic.Uint64
-	lastDelta atomic.Uint64
-	stopSync  chan struct{}
-	syncDone  chan struct{}
+	// lastCkpt is the through id of the newest checkpoint: the public
+	// replay-debt watermark, and the file the next checkpoint supersedes.
+	lastCkpt atomic.Uint64
+	stopSync chan struct{}
+	syncDone chan struct{}
 
 	appends       atomic.Int64
 	appendedBytes atomic.Int64
 	syncs         atomic.Int64
 	rotations     atomic.Int64
 	checkpoints   atomic.Int64
-	deltaCkpts    atomic.Int64
 
 	// subs fire after every successful Append (never for failed/annulled
 	// appends), under l.mu and in subscription order. See Subscribe.
@@ -262,16 +253,10 @@ func Open(dir string, opt Options) (*Log, *Recovery, error) {
 	if err := l.scanSegments(rec); err != nil {
 		return nil, nil, err
 	}
-	through := rec.CheckpointThrough
-	if rec.DeltaThrough > through {
-		through = rec.DeltaThrough
+	if rec.CheckpointThrough >= l.next {
+		l.next = rec.CheckpointThrough + 1
 	}
-	if through >= l.next {
-		l.next = through + 1
-	}
-	l.lastCkpt.Store(through)
-	l.lastFull.Store(rec.CheckpointThrough)
-	l.lastDelta.Store(rec.DeltaThrough)
+	l.lastCkpt.Store(rec.CheckpointThrough)
 	if opt.Sync == SyncInterval {
 		l.stopSync = make(chan struct{})
 		l.syncDone = make(chan struct{})
@@ -298,10 +283,6 @@ func ckptPath(dir string, through uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%016x%s", ckptPrefix, through, ckptSuffix))
 }
 
-func deltaPath(dir string, through uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%s%016x%s", ckptPrefix, through, deltaSuffix))
-}
-
 // parseSeqName extracts the hex sequence number out of prefix<hex>suffix.
 func parseSeqName(name, prefix, suffix string) (uint64, bool) {
 	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
@@ -315,25 +296,25 @@ func parseSeqName(name, prefix, suffix string) (uint64, bool) {
 	return v, true
 }
 
-// scanCheckpoints finds the newest full checkpoint whose trailer
-// validates, plus the newest still-newer delta, and deletes superseded
-// ones. A checkpoint that fails validation is renamed aside rather than
-// deleted — it is evidence.
+// scanCheckpoints finds the newest checkpoint whose trailer validates
+// and deletes the older ones and any legacy delta checkpoint. A
+// checkpoint that fails validation is renamed aside rather than deleted
+// — it is evidence.
 func (l *Log) scanCheckpoints(rec *Recovery) error {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	var fulls, deltas []uint64
+	var ckpts []uint64
 	for _, e := range entries {
 		if v, ok := parseSeqName(e.Name(), ckptPrefix, ckptSuffix); ok {
-			fulls = append(fulls, v)
-		} else if v, ok := parseSeqName(e.Name(), ckptPrefix, deltaSuffix); ok {
-			deltas = append(deltas, v)
+			ckpts = append(ckpts, v)
+		} else if _, ok := parseSeqName(e.Name(), ckptPrefix, legacySuffix); ok {
+			_ = os.Remove(filepath.Join(l.dir, e.Name()))
 		}
 	}
-	sort.Slice(fulls, func(i, j int) bool { return fulls[i] > fulls[j] })
-	for _, through := range fulls {
+	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] > ckpts[j] })
+	for _, through := range ckpts {
 		path := ckptPath(l.dir, through)
 		if rec.CheckpointPath == "" {
 			if err := VerifyFileCRC(path); err == nil {
@@ -347,29 +328,6 @@ func (l *Log) scanCheckpoints(rec *Recovery) error {
 			continue
 		}
 		_ = os.Remove(path)
-	}
-	// Deltas are cumulative against the chosen full base: only the
-	// newest one newer than the base matters. Anything at or below the
-	// base is subsumed by it; a delta with no usable base at all cannot
-	// be applied (segments still cover it, so nothing is lost).
-	sort.Slice(deltas, func(i, j int) bool { return deltas[i] > deltas[j] })
-	for _, through := range deltas {
-		path := deltaPath(l.dir, through)
-		switch {
-		case through <= rec.CheckpointThrough:
-			_ = os.Remove(path)
-		case rec.DeltaPath != "":
-			_ = os.Remove(path)
-		case rec.CheckpointPath == "":
-			_ = os.Rename(path, path+".orphan")
-		default:
-			if err := VerifyFileCRC(path); err == nil {
-				rec.DeltaPath = path
-				rec.DeltaThrough = through
-			} else {
-				_ = os.Rename(path, path+".corrupt")
-			}
-		}
 	}
 	return nil
 }
@@ -737,11 +695,12 @@ func (l *Log) syncLoop() {
 }
 
 // Checkpoint durably writes a state spill covering every batch through
-// the given id and truncates the segments it fully covers. write receives
-// a buffered writer into a temp file; the file becomes visible (via
-// rename) only after it is fully written, CRC-trailed and fsynced, so a
-// crash mid-checkpoint leaves the previous checkpoint intact. through
-// must not exceed the last appended batch's id.
+// the given id, removes the checkpoint it supersedes and truncates the
+// segments it fully covers. write receives a buffered writer into a temp
+// file; the file becomes visible (via rename) only after it is fully
+// written, CRC-trailed and fsynced, so a crash mid-checkpoint leaves the
+// previous checkpoint intact. through must not exceed the last appended
+// batch's id.
 func (l *Log) Checkpoint(through uint64, write func(io.Writer) error) error {
 	l.mu.Lock()
 	if l.closed {
@@ -773,17 +732,10 @@ func (l *Log) Checkpoint(through uint64, write func(io.Writer) error) error {
 		_ = os.Remove(ckptPath(l.dir, through))
 		return nil
 	}
-	l.lastCkpt.Store(through)
-	if pf := l.lastFull.Load(); pf != through {
-		l.lastFull.Store(through)
-		if pf > 0 {
-			_ = os.Remove(ckptPath(l.dir, pf))
-		}
-	}
-	// A full checkpoint subsumes any delta at or below it.
-	if pd := l.lastDelta.Load(); pd > 0 && pd <= through {
-		l.lastDelta.Store(0)
-		_ = os.Remove(deltaPath(l.dir, pd))
+	// The superseded file may cover batch 0 (the bootstrap checkpoint) or
+	// be absent (a fresh log); removing a missing file is a no-op.
+	if prev := l.lastCkpt.Swap(through); prev != through {
+		_ = os.Remove(ckptPath(l.dir, prev))
 	}
 	keep := l.segments[:0]
 	for i, seg := range l.segments {
@@ -797,50 +749,6 @@ func (l *Log) Checkpoint(through uint64, write func(io.Writer) error) error {
 	l.segments = keep
 	return nil
 }
-
-// CheckpointDelta durably writes a DELTA spill — state the caller
-// encodes relative to the last full checkpoint — covering every batch
-// through the given id. Deltas bound replay debt like full checkpoints
-// (LastCheckpoint and AppendsSinceCheckpoint advance) but never truncate
-// segments: the log above the full base survives until the next full
-// checkpoint, so recovery can always fall back to base + replay if the
-// delta is lost. Only the newest delta is kept — the caller must encode
-// each delta cumulatively against the same full base.
-func (l *Log) CheckpointDelta(through uint64, write func(io.Writer) error) error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return fmt.Errorf("wal: log closed")
-	}
-	if through >= l.next {
-		l.mu.Unlock()
-		return fmt.Errorf("wal: checkpoint through %d beyond last batch %d", through, l.next-1)
-	}
-	l.mu.Unlock()
-	if l.lastFull.Load() == 0 {
-		return fmt.Errorf("wal: delta checkpoint with no full base")
-	}
-	if err := writeFileCRC(l.dir, deltaPath(l.dir, through), write); err != nil {
-		return err
-	}
-	l.deltaCkpts.Add(1)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if prev := l.lastCkpt.Load(); through < prev {
-		_ = os.Remove(deltaPath(l.dir, through))
-		return nil
-	}
-	l.lastCkpt.Store(through)
-	if pd := l.lastDelta.Load(); pd > 0 && pd != through {
-		_ = os.Remove(deltaPath(l.dir, pd))
-	}
-	l.lastDelta.Store(through)
-	return nil
-}
-
-// LastFullCheckpoint returns the batch id the newest FULL checkpoint
-// covers through (0 = none) — the base every delta is encoded against.
-func (l *Log) LastFullCheckpoint() uint64 { return l.lastFull.Load() }
 
 // LastCheckpoint returns the batch id the newest checkpoint covers
 // through (0 = none).
@@ -875,7 +783,6 @@ func (l *Log) Stats() Stats {
 		Syncs:          l.syncs.Load(),
 		Rotations:      l.rotations.Load(),
 		Checkpoints:    l.checkpoints.Load(),
-		Deltas:         l.deltaCkpts.Load(),
 		SegmentsLive:   segs,
 		SegmentBytes:   segBytes,
 		LastBatch:      last,

@@ -408,6 +408,93 @@ func TestCheckpointSupersedesOlder(t *testing.T) {
 	}
 }
 
+// TestCheckpointSupersedesBootstrapCheckpoint pins that the checkpoint
+// a bootstrapping store writes, which covers batch 0, goes when the next
+// checkpoint lands, like any other superseded one.
+func TestCheckpointSupersedesBootstrapCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{Sync: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	write := func(s string) func(io.Writer) error {
+		return func(w io.Writer) error { _, err := io.WriteString(w, s); return err }
+	}
+	if err := l.Checkpoint(0, write("bootstrap")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append(0, []Op{{U: int32(i), V: int32(i + 1)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Checkpoint(3, write("b")); err != nil {
+		t.Fatal(err)
+	}
+	cks, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*.ck"))
+	if len(cks) != 1 || !strings.Contains(cks[0], fmt.Sprintf("%016x", 3)) {
+		t.Fatalf("want only checkpoint 3, got %v", cks)
+	}
+}
+
+// TestLegacyDeltaCheckpointDeletedUnread: a directory that holds a delta
+// checkpoint (.dck, the incremental format older builds wrote beside
+// their full checkpoints) recovers through the full checkpoint and every
+// logged batch above it, and the .dck is deleted without being read —
+// even an unreadable one is not set aside as evidence.
+func TestLegacyDeltaCheckpointDeletedUnread(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(5))
+	var want []Batch
+	for i := 0; i < 6; i++ {
+		ops := testOps(r, 3)
+		id, err := l.Append(0, ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, Batch{ID: id, Ops: ops})
+	}
+	if err := l.Checkpoint(2, func(w io.Writer) error { _, err := io.WriteString(w, "full@2"); return err }); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	dck := filepath.Join(dir, fmt.Sprintf("checkpoint-%016x.dck", 4))
+	if err := os.WriteFile(dck, []byte("delta@4, no trailer"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, rec, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if rec.CheckpointPath != ckptPath(dir, 2) || rec.CheckpointThrough != 2 || l2.LastCheckpoint() != 2 {
+		t.Fatalf("recovered checkpoint %q through %d (log says %d), want checkpoint 2",
+			rec.CheckpointPath, rec.CheckpointThrough, l2.LastCheckpoint())
+	}
+	var got []Batch
+	rec.Replay(rec.CheckpointThrough, func(id uint64, ops []Op) error {
+		got = append(got, Batch{ID: id, Ops: ops})
+		return nil
+	})
+	if len(got) != len(want)-2 {
+		t.Fatalf("replayed %d batches above the checkpoint, want %d", len(got), len(want)-2)
+	}
+	for i, b := range got {
+		if w := want[i+2]; b.ID != w.ID || !opsEqual(b.Ops, w.Ops) {
+			t.Fatalf("replayed batch %d = %+v, want %+v", i, b, w)
+		}
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*.dck*")); len(left) != 0 {
+		t.Fatalf("legacy delta checkpoint not deleted: %v", left)
+	}
+}
+
 func TestCorruptCheckpointFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(dir, Options{Sync: SyncAlways})

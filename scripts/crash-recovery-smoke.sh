@@ -6,9 +6,12 @@
 #
 #   1. boot a durable server (-data-dir, -fsync=always, small segments
 #      so rotation + checkpointing actually run)
-#   2. stream edge batches at it, recording each acknowledged body
+#   2. stream edge batches at it, recording each acknowledged body;
+#      after 60, wait until a background checkpoint has landed and is
+#      the only checkpoint file (it superseded the bootstrap one)
 #   3. kill -9 the server mid-stream
-#   4. restart it from the same -data-dir (no -graph: recovery only)
+#   4. restart it from the same -data-dir (no -graph: recovery only) and
+#      check it recovered through that checkpoint, with no delta file
 #   5. boot a fresh reference server and replay the acknowledged batches
 #   6. byte-diff /single-source and /topk answers across both
 set -euo pipefail
@@ -30,6 +33,30 @@ wait_http() { # port
     sleep 0.1
   done
   echo "timed out waiting for port $1" >&2
+  return 1
+}
+
+stat_field() { # port key: one integer field of the server's /stats
+  curl -sf "http://127.0.0.1:$1/stats" | sed -n "s/.*\"$2\":\([0-9]*\).*/\1/p"
+}
+
+checkpoint_files() { # the data dir's checkpoint-*.ck count
+  find "$TMP/data" -maxdepth 1 -name 'checkpoint-*.ck' | wc -l
+}
+
+wait_checkpoint() { # up to 10s for one background checkpoint, alone on disk
+  local batch files
+  for _ in $(seq 1 100); do
+    batch=$(stat_field "$DURABLE" walCheckpointBatch || true)
+    files=$(checkpoint_files)
+    if [ "${batch:-0}" -gt 0 ] && [ "$files" -eq 1 ]; then
+      echo "checkpoint through batch $batch, the only checkpoint file"
+      return 0
+    fi
+    sleep 0.1
+  done
+  echo "no lone background checkpoint within 10s (walCheckpointBatch=${batch:-?}, $files checkpoint files)" >&2
+  ls -la "$TMP/data" >&2
   return 1
 }
 
@@ -68,6 +95,10 @@ for i in $(seq 1 200); do
   else
     break
   fi
+  if [ "$i" -eq 60 ]; then
+    echo "== waiting for a background checkpoint (after $acked acknowledged batches)"
+    wait_checkpoint
+  fi
   if [ "$i" -eq 120 ]; then
     echo "== kill -9 mid-stream (after $acked acknowledged batches)"
     kill -9 "$SRV" 2>/dev/null || true
@@ -85,6 +116,17 @@ echo "== restarting from the data dir alone"
   -addr "127.0.0.1:$DURABLE" -epsa 0.3 &
 PIDS+=($!)
 wait_http "$DURABLE"
+recovered=$(stat_field "$DURABLE" walCheckpointBatch)
+if [ "${recovered:-0}" -le 0 ]; then
+  echo "restart recovered no checkpoint (walCheckpointBatch=${recovered:-?})" >&2
+  exit 1
+fi
+if [ -n "$(find "$TMP/data" -maxdepth 1 -name '*.dck')" ]; then
+  echo "delta checkpoint file in the data dir" >&2
+  ls -la "$TMP/data" >&2
+  exit 1
+fi
+echo "recovered through checkpoint batch $recovered"
 
 echo "== booting uninterrupted reference and replaying the acknowledged stream"
 "$TMP/bin/probesim-server" -graph "$TMP/g.txt" -shards 8 \
