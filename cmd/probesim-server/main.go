@@ -4,7 +4,9 @@
 // SimRank behind an API with live graph updates. Over its own shard store
 // the cache keeps each answer's read set and a write drops only the
 // answers it touched; with -workers the cache is version-keyed and every
-// write empties it.
+// write empties it. The cache is the server's one store of single-source
+// answers: -cache bounds its LRU, and with -hot-sources the hot-source
+// tier pins up to that many more answers in it, outside the LRU bound.
 //
 //	probesim-server -graph web.txt -addr :8080
 //
@@ -192,9 +194,9 @@ func main() {
 		delta      = flag.Float64("delta", 0.01, "failure probability")
 		c          = flag.Float64("c", 0.6, "SimRank decay factor")
 		seed       = flag.Uint64("seed", 1, "random seed")
-		cacheCap   = flag.Int("cache", 64, "cached single-source answers (each keeps its non-zero scores and, over a local store, the nodes it read; a write drops only the answers it touched)")
+		cacheCap   = flag.Int("cache", 64, "cached single-source answers under LRU eviction (each keeps its non-zero scores and, over a local store, the nodes it read; a write drops only the answers it touched); answers -hot-sources pins are not counted")
 		limit      = flag.Int("limit", 100, "max entries returned by /single-source")
-		hotSources = flag.Int("hot-sources", 0, "precompute single-source results for up to this many hot sources, kept fresh by the applied-batch stream (0 = off; not in routed mode)")
+		hotSources = flag.Int("hot-sources", 0, "pin up to this many hot sources' single-source answers in the result cache, outside its -cache bound, pre-building the missing ones in the background (0 = off; not in routed mode)")
 		hotBudget  = flag.Duration("hot-refresh-budget", 200*time.Millisecond, "per-entry time budget for background hot-source builds")
 		shards     = flag.Int("shards", server.DefaultShards, "partition the graph into up to this many shards")
 		rebuildW   = flag.Int("rebuild-workers", 0, "bound on concurrent shard rebuilds (0 = GOMAXPROCS)")
@@ -332,7 +334,7 @@ func main() {
 		} else {
 			slog.Info("recovered data dir",
 				"dir", *dataDir, "checkpoint_through", rstats.CheckpointThrough,
-				"replayed", rstats.Replayed, "skipped", rstats.ReplaySkipped,
+				"covered", rstats.Covered, "replayed", rstats.Replayed, "skipped", rstats.ReplaySkipped,
 				"torn_bytes", rstats.TornBytes, "watermark", rstats.LastBatch)
 		}
 		ck := persist.StartCheckpointer(st, lg, *ckptEvery, time.Second)
@@ -357,8 +359,6 @@ func main() {
 		srv.SetWAL(lg)
 	}
 	if *hotSources > 0 {
-		// After SetWAL so the tier also observes the append-side
-		// watermark (probesim_hot_wal_watermark).
 		tier := srv.EnableHotTier(*hotSources, *hotBudget)
 		defer tier.Close()
 		slog.Info("hot-source tier armed", "max_entries", *hotSources, "refresh_budget", *hotBudget)

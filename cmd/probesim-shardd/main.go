@@ -162,7 +162,7 @@ func main() {
 		} else {
 			slog.Info("recovered data dir",
 				"dir", *dataDir, "checkpoint_through", rstats.CheckpointThrough,
-				"replayed", rstats.Replayed, "skipped", rstats.ReplaySkipped,
+				"covered", rstats.Covered, "replayed", rstats.Replayed, "skipped", rstats.ReplaySkipped,
 				"torn_bytes", rstats.TornBytes, "watermark", rstats.LastBatch)
 		}
 		ck = persist.StartCheckpointer(st, lg, *ckptEvery, time.Second)

@@ -15,6 +15,9 @@ import (
 	"probesim/internal/xrand"
 )
 
+// benchOpt is the live kernel's option set in the bench rig.
+var benchOpt = core.Options{EpsA: 0.2, Seed: 1}
+
 // benchRig is a serving stack sized like a small production deployment:
 // a 5000-node power-law graph behind a sharded store, live kernel at
 // εa = 0.2, hot tier tracking the head of a Zipf(1.1) source mix.
@@ -22,15 +25,15 @@ func benchRig(tb testing.TB) (*shard.Store, *core.Executor, *Tier) {
 	tb.Helper()
 	g := gen.PreferentialAttachment(5000, 4, 41)
 	st := shard.NewStore(g, 16, 0)
-	ex := core.NewExecutorOn(st, core.Options{EpsA: 0.2, Seed: 1})
-	tier := New(ex, Config{
+	ex := core.NewExecutorOn(st, benchOpt)
+	q := core.NewQuerierOn(ex, 64)
+	st.SubscribeApplied(q.Follow(st.Version))
+	tier := New(q, Config{
 		MaxEntries:    16,
-		Opt:           core.Options{EpsA: 0.2, Seed: 1},
 		RefreshBudget: core.Budget{Timeout: 5 * time.Second},
 		MinHits:       1,
 		Interval:      2 * time.Millisecond,
 	})
-	st.SubscribeApplied(tier.Follow(st.Version))
 	tb.Cleanup(tier.Close)
 	return st, ex, tier
 }
@@ -75,7 +78,7 @@ func BenchmarkHotVsLive(b *testing.B) {
 	b.Run("live", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.SingleSourceRanked(context.Background(), view, hot, tier.cfg.Opt); err != nil {
+			if _, err := core.SingleSourceRanked(context.Background(), view, hot, benchOpt); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -127,7 +130,7 @@ func TestZipfBenchSmoke(t *testing.T) {
 		if len(liveLat) >= 2000 {
 			continue // enough live samples; don't burn the wall clock
 		}
-		if _, err := core.SingleSourceRanked(context.Background(), view, u, tier.cfg.Opt); err != nil {
+		if _, err := core.SingleSourceRanked(context.Background(), view, u, benchOpt); err != nil {
 			t.Fatalf("live query for %d: %v", u, err)
 		}
 		liveLat = append(liveLat, time.Since(t0))

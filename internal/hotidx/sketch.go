@@ -1,23 +1,23 @@
 // Package hotidx is the hot-source serving tier in front of the live
 // ProbeSim kernel: it tracks source popularity with a space-saving top-K
-// sketch fed by the query path, precomputes full single-source answers
-// (sparse core.Ranked entries) for the hot set on one background
-// goroutine (reusing the kernel's scratch pooling, pinned to a published
-// snapshot generation), and answers hot-source queries from those
-// entries at microsecond latency. Cold sources fall through to the live
-// kernel completely unchanged.
+// sketch fed by the query path, and pins the hot set's single-source
+// answers (sparse core.Ranked entries) in the server's one answer store,
+// core.Querier, where they serve hot-source queries at microsecond
+// latency and are exempt from its LRU bound. The tier holds no answers:
+// one background goroutine pins the hot set, demotes sources that went
+// cold to ordinary LRU entries, and pre-builds the hot sources without a
+// pinned answer through the Querier under the refresh budget. Cold
+// sources fall through to the live path completely unchanged.
 //
-// Freshness is incremental, not rebuild-the-world: every entry keeps the
-// read set its build reported (core.SingleSourceTracked: the nodes whose
-// adjacency the kernel read), and the tier follows the applied-batch
-// stream (shard.Store.SubscribeApplied). A batch invalidates exactly the
-// entries whose read set holds one of its op endpoints; every other entry
-// would re-execute bit-identically under the kernel's fixed seed, so
-// serving it IS serving the live kernel's answer. A build installs only
-// if the batches applied while it ran missed its read set too.
-// Staleness is bounded by a watermark-lag metric (applied batches minus
-// the oldest invalidated entry's batch) instead of by full rebuild
-// cycles.
+// Freshness is the Querier's, and incremental, not rebuild-the-world:
+// every answer keeps the read set its computation reported
+// (core.SingleSourceTracked), and a batch on the applied-batch stream
+// drops exactly the answers whose read set holds one of its op
+// endpoints; every other answer would re-execute bit-identically under
+// the kernel's fixed seed, so serving it IS serving the live kernel's
+// answer. A live miss on a hot source refills its pinned answer, so the
+// refresher has nothing to build for it. Staleness is bounded by a lag
+// metric (applied batches since the oldest dropped hot source's drop).
 package hotidx
 
 import (

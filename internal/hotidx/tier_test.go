@@ -13,26 +13,33 @@ import (
 	"probesim/internal/shard"
 )
 
-// testOpt is the option set both the "live" executor and the tier build
-// with in these tests. Workers is pinned so the bit-identity assertions
-// below compare like with like even though kernel results are documented
-// worker-count independent.
+// testOpt is the option set of the executor that serves both the "live"
+// queries and the tier's builds in these tests. Workers is pinned so the
+// bit-identity assertions below compare like with like even though
+// kernel results are documented worker-count independent.
 func testOpt() core.Options {
 	return core.Options{EpsA: 0.2, Seed: 1, Workers: 2}
 }
 
-// newTierOver builds a sharded store + executor + tier wired the way the
-// server wires them, with a fast reconcile cadence and a generous build
-// budget (the budget must not trip: a stopped build is discarded by
-// design, which would turn these tests into timing lotteries).
+// newQuerier builds the answer store a tier pins in over src: a
+// Querier on an executor with testOpt.
+func newQuerier(src core.SnapshotProvider) *core.Querier {
+	return core.NewQuerierOn(core.NewExecutorOn(src, testOpt()), 64)
+}
+
+// newTierOver builds a sharded store + executor + Querier + tier wired
+// the way the server wires them, with a fast reconcile cadence and a
+// generous build budget (the budget must not trip: a stopped build is
+// discarded by design, which would turn these tests into timing
+// lotteries).
 func newTierOver(t *testing.T, g *graph.Graph, cfg Config) (*shard.Store, *core.Executor, *Tier) {
 	t.Helper()
 	st := shard.NewStore(g, 8, 0)
-	ex := core.NewExecutorOn(st, testOpt())
+	q := newQuerier(st)
+	st.SubscribeApplied(q.Follow(st.Version))
 	if cfg.MaxEntries == 0 {
 		cfg.MaxEntries = 4
 	}
-	cfg.Opt = testOpt()
 	if cfg.RefreshBudget.IsZero() {
 		cfg.RefreshBudget = core.Budget{Timeout: 5 * time.Second}
 	}
@@ -42,10 +49,17 @@ func newTierOver(t *testing.T, g *graph.Graph, cfg Config) (*shard.Store, *core.
 	if cfg.Interval == 0 {
 		cfg.Interval = 2 * time.Millisecond
 	}
-	tier := New(ex, cfg)
-	st.SubscribeApplied(tier.Follow(st.Version))
+	tier := New(q, cfg)
 	t.Cleanup(tier.Close)
-	return st, ex, tier
+	return st, q.Executor(), tier
+}
+
+// pinned reports whether the tier's Querier holds a pinned answer for
+// src that serves the published snapshot, without touching the sketch or
+// the tier's counters.
+func pinned(tier *Tier, src graph.NodeID) bool {
+	_, ok := tier.q.Pinned(tier.q.Executor().Snapshot(), src)
+	return ok
 }
 
 // waitHot polls until the tier serves src from the index, returning the
@@ -115,10 +129,7 @@ func TestTierInvalidatesOnTouchingBatchAndRebuilds(t *testing.T) {
 	}
 	ex.Refresh()
 
-	tier.mu.RLock()
-	_, stillThere := tier.entries[src]
-	tier.mu.RUnlock()
-	if stillThere {
+	if pinned(tier, src) {
 		t.Fatal("entry survived a batch touching its own shard")
 	}
 	if s := tier.Stats(); s.Invalidations < 1 {
@@ -256,49 +267,12 @@ func TestTierEvictsColdSources(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		tier.mu.RLock()
-		_, oldThere := tier.entries[1]
-		tier.mu.RUnlock()
-		if !oldThere && tier.Stats().Evictions > 0 {
+		if !pinned(tier, 1) && tier.Stats().Evictions > 0 {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("cold source never evicted: %+v", tier.Stats())
-}
-
-// TestTierObserveAppendWatermark checks the WAL-side watermark is
-// monotonic and exported next to the applied one.
-func TestTierObserveAppendWatermark(t *testing.T) {
-	g := gen.PreferentialAttachment(100, 3, 29)
-	_, _, tier := newTierOver(t, g, Config{})
-	tier.ObserveAppend(3)
-	tier.ObserveAppend(2) // stale observation must not regress
-	tier.ObserveAppend(7)
-	if s := tier.Stats(); s.WALWatermark != 7 {
-		t.Fatalf("wal watermark = %d, want 7", s.WALWatermark)
-	}
-}
-
-// pinFirst is a snapshot provider over a store whose first
-// PublishedView returns an older generation: a build that pins it runs
-// on a snapshot a write has already superseded, as a build overtaken by
-// a write does.
-type pinFirst struct {
-	st    *shard.Store
-	first graph.VersionedView
-	used  atomic.Bool
-}
-
-func (p *pinFirst) PublishedView() graph.VersionedView {
-	if p.used.CompareAndSwap(false, true) {
-		return p.first
-	}
-	return p.st.PublishedView()
-}
-
-func (p *pinFirst) PublishView(ctx context.Context) (graph.VersionedView, error) {
-	return p.st.PublishView(ctx)
 }
 
 // TestTierCountsBuildFailuresByCause drives one build into each failure
@@ -310,8 +284,8 @@ func TestTierCountsBuildFailuresByCause(t *testing.T) {
 	g := gen.PreferentialAttachment(400, 4, 31)
 	st := shard.NewStore(g, 8, 0)
 	newTier := func(src core.SnapshotProvider, budget core.Budget) *Tier {
-		tier := New(core.NewExecutorOn(src, testOpt()), Config{
-			Opt: testOpt(), RefreshBudget: budget, MinHits: math.MaxInt64,
+		tier := New(newQuerier(src), Config{
+			RefreshBudget: budget, MinHits: math.MaxInt64,
 		})
 		t.Cleanup(tier.Close)
 		return tier
@@ -329,7 +303,9 @@ func TestTierCountsBuildFailuresByCause(t *testing.T) {
 		t.Fatalf("apply: %v", err)
 	}
 	st.Publish()
-	raced := newTier(&pinFirst{st: st, first: old}, core.Budget{Timeout: 5 * time.Second})
+	p := &pinNext{st: st}
+	raced := newTier(p, core.Budget{Timeout: 5 * time.Second})
+	p.next.Store(old)
 	raced.buildOne(src)
 	if s := raced.Stats(); s.BuildsRaced != 1 || s.BuildsStopped != 0 || s.Entries != 0 {
 		t.Fatalf("build overtaken by a write: %+v, want one raced build and no entry", s)
@@ -435,11 +411,12 @@ func TestTierInstallChecksBatchesSincePinnedSnapshot(t *testing.T) {
 	}
 	st := shard.NewStore(g, 8, 0)
 	p := &pinNext{st: st}
-	tier := New(core.NewExecutorOn(p, testOpt()), Config{
-		Opt: testOpt(), RefreshBudget: core.Budget{Timeout: 5 * time.Second}, MinHits: math.MaxInt64,
+	q := newQuerier(p)
+	st.SubscribeApplied(q.Follow(st.Version))
+	tier := New(q, Config{
+		RefreshBudget: core.Budget{Timeout: 5 * time.Second}, MinHits: math.MaxInt64,
 	})
 	t.Cleanup(tier.Close)
-	st.SubscribeApplied(tier.Follow(st.Version))
 
 	const src = graph.NodeID(3)
 	buildBehind := func(op shard.EdgeOp) TierStats {
@@ -475,11 +452,12 @@ func TestTierInstallsAcrossUnpublishedBatch(t *testing.T) {
 		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1))
 	}
 	st := shard.NewStore(g, 8, 0)
-	tier := New(core.NewExecutorOn(st, testOpt()), Config{
-		Opt: testOpt(), RefreshBudget: core.Budget{Timeout: 5 * time.Second}, MinHits: math.MaxInt64,
+	q := newQuerier(st)
+	st.SubscribeApplied(q.Follow(st.Version))
+	tier := New(q, Config{
+		RefreshBudget: core.Budget{Timeout: 5 * time.Second}, MinHits: math.MaxInt64,
 	})
 	t.Cleanup(tier.Close)
-	st.SubscribeApplied(tier.Follow(st.Version))
 
 	const src = graph.NodeID(3)
 	if _, err := st.ApplyBatch(0, []shard.EdgeOp{{U: 40, V: 55}}); err != nil {

@@ -24,10 +24,13 @@ type RecoveryStats struct {
 	// CheckpointThrough is the batch id the loaded checkpoint covered
 	// (0 when bootstrapped or no checkpoint existed).
 	CheckpointThrough uint64
-	// Replayed counts log batches applied on top of the checkpoint;
-	// ReplaySkipped counts batches the store had already decided (its
-	// watermark was ahead of the checkpoint) or that failed semantically
-	// on replay exactly as they failed when first submitted.
+	// Covered counts the log batches the loaded checkpoint already holds
+	// (ids at or below the store's watermark once it is loaded), which
+	// recovery does not replay; Replayed counts batches applied on top of
+	// it; ReplaySkipped counts batches that failed semantically on replay
+	// exactly as they failed when first submitted. The three add up to
+	// the batches in the log.
+	Covered       int64
 	Replayed      int64
 	ReplaySkipped int64
 	// TornBytes is the size of the interrupted trailing write recovery
@@ -122,7 +125,7 @@ func OpenStoreScoped(dir string, shards, workers, index, group int, wopt wal.Opt
 	}); err != nil {
 		return fail(err)
 	}
-	stats.ReplaySkipped += int64(len(rec.Batches)) - stats.Replayed - stats.ReplaySkipped
+	stats.Covered = int64(len(rec.Batches)) - stats.Replayed - stats.ReplaySkipped
 	// Re-publish the recovered generation so the first query (and the
 	// first Meta an assembling router fetches) sees the replayed state.
 	st.Publish()

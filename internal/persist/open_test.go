@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -421,5 +422,62 @@ func TestRecoveryFallsBackToOlderCheckpoint(t *testing.T) {
 	sameView(t, want, re.Current())
 	if re.LastBatch() != id || re.LastBatch() != want.LastBatch() {
 		t.Fatalf("watermark %d, want %d", re.LastBatch(), id)
+	}
+}
+
+// TestRecoveryCountsCoveredReplayedAndSkipped: recovery splits the log's
+// batches into those the checkpoint covers, those it replays, and those
+// that fail on replay as they failed when first submitted, and the
+// three add up to the batches in the log.
+func TestRecoveryCountsCoveredReplayedAndSkipped(t *testing.T) {
+	dir := t.TempDir()
+	g := testGraph(200, 23)
+	st, lg, _, err := OpenStore(dir, 8, 0, wal.Options{Sync: wal.SyncAlways}, func() (*graph.Graph, error) { return g, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := &Checkpointer{st: st, lg: lg} // no background loop: Checkpoint runs on demand
+	apply := func(ops []shard.EdgeOp) error {
+		t.Helper()
+		id, err := lg.Append(0, ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = st.ApplyBatch(id, ops)
+		st.Publish()
+		return err
+	}
+	for _, ops := range [][]shard.EdgeOp{{{U: 3, V: 4}}, {{U: 5, V: 6}}} {
+		if err := apply(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ck.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := apply([]shard.EdgeOp{{U: 7, V: 8}}); err != nil {
+		t.Fatal(err)
+	}
+	missing := shard.EdgeOp{Remove: true, U: 9, V: 10}
+	for slices.Contains(st.OutNeighbors(missing.U), missing.V) {
+		missing.V++
+	}
+	if err := apply([]shard.EdgeOp{missing}); err == nil {
+		t.Fatal("removing a missing edge applied")
+	}
+	want := st.Current()
+	lg.Close()
+
+	re, lg2, rstats, err := OpenStore(dir, 8, 0, wal.Options{Sync: wal.SyncAlways}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg2.Close()
+	if rstats.CheckpointThrough != 2 || rstats.Covered != 2 || rstats.Replayed != 1 || rstats.ReplaySkipped != 1 {
+		t.Fatalf("recovery stats %+v, want checkpoint 2, 2 covered, 1 replayed and 1 skipped", rstats)
+	}
+	sameView(t, want, re.Current())
+	if re.LastBatch() != 4 {
+		t.Fatalf("watermark %d, want 4", re.LastBatch())
 	}
 }

@@ -286,26 +286,28 @@ func (s *Server) degradedOptions() core.Options {
 	return opt
 }
 
-// tierHeader tells the client which serving tier answered: "hot" (the
-// precomputed hot-source index — same bytes the live kernel would
-// produce, at microsecond latency) or "live" (not served by the hot
-// tier: the result cache or the kernel answered). Sent only when the hot
-// tier is enabled, so pre-tier deployments are untouched.
+// tierHeader tells the client which serving tier answered: "hot" (an
+// answer the hot tier pins in the result cache — same bytes the live
+// kernel would produce, at microsecond latency) or "live" (not served by
+// the hot tier: an unpinned cached answer or the kernel answered). Sent
+// only when the hot tier is enabled, so pre-tier deployments are
+// untouched.
 const tierHeader = "X-ProbeSim-Tier"
 
 // singleSourceScores answers the request's single-source query under its
 // admission verdict, as a sparse core.Ranked answer: every path below
 // (hot entry, cache hit, live miss, degraded run) hands the handlers the
 // same form, so they read a prefix or look up one node and no path
-// builds an n-vector. With the hot tier armed, the index is consulted
-// FIRST — even for degraded admissions, since a hot hit costs
+// builds an n-vector. With the hot tier armed, its pinned answers are
+// consulted FIRST — even for degraded admissions, since a hot hit costs
 // microseconds and serves FULL accuracy, strictly better than degrading
 // — unless the request opts out with ?tier=live, which runs the live
-// kernel on the published snapshot, past the result cache too. Cold
-// sources fall through to the pre-tier paths completely unchanged: the
-// normal path goes through the cache; a degraded request runs the
-// kernel directly on the published snapshot with the wider εa (degraded
-// answers must never pollute the full-accuracy cache) and stamps the
+// kernel on the published snapshot, past the pinned and unpinned cached
+// answers alike. Other sources fall through to the pre-tier paths
+// completely unchanged: the normal path goes through the cache; a
+// degraded request runs the kernel directly on the published snapshot
+// with the wider εa, neither reading nor filling the cache (degraded
+// answers must never pollute the full-accuracy cache), and stamps the
 // response with the accuracy it got.
 func (s *Server) singleSourceScores(w http.ResponseWriter, r *http.Request, u graph.NodeID) (*core.Ranked, error) {
 	live := false
@@ -523,22 +525,22 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		promexpo.WriteGauge(out, "probesim_graph_version", "Version of the published snapshot.", int64(snap.Version()))
 		promexpo.WriteCounter(out, "probesim_cache_hits_total", "Querier cache hits.", cs.Hits)
 		promexpo.WriteCounter(out, "probesim_cache_misses_total", "Querier cache misses.", cs.Misses)
-		promexpo.WriteGauge(out, "probesim_cache_vectors", "Cached single-source answers.", int64(cs.Cached))
+		promexpo.WriteGauge(out, "probesim_cache_vectors", "Cached single-source answers the hot tier does not pin.", int64(cs.Cached))
 		promexpo.WriteCounter(out, "probesim_cache_shared_flights_total", "Queries that joined another's in-flight computation.", cs.Shared)
-		promexpo.WriteCounter(out, "probesim_cache_evictions_total", "Cached answers dropped by LRU capacity pressure.", cs.Evictions)
-		promexpo.WriteLabeled(out, "probesim_cache_invalidations_total", "Cached answers dropped because the graph moved, by cause: a write had an endpoint in the answer's read set, a write met an answer without a bounded read set, or a move the applied stream did not explain emptied the cache.", "counter", []promexpo.Sample{
+		promexpo.WriteCounter(out, "probesim_cache_evictions_total", "Unpinned cached answers dropped by LRU capacity pressure.", cs.Evictions)
+		promexpo.WriteLabeled(out, "probesim_cache_invalidations_total", "Unpinned cached answers dropped because the graph moved, by cause: a write had an endpoint in the answer's read set, a write met an answer without a bounded read set, or a move the applied stream did not explain emptied the cache.", "counter", []promexpo.Sample{
 			{Label: `cause="touched"`, Value: cs.Invalidations.Touched},
 			{Label: `cause="unbounded"`, Value: cs.Invalidations.Unbounded},
 			{Label: `cause="flush"`, Value: cs.Invalidations.Flush},
 		})
 		if s.hot != nil {
 			hs := s.hot.Stats()
-			promexpo.WriteGauge(out, "probesim_hot_entries", "Fresh precomputed hot-source entries.", int64(hs.Entries))
-			promexpo.WriteGauge(out, "probesim_hot_stale_entries", "Invalidated hot sources awaiting rebuild.", int64(hs.StaleEntries))
+			promexpo.WriteGauge(out, "probesim_hot_entries", "Hot-source answers pinned in the result cache.", int64(hs.Entries))
+			promexpo.WriteGauge(out, "probesim_hot_stale_entries", "Hot sources whose pinned answer a write dropped, awaiting rebuild.", int64(hs.StaleEntries))
 			promexpo.WriteGauge(out, "probesim_hot_tracked_sources", "Sources tracked by the popularity sketch.", int64(hs.TrackedSources))
-			promexpo.WriteCounter(out, "probesim_hot_hits_total", "Queries answered from the hot-source index.", hs.Hits)
-			promexpo.WriteCounter(out, "probesim_hot_misses_total", "Queries that fell through to the live kernel.", hs.Misses)
-			promexpo.WriteCounter(out, "probesim_hot_invalidations_total", "Hot entries dropped by applied write batches.", hs.Invalidations)
+			promexpo.WriteCounter(out, "probesim_hot_hits_total", "Queries answered from a pinned hot-source answer.", hs.Hits)
+			promexpo.WriteCounter(out, "probesim_hot_misses_total", "Queries that fell through to the result cache or the live kernel.", hs.Misses)
+			promexpo.WriteCounter(out, "probesim_hot_invalidations_total", "Pinned hot-source answers dropped by applied write batches.", hs.Invalidations)
 			promexpo.WriteCounter(out, "probesim_hot_builds_total", "Background hot-entry build attempts.", hs.Builds)
 			promexpo.WriteLabeled(out, "probesim_hot_build_errors_total", "Hot-entry builds discarded, by cause: cut short by a budget stop or cancellation, or finished but lost the install race to a write.", "counter", []promexpo.Sample{
 				{Label: `cause="stopped"`, Value: hs.BuildsStopped},
@@ -548,11 +550,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				{Label: `cause="stopped"`, Value: hs.StoppedBuildSeconds},
 				{Label: `cause="raced"`, Value: hs.RacedBuildSeconds},
 			})
-			promexpo.WriteCounter(out, "probesim_hot_evictions_total", "Hot entries dropped for falling out of the hot set.", hs.Evictions)
+			promexpo.WriteCounter(out, "probesim_hot_evictions_total", "Pinned answers demoted to the LRU for falling out of the hot set.", hs.Evictions)
 			promexpo.WriteCounter(out, "probesim_hot_yields_total", "Refresher rounds cut short for foreground load.", hs.Yields)
-			promexpo.WriteGauge(out, "probesim_hot_watermark", "Highest applied-batch id the tier has observed.", int64(hs.Watermark))
-			promexpo.WriteGauge(out, "probesim_hot_wal_watermark", "Highest WAL-appended batch id the tier has observed.", int64(hs.WALWatermark))
-			promexpo.WriteGauge(out, "probesim_hot_lag_batches", "Staleness bound: batches the oldest invalidated hot entry is behind the applied watermark.", int64(hs.LagBatches))
+			promexpo.WriteGauge(out, "probesim_hot_watermark", "Id of the last batch the store decided.", int64(s.st.LastBatch()))
+			promexpo.WriteGauge(out, "probesim_hot_lag_batches", "Staleness bound: batches the oldest hot source a write left without an answer is behind the last applied batch.", int64(hs.LagBatches))
 		}
 		if tcr := s.tracer; tcr != nil {
 			promexpo.WriteCounter(out, "probesim_slow_queries_total", "Completed queries over the slow-query threshold.", tcr.SlowCount())

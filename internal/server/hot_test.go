@@ -153,7 +153,7 @@ func TestStatsAndMetricsExposeHotAndCacheCounters(t *testing.T) {
 	for _, key := range []string{
 		"hotEntries", "hotStaleEntries", "hotTrackedSources", "hotHits", "hotMisses",
 		"hotInvalidations", "hotBuilds", "hotBuildErrors", "hotEvictions", "hotYields",
-		"hotWatermark", "hotWALWatermark", "hotLagBatches", "hotDiscardedBuildSeconds",
+		"hotWatermark", "hotLagBatches", "hotDiscardedBuildSeconds",
 		"cacheHits", "cacheMisses", "cacheEvictions", "cacheInvalidations",
 	} {
 		if _, ok := stats[key]; !ok {
@@ -173,7 +173,7 @@ func TestStatsAndMetricsExposeHotAndCacheCounters(t *testing.T) {
 		"probesim_hot_hits_total", "probesim_hot_misses_total", "probesim_hot_invalidations_total",
 		"probesim_hot_builds_total", "probesim_hot_evictions_total",
 		`probesim_hot_build_errors_total{cause="stopped"}`, `probesim_hot_build_errors_total{cause="raced"}`,
-		"probesim_hot_yields_total", "probesim_hot_watermark", "probesim_hot_wal_watermark",
+		"probesim_hot_yields_total", "probesim_hot_watermark",
 		"probesim_hot_lag_batches", "probesim_cache_evictions_total",
 		`probesim_hot_discarded_build_seconds_total{cause="stopped"}`, `probesim_hot_discarded_build_seconds_total{cause="raced"}`,
 		`probesim_cache_invalidations_total{cause="touched"}`, `probesim_cache_invalidations_total{cause="unbounded"}`,
@@ -267,4 +267,59 @@ func TestHotRefreshNeverStarvesForeground(t *testing.T) {
 	if st := tier.Stats(); st.Invalidations == 0 {
 		t.Fatalf("storm did not exercise invalidation: %+v", st)
 	}
+}
+
+// TestCacheCarryHotPinCountedOnce: the hot tier pins its answers in the
+// result cache, so each answer is held and counted once — cachedVectors
+// counts the unpinned answers and hotEntries the pinned ones. A write
+// into a hot source drops its pinned answer; the next live miss on it
+// installs its answer pinned, so the refresher pins it without a build
+// and hotBuilds does not move.
+func TestCacheCarryHotPinCountedOnce(t *testing.T) {
+	s, tier := hotServer(t)
+	s.SetLimits(Limits{MaxInflight: 2})
+	counts := func() (cached, hot, builds float64) {
+		t.Helper()
+		_, st := do(t, s, http.MethodGet, "/stats")
+		return st["cachedVectors"].(float64), st["hotEntries"].(float64), st["hotBuilds"].(float64)
+	}
+	waitHotHeader(t, s, "/single-source?u=7")
+	if rec, body := do(t, s, http.MethodGet, "/single-source?u=11"); rec.Code != http.StatusOK {
+		t.Fatalf("cold query: status %d (%v)", rec.Code, body)
+	}
+	if cached, hot, _ := counts(); cached != 1 || hot != 1 {
+		t.Fatalf("cachedVectors %v, hotEntries %v: want hot source 7 counted once, as pinned, and cold source 11 as cached", cached, hot)
+	}
+
+	// A held slot keeps the refresher yielding, so only the live miss
+	// below can bring 7's answer back.
+	rel, err := s.fairq.Acquire(context.Background(), s.solo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, body := do(t, s, http.MethodPost, "/edges?u=399&v=7"); rec.Code != http.StatusOK {
+		t.Fatalf("write: status %d (%v)", rec.Code, body)
+	}
+	cachedAfterWrite, hot, builds := counts()
+	if hot != 0 {
+		t.Fatalf("hotEntries %v after a write into the hot source, want 0", hot)
+	}
+	if rec, _ := do(t, s, http.MethodGet, "/single-source?u=7"); rec.Header().Get(tierHeader) != "live" {
+		t.Fatalf("first query after the write served from %q, want live", rec.Header().Get(tierHeader))
+	}
+	if cached, hot, _ := counts(); cached != cachedAfterWrite || hot != 1 {
+		t.Fatalf("after the live miss: cachedVectors %v (was %v), hotEntries %v: want the answer pinned, not cached beside it", cached, cachedAfterWrite, hot)
+	}
+	rel()
+
+	// Give the refresher a few rounds with the slot free: 7 holds a
+	// pinned answer, so it has nothing to build.
+	time.Sleep(300 * time.Millisecond)
+	if _, hot, after := counts(); hot != 1 || after != builds {
+		t.Fatalf("hotEntries %v, hotBuilds %v -> %v: want the refilled answer pinned without a build", hot, builds, after)
+	}
+	if st := tier.Stats(); st.StaleEntries != 0 {
+		t.Fatalf("refilled source still counted stale: %+v", st)
+	}
+	waitHotHeader(t, s, "/single-source?u=7")
 }

@@ -1,6 +1,8 @@
 // Package server implements the HTTP similarity-search service behind
 // cmd/probesim-server: top-k and single-source SimRank queries over a
-// live, updatable graph, with the core.Querier result cache in front.
+// live, updatable graph, with one store of single-source answers, the
+// core.Querier result cache, in front. The hot-source tier, when armed,
+// pins its answers in that same store.
 //
 // Concurrency contract: every read endpoint — similarity queries AND the
 // analysis endpoints (/join/topk, /components) — is lock-free: each runs
@@ -10,10 +12,11 @@
 // through the router, and publish a fresh snapshot before releasing it;
 // in-flight reads keep the (consistent) snapshot they grabbed. Cache
 // invalidation is automatic. Over an in-process store the result cache
-// follows the store's applied-batch stream and a write drops only the
-// cached answers whose read sets hold one of its endpoints; over a worker
-// fleet, which has no such stream at the routing tier, the cache is keyed
-// by snapshot version and every write empties it.
+// follows the store's applied-batch stream (its one hook there) and a
+// write drops only the cached answers, pinned or not, whose read sets
+// hold one of its endpoints; over a worker fleet, which has no such
+// stream at the routing tier, the cache is keyed by snapshot version and
+// every write empties it.
 //
 // The server has one backend, a router.Router, and one write path: every
 // edge update is one batch through Router.Apply. Over an in-process
@@ -119,13 +122,12 @@ type Server struct {
 	// wal, when set (SetWAL), is the log the router's fast-path engine
 	// appends every edge batch to (and fsyncs, per policy) BEFORE it is
 	// applied and acknowledged, so an HTTP 200 means the batch survives
-	// a crash. The server keeps it for /stats and the hot tier's append
-	// watermark. Over a worker fleet the workers own their logs instead
-	// and this stays nil.
+	// a crash. The server keeps it for /stats. Over a worker fleet the
+	// workers own their logs instead and this stays nil.
 	wal *wal.Log
 
-	// hot, when set (EnableHotTier), answers hot-source queries from
-	// precomputed entries at microsecond latency; cold sources fall
+	// hot, when set (EnableHotTier), answers hot-source queries from the
+	// answers it pins in q at microsecond latency; cold sources fall
 	// through to the live path completely unchanged. Responses carry
 	// X-ProbeSim-Tier saying which path served them, and ?tier=live
 	// forces the live kernel for any single request.
@@ -221,13 +223,15 @@ func (s *Server) SetWAL(lg *wal.Log) {
 }
 
 // EnableHotTier arms the hot-source index tier: a space-saving sketch on
-// the query path discovers hot sources, a background refresher
-// precomputes their single-source answers with the SAME options the live
-// path serves (so a hot answer is byte-identical to the live kernel's),
-// and the store's applied-batch stream invalidates exactly the entries
-// each write batch can affect. Requires an in-process store — the tier
-// follows shard.Store's applied-batch hook. Call after SetWAL (when
-// durable) and before serving; the returned tier is the caller's to
+// the query path discovers hot sources, and a background refresher pins
+// up to maxEntries of them in the server's result cache (core.Querier),
+// exempt from its LRU bound, pre-building their single-source answers
+// through it with the SAME options the live path serves (so a hot answer
+// is byte-identical to the live kernel's). The cache's one
+// applied-batch hook drops exactly the answers, pinned or not, that each
+// write batch can affect; the tier subscribes to nothing. Requires an
+// in-process store — only there does the cache follow the store's
+// stream. Call before serving; the returned tier is the caller's to
 // Close on shutdown. maxEntries <= 0 and refreshBudget <= 0 take the
 // tier's defaults.
 func (s *Server) EnableHotTier(maxEntries int, refreshBudget time.Duration) *hotidx.Tier {
@@ -241,18 +245,12 @@ func (s *Server) EnableHotTier(maxEntries int, refreshBudget time.Duration) *hot
 	if refreshBudget > 0 {
 		rb.Timeout = refreshBudget
 	}
-	tier := hotidx.New(s.ex, hotidx.Config{
+	s.hot = hotidx.New(s.q, hotidx.Config{
 		MaxEntries:    maxEntries,
-		Opt:           s.opt,
 		RefreshBudget: rb,
 		Yield:         s.hotYield,
 	})
-	s.st.SubscribeApplied(tier.Follow(s.st.Version))
-	if s.wal != nil {
-		s.wal.Subscribe(func(id uint64, ops []graph.EdgeOp) { tier.ObserveAppend(id) })
-	}
-	s.hot = tier
-	return tier
+	return s.hot
 }
 
 // hotYield tells the background refresher when foreground admission
@@ -494,8 +492,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		body["hotDiscardedBuildSeconds"] = hs.StoppedBuildSeconds + hs.RacedBuildSeconds
 		body["hotEvictions"] = hs.Evictions
 		body["hotYields"] = hs.Yields
-		body["hotWatermark"] = hs.Watermark
-		body["hotWALWatermark"] = hs.WALWatermark
+		body["hotWatermark"] = s.st.LastBatch()
 		body["hotLagBatches"] = hs.LagBatches
 	}
 	if s.st != nil {
