@@ -35,10 +35,26 @@ import (
 	"testing"
 
 	"probesim/internal/core"
+	"probesim/internal/gen"
 	"probesim/internal/graph"
 	"probesim/internal/router"
 	"probesim/internal/shard"
 )
+
+// shardBenchShards is the requested partition bound for the 100k-node
+// bench graphs; with the power-of-two stride this lands on 391 shards of
+// 256 node ids, so a batch of b edges touches at most 2b of ~391 shards.
+const shardBenchShards = 512
+
+func shardBenchGraph(b *testing.B) *graph.Graph {
+	b.Helper()
+	if g, ok := graphCache.Load("shard-pa"); ok {
+		return g.(*graph.Graph)
+	}
+	g := gen.PreferentialAttachment(snapshotBenchSize, 8, 1)
+	graphCache.Store("shard-pa", g)
+	return g
+}
 
 // benchTCPFleet serves two TCP workers splitting shard ownership and
 // returns a router over them.

@@ -138,16 +138,6 @@ func New(ctx context.Context, timeout time.Duration, maxWalks, maxWork int64) *M
 	}
 }
 
-// Trace returns the query's sampled trace recorder, nil when unsampled.
-// Kernels and engines that already hold the meter reach the trace through
-// it instead of threading a second object.
-func (m *Meter) Trace() *qtrace.Trace {
-	if m == nil {
-		return nil
-	}
-	return m.tr
-}
-
 // StageStart opens a stage-timing window: it returns the current instant
 // when the query is traced and the zero time otherwise, so the unsampled
 // path never reads the clock. Pair with StageEnd.

@@ -28,10 +28,10 @@ import (
 // shard.Store) instead keeps each answer's read set (SingleSourceTracked)
 // and drops only the answers a batch touched: every other answer carries
 // to the new snapshot, because a rerun there would read the same bytes.
-// Anything the stream does not explain — a node added, a batch rolled
-// back, a move of the source it never reported — still empties the
-// cache. A computed answer is cached only if it holds at every snapshot
-// the cache may serve it on (installLocked).
+// Anything the stream does not explain — a batch rolled back, a move of
+// the source it never reported — still empties the cache. A computed
+// answer is cached only if it holds at every snapshot the cache may
+// serve it on (installLocked).
 //
 // The cache holds at most Capacity unpinned answers with LRU eviction,
 // plus the pinned ones (Pin), which the bound does not count. Each is a
@@ -156,8 +156,7 @@ func newQuerier(ex *Executor, capacity int, track bool) *Querier {
 // (shard.Store.Version, which the store holds still during its hooks),
 // and a batch of k ops must advance that counter by exactly k. That is
 // how the hook tells a batch that continues the stream from a move it
-// never reported (an AddNode, a rolled-back batch), which empties the
-// cache instead.
+// never reported (a rolled-back batch), which empties the cache instead.
 func (q *Querier) Follow(version func() uint64) func(id uint64, ops []graph.EdgeOp) {
 	q.mu.Lock()
 	q.followed = true
@@ -190,7 +189,7 @@ func (q *Querier) onBatch(id, to uint64, ops []graph.EdgeOp) {
 		switch {
 		case e.reads == nil:
 			q.dropLocked(e, &q.inv.Unbounded)
-		case e.reads.Touched(e.ranked.N, ops):
+		case e.reads.Touched(ops):
 			q.dropLocked(e, &q.inv.Touched)
 		}
 	}
@@ -277,7 +276,7 @@ func (q *Querier) installLocked(s0 graph.VersionedView, u graph.NodeID, r *Ranke
 		if b.to <= at {
 			continue // s0 has it
 		}
-		if b.from != at || reads.Touched(s0.NumNodes(), b.ops) {
+		if b.from != at || reads.Touched(b.ops) {
 			return false
 		}
 		at = b.to
@@ -414,12 +413,24 @@ func (q *Querier) Ranked(ctx context.Context, u graph.NodeID) (*Ranked, error) {
 
 // Pin makes hot the pinned set: a pinned source's answer is exempt from
 // the LRU bound, and a miss that computes it installs it pinned. A
-// source leaving the set is demoted to an ordinary LRU entry. Pin
-// returns the sources of hot without a pinned answer, to Build, and the
-// number of answers it demoted.
+// source entering the set whose answer the cache holds is pinned in
+// place; one leaving it is demoted to an ordinary LRU entry. Pin returns
+// the sources of hot with no held answer, to Build, and the number of
+// answers it demoted.
 func (q *Querier) Pin(hot []graph.NodeID) (build []graph.NodeID, demoted int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	for _, u := range hot {
+		q.pins[u] = struct{}{}
+		e, ok := q.entries[u]
+		switch {
+		case !ok:
+			build = append(build, u)
+		case e.el != nil:
+			q.order.Remove(e.el)
+			e.el = nil
+		}
+	}
 	for u := range q.pins {
 		if slices.Contains(hot, u) {
 			continue
@@ -432,12 +443,6 @@ func (q *Querier) Pin(hot []graph.NodeID) (build []graph.NodeID, demoted int) {
 		}
 	}
 	q.evictLocked()
-	for _, u := range hot {
-		q.pins[u] = struct{}{}
-		if e, ok := q.entries[u]; !ok || e.el != nil {
-			build = append(build, u)
-		}
-	}
 	return build, demoted
 }
 

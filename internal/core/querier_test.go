@@ -35,6 +35,28 @@ func TestQuerierCachesHits(t *testing.T) {
 	}
 }
 
+// TestQuerierPinsHeldAnswerInPlace checks that pinning a source whose
+// answer a live miss already cached moves that answer into the pinned
+// set: Pin asks for no build, and Pinned returns the cached answer
+// itself, which the LRU no longer counts.
+func TestQuerierPinsHeldAnswerInPlace(t *testing.T) {
+	g := querierGraph(t)
+	q := NewQuerier(g, Options{NumWalks: 300, Seed: 1}, 4)
+	r, err := q.Ranked(context.Background(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if build, demoted := q.Pin([]graph.NodeID{3}); len(build) != 0 || demoted != 0 {
+		t.Fatalf("Pin of a held answer: build %v, demoted %d, want neither", build, demoted)
+	}
+	if got, ok := q.Pinned(q.Executor().Snapshot(), 3); !ok || got != r {
+		t.Fatalf("Pinned = %p, %v, want the cached answer %p", got, ok, r)
+	}
+	if cs := q.CacheStats(); cs.Pinned != 1 || cs.Cached != 0 {
+		t.Fatalf("cache holds %d pinned and %d unpinned answers, want 1 and 0", cs.Pinned, cs.Cached)
+	}
+}
+
 func TestQuerierInvalidatesOnMutation(t *testing.T) {
 	g := querierGraph(t)
 	q := NewQuerier(g, Options{NumWalks: 300, Seed: 1}, 4)

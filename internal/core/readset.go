@@ -15,22 +15,19 @@ import (
 //
 // The kernel reads a graph only through per-node lists and degrees and
 // NumNodes, and an edge op U → V changes only U's out-list and V's
-// in-list. So if no op of a batch has an endpoint in the set, and the
-// node count did not grow, a rerun with the same options reads the same
-// bytes and returns the same bits: the answer carries across the batch.
+// in-list (never the node count). So if no op of a batch has an endpoint
+// in the set, a rerun with the same options reads the same bytes and
+// returns the same bits: the answer carries across the batch.
 type ReadSet []graph.NodeID
 
-// Touched reports whether applying ops can change an answer over n nodes
-// that read rs: always for an unbounded set, otherwise when an op has an
-// endpoint in rs or at or past n (the node space grew under the answer).
-func (rs ReadSet) Touched(n int, ops []graph.EdgeOp) bool {
+// Touched reports whether applying ops can change an answer that read
+// rs: always for an unbounded set, otherwise when an op has an endpoint
+// in rs.
+func (rs ReadSet) Touched(ops []graph.EdgeOp) bool {
 	if rs == nil {
 		return true
 	}
 	for _, op := range ops {
-		if int(max(op.U, op.V)) >= n {
-			return true
-		}
 		if _, ok := slices.BinarySearch(rs, op.U); ok {
 			return true
 		}

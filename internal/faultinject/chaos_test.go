@@ -84,16 +84,8 @@ func randomOps(rng *xrand.RNG, n int, added *[][2]graph.NodeID, count int) []gra
 
 func applyToStore(t *testing.T, st *shard.Store, ops []graph.EdgeOp) {
 	t.Helper()
-	for _, op := range ops {
-		var err error
-		if op.Remove {
-			err = st.RemoveEdge(op.U, op.V)
-		} else {
-			err = st.AddEdge(op.U, op.V)
-		}
-		if err != nil {
-			t.Fatalf("reference store: %v", err)
-		}
+	if _, err := st.ApplyBatch(0, ops); err != nil {
+		t.Fatalf("reference store: %v", err)
 	}
 }
 

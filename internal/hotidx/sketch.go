@@ -4,10 +4,11 @@
 // answers (sparse core.Ranked entries) in the server's one answer store,
 // core.Querier, where they serve hot-source queries at microsecond
 // latency and are exempt from its LRU bound. The tier holds no answers:
-// one background goroutine pins the hot set, demotes sources that went
-// cold to ordinary LRU entries, and pre-builds the hot sources without a
-// pinned answer through the Querier under the refresh budget. Cold
-// sources fall through to the live path completely unchanged.
+// one background goroutine pins the hot set (an answer the Querier
+// already holds is pinned in place), demotes sources that went cold to
+// ordinary LRU entries, and pre-builds the hot sources with no held
+// answer through the Querier under the refresh budget. Cold sources
+// fall through to the live path completely unchanged.
 //
 // Freshness is the Querier's, and incremental, not rebuild-the-world:
 // every answer keeps the read set its computation reported

@@ -167,7 +167,7 @@ func (t *Tier) Hot(limit int) []SourceCount { return t.sketch.Top(limit) }
 
 // refresher is the single background goroutine: each Interval it
 // reconciles the pinned set against the sketch's current hot set,
-// building the hot sources without a pinned answer one at a time
+// building the hot sources with no held answer one at a time
 // (kernel-internal parallelism is the executor's Workers wide, as on
 // the live path) and demoting the ones that went cold.
 func (t *Tier) refresher() {

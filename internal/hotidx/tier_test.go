@@ -181,24 +181,6 @@ func TestTierEntrySurvivesUnrelatedBatch(t *testing.T) {
 	assertBitIdentical(t, after.Dense(), before, "surviving entry")
 }
 
-// TestTierMissesAfterNodeGrowth exercises the serve-time guard: AddNode
-// bypasses the batch plane entirely, so the only defense is comparing the
-// entry's build-time node count against the current view.
-func TestTierMissesAfterNodeGrowth(t *testing.T) {
-	g := gen.PreferentialAttachment(300, 4, 17)
-	st, ex, tier := newTierOver(t, g, Config{})
-
-	const src = graph.NodeID(2)
-	tier.Touch(src)
-	waitHot(t, tier, ex, src)
-
-	st.AddNode()
-	ex.Refresh()
-	if _, ok := tier.SingleSource(ex.Snapshot(), src); ok {
-		t.Fatal("served an entry sized for the pre-growth node space")
-	}
-}
-
 // TestTierYieldBlocksRebuildAndBoundsLag drives the foreground-pressure
 // seam deterministically: with Yield pinned true the refresher may never
 // build, so an invalidated entry stays dirty and the exported staleness
@@ -316,9 +298,10 @@ func TestTierCountsBuildFailuresByCause(t *testing.T) {
 	}
 }
 
-// TestTierDropsEntryOnDirectStoreWrite pins that the store's direct
-// write methods reach the tier: AddEdge into a hot source, then
-// publication, must leave its entry unservable.
+// TestTierDropsEntryOnDirectStoreWrite pins that a write made straight
+// on the store, a self-assigned batch with no log or router in front,
+// reaches the tier: an edge into a hot source, then publication, must
+// leave its entry unservable.
 func TestTierDropsEntryOnDirectStoreWrite(t *testing.T) {
 	g := gen.PreferentialAttachment(400, 4, 13)
 	var hold atomic.Bool
@@ -329,12 +312,12 @@ func TestTierDropsEntryOnDirectStoreWrite(t *testing.T) {
 	waitHot(t, tier, ex, src)
 
 	hold.Store(true) // no rebuild before the check below
-	if err := st.AddEdge(399, src); err != nil {
+	if _, err := st.ApplyBatch(0, []graph.EdgeOp{{U: 399, V: src}}); err != nil {
 		t.Fatal(err)
 	}
 	ex.Refresh()
 	if _, ok := tier.SingleSource(ex.Snapshot(), src); ok {
-		t.Fatalf("entry for %d still servable after a direct store write into it: %+v", src, tier.Stats())
+		t.Fatalf("entry for %d still servable after a store write into it: %+v", src, tier.Stats())
 	}
 	if s := tier.Stats(); s.Invalidations < 1 {
 		t.Fatalf("no invalidation recorded: %+v", s)

@@ -8,6 +8,7 @@ package persist
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -146,12 +147,13 @@ type Checkpointer struct {
 	stopped bool
 	stop    chan struct{}
 	done    chan struct{}
-	errs    []error
 }
 
 // StartCheckpointer runs a background loop that checkpoints whenever at
 // least every batches have been appended beyond the last checkpoint,
 // polling at the given interval (<= 0 means 1s; every <= 0 means 1024).
+// The loop logs each failed checkpoint with slog.Error and retries on
+// its next poll.
 func StartCheckpointer(st *shard.Store, lg *wal.Log, every int64, interval time.Duration) *Checkpointer {
 	if every <= 0 {
 		every = 1024
@@ -175,9 +177,7 @@ func StartCheckpointer(st *shard.Store, lg *wal.Log, every int64, interval time.
 			case <-t.C:
 				if lg.AppendsSinceCheckpoint() >= every {
 					if err := c.Checkpoint(); err != nil {
-						c.mu.Lock()
-						c.errs = append(c.errs, err)
-						c.mu.Unlock()
+						slog.Error("background checkpoint failed", "err", err)
 					}
 				}
 			}
@@ -201,13 +201,6 @@ func (c *Checkpointer) Checkpoint() error {
 	return c.lg.Checkpoint(snap.LastBatch(), func(w io.Writer) error {
 		return WriteSnapshot(w, snap)
 	})
-}
-
-// Errs returns checkpoint failures the background loop absorbed.
-func (c *Checkpointer) Errs() []error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]error(nil), c.errs...)
 }
 
 // Stop halts the loop and takes one final checkpoint so a graceful

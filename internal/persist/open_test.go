@@ -3,11 +3,13 @@ package persist
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -459,7 +461,7 @@ func TestRecoveryCountsCoveredReplayedAndSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	missing := shard.EdgeOp{Remove: true, U: 9, V: 10}
-	for slices.Contains(st.OutNeighbors(missing.U), missing.V) {
+	for slices.Contains(st.Current().OutNeighbors(missing.U), missing.V) {
 		missing.V++
 	}
 	if err := apply([]shard.EdgeOp{missing}); err == nil {
@@ -479,5 +481,66 @@ func TestRecoveryCountsCoveredReplayedAndSkipped(t *testing.T) {
 	sameView(t, want, re.Current())
 	if re.LastBatch() != 4 {
 		t.Fatalf("watermark %d, want 4", re.LastBatch())
+	}
+}
+
+// recordHandler is a slog.Handler that hands each record to a channel,
+// dropping records the test has not read yet.
+type recordHandler struct{ records chan slog.Record }
+
+func (h recordHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h recordHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h recordHandler) WithGroup(string) slog.Handler            { return h }
+func (h recordHandler) Handle(_ context.Context, r slog.Record) error {
+	select {
+	case h.records <- r:
+	default:
+	}
+	return nil
+}
+
+// TestCheckpointerLogsBackgroundFailures closes the log under a running
+// checkpointer: its next checkpoint fails, and the failure must reach
+// the process log rather than vanish while the log stops truncating.
+func TestCheckpointerLogsBackgroundFailures(t *testing.T) {
+	h := recordHandler{records: make(chan slog.Record, 16)}
+	prev := slog.Default()
+	slog.SetDefault(slog.New(h))
+	t.Cleanup(func() { slog.SetDefault(prev) })
+
+	st, lg, _, err := OpenStore(t.TempDir(), 4, 0, wal.Options{Sync: wal.SyncAlways},
+		func() (*graph.Graph, error) { return testGraph(200, 11), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := []shard.EdgeOp{{U: 1, V: 2}}
+	id, err := lg.Append(0, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.ApplyBatch(id, ops); err != nil {
+		t.Fatal(err)
+	}
+	// Unpublished, the batch gives the loop nothing to spill yet.
+	ck := StartCheckpointer(st, lg, 1, time.Millisecond)
+	defer ck.Stop()
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st.Publish()
+	select {
+	case r := <-h.records:
+		var logged error
+		r.Attrs(func(a slog.Attr) bool {
+			if a.Key == "err" {
+				logged, _ = a.Value.Any().(error)
+			}
+			return true
+		})
+		if r.Level != slog.LevelError || logged == nil || !strings.Contains(logged.Error(), "log closed") {
+			t.Fatalf("logged %v %q with err %v, want an error-level record of the closed-log failure", r.Level, r.Message, logged)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a failed background checkpoint was never logged")
 	}
 }

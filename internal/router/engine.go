@@ -188,8 +188,7 @@ func (g *generationRing) at(version uint64) *shard.StoreSnapshot {
 // plane and the backend of every probesim-shardd worker. Ownership is
 // modular — an engine constructed with (index, group) owns every shard p
 // with p % group == index — so a fleet of workers started with the same
-// group and distinct indices covers the shard space exactly once, and
-// ownership survives shard-set growth.
+// group and distinct indices covers the shard space exactly once.
 type LocalEngine struct {
 	st    *shard.Store
 	index int

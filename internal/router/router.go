@@ -152,19 +152,6 @@ func (r *Router) SetHedge(hp HedgePolicy) {
 	r.hedge.Store(&hp)
 }
 
-// SetReplayHorizon resizes the batch replay ring (default 1024): how
-// many recent batches a demoted replica can be behind and still rejoin
-// without an operator restore. Call before serving writes — resizing
-// drops remembered batches.
-func (r *Router) SetReplayHorizon(n int) {
-	if n < 1 {
-		n = 1
-	}
-	r.mu.Lock()
-	r.ring = newBatchRing(n)
-	r.mu.Unlock()
-}
-
 // memberMeta is one member's answer to a control-plane broadcast.
 type memberMeta struct {
 	m   Meta

@@ -30,20 +30,12 @@ func testGraph(n int, seed uint64) *graph.Graph {
 	return g
 }
 
-// mirrorOps applies the same edge batch to a plain store (the reference)
-// and returns it for comparison publishes.
+// applyToStore applies the same edge batch to a plain store (the
+// reference) for comparison publishes.
 func applyToStore(t *testing.T, st *shard.Store, ops []graph.EdgeOp) {
 	t.Helper()
-	for _, op := range ops {
-		var err error
-		if op.Remove {
-			err = st.RemoveEdge(op.U, op.V)
-		} else {
-			err = st.AddEdge(op.U, op.V)
-		}
-		if err != nil {
-			t.Fatalf("reference store: %v", err)
-		}
+	if _, err := st.ApplyBatch(0, ops); err != nil {
+		t.Fatalf("reference store: %v", err)
 	}
 }
 

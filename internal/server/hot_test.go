@@ -83,8 +83,10 @@ func TestHotTierHeaderAndBitIdenticalBody(t *testing.T) {
 			t.Fatalf("node %s: hot %v != live %v — tiers must be bit-identical", node, sc, liveScores[node])
 		}
 	}
-	if st := tier.Stats(); st.Hits == 0 || st.Builds == 0 {
-		t.Fatalf("tier counters did not move: %+v", st)
+	// The live misses that made 7 hot left its answer in the result
+	// cache, so the tier pinned that answer in place instead of building.
+	if st := tier.Stats(); st.Entries < 1 || st.Hits < 1 || st.Builds != 0 {
+		t.Fatalf("tier counters %+v, want the held answer pinned and served without a build", st)
 	}
 }
 

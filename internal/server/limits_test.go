@@ -326,7 +326,7 @@ func TestPublishCtxAborts(t *testing.T) {
 	g := gen.PreferentialAttachment(300, 3, 4)
 	st := shard.NewStore(g, 8, 0)
 	before := st.Current()
-	if err := st.AddEdge(1, 2); err != nil {
+	if _, err := st.ApplyBatch(0, []graph.EdgeOp{{U: 1, V: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

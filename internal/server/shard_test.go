@@ -196,17 +196,4 @@ func TestShardedConcurrentQueriesDuringEdgeBatch(t *testing.T) {
 	if ss.ShardsRebuilt >= ss.ShardsReused {
 		t.Fatalf("per-shard publication ineffective: rebuilt %d vs reused %d", ss.ShardsRebuilt, ss.ShardsReused)
 	}
-
-	// A node addition through the store API grows the serving surface after
-	// the next publication.
-	nodes := int(body["nodes"].(float64))
-	_ = st.AddNode()
-	st.Publish()
-	code, body, err = get("/stats")
-	if err != nil || code != http.StatusOK {
-		t.Fatalf("stats after AddNode: code %d err %v", code, err)
-	}
-	if got := int(body["nodes"].(float64)); got != nodes+1 {
-		t.Fatalf("nodes after AddNode: %d, want %d", got, nodes+1)
-	}
 }

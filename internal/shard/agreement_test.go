@@ -36,7 +36,7 @@ func assertSameVector(t *testing.T, ctx string, want, got []float64) {
 
 // TestShardedSingleSourceBitIdentical runs every mode on a power-law
 // graph across shard counts {1, 2, 7, 64}: monolithic graph, monolithic
-// snapshot, sharded snapshot, and the sharded store's mutable view must
+// snapshot, sharded snapshot and the pooled executor over the store must
 // all return the same bits.
 func TestShardedSingleSourceBitIdentical(t *testing.T) {
 	g := gen.PreferentialAttachment(400, 4, 11)
@@ -59,17 +59,12 @@ func TestShardedSingleSourceBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("mode %v p=%d: %v", mode, p, err)
 				}
-				fromStore, err := core.SingleSource(context.Background(), st, u, opt)
-				if err != nil {
-					t.Fatalf("mode %v p=%d: %v", mode, p, err)
-				}
 				pooled, err := ex.SingleSource(context.Background(), u)
 				if err != nil {
 					t.Fatalf("mode %v p=%d: %v", mode, p, err)
 				}
 				assertSameVector(t, "monolithic snapshot", want, fromSnap)
 				assertSameVector(t, "sharded snapshot", want, fromSharded)
-				assertSameVector(t, "sharded store (mutable view)", want, fromStore)
 				assertSameVector(t, "sharded executor (pooled)", want, pooled)
 			}
 		}
@@ -93,6 +88,7 @@ func TestShardedAgreementUnderChurn(t *testing.T) {
 	}
 	for round := 0; round < 8; round++ {
 		// One churn batch, mirrored everywhere.
+		var ops []graph.EdgeOp
 		for i := 0; i < 12; i++ {
 			if rng.Float64() < 0.5 || g.NumEdges() == 0 {
 				u := graph.NodeID(rng.Intn(n))
@@ -103,11 +99,7 @@ func TestShardedAgreementUnderChurn(t *testing.T) {
 				if err := g.AddEdge(u, v); err != nil {
 					t.Fatal(err)
 				}
-				for _, st := range stores {
-					if err := st.AddEdge(u, v); err != nil {
-						t.Fatal(err)
-					}
-				}
+				ops = append(ops, graph.EdgeOp{U: u, V: v})
 			} else {
 				u := graph.NodeID(rng.Intn(n))
 				for g.OutDegree(u) == 0 {
@@ -117,11 +109,12 @@ func TestShardedAgreementUnderChurn(t *testing.T) {
 				if err := g.RemoveEdge(u, v); err != nil {
 					t.Fatal(err)
 				}
-				for _, st := range stores {
-					if err := st.RemoveEdge(u, v); err != nil {
-						t.Fatal(err)
-					}
-				}
+				ops = append(ops, graph.EdgeOp{U: u, V: v, Remove: true})
+			}
+		}
+		for _, st := range stores {
+			if _, err := st.ApplyBatch(0, ops); err != nil {
+				t.Fatal(err)
 			}
 		}
 		u := graph.NodeID(round * 29 % n)

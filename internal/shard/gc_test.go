@@ -39,13 +39,7 @@ func TestRetiredLedgerNeverPinsGenerations(t *testing.T) {
 	on := false
 	toggle := func() {
 		t.Helper()
-		var err error
-		if on {
-			err = st.RemoveEdge(1, 1500)
-		} else {
-			err = st.AddEdge(1, 1500)
-		}
-		if err != nil {
+		if _, err := st.ApplyBatch(0, []EdgeOp{{U: 1, V: 1500, Remove: on}}); err != nil {
 			t.Fatal(err)
 		}
 		on = !on

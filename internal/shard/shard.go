@@ -21,6 +21,10 @@
 // is chosen so the shard count does not exceed the requested P, and the
 // shift/mask arithmetic keeps the per-access cost within noise of the
 // monolithic CSR layout.
+//
+// A Store changes only through ApplyBatch, one identified batch at a
+// time, and is read only through the snapshots it publishes. Its node
+// count and shard set are fixed at construction.
 package shard
 
 import (
@@ -38,20 +42,11 @@ type Partition struct {
 
 // NewPartition chooses the smallest power-of-two stride that covers n
 // nodes with at most p shards. p < 1 is treated as 1.
-//
-// The stride is FIXED for the life of a Store: nodes added later keep
-// the stride and extend the shard set, so a store grown far beyond its
-// construction-time size has proportionally more shards than requested.
-// An empty store (n == 0) therefore gets a floor stride rather than
-// stride 1, so it does not degenerate into one shard per future node.
 func NewPartition(n, p int) Partition {
 	if p < 1 {
 		p = 1
 	}
 	perShard := (n + p - 1) / p
-	if n == 0 {
-		perShard = 64
-	}
 	var shift uint32
 	for 1<<shift < perShard {
 		shift++
@@ -90,12 +85,12 @@ type shardMut struct {
 // core.Executor snapshot pair: the mutable write side of the graph,
 // partitioned, plus an atomically published composite snapshot.
 //
-// Concurrency contract: mutations (AddEdge, RemoveEdge, AddNode) and
-// Publish serialize on an internal mutex; any number of goroutines may
-// read the published snapshot (Current / PublishedView) lock-free at any
-// time, including during mutation and publication. Reading the Store
-// itself through graph.View (InNeighbors etc.) follows the *graph.Graph
-// contract: safe only while no mutator is active.
+// Concurrency contract: ApplyBatch, its one mutation, and Publish
+// serialize on an internal mutex; any number of goroutines may read the
+// published snapshot (Current / PublishedView) lock-free at any time,
+// including during a batch and a publication. The mutable side has no
+// reader outside the store: its adjacency is read only through a
+// published snapshot.
 type Store struct {
 	part    Partition
 	workers int
@@ -111,7 +106,7 @@ type Store struct {
 	// staleness checks. Non-owned shards publish as absent (zero-length
 	// CSR arrays); serving them is rejected by the engine layer.
 	//
-	// Scoping weakens ONE check: a RemoveEdge whose endpoints both live
+	// Scoping weakens ONE check: a remove op whose endpoints both live
 	// in non-owned shards cannot be validated here and is accepted
 	// blindly. The workers owning those shards still validate it, so
 	// owned data never corrupts — but a semantically invalid batch is
@@ -335,25 +330,26 @@ func Assemble(n int, m int64, version, lastBatch uint64, shift uint32, csr []gra
 	return &StoreSnapshot{n: n, m: m, version: version, lastBatch: lastBatch, shift: shift, csr: csr, versions: shardVersions}
 }
 
-// NumShards returns the current shard count.
-func (st *Store) NumShards() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.shards)
-}
+// NumShards returns the shard count, fixed at construction.
+func (st *Store) NumShards() int { return len(st.shards) }
 
 // Partition returns the node-to-shard mapping.
 func (st *Store) Partition() Partition { return st.part }
 
-// NumNodes returns the number of nodes (mutable side).
+// NumNodes returns the number of nodes, fixed at construction.
 func (st *Store) NumNodes() int { return st.n }
 
-// NumEdges returns the number of directed edges (mutable side).
+// NumEdges returns the number of directed edges after the last applied
+// batch. Like Version, it is for the writer and the applied-batch hooks;
+// a concurrent reader reads the published snapshot's count.
 func (st *Store) NumEdges() int64 { return st.m }
 
-// Version returns the mutation counter. Every AddEdge/RemoveEdge/AddNode
-// increments it; published snapshots carry the value at publish time, so
-// the serving stack's staleness checks work unchanged.
+// Version returns the mutation counter. Each op ApplyBatch applies
+// advances it by one, and a rolled-back batch by two per undone op;
+// published snapshots carry the value at publish time, so the serving
+// stack's staleness checks work unchanged. Read it from the goroutine
+// that applies batches or from an applied-batch hook, where it is the
+// version the batch produced.
 func (st *Store) Version() uint64 { return st.version }
 
 func (st *Store) checkNode(v graph.NodeID) error {
@@ -363,43 +359,10 @@ func (st *Store) checkNode(v graph.NodeID) error {
 	return nil
 }
 
-// InNeighbors returns the in-neighbor list of v from the mutable side,
-// under the *graph.Graph reader contract. The slice is internal storage:
-// do not modify; invalidated by the next mutation. On a scoped store
-// only owned shards' nodes are readable.
-func (st *Store) InNeighbors(v graph.NodeID) []graph.NodeID {
-	return st.shards[st.part.ShardOf(v)].in[st.part.LocalOf(v)]
-}
-
-// OutNeighbors returns the out-neighbor list of u under the same contract
-// as InNeighbors.
-func (st *Store) OutNeighbors(u graph.NodeID) []graph.NodeID {
-	return st.shards[st.part.ShardOf(u)].out[st.part.LocalOf(u)]
-}
-
-// InDegree returns |I(v)| on the mutable side.
-func (st *Store) InDegree(v graph.NodeID) int { return len(st.InNeighbors(v)) }
-
-// OutDegree returns |O(u)| on the mutable side.
-func (st *Store) OutDegree(u graph.NodeID) int { return len(st.OutNeighbors(u)) }
-
-var _ graph.VersionedView = (*Store)(nil)
-
-// AddEdge inserts the directed edge u -> v with the same semantics as
-// (*graph.Graph).AddEdge: self-loops rejected, parallel edges permitted,
-// appended at the tail of both adjacency lists (order preservation is
-// what keeps sharded results bit-identical to monolithic ones). The
-// applied-batch subscribers see it as a one-op batch (see notifyDirect).
-func (st *Store) AddEdge(u, v graph.NodeID) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if err := st.addEdgeLocked(u, v); err != nil {
-		return err
-	}
-	st.notifyDirect(graph.EdgeOp{U: u, V: v})
-	return nil
-}
-
+// addEdgeLocked inserts u -> v with (*graph.Graph).AddEdge's semantics:
+// self-loops rejected, parallel edges permitted, appended at the tail of
+// both lists (the order that keeps sharded answers bit-identical to
+// monolithic ones).
 func (st *Store) addEdgeLocked(u, v graph.NodeID) error {
 	if err := st.checkNode(u); err != nil {
 		return err
@@ -427,32 +390,9 @@ func (st *Store) addEdgeLocked(u, v graph.NodeID) error {
 	return nil
 }
 
-// RemoveEdge removes one occurrence of u -> v, mirroring
-// (*graph.Graph).RemoveEdge exactly (first match swapped with the tail),
-// so the surviving neighbor order matches a monolithic graph that saw the
-// same operation sequence. The applied-batch subscribers see it as a
-// one-op batch (see notifyDirect).
-func (st *Store) RemoveEdge(u, v graph.NodeID) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if err := st.removeEdgeLocked(u, v); err != nil {
-		return err
-	}
-	st.notifyDirect(graph.EdgeOp{U: u, V: v, Remove: true})
-	return nil
-}
-
-// notifyDirect reports a write made outside ApplyBatch to the
-// applied-batch subscribers as a one-op batch. It carries the id of the
-// last decided batch: a direct write is no batch of its own, so it
-// neither moves LastBatch nor takes an id a later ApplyBatch could
-// decide.
-func (st *Store) notifyDirect(op graph.EdgeOp) {
-	for _, fn := range st.onApplied {
-		fn(st.lastBatch, []graph.EdgeOp{op})
-	}
-}
-
+// removeEdgeLocked removes one occurrence of u -> v exactly as
+// (*graph.Graph).RemoveEdge does (first match swapped with the tail), so
+// the surviving order matches a monolithic graph's.
 func (st *Store) removeEdgeLocked(u, v graph.NodeID) error {
 	if err := st.checkNode(u); err != nil {
 		return err
@@ -549,12 +489,12 @@ func (st *Store) ApplyBatch(id uint64, ops []graph.EdgeOp) (uint64, error) {
 	return st.version, nil
 }
 
-// SubscribeApplied registers fn to run after every successfully applied
-// batch with the batch's id and ops — the applied-batch stream that
-// keeps derived state (the result cache, the hot-source index tier)
-// fresh without polling. A direct AddEdge or RemoveEdge fires it too, as
-// a one-op batch under the last decided batch's id. Retried (apply-once
-// no-op) and rejected batches never fire it, nor does AddNode.
+// SubscribeApplied registers fn to run after every batch ApplyBatch
+// applies, with the batch's id and ops — the applied-batch stream that
+// keeps derived state (the result cache) fresh without polling. It fires
+// once per applied batch under that batch's own id, so the ids fn sees
+// strictly increase; retried (apply-once no-op) and rejected batches
+// never fire it.
 //
 // fn runs under the store's apply lock: it must be fast, must not call
 // back into the store beyond Version (which then reports the version the
@@ -566,27 +506,6 @@ func (st *Store) SubscribeApplied(fn func(id uint64, ops []graph.EdgeOp)) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.onApplied = append(st.onApplied, fn)
-}
-
-// AddNode appends a new isolated node and returns its id, growing the
-// shard set when the new id falls past the last shard's range.
-func (st *Store) AddNode() graph.NodeID {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	id := graph.NodeID(st.n)
-	st.n++
-	st.version++
-	p := st.part.ShardOf(id)
-	for p >= len(st.shards) {
-		st.shards = append(st.shards, &shardMut{})
-	}
-	sm := st.shards[p]
-	if st.ownsShard(p) {
-		sm.in = append(sm.in, nil)
-		sm.out = append(sm.out, nil)
-	}
-	sm.version = st.version
-	return id
 }
 
 // Validate checks cross-shard invariants: edge-count agreement between

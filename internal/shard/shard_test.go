@@ -74,9 +74,9 @@ func TestPartitionCoversAllNodes(t *testing.T) {
 	}
 }
 
-// TestStoreMatchesGraph checks that both the store's mutable side and its
-// published snapshot are indistinguishable from the source graph through
-// the View interface, across shard counts and graph shapes.
+// TestStoreMatchesGraph checks that the store's published snapshot is
+// indistinguishable from the source graph through the View interface,
+// across shard counts and graph shapes.
 func TestStoreMatchesGraph(t *testing.T) {
 	rng := xrand.New(31)
 	for trial := 0; trial < 20; trial++ {
@@ -92,7 +92,6 @@ func TestStoreMatchesGraph(t *testing.T) {
 			if err := snap.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			assertViewsMatch(t, g, st)
 			assertViewsMatch(t, g, snap)
 			if gs, ss := g.ComputeStats(), graph.ComputeViewStats(snap); gs != ss {
 				t.Fatalf("p=%d: snapshot stats %+v != graph stats %+v", p, ss, gs)
@@ -146,7 +145,7 @@ func TestPublishRebuildsOnlyTouchedShards(t *testing.T) {
 	stride := st.Partition().Stride()
 	u := graph.NodeID(3 * stride)
 	v := graph.NodeID(3*stride + 1)
-	if err := st.AddEdge(u, v); err != nil {
+	if _, err := st.ApplyBatch(0, []graph.EdgeOp{{U: u, V: v}}); err != nil {
 		t.Fatal(err)
 	}
 	s1 := st.Publish()
@@ -169,7 +168,7 @@ func TestPublishRebuildsOnlyTouchedShards(t *testing.T) {
 		t.Fatalf("old snapshot mutated: %d vs %d edges", s0.NumEdges(), s1.NumEdges())
 	}
 	// A cross-shard edge touches exactly two shards.
-	if err := st.AddEdge(graph.NodeID(5*stride), graph.NodeID(9*stride)); err != nil {
+	if _, err := st.ApplyBatch(0, []graph.EdgeOp{{U: graph.NodeID(5 * stride), V: graph.NodeID(9 * stride)}}); err != nil {
 		t.Fatal(err)
 	}
 	mid := st.Stats()
@@ -210,7 +209,7 @@ func TestStoreChurnAgainstGraph(t *testing.T) {
 					if err := mirror.AddEdge(u, v); err != nil {
 						t.Fatal(err)
 					}
-					if err := st.AddEdge(u, v); err != nil {
+					if _, err := st.ApplyBatch(0, []graph.EdgeOp{{U: u, V: v}}); err != nil {
 						t.Fatal(err)
 					}
 				} else {
@@ -222,7 +221,7 @@ func TestStoreChurnAgainstGraph(t *testing.T) {
 					if err := mirror.RemoveEdge(u, v); err != nil {
 						t.Fatal(err)
 					}
-					if err := st.RemoveEdge(u, v); err != nil {
+					if _, err := st.ApplyBatch(0, []graph.EdgeOp{{U: u, V: v, Remove: true}}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -234,55 +233,25 @@ func TestStoreChurnAgainstGraph(t *testing.T) {
 			if err := snap.Validate(); err != nil {
 				t.Fatalf("p=%d round %d: %v", p, round, err)
 			}
-			assertViewsMatch(t, mirror, st)
 			assertViewsMatch(t, mirror, snap)
 		}
-	}
-}
-
-// TestStoreAddNode grows the store past its initial shard range and
-// checks the new nodes are usable.
-func TestStoreAddNode(t *testing.T) {
-	st := NewEmpty(3, 2, 0)
-	before := st.NumShards()
-	var last graph.NodeID
-	for i := 0; i < 10; i++ {
-		last = st.AddNode()
-	}
-	if want := graph.NodeID(12); last != want {
-		t.Fatalf("last added node %d, want %d", last, want)
-	}
-	if st.NumShards() <= before {
-		t.Fatalf("shard count did not grow past %d", before)
-	}
-	if err := st.AddEdge(0, last); err != nil {
-		t.Fatal(err)
-	}
-	snap := st.Publish()
-	if err := snap.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if snap.NumNodes() != 13 || snap.NumEdges() != 1 {
-		t.Fatalf("snapshot %d nodes/%d edges, want 13/1", snap.NumNodes(), snap.NumEdges())
-	}
-	if got := snap.InNeighbors(last); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("in-neighbors of %d = %v, want [0]", last, got)
 	}
 }
 
 // TestStoreRejectsBadEdges mirrors the graph's validation behavior.
 func TestStoreRejectsBadEdges(t *testing.T) {
 	st := NewEmpty(4, 2, 0)
-	if err := st.AddEdge(0, 0); err == nil {
-		t.Fatal("self-loop accepted")
-	}
-	if err := st.AddEdge(-1, 2); err == nil {
-		t.Fatal("negative node accepted")
-	}
-	if err := st.AddEdge(0, 4); err == nil {
-		t.Fatal("out-of-range node accepted")
-	}
-	if err := st.RemoveEdge(0, 1); err == nil {
-		t.Fatal("removing a missing edge succeeded")
+	for _, c := range []struct {
+		op   graph.EdgeOp
+		what string
+	}{
+		{graph.EdgeOp{U: 0, V: 0}, "self-loop accepted"},
+		{graph.EdgeOp{U: -1, V: 2}, "negative node accepted"},
+		{graph.EdgeOp{U: 0, V: 4}, "out-of-range node accepted"},
+		{graph.EdgeOp{U: 0, V: 1, Remove: true}, "removing a missing edge succeeded"},
+	} {
+		if _, err := st.ApplyBatch(0, []graph.EdgeOp{c.op}); err == nil {
+			t.Fatal(c.what)
+		}
 	}
 }

@@ -221,7 +221,7 @@ func (st *Store) PublishView(ctx context.Context) (graph.VersionedView, error) {
 // is O(changed shards' nodes+edges + shard count), not O(n+m): untouched
 // shards are shared with the previous snapshot by reference. Distinct
 // dirty shards rebuild concurrently on a pool bounded by the store's
-// worker limit. Publish serializes against mutations and itself; a
+// worker limit. Publish serializes against ApplyBatch and itself; a
 // publish with no pending mutations returns the current snapshot
 // untouched.
 func (st *Store) Publish() *StoreSnapshot {
@@ -267,9 +267,9 @@ func (st *Store) PublishCtx(ctx context.Context) (*StoreSnapshot, error) {
 			continue
 		}
 		// A shard is clean iff its version matches what the previous
-		// snapshot encoded (every mutation that touches a shard, including
-		// AddNode growing it, bumps its version).
-		if prev != nil && p < len(prev.csr) && prev.versions[p] == sm.version {
+		// snapshot encoded (every op that touches a shard bumps its
+		// version).
+		if prev != nil && prev.versions[p] == sm.version {
 			next.csr[p] = prev.csr[p]
 			next.versions[p] = prev.versions[p]
 			continue

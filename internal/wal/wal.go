@@ -265,9 +265,6 @@ func Open(dir string, opt Options) (*Log, *Recovery, error) {
 	return l, rec, nil
 }
 
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
 // NextBatch returns the id the next Append will use by default.
 func (l *Log) NextBatch() uint64 {
 	l.mu.Lock()
@@ -652,13 +649,6 @@ func (l *Log) Subscribe(fn func(id uint64, ops []graph.EdgeOp)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.subs = append(l.subs, fn)
-}
-
-// Sync flushes and fsyncs the active segment regardless of policy.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.syncLocked()
 }
 
 func (l *Log) syncLocked() error {
