@@ -225,6 +225,11 @@ func (m *Meter) ChargeWalks(n int64) {
 	}
 }
 
+// WalkCapped reports whether the query caps its walk trials. Kernels that
+// charge walks in batches charge them one at a time while it holds, so
+// the cap trips within one walk per worker.
+func (m *Meter) WalkCapped() bool { return m != nil && m.maxWalks > 0 }
+
 // workPollInterval is the probe-work volume between clock/context polls
 // driven from ChargeWork: every time the cumulative work counter crosses
 // a 64Ki boundary, the charging worker runs a full Poll. This is what

@@ -17,8 +17,8 @@ import (
 // TestTopKAllocatesLessThanOneVector bounds what a warm TopK allocates:
 // scratch comes from the package pool and the answer is ranked from the
 // touched list, so a query must allocate less than one dense n-vector
-// (8n bytes) on average. A fresh scratch set alone is ~56n bytes per
-// worker; the margin absorbs sync.Pool dropping entries at a GC.
+// (8n bytes) on average. A fresh scratch set alone is up to ~36n bytes
+// per worker; the margin absorbs sync.Pool dropping entries at a GC.
 func TestTopKAllocatesLessThanOneVector(t *testing.T) {
 	const n, queries = 20_000, 50
 	g := gen.PreferentialAttachment(n, 8, 1)

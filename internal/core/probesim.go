@@ -295,12 +295,6 @@ func (sc *queryScratch) scatter(dst []float64) []float64 {
 // the worker count.
 const walkStreamBase = 1 << 32
 
-// walkWave is how many trials a batched run generates per GenerateMany
-// call before inserting them into the walk tree. GenerateMany checks the
-// budget meter once per call, so the wave also bounds the walks a budget
-// stop cannot interrupt.
-const walkWave = 256
-
 // runPerWalk executes the non-batched modes: nr independent trials, each
 // generating one √c-walk and probing all of its prefixes. Trials are
 // partitioned across workers, each trial drawing from its own seed-derived
@@ -386,114 +380,76 @@ func runPerWalk(g graph.View, u graph.NodeID, plan Plan, m *budget.Meter) []*que
 func runBatched(g graph.View, u graph.NodeID, plan Plan, m *budget.Meter, track bool) []*queryScratch {
 	n := g.NumNodes()
 	rootRNG := xrand.New(plan.Seed)
-	// Walk trial t draws from the same per-trial stream the per-walk modes
-	// use (walkStreamBase + t), so batching is observably a pure
-	// deduplication of probes. Trials are generated in waves of walkWave.
-	walkSC := pool.get(n)
-	tree := walkSC.walkTree(u)
-	gen := walk.NewGenerator(g, plan.C, rootRNG)
-	gen.SetMeter(m)
-	// Tree inserts are cheap relative to probes, so the walk stage polls
-	// at a coarser interval; a budget tripping here leaves a partial tree
-	// whose paths the (immediately draining) probe stage never expands.
-	cpWalk := budget.NewCheckpoint(m, 4*budget.DefaultInterval)
-	var (
-		states  [walkWave]uint64
-		wave    = walkSC.wave
-		stopped bool
-	)
-	for t0 := 0; t0 < plan.NumWalks && !stopped; t0 += walkWave {
-		hi := min(t0+walkWave, plan.NumWalks)
-		for t := t0; t < hi; t++ {
-			states[t-t0] = rootRNG.SplitState(walkStreamBase + uint64(t))
-		}
-		wave = gen.GenerateMany(u, states[:hi-t0], plan.MaxWalkNodes, wave)
-		// Inserts run in trial order: the tree's sibling lists — and so the
-		// enumerated path order and per-path probe streams — depend on
-		// insertion order.
-		for i := range wave {
-			if cpWalk.Stop() {
-				stopped = true
-				break
-			}
-			if err := tree.Insert(wave[i]); err != nil {
-				// Unreachable: walks always start at u.
-				panic(err)
-			}
-			m.ChargeWalks(1)
-		}
+	scs := make([]*queryScratch, max(1, min(plan.Workers, plan.NumWalks)))
+	for w := range scs {
+		scs[w] = pool.get(n)
 	}
-	walkSC.wave = wave
-	// Enumerate paths into the pooled arena; they are consumed before the
-	// scratch returns to the pool.
-	paths, arena := tree.AppendPaths(walkSC.paths[:0], walkSC.arena[:0])
-	walkSC.paths, walkSC.arena = paths, arena
+	tree := buildTree(g, u, plan, m, rootRNG, scs)
+	// Path enumeration is walk-stage work too. The paths pack into worker
+	// 0's pooled arena and are consumed before the scratch returns to the
+	// pool.
+	clk := m.StageStart()
+	paths, arena := tree.AppendPaths(scs[0].paths[:0], scs[0].arena[:0])
+	scs[0].paths, scs[0].arena = paths, arena
 	if track {
-		log := walkSC.readLog()
+		log := scs[0].readLog()
 		for _, v := range tree.node {
 			log.Add(v)
 		}
 	}
+	m.StageEnd(qtrace.StageWalk, clk)
 
+	// The walk workers' scratch sets, accumulators still zero, serve the
+	// probe workers, of which there is at most one per path.
+	workers := max(1, min(plan.Workers, len(paths)))
+	for len(scs) < workers {
+		scs = append(scs, pool.get(n))
+	}
+	for _, sc := range scs[workers:] {
+		pool.put(sc)
+	}
+	scs = scs[:workers]
 	hybrid := plan.Mode == ModeHybrid || plan.Mode == ModeAuto
-	workers := plan.Workers
-	if workers > len(paths) {
-		workers = len(paths)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	scs := make([]*queryScratch, workers)
-	// The walk scratch doubles as worker 0's probe scratch: its accumulator
-	// is still zeroed, only its walk buffer was used.
-	scs[0] = walkSC
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		if scs[w] == nil {
-			scs[w] = pool.get(n)
+	probeRange := func(w int) {
+		sc := scs[w]
+		det := sc.det
+		det.SetMeter(m)
+		var rnd *probe.Scratch
+		if hybrid {
+			rnd = sc.randomized()
+			rnd.SetMeter(m)
 		}
-		wg.Add(1)
-		go func(w int, sc *queryScratch) {
-			defer wg.Done()
-			det := sc.det
-			det.SetMeter(m)
-			var rnd *probe.Scratch
+		if track {
+			det.SetReadLog(sc.readLog())
+			if rnd != nil {
+				rnd.SetReadLog(sc.reads)
+			}
+		}
+		cp := budget.NewCheckpoint(m, budget.DefaultInterval)
+		// One probe window per worker: stage totals aggregate the
+		// workers' concurrent probe time (CPU-seconds, not wall clock).
+		clk := m.StageStart()
+		for pi := w; pi < len(paths); pi += workers {
+			if cp.Stop() {
+				break
+			}
+			p := paths[pi]
+			// Each path gets its own RNG stream so results do not
+			// depend on the worker count.
+			rng := rootRNG.Split(uint64(pi) + 0x10000)
 			if hybrid {
-				rnd = sc.randomized()
-				rnd.SetMeter(m)
-			}
-			if track {
-				det.SetReadLog(sc.readLog())
-				if rnd != nil {
-					rnd.SetReadLog(sc.reads)
+				probePathHybrid(g, p, plan, sc, rnd, rng, m)
+			} else {
+				res := probe.Deterministic(g, p.Nodes, plan.SqrtC, plan.EpsP, det)
+				scale := float64(p.Weight)
+				for _, v := range res.Nodes {
+					sc.add(v, scale*res.Scores[v])
 				}
 			}
-			cp := budget.NewCheckpoint(m, budget.DefaultInterval)
-			// One probe window per worker: stage totals aggregate the
-			// workers' concurrent probe time (CPU-seconds, not wall clock).
-			clk := m.StageStart()
-			for pi := w; pi < len(paths); pi += workers {
-				if cp.Stop() {
-					break
-				}
-				p := paths[pi]
-				// Each path gets its own RNG stream so results do not
-				// depend on the worker count.
-				rng := rootRNG.Split(uint64(pi) + 0x10000)
-				if hybrid {
-					probePathHybrid(g, p, plan, sc, rnd, rng, m)
-				} else {
-					res := probe.Deterministic(g, p.Nodes, plan.SqrtC, plan.EpsP, det)
-					scale := float64(p.Weight)
-					for _, v := range res.Nodes {
-						sc.add(v, scale*res.Scores[v])
-					}
-				}
-			}
-			m.StageEnd(qtrace.StageProbe, clk)
-		}(w, scs[w])
+		}
+		m.StageEnd(qtrace.StageProbe, clk)
 	}
-	wg.Wait()
+	onWorkers(workers, probeRange)
 	if track {
 		log := scs[0].reads
 		for _, sc := range scs[1:] {
@@ -504,6 +460,73 @@ func runBatched(g graph.View, u graph.NodeID, plan Plan, m *budget.Meter, track 
 		}
 	}
 	return scs
+}
+
+// buildTree builds the query's walk tree from its nr walks and returns
+// it, merged into scs[0]'s tree. There is one worker per scratch set:
+// worker w draws the w-th of len(scs) contiguous trial ranges, trial t
+// from the stream the per-walk modes use for it (walkStreamBase + t),
+// straight into its own tree. The trees then merge into worker 0's in
+// worker order, which yields the tree serial insertion of trials
+// 0..nr-1 builds, so the tree, its path order and every per-path stream
+// do not depend on the worker count. The workers share only the
+// read-only root stream and adjacency, and the query's meter.
+//
+// Walks are charged to the meter in one batch per worker, or one at a time
+// when the query caps them, so the cap trips within one walk per worker.
+// Tree growth is cheap relative to probes, so the stage polls at a coarser
+// interval; a budget tripping here leaves partial trees whose paths the
+// (immediately draining) probe stage never expands.
+func buildTree(g graph.View, u graph.NodeID, plan Plan, m *budget.Meter, root *xrand.RNG, scs []*queryScratch) *WalkTree {
+	adj := graph.ResolveAdj(g)
+	perWalk := m.WalkCapped()
+	grow := func(w int) {
+		clk := m.StageStart()
+		tree := scs[w].walkTree(u)
+		cp := budget.NewCheckpoint(m, 4*budget.DefaultInterval)
+		var (
+			rng   xrand.RNG
+			drawn int64
+		)
+		lo, hi := plan.NumWalks*w/len(scs), plan.NumWalks*(w+1)/len(scs)
+		for t := lo; t < hi; t++ {
+			if cp.Stop() {
+				break
+			}
+			rng.SetState(root.SplitState(walkStreamBase + uint64(t)))
+			tree.Draw(&adj, plan.MaxWalkNodes-1, plan.SqrtC, &rng)
+			if perWalk {
+				m.ChargeWalks(1)
+			} else {
+				drawn++
+			}
+		}
+		m.ChargeWalks(drawn)
+		m.StageEnd(qtrace.StageWalk, clk)
+	}
+	onWorkers(len(scs), grow)
+	clk := m.StageStart()
+	tree := scs[0].tree
+	for _, sc := range scs[1:] {
+		tree.Merge(sc.tree)
+	}
+	m.StageEnd(qtrace.StageWalk, clk)
+	return tree
+}
+
+// onWorkers runs f(0), ..., f(workers-1) concurrently, f(0) on the
+// calling goroutine, and returns when all have.
+func onWorkers(workers int, f func(w int)) {
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(w)
+		}()
+	}
+	f(0)
+	wg.Wait()
 }
 
 // probePathHybrid probes one weighted path with the §4.4 strategy: expand

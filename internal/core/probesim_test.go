@@ -184,8 +184,9 @@ func TestDeterministicResults(t *testing.T) {
 	}
 }
 
-// Batched modes are worker-count invariant: the walk tree is built
-// sequentially and each path owns a seed-derived RNG stream.
+// Batched modes are worker-count invariant: the workers' walk trees merge
+// into the tree serial insertion of the trial streams builds, and each
+// path owns a seed-derived RNG stream.
 func TestBatchWorkerInvariance(t *testing.T) {
 	rng := xrand.New(4)
 	g := randomGraph(rng, 50, 250)

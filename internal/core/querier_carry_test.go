@@ -109,7 +109,8 @@ func TestQuerierCarryRefusesMissPastTouchingBatch(t *testing.T) {
 // back) and publishing each. Every answer a query returns must equal a
 // fresh kernel run on the snapshot published when it was served: the
 // one published throughout the call, or one published during it when a
-// write overlapped the call.
+// write overlapped the call. Readers keep reading until the run has
+// exercised a hit and an invalidation, or the writer is done.
 func TestQuerierCarryConcurrentMissesMatchPublished(t *testing.T) {
 	const n = 300
 	g := gen.PreferentialAttachment(n, 4, 41)
@@ -130,10 +131,11 @@ func TestQuerierCarryConcurrentMissesMatchPublished(t *testing.T) {
 
 	ctx := context.Background()
 	var readers, others sync.WaitGroup
-	stop := make(chan struct{})
+	stop, written := make(chan struct{}), make(chan struct{})
 	others.Add(1)
 	go func() { // writer
 		defer others.Done()
+		defer close(written)
 		rng := xrand.New(42)
 		var added []graph.EdgeOp
 		for b := 0; b < 400; b++ {
@@ -191,12 +193,30 @@ func TestQuerierCarryConcurrentMissesMatchPublished(t *testing.T) {
 			}
 		}
 	}()
+	// Each reader reads at least 150 times, and then on until the cache
+	// has served a hit and dropped an entry, the final check's condition,
+	// or until the writer's batches end: a fast kernel can otherwise
+	// finish every read before the first batch that drops anything.
+	exercised := func() bool {
+		cs := q.CacheStats()
+		return cs.Hits > 0 && cs.Invalidations.Total()+cs.PinnedDropped > 0
+	}
 	for w := 0; w < 4; w++ {
 		readers.Add(1)
 		go func(w int) {
 			defer readers.Done()
 			rng := xrand.New(uint64(100 + w))
-			for i := 0; i < 150; i++ {
+			for i := 0; ; i++ {
+				if i >= 150 {
+					if exercised() {
+						return
+					}
+					select {
+					case <-written:
+						return
+					default:
+					}
+				}
 				u := sources[rng.Intn(len(sources))]
 				before := st.Current().Version()
 				r, err := q.Ranked(ctx, u)

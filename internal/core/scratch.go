@@ -9,9 +9,12 @@ import (
 
 // queryScratch bundles every reusable buffer one worker needs to run
 // ProbeSim trials on a graph with n nodes: the dense score accumulator
-// and its touched list, deterministic and randomized probe scratch, and
-// the walk buffer. A fresh set is ~56n bytes, so every query takes its
-// sets from the package's scratch pool.
+// and its touched list, deterministic and randomized probe scratch, the
+// walk buffer and the worker's walk tree. A batched-mode set is up to
+// ~36n bytes: 8n of accumulator, 20n of deterministic probe arrays and,
+// once a hybrid probe switches, 8n of randomized ones (probe.Scratch
+// allocates each n-length array on first use by the probe kind that
+// reads it). Every query takes its sets from the package's scratch pool.
 type queryScratch struct {
 	n int
 	// acc is the dense score accumulator. touched lists, in order of
@@ -26,14 +29,14 @@ type queryScratch struct {
 	buf     []graph.NodeID
 
 	// Batch-mode extras, lazily grown and recycled with the scratch: the
-	// reverse-reachability walk tree, the enumerated path headers, and the
-	// arena their node sequences pack into. Their sizes track the walk
-	// budget rather than n, which is fine — capacity adapts within a pool
-	// bucket exactly like the walk buffer does.
+	// worker's reverse-reachability walk tree (worker 0's also receives
+	// the merge), the enumerated path headers, and the arena their node
+	// sequences pack into. Their sizes track the walk budget rather than
+	// n, which is fine — capacity adapts within a pool bucket exactly like
+	// the walk buffer does.
 	tree  *WalkTree
 	paths []Path
 	arena []graph.NodeID
-	wave  [][]graph.NodeID
 
 	// reads is the worker's read log, lazily allocated by a tracked query
 	// (SingleSourceTracked) and recycled with the scratch; untracked

@@ -4,19 +4,30 @@ import (
 	"fmt"
 
 	"probesim/internal/graph"
+	"probesim/internal/walk"
+	"probesim/internal/xrand"
 )
 
 // WalkTree is the reverse-reachability tree of §4.2 (Algorithm 3): a
 // compact trie over the nr √c-walks of a query. Each tree node stores a
 // graph node and the number of walks sharing the root-to-node prefix, so
 // that a shared prefix is probed once and its scores weighted by the count.
+//
+// Tree nodes are numbered in creation order, so a node's parent always
+// has a smaller index, and a new child is pushed to the front of its
+// parent's sibling list. The structure, and with it the path order
+// AppendPaths enumerates, is therefore a function of the walks' order
+// alone, which is what lets Merge rebuild a serially built tree exactly
+// from trees built over consecutive runs of walks.
 type WalkTree struct {
 	node        []graph.NodeID
 	weight      []int64
+	parent      []int32
 	firstChild  []int32
 	nextSibling []int32
 	walks       int64
 	pathBuf     []graph.NodeID // reusable DFS stack for AppendPaths
+	remap       []int32        // reusable src-to-tree index map for Merge
 }
 
 // NewWalkTree returns a tree whose root holds the query node u with weight
@@ -26,6 +37,7 @@ func NewWalkTree(u graph.NodeID) *WalkTree {
 	return &WalkTree{
 		node:        []graph.NodeID{u},
 		weight:      []int64{0},
+		parent:      []int32{-1},
 		firstChild:  []int32{-1},
 		nextSibling: []int32{-1},
 	}
@@ -38,6 +50,7 @@ func NewWalkTree(u graph.NodeID) *WalkTree {
 func (t *WalkTree) Reset(u graph.NodeID) {
 	t.node = append(t.node[:0], u)
 	t.weight = append(t.weight[:0], 0)
+	t.parent = append(t.parent[:0], -1)
 	t.firstChild = append(t.firstChild[:0], -1)
 	t.nextSibling = append(t.nextSibling[:0], -1)
 	t.walks = 0
@@ -54,14 +67,54 @@ func (t *WalkTree) Insert(w []graph.NodeID) error {
 	t.weight[0]++
 	cur := int32(0)
 	for _, g := range w[1:] {
-		child := t.findChild(cur, g)
-		if child < 0 {
-			child = t.addChild(cur, g)
-		}
-		t.weight[child]++
-		cur = child
+		cur = t.child(cur, g)
+		t.weight[cur]++
 	}
 	return nil
+}
+
+// Draw draws one √c-walk from the root with at most room steps from rng,
+// through walk.Step, and inserts each step as it is drawn. It consumes
+// exactly the draws walk.Segment(adj, root, room, sqrtC, rng, ...) does,
+// and leaves the tree as Insert of that walk would.
+func (t *WalkTree) Draw(adj *graph.Adj, room int, sqrtC float64, rng *xrand.RNG) {
+	t.walks++
+	t.weight[0]++
+	cur, g := int32(0), t.node[0]
+	for ; room > 0; room-- {
+		next, ok := walk.Step(adj, g, sqrtC, rng)
+		if !ok {
+			return
+		}
+		cur, g = t.child(cur, next), next
+		t.weight[cur]++
+	}
+}
+
+// Merge adds src's walks to t as if they had been inserted after t's
+// own, in their order. src must have t's root. Visiting src's nodes in
+// creation order meets each prefix's first appearance in the order
+// inserting src's walks would, so the merged tree equals the one serial
+// insertion builds node for node: the same indices, sibling order and
+// weights.
+func (t *WalkTree) Merge(src *WalkTree) {
+	t.walks += src.walks
+	t.weight[0] += src.weight[0]
+	remap := append(t.remap[:0], 0)
+	for i := 1; i < len(src.node); i++ {
+		c := t.child(remap[src.parent[i]], src.node[i])
+		t.weight[c] += src.weight[i]
+		remap = append(remap, c)
+	}
+	t.remap = remap
+}
+
+// child returns parent's child holding g, creating it if needed.
+func (t *WalkTree) child(parent int32, g graph.NodeID) int32 {
+	if c := t.findChild(parent, g); c >= 0 {
+		return c
+	}
+	return t.addChild(parent, g)
 }
 
 func (t *WalkTree) findChild(parent int32, g graph.NodeID) int32 {
@@ -77,6 +130,7 @@ func (t *WalkTree) addChild(parent int32, g graph.NodeID) int32 {
 	id := int32(len(t.node))
 	t.node = append(t.node, g)
 	t.weight = append(t.weight, 0)
+	t.parent = append(t.parent, parent)
 	t.firstChild = append(t.firstChild, -1)
 	t.nextSibling = append(t.nextSibling, t.firstChild[parent])
 	t.firstChild[parent] = id

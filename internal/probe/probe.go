@@ -154,14 +154,32 @@ func (s *Scratch) ReleaseView() {
 	s.adj = graph.Adj{}
 }
 
-// NewScratch allocates probe buffers for a graph with n nodes.
-func NewScratch(n int) *Scratch {
-	return &Scratch{
-		n:        n,
-		curScore: make([]float64, n),
-		newScore: make([]float64, n),
-		mark:     make([]uint32, n),
-		member:   make([]uint32, n),
+// NewScratch returns probe buffers for a graph with n nodes. Each n-length
+// array is allocated on first use by the probe kind that reads it:
+// deterministic probes (Deterministic, Stepper) use curScore, newScore and
+// mark, 20n bytes; randomized ones (Randomized, ContinueRandomized) use
+// member and mark, 8n bytes. A Scratch that only ever runs one kind never
+// holds the other's arrays.
+func NewScratch(n int) *Scratch { return &Scratch{n: n} }
+
+// forDeterministic allocates the arrays deterministic levels read.
+func (s *Scratch) forDeterministic() {
+	if s.curScore == nil {
+		s.curScore = make([]float64, s.n)
+		s.newScore = make([]float64, s.n)
+	}
+	if s.mark == nil {
+		s.mark = make([]uint32, s.n)
+	}
+}
+
+// forRandomized allocates the arrays randomized levels read.
+func (s *Scratch) forRandomized() {
+	if s.member == nil {
+		s.member = make([]uint32, s.n)
+	}
+	if s.mark == nil {
+		s.mark = make([]uint32, s.n)
 	}
 }
 
@@ -214,6 +232,7 @@ func Deterministic(g graph.View, path []graph.NodeID, sqrtC, epsP float64, s *Sc
 	if i < 2 {
 		return Result{}
 	}
+	s.forDeterministic()
 	adj := s.adjFor(g)
 	cur := append(s.curList[:0], path[i-1])
 	s.curScore[path[i-1]] = 1
@@ -314,6 +333,7 @@ func Randomized(g graph.View, path []graph.NodeID, sqrtC float64, rng *xrand.RNG
 	if i < 2 {
 		return nil
 	}
+	s.forRandomized()
 	adj := s.adjFor(g)
 	ep := s.nextMemberEpoch()
 	s.member[path[i-1]] = ep
@@ -343,6 +363,7 @@ func ContinueRandomized(g graph.View, path []graph.NodeID, j int, members []grap
 		// scratch so the aliasing contract matches the other entry points.
 		return append(s.curList[:0], members...)
 	}
+	s.forRandomized()
 	adj := s.adjFor(g)
 	ep := s.nextMemberEpoch()
 	cur := s.curList[:0]

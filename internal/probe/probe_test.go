@@ -73,6 +73,7 @@ func TestDeterministicPaperExample(t *testing.T) {
 func TestDeterministicIntermediateLevels(t *testing.T) {
 	g := graph.Toy()
 	s := NewScratch(g.NumNodes())
+	s.forDeterministic() // the levels below run without Deterministic's set-up
 	path := []graph.NodeID{graph.ToyA, graph.ToyB, graph.ToyA, graph.ToyB}
 	adj := graph.ResolveAdj(g)
 	cur := append(s.curList[:0], path[3])
@@ -309,6 +310,7 @@ func TestContinueRandomizedUnbiased(t *testing.T) {
 
 	// Recompute H1 deterministically, then hand over at j = 1.
 	s1 := NewScratch(g.NumNodes())
+	s1.forDeterministic() // the level below runs without Deterministic's set-up
 	adj := graph.ResolveAdj(g)
 	cur := append(s1.curList[:0], path[3])
 	s1.curScore[path[3]] = 1

@@ -22,6 +22,7 @@ type Stepper struct {
 // Scratch is owned by the stepper until the probe finishes; path must have
 // length >= 2.
 func NewStepper(g graph.View, path []graph.NodeID, sqrtC, epsP float64, s *Scratch) *Stepper {
+	s.forDeterministic()
 	st := &Stepper{adj: s.adjFor(g), path: path, sqrtC: sqrtC, epsP: epsP, s: s, j: 0}
 	st.cur = append(s.curList[:0], path[len(path)-1])
 	s.curScore[path[len(path)-1]] = 1

@@ -119,7 +119,7 @@ func (s Span) MarshalJSON() ([]byte, error) {
 type Stage uint8
 
 const (
-	StageWalk  Stage = iota // √c-walk generation (trials / segments)
+	StageWalk  Stage = iota // √c-walk generation; in batched modes the whole walk-tree build (draws, inserts, merge, path enumeration)
 	StageProbe              // probe expansion (deterministic or randomized)
 	NumStages
 )

@@ -5,7 +5,8 @@
 //
 //   - An edge batch republishes in O(batch + touched shards) instead of
 //     O(n+m): only the shards whose node ranges the batch touched are
-//     re-encoded to CSR, on a bounded worker pool; untouched shards are
+//     re-encoded to CSR, and of those only the sides (in- or out-lists)
+//     it moved, on a bounded worker pool; untouched shards and sides are
 //     shared by pointer with the previous snapshot.
 //   - Queries run unchanged and bit-identically: the published composite
 //     snapshot implements graph.View and graph.AdjProvider, so every
@@ -73,13 +74,18 @@ func (pt Partition) Count(n int) int {
 }
 
 // shardMut is one shard's mutable side: slice-of-slice adjacency for the
-// shard's node range (local index), plus the store version of its last
-// mutation — the dirtiness signal Publish compares against the published
-// snapshot to decide which shards to rebuild.
+// shard's node range (local index), plus the store version of the last
+// mutation of each of its two sides — the dirtiness signals Publish
+// compares against the published snapshot to decide which shards, and
+// which of their sides, to rebuild.
 type shardMut struct {
-	in, out [][]graph.NodeID // local index; destination ids are global
-	version uint64
+	in, out               [][]graph.NodeID // local index; destination ids are global
+	inVersion, outVersion uint64
 }
+
+// version returns the shard's version: the store version of its last
+// mutation on either side, the one snapshots publish per shard.
+func (sm *shardMut) version() uint64 { return max(sm.inVersion, sm.outVersion) }
 
 // Store is the sharded counterpart of the monolithic *graph.Graph +
 // core.Executor snapshot pair: the mutable write side of the graph,
@@ -183,7 +189,7 @@ func newStore(g *graph.Graph, shards, workers, index, group int) *Store {
 	st.shards = make([]*shardMut, count)
 	stride := st.part.Stride()
 	for p := 0; p < count; p++ {
-		sm := &shardMut{version: st.version}
+		sm := &shardMut{inVersion: st.version, outVersion: st.version}
 		if st.ownsShard(p) {
 			lo := p * stride
 			hi := lo + stride
@@ -279,7 +285,7 @@ func restore(n int, m int64, version, lastBatch uint64, shift uint32, csr []grap
 				return nil, fmt.Errorf("shard: restore shard %d: data present for a shard outside scope %d/%d",
 					p, index, group)
 			}
-			st.shards[p] = &shardMut{version: shardVersions[p]}
+			st.shards[p] = &shardMut{inVersion: shardVersions[p], outVersion: shardVersions[p]}
 			continue
 		}
 		if err := CheckBlock(*sh, p, shift, n); err != nil {
@@ -287,9 +293,10 @@ func restore(n int, m int64, version, lastBatch uint64, shift uint32, csr []grap
 		}
 		local := len(sh.InOff) - 1
 		sm := &shardMut{
-			in:      make([][]graph.NodeID, local),
-			out:     make([][]graph.NodeID, local),
-			version: shardVersions[p],
+			in:         make([][]graph.NodeID, local),
+			out:        make([][]graph.NodeID, local),
+			inVersion:  shardVersions[p],
+			outVersion: shardVersions[p],
 		}
 		for l := 0; l < local; l++ {
 			if in := sh.InDst[sh.InOff[l]:sh.InOff[l+1]]; len(in) > 0 {
@@ -379,13 +386,13 @@ func (st *Store) addEdgeLocked(u, v graph.NodeID) error {
 	if st.ownsShard(pu) {
 		su.out[st.part.LocalOf(u)] = append(su.out[st.part.LocalOf(u)], v)
 	}
-	su.version = st.version
+	su.outVersion = st.version
 	pv := st.part.ShardOf(v)
 	sv := st.shards[pv]
 	if st.ownsShard(pv) {
 		sv.in[st.part.LocalOf(v)] = append(sv.in[st.part.LocalOf(v)], u)
 	}
-	sv.version = st.version
+	sv.inVersion = st.version
 	st.m++
 	return nil
 }
@@ -417,8 +424,8 @@ func (st *Store) removeEdgeLocked(u, v graph.NodeID) error {
 		return fmt.Errorf("shard: edge %d -> %d not found", u, v)
 	}
 	st.version++
-	su.version = st.version
-	sv.version = st.version
+	su.outVersion = st.version
+	sv.inVersion = st.version
 	st.m--
 	return nil
 }

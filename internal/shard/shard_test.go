@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"slices"
 	"testing"
+	"unsafe"
 
 	"probesim/internal/gen"
 	"probesim/internal/graph"
@@ -185,6 +187,84 @@ func TestPublishRebuildsOnlyTouchedShards(t *testing.T) {
 	if st.Stats().NoopPublishes == 0 {
 		t.Fatal("no-op publish not counted")
 	}
+}
+
+// TestPublishReencodesOnlyMovedSides: a batch whose edges all leave
+// shard 0 for shard 2 moves only shard 0's out-side and shard 2's
+// in-side. Publication re-encodes just those two sides and shares the
+// other two with the previous snapshot by reference, and the result
+// equals a fresh store of the same graph, offsets and destinations alike.
+func TestPublishReencodesOnlyMovedSides(t *testing.T) {
+	const n = 256
+	g := randomGraph(t, n, 2000, xrand.New(17))
+	st := NewStore(g.Clone(), 4, 0)
+	stride := st.Partition().Stride()
+	s0 := st.Current()
+	before := st.Stats()
+	ops := []graph.EdgeOp{
+		{U: 1, V: graph.NodeID(2*stride + 3)},
+		{U: 5, V: graph.NodeID(2*stride + 9)},
+		{U: 1, V: graph.NodeID(2*stride + 9)},
+	}
+	// A removal of an existing 0 -> 2 edge moves the same two sides.
+	for u := graph.NodeID(0); int(u) < stride; u++ {
+		if v := g.OutNeighbors(u); len(v) > 0 && st.Partition().ShardOf(v[0]) == 2 {
+			ops = append(ops, graph.EdgeOp{U: u, V: v[0], Remove: true})
+			break
+		}
+	}
+	if len(ops) != 4 {
+		t.Fatal("the graph has no edge from shard 0 to shard 2 to remove")
+	}
+	if _, err := st.ApplyBatch(0, ops); err != nil {
+		t.Fatal(err)
+	}
+	mirror := g.Clone()
+	for _, op := range ops {
+		apply := mirror.AddEdge
+		if op.Remove {
+			apply = mirror.RemoveEdge
+		}
+		if err := apply(op.U, op.V); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s1 := st.Publish()
+	shared := func(a, b []graph.NodeID) bool { return unsafe.SliceData(a) == unsafe.SliceData(b) }
+	sharedOff := func(a, b []uint32) bool { return unsafe.SliceData(a) == unsafe.SliceData(b) }
+	if !shared(s0.csr[0].InDst, s1.csr[0].InDst) || !sharedOff(s0.csr[0].InOff, s1.csr[0].InOff) {
+		t.Fatal("shard 0's in-side was re-encoded, though only its out-lists moved")
+	}
+	if !shared(s0.csr[2].OutDst, s1.csr[2].OutDst) || !sharedOff(s0.csr[2].OutOff, s1.csr[2].OutOff) {
+		t.Fatal("shard 2's out-side was re-encoded, though only its in-lists moved")
+	}
+	if shared(s0.csr[0].OutDst, s1.csr[0].OutDst) || shared(s0.csr[2].InDst, s1.csr[2].InDst) {
+		t.Fatal("a moved side was not re-encoded")
+	}
+	for _, p := range []int{1, 3} {
+		if !shared(s0.csr[p].InDst, s1.csr[p].InDst) || !shared(s0.csr[p].OutDst, s1.csr[p].OutDst) {
+			t.Fatalf("untouched shard %d was re-encoded", p)
+		}
+	}
+	after := st.Stats()
+	if got, want := after.EdgesReEncoded-before.EdgesReEncoded, int64(len(s1.csr[0].OutDst)+len(s1.csr[2].InDst)); got != want {
+		t.Fatalf("re-encoded %d entries, want %d (the two moved sides)", got, want)
+	}
+	if rebuilt := after.ShardsRebuilt - before.ShardsRebuilt; rebuilt != 2 {
+		t.Fatalf("rebuilt %d shards, want 2", rebuilt)
+	}
+	if err := s1.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewStore(mirror, 4, 0).Current()
+	for p := range fresh.csr {
+		a, b := fresh.csr[p], s1.csr[p]
+		if !slices.Equal(a.InOff, b.InOff) || !slices.Equal(a.InDst, b.InDst) ||
+			!slices.Equal(a.OutOff, b.OutOff) || !slices.Equal(a.OutDst, b.OutDst) {
+			t.Fatalf("shard %d differs from a fresh store of the same graph", p)
+		}
+	}
+	assertViewsMatch(t, mirror, s1)
 }
 
 // TestStoreChurnAgainstGraph mirrors random mutations into a monolithic

@@ -216,10 +216,11 @@ func (st *Store) PublishView(ctx context.Context) (graph.VersionedView, error) {
 	return st.PublishCtx(ctx)
 }
 
-// Publish re-encodes every shard whose mutable side moved since the last
-// publication and atomically publishes the new composite snapshot. Cost
-// is O(changed shards' nodes+edges + shard count), not O(n+m): untouched
-// shards are shared with the previous snapshot by reference. Distinct
+// Publish re-encodes every shard side (in-lists or out-lists) that moved
+// since the last publication and atomically publishes the new composite
+// snapshot. Cost is O(changed sides' nodes+edges + shard count), not
+// O(n+m): untouched shards, and the unmoved side of a touched shard, are
+// shared with the previous snapshot by reference. Distinct
 // dirty shards rebuild concurrently on a pool bounded by the store's
 // worker limit. Publish serializes against ApplyBatch and itself; a
 // publish with no pending mutations returns the current snapshot
@@ -263,20 +264,20 @@ func (st *Store) PublishCtx(ctx context.Context) (*StoreSnapshot, error) {
 		// only its version rides along, so the staleness/dirtiness
 		// signals stay in lockstep with the full stores in the fleet.
 		if !st.ownsShard(p) {
-			next.versions[p] = sm.version
+			next.versions[p] = sm.version()
 			continue
 		}
 		// A shard is clean iff its version matches what the previous
 		// snapshot encoded (every op that touches a shard bumps its
 		// version).
-		if prev != nil && prev.versions[p] == sm.version {
+		if prev != nil && prev.versions[p] == sm.version() {
 			next.csr[p] = prev.csr[p]
 			next.versions[p] = prev.versions[p]
 			continue
 		}
 		dirty = append(dirty, p)
 	}
-	if err := st.rebuild(ctx, next, dirty); err != nil {
+	if err := st.rebuild(ctx, prev, next, dirty); err != nil {
 		st.abortedPublishes.Add(1)
 		return prev, fmt.Errorf("shard: publication aborted: %w", err)
 	}
@@ -301,7 +302,7 @@ const rebuildParallelThreshold = 1 << 16
 // worker pool when there is enough work to amortize it. Workers check ctx
 // between shard encodes (one shard is the cancellation granularity); on
 // cancellation the partially filled next is abandoned by the caller.
-func (st *Store) rebuild(ctx context.Context, next *StoreSnapshot, dirty []int) error {
+func (st *Store) rebuild(ctx context.Context, prev, next *StoreSnapshot, dirty []int) error {
 	workers := st.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -310,13 +311,18 @@ func (st *Store) rebuild(ctx context.Context, next *StoreSnapshot, dirty []int) 
 		workers = len(dirty)
 	}
 	if workers > 1 {
-		// Cheap pre-pass (a len() sum over the dirty shards' lists): skip
-		// the fan-out when there is not enough copying to amortize it.
+		// Cheap pre-pass (a len() sum over the lists of the sides to
+		// encode): skip the fan-out when there is not enough copying to
+		// amortize it.
 		var work int64
 		for _, p := range dirty {
 			sm := st.shards[p]
-			for l := range sm.in {
-				work += int64(len(sm.in[l])) + int64(len(sm.out[l]))
+			in, out := sm.moved(prev, p)
+			if in {
+				work += entries(sm.in)
+			}
+			if out {
+				work += entries(sm.out)
 			}
 		}
 		if work < rebuildParallelThreshold {
@@ -333,7 +339,7 @@ func (st *Store) rebuild(ctx context.Context, next *StoreSnapshot, dirty []int) 
 					return err
 				}
 			}
-			st.encodeShard(next, p)
+			st.encodeShard(prev, next, p)
 		}
 		return nil
 	}
@@ -358,7 +364,7 @@ func (st *Store) rebuild(ctx context.Context, next *StoreSnapshot, dirty []int) 
 				if i >= len(dirty) {
 					return
 				}
-				st.encodeShard(next, dirty[i])
+				st.encodeShard(prev, next, dirty[i])
 			}
 		}()
 	}
@@ -369,33 +375,62 @@ func (st *Store) rebuild(ctx context.Context, next *StoreSnapshot, dirty []int) 
 	return nil
 }
 
+// moved reports which sides of shard p moved since prev encoded it: a
+// side no op has touched since then still equals prev's block side.
+func (sm *shardMut) moved(prev *StoreSnapshot, p int) (in, out bool) {
+	if prev == nil {
+		return true, true
+	}
+	return sm.inVersion > prev.versions[p], sm.outVersion > prev.versions[p]
+}
+
 // encodeShard builds shard p's CSR from its mutable adjacency, preserving
-// neighbor order exactly.
-func (st *Store) encodeShard(next *StoreSnapshot, p int) {
+// neighbor order exactly. Only the sides that moved since prev are
+// re-encoded; the other side shares prev's arrays.
+func (st *Store) encodeShard(prev, next *StoreSnapshot, p int) {
 	sm := st.shards[p]
-	local := len(sm.in)
-	var mIn, mOut int64
-	for l := 0; l < local; l++ {
-		mIn += int64(len(sm.in[l]))
-		mOut += int64(len(sm.out[l]))
+	in, out := sm.moved(prev, p)
+	var sh graph.CSRShard
+	var copied int64
+	if in {
+		sh.InOff, sh.InDst = encodeSide(sm.in, p)
+		copied += int64(len(sh.InDst))
+	} else {
+		sh.InOff, sh.InDst = prev.csr[p].InOff, prev.csr[p].InDst
 	}
-	if mIn > math.MaxUint32 || mOut > math.MaxUint32 {
-		panic(fmt.Sprintf("shard: %d/%d edges overflow shard %d's 32-bit offsets", mIn, mOut, p))
-	}
-	sh := graph.CSRShard{
-		InOff:  make([]uint32, local+1),
-		OutOff: make([]uint32, local+1),
-		InDst:  make([]graph.NodeID, mIn),
-		OutDst: make([]graph.NodeID, mOut),
-	}
-	var inPos, outPos uint32
-	for l := 0; l < local; l++ {
-		inPos += uint32(copy(sh.InDst[inPos:], sm.in[l]))
-		outPos += uint32(copy(sh.OutDst[outPos:], sm.out[l]))
-		sh.InOff[l+1] = inPos
-		sh.OutOff[l+1] = outPos
+	if out {
+		sh.OutOff, sh.OutDst = encodeSide(sm.out, p)
+		copied += int64(len(sh.OutDst))
+	} else {
+		sh.OutOff, sh.OutDst = prev.csr[p].OutOff, prev.csr[p].OutDst
 	}
 	next.csr[p] = sh
-	next.versions[p] = sm.version
-	st.edgesReEncoded.Add(mIn + mOut)
+	next.versions[p] = sm.version()
+	st.edgesReEncoded.Add(copied)
+}
+
+// encodeSide packs one side's lists of shard p into CSR offsets and
+// destinations.
+func encodeSide(lists [][]graph.NodeID, p int) ([]uint32, []graph.NodeID) {
+	m := entries(lists)
+	if m > math.MaxUint32 {
+		panic(fmt.Sprintf("shard: %d edges overflow shard %d's 32-bit offsets", m, p))
+	}
+	off := make([]uint32, len(lists)+1)
+	dst := make([]graph.NodeID, m)
+	var pos uint32
+	for l, lst := range lists {
+		pos += uint32(copy(dst[pos:], lst))
+		off[l+1] = pos
+	}
+	return off, dst
+}
+
+// entries returns the number of list entries on one side of a shard.
+func entries(lists [][]graph.NodeID) int64 {
+	var m int64
+	for _, l := range lists {
+		m += int64(len(l))
+	}
+	return m
 }

@@ -4,6 +4,11 @@
 // similarity s(u, v) equals the probability that independent √c-walks from
 // u and v meet (visit the same node at the same step), which is the
 // foundation of ProbeSim, the Monte Carlo baseline, and TSF.
+//
+// Step is the one step rule. Generator and Segment build whole walks from
+// it for the per-walk kernels and baselines; the batched ProbeSim kernel
+// calls it directly, inserting each step into its walk tree as it is
+// drawn, so no batched query materializes a walk.
 package walk
 
 import (
@@ -75,50 +80,33 @@ func (gen *Generator) Generate(u graph.NodeID, maxNodes int, buf []graph.NodeID)
 	return buf
 }
 
-// GenerateMany produces one √c-walk from u per entry of states, where
-// states[i] is walk i's initial SplitMix64 state. The walks slice is
-// reused (its node buffers are recycled) and returned resized to
-// len(states). Each walk draws exclusively from its own stream, so the
-// result is bit-identical to len(states) sequential Generate calls with
-// those streams.
-func (gen *Generator) GenerateMany(u graph.NodeID, states []uint64, maxNodes int, walks [][]graph.NodeID) [][]graph.NodeID {
-	if maxNodes <= 0 || maxNodes > HardCap {
-		maxNodes = HardCap
+// Step draws one step of a √c-walk standing at cur: the termination
+// draw, then a uniform in-neighbour. ok is false when the walk ends there,
+// on the termination draw (probability 1 − √c) or at a node with no
+// in-neighbours. It is the step rule of every walk in this repository:
+// Segment loops over it, and the batched kernel's tree builder steps
+// through it straight into its walk tree, so both consume the same draws.
+func Step(adj *graph.Adj, cur graph.NodeID, sqrtC float64, rng *xrand.RNG) (next graph.NodeID, ok bool) {
+	if rng.Float64() >= sqrtC {
+		return 0, false
 	}
-	if cap(walks) < len(states) {
-		walks = append(walks[:cap(walks)], make([][]graph.NodeID, len(states)-cap(walks))...)
+	in := adj.In(cur)
+	if len(in) == 0 {
+		return 0, false
 	}
-	walks = walks[:len(states)]
-	for i := range walks {
-		walks[i] = append(walks[i][:0], u)
-	}
-	if gen.meter.Stopped() {
-		return walks
-	}
-	clk := gen.meter.StageStart()
-	var rng xrand.RNG
-	for i, st := range states {
-		rng.SetState(st)
-		walks[i] = Segment(&gen.adj, u, maxNodes-1, gen.sqrtC, &rng, walks[i])
-	}
-	gen.meter.StageEnd(qtrace.StageWalk, clk)
-	return walks
+	return in[rng.Intn(len(in))], true
 }
 
 // Segment advances a √c-walk from cur, appending at most room further
-// nodes to buf. It is the single step loop behind every walk in this
-// repository. The walk ends on the termination draw, at a node with no
-// in-neighbors, or when room is exhausted.
+// nodes to buf. The walk ends where Step ends it or when room is
+// exhausted.
 func Segment(adj *graph.Adj, cur graph.NodeID, room int, sqrtC float64, rng *xrand.RNG, buf []graph.NodeID) []graph.NodeID {
 	for ; room > 0; room-- {
-		if rng.Float64() >= sqrtC {
-			return buf // terminated with probability 1 − √c
-		}
-		in := adj.In(cur)
-		if len(in) == 0 {
+		next, ok := Step(adj, cur, sqrtC, rng)
+		if !ok {
 			return buf
 		}
-		cur = in[rng.Intn(len(in))]
+		cur = next
 		buf = append(buf, cur)
 	}
 	return buf
