@@ -4,7 +4,7 @@
 //
 //	probesim-shardd -graph web.txt -shards 16 -index 0 -group 2 -addr :9090
 //	probesim-shardd -graph web.txt -shards 16 -index 1 -group 2 -addr :9091
-//	probesim-server -workers host0:9090,host1:9091 -addr :8080
+//	probesim-server -workers "host0:9090;host1:9091" -addr :8080
 //
 // A worker started with -index i -group W owns every shard p with
 // p % W == i; a fleet with the same -group and distinct indices covers
@@ -29,18 +29,12 @@
 // window. A data dir with state wins over -graph; an empty one is
 // bootstrapped from it.
 //
-// With -shard-local (and -group > 1) the worker holds adjacency ONLY for
-// its owned shards: bootstrap discards the rest of the loaded graph,
-// checkpoints spill and recover just the owned stride, and per-worker
-// resident memory shrinks to roughly 1/group of the graph. Version
-// counters still advance in lockstep with the fleet (every batch is
-// applied and logged in full), so results stay bit-identical to
-// full-copy workers. The one contract: scoped fleets must sit behind a
-// writer that submits valid batches, because a worker owning neither
-// endpoint of a removed edge accepts the remove without checking it.
+// Every worker holds the whole graph, whatever its -index and -group,
+// so every worker decides each batch the same way and a rejected batch
+// is rejected fleet-wide.
 //
-// The last -retain generations stay resolvable so in-flight queries read
-// the exact snapshot they pinned while churn publishes newer ones.
+// The last 8 published generations stay resolvable so in-flight queries
+// read the exact snapshot they pinned while churn publishes newer ones.
 //
 // Replication: point several workers with the SAME -index/-group at the
 // same graph and list them as one comma-separated replica group in the
@@ -91,7 +85,6 @@ func main() {
 		shards     = flag.Int("shards", 16, "partition the graph into up to this many shards (must match every worker and router)")
 		index      = flag.Int("index", 0, "this worker's index within the group")
 		group      = flag.Int("group", 1, "worker-group size; this worker owns shards p with p%group==index")
-		shardLocal = flag.Bool("shard-local", false, "hold adjacency (and checkpoint arrays) only for owned shards: per-worker memory and boot I/O shrink to ~1/group")
 		rebuildW   = flag.Int("rebuild-workers", 0, "bound on concurrent shard rebuilds (0 = GOMAXPROCS)")
 		healthAddr = flag.String("health-addr", "", "serve HTTP /healthz and /readyz on this address (empty = off)")
 
@@ -123,12 +116,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "probesim-shardd: need 0 <= index < group")
 		os.Exit(1)
 	}
-	// The scoped store only makes sense with a real group; under group 1
-	// it would just be the full store with extra bookkeeping.
-	scopeIndex, scopeGroup := 0, 0
-	if *shardLocal && *group > 1 {
-		scopeIndex, scopeGroup = *index, *group
-	}
 	loadGraph := func() (*probesim.Graph, error) {
 		if *path == "" {
 			return nil, fmt.Errorf("probesim-shardd: -data-dir %s holds no recoverable state and no -graph was given to bootstrap it", *dataDir)
@@ -152,7 +139,7 @@ func main() {
 			fatal("parsing -fsync", "err", err)
 		}
 		var rstats persist.RecoveryStats
-		st, lg, rstats, err = persist.OpenStoreScoped(*dataDir, *shards, *rebuildW, scopeIndex, scopeGroup,
+		st, lg, rstats, err = persist.OpenStore(*dataDir, *shards, *rebuildW,
 			wal.Options{Sync: policy, SyncEvery: *fsyncIvl, SegmentBytes: *segBytes}, loadGraph)
 		if err != nil {
 			fatal("opening data dir", "dir", *dataDir, "err", err)
@@ -171,15 +158,11 @@ func main() {
 		if err != nil {
 			fatal("loading graph", "err", err)
 		}
-		if scopeGroup > 1 {
-			st = shard.NewStoreScoped(g, *shards, *rebuildW, scopeIndex, scopeGroup)
-		} else {
-			st = shard.NewStore(g, *shards, *rebuildW)
-		}
+		st = shard.NewStore(g, *shards, *rebuildW)
 	}
-	// Bootstrap churns through a full graph load (and, scoped, discards
-	// most of it); hand that garbage back to the OS now so the worker's
-	// resident set reflects what it actually serves.
+	// Bootstrap churns through a full graph load; hand that garbage back
+	// to the OS now so the worker's resident set reflects what it actually
+	// serves.
 	debug.FreeOSMemory()
 	eng := router.NewLocalEngine(st, *index, *group)
 	if lg != nil {
@@ -231,7 +214,7 @@ func main() {
 	slog.Info("serving",
 		"nodes", st.NumNodes(), "edges", st.NumEdges(), "addr", ln.Addr().String(),
 		"worker", *index, "group", *group, "owned", owned, "shards", st.NumShards(),
-		"stride", st.Partition().Stride(), "durable", lg != nil, "shard_local", scopeGroup > 1)
+		"stride", st.Partition().Stride(), "durable", lg != nil)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

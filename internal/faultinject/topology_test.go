@@ -16,19 +16,12 @@ import (
 )
 
 // tcpFleet serves two TCP workers splitting shard ownership and returns
-// a router over them. shardLocal gives each worker a stride-scoped store
-// holding only its owned shards.
-func tcpFleet(t *testing.T, g *graph.Graph, shards int, shardLocal bool) *router.Router {
+// a router over them.
+func tcpFleet(t *testing.T, g *graph.Graph, shards int) *router.Router {
 	t.Helper()
 	var engines []router.ShardEngine
 	for i := 0; i < 2; i++ {
-		var st *shard.Store
-		if shardLocal {
-			st = shard.NewStoreScoped(g, shards, 0, i, 2)
-		} else {
-			st = shard.NewStore(g, shards, 0)
-		}
-		srv := router.NewServer(router.NewLocalEngine(st, i, 2))
+		srv := router.NewServer(router.NewLocalEngine(shard.NewStore(g, shards, 0), i, 2))
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -48,10 +41,9 @@ func tcpFleet(t *testing.T, g *graph.Graph, shards int, shardLocal bool) *router
 
 // TestTopologyMatrixBitIdentical is the cross-topology property: the
 // same graph, seed and query must answer bit-identically on every
-// serving shape the repo supports — full-copy TCP workers, warm views
-// that call no engine, shard-local workers holding only their stride,
-// and a fault-injected replicated fleet — through rounds of identical
-// churn.
+// serving shape the repo supports — TCP workers, warm views that call
+// no engine, and a fault-injected replicated fleet — through rounds of
+// identical churn.
 func TestTopologyMatrixBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sockets + many RPC round trips")
@@ -62,8 +54,7 @@ func TestTopologyMatrixBitIdentical(t *testing.T) {
 	opt := testOptions()
 	want := core.NewExecutorOn(ref, opt)
 
-	batched := tcpFleet(t, g, shards, false)
-	scoped := tcpFleet(t, g, shards, true)
+	batched := tcpFleet(t, g, shards)
 
 	// The faulted topology: replicated in-process fleet with a read-plane
 	// fault schedule on one replica of each group.
@@ -86,7 +77,6 @@ func TestTopologyMatrixBitIdentical(t *testing.T) {
 		rt   *router.Router
 	}{
 		{"batched", batched},
-		{"shard-local", scoped},
 		{"faulted", faulted},
 	}
 	nodes := []graph.NodeID{0, 7, 131, 399}

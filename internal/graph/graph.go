@@ -154,10 +154,10 @@ func (g *Graph) RemoveEdge(u, v NodeID) error {
 	if err := g.checkNode(v); err != nil {
 		return err
 	}
-	if !RemoveOne(&g.out[u], v) {
+	if RemoveOne(&g.out[u], v) < 0 {
 		return fmt.Errorf("graph: edge %d -> %d not found", u, v)
 	}
-	if !RemoveOne(&g.in[v], u) {
+	if RemoveOne(&g.in[v], u) < 0 {
 		// The two lists are kept in lockstep; this is unreachable unless
 		// memory was corrupted externally.
 		panic("graph: adjacency lists out of sync")
@@ -173,17 +173,18 @@ func (g *Graph) RemoveEdge(u, v NodeID) error {
 // sharded store) must remove identically so that the surviving neighbor
 // ORDER — which walk sampling and randomized probes consume randomness
 // against — stays bit-identical across backends that saw the same
-// operation sequence.
-func RemoveOne(list *[]NodeID, x NodeID) bool {
+// operation sequence. It returns the index x was removed from, or -1
+// when the list does not hold x.
+func RemoveOne(list *[]NodeID, x NodeID) int {
 	s := *list
 	for i, w := range s {
 		if w == x {
 			s[i] = s[len(s)-1]
 			*list = s[:len(s)-1]
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // InNeighbors returns the in-neighbor list of v. The returned slice is the

@@ -53,18 +53,6 @@ type RecoveryStats struct {
 // checkpointed with (shards is ignored), because the partition is fixed
 // for the life of a store.
 func OpenStore(dir string, shards, workers int, wopt wal.Options, bootstrap func() (*graph.Graph, error)) (*shard.Store, *wal.Log, RecoveryStats, error) {
-	return OpenStoreScoped(dir, shards, workers, 0, 0, wopt, bootstrap)
-}
-
-// OpenStoreScoped is OpenStore for a shard-local worker: checkpoint
-// decoding, bootstrap and the restored store are all scoped to the
-// shards p with p%group == index (group <= 1 behaves exactly like
-// OpenStore). The write-ahead log itself is NOT scoped — every batch is
-// appended and replayed in full so the worker's version counters stay in
-// lockstep with the fleet — but log records are a few bytes per op,
-// while the checkpoint arrays (the bulk of the directory and of boot
-// I/O and heap) shrink to the owned stride.
-func OpenStoreScoped(dir string, shards, workers, index, group int, wopt wal.Options, bootstrap func() (*graph.Graph, error)) (*shard.Store, *wal.Log, RecoveryStats, error) {
 	var stats RecoveryStats
 	lg, rec, err := wal.Open(dir, wopt)
 	if err != nil {
@@ -80,7 +68,7 @@ func OpenStoreScoped(dir string, shards, workers, index, group int, wopt wal.Opt
 		if err != nil {
 			return fail(fmt.Errorf("persist: opening checkpoint: %w", err))
 		}
-		st, err = ReadStoreScoped(rc, workers, index, group)
+		st, err = ReadStore(rc, workers)
 		rc.Close()
 		if err != nil {
 			return fail(fmt.Errorf("persist: decoding checkpoint %s: %w", rec.CheckpointPath, err))
@@ -96,11 +84,7 @@ func OpenStoreScoped(dir string, shards, workers, index, group int, wopt wal.Opt
 		if err != nil {
 			return fail(err)
 		}
-		if group > 1 {
-			st = shard.NewStoreScoped(g, shards, workers, index, group)
-		} else {
-			st = shard.NewStore(g, shards, workers)
-		}
+		st = shard.NewStore(g, shards, workers)
 		stats.Bootstrapped = true
 		// The initial checkpoint makes the directory self-contained: after
 		// it lands, recovery never needs the original graph file.

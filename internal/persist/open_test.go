@@ -1,13 +1,14 @@
 package persist
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -203,82 +204,49 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	}
 }
 
-// TestOpenStoreScopedRecovery drives the full durable loop for a scoped
-// worker: bootstrap, churn through the WAL with a checkpoint midway,
-// crash (drop the Log without final checkpoint), recover, and compare
-// against a full store that saw the same history.
-func TestOpenStoreScopedRecovery(t *testing.T) {
+// TestShardLocalSpillRefused: a checkpoint with an empty block, as a
+// worker that held only its owned shards once wrote for every shard it
+// did not own, is refused by both ReadStore and OpenStore, and the error
+// names the shard. Such a data dir is re-seeded from the graph or from a
+// full peer's checkpoint.
+func TestShardLocalSpillRefused(t *testing.T) {
+	full := shard.NewStore(testGraph(200, 19), 4, 0).Current()
+	csr := make([]graph.CSRShard, full.NumShards())
+	versions := make([]uint64, full.NumShards())
+	for p := range csr {
+		if p != 1 {
+			csr[p] = full.Shard(p)
+		}
+		versions[p] = full.ShardVersion(p)
+	}
+	spill := shard.Assemble(full.NumNodes(), full.NumEdges(), full.Version(), full.LastBatch(), full.Shift(), csr, versions)
+	const want = "shard 1: offset arrays of length 0/0"
+
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, spill); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadStore(bytes.NewReader(buf.Bytes()), 0); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ReadStore: %v, want an error containing %q", err, want)
+	}
+
 	dir := t.TempDir()
-	g := testGraph(300, 21)
-	bootstrap := func() (*graph.Graph, error) { return g, nil }
-	ref := shard.NewStore(g, 16, 0)
-
-	st, lg, stats, err := OpenStoreScoped(dir, 16, 0, 1, 2, wal.Options{Sync: wal.SyncAlways}, bootstrap)
+	lg, _, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.Bootstrapped {
-		t.Fatal("expected bootstrap")
-	}
-	ck := &Checkpointer{st: st, lg: lg, stop: make(chan struct{}), done: make(chan struct{})}
-	close(ck.done) // no background loop; we drive Checkpoint directly
-
-	batches := [][]shard.EdgeOp{
-		{{U: 1, V: 2}, {U: 2, V: 3}},
-		{{U: 40, V: 41}},
-		{{Remove: true, U: 1, V: 2}},
-		{{U: 100, V: 200}, {U: 201, V: 100}},
-	}
-	var id uint64
-	for i, ops := range batches {
-		id++
-		if _, err := lg.Append(id, ops); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := st.ApplyBatch(id, ops); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ref.ApplyBatch(id, ops); err != nil {
-			t.Fatal(err)
-		}
-		st.Publish()
-		ref.Publish()
-		// Checkpoint after the first two batches only: recovery must
-		// replay the tail above the newest checkpoint.
-		if i < 2 {
-			if err := ck.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	lg.Close() // crash: no final checkpoint
-
-	re, lg2, rstats, err := OpenStoreScoped(dir, 16, 0, 1, 2, wal.Options{Sync: wal.SyncAlways}, nil)
-	if err != nil {
+	if err := lg.Checkpoint(spill.LastBatch(), func(w io.Writer) error { return WriteSnapshot(w, spill) }); err != nil {
 		t.Fatal(err)
 	}
-	defer lg2.Close()
-	if rstats.Bootstrapped {
-		t.Fatal("second open bootstrapped")
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if rstats.Replayed != 2 {
-		t.Fatalf("replayed %d batches, want 2", rstats.Replayed)
-	}
-	if re.LastBatch() != id || re.Version() != ref.Version() || re.NumEdges() != ref.NumEdges() {
-		t.Fatalf("recovered watermark/version/edges %d/%d/%d, want %d/%d/%d",
-			re.LastBatch(), re.Version(), re.NumEdges(), id, ref.Version(), ref.NumEdges())
-	}
-	rs, fs := re.Current(), ref.Current()
-	for p := 0; p < rs.NumShards(); p++ {
-		if rs.ShardVersion(p) != fs.ShardVersion(p) {
-			t.Fatalf("shard %d version %d, full ref %d", p, rs.ShardVersion(p), fs.ShardVersion(p))
-		}
-		if owned := p%2 == 1; rs.ShardPresent(p) != owned {
-			t.Fatalf("shard %d present=%v, want %v", p, rs.ShardPresent(p), owned)
-		}
-		if rs.ShardPresent(p) && !reflect.DeepEqual(rs.Shard(p), fs.Shard(p)) {
-			t.Fatalf("shard %d CSR diverged from the full reference", p)
-		}
+	_, _, _, err = OpenStore(dir, 4, 0, wal.Options{}, func() (*graph.Graph, error) {
+		t.Fatal("bootstrap called on a directory that holds a checkpoint")
+		return nil, nil
+	})
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenStore: %v, want an error containing %q", err, want)
 	}
 }
 

@@ -16,11 +16,8 @@
 //	           u32 len(OutOff) | OutOff... (u32 each)
 //	           u32 len(OutDst) | OutDst... (u32 each)
 //
-// Every spill is a full one. A shard-local store's spill has the same
-// layout, with non-owned shards' arrays written zero-length (absent).
-// The stride-scoped readers skip non-owned shards' array bytes
-// wholesale via the length prefixes, so a shard-local worker's boot I/O
-// and heap scale with its owned stride.
+// Every spill is a full one: every shard's arrays are present, and the
+// reader refuses a shard whose block does not cover its node range.
 //
 // Integrity is layered: the write-ahead log wraps every checkpoint file
 // in a whole-file CRC32C trailer (wal.VerifyFileCRC) before recovery
@@ -158,13 +155,8 @@ type spill struct {
 	versions  []uint64
 }
 
-// readSpill decodes one spill file. When 0 <= index < group, the arrays
-// of shards outside that scope are SKIPPED (a bufio discard of the
-// length-prefixed bytes, no decode, no allocation) and left absent —
-// every shard's version still rides along, so the scoped store stays in
-// version lockstep with the fleet.
-func readSpill(r io.Reader, index, group int) (*spill, error) {
-	owns := func(p int) bool { return group <= 1 || p%group == index }
+// readSpill decodes one spill file.
+func readSpill(r io.Reader) (*spill, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var hdr [40]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -244,34 +236,11 @@ func readSpill(r io.Reader, index, group int) (*spill, error) {
 		}
 		return out, nil
 	}
-	// skipU32Array discards an array without decoding it: the scoped
-	// reader's fast path over non-owned shards.
-	skipU32Array := func(what string) error {
-		cnt, err := readU32()
-		if err != nil {
-			return err
-		}
-		if uint64(cnt)*4 > maxArrayBytes {
-			return fmt.Errorf("%w: %s of %d entries", ErrFormat, what, cnt)
-		}
-		if _, err := br.Discard(int(cnt) * 4); err != nil {
-			return fmt.Errorf("%w: %s: %v", ErrFormat, what, err)
-		}
-		return nil
-	}
 	sp.csr = make([]graph.CSRShard, shards)
 	sp.versions = make([]uint64, shards)
 	for p := range sp.csr {
 		if sp.versions[p], err = readU64(); err != nil {
 			return nil, err
-		}
-		if !owns(p) {
-			for _, what := range [...]string{"InOff", "InDst", "OutOff", "OutDst"} {
-				if err := skipU32Array(what); err != nil {
-					return nil, err
-				}
-			}
-			continue
 		}
 		inOff, err := readU32Array("InOff")
 		if err != nil {
@@ -311,23 +280,11 @@ func readSpill(r io.Reader, index, group int) (*spill, error) {
 // where the checkpoint left them. workers bounds the store's rebuild
 // pool as in shard.NewStore.
 func ReadStore(r io.Reader, workers int) (*shard.Store, error) {
-	return ReadStoreScoped(r, workers, 0, 0)
-}
-
-// ReadStoreScoped is ReadStore for a shard-local worker: only the shards
-// p with p%group == index are decoded and restored (group <= 1 reads
-// everything); the rest of the file is skipped via its length prefixes.
-func ReadStoreScoped(r io.Reader, workers, index, group int) (*shard.Store, error) {
-	sp, err := readSpill(r, index, group)
+	sp, err := readSpill(r)
 	if err != nil {
 		return nil, err
 	}
-	var st *shard.Store
-	if group > 1 {
-		st, err = shard.RestoreScoped(int(sp.n), int64(sp.m), sp.version, sp.lastBatch, sp.shift, sp.csr, sp.versions, workers, index, group)
-	} else {
-		st, err = shard.Restore(int(sp.n), int64(sp.m), sp.version, sp.lastBatch, sp.shift, sp.csr, sp.versions, workers)
-	}
+	st, err := shard.Restore(int(sp.n), int64(sp.m), sp.version, sp.lastBatch, sp.shift, sp.csr, sp.versions, workers)
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"probesim/internal/graph"
@@ -148,41 +147,5 @@ func TestReadStoreShortInputNoHugeAlloc(t *testing.T) {
 	b := buf.Bytes()[:52] // header + shift/shards + first shard version, then starve it
 	if _, err := ReadStore(bytes.NewReader(b), 0); !errors.Is(err, ErrFormat) {
 		t.Fatalf("want ErrFormat, got %v", err)
-	}
-}
-
-func TestScopedSpillReadSkipsUnowned(t *testing.T) {
-	const group = 3
-	g := testGraph(500, 13)
-	full := shard.NewStore(g, 16, 0)
-	snap := full.Publish()
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, snap); err != nil {
-		t.Fatal(err)
-	}
-	for index := 0; index < group; index++ {
-		st, err := ReadStoreScoped(bytes.NewReader(buf.Bytes()), 0, index, group)
-		if err != nil {
-			t.Fatalf("index %d: %v", index, err)
-		}
-		ss := st.Current()
-		if !ss.Scoped() {
-			t.Fatalf("index %d: snapshot not scoped", index)
-		}
-		if ss.Version() != snap.Version() || ss.NumEdges() != snap.NumEdges() {
-			t.Fatalf("index %d: counters diverged", index)
-		}
-		for p := 0; p < ss.NumShards(); p++ {
-			owned := p%group == index
-			if ss.ShardPresent(p) != owned {
-				t.Fatalf("index %d shard %d: present=%v want %v", index, p, ss.ShardPresent(p), owned)
-			}
-			if ss.ShardVersion(p) != snap.ShardVersion(p) {
-				t.Fatalf("index %d shard %d: version drift", index, p)
-			}
-			if owned && !reflect.DeepEqual(ss.Shard(p), snap.Shard(p)) {
-				t.Fatalf("index %d shard %d: CSR differs", index, p)
-			}
-		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -148,31 +150,80 @@ func TestRouterApplyExhaustsRetries(t *testing.T) {
 	}
 }
 
-// TestRouterApplySemanticRollback: deterministic rejections still roll
-// the fleet back — durable ids do not change the validity contract.
+// assertSameLists requires every node's in- and out-list, in order, to
+// be the same in both views.
+func assertSameLists(t *testing.T, tag string, want, got graph.View) {
+	t.Helper()
+	if want.NumNodes() != got.NumNodes() || want.NumEdges() != got.NumEdges() {
+		t.Fatalf("%s: %d nodes / %d edges, want %d / %d", tag, got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
+	}
+	for v := graph.NodeID(0); int(v) < want.NumNodes(); v++ {
+		if w, g := want.OutNeighbors(v), got.OutNeighbors(v); !slices.Equal(w, g) {
+			t.Fatalf("%s: out(%d) = %v, want %v", tag, v, g, w)
+		}
+		if w, g := want.InNeighbors(v), got.InNeighbors(v); !slices.Equal(w, g) {
+			t.Fatalf("%s: in(%d) = %v, want %v", tag, v, g, w)
+		}
+	}
+}
+
+// TestRouterApplySemanticRollback: a batch every member of a full-copy
+// fleet rejects costs one batch id, leaves every list of every worker,
+// in order, as an in-process store that never saw the batch holds it,
+// and the fleet takes the next write and publishes it.
 func TestRouterApplySemanticRollback(t *testing.T) {
+	ctx := context.Background()
 	g := testGraph(60, 31)
+	ref := shard.NewStore(g, 4, 0)
 	stA := shard.NewStore(g, 4, 0)
 	stB := shard.NewStore(g, 4, 0)
 	rt, err := New(NewLocalEngine(stA, 0, 2), NewLocalEngine(stB, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := stA.NumEdges()
-	ops := []graph.EdgeOp{{U: 1, V: 2}, {Remove: true, U: 58, V: 57}}
-	if err := rt.Apply(context.Background(), ops); err == nil {
-		t.Skip("edge 58->57 existed; batch applied cleanly")
+	// Removing out(10)'s first entry swaps its tail into the slot; the
+	// self-loop then rejects the batch.
+	if out := g.OutNeighbors(10); len(out) < 3 {
+		t.Fatalf("out(10) = %v; the test needs a removal that is not at the tail", out)
 	}
-	if stA.NumEdges() != before || stB.NumEdges() != before {
-		t.Fatalf("rollback left %d/%d edges, want %d", stA.NumEdges(), stB.NumEdges(), before)
+	ops := []graph.EdgeOp{{Remove: true, U: 10, V: g.OutNeighbors(10)[0]}, {U: 5, V: 5}}
+	if err := rt.Apply(ctx, ops); err == nil {
+		t.Fatal("batch with a self-loop applied")
 	}
-	if err := stA.Validate(); err != nil {
-		t.Fatal(err)
+	if got := rt.nextBatch.Load(); got != 1 {
+		t.Fatalf("the rejected batch used batch ids up to %d, want 1", got)
 	}
-	// Watermarks advanced identically on both sides (decided batches).
-	if stA.LastBatch() != stB.LastBatch() {
-		t.Fatalf("watermarks diverged after rollback: %d vs %d", stA.LastBatch(), stB.LastBatch())
+	for i, st := range []*shard.Store{stA, stB} {
+		if st.LastBatch() != 1 {
+			t.Fatalf("worker %d at watermark %d, want 1", i, st.LastBatch())
+		}
+		if err := st.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		assertSameLists(t, fmt.Sprintf("worker %d after the rejection", i), ref.Current(), st.Publish())
 	}
+	next := []graph.EdgeOp{{U: 1, V: 2}}
+	if err := rt.Apply(ctx, next); err != nil {
+		t.Fatalf("write after a rejected batch: %v", err)
+	}
+	applyToStore(t, ref, next)
+	if _, err := rt.PublishView(ctx); err != nil {
+		t.Fatalf("publication after a rejected batch: %v", err)
+	}
+	for i, st := range []*shard.Store{stA, stB} {
+		assertSameLists(t, fmt.Sprintf("worker %d after the next write", i), ref.Publish(), st.Current())
+	}
+}
+
+// countingEngine counts the Apply calls that reach an engine.
+type countingEngine struct {
+	ShardEngine
+	applies atomic.Int32
+}
+
+func (e *countingEngine) Apply(ctx context.Context, batch uint64, ops []graph.EdgeOp) (uint64, error) {
+	e.applies.Add(1)
+	return e.ShardEngine.Apply(ctx, batch, ops)
 }
 
 // vetoEngine rejects its next Apply semantically without touching its
@@ -194,34 +245,198 @@ func (e *vetoEngine) Apply(ctx context.Context, batch uint64, ops []graph.EdgeOp
 	return e.LocalEngine.Apply(ctx, batch, ops)
 }
 
-// TestMixedSemanticRollbackConvergesWatermarks: when one engine applies
-// a batch and another rejects it, the rollback round must land every
-// reachable engine on the SAME watermark (one shared leveling id), or
-// the next assembly would flag a healthy fleet as diverged.
+// TestMixedSemanticRollbackConvergesWatermarks: when one member rejects
+// a batch that another applied, the router returns the rejection under
+// the batch's one id, sends no member anything more, and marks the
+// member that applied divergent, saying why in its lag error. Both
+// watermarks stand at the batch's id.
 func TestMixedSemanticRollbackConvergesWatermarks(t *testing.T) {
 	g := testGraph(80, 43)
 	stA := shard.NewStore(g, 4, 0)
 	stB := shard.NewStore(g, 4, 0)
 	veto := &vetoEngine{LocalEngine: NewLocalEngine(stA, 0, 2)}
 	veto.veto.Store(1)
-	rt, err := New(veto, NewLocalEngine(stB, 1, 2))
+	a := &countingEngine{ShardEngine: veto}
+	b := &countingEngine{ShardEngine: NewLocalEngine(stB, 1, 2)}
+	rt, err := New(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := stB.NumEdges()
 	if err := rt.Apply(context.Background(), []graph.EdgeOp{{U: 2, V: 5}}); err == nil {
 		t.Fatal("vetoed batch reported success")
 	}
-	if got := stB.NumEdges(); got != before {
-		t.Fatalf("engine B edges %d after rollback, want %d", got, before)
+	if got := rt.nextBatch.Load(); got != 1 {
+		t.Fatalf("the rejected batch used batch ids up to %d, want 1", got)
 	}
-	if stA.LastBatch() != stB.LastBatch() {
-		t.Fatalf("watermarks diverged after mixed rollback: %d vs %d", stA.LastBatch(), stB.LastBatch())
+	if a.applies.Load() != 1 || b.applies.Load() != 1 {
+		t.Fatalf("members saw %d and %d applies, want 1 each (nothing after the broadcast)", a.applies.Load(), b.applies.Load())
 	}
-	// The fleet reassembles cleanly — the watermark-agreement check must
-	// NOT fire on a converged rollback.
-	if _, err := New(veto, NewLocalEngine(stB, 1, 2)); err != nil {
-		t.Fatalf("assembly after converged rollback: %v", err)
+	if stA.LastBatch() != 1 || stB.LastBatch() != 1 {
+		t.Fatalf("watermarks %d and %d, want 1", stA.LastBatch(), stB.LastBatch())
+	}
+	rejecter, applier := rt.groups[0].members[0], rt.groups[1].members[0]
+	if rejecter.divergent.Load() || !rejecter.current.Load() {
+		t.Fatalf("the rejecting member was demoted: %q", rejecter.lagErrText())
+	}
+	if !applier.divergent.Load() || applier.current.Load() {
+		t.Fatal("the member that applied a rejected batch was not marked divergent")
+	}
+	if msg := applier.lagErrText(); !strings.Contains(msg, "applied batch 1, which another member rejected") {
+		t.Fatalf("divergent member's lag error %q does not say why", msg)
+	}
+}
+
+// lostRejectionEngine runs the real Apply and then loses the reply of
+// its first rejected batch: the worker decided the batch, the router
+// sees a transport failure and re-sends it.
+type lostRejectionEngine struct {
+	ShardEngine
+	drop atomic.Int32
+}
+
+func (e *lostRejectionEngine) Apply(ctx context.Context, batch uint64, ops []graph.EdgeOp) (uint64, error) {
+	v, err := e.ShardEngine.Apply(ctx, batch, ops)
+	if err != nil && e.drop.Add(-1) >= 0 {
+		return 0, fmt.Errorf("%w: injected loss of a rejection's reply", ErrTransport)
+	}
+	return v, err
+}
+
+// TestLostRejectionReplyStaysRejected: a worker that rejected a batch and
+// lost the reply answers the router's re-send with the same rejection,
+// so the router returns the semantic error, marks no member divergent,
+// and both workers keep the graph an untouched store holds — whether the
+// batch's add was a new edge or a duplicate of one the graph holds.
+func TestLostRejectionReplyStaysRejected(t *testing.T) {
+	g := testGraph(60, 31)
+	if slices.Contains(g.OutNeighbors(58), 57) || slices.Contains(g.OutNeighbors(1), 2) || !slices.Contains(g.OutNeighbors(1), 0) {
+		t.Fatalf("out(58) = %v, out(1) = %v: the test needs 58->57 and 1->2 absent and 1->0 present", g.OutNeighbors(58), g.OutNeighbors(1))
+	}
+	for _, c := range []struct {
+		name string
+		add  graph.EdgeOp
+	}{
+		{"new edge", graph.EdgeOp{U: 1, V: 2}},
+		{"duplicate edge", graph.EdgeOp{U: 1, V: 0}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx := context.Background()
+			untouched := shard.NewStore(g, 4, 0)
+			stA := shard.NewStore(g, 4, 0)
+			stB := shard.NewStore(g, 4, 0)
+			lossy := &lostRejectionEngine{ShardEngine: NewLocalEngine(stA, 0, 2)}
+			lossy.drop.Store(1)
+			rt, err := New(lossy, NewLocalEngine(stB, 1, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = rt.Apply(ctx, []graph.EdgeOp{c.add, {Remove: true, U: 58, V: 57}})
+			if err == nil || errors.Is(err, ErrTransport) {
+				t.Fatalf("apply returned %v, want the semantic rejection", err)
+			}
+			if rt.Counters().ApplyRetries != 1 {
+				t.Fatalf("applyRetries %d, want 1 (the re-send after the lost reply)", rt.Counters().ApplyRetries)
+			}
+			for gi, g := range rt.groups {
+				for _, m := range g.members {
+					if m.divergent.Load() || !m.current.Load() {
+						t.Fatalf("group %d member demoted after a rejection every member made: %q", gi, m.lagErrText())
+					}
+				}
+			}
+			for i, st := range []*shard.Store{stA, stB} {
+				assertSameLists(t, fmt.Sprintf("worker %d", i), untouched.Current(), st.Publish())
+			}
+			if _, err := rt.PublishView(ctx); err != nil {
+				t.Fatalf("publication after the rejection: %v", err)
+			}
+		})
+	}
+}
+
+// downEngine fails every write-plane call in transport while down is
+// set: an unreachable replica whose store survives behind it.
+type downEngine struct {
+	ShardEngine
+	down atomic.Bool
+}
+
+var errInjectedOutage = fmt.Errorf("%w: injected outage", ErrTransport)
+
+func (e *downEngine) Apply(ctx context.Context, batch uint64, ops []graph.EdgeOp) (uint64, error) {
+	if e.down.Load() {
+		return 0, errInjectedOutage
+	}
+	return e.ShardEngine.Apply(ctx, batch, ops)
+}
+
+func (e *downEngine) Ping(ctx context.Context) (uint64, uint64, error) {
+	if e.down.Load() {
+		return 0, 0, errInjectedOutage
+	}
+	return e.ShardEngine.Ping(ctx)
+}
+
+func (e *downEngine) Publish(ctx context.Context) (Meta, error) {
+	if e.down.Load() {
+		return Meta{}, errInjectedOutage
+	}
+	return e.ShardEngine.Publish(ctx)
+}
+
+// TestDemotedReplicaReplaysRejectedBatch: a replica whose Apply fails in
+// transport on a batch the rest of its group rejects is only demoted, not
+// marked divergent. When it returns, it replays the batch from the ring,
+// rejects it as the live replica did, and is re-admitted at the same
+// watermark with the same lists; the group then takes the next write.
+func TestDemotedReplicaReplaysRejectedBatch(t *testing.T) {
+	ctx := context.Background()
+	g := testGraph(60, 31)
+	ref := shard.NewStore(g, 4, 0)
+	stA := shard.NewStore(g, 4, 0)
+	stB := shard.NewStore(g, 4, 0)
+	a := &downEngine{ShardEngine: NewLocalEngine(stA, 0, 1)}
+	rt, err := NewReplicated([][]ShardEngine{{a, NewLocalEngine(stB, 0, 1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := []graph.EdgeOp{{U: 1, V: 2}}
+	if err := rt.Apply(ctx, ok); err != nil {
+		t.Fatal(err)
+	}
+	applyToStore(t, ref, ok)
+	a.down.Store(true)
+	bad := []graph.EdgeOp{{Remove: true, U: 10, V: g.OutNeighbors(10)[0]}, {U: 5, V: 5}}
+	if err := rt.Apply(ctx, bad); err == nil || errors.Is(err, ErrTransport) {
+		t.Fatalf("apply returned %v, want the semantic rejection", err)
+	}
+	if m := rt.groups[0].members[0]; m.current.Load() || m.divergent.Load() {
+		t.Fatalf("unreachable replica: current %v, divergent %v (%q); want demoted only", m.current.Load(), m.divergent.Load(), m.lagErrText())
+	}
+	a.down.Store(false)
+	if err := rt.CheckHealth(ctx); err != nil {
+		t.Fatalf("health pass after the replica returned: %v", err)
+	}
+	for _, ws := range rt.WorkerStats() {
+		if !ws.Current {
+			t.Fatalf("replica %d not re-admitted: %q", ws.Replica, ws.LagError)
+		}
+	}
+	if c := rt.Counters().CatchupBatches; c != 1 {
+		t.Fatalf("%d batches replayed from the ring, want 1 (the rejected one)", c)
+	}
+	for i, st := range []*shard.Store{stA, stB} {
+		if st.LastBatch() != 2 {
+			t.Fatalf("replica %d at watermark %d, want 2", i, st.LastBatch())
+		}
+		assertSameLists(t, fmt.Sprintf("replica %d", i), ref.Publish(), st.Publish())
+	}
+	next := []graph.EdgeOp{{U: 3, V: 4}}
+	if err := rt.Apply(ctx, next); err != nil {
+		t.Fatalf("write after the re-admission: %v", err)
+	}
+	if _, err := rt.PublishView(ctx); err != nil {
+		t.Fatalf("publication after the re-admission: %v", err)
 	}
 }
 

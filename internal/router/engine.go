@@ -67,8 +67,9 @@ var ErrRetiredGeneration = errors.New("router: snapshot generation retired")
 // canonically a write-ahead-log append failure (disk full, fsync error)
 // that was annulled before anything was applied. Like a transport
 // failure it is retry-safe (the batch id was not consumed) and must
-// never trigger a fleet rollback; unlike one it says nothing about the
-// worker's liveness. It crosses the RPC boundary as its own error code.
+// never count as a rejection of the batch; unlike one it says nothing
+// about the worker's liveness. It crosses the RPC boundary as its own
+// error code.
 var ErrUnavailable = errors.New("router: worker temporarily unavailable")
 
 // Meta is an engine's published shape: what the Router needs to assemble
@@ -86,9 +87,9 @@ type Meta struct {
 	Shards    int
 	Owned     []int // shard ids this engine serves, ascending
 	// ShardVersions, aligned with Owned, is the store version each owned
-	// shard's block was encoded at. A shard's version rises whenever its
-	// adjacency changes (a rollback re-applies inverse ops, which bump it
-	// again), and replicas in lockstep agree on it, so an unchanged
+	// shard's block was encoded at. A shard's version rises whenever an
+	// op touches its adjacency (a rejected batch's undo counts as another
+	// touch), and replicas in lockstep agree on it, so an unchanged
 	// version names an unchanged block: the router carries such blocks
 	// into the next view instead of fetching them. Nil when the engine
 	// does not report versions; the router then fetches every block of
@@ -127,12 +128,13 @@ type ShardEngine interface {
 	// version. Visibility waits for the next Publish.
 	//
 	// batch identifies the mutation for apply-once semantics: an engine
-	// applies each non-zero id at most once, so re-sending a batch whose
-	// reply was lost in transit is safe — the engine that already holds
-	// it no-ops, the one that never saw it applies. Durable engines
-	// append the batch to their write-ahead log before applying. batch 0
-	// means un-identified: not retry-safe, and the engine takes the next
-	// id itself (from its log when armed). Only the Router's single-engine
+	// decides each non-zero id at most once, so re-sending a batch whose
+	// reply was lost in transit is safe — the engine that already decided
+	// it reports that decision without touching its graph, the one that
+	// never saw it decides it now. Durable engines append the batch to
+	// their write-ahead log before applying. batch 0 means
+	// un-identified: not retry-safe, and the engine takes the next id
+	// itself (from its log when armed). Only the Router's single-engine
 	// fast path sends it.
 	Apply(ctx context.Context, batch uint64, ops []graph.EdgeOp) (uint64, error)
 
@@ -185,10 +187,12 @@ func (g *generationRing) at(version uint64) *shard.StoreSnapshot {
 }
 
 // LocalEngine serves a shard.Store in process: the fast path of the shard
-// plane and the backend of every probesim-shardd worker. Ownership is
-// modular — an engine constructed with (index, group) owns every shard p
-// with p % group == index — so a fleet of workers started with the same
-// group and distinct indices covers the shard space exactly once.
+// plane and the backend of every probesim-shardd worker. Every store
+// holds the whole graph; ownership only says which blocks an engine
+// serves. It is modular — an engine constructed with (index, group) owns
+// every shard p with p % group == index — so a fleet of workers started
+// with the same group and distinct indices covers the shard space
+// exactly once.
 type LocalEngine struct {
 	st    *shard.Store
 	index int
@@ -206,20 +210,12 @@ type LocalEngine struct {
 
 // NewLocalEngine wraps st as a shard engine owning shards p with
 // p % group == index. group <= 1 means the engine owns everything.
-//
-// A scoped store (shard.NewStoreScoped) only holds data for its own
-// stride, so the engine's ownership must match the store's scope
-// exactly — a mismatch would read absent shards as empty adjacency and
-// silently truncate walks. That configuration error is caught here.
 func NewLocalEngine(st *shard.Store, index, group int) *LocalEngine {
 	if group < 1 {
 		group = 1
 	}
 	if index < 0 || index >= group {
 		panic(fmt.Sprintf("router: engine index %d outside group of %d", index, group))
-	}
-	if si, sg := st.Scope(); sg > 1 && (si != index || sg != group) {
-		panic(fmt.Sprintf("router: engine scope %d/%d does not match store scope %d/%d", index, group, si, sg))
 	}
 	return &LocalEngine{st: st, index: index, group: group}
 }
@@ -237,20 +233,14 @@ func (e *LocalEngine) SetWAL(lg *wal.Log) { e.wal = lg }
 
 func (e *LocalEngine) owns(p int) bool { return p%e.group == e.index }
 
-// checkShard validates one shard access against ownership and — on a
-// scoped snapshot — against data presence. The presence check is the
-// last line of defense against a scope mismatch: an absent shard's CSR
-// decodes as all-empty adjacency, which would silently truncate walks
-// instead of failing.
+// checkShard validates one shard access against the shard range and
+// ownership.
 func (e *LocalEngine) checkShard(snap *shard.StoreSnapshot, p int) error {
 	if p < 0 || p >= snap.NumShards() {
 		return fmt.Errorf("router: shard %d out of range [0, %d)", p, snap.NumShards())
 	}
 	if !e.owns(p) {
 		return fmt.Errorf("router: shard %d not owned by engine %d/%d", p, e.index, e.group)
-	}
-	if snap.Scoped() && !snap.ShardPresent(p) {
-		return fmt.Errorf("router: shard %d absent from scoped store %d/%d", p, e.index, e.group)
 	}
 	return nil
 }
@@ -321,14 +311,21 @@ func (e *LocalEngine) ResolveShards(ctx context.Context, version uint64, ps []in
 // between the reply being lost and the worker dying still leaves the
 // batch recoverable, and the router's retry converges instead of
 // double-applying.
+//
+// A re-sent id gets the batch's decision back without touching the
+// graph: for the store's last batch that is nil if it applied and its
+// rejection if it was rejected (shard.Store.Rejection; over RPC a
+// semantic error), for lower ids nil. The record lives in the store's
+// memory, so a worker restart between attempt and retry loses it, and
+// the retry then reads nil.
 func (e *LocalEngine) Apply(ctx context.Context, batch uint64, ops []graph.EdgeOp) (uint64, error) {
 	tr, parent := qtrace.FromContext(ctx)
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
 	if batch != 0 && batch <= e.st.LastBatch() {
-		// Retry of a decided batch (the reply was lost, not the apply):
-		// acknowledge without touching the graph.
-		return e.st.Version(), nil
+		// Retry of a decided batch (the reply was lost, not the
+		// decision): report the decision without touching the graph.
+		return e.st.Version(), e.st.Rejection(batch)
 	}
 	if e.wal != nil {
 		wref := tr.StartSpan("wal.append", parent)
@@ -336,8 +333,8 @@ func (e *LocalEngine) Apply(ctx context.Context, batch uint64, ops []graph.EdgeO
 		if err != nil {
 			// The append was annulled (or the log fail-stopped): nothing
 			// was applied and the id was not consumed, so the router may
-			// retry the same batch — NOT a semantic rejection, which would
-			// roll the healthy rest of the fleet back.
+			// retry the same batch — NOT a semantic rejection, which the
+			// router would report to the client as the batch's decision.
 			tr.EndSpanAnnot(wref, "outcome=error")
 			return e.st.Version(), fmt.Errorf("%w: wal append: %v", ErrUnavailable, err)
 		}

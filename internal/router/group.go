@@ -20,8 +20,8 @@ import (
 // that misses a batch is demoted and only re-admitted after the catch-up
 // path replays the gap from the replay ring. divergent is terminal for
 // the automatic path: the router cannot prove the member's state matches
-// the fleet (e.g. it applied a batch whose rollback it then missed), so
-// only an operator restore clears it. All fields are atomics so the
+// the fleet (e.g. it applied a batch another member rejected), so only
+// an operator restore clears it. All fields are atomics so the
 // stats path can read them without taking the control-plane mutex that
 // a slow Apply broadcast may be holding.
 type member struct {
@@ -146,11 +146,10 @@ func (g *replicaGroup) hedgeDelay(hp *HedgePolicy) time.Duration {
 }
 
 // batchRing remembers the last N identified batches (by id) so a member
-// that missed some can be replayed in order. A level id from a semantic
-// rollback round is stored with nil ops: a lagging member replaying the
-// rolled-back forward batch will deterministically reject it just as
-// the live members did, so the empty level batch converges its
-// watermark without mutating anything.
+// that missed some can be replayed in order. A rejected batch stays in
+// it as sent: a lagging member replaying it rejects it just as the live
+// members did, which advances its watermark past the id and leaves its
+// lists as they were.
 type batchRing struct {
 	entries []ringEntry
 }

@@ -395,23 +395,25 @@ type applyResult struct {
 
 // Apply assigns the batch the next monotonic id and applies it to every
 // current member of every group (each engine is all-or-rollback on its
-// own, and applies each id at most once).
+// own, and decides each id at most once).
 //
 // The batch id is what closes the lost-reply window: a worker that
-// applied the batch but whose reply was lost acknowledges the retry
-// without re-applying, and a worker that never saw it applies it now —
-// so on ErrTransport the router RETRIES the same id instead of rolling
-// the fleet back. With replication the failure mode narrows further: a
-// member that exhausts its retries is demoted (its group's surviving
-// members hold the batch durably) and replayed back in from the replay
-// ring, so a single replica death never fails a write. Only a group
-// with NO surviving acker fails the write, with an error that says the
-// batch may be partially applied and a re-submit is not safe blind.
+// decided the batch but whose reply was lost reports the same decision
+// to the retry without re-applying, and a worker that never saw it
+// decides it now — so on ErrTransport the router RETRIES the same id.
+// With replication the failure mode narrows further: a member that
+// exhausts its retries is demoted (its group's surviving members hold
+// the batch durably) and replayed back in from the replay ring, so a
+// single replica death never fails a write. Only a group with NO
+// surviving acker fails the write, with an error that says the batch may
+// be partially applied and a re-submit is not safe blind.
 //
-// A SEMANTIC failure (bad op) is deterministic — every member that
-// applied rolls back via the inverse batch under one fresh shared id,
-// converging the fleet on the pre-batch graph, and the client gets the
-// rejection.
+// A SEMANTIC failure (bad op) is the batch's decision: every worker
+// holds the whole graph and has taken the same batches, so every member
+// rejects it and rolls it back on its own, and the router returns the
+// rejection and sends nothing more. A demoted member replays the batch
+// from the ring later and rejects it too. A member that applied a batch
+// another member rejected has diverged and is marked so.
 //
 // On the fast path none of that machinery applies: the batch goes to
 // the one engine under id 0, so its log (when armed) assigns the id,
@@ -477,61 +479,12 @@ func (r *Router) Apply(ctx context.Context, ops []graph.EdgeOp) error {
 		}
 	}
 	if semanticErr != nil {
-		// Deterministic rejection: ONE fresh id covers the whole rollback
-		// round so the fleet's watermarks converge — members that applied
-		// get the inverse batch under it, members that rejected get an
-		// empty batch under it (watermark advance, no mutation). The ring
-		// entry for the level id is empty too: a demoted member replaying
-		// the forward batch in order will deterministically reject it just
-		// as the live members did, then level on the empty batch.
-		inverse := make([]graph.EdgeOp, len(ops))
-		for i := range ops {
-			inv := ops[len(ops)-1-i]
-			inv.Remove = !inv.Remove
-			inverse[i] = inv
-		}
-		level := r.nextBatch.Add(1)
-		r.ring.put(level, nil)
-		var divergedErr error
 		for gi, g := range r.groups {
 			for mi, m := range g.members {
-				rr := res[gi][mi]
-				if !rr.attempted {
-					continue
-				}
-				switch {
-				case rr.err == nil:
-					if _, lerr := m.eng.Apply(ctx, level, inverse); lerr != nil {
-						m.markDivergent(fmt.Sprintf("applied batch %d but missed its rollback %d (%v); restore from a fleet peer", batch, level, lerr))
-						if divergedErr == nil {
-							divergedErr = fmt.Errorf("router: group %d replica %d diverged (rollback failed: %v) after %w", gi, mi, lerr, semanticErr)
-						}
-					} else {
-						m.acked.Store(level)
-					}
-				case errors.Is(rr.err, ErrUnavailable):
-					// Provably never applied the forward batch; the ring
-					// replays forward (deterministic reject) + level for it.
-				case errors.Is(rr.err, ErrTransport):
-					// Whether the member applied the forward batch before the
-					// transport cut is unknowable, and the batch is now rolled
-					// back fleet-wide — a ring replay cannot prove
-					// convergence, so require an operator restore.
-					m.markDivergent(fmt.Sprintf("batch %d was rolled back while the replica was unreachable; whether it applied is unknown — restore from a fleet peer", batch))
-				default:
-					if _, lerr := m.eng.Apply(ctx, level, nil); lerr != nil {
-						m.markDivergent(fmt.Sprintf("rejected batch %d but missed its leveling batch %d (%v); restore from a fleet peer", batch, level, lerr))
-						if divergedErr == nil {
-							divergedErr = fmt.Errorf("router: group %d replica %d diverged (rollback failed: %v) after %w", gi, mi, lerr, semanticErr)
-						}
-					} else {
-						m.acked.Store(level)
-					}
+				if rr := res[gi][mi]; rr.attempted && rr.err == nil {
+					m.markDivergent(fmt.Sprintf("applied batch %d, which another member rejected (%v); restore from a fleet peer", batch, semanticErr))
 				}
 			}
-		}
-		if divergedErr != nil {
-			return divergedErr
 		}
 		return semanticErr
 	}
@@ -625,8 +578,7 @@ func (r *Router) catchUpLocked(ctx context.Context) (readmitted int) {
 						break // went away again; next pass resumes from its watermark
 					}
 					// Semantic rejection during replay is a decision — the
-					// live members rejected this batch too (the ring holds
-					// its forward ops; the level batch follows as empty).
+					// live members rejected this batch too.
 				}
 				r.catchupBatches.Add(1)
 			}

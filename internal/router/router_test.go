@@ -386,8 +386,9 @@ func (f *churnFleet) round(t *testing.T, tag string, ops []graph.EdgeOp, rejecte
 // routed read: the first query on the new generation fetches exactly the
 // shards whose version the batch moved on their owning workers, and
 // carries every other block over from the previous view. A semantically
-// rejected batch moves its shards' versions too (the store rolls back by
-// applying inverse ops), so those blocks are refetched. Answers stay
+// rejected batch moves its shards' versions too (the store's undo of each
+// op it applied touches the same sides again), so those blocks are
+// refetched. Answers stay
 // bit-identical to an in-process store that took the same ops.
 func TestWriteRefetchesOnlyMovedShards(t *testing.T) {
 	if testing.Short() {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"probesim/internal/graph"
+	"probesim/internal/xrand"
 )
 
 func TestApplyBatchAtomicAndIdempotent(t *testing.T) {
@@ -43,48 +44,117 @@ func TestApplyBatchAtomicAndIdempotent(t *testing.T) {
 	}
 }
 
+// TestApplyBatchRollsBackAndStaysDecided: a rejected batch leaves every
+// list, both sides, exactly as a store that never saw it, down to
+// neighbour order (walks and probes pick neighbours by position), moves
+// the version by two per undone op, and stays decided.
 func TestApplyBatchRollsBackAndStaysDecided(t *testing.T) {
+	// out(0) = [1 2 3] and in(1) = [0 4 9]: removing 0 -> 1 swaps each
+	// list's tail into the slot it leaves.
+	g := graph.New(10)
+	for _, e := range [][2]graph.NodeID{{0, 1}, {0, 2}, {0, 3}, {4, 1}, {9, 1}} {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, ref := NewStore(g, 2, 0), NewStore(g, 2, 0)
+	for _, s := range []*Store{st, ref} {
+		if _, err := s.ApplyBatch(1, []EdgeOp{{U: 1, V: 2}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id := uint64(1)
+	for _, bad := range [][]EdgeOp{
+		// A removal, then a self-loop.
+		{{Remove: true, U: 0, V: 1}, {U: 5, V: 5}},
+		// Adds and removals (one of a parallel edge the batch added),
+		// then the removal of an absent edge.
+		{{U: 3, V: 4}, {Remove: true, U: 0, V: 1}, {U: 0, V: 2}, {Remove: true, U: 0, V: 2},
+			{Remove: true, U: 9, V: 1}, {Remove: true, U: 7, V: 8}},
+	} {
+		id++
+		before := st.Version()
+		if _, err := st.ApplyBatch(id, bad); err == nil {
+			t.Fatalf("invalid batch %v accepted", bad)
+		}
+		if want := before + 2*uint64(len(bad)-1); st.Version() != want {
+			t.Fatalf("batch %d: version %d after rollback, want %d (apply and undo each count)", id, st.Version(), want)
+		}
+		// The failed batch is DECIDED: replaying it is a no-op, not a
+		// second attempt — recovery replays rejected batches without
+		// re-rejecting.
+		if st.LastBatch() != id {
+			t.Fatalf("watermark %d, want %d (rejected batches advance it)", st.LastBatch(), id)
+		}
+		if _, err := st.ApplyBatch(id, bad); err != nil {
+			t.Fatalf("replay of a decided batch errored: %v", err)
+		}
+		if err := st.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		assertViewsMatch(t, ref.Publish(), st.Publish())
+	}
+	if got := st.Current().OutNeighbors(0); !slices.Equal(got, []graph.NodeID{1, 2, 3}) {
+		t.Fatalf("out(0) = %v after the rejected batches, want [1 2 3]", got)
+	}
+
+	// Random batches of adds and removals (parallel edges, removals of
+	// edges the batch added), each rejected by a final self-loop.
+	if err := g.AddEdge(1, 2); err != nil { // g now holds what ref holds
+		t.Fatal(err)
+	}
+	want := ref.Publish()
+	rng := xrand.New(3)
+	for round := 0; round < 300; round++ {
+		sim := g.Clone()
+		var bad []EdgeOp
+		for k := rng.Intn(8); k > 0; k-- {
+			op := EdgeOp{U: graph.NodeID(rng.Intn(10)), V: graph.NodeID(rng.Intn(10))}
+			if outs := sim.OutNeighbors(op.U); len(outs) > 0 && rng.Intn(2) == 0 {
+				op.Remove, op.V = true, outs[rng.Intn(len(outs))]
+				if err := sim.RemoveEdge(op.U, op.V); err != nil {
+					t.Fatal(err)
+				}
+			} else if op.U == op.V {
+				continue
+			} else if err := sim.AddEdge(op.U, op.V); err != nil {
+				t.Fatal(err)
+			}
+			bad = append(bad, op)
+		}
+		bad = append(bad, EdgeOp{U: 5, V: 5})
+		if _, err := st.ApplyBatch(0, bad); err == nil {
+			t.Fatalf("round %d: batch with a self-loop applied", round)
+		}
+		assertViewsMatch(t, want, st.Publish())
+	}
+}
+
+// TestRejectionReportsTheLastDecision: the store keeps the decision of
+// its last batch for a re-send to read, and only that one.
+func TestRejectionReportsTheLastDecision(t *testing.T) {
 	st := NewEmpty(10, 2, 0)
 	if _, err := st.ApplyBatch(1, []EdgeOp{{U: 1, V: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	// Op 2 fails (removing an absent edge): the applied prefix rolls back.
-	bad := []EdgeOp{{U: 3, V: 4}, {Remove: true, U: 7, V: 8}}
-	if _, err := st.ApplyBatch(2, bad); err == nil {
+	if err := st.Rejection(1); err != nil {
+		t.Fatalf("applied batch reports rejection %v", err)
+	}
+	_, rejected := st.ApplyBatch(2, []EdgeOp{{U: 3, V: 4}, {Remove: true, U: 7, V: 8}})
+	if rejected == nil {
 		t.Fatal("invalid batch accepted")
 	}
-	if st.NumEdges() != 1 {
-		t.Fatalf("edges=%d after rollback, want 1", st.NumEdges())
+	if err := st.Rejection(2); err != rejected {
+		t.Fatalf("Rejection(2) = %v, want %v", err, rejected)
 	}
-	// The failed batch is DECIDED: replaying it is a no-op, not a second
-	// attempt — recovery replays rejected batches without re-rejecting.
-	if st.LastBatch() != 2 {
-		t.Fatalf("watermark %d, want 2 (rejected batches advance it)", st.LastBatch())
+	if err := st.Rejection(1); err != nil {
+		t.Fatalf("Rejection of an earlier batch = %v, want nil", err)
 	}
-	if _, err := st.ApplyBatch(2, bad); err != nil {
-		t.Fatalf("replay of a decided batch errored: %v", err)
-	}
-	if err := st.Validate(); err != nil {
+	if _, err := st.ApplyBatch(3, []EdgeOp{{U: 5, V: 6}}); err != nil {
 		t.Fatal(err)
 	}
-	// Neighbor order after rollback matches a store that never saw the
-	// batch (the remove op's swap-with-tail discipline).
-	ref := NewEmpty(10, 2, 0)
-	if _, err := ref.ApplyBatch(0, []EdgeOp{{U: 1, V: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	got, want := st.Publish(), ref.Publish()
-	for v := 0; v < 10; v++ {
-		nd := graph.NodeID(v)
-		a, b := got.OutNeighbors(nd), want.OutNeighbors(nd)
-		if len(a) != len(b) {
-			t.Fatalf("node %d: %v vs %v", v, a, b)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("node %d: %v vs %v", v, a, b)
-			}
-		}
+	if err := st.Rejection(2); err != nil {
+		t.Fatalf("Rejection(2) = %v once batch 3 is decided, want nil", err)
 	}
 }
 

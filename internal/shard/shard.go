@@ -23,8 +23,10 @@
 // shift/mask arithmetic keeps the per-access cost within noise of the
 // monolithic CSR layout.
 //
-// A Store changes only through ApplyBatch, one identified batch at a
-// time, and is read only through the snapshots it publishes. Its node
+// A Store holds the whole graph, whichever shards a worker serves from
+// it. It changes only through ApplyBatch, one identified batch at a
+// time, which either applies a batch whole or leaves every list as it
+// was, and is read only through the snapshots it publishes. Its node
 // count and shard set are fixed at construction.
 package shard
 
@@ -89,7 +91,10 @@ func (sm *shardMut) version() uint64 { return max(sm.inVersion, sm.outVersion) }
 
 // Store is the sharded counterpart of the monolithic *graph.Graph +
 // core.Executor snapshot pair: the mutable write side of the graph,
-// partitioned, plus an atomically published composite snapshot.
+// partitioned, plus an atomically published composite snapshot. Every
+// Store holds the whole graph, so stores that took the same batches hold
+// the same lists in the same order and decide the next batch the same
+// way.
 //
 // Concurrency contract: ApplyBatch, its one mutation, and Publish
 // serialize on an internal mutex; any number of goroutines may read the
@@ -101,26 +106,6 @@ type Store struct {
 	part    Partition
 	workers int
 
-	// ownIndex/ownGroup scope the store to the shards p with
-	// p%ownGroup == ownIndex (ownGroup <= 1 means the store is full).
-	// A scoped store is the memory side of a shard-local worker: it
-	// keeps mutable adjacency and publishes CSR blocks ONLY for owned
-	// shards, while the version counters (store version, per-shard
-	// versions, edge/node counts, batch watermark) advance exactly as a
-	// full store's would under the same operation sequence — that
-	// lockstep is what lets a fleet of scoped workers pass the routers'
-	// staleness checks. Non-owned shards publish as absent (zero-length
-	// CSR arrays); serving them is rejected by the engine layer.
-	//
-	// Scoping weakens ONE check: a remove op whose endpoints both live
-	// in non-owned shards cannot be validated here and is accepted
-	// blindly. The workers owning those shards still validate it, so
-	// owned data never corrupts — but a semantically invalid batch is
-	// rejected only by the owners of the shards it touches. Keep
-	// scoped fleets behind a writer that submits valid batches.
-	ownIndex int
-	ownGroup int
-
 	mu      sync.Mutex
 	n       int
 	m       int64
@@ -130,6 +115,9 @@ type Store struct {
 	// watermark. Batch ids are assigned by the write-ahead log (or the
 	// router) and increase monotonically; 0 means "no batches yet".
 	lastBatch uint64
+	// rejection is lastBatch's decision: nil if it applied, the error it
+	// was rejected with otherwise (see Rejection).
+	rejection error
 	shards    []*shardMut
 
 	cur atomic.Pointer[StoreSnapshot]
@@ -158,53 +146,32 @@ type Store struct {
 // source graph are independent afterwards. workers bounds the rebuild
 // pool; <= 0 means one goroutine per dirty shard up to GOMAXPROCS.
 func NewStore(g *graph.Graph, shards, workers int) *Store {
-	return newStore(g, shards, workers, 0, 0)
-}
-
-// NewStoreScoped is NewStore restricted to the shards p with
-// p%group == index: the shard-local worker's constructor. Adjacency for
-// non-owned shards is neither copied nor published (per-worker memory is
-// ~owned/total of the graph), while every counter the serving stack
-// compares across workers advances as the full store's would. See the
-// scoping notes on Store for the write-plane contract.
-func NewStoreScoped(g *graph.Graph, shards, workers, index, group int) *Store {
-	if group < 1 || index < 0 || index >= group {
-		panic(fmt.Sprintf("shard: scoped store needs 0 <= index < group, got %d/%d", index, group))
-	}
-	return newStore(g, shards, workers, index, group)
-}
-
-func newStore(g *graph.Graph, shards, workers, index, group int) *Store {
 	n := g.NumNodes()
 	st := &Store{
-		part:     NewPartition(n, shards),
-		workers:  workers,
-		ownIndex: index,
-		ownGroup: group,
-		n:        n,
-		m:        g.NumEdges(),
-		version:  g.Version(),
+		part:    NewPartition(n, shards),
+		workers: workers,
+		n:       n,
+		m:       g.NumEdges(),
+		version: g.Version(),
 	}
 	count := st.part.Count(n)
 	st.shards = make([]*shardMut, count)
 	stride := st.part.Stride()
 	for p := 0; p < count; p++ {
-		sm := &shardMut{inVersion: st.version, outVersion: st.version}
-		if st.ownsShard(p) {
-			lo := p * stride
-			hi := lo + stride
-			if hi > n {
-				hi = n
+		lo := p * stride
+		hi := min(lo+stride, n)
+		sm := &shardMut{
+			in:         make([][]graph.NodeID, hi-lo),
+			out:        make([][]graph.NodeID, hi-lo),
+			inVersion:  st.version,
+			outVersion: st.version,
+		}
+		for v := lo; v < hi; v++ {
+			if l := g.InNeighbors(graph.NodeID(v)); len(l) > 0 {
+				sm.in[v-lo] = append([]graph.NodeID(nil), l...)
 			}
-			sm.in = make([][]graph.NodeID, hi-lo)
-			sm.out = make([][]graph.NodeID, hi-lo)
-			for v := lo; v < hi; v++ {
-				if l := g.InNeighbors(graph.NodeID(v)); len(l) > 0 {
-					sm.in[v-lo] = append([]graph.NodeID(nil), l...)
-				}
-				if l := g.OutNeighbors(graph.NodeID(v)); len(l) > 0 {
-					sm.out[v-lo] = append([]graph.NodeID(nil), l...)
-				}
+			if l := g.OutNeighbors(graph.NodeID(v)); len(l) > 0 {
+				sm.out[v-lo] = append([]graph.NodeID(nil), l...)
 			}
 		}
 		st.shards[p] = sm
@@ -212,17 +179,6 @@ func newStore(g *graph.Graph, shards, workers, index, group int) *Store {
 	st.Publish()
 	return st
 }
-
-// ownsShard reports whether this store keeps shard p's data. A full
-// store owns everything.
-func (st *Store) ownsShard(p int) bool {
-	return st.ownGroup <= 1 || p%st.ownGroup == st.ownIndex
-}
-
-// Scope returns the store's (index, group) shard scope; group <= 1 means
-// the store is full. Engines serving a scoped store must be configured
-// with the same scope.
-func (st *Store) Scope() (index, group int) { return st.ownIndex, st.ownGroup }
 
 // NewEmpty returns a store with n isolated nodes partitioned into at most
 // shards shards, with an initial (empty-adjacency) snapshot published.
@@ -240,24 +196,9 @@ func NewEmpty(n, shards, workers int) *Store {
 // write into the snapshot's storage. version and lastBatch restore the
 // mutation counter and the apply-once watermark the checkpoint captured;
 // replaying the write-ahead log tail through ApplyBatch then brings the
-// store to the crash point. workers bounds the rebuild pool as in
-// NewStore.
+// store to the crash point. Every block must pass CheckBlock. workers
+// bounds the rebuild pool as in NewStore.
 func Restore(n int, m int64, version, lastBatch uint64, shift uint32, csr []graph.CSRShard, shardVersions []uint64, workers int) (*Store, error) {
-	return restore(n, m, version, lastBatch, shift, csr, shardVersions, workers, 0, 0)
-}
-
-// RestoreScoped is Restore for a shard-local worker: only the shards p
-// with p%group == index carry CSR data (the rest must be absent —
-// zero-length arrays, as a stride-scoped checkpoint read produces), and
-// only those are validated and deep-copied into the mutable side.
-func RestoreScoped(n int, m int64, version, lastBatch uint64, shift uint32, csr []graph.CSRShard, shardVersions []uint64, workers, index, group int) (*Store, error) {
-	if group < 1 || index < 0 || index >= group {
-		return nil, fmt.Errorf("shard: scoped restore needs 0 <= index < group, got %d/%d", index, group)
-	}
-	return restore(n, m, version, lastBatch, shift, csr, shardVersions, workers, index, group)
-}
-
-func restore(n int, m int64, version, lastBatch uint64, shift uint32, csr []graph.CSRShard, shardVersions []uint64, workers, index, group int) (*Store, error) {
 	if n < 0 || m < 0 {
 		return nil, fmt.Errorf("shard: restore with n=%d m=%d", n, m)
 	}
@@ -270,8 +211,6 @@ func restore(n int, m int64, version, lastBatch uint64, shift uint32, csr []grap
 	st := &Store{
 		part:      Partition{shift: shift},
 		workers:   workers,
-		ownIndex:  index,
-		ownGroup:  group,
 		n:         n,
 		m:         m,
 		version:   version,
@@ -280,14 +219,6 @@ func restore(n int, m int64, version, lastBatch uint64, shift uint32, csr []grap
 	st.shards = make([]*shardMut, wantShards)
 	for p := range csr {
 		sh := &csr[p]
-		if !st.ownsShard(p) {
-			if len(sh.InOff) != 0 || len(sh.OutOff) != 0 || len(sh.InDst) != 0 || len(sh.OutDst) != 0 {
-				return nil, fmt.Errorf("shard: restore shard %d: data present for a shard outside scope %d/%d",
-					p, index, group)
-			}
-			st.shards[p] = &shardMut{inVersion: shardVersions[p], outVersion: shardVersions[p]}
-			continue
-		}
 		if err := CheckBlock(*sh, p, shift, n); err != nil {
 			return nil, fmt.Errorf("shard: restore: %w", err)
 		}
@@ -314,7 +245,6 @@ func restore(n int, m int64, version, lastBatch uint64, shift uint32, csr []grap
 		version:   version,
 		lastBatch: lastBatch,
 		shift:     shift,
-		scoped:    group > 1,
 		csr:       csr,
 		versions:  append([]uint64(nil), shardVersions...),
 	}
@@ -352,11 +282,11 @@ func (st *Store) NumNodes() int { return st.n }
 func (st *Store) NumEdges() int64 { return st.m }
 
 // Version returns the mutation counter. Each op ApplyBatch applies
-// advances it by one, and a rolled-back batch by two per undone op;
-// published snapshots carry the value at publish time, so the serving
-// stack's staleness checks work unchanged. Read it from the goroutine
-// that applies batches or from an applied-batch hook, where it is the
-// version the batch produced.
+// advances it by one, and a rejected batch by two per op it undid (one
+// to apply, one to undo); published snapshots carry the value at publish
+// time, so the serving stack's staleness checks work unchanged. Read it
+// from the goroutine that applies batches or from an applied-batch hook,
+// where it is the version the batch produced.
 func (st *Store) Version() uint64 { return st.version }
 
 func (st *Store) checkNode(v graph.NodeID) error {
@@ -364,6 +294,21 @@ func (st *Store) checkNode(v graph.NodeID) error {
 		return fmt.Errorf("shard: node %d out of range [0, %d)", v, st.n)
 	}
 	return nil
+}
+
+// lists returns u's out-list and v's in-list, the two lists an op on the
+// edge u -> v changes, with the shards holding them.
+func (st *Store) lists(u, v graph.NodeID) (su, sv *shardMut, out, in *[]graph.NodeID) {
+	su, sv = st.shards[st.part.ShardOf(u)], st.shards[st.part.ShardOf(v)]
+	return su, sv, &su.out[st.part.LocalOf(u)], &sv.in[st.part.LocalOf(v)]
+}
+
+// touch records a change to u's out-side and v's in-side under a new
+// store version: the dirtiness signals Publish compares.
+func (st *Store) touch(su, sv *shardMut) {
+	st.version++
+	su.outVersion = st.version
+	sv.inVersion = st.version
 }
 
 // addEdgeLocked inserts u -> v with (*graph.Graph).AddEdge's semantics:
@@ -380,54 +325,64 @@ func (st *Store) addEdgeLocked(u, v graph.NodeID) error {
 	if u == v {
 		return fmt.Errorf("shard: self-loop %d -> %d rejected", u, v)
 	}
-	st.version++
-	pu := st.part.ShardOf(u)
-	su := st.shards[pu]
-	if st.ownsShard(pu) {
-		su.out[st.part.LocalOf(u)] = append(su.out[st.part.LocalOf(u)], v)
-	}
-	su.outVersion = st.version
-	pv := st.part.ShardOf(v)
-	sv := st.shards[pv]
-	if st.ownsShard(pv) {
-		sv.in[st.part.LocalOf(v)] = append(sv.in[st.part.LocalOf(v)], u)
-	}
-	sv.inVersion = st.version
+	su, sv, out, in := st.lists(u, v)
+	*out = append(*out, v)
+	*in = append(*in, u)
+	st.touch(su, sv)
 	st.m++
 	return nil
 }
 
 // removeEdgeLocked removes one occurrence of u -> v exactly as
 // (*graph.Graph).RemoveEdge does (first match swapped with the tail), so
-// the surviving order matches a monolithic graph's.
-func (st *Store) removeEdgeLocked(u, v graph.NodeID) error {
+// the surviving order matches a monolithic graph's. It returns the
+// indices the entry left in u's out-list and v's in-list, which is what
+// undoLocked needs to put it back.
+func (st *Store) removeEdgeLocked(u, v graph.NodeID) (at [2]int, err error) {
 	if err := st.checkNode(u); err != nil {
-		return err
+		return at, err
 	}
 	if err := st.checkNode(v); err != nil {
-		return err
+		return at, err
 	}
-	pu := st.part.ShardOf(u)
-	su := st.shards[pu]
-	ownU := st.ownsShard(pu)
-	if ownU && !graph.RemoveOne(&su.out[st.part.LocalOf(u)], v) {
-		return fmt.Errorf("shard: edge %d -> %d not found", u, v)
+	su, sv, out, in := st.lists(u, v)
+	if at[0] = graph.RemoveOne(out, v); at[0] < 0 {
+		return at, fmt.Errorf("shard: edge %d -> %d not found", u, v)
 	}
-	pv := st.part.ShardOf(v)
-	sv := st.shards[pv]
-	if st.ownsShard(pv) && !graph.RemoveOne(&sv.in[st.part.LocalOf(v)], u) {
-		if ownU {
-			panic("shard: adjacency lists out of sync")
-		}
-		// Scoped store owning only v's shard: the in-side IS the
-		// existence check here.
-		return fmt.Errorf("shard: edge %d -> %d not found", u, v)
+	if at[1] = graph.RemoveOne(in, u); at[1] < 0 {
+		panic("shard: adjacency lists out of sync")
 	}
-	st.version++
-	su.outVersion = st.version
-	sv.inVersion = st.version
+	st.touch(su, sv)
 	st.m--
-	return nil
+	return at, nil
+}
+
+// undoLocked reverts op, the last op of the batch in flight still
+// applied, and leaves both lists exactly as they were before it: an
+// add's entries come off the tails it appended them to, and a removal's
+// go back to the indices at it reported, the entries swapped into those
+// slots back to the tails. Like the op, the undo advances the store
+// version and the versions of both sides it touches.
+func (st *Store) undoLocked(op graph.EdgeOp, at [2]int) {
+	su, sv, out, in := st.lists(op.U, op.V)
+	if op.Remove {
+		putBack(out, at[0], op.V)
+		putBack(in, at[1], op.U)
+		st.m++
+	} else {
+		*out = (*out)[:len(*out)-1]
+		*in = (*in)[:len(*in)-1]
+		st.m--
+	}
+	st.touch(su, sv)
+}
+
+// putBack reverses graph.RemoveOne's removal of x from index i: x goes
+// back to i, and the entry RemoveOne moved there back to the tail.
+func putBack(list *[]graph.NodeID, i int, x graph.NodeID) {
+	s := append(*list, x)
+	s[i], s[len(s)-1] = x, s[i]
+	*list = s
 }
 
 // EdgeOp is an alias of graph.EdgeOp, the write plane's one op type,
@@ -444,19 +399,36 @@ func (st *Store) LastBatch() uint64 {
 	return st.lastBatch
 }
 
+// Rejection returns the error ApplyBatch rejected batch id with, when id
+// is the last batch the store decided; nil when that batch applied, and
+// for every other id. It lets a re-sent batch report its real decision.
+// The record is kept in memory only: a restart between a batch and its
+// re-send loses it (unless recovery replays the batch from the log and
+// so decides it again), and the re-send then reads nil.
+func (st *Store) Rejection(id uint64) error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if id != st.lastBatch {
+		return nil
+	}
+	return st.rejection
+}
+
 // ApplyBatch applies one edge batch atomically under a single lock hold:
-// either every op applies, or the applied prefix is rolled back in
-// reverse order and the first failure is returned.
+// either every op applies, or the applied prefix is undone in reverse
+// order, every list back in its original order, and the first failure is
+// returned.
 //
 // Batches are identified: id 0 self-assigns the next id (LastBatch()+1);
 // a non-zero id at or below the watermark is a RETRY of a batch this
 // store has already decided, and returns the current version with no
 // error and no mutation — apply-once semantics, which is what makes a
-// broadcast retry after a lost reply safe. A non-zero id always advances
-// the watermark BEFORE the ops are attempted, so a batch that fails
-// semantically is decided (rejected) exactly once too: replaying the log
-// after a crash re-runs it against the same state, fails it identically,
-// and the store converges on the same graph either way.
+// broadcast retry after a lost reply safe (Rejection reports the last
+// batch's real decision). A non-zero id always advances the watermark
+// BEFORE the ops are attempted, so a batch that fails semantically is
+// decided (rejected) exactly once too: replaying the log after a crash
+// re-runs it against the same state, fails it identically, and the store
+// converges on the same graph either way.
 func (st *Store) ApplyBatch(id uint64, ops []graph.EdgeOp) (uint64, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -466,34 +438,41 @@ func (st *Store) ApplyBatch(id uint64, ops []graph.EdgeOp) (uint64, error) {
 		return st.version, nil // already decided: apply-once
 	}
 	st.lastBatch = id
-	apply := func(op graph.EdgeOp) error {
-		if op.Remove {
-			return st.removeEdgeLocked(op.U, op.V)
+	st.rejection = st.applyLocked(id, ops)
+	if st.rejection == nil {
+		for _, fn := range st.onApplied {
+			fn(id, ops)
 		}
-		return st.addEdgeLocked(op.U, op.V)
 	}
+	return st.version, st.rejection
+}
+
+// applyLocked applies ops in order, or undoes the applied prefix and
+// returns the first failure.
+func (st *Store) applyLocked(id uint64, ops []graph.EdgeOp) error {
+	var buf [8][2]int
+	at := buf[:0] // where each applied op removed its entries (zero for an add)
 	for i, op := range ops {
-		if err := apply(op); err != nil {
-			// Roll the applied prefix back in reverse order. Every inverse
-			// must succeed because the forward op just did.
+		var ati [2]int
+		var err error
+		if op.Remove {
+			ati, err = st.removeEdgeLocked(op.U, op.V)
+		} else {
+			err = st.addEdgeLocked(op.U, op.V)
+		}
+		if err != nil {
 			for j := i - 1; j >= 0; j-- {
-				inv := ops[j]
-				inv.Remove = !inv.Remove
-				if rerr := apply(inv); rerr != nil {
-					panic(fmt.Sprintf("shard: rollback failed at op %d: %v", j, rerr))
-				}
+				st.undoLocked(ops[j], at[j])
 			}
 			kind := "add"
 			if op.Remove {
 				kind = "remove"
 			}
-			return st.version, fmt.Errorf("shard: batch %d op %d (%s %d->%d): %w; batch rolled back", id, i, kind, op.U, op.V, err)
+			return fmt.Errorf("shard: batch %d op %d (%s %d->%d): %w; batch rolled back", id, i, kind, op.U, op.V, err)
 		}
+		at = append(at, ati)
 	}
-	for _, fn := range st.onApplied {
-		fn(id, ops)
-	}
-	return st.version, nil
+	return nil
 }
 
 // SubscribeApplied registers fn to run after every batch ApplyBatch
@@ -521,23 +500,6 @@ func (st *Store) SubscribeApplied(fn func(id uint64, ops []graph.EdgeOp)) {
 func (st *Store) Validate() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.ownGroup > 1 {
-		// A scoped store holds only owned shards' lists: cross-shard
-		// agreement and the global edge count are not checkable here.
-		// Validate what is: destination ids in the owned lists.
-		for p, sm := range st.shards {
-			for _, side := range [][][]graph.NodeID{sm.out, sm.in} {
-				for l, lst := range side {
-					for _, w := range lst {
-						if err := st.checkNode(w); err != nil {
-							return fmt.Errorf("shard %d: local %d invalid: %w", p, l, err)
-						}
-					}
-				}
-			}
-		}
-		return nil
-	}
 	var nIn, nOut int64
 	counts := make(map[[2]graph.NodeID]int64)
 	for p, sm := range st.shards {

@@ -29,11 +29,6 @@ type StoreSnapshot struct {
 	lastBatch uint64
 	shift     uint32
 
-	// scoped marks a shard-local store's snapshot: shards outside the
-	// store's scope are ABSENT (zero-length CSR arrays) rather than
-	// encoded, and validation skips them. See the scoping notes on Store.
-	scoped bool
-
 	csr      []graph.CSRShard
 	versions []uint64 // store version each shard CSR was built at
 }
@@ -84,17 +79,6 @@ func (s *StoreSnapshot) Shard(p int) graph.CSRShard { return s.csr[p] }
 // can report fine-grained staleness.
 func (s *StoreSnapshot) ShardVersion(p int) uint64 { return s.versions[p] }
 
-// Scoped reports whether this snapshot came from a shard-local store:
-// shards outside the store's scope are absent.
-func (s *StoreSnapshot) Scoped() bool { return s.scoped }
-
-// ShardPresent reports whether shard p's CSR block is actually held by
-// this snapshot. Always true on a full store's snapshot (a present shard
-// covers at least one node, so its offset arrays are never empty);
-// false for a scoped snapshot's non-owned shards. Engines must refuse to
-// serve adjacency out of an absent shard: it has no offsets to read.
-func (s *StoreSnapshot) ShardPresent(p int) bool { return len(s.csr[p].InOff) > 0 }
-
 func (s *StoreSnapshot) shardOf(v graph.NodeID) (*graph.CSRShard, uint32) {
 	return &s.csr[uint32(v)>>s.shift], uint32(v) & (uint32(1)<<s.shift - 1)
 }
@@ -137,8 +121,7 @@ func (s *StoreSnapshot) MemoryBytes() int64 {
 }
 
 // Validate checks the composite invariants: shard coverage of [0, n),
-// every present block well formed (CheckBlock), and edge counts summing
-// to m. O(n+m), intended for tests.
+// every block well formed (CheckBlock), and edge counts summing to m. O(n+m), intended for tests.
 func (s *StoreSnapshot) Validate() error {
 	stride := 1 << s.shift
 	wantShards := (s.n + stride - 1) / stride
@@ -148,16 +131,13 @@ func (s *StoreSnapshot) Validate() error {
 	var mIn, mOut int64
 	for p := range s.csr {
 		sh := &s.csr[p]
-		if s.scoped && len(sh.InOff) == 0 && len(sh.OutOff) == 0 {
-			continue // absent shard of a scoped snapshot
-		}
 		if err := CheckBlock(*sh, p, s.shift, s.n); err != nil {
 			return err
 		}
 		mIn += int64(len(sh.InDst))
 		mOut += int64(len(sh.OutDst))
 	}
-	if !s.scoped && (mIn != s.m || mOut != s.m) {
+	if mIn != s.m || mOut != s.m {
 		return fmt.Errorf("shard: snapshot edge counts in=%d out=%d, want %d", mIn, mOut, s.m)
 	}
 	return nil
@@ -254,19 +234,11 @@ func (st *Store) PublishCtx(ctx context.Context) (*StoreSnapshot, error) {
 		version:   st.version,
 		lastBatch: st.lastBatch,
 		shift:     st.part.shift,
-		scoped:    st.ownGroup > 1,
 		csr:       make([]graph.CSRShard, len(st.shards)),
 		versions:  make([]uint64, len(st.shards)),
 	}
 	dirty := make([]int, 0, len(st.shards))
 	for p, sm := range st.shards {
-		// A shard outside a scoped store's ownership publishes as absent:
-		// only its version rides along, so the staleness/dirtiness
-		// signals stay in lockstep with the full stores in the fleet.
-		if !st.ownsShard(p) {
-			next.versions[p] = sm.version()
-			continue
-		}
 		// A shard is clean iff its version matches what the previous
 		// snapshot encoded (every op that touches a shard bumps its
 		// version).

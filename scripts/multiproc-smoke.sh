@@ -8,14 +8,11 @@
 #   - probesim-server -workers ...        (routing tier, no local graph)
 #   - probesim-server -shards ...         (single-process reference)
 # then diffs /topk and /single-source responses byte for byte, writes an
-# edge through both write planes, and diffs again. A second, larger
-# fleet runs the same diff between full-copy and -shard-local workers
-# and asserts the shard-local workers' resident memory actually shrank.
+# edge through both write planes, and diffs again.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 W0=19301 W1=19302 ROUTED=19303 SINGLE=19304
-BF0=19305 BF1=19306 BS0=19307 BS1=19308 RFULL=19309 RSCOPED=19310
 TMP="$(mktemp -d)"
 PIDS=()
 cleanup() {
@@ -152,48 +149,5 @@ echo "$STATS" | grep -q 'routerWorkers' || {
   echo "routed /stats missing routerWorkers" >&2
   exit 1
 }
-
-echo "== shard-local fleet (larger graph)"
-"$TMP/bin/gengraph" -type pa -n 240000 -deg 10 -seed 9 -o "$TMP/big.txt"
-"$TMP/bin/probesim-shardd" -graph "$TMP/big.txt" -shards 16 -index 0 -group 2 -addr "127.0.0.1:$BF0" &
-FULL_PID=$!; PIDS+=($!)
-"$TMP/bin/probesim-shardd" -graph "$TMP/big.txt" -shards 16 -index 1 -group 2 -addr "127.0.0.1:$BF1" &
-PIDS+=($!)
-"$TMP/bin/probesim-shardd" -graph "$TMP/big.txt" -shards 16 -index 0 -group 2 -shard-local -addr "127.0.0.1:$BS0" &
-SCOPED_PID=$!; PIDS+=($!)
-"$TMP/bin/probesim-shardd" -graph "$TMP/big.txt" -shards 16 -index 1 -group 2 -shard-local -addr "127.0.0.1:$BS1" &
-PIDS+=($!)
-for port in "$BF0" "$BF1" "$BS0" "$BS1"; do wait_tcp 127.0.0.1 "$port"; done
-
-echo "== shard-local worker memory"
-# A -shard-local worker holds adjacency only for its owned stride; its
-# resident set at boot must sit well below a full-copy worker's on the
-# same graph. (Measured before any query: serving allocations — walk
-# buffers, span materialization — are per-query and identical for both
-# worker kinds, and would drown the boot-time footprint. The runtime
-# floor keeps the ratio from reaching a clean 1/2, so assert <= 85%.)
-rss() { awk '/VmRSS/{print $2}' "/proc/$1/status"; }
-FULL_RSS="$(rss "$FULL_PID")"
-SCOPED_RSS="$(rss "$SCOPED_PID")"
-echo "   full-copy worker VmRSS=${FULL_RSS}kB shard-local worker VmRSS=${SCOPED_RSS}kB"
-if [ $((SCOPED_RSS * 100)) -ge $((FULL_RSS * 85)) ]; then
-  echo "shard-local worker RSS did not shrink (${SCOPED_RSS}kB vs ${FULL_RSS}kB full)" >&2
-  exit 1
-fi
-
-"$TMP/bin/probesim-server" -workers "127.0.0.1:$BF0;127.0.0.1:$BF1" -addr "127.0.0.1:$RFULL" -epsa 0.3 &
-PIDS+=($!)
-"$TMP/bin/probesim-server" -workers "127.0.0.1:$BS0;127.0.0.1:$BS1" -addr "127.0.0.1:$RSCOPED" -epsa 0.3 &
-PIDS+=($!)
-wait_tcp 127.0.0.1 "$RFULL"
-wait_tcp 127.0.0.1 "$RSCOPED"
-
-echo "== comparing query answers (shard-local vs full-copy workers)"
-check "$RFULL" "$RSCOPED" "/topk?u=5&k=10"
-check "$RFULL" "$RSCOPED" "/single-source?u=123"
-check "$RFULL" "$RSCOPED" "/pair?u=5&v=77"
-curl -sf -X POST "http://127.0.0.1:$RFULL/edges?u=9&v=239999" >/dev/null
-curl -sf -X POST "http://127.0.0.1:$RSCOPED/edges?u=9&v=239999" >/dev/null
-check "$RFULL" "$RSCOPED" "/topk?u=9&k=10"
 
 echo "== multi-process smoke PASSED"
