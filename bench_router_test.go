@@ -10,13 +10,13 @@ package probesim_test
 //   - BenchmarkRouterSingleSource/router-local: the same store behind
 //     router.NewLocal — the fast path must add nothing (it serves the
 //     store's own snapshots).
-//   - BenchmarkRouterSingleSource/router-engines: two in-process engines
-//     splitting shard ownership through the generic path (one bulk fetch
-//     per view generation, then walks and probes over the materialized
-//     composite view) — the in-memory cost of the distribution seam,
-//     network excluded.
+//   - BenchmarkRouterSingleSource/router-engines: a replica set of two
+//     in-process engines through the generic path (one bulk fetch per
+//     view generation, split between the engines, then walks and probes
+//     over the materialized composite view) — the in-memory cost of the
+//     distribution seam, network excluded.
 //   - BenchmarkRouterSingleSource/router-tcp-batched: the same topology
-//     over real loopback TCP (one ResolveShards per worker group per
+//     over real loopback TCP (one ResolveShards per worker per
 //     generation) — what a real fleet pays per query.
 //   - BenchmarkRouterSingleSource/router-tcp-batched-churn: the same
 //     sockets with a fresh generation published before every query, so
@@ -56,13 +56,13 @@ func shardBenchGraph(b *testing.B) *graph.Graph {
 	return g
 }
 
-// benchTCPFleet serves two TCP workers splitting shard ownership and
-// returns a router over them.
+// benchTCPFleet serves two TCP workers and returns a router over them,
+// one replica set.
 func benchTCPFleet(b *testing.B, g *graph.Graph) *router.Router {
 	b.Helper()
 	var engines []router.ShardEngine
 	for i := 0; i < 2; i++ {
-		srv := router.NewServer(router.NewLocalEngine(shard.NewStore(g, shardBenchShards, 0), i, 2))
+		srv := router.NewServer(router.NewLocalEngine(shard.NewStore(g, shardBenchShards, 0)))
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)
@@ -89,7 +89,7 @@ func BenchmarkRouterSingleSource(b *testing.B) {
 	stA := shard.NewStore(g, shardBenchShards, 0)
 	stB := shard.NewStore(g, shardBenchShards, 0)
 	local := router.NewLocal(shard.NewStore(g, shardBenchShards, 0))
-	split, err := router.New(router.NewLocalEngine(stA, 0, 2), router.NewLocalEngine(stB, 1, 2))
+	split, err := router.New(router.NewLocalEngine(stA), router.NewLocalEngine(stB))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -41,23 +41,21 @@
 //
 // With -workers the graph is not loaded here at all: the server routes
 // every query to a fleet of probesim-shardd workers over the binary
-// shard RPC (internal/rpcwire): each view generation fetches its shard
-// blocks from their owners once, in one request per group, and queries
-// walk and probe over them here — bit-identically to the single-process
-// answer for the same seed. The grammar is replica
-// groups: semicolons separate shard owners, commas separate replicas of
-// one owner, so "a:9101,b:9101;c:9101,d:9101" is two shard groups of
-// two replicas each (and "a:9101;b:9101" is the old unreplicated
-// two-owner fleet — note commas CHANGED meaning from owners to
-// replicas). Writes broadcast to every current replica under identified
-// apply-once batches; reads fail over to a group peer on transport
-// errors and, with -hedge, race a second replica after a p99-derived
-// delay (first answer wins, the loser is canceled — bit-identity is
-// unaffected because every replica serves the same blocks). A replica
-// that misses writes is demoted, replayed from the in-memory batch ring
-// by the health pass, and re-admitted; only a whole group dying
-// surfaces as HTTP 502. Per-replica health/version/currency and
-// failover/hedge counters appear on /stats and /metrics.
+// shard RPC (internal/rpcwire). -workers is one comma-separated list,
+// "a:9101,b:9101,c:9101", and the workers form one replica set: each
+// holds the whole graph and serves every shard block. Each view
+// generation fetches the blocks it lacks once, split into one request
+// per serving worker, and queries walk and probe over them here —
+// bit-identically to the single-process answer for the same seed.
+// Writes broadcast to every current worker under identified apply-once
+// batches and succeed once one worker applies them; reads fail over to
+// another worker on transport errors and, with -hedge, race a second
+// worker after a p99-derived delay (first answer wins, the loser is
+// canceled — bit-identity is unaffected because every worker serves the
+// same blocks). A worker that misses writes is demoted, replayed from
+// the in-memory batch ring by the health pass, and re-admitted; only
+// every worker dying surfaces as HTTP 502. Per-worker health/version/
+// currency and failover/hedge counters appear on /stats and /metrics.
 //
 // With -soft-inflight=N (< -max-inflight), admission pressure degrades
 // instead of rejecting: queries above the watermark run with
@@ -200,9 +198,9 @@ func main() {
 		hotBudget  = flag.Duration("hot-refresh-budget", 200*time.Millisecond, "per-entry time budget for background hot-source builds")
 		shards     = flag.Int("shards", server.DefaultShards, "partition the graph into up to this many shards")
 		rebuildW   = flag.Int("rebuild-workers", 0, "bound on concurrent shard rebuilds (0 = GOMAXPROCS)")
-		workers    = flag.String("workers", "", "probesim-shardd replica groups (semicolons separate shard owners, commas separate replicas: \"a,b;c,d\"); route queries to these workers instead of serving the graph in-process")
+		workers    = flag.String("workers", "", "comma-separated probesim-shardd addresses (\"a:9101,b:9101\"), one replica set in which every worker serves every shard; route queries to these workers instead of serving the graph in-process")
 		healthIvl  = flag.Duration("health-interval", 5*time.Second, "with -workers: background per-replica health/version probe + catch-up interval")
-		hedge      = flag.Bool("hedge", true, "with replicated -workers groups: race a second replica when a read exceeds the group's p99-derived delay")
+		hedge      = flag.Bool("hedge", true, "with two or more -workers: race a second worker when a read exceeds the fleet's p99-derived delay")
 		hedgeMin   = flag.Duration("hedge-min", 2*time.Millisecond, "lower clamp on the hedge delay")
 		hedgeMax   = flag.Duration("hedge-max", 200*time.Millisecond, "upper clamp on the hedge delay (also the cold-start delay)")
 
@@ -254,22 +252,16 @@ func main() {
 		if *dataDir != "" {
 			fatal("-data-dir belongs on the workers in routed mode (probesim-shardd -data-dir); the routing tier keeps no durable state")
 		}
-		specs, err := router.ParseGroups(*workers)
+		addrs, err := router.ParseWorkers(*workers)
 		if err != nil {
 			fatal("parsing -workers", "err", err)
 		}
-		groups := make([][]router.ShardEngine, len(specs))
-		nworkers, replicated := 0, false
-		for gi, members := range specs {
-			for _, a := range members {
-				groups[gi] = append(groups[gi], router.NewRemoteEngine(a))
-				nworkers++
-			}
-			if len(members) > 1 {
-				replicated = true
-			}
+		engines := make([]router.ShardEngine, len(addrs))
+		for i, a := range addrs {
+			engines[i] = router.NewRemoteEngine(a)
 		}
-		rt, err := router.NewReplicated(groups)
+		replicated := len(engines) > 1
+		rt, err := router.New(engines...)
 		if err != nil {
 			fatal("assembling worker topology", "err", err)
 		}
@@ -288,7 +280,7 @@ func main() {
 		snap := rt.PublishedView()
 		slog.Info("routing",
 			"nodes", snap.NumNodes(), "edges", snap.NumEdges(), "version", snap.Version(),
-			"addr", *addr, "groups", len(groups), "workers", nworkers,
+			"addr", *addr, "workers", len(engines),
 			"hedge", *hedge && replicated, "topology", *workers)
 		serve(srv, addr, queryTimeout, maxInflight, softInflight, degradeF, maxJoins, maxWriteQ, drainTO, traceSlow, traceSample, debugAddr, reg, slotr, nil)
 		return

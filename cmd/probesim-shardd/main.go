@@ -2,19 +2,18 @@
 // sharded snapshot store, and serves the shard-engine RPC protocol
 // (internal/rpcwire) over TCP for a routing probesim-server.
 //
-//	probesim-shardd -graph web.txt -shards 16 -index 0 -group 2 -addr :9090
-//	probesim-shardd -graph web.txt -shards 16 -index 1 -group 2 -addr :9091
-//	probesim-server -workers "host0:9090;host1:9091" -addr :8080
+//	probesim-shardd -graph web.txt -shards 16 -addr :9090 -data-dir d0
+//	probesim-shardd -graph web.txt -shards 16 -addr :9091 -data-dir d1
+//	probesim-server -workers "host0:9090,host1:9091" -addr :8080
 //
-// A worker started with -index i -group W owns every shard p with
-// p % W == i; a fleet with the same -group and distinct indices covers
-// the shard space exactly once, and every worker must be started from
-// the same graph with the same -shards so the routers' version checks
-// agree. The worker serves:
+// Every worker holds the whole graph and serves every shard: the
+// workers of a router's -workers list form one replica set. Every
+// worker must be started from the same graph with the same -shards so
+// the routers' version checks agree. The worker serves:
 //
 //   - shard adjacency blocks (a router fetches every block its view
-//     lacks before a query's first walk step, in one request per worker
-//     group, and walks and probes over them itself),
+//     lacks before a query's first walk step, split into one request per
+//     serving worker, and walks and probes over them itself),
 //   - the write plane (edge batches + publication), driven by the router
 //     so the fleet stays in lockstep with the serving tier.
 //
@@ -29,18 +28,16 @@
 // window. A data dir with state wins over -graph; an empty one is
 // bootstrapped from it.
 //
-// Every worker holds the whole graph, whatever its -index and -group,
-// so every worker decides each batch the same way and a rejected batch
-// is rejected fleet-wide.
+// Every worker holds the whole graph, so every worker decides each batch
+// the same way and a rejected batch is rejected fleet-wide.
 //
 // The last 8 published generations stay resolvable so in-flight queries
 // read the exact snapshot they pinned while churn publishes newer ones.
 //
-// Replication: point several workers with the SAME -index/-group at the
-// same graph and list them as one comma-separated replica group in the
-// router's -workers ("a:9101,b:9101;..."). The router broadcasts writes
-// to all of them and fails reads over between them; each replica should
-// use its OWN -data-dir.
+// Replication: the router broadcasts writes to every worker of its
+// -workers list and splits and fails reads over between them, so a
+// fleet of N workers keeps serving with N-1 of them down; each worker
+// should use its OWN -data-dir.
 //
 // With -health-addr the worker also serves HTTP /healthz (liveness) and
 // /readyz (readiness) on a separate listener: /readyz goes 503 the
@@ -83,8 +80,6 @@ func main() {
 		undirected = flag.Bool("undirected", false, "treat edge list as undirected")
 		addr       = flag.String("addr", ":9090", "RPC listen address")
 		shards     = flag.Int("shards", 16, "partition the graph into up to this many shards (must match every worker and router)")
-		index      = flag.Int("index", 0, "this worker's index within the group")
-		group      = flag.Int("group", 1, "worker-group size; this worker owns shards p with p%group==index")
 		rebuildW   = flag.Int("rebuild-workers", 0, "bound on concurrent shard rebuilds (0 = GOMAXPROCS)")
 		healthAddr = flag.String("health-addr", "", "serve HTTP /healthz and /readyz on this address (empty = off)")
 
@@ -110,10 +105,6 @@ func main() {
 	}
 	if *shards < 1 {
 		fmt.Fprintln(os.Stderr, "probesim-shardd: -shards must be >= 1")
-		os.Exit(1)
-	}
-	if *group < 1 || *index < 0 || *index >= *group {
-		fmt.Fprintln(os.Stderr, "probesim-shardd: need 0 <= index < group")
 		os.Exit(1)
 	}
 	loadGraph := func() (*probesim.Graph, error) {
@@ -164,7 +155,7 @@ func main() {
 	// to the OS now so the worker's resident set reflects what it actually
 	// serves.
 	debug.FreeOSMemory()
-	eng := router.NewLocalEngine(st, *index, *group)
+	eng := router.NewLocalEngine(st)
 	if lg != nil {
 		eng.SetWAL(lg)
 	}
@@ -207,13 +198,9 @@ func main() {
 		hstate.SetReady(true)
 		slog.Info("probes", "addr", hln.Addr().String())
 	}
-	owned := 0
-	for p := *index; p < st.NumShards(); p += *group {
-		owned++
-	}
 	slog.Info("serving",
 		"nodes", st.NumNodes(), "edges", st.NumEdges(), "addr", ln.Addr().String(),
-		"worker", *index, "group", *group, "owned", owned, "shards", st.NumShards(),
+		"shards", st.NumShards(),
 		"stride", st.Partition().Stride(), "durable", lg != nil)
 
 	sig := make(chan os.Signal, 1)

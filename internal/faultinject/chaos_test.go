@@ -90,11 +90,11 @@ func applyToStore(t *testing.T, st *shard.Store, ops []graph.EdgeOp) {
 }
 
 // TestChaosBitIdenticalUnderFaultSchedule is the acceptance property:
-// a 2-group x 2-replica fleet where one replica per group runs under a
-// seeded fault schedule (transport errors, lost replies, latency
-// spikes, hangs) answers EVERY query — and bit-identically to a
-// fault-free single store — because at least one replica per group
-// stays reachable and every replica serves the same blocks.
+// a four-worker replica set where two workers run under a seeded fault
+// schedule (transport errors, lost replies, latency spikes, hangs)
+// answers EVERY query — and bit-identically to a fault-free single
+// store — because every chunk of a fetch can fail over to a reachable
+// worker and every worker serves the same blocks.
 func TestChaosBitIdenticalUnderFaultSchedule(t *testing.T) {
 	const n = 400
 	for _, seed := range []uint64{1, 2, 3} {
@@ -115,18 +115,15 @@ func TestChaosBitIdenticalUnderFaultSchedule(t *testing.T) {
 				}
 				s0a, s0b := shard.NewStore(g, 8, 0), shard.NewStore(g, 8, 0)
 				s1a, s1b := shard.NewStore(g, 8, 0), shard.NewStore(g, 8, 0)
-				f0 := Wrap(router.NewLocalEngine(s0a, 0, 2), plan)
-				f1 := Wrap(router.NewLocalEngine(s1a, 1, 2), plan)
-				rt, err := router.NewReplicated([][]router.ShardEngine{
-					{f0, router.NewLocalEngine(s0b, 0, 2)},
-					{f1, router.NewLocalEngine(s1b, 1, 2)},
-				})
+				f0 := Wrap(router.NewLocalEngine(s0a), plan)
+				f1 := Wrap(router.NewLocalEngine(s1a), plan)
+				rt, err := router.New(f0, router.NewLocalEngine(s0b), f1, router.NewLocalEngine(s1b))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if hedged {
 					// MaxDelay sits below the plan's Slow latency: each view
-					// generation costs one fetch per group, fewer in this test
+					// generation costs one fetch per worker, fewer in this test
 					// than the latency tracker needs for its first p99, so
 					// MaxDelay IS the effective hedge delay — it must be short
 					// enough that a slow-faulted primary triggers the hedge.
@@ -140,11 +137,11 @@ func TestChaosBitIdenticalUnderFaultSchedule(t *testing.T) {
 
 				// Churn through the faulted fleet (Apply is clean under
 				// ReadsOnly; the read plane keeps faulting). Each round is
-				// a new view generation and so one more fetch per group
-				// that owns a shard the round moved (12 random edges move
-				// shards of both groups), the only calls the fault schedule
-				// sees: 14 rounds give every seed at least one failover
-				// and, hedged, one hedge.
+				// a new view generation and so one more fetch per worker
+				// whose chunk holds a shard the round moved (12 random
+				// edges move shards of most chunks), the only calls the
+				// fault schedule sees: 14 rounds give every seed at least
+				// one failover and, hedged, one hedge.
 				rng := xrand.New(seed * 1000)
 				var added [][2]graph.NodeID
 				for round := 0; round < 14; round++ {
@@ -184,14 +181,12 @@ func TestChaosWriteLostReplies(t *testing.T) {
 	g := gen.PreferentialAttachment(n, 4, 13)
 	ref := shard.NewStore(g, 4, 0)
 	stA, stB := shard.NewStore(g, 4, 0), shard.NewStore(g, 4, 0)
-	flaky := Wrap(router.NewLocalEngine(stA, 0, 1), Plan{
+	flaky := Wrap(router.NewLocalEngine(stA), Plan{
 		Seed:   9,
 		PError: 0.15,
 		PLost:  0.30,
 	})
-	rt, err := router.NewReplicated([][]router.ShardEngine{
-		{flaky, router.NewLocalEngine(stB, 0, 1)},
-	})
+	rt, err := router.New(flaky, router.NewLocalEngine(stB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +255,7 @@ func TestChaosProxyKillMidReply(t *testing.T) {
 	ref := shard.NewStore(g, 4, 0)
 
 	startWorker := func(st *shard.Store) (string, *router.Server) {
-		le := router.NewLocalEngine(st, 0, 1)
+		le := router.NewLocalEngine(st)
 		srv := router.NewServer(le)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -285,7 +280,7 @@ func TestChaosProxyKillMidReply(t *testing.T) {
 
 	reA := router.NewRemoteEngine(proxy.Addr())
 	reB := router.NewRemoteEngine(addrB)
-	rt, err := router.NewReplicated([][]router.ShardEngine{{reA, reB}})
+	rt, err := router.New(reA, reB)
 	if err != nil {
 		t.Fatal(err)
 	}

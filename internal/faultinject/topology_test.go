@@ -15,13 +15,13 @@ import (
 	"probesim/internal/xrand"
 )
 
-// tcpFleet serves two TCP workers splitting shard ownership and returns
-// a router over them.
+// tcpFleet serves two TCP workers and returns a router over them, one
+// replica set.
 func tcpFleet(t *testing.T, g *graph.Graph, shards int) *router.Router {
 	t.Helper()
 	var engines []router.ShardEngine
 	for i := 0; i < 2; i++ {
-		srv := router.NewServer(router.NewLocalEngine(shard.NewStore(g, shards, 0), i, 2))
+		srv := router.NewServer(router.NewLocalEngine(shard.NewStore(g, shards, 0)))
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -56,18 +56,15 @@ func TestTopologyMatrixBitIdentical(t *testing.T) {
 
 	batched := tcpFleet(t, g, shards)
 
-	// The faulted topology: replicated in-process fleet with a read-plane
-	// fault schedule on one replica of each group.
+	// The faulted topology: a replica set of four in-process workers with
+	// a read-plane fault schedule on two of them.
 	plan := Plan{Seed: 3, PError: 0.15, PLost: 0.10, PSlow: 0.03,
 		Slow: time.Millisecond, ReadsOnly: true}
 	s0a, s0b := shard.NewStore(g, shards, 0), shard.NewStore(g, shards, 0)
 	s1a, s1b := shard.NewStore(g, shards, 0), shard.NewStore(g, shards, 0)
-	f0 := Wrap(router.NewLocalEngine(s0a, 0, 2), plan)
-	f1 := Wrap(router.NewLocalEngine(s1a, 1, 2), plan)
-	faulted, err := router.NewReplicated([][]router.ShardEngine{
-		{f0, router.NewLocalEngine(s0b, 0, 2)},
-		{f1, router.NewLocalEngine(s1b, 1, 2)},
-	})
+	f0 := Wrap(router.NewLocalEngine(s0a), plan)
+	f1 := Wrap(router.NewLocalEngine(s1a), plan)
+	faulted, err := router.New(f0, router.NewLocalEngine(s0b), f1, router.NewLocalEngine(s1b))
 	if err != nil {
 		t.Fatal(err)
 	}

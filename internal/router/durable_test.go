@@ -19,7 +19,7 @@ import (
 // real TCP worker (the lost-reply retry) must be applied exactly once.
 func TestApplyIdempotentOverTCP(t *testing.T) {
 	g := testGraph(200, 17)
-	re, _, le := startWorker(t, g, 8, 0, 1)
+	re, _, le := startWorker(t, g, 8)
 	before := le.Store().NumEdges()
 
 	ops := []graph.EdgeOp{{U: 1, V: 2}, {U: 3, V: 4}}
@@ -81,9 +81,9 @@ func TestRouterApplyRetriesLostReply(t *testing.T) {
 	g := testGraph(120, 23)
 	stA := shard.NewStore(g, 4, 0)
 	stB := shard.NewStore(g, 4, 0)
-	flaky := &lostReplyEngine{ShardEngine: NewLocalEngine(stA, 0, 2)}
+	flaky := &lostReplyEngine{ShardEngine: NewLocalEngine(stA)}
 	flaky.dropReplies.Store(1)
-	rt, err := New(flaky, NewLocalEngine(stB, 1, 2))
+	rt, err := New(flaky, NewLocalEngine(stB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,16 +124,20 @@ func (e *deadEngine) Apply(ctx context.Context, batch uint64, ops []graph.EdgeOp
 	return 0, fmt.Errorf("%w: injected dead worker", ErrTransport)
 }
 
-// TestRouterApplyExhaustsRetries: a worker that stays unreachable makes
-// Apply fail with ErrTransport after the retry budget — and the healthy
-// engine is NOT rolled back (its copy is durable and idempotent; the
-// dead worker heals from its own log or fails watermark agreement).
+// TestRouterApplyExhaustsRetries: when no worker acknowledges a batch —
+// one stays unreachable, the other applies it and loses every reply —
+// Apply fails with ErrTransport after the retry budget, and the worker
+// that applied the batch is NOT rolled back (its copy is durable and
+// idempotent; the dead worker is replayed the batch from the ring when
+// it returns).
 func TestRouterApplyExhaustsRetries(t *testing.T) {
 	g := testGraph(80, 29)
 	stA := shard.NewStore(g, 4, 0)
 	stB := shard.NewStore(g, 4, 0)
-	dead := &deadEngine{ShardEngine: NewLocalEngine(stA, 0, 2)}
-	rt, err := New(dead, NewLocalEngine(stB, 1, 2))
+	dead := &deadEngine{ShardEngine: NewLocalEngine(stA)}
+	lossy := &lostReplyEngine{ShardEngine: NewLocalEngine(stB)}
+	lossy.dropReplies.Store(applyAttempts)
+	rt, err := New(dead, lossy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +149,11 @@ func TestRouterApplyExhaustsRetries(t *testing.T) {
 	if dead.calls.Load() != applyAttempts {
 		t.Fatalf("dead engine saw %d attempts, want %d", dead.calls.Load(), applyAttempts)
 	}
+	if got := lossy.applies.Load(); got != applyAttempts {
+		t.Fatalf("reply-losing engine saw %d attempts, want %d", got, applyAttempts)
+	}
 	if got := stB.NumEdges(); got != before+1 {
-		t.Fatalf("healthy engine edges %d, want %d (no rollback on transport failure)", got, before+1)
+		t.Fatalf("applying engine edges %d, want %d (applied once, no rollback on transport failure)", got, before+1)
 	}
 }
 
@@ -177,7 +184,7 @@ func TestRouterApplySemanticRollback(t *testing.T) {
 	ref := shard.NewStore(g, 4, 0)
 	stA := shard.NewStore(g, 4, 0)
 	stB := shard.NewStore(g, 4, 0)
-	rt, err := New(NewLocalEngine(stA, 0, 2), NewLocalEngine(stB, 1, 2))
+	rt, err := New(NewLocalEngine(stA), NewLocalEngine(stB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,10 +261,10 @@ func TestMixedSemanticRollbackConvergesWatermarks(t *testing.T) {
 	g := testGraph(80, 43)
 	stA := shard.NewStore(g, 4, 0)
 	stB := shard.NewStore(g, 4, 0)
-	veto := &vetoEngine{LocalEngine: NewLocalEngine(stA, 0, 2)}
+	veto := &vetoEngine{LocalEngine: NewLocalEngine(stA)}
 	veto.veto.Store(1)
 	a := &countingEngine{ShardEngine: veto}
-	b := &countingEngine{ShardEngine: NewLocalEngine(stB, 1, 2)}
+	b := &countingEngine{ShardEngine: NewLocalEngine(stB)}
 	rt, err := New(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +281,7 @@ func TestMixedSemanticRollbackConvergesWatermarks(t *testing.T) {
 	if stA.LastBatch() != 1 || stB.LastBatch() != 1 {
 		t.Fatalf("watermarks %d and %d, want 1", stA.LastBatch(), stB.LastBatch())
 	}
-	rejecter, applier := rt.groups[0].members[0], rt.groups[1].members[0]
+	rejecter, applier := rt.members[0], rt.members[1]
 	if rejecter.divergent.Load() || !rejecter.current.Load() {
 		t.Fatalf("the rejecting member was demoted: %q", rejecter.lagErrText())
 	}
@@ -324,9 +331,9 @@ func TestLostRejectionReplyStaysRejected(t *testing.T) {
 			untouched := shard.NewStore(g, 4, 0)
 			stA := shard.NewStore(g, 4, 0)
 			stB := shard.NewStore(g, 4, 0)
-			lossy := &lostRejectionEngine{ShardEngine: NewLocalEngine(stA, 0, 2)}
+			lossy := &lostRejectionEngine{ShardEngine: NewLocalEngine(stA)}
 			lossy.drop.Store(1)
-			rt, err := New(lossy, NewLocalEngine(stB, 1, 2))
+			rt, err := New(lossy, NewLocalEngine(stB))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -337,11 +344,9 @@ func TestLostRejectionReplyStaysRejected(t *testing.T) {
 			if rt.Counters().ApplyRetries != 1 {
 				t.Fatalf("applyRetries %d, want 1 (the re-send after the lost reply)", rt.Counters().ApplyRetries)
 			}
-			for gi, g := range rt.groups {
-				for _, m := range g.members {
-					if m.divergent.Load() || !m.current.Load() {
-						t.Fatalf("group %d member demoted after a rejection every member made: %q", gi, m.lagErrText())
-					}
+			for i, m := range rt.members {
+				if m.divergent.Load() || !m.current.Load() {
+					t.Fatalf("member %d demoted after a rejection every member made: %q", i, m.lagErrText())
 				}
 			}
 			for i, st := range []*shard.Store{stA, stB} {
@@ -385,18 +390,18 @@ func (e *downEngine) Publish(ctx context.Context) (Meta, error) {
 }
 
 // TestDemotedReplicaReplaysRejectedBatch: a replica whose Apply fails in
-// transport on a batch the rest of its group rejects is only demoted, not
+// transport on a batch the rest of the set rejects is only demoted, not
 // marked divergent. When it returns, it replays the batch from the ring,
 // rejects it as the live replica did, and is re-admitted at the same
-// watermark with the same lists; the group then takes the next write.
+// watermark with the same lists; the set then takes the next write.
 func TestDemotedReplicaReplaysRejectedBatch(t *testing.T) {
 	ctx := context.Background()
 	g := testGraph(60, 31)
 	ref := shard.NewStore(g, 4, 0)
 	stA := shard.NewStore(g, 4, 0)
 	stB := shard.NewStore(g, 4, 0)
-	a := &downEngine{ShardEngine: NewLocalEngine(stA, 0, 1)}
-	rt, err := NewReplicated([][]ShardEngine{{a, NewLocalEngine(stB, 0, 1)}})
+	a := &downEngine{ShardEngine: NewLocalEngine(stA)}
+	rt, err := New(a, NewLocalEngine(stB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +415,7 @@ func TestDemotedReplicaReplaysRejectedBatch(t *testing.T) {
 	if err := rt.Apply(ctx, bad); err == nil || errors.Is(err, ErrTransport) {
 		t.Fatalf("apply returned %v, want the semantic rejection", err)
 	}
-	if m := rt.groups[0].members[0]; m.current.Load() || m.divergent.Load() {
+	if m := rt.members[0]; m.current.Load() || m.divergent.Load() {
 		t.Fatalf("unreachable replica: current %v, divergent %v (%q); want demoted only", m.current.Load(), m.divergent.Load(), m.lagErrText())
 	}
 	a.down.Store(false)
@@ -451,7 +456,7 @@ func TestWorkerWALSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := shard.NewStore(g, 4, 0)
-	eng := NewLocalEngine(st, 0, 1)
+	eng := NewLocalEngine(st)
 	eng.SetWAL(lg)
 	if _, err := eng.Apply(context.Background(), 1, []graph.EdgeOp{{U: 2, V: 3}, {U: 4, V: 5}}); err != nil {
 		t.Fatal(err)
@@ -474,7 +479,7 @@ func TestWorkerWALSurvivesRestart(t *testing.T) {
 		t.Fatalf("recovered edges=%d batch=%d, want %d/1", st2.NumEdges(), st2.LastBatch(), wantEdges)
 	}
 	// And the retried batch is still a no-op after recovery.
-	eng2 := NewLocalEngine(st2, 0, 1)
+	eng2 := NewLocalEngine(st2)
 	if _, err := eng2.Apply(context.Background(), 1, []graph.EdgeOp{{U: 2, V: 3}, {U: 4, V: 5}}); err != nil {
 		t.Fatal(err)
 	}

@@ -9,34 +9,36 @@
 // (Apply, Publish) that keeps a worker's graph in lockstep with the
 // topology. Two implementations exist: LocalEngine wraps an in-process
 // shard.Store (the fast path every in-process server runs on — a Router
-// over a single all-owning LocalEngine serves the store's own published
-// snapshot, zero new allocations on the hot path, and applies writes
-// straight to the engine), and RemoteEngine speaks the length-prefixed
-// binary protocol of internal/rpcwire over TCP to a probesim-shardd
-// worker.
+// over a single LocalEngine serves the store's own published snapshot,
+// zero new allocations on the hot path, and applies writes straight to
+// the engine), and RemoteEngine speaks the length-prefixed binary
+// protocol of internal/rpcwire over TCP to a probesim-shardd worker.
 //
-// A Router reads shards from their owners by the same power-of-two node
-// stride internal/shard partitions with. Before a query on a view
-// generation runs, the view fetches every shard block it lacks, in one
-// batched call per owner group, and assembles the generation's blocks
-// into one shard.StoreSnapshot; the kernels then walk and probe that
-// snapshot with the same code as in process — which is what keeps
-// results bit-identical between a single process and a fleet of
-// workers. A new generation inherits every block whose shard version
-// its owners report unchanged, so the read after a write fetches only
-// the shards the write moved. The Router plugs into core.Executor
-// through the SnapshotProvider seam, so single-source, top-k,
-// progressive, join and component queries run unchanged over either
-// engine.
+// A Router runs over one replica set: every worker holds the whole
+// graph, takes every write and serves every shard block, by the same
+// power-of-two node stride internal/shard partitions with. Before a
+// query on a view generation runs, the view fetches every shard block
+// it lacks, split into one batched call per serving worker, and
+// assembles the generation's blocks into one shard.StoreSnapshot; the
+// kernels then walk and probe that snapshot with the same code as in
+// process — which is what keeps results bit-identical between a single
+// process and a fleet of workers. A new generation inherits every block
+// whose shard version the workers report unchanged, so the read after a
+// write fetches only the shards the write moved. The Router plugs into
+// core.Executor through the SnapshotProvider seam, so single-source,
+// top-k, progressive, join and component queries run unchanged over
+// either engine.
 //
 // Failure semantics: every remote call is bounded by the query's deadline
 // (propagated in the request's budget header) and by a call timeout. A
-// fetch that fails — a worker's transport error, the caller's deadline,
-// a retired generation or a malformed block — fails the query before any
-// kernel runs, with no partial result, and errors.Is finds the cause in
-// the query's error chain (ErrTransport for a dead worker, so the server
-// answers 502). The blocks the failed attempt did fetch stay with the
-// view, so the next query asks only for the rest.
+// fetch that fails on one worker in transport moves on to the next. A
+// fetch that fails for good — every worker's transport error, the
+// caller's deadline, a retired generation or a malformed block — fails
+// the query before any kernel runs, with no partial result, and
+// errors.Is finds the cause in the query's error chain (ErrTransport when
+// every worker is dead, so the server answers 502). The blocks the
+// failed attempt did fetch stay with the view, so the next query asks
+// only for the rest.
 package router
 
 import (
@@ -85,8 +87,7 @@ type Meta struct {
 	LastBatch uint64
 	Shift     uint32 // node stride is 1 << Shift
 	Shards    int
-	Owned     []int // shard ids this engine serves, ascending
-	// ShardVersions, aligned with Owned, is the store version each owned
+	// ShardVersions, indexed by shard id, is the store version each
 	// shard's block was encoded at. A shard's version rises whenever an
 	// op touches its adjacency (a rejected batch's undo counts as another
 	// touch), and replicas in lockstep agree on it, so an unchanged
@@ -106,8 +107,8 @@ type Meta struct {
 // publishes newer ones. All methods are safe for concurrent use.
 type ShardEngine interface {
 	// Meta reports the engine's published shape, including the version
-	// of every owned shard's block, and pins the current generation in
-	// its retention ring.
+	// of every shard's block, and pins the current generation in its
+	// retention ring.
 	Meta(ctx context.Context) (Meta, error)
 
 	// Ping reports the engine's published snapshot version and durable
@@ -116,11 +117,11 @@ type ShardEngine interface {
 	// answerable even while the engine is lagging or mid-recovery.
 	Ping(ctx context.Context) (version, lastBatch uint64, err error)
 
-	// ResolveShards returns owned shards' CSR adjacency blocks at the
-	// pinned generation in one call, in request order: every block a
-	// view generation lacks from the engine's group when its first query
-	// binds. Blocks are immutable; local engines return them by
-	// reference, remote engines decode them off the wire.
+	// ResolveShards returns shards' CSR adjacency blocks at the pinned
+	// generation in one call, in request order: the blocks of the chunk
+	// a view generation asks this engine for when its first query binds.
+	// Any engine serves any shard. Blocks are immutable; local engines
+	// return them by reference, remote engines decode them off the wire.
 	ResolveShards(ctx context.Context, version uint64, ps []int) ([]graph.CSRShard, error)
 
 	// Apply applies a batch of edge mutations atomically (all-or-rollback)
@@ -187,17 +188,11 @@ func (g *generationRing) at(version uint64) *shard.StoreSnapshot {
 }
 
 // LocalEngine serves a shard.Store in process: the fast path of the shard
-// plane and the backend of every probesim-shardd worker. Every store
-// holds the whole graph; ownership only says which blocks an engine
-// serves. It is modular — an engine constructed with (index, group) owns
-// every shard p with p % group == index — so a fleet of workers started
-// with the same group and distinct indices covers the shard space
-// exactly once.
+// plane and the backend of every probesim-shardd worker. It serves every
+// shard of the store, which holds the whole graph.
 type LocalEngine struct {
-	st    *shard.Store
-	index int
-	group int
-	gens  generationRing
+	st   *shard.Store
+	gens generationRing
 
 	// wmu serializes the write plane (Apply) so the watermark check, the
 	// WAL append and the store apply are one atomic step with respect to
@@ -208,16 +203,12 @@ type LocalEngine struct {
 	wal *wal.Log
 }
 
-// NewLocalEngine wraps st as a shard engine owning shards p with
-// p % group == index. group <= 1 means the engine owns everything.
-func NewLocalEngine(st *shard.Store, index, group int) *LocalEngine {
-	if group < 1 {
-		group = 1
-	}
-	if index < 0 || index >= group {
-		panic(fmt.Sprintf("router: engine index %d outside group of %d", index, group))
-	}
-	return &LocalEngine{st: st, index: index, group: group}
+// NewLocalEngine wraps st as a shard engine serving every shard. It
+// ignores any further arguments: they were the engine's index and group
+// size in the earlier owned-stride layout, and bench/stack.go still
+// passes them.
+func NewLocalEngine(st *shard.Store, _ ...int) *LocalEngine {
+	return &LocalEngine{st: st}
 }
 
 // Store returns the underlying shard store (for the worker's stats).
@@ -231,32 +222,18 @@ func (e *LocalEngine) Store() *shard.Store { return e.st }
 // before serving.
 func (e *LocalEngine) SetWAL(lg *wal.Log) { e.wal = lg }
 
-func (e *LocalEngine) owns(p int) bool { return p%e.group == e.index }
-
-// checkShard validates one shard access against the shard range and
-// ownership.
-func (e *LocalEngine) checkShard(snap *shard.StoreSnapshot, p int) error {
-	if p < 0 || p >= snap.NumShards() {
-		return fmt.Errorf("router: shard %d out of range [0, %d)", p, snap.NumShards())
-	}
-	if !e.owns(p) {
-		return fmt.Errorf("router: shard %d not owned by engine %d/%d", p, e.index, e.group)
-	}
-	return nil
-}
-
 func (e *LocalEngine) meta(snap *shard.StoreSnapshot) Meta {
 	m := Meta{
-		Nodes:     snap.NumNodes(),
-		Edges:     snap.NumEdges(),
-		Version:   snap.Version(),
-		LastBatch: e.st.LastBatch(),
-		Shift:     snap.Shift(),
-		Shards:    snap.NumShards(),
+		Nodes:         snap.NumNodes(),
+		Edges:         snap.NumEdges(),
+		Version:       snap.Version(),
+		LastBatch:     e.st.LastBatch(),
+		Shift:         snap.Shift(),
+		Shards:        snap.NumShards(),
+		ShardVersions: make([]uint64, snap.NumShards()),
 	}
-	for p := e.index; p < m.Shards; p += e.group {
-		m.Owned = append(m.Owned, p)
-		m.ShardVersions = append(m.ShardVersions, snap.ShardVersion(p))
+	for p := range m.ShardVersions {
+		m.ShardVersions[p] = snap.ShardVersion(p)
 	}
 	return m
 }
@@ -289,7 +266,7 @@ func (e *LocalEngine) snapshotAt(version uint64) (*shard.StoreSnapshot, error) {
 }
 
 // ResolveShards implements ShardEngine: every requested shard's block
-// from one pinned generation, each checked against ownership.
+// from one pinned generation, each checked against the shard range.
 func (e *LocalEngine) ResolveShards(ctx context.Context, version uint64, ps []int) ([]graph.CSRShard, error) {
 	snap, err := e.snapshotAt(version)
 	if err != nil {
@@ -297,8 +274,8 @@ func (e *LocalEngine) ResolveShards(ctx context.Context, version uint64, ps []in
 	}
 	out := make([]graph.CSRShard, len(ps))
 	for i, p := range ps {
-		if err := e.checkShard(snap, p); err != nil {
-			return nil, err
+		if p < 0 || p >= snap.NumShards() {
+			return nil, fmt.Errorf("router: shard %d out of range [0, %d)", p, snap.NumShards())
 		}
 		out[i] = snap.Shard(p)
 	}

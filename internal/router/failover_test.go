@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,13 +89,13 @@ func TestHedgedReadWinsAndCancelsLoser(t *testing.T) {
 	stSlow := shard.NewStore(g, 4, 0)
 	stFast := shard.NewStore(g, 4, 0)
 
-	addrSlow, _ := startEngineWorker(t, &slowReadEngine{NewLocalEngine(stSlow, 0, 1), 40 * time.Millisecond})
-	addrFast, _ := startEngineWorker(t, NewLocalEngine(stFast, 0, 1))
+	addrSlow, _ := startEngineWorker(t, &slowReadEngine{NewLocalEngine(stSlow), 40 * time.Millisecond})
+	addrFast, _ := startEngineWorker(t, NewLocalEngine(stFast))
 	reSlow := NewRemoteEngine(addrSlow)
 	reFast := NewRemoteEngine(addrFast)
 	t.Cleanup(func() { reSlow.Close(); reFast.Close() })
 
-	rt, err := NewReplicated([][]ShardEngine{{reSlow, reFast}})
+	rt, err := New(reSlow, reFast)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,17 +134,14 @@ func (d *deadReadEngine) ResolveShards(ctx context.Context, version uint64, ps [
 	return nil, fmt.Errorf("%w: dead read plane", ErrTransport)
 }
 
-// TestFailoverExhaustsThenSurfacesFirstError: when EVERY replica in a
-// group fails, the caller gets the first transport error back rather
-// than a hang or a zero answer.
+// TestFailoverExhaustsThenSurfacesFirstError: when EVERY replica of the
+// set fails, the caller gets the first transport error back rather than
+// a hang or a zero answer.
 func TestFailoverExhaustsThenSurfacesFirstError(t *testing.T) {
 	g := testGraph(200, 5)
 	stA := shard.NewStore(g, 4, 0)
 	stB := shard.NewStore(g, 4, 0)
-	rt, err := NewReplicated([][]ShardEngine{{
-		&deadReadEngine{NewLocalEngine(stA, 0, 1)},
-		&deadReadEngine{NewLocalEngine(stB, 0, 1)},
-	}})
+	rt, err := New(&deadReadEngine{NewLocalEngine(stA)}, &deadReadEngine{NewLocalEngine(stB)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,13 +169,13 @@ func TestReplicaDeathFailoverAndRingReadmission(t *testing.T) {
 	stA := shard.NewStore(g, 4, 0)
 	stB := shard.NewStore(g, 4, 0)
 
-	addrA, stopA := startEngineWorker(t, NewLocalEngine(stA, 0, 1))
-	addrB, _ := startEngineWorker(t, NewLocalEngine(stB, 0, 1))
+	addrA, stopA := startEngineWorker(t, NewLocalEngine(stA))
+	addrB, _ := startEngineWorker(t, NewLocalEngine(stB))
 	reA := NewRemoteEngine(addrA)
 	reB := NewRemoteEngine(addrB)
 	t.Cleanup(func() { reA.Close(); reB.Close() })
 
-	rt, err := NewReplicated([][]ShardEngine{{reA, reB}})
+	rt, err := New(reA, reB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +256,7 @@ func TestReplicaDeathFailoverAndRingReadmission(t *testing.T) {
 	// Restart A on the same address over its surviving store: it holds
 	// everything up to the crash and must be replayed the two batches it
 	// missed, then re-admitted.
-	srvA2 := NewServer(NewLocalEngine(stA, 0, 1))
+	srvA2 := NewServer(NewLocalEngine(stA))
 	ln, err := net.Listen("tcp", addrA)
 	if err != nil {
 		t.Fatalf("rebind %s: %v", addrA, err)
@@ -291,28 +290,129 @@ func TestReplicaDeathFailoverAndRingReadmission(t *testing.T) {
 	assertIdentical(t, "re-admitted", want, got, nodes)
 }
 
-// TestGroupWorkerSyntax covers the -workers grammar shared by the CLI:
-// semicolons separate groups, commas separate replicas within one.
-func TestGroupWorkerSyntax(t *testing.T) {
-	got, err := ParseGroups("a:1,b:1;c:1,d:1")
+// TestOneOfTwoWorkersDeadKeepsServing runs the shape of routed-churn and
+// the multiproc smoke — two workers, listed as two single-worker groups
+// the way the owned-stride layout listed them — and kills one before the
+// router notices. A cold read fails over to the live worker, a write
+// still succeeds, and a cold read after it answers bit-identically to an
+// in-process store that took the same ops. Once the worker returns it is
+// replayed from the ring and re-admitted, with answers still identical.
+func TestOneOfTwoWorkersDeadKeepsServing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sockets + timed backoff")
+	}
+	ctx := context.Background()
+	g := testGraph(300, 9)
+	ref := shard.NewStore(g, 8, 0)
+	stA, stB := shard.NewStore(g, 8, 0), shard.NewStore(g, 8, 0)
+	addrA, _ := startEngineWorker(t, NewLocalEngine(stA))
+	addrB, stopB := startEngineWorker(t, NewLocalEngine(stB))
+	reA, reB := NewRemoteEngine(addrA), NewRemoteEngine(addrB)
+	t.Cleanup(func() { reA.Close(); reB.Close() })
+	rt, err := NewReplicated([][]ShardEngine{{reA}, {reB}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := [][]string{{"a:1", "b:1"}, {"c:1", "d:1"}}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("got %v want %v", got, want)
+	t.Cleanup(func() { rt.Close() })
+
+	opt := testOptions(core.ModeAuto)
+	want := core.NewExecutorOn(ref, opt)
+	got := core.NewExecutorOn(rt, opt)
+	nodes := []graph.NodeID{0, 131, 299}
+	assertIdentical(t, "both-up", want, got, nodes)
+
+	rng := xrand.New(3)
+	var added [][2]graph.NodeID
+	write := func(tag string) {
+		t.Helper()
+		ops := randomOps(rng, 300, &added, 5)
+		applyToStore(t, ref, ops)
+		ref.Publish()
+		if err := rt.Apply(ctx, ops); err != nil {
+			t.Fatalf("%s: write: %v", tag, err)
+		}
+		if _, err := rt.PublishView(ctx); err != nil {
+			t.Fatalf("%s: publish: %v", tag, err)
+		}
 	}
-	if _, err := ParseGroups("a:1,,b:1"); err == nil {
-		t.Fatal("empty replica accepted")
+	coldRead := func(tag string) {
+		t.Helper()
+		fetches := rt.Counters().ShardFetches
+		assertIdentical(t, tag, want, got, nodes)
+		if rt.Counters().ShardFetches == fetches {
+			t.Fatalf("%s: the read fetched no block; its view was not cold", tag)
+		}
 	}
-	if _, err := ParseGroups(";"); err == nil {
-		t.Fatal("empty group accepted")
+
+	write("both-up")
+	stopB() // the router still counts b current and healthy
+	coldRead("b-dead, view published before")
+	write("b-dead")
+	coldRead("b-dead, view published after")
+	if ws := rt.WorkerStats()[1]; ws.Current || ws.LagError == "" {
+		t.Fatalf("dead worker not demoted: %+v", ws)
 	}
-	if _, err := ParseGroups(""); err == nil {
-		t.Fatal("empty spec accepted")
+
+	// Restart b on the same address over its surviving store: it missed
+	// one batch, which the health pass replays from the ring.
+	srvB2 := NewServer(NewLocalEngine(stB))
+	ln, err := net.Listen("tcp", addrB)
+	if err != nil {
+		t.Fatalf("rebind %s: %v", addrB, err)
 	}
-	single, err := ParseGroups("a:1")
-	if err != nil || len(single) != 1 || len(single[0]) != 1 {
-		t.Fatalf("singleton: %v %v", single, err)
+	go srvB2.Serve(ln)
+	t.Cleanup(func() { srvB2.Close() })
+	deadline := time.Now().Add(20 * time.Second)
+	for rt.CheckHealth(ctx) != nil || !rt.WorkerStats()[1].Current {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker never re-admitted: %+v", rt.WorkerStats())
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+	if c := rt.Counters().CatchupBatches; c != 1 {
+		t.Fatalf("%d batches replayed from the ring, want 1", c)
+	}
+	if stA.LastBatch() != stB.LastBatch() {
+		t.Fatalf("watermarks %d and %d after re-admission", stA.LastBatch(), stB.LastBatch())
+	}
+	write("b-back")
+	coldRead("b-back")
+	for _, ws := range rt.WorkerStats() {
+		if !ws.Current {
+			t.Fatalf("worker demoted after the re-admission: %+v", ws)
+		}
+	}
+}
+
+// TestWorkerListSyntax covers the -workers list shared by the CLI: one
+// comma-separated replica set, with semicolons, empty entries and
+// duplicate addresses refused.
+func TestWorkerListSyntax(t *testing.T) {
+	got, err := ParseWorkers(" a:1, b:1,c:1 ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"a:1", "b:1", "c:1"}; !slices.Equal(got, want) {
+		t.Fatalf("got %q want %q", got, want)
+	}
+	single, err := ParseWorkers("a:1")
+	if err != nil || !slices.Equal(single, []string{"a:1"}) {
+		t.Fatalf("singleton: %q %v", single, err)
+	}
+	for _, c := range []struct{ spec, why string }{
+		{"a:1,b:1;c:1,d:1", "use commas"},
+		{"a:1;b:1", "use commas"},
+		{";", "use commas"},
+		{"a:1,a:1", "lists a:1 twice"},
+		{"a:1,b:1, a:1", "lists a:1 twice"},
+		{"a:1,,b:1", "entry 1 is empty"},
+		{"a:1,", "entry 1 is empty"},
+		{",a:1", "entry 0 is empty"},
+		{"", "empty -workers"},
+		{"  ", "empty -workers"},
+	} {
+		if _, err := ParseWorkers(c.spec); err == nil || !strings.Contains(err.Error(), c.why) {
+			t.Fatalf("ParseWorkers(%q) = %v, want an error saying %q", c.spec, err, c.why)
+		}
 	}
 }

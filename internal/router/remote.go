@@ -265,28 +265,6 @@ func (e *RemoteEngine) call(ctx context.Context, typ uint8, payload []byte) (uin
 	return rtyp, body, nil
 }
 
-func (e *RemoteEngine) metaFromReply(body []byte) (Meta, []qtrace.Span, error) {
-	rep, err := rpcwire.DecodeMetaReply(body)
-	if err != nil {
-		return Meta{}, nil, fmt.Errorf("router: %s: %v", e.addr, err)
-	}
-	m := Meta{
-		Nodes:         int(rep.Nodes),
-		Edges:         int64(rep.Edges),
-		Version:       rep.Version,
-		LastBatch:     rep.LastBatch,
-		Shift:         rep.Shift,
-		Shards:        int(rep.Shards),
-		Owned:         make([]int, len(rep.Owned)),
-		ShardVersions: rep.ShardVersions,
-	}
-	for i, p := range rep.Owned {
-		m.Owned[i] = int(p)
-	}
-	e.version.Store(m.Version)
-	return m, rep.Spans, nil
-}
-
 // traceField resolves ctx's trace into the optional request trailer:
 // nil when the query is unsampled.
 func traceField(ctx context.Context) (*qtrace.Trace, qtrace.SpanRef, *rpcwire.TraceContext) {
@@ -300,16 +278,44 @@ func traceField(ctx context.Context) (*qtrace.Trace, qtrace.SpanRef, *rpcwire.Tr
 
 // Meta implements ShardEngine.
 func (e *RemoteEngine) Meta(ctx context.Context) (Meta, error) {
+	return e.shape(ctx, rpcwire.TMeta)
+}
+
+// shape sends a TMeta or TPublish request and decodes the worker's
+// published shape from the reply. A worker lists every shard in the
+// reply's Owned, in order; one that lists fewer still runs the earlier
+// owned-stride layout (started with -index/-group), serves only its
+// stride, and is refused.
+func (e *RemoteEngine) shape(ctx context.Context, typ uint8) (Meta, error) {
 	req := rpcwire.MetaRequest{Budget: headerFrom(ctx)}
-	rtyp, body, err := e.call(ctx, rpcwire.TMeta, req.Append(nil))
+	rtyp, body, err := e.call(ctx, typ, req.Append(nil))
 	if err != nil {
 		return Meta{}, err
 	}
 	if rtyp != rpcwire.TMetaRep {
 		return Meta{}, fmt.Errorf("router: %s: unexpected reply type %d", e.addr, rtyp)
 	}
-	m, _, err := e.metaFromReply(body)
-	return m, err
+	rep, err := rpcwire.DecodeMetaReply(body)
+	if err != nil {
+		return Meta{}, fmt.Errorf("router: %s: %v", e.addr, err)
+	}
+	listed := len(rep.Owned) == int(rep.Shards)
+	for i := 0; listed && i < len(rep.Owned); i++ {
+		listed = rep.Owned[i] == uint32(i)
+	}
+	if !listed {
+		return Meta{}, fmt.Errorf("router: worker %s serves %d of its %d shards: it runs with -index/-group, which this router no longer supports; restart it without them", e.addr, len(rep.Owned), rep.Shards)
+	}
+	e.version.Store(rep.Version)
+	return Meta{
+		Nodes:         int(rep.Nodes),
+		Edges:         int64(rep.Edges),
+		Version:       rep.Version,
+		LastBatch:     rep.LastBatch,
+		Shift:         rep.Shift,
+		Shards:        int(rep.Shards),
+		ShardVersions: rep.ShardVersions,
+	}, nil
 }
 
 // ResolveShards implements ShardEngine: one TShards round trip.
@@ -370,26 +376,18 @@ func (e *RemoteEngine) Apply(ctx context.Context, batch uint64, ops []graph.Edge
 	if rtyp != rpcwire.TMetaRep {
 		return 0, fmt.Errorf("router: %s: unexpected reply type %d", e.addr, rtyp)
 	}
-	m, spans, err := e.metaFromReply(body)
+	rep, err := rpcwire.DecodeMetaReply(body)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("router: %s: %v", e.addr, err)
 	}
-	tr.Graft(parent, spans, base, "worker="+e.addr)
-	return m.Version, nil
+	e.version.Store(rep.Version)
+	tr.Graft(parent, rep.Spans, base, "worker="+e.addr)
+	return rep.Version, nil
 }
 
 // Publish implements ShardEngine.
 func (e *RemoteEngine) Publish(ctx context.Context) (Meta, error) {
-	req := rpcwire.MetaRequest{Budget: headerFrom(ctx)}
-	rtyp, body, err := e.call(ctx, rpcwire.TPublish, req.Append(nil))
-	if err != nil {
-		return Meta{}, err
-	}
-	if rtyp != rpcwire.TMetaRep {
-		return Meta{}, fmt.Errorf("router: %s: unexpected reply type %d", e.addr, rtyp)
-	}
-	m, _, err := e.metaFromReply(body)
-	return m, err
+	return e.shape(ctx, rpcwire.TPublish)
 }
 
 // Close implements ShardEngine.

@@ -12,8 +12,9 @@ import (
 	"probesim/internal/qtrace"
 )
 
-// member is one replica inside a group: an engine plus the router's
-// book-keeping about whether it can still be fed writes in order.
+// member is one replica of the router's set: an engine plus the
+// router's book-keeping about whether it can still be fed writes in
+// order.
 //
 // current means the member has taken every batch the router has issued
 // (in order) and may therefore receive direct write broadcasts; a member
@@ -53,32 +54,37 @@ func (m *member) lagErrText() string {
 	return ""
 }
 
-// healthyEngine is the optional health probe an engine may expose
-// (RemoteEngine does). Engines without it are assumed reachable.
-func engineHealthy(e ShardEngine) bool {
-	if h, ok := e.(interface{ Healthy() bool }); ok {
-		return h.Healthy()
+// serving reports whether a read should start at the member: it is
+// current and its engine reports itself healthy (RemoteEngine exposes
+// Healthy; engines without it are assumed reachable).
+func (m *member) serving() bool {
+	if h, ok := m.eng.(interface{ Healthy() bool }); ok && !h.Healthy() {
+		return false
 	}
-	return true
+	return m.current.Load()
 }
 
-// replicaGroup is a set of engines that own the same shard stride.
-// Reads pick any member (with failover and optional hedging); writes
-// broadcast to every current member.
-type replicaGroup struct {
-	members []*member
-	lat     latencyTracker
+// serving returns the positions of the members a read may start at.
+func (r *Router) serving() []int {
+	var out []int
+	for i, m := range r.members {
+		if m.serving() {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
-// readOrder returns the members to try for one read: current+healthy
-// members first (they can serve the pinned version without a detour),
-// then the rest as last resorts — a demoted member may still answer a
-// read for a generation it holds.
-func (g *replicaGroup) readOrder() []ShardEngine {
-	order := make([]ShardEngine, 0, len(g.members))
+// readOrder returns the members to try for one read, in member order
+// from first around the set: serving members first (they can serve the
+// pinned version without a detour), then the rest as last resorts — a
+// demoted member may still answer a read for a generation it holds.
+func (r *Router) readOrder(first int) []ShardEngine {
+	order := make([]ShardEngine, 0, len(r.members))
 	var backups []ShardEngine
-	for _, m := range g.members {
-		if m.current.Load() && engineHealthy(m.eng) {
+	for i := range r.members {
+		m := r.members[(first+i)%len(r.members)]
+		if m.serving() {
 			order = append(order, m.eng)
 		} else {
 			backups = append(backups, m.eng)
@@ -88,7 +94,7 @@ func (g *replicaGroup) readOrder() []ShardEngine {
 }
 
 // HedgePolicy controls speculative duplicate reads. When enabled, a
-// shard RPC that has not answered within the group's p99-derived delay
+// shard RPC that has not answered within the set's p99-derived delay
 // is raced against a second replica; the first answer wins and the
 // loser is canceled. Delay is clamped to [MinDelay, MaxDelay]; before
 // enough samples exist to estimate p99, MaxDelay is used.
@@ -99,8 +105,8 @@ type HedgePolicy struct {
 }
 
 // latencyTracker keeps a small ring of recent successful read latencies
-// per group and a cached p99 over them, recomputed every few
-// observations so the read path never sorts under load.
+// and a cached p99 over them, recomputed every few observations so the
+// read path never sorts under load.
 type latencyTracker struct {
 	mu   sync.Mutex
 	ring [latencyWindow]int64
@@ -137,8 +143,8 @@ func (t *latencyTracker) observe(d time.Duration) {
 func (t *latencyTracker) p99() time.Duration { return time.Duration(t.p99ns.Load()) }
 
 // hedgeDelay derives the speculative-read delay from observed latency.
-func (g *replicaGroup) hedgeDelay(hp *HedgePolicy) time.Duration {
-	d := g.lat.p99()
+func (r *Router) hedgeDelay(hp *HedgePolicy) time.Duration {
+	d := r.lat.p99()
 	if d <= 0 {
 		return hp.MaxDelay // cold start: hedge only against the ceiling
 	}
@@ -187,7 +193,7 @@ func retryableRead(err error) bool {
 		errors.Is(err, ErrRetiredGeneration)
 }
 
-// attempt is one replica's answer inside groupRead.
+// attempt is one replica's answer inside failoverRead.
 type attempt[T any] struct {
 	idx    int
 	val    T
@@ -205,12 +211,13 @@ func engineLabel(e ShardEngine) string {
 	return "local"
 }
 
-// groupRead runs one read against a replica group with failover and
-// optional hedging. The first successful answer wins; a retryable
-// failure moves on to the next replica; losers are canceled through the
-// shared child context. The results channel is buffered to the number
-// of launchable attempts, so a loser finishing after the winner returns
-// never blocks — attempt goroutines cannot leak.
+// failoverRead runs one read against the replica set, starting at member
+// first, with failover and optional hedging. The first successful answer
+// wins; a retryable failure moves on to the next replica in readOrder;
+// losers are canceled through the shared child context. The results
+// channel is buffered to the number of launchable attempts, so a loser
+// finishing after the winner returns never blocks — attempt goroutines
+// cannot leak.
 //
 // When the query is traced, every attempt gets its own span named op,
 // annotated with the replica and whether it was the primary, a
@@ -220,7 +227,7 @@ func engineLabel(e ShardEngine) string {
 //
 // It is a package function rather than a method because methods cannot
 // have type parameters.
-func groupRead[T any](r *Router, ctx context.Context, g *replicaGroup, op string, fn func(context.Context, ShardEngine) (T, error)) (T, error) {
+func failoverRead[T any](r *Router, ctx context.Context, first int, op string, fn func(context.Context, ShardEngine) (T, error)) (T, error) {
 	tr, parent := qtrace.FromContext(ctx)
 	span := func(i int, eng ShardEngine, hedged bool) qtrace.SpanRef {
 		if tr == nil {
@@ -237,20 +244,20 @@ func groupRead[T any](r *Router, ctx context.Context, g *replicaGroup, op string
 		tr.Annotate(ref, "kind="+kind+",replica="+engineLabel(eng))
 		return ref
 	}
-	if len(g.members) == 1 {
-		eng := g.members[0].eng
+	if len(r.members) == 1 {
+		eng := r.members[0].eng
 		ref := span(0, eng, false)
 		start := time.Now()
 		v, err := fn(qtrace.ContextWithSpan(ctx, ref), eng)
 		if err == nil {
-			g.lat.observe(time.Since(start))
+			r.lat.observe(time.Since(start))
 			tr.EndSpanAnnot(ref, "outcome=ok")
 		} else {
 			tr.EndSpanAnnot(ref, "outcome=error")
 		}
 		return v, err
 	}
-	order := g.readOrder()
+	order := r.readOrder(first)
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make(chan attempt[T], len(order))
@@ -286,7 +293,7 @@ func groupRead[T any](r *Router, ctx context.Context, g *replicaGroup, op string
 	}
 	var hedgeC <-chan time.Time
 	if hp := r.hedge.Load(); hp != nil && hp.Enabled {
-		timer := time.NewTimer(g.hedgeDelay(hp))
+		timer := time.NewTimer(r.hedgeDelay(hp))
 		defer timer.Stop()
 		hedgeC = timer.C
 	}
@@ -305,7 +312,7 @@ func groupRead[T any](r *Router, ctx context.Context, g *replicaGroup, op string
 			}
 		case a := <-results:
 			if a.err == nil {
-				g.lat.observe(a.dur)
+				r.lat.observe(a.dur)
 				if a.hedged {
 					r.hedgesWon.Add(1)
 				}

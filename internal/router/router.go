@@ -13,33 +13,38 @@ import (
 	"probesim/internal/shard"
 )
 
-// Router fans queries out over a fleet of replica groups and assembles
-// their shards into one composite versioned view. It implements the same
-// SnapshotProvider seam core.Executor already runs on, so the entire
-// query stack — single-source, top-k, progressive, joins, components —
-// works over a fleet of workers exactly as it does over an in-process
-// store.
+// Router serves every query over one replica set of shard engines and
+// assembles their shards into one composite versioned view. It
+// implements the same SnapshotProvider seam core.Executor already runs
+// on, so the entire query stack — single-source, top-k, progressive,
+// joins, components — works over a fleet of workers exactly as it does
+// over an in-process store.
 //
-// Each group's members own the same shard stride, so every shard has as
-// many owners as its group has replicas: reads fail over (and optionally
-// hedge) across the group's members, writes broadcast to every member
+// Every member holds the whole graph and takes every write, so any
+// member can serve any shard block: a cold view splits the blocks it
+// lacks across the current members, and each read fails over (and
+// optionally hedges) to the others; writes broadcast to every member
 // that is still in-order ("current"), and a member that misses batches
 // is demoted and replayed back in from the router's replay ring. Every
-// replica serves the same immutable blocks of a pinned generation, so
-// which replica answers a given call never changes the bits of the
+// member serves the same immutable blocks of a pinned generation, so
+// which member answers a given call never changes the bits of the
 // result.
 //
-// Fast path: a Router over a single LocalEngine that owns every shard
-// (NewLocal) serves the store's own published StoreSnapshot (no wrapper,
-// no new allocation, bit-identical and benchmark-identical to the direct
-// store) and hands each write batch straight to that engine: with no
-// replica there is nothing to retry, demote, replay or level. Any other
-// topology serves a *View, whose first query fetches the shard blocks it
-// lacks from their owners and assembles them into a StoreSnapshot that
-// every query on the generation runs on.
+// Fast path: a Router over a single LocalEngine (NewLocal) serves the
+// store's own published StoreSnapshot (no wrapper, no new allocation,
+// bit-identical and benchmark-identical to the direct store) and hands
+// each write batch straight to that engine: with no replica there is
+// nothing to retry, demote, replay or level. Any other topology serves
+// a *View, whose first query fetches the shard blocks it lacks from the
+// members and assembles them into a StoreSnapshot that every query on
+// the generation runs on.
 type Router struct {
-	groups []*replicaGroup
-	fast   *LocalEngine // non-nil: single all-owning local engine
+	members []*member
+	fast    *LocalEngine // non-nil: a single in-process engine
+
+	// lat keeps recent shard-read latencies; the hedge delay derives
+	// from their p99.
+	lat latencyTracker
 
 	// mu serializes the control plane (Apply, PublishView, health
 	// re-assembly, catch-up) — never the read path.
@@ -77,70 +82,53 @@ type Router struct {
 // that carry no caller deadline.
 const controlTimeout = 10 * time.Second
 
-// New assembles a router of singleton groups — one engine per shard
-// stride, no replication. It is the pre-replica constructor every
-// single-owner topology (and test) uses; NewReplicated is the general
-// form.
+// New assembles a router over one replica set: every engine holds the
+// whole graph, and any current one serves any shard block. It fetches
+// every member's Meta, picks the most-advanced responder as the
+// reference, demotes lagging members (they rejoin through the catch-up
+// path), and builds the initial view. At least one member must answer.
+// A single *LocalEngine is the in-process fast path.
 func New(engines ...ShardEngine) (*Router, error) {
-	groups := make([][]ShardEngine, len(engines))
-	for i, e := range engines {
-		groups[i] = []ShardEngine{e}
-	}
-	return NewReplicated(groups)
-}
-
-// NewReplicated assembles a router over replica groups: the engines of
-// groups[i] must own the same shard stride (same -index/-group), and
-// distinct groups' strides must be disjoint and complete. It fetches
-// every member's Meta, picks the most-advanced responder per group as
-// the group's reference, demotes lagging replicas (they rejoin through
-// the catch-up path), validates cross-group agreement, and builds the
-// initial view. Every group needs at least one reachable member.
-func NewReplicated(groups [][]ShardEngine) (*Router, error) {
-	if len(groups) == 0 {
+	if len(engines) == 0 {
 		return nil, fmt.Errorf("router: no engines")
 	}
 	r := &Router{ring: newBatchRing(defaultReplayHorizon)}
-	for _, ms := range groups {
-		if len(ms) == 0 {
-			return nil, fmt.Errorf("router: empty replica group")
-		}
-		g := &replicaGroup{}
-		for _, e := range ms {
-			g.members = append(g.members, &member{eng: e})
-		}
-		r.groups = append(r.groups, g)
+	for _, e := range engines {
+		r.members = append(r.members, &member{eng: e})
 	}
-	if len(r.groups) == 1 && len(r.groups[0].members) == 1 {
-		if le, ok := r.groups[0].members[0].eng.(*LocalEngine); ok && le.group == 1 {
-			r.fast = le
-			r.groups[0].members[0].current.Store(true)
-			return r, nil
-		}
+	if le, ok := engines[0].(*LocalEngine); ok && len(engines) == 1 {
+		r.fast = le
+		r.members[0].current.Store(true)
+		return r, nil
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), controlTimeout)
 	defer cancel()
-	metas := r.collect(ctx, func(e ShardEngine) (Meta, error) { return e.Meta(ctx) })
+	metas := r.collect(false, func(e ShardEngine) (Meta, error) { return e.Meta(ctx) })
 	view, err := r.assembleLocked(metas) // not shared yet; no lock needed
 	if err != nil {
 		return nil, err
 	}
-	for _, gm := range metas {
-		for _, mm := range gm {
-			if mm.err == nil && mm.m.LastBatch > r.nextBatch.Load() {
-				r.nextBatch.Store(mm.m.LastBatch)
-			}
+	for _, mm := range metas {
+		if mm.err == nil && mm.m.LastBatch > r.nextBatch.Load() {
+			r.nextBatch.Store(mm.m.LastBatch)
 		}
 	}
 	r.cur.Store(view)
 	return r, nil
 }
 
+// NewReplicated is New over every group's engines in order: the
+// replica groups of the earlier owned-stride layout, flattened into one
+// replica set.
+func NewReplicated(groups [][]ShardEngine) (*Router, error) {
+	return New(slices.Concat(groups...)...)
+}
+
 // NewLocal is the single-process configuration: a router whose only
 // engine is the store itself. It serves the store's own snapshots with
 // zero added indirection.
 func NewLocal(st *shard.Store) *Router {
-	r, err := New(NewLocalEngine(st, 0, 1))
+	r, err := New(NewLocalEngine(st))
 	if err != nil {
 		panic(err) // unreachable: a single local engine cannot fail Meta
 	}
@@ -162,174 +150,109 @@ type memberMeta struct {
 // was already demoted.
 var errSkippedMember = errors.New("router: member not current; skipped")
 
-// collect runs one engine call on every member of every group
-// concurrently and returns all results, aligned with r.groups.
-func (r *Router) collect(ctx context.Context, call func(ShardEngine) (Meta, error)) [][]memberMeta {
-	out := make([][]memberMeta, len(r.groups))
+// collect runs one engine call on every member concurrently and returns
+// the results in member order. With currentOnly, demoted members are
+// not called: they get errSkippedMember, so assembly leaves their state
+// alone.
+func (r *Router) collect(currentOnly bool, call func(ShardEngine) (Meta, error)) []memberMeta {
+	out := make([]memberMeta, len(r.members))
 	var wg sync.WaitGroup
-	for gi, g := range r.groups {
-		out[gi] = make([]memberMeta, len(g.members))
-		for mi, m := range g.members {
-			wg.Add(1)
-			go func(slot *memberMeta, e ShardEngine) {
-				defer wg.Done()
-				slot.m, slot.err = call(e)
-			}(&out[gi][mi], m.eng)
+	for i, m := range r.members {
+		if currentOnly && !m.current.Load() {
+			out[i].err = errSkippedMember
+			continue
 		}
-	}
-	wg.Wait()
-	return out
-}
-
-// collectCurrent is collect restricted to current members; demoted ones
-// get errSkippedMember so assembly leaves their state alone.
-func (r *Router) collectCurrent(ctx context.Context, call func(ShardEngine) (Meta, error)) [][]memberMeta {
-	out := make([][]memberMeta, len(r.groups))
-	var wg sync.WaitGroup
-	for gi, g := range r.groups {
-		out[gi] = make([]memberMeta, len(g.members))
-		for mi, m := range g.members {
-			if !m.current.Load() {
-				out[gi][mi].err = errSkippedMember
-				continue
-			}
-			wg.Add(1)
-			go func(slot *memberMeta, e ShardEngine) {
-				defer wg.Done()
-				slot.m, slot.err = call(e)
-			}(&out[gi][mi], m.eng)
-		}
+		wg.Add(1)
+		go func(slot *memberMeta, e ShardEngine) {
+			defer wg.Done()
+			slot.m, slot.err = call(e)
+		}(&out[i], m.eng)
 	}
 	wg.Wait()
 	return out
 }
 
 // assembleLocked validates the metas against each other, updates member
-// current/lag state, and builds a View. Caller holds mu (or owns r
-// exclusively, as in NewReplicated).
+// current/lag state, and builds a View. Caller holds mu (or has r to
+// itself, as in New).
 //
-// Within a group, the most-advanced responder (highest watermark, then
-// highest version) is the reference; replicas behind it are demoted for
-// catch-up rather than failing the fleet — that is the whole point of
-// replication. Across groups the references must agree exactly, as
-// before: there is no second owner to cover a diverged stride.
-func (r *Router) assembleLocked(metas [][]memberMeta) (*View, error) {
-	chosen := make([]Meta, len(r.groups))
-	for gi, g := range r.groups {
-		best := -1
-		for mi := range g.members {
-			mm := metas[gi][mi]
-			if mm.err != nil {
-				continue
-			}
-			if best == -1 || mm.m.LastBatch > metas[gi][best].m.LastBatch ||
-				(mm.m.LastBatch == metas[gi][best].m.LastBatch && mm.m.Version > metas[gi][best].m.Version) {
-				best = mi
-			}
+// The most-advanced responder (highest watermark, then highest version)
+// is the reference; members behind it are demoted for catch-up rather
+// than failing the fleet — that is the whole point of replication. A
+// member at the reference's watermark with a different shape has
+// diverged, and the fleet is refused: nothing says which copy is right.
+// The view takes its shard versions from the reference.
+func (r *Router) assembleLocked(metas []memberMeta) (*View, error) {
+	best := -1
+	for i, mm := range metas {
+		if mm.err != nil {
+			continue
 		}
-		if best == -1 {
-			var ferr error
-			for mi := range g.members {
-				if err := metas[gi][mi].err; err != nil && !errors.Is(err, errSkippedMember) {
-					ferr = err
-					break
-				}
-			}
-			if ferr == nil {
-				ferr = fmt.Errorf("%w: every replica demoted; awaiting catch-up", ErrTransport)
-			}
-			return nil, fmt.Errorf("router: group %d: %w", gi, ferr)
-		}
-		cm := metas[gi][best].m
-		chosen[gi] = cm
-		for mi, m := range g.members {
-			mm := metas[gi][mi]
-			if mm.err != nil {
-				if !errors.Is(mm.err, errSkippedMember) {
-					m.setLag(mm.err.Error())
-				}
-				continue
-			}
-			if m.divergent.Load() {
-				// Matching counters are not proof of matching state;
-				// divergence only clears with an operator restore.
-				continue
-			}
-			if mm.m.LastBatch != cm.LastBatch {
-				m.setLag(fmt.Sprintf("at watermark %d behind group watermark %d; awaiting catch-up replay", mm.m.LastBatch, cm.LastBatch))
-				continue
-			}
-			if mm.m.Nodes != cm.Nodes || mm.m.Edges != cm.Edges ||
-				mm.m.Shift != cm.Shift || mm.m.Shards != cm.Shards ||
-				!slices.Equal(mm.m.Owned, cm.Owned) {
-				return nil, fmt.Errorf("router: group %d replicas %d and %d disagree at watermark %d: (n=%d m=%d shift=%d shards=%d) vs (n=%d m=%d shift=%d shards=%d) — replica state diverged; restore one from the other",
-					gi, best, mi, cm.LastBatch,
-					cm.Nodes, cm.Edges, cm.Shift, cm.Shards,
-					mm.m.Nodes, mm.m.Edges, mm.m.Shift, mm.m.Shards)
-			}
-			if mm.m.Version != cm.Version {
-				// Same watermark and shape: the member only missed a
-				// republish; catch-up levels it at the next pass.
-				m.setLag(fmt.Sprintf("published version %d behind group version %d; awaiting republish", mm.m.Version, cm.Version))
-				continue
-			}
-			m.acked.Store(mm.m.LastBatch)
-			m.current.Store(true)
-			m.clearLag()
+		if best == -1 || mm.m.LastBatch > metas[best].m.LastBatch ||
+			(mm.m.LastBatch == metas[best].m.LastBatch && mm.m.Version > metas[best].m.Version) {
+			best = i
 		}
 	}
-	m0 := chosen[0]
-	for gi, m := range chosen[1:] {
-		if m.Nodes != m0.Nodes || m.Edges != m0.Edges || m.Version != m0.Version ||
-			m.Shift != m0.Shift || m.Shards != m0.Shards {
-			return nil, fmt.Errorf("router: groups 0 and %d disagree: (n=%d m=%d v=%d shift=%d shards=%d) vs (n=%d m=%d v=%d shift=%d shards=%d)",
-				gi+1, m0.Nodes, m0.Edges, m0.Version, m0.Shift, m0.Shards,
-				m.Nodes, m.Edges, m.Version, m.Shift, m.Shards)
-		}
-		if m.LastBatch != m0.LastBatch {
-			return nil, fmt.Errorf("router: groups 0 and %d at batch watermarks %d and %d — a worker missed a batch while down; restore it from its data dir or a fleet peer's",
-				gi+1, m0.LastBatch, m.LastBatch)
-		}
-	}
-	if m0.Shift > 31 || m0.Shards != (m0.Nodes+1<<m0.Shift-1)>>m0.Shift {
-		return nil, fmt.Errorf("router: fleet reports %d shards of stride 1<<%d for %d nodes", m0.Shards, m0.Shift, m0.Nodes)
-	}
-	ownerOf := make([]int32, m0.Shards)
-	for p := range ownerOf {
-		ownerOf[p] = -1
-	}
-	for gi, m := range chosen {
-		for _, p := range m.Owned {
-			if p < 0 || p >= m0.Shards {
-				return nil, fmt.Errorf("router: group %d claims shard %d of %d", gi, p, m0.Shards)
+	if best == -1 {
+		ferr := fmt.Errorf("%w: every worker demoted; awaiting catch-up", ErrTransport)
+		for _, mm := range metas {
+			if mm.err != nil && !errors.Is(mm.err, errSkippedMember) {
+				ferr = mm.err
+				break
 			}
-			if ownerOf[p] != -1 {
-				return nil, fmt.Errorf("router: shard %d owned by groups %d and %d", p, ownerOf[p], gi)
-			}
-			ownerOf[p] = int32(gi)
 		}
+		return nil, fmt.Errorf("router: no worker answered: %w", ferr)
 	}
-	for p, o := range ownerOf {
-		if o == -1 {
-			return nil, fmt.Errorf("router: shard %d has no owner", p)
+	cm := metas[best].m
+	for i, m := range r.members {
+		mm := metas[i]
+		if mm.err != nil {
+			if !errors.Is(mm.err, errSkippedMember) {
+				m.setLag(mm.err.Error())
+			}
+			continue
 		}
+		if m.divergent.Load() {
+			// Matching counters are not proof of matching state;
+			// divergence only clears with an operator restore.
+			continue
+		}
+		if mm.m.LastBatch != cm.LastBatch {
+			m.setLag(fmt.Sprintf("at watermark %d behind fleet watermark %d; awaiting catch-up replay", mm.m.LastBatch, cm.LastBatch))
+			continue
+		}
+		if mm.m.Nodes != cm.Nodes || mm.m.Edges != cm.Edges ||
+			mm.m.Shift != cm.Shift || mm.m.Shards != cm.Shards {
+			return nil, fmt.Errorf("router: workers %d and %d disagree at watermark %d: (n=%d m=%d shift=%d shards=%d) vs (n=%d m=%d shift=%d shards=%d) — replica state diverged; restore one from the other",
+				best, i, cm.LastBatch,
+				cm.Nodes, cm.Edges, cm.Shift, cm.Shards,
+				mm.m.Nodes, mm.m.Edges, mm.m.Shift, mm.m.Shards)
+		}
+		if mm.m.Version != cm.Version {
+			// Same watermark and shape: the member only missed a
+			// republish; catch-up levels it at the next pass.
+			m.setLag(fmt.Sprintf("published version %d behind fleet version %d; awaiting republish", mm.m.Version, cm.Version))
+			continue
+		}
+		m.acked.Store(mm.m.LastBatch)
+		m.current.Store(true)
+		m.clearLag()
+	}
+	if cm.Shift > 31 || cm.Shards != (cm.Nodes+1<<cm.Shift-1)>>cm.Shift {
+		return nil, fmt.Errorf("router: fleet reports %d shards of stride 1<<%d for %d nodes", cm.Shards, cm.Shift, cm.Nodes)
 	}
 	view := &View{
 		r:         r,
-		nodes:     m0.Nodes,
-		edges:     m0.Edges,
-		version:   m0.Version,
-		lastBatch: m0.LastBatch,
-		shift:     m0.Shift,
-		ownerOf:   ownerOf,
-		blocks:    make([]blockSlot, m0.Shards),
+		nodes:     cm.Nodes,
+		edges:     cm.Edges,
+		version:   cm.Version,
+		lastBatch: cm.LastBatch,
+		shift:     cm.Shift,
+		blocks:    make([]blockSlot, cm.Shards),
 	}
-	for _, m := range chosen {
-		if len(m.ShardVersions) != len(m.Owned) {
-			continue // the group reports no versions: its blocks are never carried
-		}
-		for i, p := range m.Owned {
-			view.blocks[p].version = m.ShardVersions[i]
+	if len(cm.ShardVersions) == cm.Shards { // else: its blocks are never carried
+		for p, ver := range cm.ShardVersions {
+			view.blocks[p].version = ver
 			view.blocks[p].versioned = true
 		}
 	}
@@ -364,7 +287,7 @@ func (r *Router) PublishView(ctx context.Context) (graph.VersionedView, error) {
 
 func (r *Router) publishLocked(ctx context.Context) (graph.VersionedView, error) {
 	prev := r.cur.Load()
-	metas := r.collectCurrent(ctx, func(e ShardEngine) (Meta, error) { return e.Publish(ctx) })
+	metas := r.collect(true, func(e ShardEngine) (Meta, error) { return e.Publish(ctx) })
 	view, err := r.assembleLocked(metas)
 	if err != nil {
 		return prev, fmt.Errorf("router: publication failed: %w", err)
@@ -394,19 +317,19 @@ type applyResult struct {
 }
 
 // Apply assigns the batch the next monotonic id and applies it to every
-// current member of every group (each engine is all-or-rollback on its
-// own, and decides each id at most once).
+// current member (each engine is all-or-rollback on its own, and decides
+// each id at most once).
 //
 // The batch id is what closes the lost-reply window: a worker that
 // decided the batch but whose reply was lost reports the same decision
 // to the retry without re-applying, and a worker that never saw it
 // decides it now — so on ErrTransport the router RETRIES the same id.
-// With replication the failure mode narrows further: a member that
-// exhausts its retries is demoted (its group's surviving members hold
-// the batch durably) and replayed back in from the replay ring, so a
-// single replica death never fails a write. Only a group with NO
-// surviving acker fails the write, with an error that says the batch may
-// be partially applied and a re-submit is not safe blind.
+// A member that exhausts its retries is demoted and replayed back in
+// from the replay ring, so the write succeeds once at least one current
+// member applies it: with one member down, an acknowledged batch is
+// durable on the surviving members' logs alone until the demoted one
+// catches up. Only a batch NO member took fails the write, with an error
+// that says the batch may still apply and a re-submit is not safe blind.
 //
 // A SEMANTIC failure (bad op) is the batch's decision: every worker
 // holds the whole graph and has taken the same batches, so every member
@@ -435,71 +358,61 @@ func (r *Router) Apply(ctx context.Context, ops []graph.EdgeOp) error {
 	r.ring.put(batch, ops)
 	res := r.applyBroadcastLocked(ctx, batch, ops)
 
-	var semanticErr, groupLostErr error
+	var semanticErr, firstFail error
+	decided := false
 	var versions []uint64
-	for gi, g := range r.groups {
-		decided := false
-		var firstFail error
-		for mi, m := range g.members {
-			rr := res[gi][mi]
-			if !rr.attempted {
-				continue
-			}
-			switch {
-			case rr.err == nil:
-				decided = true
-				m.acked.Store(batch)
-				versions = append(versions, rr.version)
-			case errors.Is(rr.err, ErrTransport):
-				m.setLag(fmt.Sprintf("missed batch %d (apply retries exhausted: %v); awaiting catch-up replay", batch, rr.err))
-				if firstFail == nil {
-					firstFail = fmt.Errorf("router: group %d replica %d: apply retries exhausted; the worker either holds batch %d durably (a re-send of the id is a no-op) or will be replayed from the ring when it returns: %w", gi, mi, batch, rr.err)
-				}
-			case errors.Is(rr.err, ErrUnavailable):
-				// The engine refused retry-safely (annulled WAL append): it
-				// provably does NOT hold the batch, so it is demoted like a
-				// transport loss and replayed later.
-				m.setLag(fmt.Sprintf("could not log batch %d (%v); awaiting catch-up replay", batch, rr.err))
-				if firstFail == nil {
-					firstFail = fmt.Errorf("router: group %d replica %d: apply retries exhausted; the worker could not log batch %d (it does not hold it; the group's appliers do): %w", gi, mi, batch, rr.err)
-				}
-			default:
-				decided = true
-				m.acked.Store(batch)
-				if semanticErr == nil {
-					semanticErr = fmt.Errorf("router: group %d replica %d: %w", gi, mi, rr.err)
-				}
-			}
+	for i, m := range r.members {
+		rr := res[i]
+		if !rr.attempted {
+			continue
 		}
-		if !decided && groupLostErr == nil {
+		switch {
+		case rr.err == nil:
+			decided = true
+			m.acked.Store(batch)
+			versions = append(versions, rr.version)
+		case errors.Is(rr.err, ErrTransport):
+			m.setLag(fmt.Sprintf("missed batch %d (apply retries exhausted: %v); awaiting catch-up replay", batch, rr.err))
 			if firstFail == nil {
-				firstFail = fmt.Errorf("%w: every replica demoted; awaiting catch-up", ErrTransport)
+				firstFail = fmt.Errorf("router: worker %d: apply retries exhausted; the worker either holds batch %d durably (a re-send of the id is a no-op) or will be replayed from the ring when it returns: %w", i, batch, rr.err)
 			}
-			groupLostErr = fmt.Errorf("router: group %d: no replica took batch %d: %w", gi, batch, firstFail)
+		case errors.Is(rr.err, ErrUnavailable):
+			// The engine refused retry-safely (annulled WAL append): it
+			// provably does NOT hold the batch, so it is demoted like a
+			// transport loss and replayed later.
+			m.setLag(fmt.Sprintf("could not log batch %d (%v); awaiting catch-up replay", batch, rr.err))
+			if firstFail == nil {
+				firstFail = fmt.Errorf("router: worker %d: apply retries exhausted; the worker could not log batch %d (it does not hold it; the ring replays it when it recovers): %w", i, batch, rr.err)
+			}
+		default:
+			decided = true
+			m.acked.Store(batch)
+			if semanticErr == nil {
+				semanticErr = fmt.Errorf("router: worker %d: %w", i, rr.err)
+			}
 		}
 	}
 	if semanticErr != nil {
-		for gi, g := range r.groups {
-			for mi, m := range g.members {
-				if rr := res[gi][mi]; rr.attempted && rr.err == nil {
-					m.markDivergent(fmt.Sprintf("applied batch %d, which another member rejected (%v); restore from a fleet peer", batch, semanticErr))
-				}
+		for i, m := range r.members {
+			if rr := res[i]; rr.attempted && rr.err == nil {
+				m.markDivergent(fmt.Sprintf("applied batch %d, which another member rejected (%v); restore from a fleet peer", batch, semanticErr))
 			}
 		}
 		return semanticErr
 	}
-	if groupLostErr != nil {
-		// NO rollback: the batch is identified and durable on every member
-		// that took it, and an unreachable group either holds it (its log
-		// replays it on reboot, and a later re-send of the id is a no-op)
-		// or missed it entirely — which catch-up replay or the watermark-
-		// agreement check repairs or reports, instead of throwing away the
-		// healthy groups' acknowledged work.
-		return groupLostErr
+	if !decided {
+		// NO rollback: the batch is identified and stays in the ring. A
+		// member whose reply was lost holds it durably (its log replays it
+		// on reboot, and a later re-send of the id is a no-op), and every
+		// demoted member is replayed the batch when it returns.
+		if firstFail == nil {
+			firstFail = fmt.Errorf("%w: every worker demoted; awaiting catch-up", ErrTransport)
+		}
+		return fmt.Errorf("router: no worker took batch %d: %w", batch, firstFail)
 	}
 	for i, v := range versions[1:] {
 		if v != versions[0] {
-			return fmt.Errorf("router: appliers at versions %d and %d after batch %d (replica %d of the ack set)", versions[0], v, batch, i+1)
+			return fmt.Errorf("router: appliers at versions %d and %d after batch %d (applier %d of the ack set)", versions[0], v, batch, i+1)
 		}
 	}
 	return nil
@@ -509,35 +422,32 @@ func (r *Router) Apply(ctx context.Context, ops []graph.EdgeOp) error {
 // member concurrently, retrying transport failures per member. Demoted
 // members are skipped (counted) — they get the batch later, in order,
 // from the replay ring.
-func (r *Router) applyBroadcastLocked(ctx context.Context, batch uint64, ops []graph.EdgeOp) [][]applyResult {
-	out := make([][]applyResult, len(r.groups))
+func (r *Router) applyBroadcastLocked(ctx context.Context, batch uint64, ops []graph.EdgeOp) []applyResult {
+	out := make([]applyResult, len(r.members))
 	var wg sync.WaitGroup
-	for gi, g := range r.groups {
-		out[gi] = make([]applyResult, len(g.members))
-		for mi, m := range g.members {
-			if !m.current.Load() {
-				r.applySkips.Add(1)
-				continue
-			}
-			out[gi][mi].attempted = true
-			wg.Add(1)
-			go func(rr *applyResult, e ShardEngine) {
-				defer wg.Done()
-				for attempt := 0; ; attempt++ {
-					rr.version, rr.err = e.Apply(ctx, batch, ops)
-					retryable := errors.Is(rr.err, ErrTransport) || errors.Is(rr.err, ErrUnavailable)
-					if rr.err == nil || !retryable || attempt+1 >= applyAttempts {
-						return
-					}
-					r.applyRetries.Add(1)
-					select {
-					case <-ctx.Done():
-						return
-					case <-time.After(applyRetryDelay):
-					}
-				}
-			}(&out[gi][mi], m.eng)
+	for i, m := range r.members {
+		if !m.current.Load() {
+			r.applySkips.Add(1)
+			continue
 		}
+		out[i].attempted = true
+		wg.Add(1)
+		go func(rr *applyResult, e ShardEngine) {
+			defer wg.Done()
+			for attempt := 0; ; attempt++ {
+				rr.version, rr.err = e.Apply(ctx, batch, ops)
+				retryable := errors.Is(rr.err, ErrTransport) || errors.Is(rr.err, ErrUnavailable)
+				if rr.err == nil || !retryable || attempt+1 >= applyAttempts {
+					return
+				}
+				r.applyRetries.Add(1)
+				select {
+				case <-ctx.Done():
+					return
+				case <-time.After(applyRetryDelay):
+				}
+			}
+		}(&out[i], m.eng)
 	}
 	wg.Wait()
 	return out
@@ -551,72 +461,68 @@ func (r *Router) applyBroadcastLocked(ctx context.Context, batch uint64, ops []g
 // with an operator-facing reason. Caller holds mu.
 func (r *Router) catchUpLocked(ctx context.Context) (readmitted int) {
 	next := r.nextBatch.Load()
-	for _, g := range r.groups {
-		for _, m := range g.members {
-			if m.current.Load() || m.divergent.Load() {
-				continue
-			}
-			_, last, err := m.eng.Ping(ctx)
-			if err != nil {
-				continue // still unreachable; next pass retries
-			}
-			if last > next {
-				m.markDivergent(fmt.Sprintf("replica watermark %d is ahead of the router's %d; another writer touched it — restore from a fleet peer", last, next))
-				continue
-			}
-			caught := true
-			for id := last + 1; id <= next; id++ {
-				ops, ok := r.ring.get(id)
-				if !ok {
-					m.setLag(fmt.Sprintf("missed batch %d, which has left the %d-batch replay ring; restore from a fleet peer", id, len(r.ring.entries)))
-					caught = false
-					break
-				}
-				if _, aerr := m.eng.Apply(ctx, id, ops); aerr != nil {
-					if errors.Is(aerr, ErrTransport) || errors.Is(aerr, ErrUnavailable) {
-						caught = false
-						break // went away again; next pass resumes from its watermark
-					}
-					// Semantic rejection during replay is a decision — the
-					// live members rejected this batch too.
-				}
-				r.catchupBatches.Add(1)
-			}
-			if !caught {
-				continue
-			}
-			if _, perr := m.eng.Publish(ctx); perr != nil {
-				continue // replayed but not republished; next pass finishes
-			}
-			m.acked.Store(next)
-			m.current.Store(true)
-			m.clearLag()
-			readmitted++
+	for _, m := range r.members {
+		if m.current.Load() || m.divergent.Load() {
+			continue
 		}
+		_, last, err := m.eng.Ping(ctx)
+		if err != nil {
+			continue // still unreachable; next pass retries
+		}
+		if last > next {
+			m.markDivergent(fmt.Sprintf("replica watermark %d is ahead of the router's %d; another writer touched it — restore from a fleet peer", last, next))
+			continue
+		}
+		caught := true
+		for id := last + 1; id <= next; id++ {
+			ops, ok := r.ring.get(id)
+			if !ok {
+				m.setLag(fmt.Sprintf("missed batch %d, which has left the %d-batch replay ring; restore from a fleet peer", id, len(r.ring.entries)))
+				caught = false
+				break
+			}
+			if _, aerr := m.eng.Apply(ctx, id, ops); aerr != nil {
+				if errors.Is(aerr, ErrTransport) || errors.Is(aerr, ErrUnavailable) {
+					caught = false
+					break // went away again; next pass resumes from its watermark
+				}
+				// Semantic rejection during replay is a decision — the
+				// live members rejected this batch too.
+			}
+			r.catchupBatches.Add(1)
+		}
+		if !caught {
+			continue
+		}
+		if _, perr := m.eng.Publish(ctx); perr != nil {
+			continue // replayed but not republished; next pass finishes
+		}
+		m.acked.Store(next)
+		m.current.Store(true)
+		m.clearLag()
+		readmitted++
 	}
 	return readmitted
 }
 
 // CheckHealth probes every member (Ping also refreshes RemoteEngine
 // health state), demotes current members that fail the probe, runs the
-// catch-up pass, and validates agreement. It returns nil while every
-// group has at least one current member at an agreed version — the
-// replicated fleet is healthy even with individual replicas down.
+// catch-up pass, and validates agreement. It returns nil while at least
+// one member is current and every current member is at one version —
+// the fleet is healthy even with individual members down.
 func (r *Router) CheckHealth(ctx context.Context) error {
 	if r.fast != nil {
 		return nil
 	}
-	pings := r.collect(ctx, func(e ShardEngine) (Meta, error) {
+	pings := r.collect(false, func(e ShardEngine) (Meta, error) {
 		v, last, err := e.Ping(ctx)
 		return Meta{Version: v, LastBatch: last}, err
 	})
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for gi, g := range r.groups {
-		for mi, m := range g.members {
-			if err := pings[gi][mi].err; err != nil && m.current.Load() {
-				m.setLag(fmt.Sprintf("health probe failed: %v", err))
-			}
+	for i, m := range r.members {
+		if err := pings[i].err; err != nil && m.current.Load() {
+			m.setLag(fmt.Sprintf("health probe failed: %v", err))
 		}
 	}
 	readmitted := r.catchUpLocked(ctx)
@@ -628,16 +534,8 @@ func (r *Router) CheckHealth(ctx context.Context) error {
 			firstErr = err
 		}
 	}
-	for gi, g := range r.groups {
-		anyCurrent := false
-		for _, m := range g.members {
-			if m.current.Load() {
-				anyCurrent = true
-			}
-		}
-		if !anyCurrent && firstErr == nil {
-			firstErr = fmt.Errorf("router: group %d has no serving replica", gi)
-		}
+	if firstErr == nil && !slices.ContainsFunc(r.members, func(m *member) bool { return m.current.Load() }) {
+		firstErr = fmt.Errorf("router: no serving worker")
 	}
 	if readmitted == 0 && firstErr == nil {
 		// Version agreement among current members from this probe round.
@@ -645,17 +543,15 @@ func (r *Router) CheckHealth(ctx context.Context) error {
 		// the republish and would alarm falsely; the next tick verifies.
 		var v0 uint64
 		seen := false
-		for gi, g := range r.groups {
-			for mi, m := range g.members {
-				if !m.current.Load() || pings[gi][mi].err != nil {
-					continue
-				}
-				v := pings[gi][mi].m.Version
-				if !seen {
-					v0, seen = v, true
-				} else if v != v0 {
-					firstErr = fmt.Errorf("router: serving replicas at versions %d and %d", v0, v)
-				}
+		for i, m := range r.members {
+			if !m.current.Load() || pings[i].err != nil {
+				continue
+			}
+			v := pings[i].m.Version
+			if !seen {
+				v0, seen = v, true
+			} else if v != v0 {
+				firstErr = fmt.Errorf("router: serving replicas at versions %d and %d", v0, v)
 			}
 		}
 	}
@@ -693,26 +589,23 @@ func (r *Router) StartHealth(interval time.Duration) (stop func()) {
 // Close closes every member engine.
 func (r *Router) Close() error {
 	var first error
-	for _, g := range r.groups {
-		for _, m := range g.members {
-			if err := m.eng.Close(); err != nil && first == nil {
-				first = err
-			}
+	for _, m := range r.members {
+		if err := m.eng.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first
 }
 
-// WorkerStat is one member's serving-stats row.
+// WorkerStat is one member's serving-stats row. Replica is the
+// member's position in the replica set (its place in -workers).
 type WorkerStat struct {
 	Addr       string `json:"addr"`
-	Group      int    `json:"group"`
 	Replica    int    `json:"replica"`
 	Healthy    bool   `json:"healthy"`
 	Current    bool   `json:"current"`
 	Acked      uint64 `json:"acked"`
 	Version    uint64 `json:"version"`
-	Shards     int    `json:"shards"`
 	Calls      int64  `json:"calls"`
 	Errors     int64  `json:"errors"`
 	Reconnects int64  `json:"reconnects"`
@@ -722,47 +615,34 @@ type WorkerStat struct {
 
 // WorkerStats reports one row per member for /stats and /metrics.
 func (r *Router) WorkerStats() []WorkerStat {
-	var out []WorkerStat
-	var owned []int
-	if v := r.cur.Load(); v != nil {
-		owned = make([]int, len(r.groups))
-		for _, o := range v.ownerOf {
-			owned[o]++
+	out := make([]WorkerStat, len(r.members))
+	for i, m := range r.members {
+		st := WorkerStat{
+			Addr: "local", Healthy: true, Replica: i,
+			Current:  m.current.Load(),
+			Acked:    m.acked.Load(),
+			LagError: m.lagErrText(),
 		}
-	}
-	for gi, g := range r.groups {
-		for mi, m := range g.members {
-			st := WorkerStat{
-				Addr: "local", Healthy: true,
-				Group: gi, Replica: mi,
-				Current:  m.current.Load(),
-				Acked:    m.acked.Load(),
-				LagError: m.lagErrText(),
+		switch eng := m.eng.(type) {
+		case *RemoteEngine:
+			st.Addr = eng.Addr()
+			st.Healthy = eng.Healthy()
+			st.Version = eng.LastVersion()
+			st.Calls, st.Errors, st.Reconnects = eng.Counters()
+			st.LastError = eng.LastError()
+		case *LocalEngine:
+			if snap := eng.st.Current(); snap != nil {
+				st.Version = snap.Version()
 			}
-			switch eng := m.eng.(type) {
-			case *RemoteEngine:
-				st.Addr = eng.Addr()
-				st.Healthy = eng.Healthy()
-				st.Version = eng.LastVersion()
-				st.Calls, st.Errors, st.Reconnects = eng.Counters()
-				st.LastError = eng.LastError()
-			case *LocalEngine:
-				if snap := eng.st.Current(); snap != nil {
-					st.Version = snap.Version()
-				}
-			}
-			if owned != nil {
-				st.Shards = owned[gi]
-			}
-			out = append(out, st)
 		}
+		out[i] = st
 	}
 	return out
 }
 
 // FetchErrors splits failed shard-block fetches by cause.
 type FetchErrors struct {
-	Transport int64 // the owner group was unreachable (ErrTransport)
+	Transport int64 // every member tried was unreachable (ErrTransport)
 	Retired   int64 // the pinned generation was retired (ErrRetiredGeneration)
 	Deadline  int64 // the caller's deadline or cancellation cut the fetch short
 	Other     int64 // anything else, such as a worker rejecting the request
@@ -852,10 +732,10 @@ func (r *Router) Distributed() bool { return r.fast == nil }
 func (r *Router) Local() *LocalEngine { return r.fast }
 
 // View is the composite read side the generic path serves: the shape and
-// version agreed by every group, plus per-shard adjacency blocks — carried
-// over from the previous generation where the shard did not change, else
-// fetched from their owner groups on first use — assembled into one
-// shard.StoreSnapshot that every query on the generation runs on.
+// version the current members agree on, plus per-shard adjacency blocks —
+// carried over from the previous generation where the shard did not
+// change, else fetched from the members on first use — assembled into
+// one shard.StoreSnapshot that every query on the generation runs on.
 // It implements core.QueryBinder for queries and graph.VersionedView for
 // shape readers (stats, the join's source scan).
 type View struct {
@@ -865,7 +745,6 @@ type View struct {
 	version   uint64
 	lastBatch uint64
 	shift     uint32
-	ownerOf   []int32 // shard -> group index
 	blocks    []blockSlot
 
 	// snap is the generation's adjacency: a snapshot over every shard
@@ -877,8 +756,8 @@ type View struct {
 
 type blockSlot struct {
 	ptr atomic.Pointer[graph.CSRShard]
-	// version is the shard version the owner group's reference member
-	// reported at assembly; versioned is false when it reported none.
+	// version is the shard version the reference member reported at
+	// assembly; versioned is false when it reported none.
 	// Both are fixed before the view is published.
 	version   uint64
 	versioned bool
@@ -896,8 +775,8 @@ func (v *View) NumEdges() int64 { return v.edges }
 func (v *View) Version() uint64 { return v.version }
 
 // inherit fills v's slots from prev, the view it replaces, with every
-// block prev holds whose shard both generations' owners report at the
-// same version, and returns how many it carried. A shard's version only
+// block prev holds whose shard both generations report at the same
+// version, and returns how many it carried. A shard's version only
 // rises, and replicas in lockstep agree on it, so an unchanged version
 // names an unchanged block — the same trust the router already places
 // in an unchanged view version when it keeps a warm view. Nothing is
@@ -923,7 +802,7 @@ func (v *View) inherit(prev *View) int {
 
 // BindQuery implements core.QueryBinder: the generation's snapshot, once
 // every block the view lacks is fetched under the query's context (one
-// batched ResolveShards per owner group, none on a warm view). The
+// batched ResolveShards per serving member, none on a warm view). The
 // kernels then walk and probe it with the same code as an in-process
 // store's snapshot. A failed fetch is the query's error.
 func (v *View) BindQuery(ctx context.Context) (graph.View, error) {
@@ -935,9 +814,13 @@ func (v *View) BindQuery(ctx context.Context) (graph.View, error) {
 }
 
 // materialize fetches every block the view neither carried nor fetched
-// before — ONE batched ResolveShards call per owner group, concurrently
-// across groups — and assembles the generation's snapshot over all of
-// them. Blocks a failed attempt did fetch stay in their slots, so the
+// before and assembles the generation's snapshot over all of them. The
+// missing blocks split into one chunk per current, healthy member —
+// block p into chunk p mod k — and each chunk is ONE batched
+// ResolveShards call that starts at its own member and fails over (or
+// hedges) to the others; the chunks run concurrently. Blocks at one
+// version are the same on every member, so the split never moves a
+// bit. Blocks a failed attempt did fetch stay in their slots, so the
 // next attempt asks only for the rest.
 func (v *View) materialize(ctx context.Context) (*shard.StoreSnapshot, error) {
 	if s := v.snap.Load(); s != nil {
@@ -948,26 +831,29 @@ func (v *View) materialize(ctx context.Context) (*shard.StoreSnapshot, error) {
 	if s := v.snap.Load(); s != nil {
 		return s, nil
 	}
-	missing := make([][]int, len(v.r.groups))
+	starts := v.r.serving()
+	if len(starts) == 0 {
+		starts = []int{0} // no serving member: one chunk, every member in order
+	}
+	chunks := make([][]int, len(starts))
 	for p := range v.blocks {
 		if v.blocks[p].ptr.Load() == nil {
-			gi := v.ownerOf[p]
-			missing[gi] = append(missing[gi], p)
+			chunks[p%len(chunks)] = append(chunks[p%len(chunks)], p)
 		}
 	}
-	errs := make([]error, len(missing))
+	errs := make([]error, len(chunks))
 	var wg sync.WaitGroup
-	for gi, ps := range missing {
+	for j, ps := range chunks {
 		if len(ps) == 0 {
 			continue
 		}
 		v.r.shardBatches.Add(1)
 		v.r.shardFetches.Add(int64(len(ps)))
 		wg.Add(1)
-		go func(gi int, ps []int) {
+		go func() {
 			defer wg.Done()
-			errs[gi] = v.fetch(ctx, gi, ps)
-		}(gi, ps)
+			errs[j] = v.fetch(ctx, starts[j], ps)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -986,20 +872,21 @@ func (v *View) materialize(ctx context.Context) (*shard.StoreSnapshot, error) {
 	return s, nil
 }
 
-// fetch pulls shards ps from group gi (any replica, with failover and
-// hedging) and fills their slots, checking every block's shape first: a
-// worker's malformed block fails the fetch instead of panicking a kernel.
-// A failure is counted under its cause.
-func (v *View) fetch(ctx context.Context, gi int, ps []int) error {
-	csrs, err := groupRead(v.r, ctx, v.r.groups[gi], "rpc.shards", func(ctx context.Context, e ShardEngine) ([]graph.CSRShard, error) {
+// fetch pulls shards ps from the members, starting at member first
+// (with failover and hedging across the rest), and fills their slots,
+// checking every block's shape first: a worker's malformed block fails
+// the fetch instead of panicking a kernel. A failure is counted under
+// its cause.
+func (v *View) fetch(ctx context.Context, first int, ps []int) error {
+	csrs, err := failoverRead(v.r, ctx, first, "rpc.shards", func(ctx context.Context, e ShardEngine) ([]graph.CSRShard, error) {
 		return e.ResolveShards(ctx, v.version, ps)
 	})
 	if err == nil && len(csrs) != len(ps) {
-		err = fmt.Errorf("router: group %d returned %d shard blocks for %d requested", gi, len(csrs), len(ps))
+		err = fmt.Errorf("router: a worker returned %d shard blocks for %d requested", len(csrs), len(ps))
 	}
 	for i := 0; err == nil && i < len(ps); i++ {
 		if cerr := shard.CheckBlock(csrs[i], ps[i], v.shift, v.nodes); cerr != nil {
-			err = fmt.Errorf("router: group %d sent a malformed block: %w", gi, cerr)
+			err = fmt.Errorf("router: a worker sent a malformed block: %w", cerr)
 		}
 	}
 	if err != nil {

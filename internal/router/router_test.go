@@ -116,7 +116,7 @@ func TestLocalFastPathServesStoreSnapshot(t *testing.T) {
 }
 
 // TestBitIdenticalLocalEngines drives the generic router path with two
-// in-process engines splitting shard ownership, against the direct store:
+// in-process engines in one replica set, against the direct store:
 // every kernel result must be bit-identical, across shard counts and
 // under churn.
 func TestBitIdenticalLocalEngines(t *testing.T) {
@@ -127,7 +127,7 @@ func TestBitIdenticalLocalEngines(t *testing.T) {
 				ref := shard.NewStore(g, shards, 0)
 				stA := shard.NewStore(g, shards, 0)
 				stB := shard.NewStore(g, shards, 0)
-				rt, err := New(NewLocalEngine(stA, 0, 2), NewLocalEngine(stB, 1, 2))
+				rt, err := New(NewLocalEngine(stA), NewLocalEngine(stB))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -163,9 +163,9 @@ func TestBitIdenticalLocalEngines(t *testing.T) {
 
 // startWorker serves a fresh store over a real TCP socket and returns the
 // remote engine plus the serving stack for fault injection.
-func startWorker(t *testing.T, g *graph.Graph, shards, index, group int) (*RemoteEngine, *Server, *LocalEngine) {
+func startWorker(t *testing.T, g *graph.Graph, shards int) (*RemoteEngine, *Server, *LocalEngine) {
 	t.Helper()
-	le := NewLocalEngine(shard.NewStore(g, shards, 0), index, group)
+	le := NewLocalEngine(shard.NewStore(g, shards, 0))
 	re, srv := serveEngine(t, le)
 	return re, srv, le
 }
@@ -209,8 +209,8 @@ func TestBitIdenticalOverRPC(t *testing.T) {
 func checkIdenticalOverRPC(t *testing.T, shards int, mode core.Mode) {
 	g := testGraph(400, 5)
 	ref := shard.NewStore(g, shards, 0)
-	reA, _, _ := startWorker(t, g, shards, 0, 2)
-	reB, _, _ := startWorker(t, g, shards, 1, 2)
+	reA, _, _ := startWorker(t, g, shards)
+	reB, _, _ := startWorker(t, g, shards)
 	rt, err := New(reA, reB)
 	if err != nil {
 		t.Fatal(err)
@@ -267,16 +267,17 @@ func engineCalls(rt *Router) int64 {
 
 // TestBatchingCollapsesRoundTrips pins the routed read plane's round
 // trips over two TCP workers: a cold query fetches every shard block it
-// lacks in one request frame per owner group before its first walk step,
-// and a warm repeat on the same view sends none.
+// lacks in one request frame per worker (the even shards from the first,
+// the odd from the second) before its first walk step, and a warm repeat
+// on the same view sends none.
 func TestBatchingCollapsesRoundTrips(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sockets")
 	}
 	const shards = 7
 	g := testGraph(400, 5)
-	reA, srvA, _ := startWorker(t, g, shards, 0, 2)
-	reB, srvB, _ := startWorker(t, g, shards, 1, 2)
+	reA, srvA, _ := startWorker(t, g, shards)
+	reB, srvB, _ := startWorker(t, g, shards)
 	rt, err := New(reA, reB)
 	if err != nil {
 		t.Fatal(err)
@@ -291,14 +292,14 @@ func TestBatchingCollapsesRoundTrips(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := [2]int64{srvA.Requests() - a0, srvB.Requests() - b0}; got != pass.frames {
-			t.Fatalf("%s query sent %v request frames to the two groups, want %v", pass.name, got, pass.frames)
+			t.Fatalf("%s query sent %v request frames to the two workers, want %v", pass.name, got, pass.frames)
 		}
 	}
 }
 
 // versionlessEngine is a worker that predates shard versions: its Meta
-// and Publish replies report none, so a router must fetch every block it
-// owns on every generation.
+// and Publish replies report none, so a router whose reference member it
+// is must fetch every block on every generation.
 type versionlessEngine struct{ ShardEngine }
 
 func (e versionlessEngine) Meta(ctx context.Context) (Meta, error) {
@@ -313,13 +314,13 @@ func (e versionlessEngine) Publish(ctx context.Context) (Meta, error) {
 	return m, err
 }
 
-// churnFleet is a router over two TCP workers on 64-shard stores of one
-// PA graph next to an in-process reference store, for pinning what each
-// write costs the next read.
+// churnFleet is a router over a replica set of two TCP workers on
+// 64-shard stores of one PA graph next to an in-process reference store,
+// for pinning what each write costs the next read.
 type churnFleet struct {
 	rt        *Router
 	ref       *shard.Store
-	owners    [2]*LocalEngine
+	workers   [2]*LocalEngine
 	want, got *core.Executor
 }
 
@@ -328,9 +329,9 @@ func newChurnFleet(t *testing.T, versioned [2]bool) *churnFleet {
 	g := testGraph(2000, 21)
 	f := &churnFleet{ref: shard.NewStore(g, 64, 0)}
 	var engines []ShardEngine
-	for i := range f.owners {
-		f.owners[i] = NewLocalEngine(shard.NewStore(g, 64, 0), i, 2)
-		var eng ShardEngine = f.owners[i]
+	for i := range f.workers {
+		f.workers[i] = NewLocalEngine(shard.NewStore(g, 64, 0))
+		var eng ShardEngine = f.workers[i]
 		if !versioned[i] {
 			eng = versionlessEngine{eng}
 		}
@@ -351,14 +352,12 @@ func newChurnFleet(t *testing.T, versioned [2]bool) *churnFleet {
 // round sends ops through the router and the reference, republishes,
 // and runs one query on the new generation, requiring bit-identical
 // answers. It returns the shard blocks that query fetched and the number
-// of each worker's owned shards whose version the batch moved.
-func (f *churnFleet) round(t *testing.T, tag string, ops []graph.EdgeOp, rejected bool) (fetched int64, moved [2]int) {
+// of shards whose version the batch moved, which must agree on both
+// workers.
+func (f *churnFleet) round(t *testing.T, tag string, ops []graph.EdgeOp, rejected bool) (fetched int64, moved int) {
 	t.Helper()
 	ctx := context.Background()
-	var before [2]*shard.StoreSnapshot
-	for i, le := range f.owners {
-		before[i] = le.Store().Current()
-	}
+	before := f.workers[0].Store().Current()
 	fetches := f.rt.Counters().ShardFetches
 	if _, err := f.ref.ApplyBatch(0, ops); (err != nil) != rejected {
 		t.Fatalf("%s: reference apply: %v (rejection expected: %v)", tag, err, rejected)
@@ -371,12 +370,13 @@ func (f *churnFleet) round(t *testing.T, tag string, ops []graph.EdgeOp, rejecte
 		t.Fatalf("%s: publish: %v", tag, err)
 	}
 	assertIdentical(t, tag, f.want, f.got, []graph.NodeID{0})
-	for i, le := range f.owners {
-		cur := le.Store().Current()
-		for p := i; p < cur.NumShards(); p += 2 {
-			if cur.ShardVersion(p) != before[i].ShardVersion(p) {
-				moved[i]++
-			}
+	cur, other := f.workers[0].Store().Current(), f.workers[1].Store().Current()
+	for p := range cur.NumShards() {
+		if cur.ShardVersion(p) != other.ShardVersion(p) {
+			t.Fatalf("%s: shard %d at versions %d and %d on the two workers", tag, p, cur.ShardVersion(p), other.ShardVersion(p))
+		}
+		if cur.ShardVersion(p) != before.ShardVersion(p) {
+			moved++
 		}
 	}
 	return f.rt.Counters().ShardFetches - fetches, moved
@@ -384,8 +384,8 @@ func (f *churnFleet) round(t *testing.T, tag string, ops []graph.EdgeOp, rejecte
 
 // TestWriteRefetchesOnlyMovedShards pins what a write costs the next
 // routed read: the first query on the new generation fetches exactly the
-// shards whose version the batch moved on their owning workers, and
-// carries every other block over from the previous view. A semantically
+// shards whose version the batch moved, and carries every other block
+// over from the previous view. A semantically
 // rejected batch moves its shards' versions too (the store's undo of each
 // op it applied touches the same sides again), so those blocks are
 // refetched. Answers stay
@@ -401,8 +401,7 @@ func TestWriteRefetchesOnlyMovedShards(t *testing.T) {
 	check := func(tag string, ops []graph.EdgeOp, rejected bool) {
 		t.Helper()
 		carried := f.rt.Counters().ShardBlocksCarried
-		fetched, moved := f.round(t, tag, ops, rejected)
-		mv := moved[0] + moved[1]
+		fetched, mv := f.round(t, tag, ops, rejected)
 		if mv == 0 || mv >= shards {
 			t.Fatalf("%s: the batch moved %d of %d shards; the test needs some but not all", tag, mv, shards)
 		}
@@ -423,25 +422,42 @@ func TestWriteRefetchesOnlyMovedShards(t *testing.T) {
 	check("rollback", []graph.EdgeOp{{U: 1500, V: 7}, {Remove: true, U: 1999, V: 1998}}, true)
 }
 
-// TestVersionlessWorkerRefetchesEveryBlock: in a fleet where one worker
-// predates shard versions, the router fetches all of that worker's
-// blocks on every generation, and still only the moved ones of the
-// worker that reports versions. Answers stay bit-identical either way.
+// TestVersionlessWorkerRefetchesEveryBlock: a view takes its shard
+// versions from the reference member, the first of the most advanced.
+// When that member predates shard versions, the router fetches every
+// block on every generation; when the other member is the versionless
+// one, the router still fetches only the moved blocks, part of them from
+// the versionless member. Answers stay bit-identical either way.
 func TestVersionlessWorkerRefetchesEveryBlock(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sockets")
 	}
-	f := newChurnFleet(t, [2]bool{false, true})
-	assertIdentical(t, "static", f.want, f.got, []graph.NodeID{0, 42, 1999})
-	ownedByOld := len(f.owners[0].meta(f.owners[0].Store().Current()).Owned)
-	rng := xrand.New(6)
-	var added [][2]graph.NodeID
-	for round := 0; round < 3; round++ {
-		tag := fmt.Sprintf("churn-%d", round)
-		fetched, moved := f.round(t, tag, randomOps(rng, 2000, &added, 4), false)
-		if want := int64(ownedByOld + moved[1]); fetched != want {
-			t.Fatalf("%s: the next read fetched %d blocks, want all %d of the versionless worker's plus the %d moved on the other", tag, fetched, ownedByOld, moved[1])
-		}
+	for _, c := range []struct {
+		name      string
+		versioned [2]bool
+		all       bool
+	}{
+		{"versionless reference", [2]bool{false, true}, true},
+		{"versioned reference", [2]bool{true, false}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := newChurnFleet(t, c.versioned)
+			shards := f.ref.Current().NumShards()
+			assertIdentical(t, "static", f.want, f.got, []graph.NodeID{0, 42, 1999})
+			rng := xrand.New(6)
+			var added [][2]graph.NodeID
+			for round := 0; round < 3; round++ {
+				tag := fmt.Sprintf("churn-%d", round)
+				fetched, moved := f.round(t, tag, randomOps(rng, 2000, &added, 4), false)
+				want := int64(moved)
+				if c.all {
+					want = int64(shards)
+				}
+				if moved == 0 || moved >= shards || fetched != want {
+					t.Fatalf("%s: the next read fetched %d of %d blocks with %d moved, want %d", tag, fetched, shards, moved, want)
+				}
+			}
+		})
 	}
 }
 
@@ -509,15 +525,13 @@ func (f *failingEngine) ResolveShards(ctx context.Context, version uint64, ps []
 }
 
 // TestEngineFailureMidQuery proves the failed-fetch contract on the
-// deterministic in-process path: when an engine fails the query's fetch,
-// the query returns promptly with an error chain that unwraps to
-// ErrTransport.
+// deterministic in-process path: when every engine of the set fails the
+// query's fetch, the query returns promptly with an error chain that
+// unwraps to ErrTransport.
 func TestEngineFailureMidQuery(t *testing.T) {
 	g := testGraph(500, 11)
-	stA := shard.NewStore(g, 7, 0)
-	stB := shard.NewStore(g, 7, 0)
-	fe := &failingEngine{LocalEngine: NewLocalEngine(stB, 1, 2)}
-	rt, err := New(NewLocalEngine(stA, 0, 2), fe)
+	rt, err := New(&failingEngine{LocalEngine: NewLocalEngine(shard.NewStore(g, 7, 0))},
+		&failingEngine{LocalEngine: NewLocalEngine(shard.NewStore(g, 7, 0))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,16 +545,21 @@ func TestEngineFailureMidQuery(t *testing.T) {
 	}
 }
 
-// TestFailedFetchStopsEngineCalls: a query whose bulk fetch fails makes
-// that one attempt and no more — it fails before any kernel runs — in
-// the batched and the per-walk kernels alike, and the router counts the
-// failure under its cause.
+// TestFailedFetchStopsEngineCalls: a query whose bulk fetch fails on
+// every engine makes that one attempt and no more — one chunk per
+// engine, each tried on its own engine and then failed over to the other
+// once — and fails before any kernel runs, in the batched and the
+// per-walk kernels alike. The router counts each failed chunk under its
+// cause.
 func TestFailedFetchStopsEngineCalls(t *testing.T) {
 	g := testGraph(500, 11)
 	for _, mode := range []core.Mode{core.ModeAuto, core.ModePruned} {
 		t.Run(fmt.Sprintf("mode=%v", mode), func(t *testing.T) {
-			fe := &failingEngine{LocalEngine: NewLocalEngine(shard.NewStore(g, 7, 0), 1, 2)}
-			rt, err := New(NewLocalEngine(shard.NewStore(g, 7, 0), 0, 2), fe)
+			var fes [2]*failingEngine
+			for i := range fes {
+				fes[i] = &failingEngine{LocalEngine: NewLocalEngine(shard.NewStore(g, 7, 0))}
+			}
+			rt, err := New(fes[0], fes[1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -549,12 +568,14 @@ func TestFailedFetchStopsEngineCalls(t *testing.T) {
 				if _, err := ex.SingleSource(context.Background(), 3); !errors.Is(err, ErrTransport) {
 					t.Fatalf("query %d: want ErrTransport in chain, got %v", q, err)
 				}
-				if got := fe.calls.Load(); got != q {
-					t.Fatalf("after %d queries the failing engine got %d calls, want %d", q, got, q)
+				for i, fe := range fes {
+					if got := fe.calls.Load(); got != 2*q {
+						t.Fatalf("after %d queries failing engine %d got %d calls, want %d", q, i, got, 2*q)
+					}
 				}
 			}
-			if fe := rt.Counters().ShardFetchErrors; fe.Transport != 2 || fe.Total() != 2 {
-				t.Fatalf("fetch errors by cause %+v, want 2 transport", fe)
+			if fe := rt.Counters().ShardFetchErrors; fe.Transport != 4 || fe.Total() != 4 {
+				t.Fatalf("fetch errors by cause %+v, want 4 transport (2 chunks per query)", fe)
 			}
 		})
 	}
@@ -567,13 +588,13 @@ var _ core.QueryBinder = (*View)(nil)
 
 // TestViewBindsOneSnapshotPerGeneration: every query on a routed
 // generation binds to the same assembled *shard.StoreSnapshot.
-// Concurrent first binds share one fetch, one engine call per owner
-// group; a later bind makes no engine call.
+// Concurrent first binds share one fetch, one engine call per member;
+// a later bind makes no engine call.
 func TestViewBindsOneSnapshotPerGeneration(t *testing.T) {
 	g := testGraph(300, 7)
 	var engines [2]*failingEngine
 	for i := range engines {
-		engines[i] = &failingEngine{LocalEngine: NewLocalEngine(shard.NewStore(g, 8, 0), i, 2)}
+		engines[i] = &failingEngine{LocalEngine: NewLocalEngine(shard.NewStore(g, 8, 0))}
 		engines[i].fuse.Store(1 << 40)
 	}
 	rt, err := New(engines[0], engines[1])
@@ -594,7 +615,7 @@ func TestViewBindsOneSnapshotPerGeneration(t *testing.T) {
 	}
 	wg.Wait()
 	if got := calls(); got != 2 {
-		t.Fatalf("the first binds made %d engine calls, want one per group", got)
+		t.Fatalf("the first binds made %d engine calls, want one per member", got)
 	}
 	later, err := v.BindQuery(context.Background())
 	if err != nil {
@@ -638,8 +659,8 @@ func (e truncatingEngine) ResolveShards(ctx context.Context, version uint64, ps 
 // routing process).
 func TestMalformedBlockFailsQuery(t *testing.T) {
 	g := testGraph(500, 11)
-	rt, err := New(NewLocalEngine(shard.NewStore(g, 7, 0), 0, 2),
-		truncatingEngine{NewLocalEngine(shard.NewStore(g, 7, 0), 1, 2)})
+	rt, err := New(NewLocalEngine(shard.NewStore(g, 7, 0)),
+		truncatingEngine{NewLocalEngine(shard.NewStore(g, 7, 0))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -658,9 +679,7 @@ type shardHidingEngine struct{ *LocalEngine }
 
 func (e shardHidingEngine) hide(m Meta, err error) (Meta, error) {
 	m.Shards--
-	if n := len(m.Owned); n > 0 && m.Owned[n-1] == m.Shards {
-		m.Owned, m.ShardVersions = m.Owned[:n-1], m.ShardVersions[:n-1]
-	}
+	m.ShardVersions = m.ShardVersions[:m.Shards]
 	return m, err
 }
 
@@ -678,15 +697,15 @@ func (e shardHidingEngine) Publish(ctx context.Context) (Meta, error) {
 // would index out of range in a kernel worker and kill the process.
 func TestAssemblyRejectsUncoveredNodes(t *testing.T) {
 	g := testGraph(500, 11)
-	_, err := New(shardHidingEngine{NewLocalEngine(shard.NewStore(g, 4, 0), 0, 2)},
-		shardHidingEngine{NewLocalEngine(shard.NewStore(g, 4, 0), 1, 2)})
+	_, err := New(shardHidingEngine{NewLocalEngine(shard.NewStore(g, 4, 0))},
+		shardHidingEngine{NewLocalEngine(shard.NewStore(g, 4, 0))})
 	if err == nil || !strings.Contains(err.Error(), "3 shards of stride 1<<7 for 500 nodes") {
 		t.Fatalf("assembly over a fleet hiding its last shard: %v", err)
 	}
 }
 
 // TestWorkerKilledMidQuery is the socket-level acceptance criterion: a
-// query against a router whose worker died after assembly returns a
+// query against a router whose workers all died after assembly returns a
 // wrapped transport error well within the query deadline, instead of
 // hanging.
 func TestWorkerKilledMidQuery(t *testing.T) {
@@ -694,9 +713,9 @@ func TestWorkerKilledMidQuery(t *testing.T) {
 		t.Skip("sockets")
 	}
 	g := testGraph(600, 13)
-	ref := shard.NewStore(g, 4, 0) // local engine serving half the shards
-	reB, srvB, _ := startWorker(t, g, 4, 1, 2)
-	rt, err := New(NewLocalEngine(ref, 0, 2), reB)
+	reA, srvA, _ := startWorker(t, g, 4)
+	reB, srvB, _ := startWorker(t, g, 4)
+	rt, err := New(reA, reB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -704,7 +723,9 @@ func TestWorkerKilledMidQuery(t *testing.T) {
 	opt.NumWalks = 500000 // a query that would run for seconds over live workers
 	opt.Budget.Timeout = 30 * time.Second
 	ex := core.NewExecutorOn(rt, opt)
-	srvB.Close() // kill the worker before the query's fetch meets it
+	// Kill both workers before the query's fetch meets them.
+	srvA.Close()
+	srvB.Close()
 
 	type result struct {
 		err     error
@@ -720,16 +741,16 @@ func TestWorkerKilledMidQuery(t *testing.T) {
 	select {
 	case res := <-done:
 		if res.err == nil {
-			t.Fatal("query must fail after its worker died")
+			t.Fatal("query must fail after its workers died")
 		}
 		if !errors.Is(res.err, ErrTransport) {
 			t.Fatalf("want ErrTransport in chain, got %v", res.err)
 		}
 		if res.elapsed > 10*time.Second {
-			t.Fatalf("query took %v to notice the dead worker", res.elapsed)
+			t.Fatalf("query took %v to notice the dead workers", res.elapsed)
 		}
 	case <-time.After(25 * time.Second):
-		t.Fatal("query hung after its worker died")
+		t.Fatal("query hung after its workers died")
 	}
 }
 
@@ -739,7 +760,7 @@ func TestWorkerKilledMidQuery(t *testing.T) {
 // connection keeps serving.
 func TestRetiredFrameTypeGetsBadRequest(t *testing.T) {
 	st := shard.NewStore(testGraph(100, 3), 4, 0)
-	srv := NewServer(NewLocalEngine(st, 0, 1))
+	srv := NewServer(NewLocalEngine(st))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -773,13 +794,58 @@ func TestRetiredFrameTypeGetsBadRequest(t *testing.T) {
 	}
 }
 
+// TestRemoteEngineRefusesPartialShardList: a worker still started with
+// -index/-group lists only its stride's shards in its Meta and Publish
+// replies. The engine refuses such a reply, naming the worker, and so a
+// router refuses to assemble over it.
+func TestRemoteEngineRefusesPartialShardList(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				// Shards 1 and 3 of 4: the reply of -index 1 -group 2.
+				rep := rpcwire.MetaReply{Nodes: 500, Shift: 7, Shards: 4, Owned: []uint32{1, 3}, ShardVersions: []uint64{1, 1}}
+				for {
+					if _, _, err := rpcwire.ReadFrame(c, nil); err != nil {
+						return
+					}
+					if err := rpcwire.WriteFrame(c, rpcwire.TMetaRep, rep.Append(nil)); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	addr := ln.Addr().String()
+	re := NewRemoteEngine(addr)
+	t.Cleanup(func() { re.Close() })
+	for name, call := range map[string]func(context.Context) (Meta, error){"Meta": re.Meta, "Publish": re.Publish} {
+		_, err := call(context.Background())
+		if err == nil || !strings.Contains(err.Error(), addr) || !strings.Contains(err.Error(), "2 of its 4 shards") {
+			t.Fatalf("%s over a worker listing 2 of 4 shards: %v, want a refusal naming %s", name, err, addr)
+		}
+	}
+	if _, err := New(re); err == nil || !strings.Contains(err.Error(), addr) {
+		t.Fatalf("router assembled over a worker listing 2 of 4 shards: %v", err)
+	}
+}
+
 // TestCallerDeadlineNotBlamedOnWorker: a call cut short by the CALLER's
 // context must classify as the context's error (504/499 upstream), not
 // as a worker transport failure — and must not mark the healthy worker
 // down or open its backoff window.
 func TestCallerDeadlineNotBlamedOnWorker(t *testing.T) {
 	g := testGraph(100, 61)
-	re, _, _ := startWorker(t, g, 4, 0, 1)
+	re, _, _ := startWorker(t, g, 4)
 	meta, err := re.Meta(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -821,7 +887,7 @@ func TestQueryDeadlineOverRouter(t *testing.T) {
 	g := testGraph(400, 23)
 	stA := shard.NewStore(g, 4, 0)
 	stB := shard.NewStore(g, 4, 0)
-	rt, err := New(NewLocalEngine(stA, 0, 2), NewLocalEngine(stB, 1, 2))
+	rt, err := New(NewLocalEngine(stA), NewLocalEngine(stB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -850,7 +916,7 @@ func TestGenerationRetirement(t *testing.T) {
 	g := testGraph(300, 31)
 	stA := shard.NewStore(g, 8, 0)
 	stB := shard.NewStore(g, 8, 0)
-	rt, err := New(NewLocalEngine(stA, 0, 2), NewLocalEngine(stB, 1, 2))
+	rt, err := New(NewLocalEngine(stA), NewLocalEngine(stB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -895,7 +961,7 @@ func TestApplyRollback(t *testing.T) {
 	g := testGraph(100, 41)
 	stA := shard.NewStore(g, 4, 0)
 	stB := shard.NewStore(g, 4, 0)
-	rt, err := New(NewLocalEngine(stA, 0, 2), NewLocalEngine(stB, 1, 2))
+	rt, err := New(NewLocalEngine(stA), NewLocalEngine(stB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -926,7 +992,7 @@ func TestProgressiveIdenticalOverRouter(t *testing.T) {
 	ref := shard.NewStore(g, 4, 0)
 	stA := shard.NewStore(g, 4, 0)
 	stB := shard.NewStore(g, 4, 0)
-	rt, err := New(NewLocalEngine(stA, 0, 2), NewLocalEngine(stB, 1, 2))
+	rt, err := New(NewLocalEngine(stA), NewLocalEngine(stB))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ type Server struct {
 	// I/O); nil means silent. Set it before Serve.
 	Logf func(format string, args ...any)
 
-	// tracer, when set, owns the worker's slow-query log and completed-
+	// tracer, when set, keeps the worker's slow-query log and completed-
 	// trace ring. Swappable at runtime (SetTracer), read per request.
 	tracer atomic.Pointer[qtrace.Tracer]
 
@@ -170,14 +170,16 @@ func (s *Server) dispatch(typ uint8, payload, out []byte) (uint8, []byte) {
 			LastBatch: m.LastBatch,
 			Shift:     m.Shift,
 			Shards:    uint32(m.Shards),
-			Owned:     make([]uint32, len(m.Owned)),
-			Spans:     spans,
+			// Every shard, in order: the worker serves them all. Empty
+			// on TApply, whose Meta reports no shape.
+			Owned: make([]uint32, m.Shards),
+			Spans: spans,
 			// Set only on TMeta/TPublish: an Apply's Meta carries no
 			// shard list, so its reply keeps just the span trailer.
 			ShardVersions: m.ShardVersions,
 		}
-		for i, p := range m.Owned {
-			rep.Owned[i] = uint32(p)
+		for p := range rep.Owned {
+			rep.Owned[p] = uint32(p)
 		}
 		return rpcwire.TMetaRep, rep.Append(out)
 	}

@@ -2,40 +2,35 @@ package router
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
-// ParseGroups parses the -workers replica-group grammar shared by the
-// CLI binaries: semicolons separate replica groups, commas separate the
-// replicas inside one. Every replica in a group serves the same shard
-// stride (group index = position in the semicolon list), so
-//
-//	"a:9101,b:9101;c:9101,d:9101"
-//
-// is two groups of two replicas. NOTE the grammar change from the
-// unreplicated fleet layout: "a:9101,b:9101" used to mean two shard
-// owners and now means one doubly-replicated owner of everything —
-// sharded-but-unreplicated fleets must switch commas to semicolons
-// ("a:9101;b:9101"), as the smoke scripts did.
-func ParseGroups(spec string) ([][]string, error) {
+// ParseWorkers parses the -workers list shared by the CLI binaries: a
+// comma-separated list of worker addresses, one replica set, in which
+// every worker serves every shard ("a:9101,b:9101,c:9101"). A semicolon
+// is refused: it separated shard groups in the earlier owned-stride
+// layout, which no longer exists. An empty entry is refused, and so is
+// an address listed twice: the router would count one worker as two
+// replicas, send it each write twice and fail a read over to the same
+// dead address.
+func ParseWorkers(spec string) ([]string, error) {
+	if strings.Contains(spec, ";") {
+		return nil, fmt.Errorf("router: -workers %q contains a semicolon; use commas: every worker belongs to one replica set (\"a:9101,b:9101\")", spec)
+	}
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("router: empty -workers spec")
 	}
-	var groups [][]string
-	for gi, gspec := range strings.Split(spec, ";") {
-		gspec = strings.TrimSpace(gspec)
-		if gspec == "" {
-			return nil, fmt.Errorf("router: -workers group %d is empty", gi)
+	var addrs []string
+	for i, addr := range strings.Split(spec, ",") {
+		addr = strings.TrimSpace(addr)
+		if addr == "" {
+			return nil, fmt.Errorf("router: -workers entry %d is empty", i)
 		}
-		var members []string
-		for mi, addr := range strings.Split(gspec, ",") {
-			addr = strings.TrimSpace(addr)
-			if addr == "" {
-				return nil, fmt.Errorf("router: -workers group %d replica %d is empty", gi, mi)
-			}
-			members = append(members, addr)
+		if slices.Contains(addrs, addr) {
+			return nil, fmt.Errorf("router: -workers lists %s twice", addr)
 		}
-		groups = append(groups, members)
+		addrs = append(addrs, addr)
 	}
-	return groups, nil
+	return addrs, nil
 }

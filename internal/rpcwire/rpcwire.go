@@ -30,8 +30,12 @@
 // never do. The corresponding replies (and the MetaReply answering
 // TApply) carry the worker's recorded spans back the same way. The
 // MetaReply answering TMeta or TPublish instead carries the version of
-// each owned shard's block, 8 bytes per entry of Owned in Owned order,
-// which lets a router keep every block whose version did not move. A
+// each shard's block, 8 bytes per entry of Owned in Owned order, which
+// lets a router keep every block whose version did not move. A worker
+// serves every shard and lists them all in Owned, in order, so the
+// trailer holds every shard's version; a router refuses a TMeta or
+// TPublish reply that lists fewer (a worker of the earlier owned-stride
+// layout, which listed only the shards p with p % group == index). A
 // message without trailers is exactly its fixed encoding, and the fixed
 // decoders stop where the fixed fields end, so a peer whose decoder
 // predates a trailer reads the same fields and ignores it. TMeta/TPing
@@ -88,7 +92,7 @@ const MaxFrame = 1 << 30
 const (
 	tagTrace    uint32 = 0x43525451 // "QTRC": TraceContext on a request
 	tagSpans    uint32 = 0x534E5053 // "SPNS": recorded worker spans on a reply
-	tagVersions uint32 = 0x52455653 // "SVER": owned shards' versions on a MetaReply
+	tagVersions uint32 = 0x52455653 // "SVER": the versions of the shards Owned lists, on a MetaReply
 )
 
 // TraceContext is the cross-process form of "this request belongs to a
@@ -141,8 +145,9 @@ func appendSpansTrailer(b []byte, spans []qtrace.Span) []byte {
 	return appendTrailer(b, tagSpans, body)
 }
 
-// appendVersionsTrailer emits owned shards' versions. Callers skip it
-// unless there is one version per owned shard and at least one.
+// appendVersionsTrailer emits the versions of the shards Owned lists.
+// Callers skip it unless there is one version per listed shard and at
+// least one.
 func appendVersionsTrailer(b []byte, versions []uint64) []byte {
 	body := make([]byte, 0, 8*len(versions))
 	for _, v := range versions {
@@ -420,19 +425,19 @@ type MetaReply struct {
 	LastBatch uint64
 	Shift     uint32
 	Shards    uint32
-	Owned     []uint32 // shard ids this engine serves
+	Owned     []uint32 // shard ids the engine serves: every shard, in order (empty on TApply)
 
 	// Spans carries the worker's recorded spans back to a traced caller
 	// (TApply replies). Empty for untraced requests.
 	Spans []qtrace.Span
 	// ShardVersions, aligned with Owned, carries the version of each
-	// owned shard's block (TMeta and TPublish replies). Nil when the
-	// worker reports none.
+	// shard's block (TMeta and TPublish replies). Nil when the worker
+	// reports none.
 	ShardVersions []uint64
 }
 
 // Append encodes the reply with at most one trailer: Spans when set,
-// otherwise ShardVersions when it holds one version per owned shard.
+// otherwise ShardVersions when it holds one version per listed shard.
 func (m MetaReply) Append(b []byte) []byte {
 	b = binary.LittleEndian.AppendUint64(b, m.Nodes)
 	b = binary.LittleEndian.AppendUint64(b, m.Edges)
@@ -469,8 +474,8 @@ func DecodeMetaReply(b []byte) (MetaReply, error) {
 }
 
 // ShardsRequest asks for shards' CSR blocks at generation Version in one
-// round trip: every block a router's view generation lacks from the
-// worker's group when its first query binds.
+// round trip: the chunk of blocks a router's view generation asks this
+// worker for when its first query binds.
 type ShardsRequest struct {
 	Budget  budget.Header
 	Version uint64

@@ -595,10 +595,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if s.rt.Distributed() {
 			workers := s.rt.WorkerStats()
 			// worker stays the FIRST label (dashboards and the smoke tests
-			// match on it); group/replica identify the member's slot in the
-			// replicated topology.
+			// match on it); replica is the worker's position in -workers.
 			label := func(ws router.WorkerStat) string {
-				return fmt.Sprintf("worker=%q,group=\"%d\",replica=\"%d\"", ws.Addr, ws.Group, ws.Replica)
+				return fmt.Sprintf("worker=%q,replica=\"%d\"", ws.Addr, ws.Replica)
 			}
 			sample := func(v func(router.WorkerStat) int64) []promexpo.Sample {
 				out := make([]promexpo.Sample, len(workers))
@@ -623,8 +622,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				}))
 			promexpo.WriteLabeled(out, "probesim_router_worker_version", "Snapshot version the worker last reported.", "gauge",
 				sample(func(ws router.WorkerStat) int64 { return int64(ws.Version) }))
-			promexpo.WriteLabeled(out, "probesim_router_worker_shards", "Shards the worker owns in the published view.", "gauge",
-				sample(func(ws router.WorkerStat) int64 { return int64(ws.Shards) }))
 			promexpo.WriteLabeled(out, "probesim_router_worker_calls_total", "Engine calls issued to the worker.", "counter",
 				sample(func(ws router.WorkerStat) int64 { return ws.Calls }))
 			promexpo.WriteLabeled(out, "probesim_router_worker_errors_total", "Transport failures talking to the worker.", "counter",

@@ -26,14 +26,15 @@ import (
 )
 
 // routedPair builds a sharded reference server and a routed server over
-// two in-process engines covering the same graph, with identical options.
+// a replica set of two in-process engines holding the same graph, with
+// identical options.
 func routedPair(t *testing.T, shards int, opt core.Options) (ref, routed *Server) {
 	t.Helper()
 	g := gen.PreferentialAttachment(500, 4, 21)
 	ref = NewSharded(shard.NewStore(g, shards, 0), opt, 4, 50)
 	stA := shard.NewStore(g, shards, 0)
 	stB := shard.NewStore(g, shards, 0)
-	rt, err := router.New(router.NewLocalEngine(stA, 0, 2), router.NewLocalEngine(stB, 1, 2))
+	rt, err := router.New(router.NewLocalEngine(stA), router.NewLocalEngine(stB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +128,23 @@ func TestRoutedStatsAndMetrics(t *testing.T) {
 	if got := body["routerShardBlocksCarried"].(float64); got != 2 {
 		t.Fatalf("/stats routerShardBlocksCarried = %v after a write touching 2 of 4 shards, want 2", got)
 	}
+	for _, row := range body["routerWorkers"].([]any) {
+		for _, gone := range []string{"group", "shards"} {
+			if _, ok := row.(map[string]any)[gone]; ok {
+				t.Fatalf("/stats routerWorkers row carries %q: %v", gone, row)
+			}
+		}
+	}
 	rec, _ := do2(routed, http.MethodGet, "/metrics")
 	page := rec.Body.String()
+	for _, gone := range []string{"group=", "probesim_router_worker_shards"} {
+		if strings.Contains(page, gone) {
+			t.Fatalf("/metrics still carries %q", gone)
+		}
+	}
 	for _, want := range []string{
-		"probesim_router_worker_up{worker=\"local\",group=\"0\",replica=\"0\"} 1",
-		"probesim_router_worker_current{worker=\"local\",group=\"0\",replica=\"0\"} 1",
+		"probesim_router_worker_up{worker=\"local\",replica=\"0\"} 1",
+		"probesim_router_worker_current{worker=\"local\",replica=\"1\"} 1",
 		"probesim_router_failovers_total",
 		"probesim_router_hedges_sent_total",
 		"probesim_router_shard_fetches_total",
@@ -265,19 +278,14 @@ func TestComponentsHonorsDeadlineMidScan(t *testing.T) {
 }
 
 // TestRoutedWorkerDeathReturns502: the routed server maps a mid-query
-// transport failure to HTTP 502 with Retry-After.
+// transport failure on every worker to HTTP 502 with Retry-After.
 func TestRoutedWorkerDeathReturns502(t *testing.T) {
 	opt := core.Options{Seed: 3, NumWalks: 500}
-	g := gen.PreferentialAttachment(400, 4, 21)
-	stA := shard.NewStore(g, 4, 0)
-	stB := shard.NewStore(g, 4, 0)
-	failing := &dyingEngine{LocalEngine: router.NewLocalEngine(stB, 1, 2)}
-	rt, err := router.New(router.NewLocalEngine(stA, 0, 2), failing)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt, workers := dyingPair(t)
 	s := NewRouted(rt, opt, 4, 50)
-	failing.dead.Store(true)
+	for _, w := range workers {
+		w.dead.Store(true)
+	}
 	rec, body := do(t, s, http.MethodGet, "/topk?u=1&k=5")
 	if rec.Code != http.StatusBadGateway {
 		t.Fatalf("status %d (%v), want 502", rec.Code, body)
@@ -289,81 +297,96 @@ func TestRoutedWorkerDeathReturns502(t *testing.T) {
 	// (502), not silently count components over empty adjacency.
 	rec, body = do(t, s, http.MethodGet, "/components")
 	if rec.Code != http.StatusBadGateway {
-		t.Fatalf("/components over dead worker: status %d (%v), want 502", rec.Code, body)
+		t.Fatalf("/components over dead workers: status %d (%v), want 502", rec.Code, body)
 	}
 }
 
 // TestRoutedShapeReadersOverDeadWorker: the join binds to the request
-// like a query, so a dead owner group is a 502 instead of a join over
-// the nodes still reachable, and /stats reads the graph's shape with one
-// fetch attempt per request, not one per node.
+// like a query, so a fleet whose every worker is dead is a 502 instead
+// of a join over no adjacency, and /stats reads the graph's shape with
+// one fetch attempt per request — one failed chunk per worker — not one
+// per node.
 func TestRoutedShapeReadersOverDeadWorker(t *testing.T) {
-	g := gen.PreferentialAttachment(400, 4, 21)
-	failing := &dyingEngine{LocalEngine: router.NewLocalEngine(shard.NewStore(g, 4, 0), 1, 2)}
-	rt, err := router.New(router.NewLocalEngine(shard.NewStore(g, 4, 0), 0, 2), failing)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt, workers := dyingPair(t)
 	s := NewRouted(rt, core.Options{Seed: 3, NumWalks: 100}, 4, 50)
-	failing.dead.Store(true)
+	for _, w := range workers {
+		w.dead.Store(true)
+	}
 	if rec, body := do(t, s, http.MethodGet, "/join/topk?k=5"); rec.Code != http.StatusBadGateway {
-		t.Fatalf("/join/topk over a dead worker: status %d (%v), want 502", rec.Code, body)
+		t.Fatalf("/join/topk over dead workers: status %d (%v), want 502", rec.Code, body)
 	}
 	before := rt.Counters().ShardFetchErrors.Total()
 	if rec, body := do(t, s, http.MethodGet, "/stats"); rec.Code != http.StatusOK {
-		t.Fatalf("/stats over a dead worker: status %d (%v)", rec.Code, body)
+		t.Fatalf("/stats over dead workers: status %d (%v)", rec.Code, body)
 	}
-	if got := rt.Counters().ShardFetchErrors.Total() - before; got != 1 {
-		t.Fatalf("/stats made %d failed fetches, want 1", got)
+	if got := rt.Counters().ShardFetchErrors.Total() - before; got != int64(len(workers)) {
+		t.Fatalf("/stats made %d failed fetches, want %d (one chunk per worker)", got, len(workers))
 	}
 }
 
-// TestRoutedGroupLossOnEdgeWriteReturns502: a routed POST /edges whose
-// whole replica group fails Apply with a transport error answers 502
-// without Retry-After and tells the client not to re-submit blindly:
-// the surviving group holds the batch durably (the router does not roll
-// back), so a blind retry would double-apply there. It is the same
-// contract /edges/batch has, because both endpoints share one write path.
+// TestRoutedGroupLossOnEdgeWriteReturns502: a routed POST /edges that no
+// worker acknowledges — one applies it and loses every reply, the other
+// is dead — answers 502 without Retry-After and tells the client not to
+// re-submit blindly: the worker that applied holds the batch durably
+// (the router does not roll back) and the ring replays it to the other,
+// so a blind retry would double-apply. It is the same contract
+// /edges/batch has, because both endpoints share one write path.
 func TestRoutedGroupLossOnEdgeWriteReturns502(t *testing.T) {
-	g := gen.PreferentialAttachment(400, 4, 21)
-	stA := shard.NewStore(g, 4, 0)
-	stB := shard.NewStore(g, 4, 0)
-	failing := &dyingEngine{LocalEngine: router.NewLocalEngine(stB, 1, 2)}
-	rt, err := router.New(router.NewLocalEngine(stA, 0, 2), failing)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt, workers := dyingPair(t)
 	s := NewRouted(rt, core.Options{Seed: 3, NumWalks: 100}, 4, 50)
+	stA := workers[0].Store()
 	before := stA.NumEdges()
-	failing.dead.Store(true)
+	workers[0].lostReply.Store(true)
+	workers[1].dead.Store(true)
 	rec, body := do(t, s, http.MethodPost, "/edges?u=1&v=300")
 	if rec.Code != http.StatusBadGateway {
 		t.Fatalf("status %d (%v), want 502", rec.Code, body)
 	}
 	if ra := rec.Header().Get("Retry-After"); ra != "" {
-		t.Fatalf("group-loss 502 carries Retry-After %q; a blind retry double-applies", ra)
+		t.Fatalf("unacknowledged-write 502 carries Retry-After %q; a blind retry double-applies", ra)
 	}
 	if msg, _ := body["error"].(string); !strings.Contains(msg, "do not blindly re-submit") {
 		t.Fatalf("error %q lacks the do-not-resubmit warning", msg)
 	}
 	if got := stA.NumEdges(); got != before+1 {
-		t.Fatalf("surviving group holds %d edges, want %d: the batch must not be rolled back", got, before+1)
+		t.Fatalf("the applying worker holds %d edges, want %d: the batch must apply once and not be rolled back", got, before+1)
 	}
+}
+
+// dyingPair builds a router over a replica set of two dyingEngines, each
+// on its own store of one PA graph.
+func dyingPair(t *testing.T) (*router.Router, [2]*dyingEngine) {
+	t.Helper()
+	g := gen.PreferentialAttachment(400, 4, 21)
+	var workers [2]*dyingEngine
+	for i := range workers {
+		workers[i] = &dyingEngine{LocalEngine: router.NewLocalEngine(shard.NewStore(g, 4, 0))}
+	}
+	rt, err := router.New(workers[0], workers[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt, workers
 }
 
 // dyingEngine forwards to a LocalEngine until dead flips, then fails
 // every read and write with a transport error — an in-process stand-in
-// for a worker crash.
+// for a worker crash. With lostReply set, Apply applies the batch and
+// then fails in transport: a worker that crashed before replying.
 type dyingEngine struct {
 	*router.LocalEngine
-	dead atomic.Bool
+	dead, lostReply atomic.Bool
 }
 
 func (d *dyingEngine) Apply(ctx context.Context, batch uint64, ops []graph.EdgeOp) (uint64, error) {
 	if d.dead.Load() {
 		return 0, fmt.Errorf("%w: injected crash", router.ErrTransport)
 	}
-	return d.LocalEngine.Apply(ctx, batch, ops)
+	v, err := d.LocalEngine.Apply(ctx, batch, ops)
+	if err == nil && d.lostReply.Load() {
+		return 0, fmt.Errorf("%w: injected reply loss", router.ErrTransport)
+	}
+	return v, err
 }
 
 func (d *dyingEngine) ResolveShards(ctx context.Context, version uint64, ps []int) ([]graph.CSRShard, error) {

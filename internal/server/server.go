@@ -438,21 +438,21 @@ func (s *Server) applyBatch(ops []graph.EdgeOp) (graph.VersionedView, error) {
 //   - Over the in-process fast path, ErrUnavailable means the log append
 //     was annulled and nothing was applied: the server's fault, 500, and
 //     the client may retry.
-//   - Over a fleet, ErrTransport or ErrUnavailable means an entire
-//     replica group stayed unreachable through the retry budget: the
-//     batch is NOT acknowledged fleet-wide, but every replica that took
-//     it HOLDS it durably (the router does not roll back). That 502
-//     deliberately carries no Retry-After: re-POSTing the same ops would
-//     get a fresh batch id and double-apply on the replicas that already
-//     hold the original (parallel edges are legal, so the damage is
+//   - Over a fleet, ErrTransport or ErrUnavailable means no worker
+//     acknowledged the batch through the retry budget. The batch may
+//     still apply: a worker whose reply was lost HOLDS it durably (the
+//     router does not roll back), and the router replays it from its
+//     ring to every worker that returns. That 502 deliberately carries
+//     no Retry-After: re-POSTing the same ops would get a fresh batch id
+//     and double-apply (parallel edges are legal, so the damage is
 //     silent). The client must verify state (or wait for the health pass
-//     to name the lost group) before re-submitting.
+//     to re-admit a worker) before re-submitting.
 //   - Anything else is a rejected batch, rolled back everywhere: 400.
 func (s *Server) writeApplyError(w http.ResponseWriter, err error) {
 	transient := errors.Is(err, router.ErrTransport) || errors.Is(err, router.ErrUnavailable)
 	switch {
 	case transient && s.rt.Distributed():
-		writeError(w, http.StatusBadGateway, fmt.Errorf("batch partially acknowledged (surviving appliers hold it durably); do not blindly re-submit — verify before retrying: %v", err))
+		writeError(w, http.StatusBadGateway, fmt.Errorf("no worker acknowledged the batch, but it may still apply (a worker that lost its reply holds it, and the router replays it to every worker that returns); do not blindly re-submit — verify before retrying: %v", err))
 	case errors.Is(err, router.ErrUnavailable):
 		writeError(w, http.StatusInternalServerError, err)
 	default:

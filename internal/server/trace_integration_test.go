@@ -1,8 +1,8 @@
 package server
 
 // End-to-end tracing over a real fleet: one ?trace=1 query through a
-// 2-group × 2-replica TCP fleet with a dead replica (failover) and a
-// slow replica (hedging) must come back as ONE stitched span tree — the
+// four-worker TCP replica set with a dead worker (failover) and a slow
+// worker (hedging) must come back as ONE stitched span tree — the
 // admission wait, every router-side RPC attempt (the hedge winner and
 // the canceled loser), and the worker-side shard fetches grafted under
 // the same 128-bit id.
@@ -96,38 +96,36 @@ func TestTracedQueryAcrossHedgedFailoverFleet(t *testing.T) {
 	g := gen.PreferentialAttachment(300, 4, 21)
 	mk := func() *shard.Store { return shard.NewStore(g, 8, 0) }
 
-	// Group 0: a replica that will die + a healthy one (failover).
-	// Group 1: a 25ms-delayed replica + a fast one (hedging: the fast
-	// one wins the race, the slow primary is canceled).
-	addrDead, stopDead := startTCPWorker(t, router.NewLocalEngine(mk(), 0, 2))
-	addrA, _ := startTCPWorker(t, router.NewLocalEngine(mk(), 0, 2))
-	addrSlow, _ := startTCPWorker(t, &delayEngine{router.NewLocalEngine(mk(), 1, 2), 25 * time.Millisecond})
-	addrB, _ := startTCPWorker(t, router.NewLocalEngine(mk(), 1, 2))
+	// The cold view splits its 8 blocks into one chunk per worker, each
+	// starting at its own worker and failing over (or hedging) to the
+	// next one in the set. Chunk 0 starts at a worker that will die and
+	// fails over to A; chunk 2 starts at a 25ms-delayed worker and hedges
+	// to B, which wins the race while the slow primary is canceled.
+	addrDead, stopDead := startTCPWorker(t, router.NewLocalEngine(mk()))
+	addrA, _ := startTCPWorker(t, router.NewLocalEngine(mk()))
+	addrSlow, _ := startTCPWorker(t, &delayEngine{router.NewLocalEngine(mk()), 25 * time.Millisecond})
+	addrB, _ := startTCPWorker(t, router.NewLocalEngine(mk()))
 
-	var engines [][]router.ShardEngine
-	for _, group := range [][]string{{addrDead, addrA}, {addrSlow, addrB}} {
-		var members []router.ShardEngine
-		for _, addr := range group {
-			re := router.NewRemoteEngine(addr)
-			t.Cleanup(func() { re.Close() })
-			members = append(members, re)
-		}
-		engines = append(engines, members)
+	var engines []router.ShardEngine
+	for _, addr := range []string{addrDead, addrA, addrSlow, addrB} {
+		re := router.NewRemoteEngine(addr)
+		t.Cleanup(func() { re.Close() })
+		engines = append(engines, re)
 	}
-	rt, err := router.NewReplicated(engines)
+	rt, err := router.New(engines...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rt.Close() })
-	// A fixed 3ms hedge delay: long enough that a dead replica's
+	// A fixed 3ms hedge delay: long enough that a dead worker's
 	// connection error lands first (failover, not hedge), short enough
-	// that the 25ms replica always loses the race.
+	// that the 25ms worker always loses the race.
 	rt.SetHedge(router.HedgePolicy{Enabled: true, MinDelay: 3 * time.Millisecond, MaxDelay: 3 * time.Millisecond})
 
 	srv := NewRouted(rt, core.Options{Seed: 3, NumWalks: 200}, 4, 50)
 	srv.SetTracer(qtrace.NewTracer(0, 0, 8, slog.New(slog.NewTextHandler(io.Discard, nil))))
 
-	// Kill group 0's first replica BEFORE the first query: the traced
+	// Kill the first worker BEFORE the first query: the traced
 	// query must be the one that fetches the view's blocks, because once a
 	// view is warm every later query runs with zero read RPCs — nothing
 	// left to hedge or fail over. (The router's construction-time Meta

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Chaos smoke: a 2-group x 2-replica worker fleet keeps answering —
+# Chaos smoke: a four-worker replica set keeps answering —
 # byte-identically to an uninterrupted single-process reference — while
-# one replica per group is kill -9'd, restarted from its data dir, and
-# replayed back in; then the OTHER replica of each group is killed so
-# every answer must come from the replicas that just caught up.
+# two workers (a1, b1) are kill -9'd, restarted from their data dirs, and
+# replayed back in; then the other two (a0, b0) are killed so every
+# answer must come from the workers that just caught up.
 #
 # Failover is asserted on a second, read-only router booted just before
 # that last kill: it has fetched no shard blocks and its health loop
@@ -14,16 +14,15 @@
 # before any cold read reaches them.)
 #
 # Topology (all on localhost):
-#   group 0: shardd -index 0 (replicas A0, A1)   shards 0,2,4,...
-#   group 1: shardd -index 1 (replicas B0, B1)   shards 1,3,5,...
-#   probesim-server -workers "A0,A1;B0,B1"       (routing tier)
-#   probesim-server -workers "A0,A1;B0,B1"       (read-only failover probe)
+#   shardd A0, A1, B0, B1                        every worker serves every shard
+#   probesim-server -workers "A0,A1,B0,B1"       (routing tier)
+#   probesim-server -workers "A0,A1,B0,B1"       (read-only failover probe)
 #   probesim-server -shards ...                  (single-process reference)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 A0=19401 A1=19402 B0=19403 B1=19404 ROUTED=19405 SINGLE=19406 HEALTH=19407 PROBE=19408
-FLEET="127.0.0.1:$A0,127.0.0.1:$A1;127.0.0.1:$B0,127.0.0.1:$B1"
+FLEET="127.0.0.1:$A0,127.0.0.1:$A1,127.0.0.1:$B0,127.0.0.1:$B1"
 TMP="$(mktemp -d)"
 declare -A PID
 PIDS=()
@@ -43,9 +42,9 @@ wait_tcp() { # host port
   return 1
 }
 
-start_worker() { # name port index extra...
-  local name=$1 port=$2 index=$3; shift 3
-  "$TMP/bin/probesim-shardd" -graph "$TMP/g.txt" -shards 16 -index "$index" -group 2 \
+start_worker() { # name port extra...
+  local name=$1 port=$2; shift 2
+  "$TMP/bin/probesim-shardd" -graph "$TMP/g.txt" -shards 16 \
     -addr "127.0.0.1:$port" -data-dir "$TMP/data-$name" -fsync always "$@" &
   PID[$name]=$!
   PIDS+=($!)
@@ -58,11 +57,11 @@ go build -o "$TMP/bin/" ./cmd/gengraph ./cmd/probesim-shardd ./cmd/probesim-serv
 echo "== generating graph"
 "$TMP/bin/gengraph" -type pa -n 2000 -deg 6 -seed 4 -o "$TMP/g.txt"
 
-echo "== starting 2x2 worker fleet"
-start_worker a0 "$A0" 0 -health-addr "127.0.0.1:$HEALTH"
-start_worker a1 "$A1" 0
-start_worker b0 "$B0" 1
-start_worker b1 "$B1" 1
+echo "== starting four-worker replica set"
+start_worker a0 "$A0" -health-addr "127.0.0.1:$HEALTH"
+start_worker a1 "$A1"
+start_worker b0 "$B0"
+start_worker b1 "$B1"
 
 echo "== starting servers"
 "$TMP/bin/probesim-server" -workers "$FLEET" \
@@ -123,7 +122,7 @@ check "/topk?u=7&k=10"
 check "/single-source?u=42"
 check "/pair?u=7&v=9"
 
-echo "== kill -9 one replica per group (a1, b1)"
+echo "== kill -9 two of the four workers (a1, b1)"
 kill -9 "${PID[a1]}" "${PID[b1]}"
 check_retry "/topk?u=7&k=10"
 check "/single-source?u=42"
@@ -133,8 +132,8 @@ write_both 11 1500
 check "/topk?u=11&k=10"
 
 echo "== restart killed replicas from their data dirs"
-start_worker a1 "$A1" 0
-start_worker b1 "$B1" 1
+start_worker a1 "$A1"
+start_worker b1 "$B1"
 wait_all_current 4
 echo "   all 4 replicas current again"
 

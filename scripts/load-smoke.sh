@@ -2,8 +2,8 @@
 # Load smoke: the tenant-aware SLO plane end to end, through real
 # processes and real load.
 #
-# Boots a replicated worker pair (one shard group, two full-copy
-# replicas) behind a routing probesim-server with two tenants armed —
+# Boots a replicated worker pair (one replica set of two workers)
+# behind a routing probesim-server with two tenants armed —
 # search=latency-strict, crawl=throughput-batch — and tight admission
 # (-max-inflight 4, -soft-inflight 2). probesim-loadgen then replays a
 # seeded scenario where the batch tenant saturates the server (8
@@ -47,11 +47,11 @@ go build -o "$TMP/bin/" ./cmd/gengraph ./cmd/probesim-shardd ./cmd/probesim-serv
 echo "== generating graph"
 "$TMP/bin/gengraph" -type pa -n 2000 -deg 6 -seed 4 -o "$TMP/g.txt"
 
-echo "== starting replicated workers (one group, two replicas)"
-"$TMP/bin/probesim-shardd" -graph "$TMP/g.txt" -shards 16 -index 0 -group 1 \
+echo "== starting replicated workers (one replica set of two)"
+"$TMP/bin/probesim-shardd" -graph "$TMP/g.txt" -shards 16 \
   -addr "127.0.0.1:$W0" -health-addr "127.0.0.1:$H0" &
 VICTIM=$!; PIDS+=($!)
-"$TMP/bin/probesim-shardd" -graph "$TMP/g.txt" -shards 16 -index 0 -group 1 \
+"$TMP/bin/probesim-shardd" -graph "$TMP/g.txt" -shards 16 \
   -addr "127.0.0.1:$W1" &
 PIDS+=($!)
 wait_tcp 127.0.0.1 "$W0"
@@ -65,8 +65,8 @@ curl -sf "http://127.0.0.1:$H0/metrics" | grep -q 'probesim_build_info{binary="p
 }
 
 echo "== starting tenant-armed routing server"
-# Comma = two replicas of ONE shard group, so the mid-run kill below is
-# a failover event, not an outage.
+# Two workers of one replica set, so the mid-run kill below is a
+# failover event, not an outage.
 "$TMP/bin/probesim-server" -workers "127.0.0.1:$W0,127.0.0.1:$W1" -addr "127.0.0.1:$SRV" \
   -epsa 0.3 -max-inflight 4 -soft-inflight 2 -health-interval 500ms \
   -tenants "search=latency-strict,crawl=throughput-batch" \

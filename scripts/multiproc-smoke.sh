@@ -3,9 +3,8 @@
 # probesim-server answer exactly what a single-process server answers.
 #
 # Starts (on localhost):
-#   - probesim-shardd -index 0 -group 2   (shards 0,2,4,...)
-#   - probesim-shardd -index 1 -group 2   (shards 1,3,5,...)
-#   - probesim-server -workers ...        (routing tier, no local graph)
+#   - probesim-shardd x2                  (one replica set; each serves every shard)
+#   - probesim-server -workers a,b        (routing tier, no local graph)
 #   - probesim-server -shards ...         (single-process reference)
 # then diffs /topk and /single-source responses byte for byte, writes an
 # edge through both write planes, and diffs again.
@@ -38,17 +37,17 @@ echo "== generating graph"
 "$TMP/bin/gengraph" -type pa -n 2000 -deg 6 -seed 4 -o "$TMP/g.txt"
 
 echo "== starting workers"
-"$TMP/bin/probesim-shardd" -graph "$TMP/g.txt" -shards 16 -index 0 -group 2 -addr "127.0.0.1:$W0" &
+"$TMP/bin/probesim-shardd" -graph "$TMP/g.txt" -shards 16 -addr "127.0.0.1:$W0" &
 PIDS+=($!)
-"$TMP/bin/probesim-shardd" -graph "$TMP/g.txt" -shards 16 -index 1 -group 2 -addr "127.0.0.1:$W1" &
+"$TMP/bin/probesim-shardd" -graph "$TMP/g.txt" -shards 16 -addr "127.0.0.1:$W1" &
 PIDS+=($!)
 wait_tcp 127.0.0.1 "$W0"
 wait_tcp 127.0.0.1 "$W1"
 
 echo "== starting servers"
-# Semicolon = two single-replica shard groups (comma would mean two
-# replicas of ONE group under the replicated -workers grammar).
-"$TMP/bin/probesim-server" -workers "127.0.0.1:$W0;127.0.0.1:$W1" -addr "127.0.0.1:$ROUTED" -epsa 0.3 &
+# One comma-separated replica set: the even shards of a cold view come
+# from the first worker, the odd ones from the second.
+"$TMP/bin/probesim-server" -workers "127.0.0.1:$W0,127.0.0.1:$W1" -addr "127.0.0.1:$ROUTED" -epsa 0.3 &
 PIDS+=($!)
 "$TMP/bin/probesim-server" -graph "$TMP/g.txt" -shards 16 -addr "127.0.0.1:$SINGLE" -epsa 0.3 &
 PIDS+=($!)
