@@ -275,8 +275,8 @@ func readSpill(r io.Reader) (*spill, error) {
 }
 
 // ReadStore decodes a spill and rebuilds a live store from it: the
-// decoded CSR blocks become the published snapshot, the mutable side is
-// deep-copied out of them, and the version/apply-once watermark resume
+// decoded CSR blocks become the published snapshot and the store's one
+// copy of the adjacency, and the version/apply-once watermark resume
 // where the checkpoint left them. workers bounds the store's rebuild
 // pool as in shard.NewStore.
 func ReadStore(r io.Reader, workers int) (*shard.Store, error) {

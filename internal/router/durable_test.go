@@ -445,6 +445,52 @@ func TestDemotedReplicaReplaysRejectedBatch(t *testing.T) {
 	}
 }
 
+// TestApplyRefusedWithNoCurrentWorker: the write that meets two
+// engines going down still fails in transport, keeps its batch id and is
+// replayed when they return; a second write while both are demoted is
+// refused with ErrNoCurrentWorker before it takes an id or a ring slot,
+// so after the engines return and the health pass re-admits them they
+// hold the first batch only.
+func TestApplyRefusedWithNoCurrentWorker(t *testing.T) {
+	ctx := context.Background()
+	g := testGraph(60, 31)
+	stA, stB := shard.NewStore(g, 4, 0), shard.NewStore(g, 4, 0)
+	a := &downEngine{ShardEngine: NewLocalEngine(stA)}
+	b := &downEngine{ShardEngine: NewLocalEngine(stB)}
+	rt, err := New(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := stA.NumEdges()
+	a.down.Store(true)
+	b.down.Store(true)
+	if err := rt.Apply(ctx, []graph.EdgeOp{{U: 1, V: 2}}); !errors.Is(err, ErrTransport) || errors.Is(err, ErrNoCurrentWorker) {
+		t.Fatalf("write as the engines went down: %v, want ErrTransport", err)
+	}
+	if err := rt.Apply(ctx, []graph.EdgeOp{{U: 3, V: 4}}); !errors.Is(err, ErrNoCurrentWorker) {
+		t.Fatalf("write with every engine demoted: %v, want ErrNoCurrentWorker", err)
+	}
+	if id := rt.nextBatch.Load(); id != 1 {
+		t.Fatalf("batch ids used up to %d, want 1: the refused write must not take one", id)
+	}
+	if _, ok := rt.ring.get(2); ok {
+		t.Fatal("the refused write holds a ring slot")
+	}
+	a.down.Store(false)
+	b.down.Store(false)
+	if err := rt.CheckHealth(ctx); err != nil {
+		t.Fatalf("health pass after the engines returned: %v", err)
+	}
+	for i, st := range []*shard.Store{stA, stB} {
+		if got := st.NumEdges(); got != before+1 || st.LastBatch() != 1 {
+			t.Fatalf("engine %d: %d edges at watermark %d, want %d at 1 (the first batch only)", i, got, st.LastBatch(), before+1)
+		}
+	}
+	if err := rt.Apply(ctx, []graph.EdgeOp{{U: 3, V: 4}}); err != nil {
+		t.Fatalf("retry of the refused write after the re-admission: %v", err)
+	}
+}
+
 // TestWorkerWALSurvivesRestart: a durable worker (LocalEngine + WAL)
 // that dies after applying an identified batch comes back with the batch
 // — the whole point of worker-side durability.

@@ -59,6 +59,14 @@ import (
 // every wrapping layer up to the query result.
 var ErrTransport = errors.New("router: worker transport failure")
 
+// ErrNoCurrentWorker reports that the router refused a write because no
+// worker was current to send it to: every member was demoted, and none
+// came back in the catch-up pass the write runs first. Unlike a write
+// that fails with ErrTransport, nothing was sent: the write took no
+// batch id and no replay-ring slot, so no worker holds it and nothing
+// will replay it, and a retry is safe.
+var ErrNoCurrentWorker = errors.New("router: no current worker to take the write")
+
 // ErrRetiredGeneration reports that an engine no longer retains the
 // snapshot generation a request pinned. Queries see it only when they
 // outlive genRetain publications; the next published view re-pins.

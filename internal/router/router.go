@@ -330,6 +330,9 @@ type applyResult struct {
 // durable on the surviving members' logs alone until the demoted one
 // catches up. Only a batch NO member took fails the write, with an error
 // that says the batch may still apply and a re-submit is not safe blind.
+// A write that finds no current member at all, even after the catch-up
+// pass it runs first, is refused with ErrNoCurrentWorker before it takes
+// an id: nothing was sent, so a retry is safe.
 //
 // A SEMANTIC failure (bad op) is the batch's decision: every worker
 // holds the whole graph and has taken the same batches, so every member
@@ -354,6 +357,9 @@ func (r *Router) Apply(ctx context.Context, ops []graph.EdgeOp) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.catchUpLocked(ctx)
+	if !r.anyCurrent() {
+		return ErrNoCurrentWorker
+	}
 	batch := r.nextBatch.Add(1)
 	r.ring.put(batch, ops)
 	res := r.applyBroadcastLocked(ctx, batch, ops)
@@ -505,6 +511,12 @@ func (r *Router) catchUpLocked(ctx context.Context) (readmitted int) {
 	return readmitted
 }
 
+// anyCurrent reports whether any member is current: in the write
+// broadcast and serving reads.
+func (r *Router) anyCurrent() bool {
+	return slices.ContainsFunc(r.members, func(m *member) bool { return m.current.Load() })
+}
+
 // CheckHealth probes every member (Ping also refreshes RemoteEngine
 // health state), demotes current members that fail the probe, runs the
 // catch-up pass, and validates agreement. It returns nil while at least
@@ -534,7 +546,7 @@ func (r *Router) CheckHealth(ctx context.Context) error {
 			firstErr = err
 		}
 	}
-	if firstErr == nil && !slices.ContainsFunc(r.members, func(m *member) bool { return m.current.Load() }) {
+	if firstErr == nil && !r.anyCurrent() {
 		firstErr = fmt.Errorf("router: no serving worker")
 	}
 	if readmitted == 0 && firstErr == nil {

@@ -353,6 +353,34 @@ func TestRoutedGroupLossOnEdgeWriteReturns502(t *testing.T) {
 	}
 }
 
+// TestRoutedWriteWithNoCurrentWorkerReturns503: once every worker is
+// demoted, a routed write is refused before the router sends it or
+// gives it a batch id: 503 with Retry-After, since nothing holds the
+// batch and a retry is safe, and no worker's store moves.
+func TestRoutedWriteWithNoCurrentWorkerReturns503(t *testing.T) {
+	rt, workers := dyingPair(t)
+	s := NewRouted(rt, core.Options{Seed: 3, NumWalks: 100}, 4, 50)
+	before := workers[0].Store().NumEdges()
+	for _, w := range workers {
+		w.dead.Store(true)
+	}
+	if rec, body := do(t, s, http.MethodPost, "/edges?u=1&v=300"); rec.Code != http.StatusBadGateway {
+		t.Fatalf("write as the workers died: status %d (%v), want 502", rec.Code, body)
+	}
+	rec, body := do(t, s, http.MethodPost, "/edges?u=2&v=300")
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("write with every worker demoted: status %d (%v), want 503", rec.Code, body)
+	}
+	if rec.Header().Get("Retry-After") == "" {
+		t.Fatal("503 without Retry-After")
+	}
+	for i, w := range workers {
+		if got := w.Store().NumEdges(); got != before {
+			t.Fatalf("worker %d holds %d edges, want %d", i, got, before)
+		}
+	}
+}
+
 // dyingPair builds a router over a replica set of two dyingEngines, each
 // on its own store of one PA graph.
 func dyingPair(t *testing.T) (*router.Router, [2]*dyingEngine) {

@@ -447,10 +447,16 @@ func (s *Server) applyBatch(ops []graph.EdgeOp) (graph.VersionedView, error) {
 //     and double-apply (parallel edges are legal, so the damage is
 //     silent). The client must verify state (or wait for the health pass
 //     to re-admit a worker) before re-submitting.
+//   - Over a fleet with no current worker, ErrNoCurrentWorker means the
+//     router refused the batch before sending it anywhere or giving it
+//     an id: nothing holds it and nothing will replay it, so it is a 503
+//     with Retry-After, and a retry is safe.
 //   - Anything else is a rejected batch, rolled back everywhere: 400.
 func (s *Server) writeApplyError(w http.ResponseWriter, err error) {
 	transient := errors.Is(err, router.ErrTransport) || errors.Is(err, router.ErrUnavailable)
 	switch {
+	case errors.Is(err, router.ErrNoCurrentWorker):
+		s.writeRejection(w, err)
 	case transient && s.rt.Distributed():
 		writeError(w, http.StatusBadGateway, fmt.Errorf("no worker acknowledged the batch, but it may still apply (a worker that lost its reply holds it, and the router replays it to every worker that returns); do not blindly re-submit — verify before retrying: %v", err))
 	case errors.Is(err, router.ErrUnavailable):

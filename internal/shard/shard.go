@@ -1,13 +1,15 @@
 // Package shard partitions the dynamic graph by source node into P
-// shards, each owning its own mutable adjacency, immutable CSR snapshot,
-// and version counter. It is the scaling layer between the monolithic
+// shards, each an immutable CSR block with its version counter, and
+// holds the graph once: the published blocks are the store's only copy
+// of the adjacency. It is the scaling layer between the monolithic
 // snapshot path of PR 1 and multi-process serving:
 //
 //   - An edge batch republishes in O(batch + touched shards) instead of
-//     O(n+m): only the shards whose node ranges the batch touched are
-//     re-encoded to CSR, and of those only the sides (in- or out-lists)
-//     it moved, on a bounded worker pool; untouched shards and sides are
-//     shared by pointer with the previous snapshot.
+//     O(n+m): an op edits a private copy of each list it moves, and
+//     publication rebuilds only the sides (in- or out-lists) of the
+//     shards a batch moved, each spliced from the previous snapshot's
+//     side and those copies, on a bounded worker pool; untouched shards
+//     and sides are shared by pointer with the previous snapshot.
 //   - Queries run unchanged and bit-identically: the published composite
 //     snapshot implements graph.View and graph.AdjProvider, so every
 //     kernel (walk generation, PROBE expansion, components, joins)
@@ -32,6 +34,8 @@ package shard
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -75,33 +79,69 @@ func (pt Partition) Count(n int) int {
 	return (n + stride - 1) / stride
 }
 
-// shardMut is one shard's mutable side: slice-of-slice adjacency for the
-// shard's node range (local index), plus the store version of the last
-// mutation of each of its two sides — the dirtiness signals Publish
-// compares against the published snapshot to decide which shards, and
-// which of their sides, to rebuild.
+// shardMut is one shard's write-side state: its two sides' changes since
+// the last publication.
 type shardMut struct {
-	in, out               [][]graph.NodeID // local index; destination ids are global
-	inVersion, outVersion uint64
+	in, out side
 }
 
 // version returns the shard's version: the store version of its last
 // mutation on either side, the one snapshots publish per shard.
-func (sm *shardMut) version() uint64 { return max(sm.inVersion, sm.outVersion) }
+func (sm *shardMut) version() uint64 { return max(sm.in.version, sm.out.version) }
+
+// side is one side (in- or out-lists) of a shard on the write path: the
+// store version of its last mutation, the dirtiness signal Publish
+// compares against the published snapshot, and the lists ops have moved
+// since the last publication, keyed by local index. The published
+// snapshot holds every other list. An op copies a list out of the
+// snapshot on its first touch and edits only that copy, so no op ever
+// writes into a published array; publication splices the copies into
+// the side's next CSR block and then drops them.
+type side struct {
+	version uint64
+	moved   map[int32]*[]graph.NodeID // destination ids are global
+}
+
+// list returns local node l's list as the ops applied so far left it:
+// its moved copy, or else pub, its published list.
+func (s *side) list(l int32, pub []graph.NodeID) []graph.NodeID {
+	if c, ok := s.moved[l]; ok {
+		return *c
+	}
+	return pub
+}
+
+// edit returns local node l's moved copy for an op to edit, copying it
+// from pub, its published list, on the first touch since the last
+// publication. The copy has room for the one entry an add or an undone
+// removal appends.
+func (s *side) edit(l int32, pub []graph.NodeID) *[]graph.NodeID {
+	if c, ok := s.moved[l]; ok {
+		return c
+	}
+	if s.moved == nil {
+		s.moved = make(map[int32]*[]graph.NodeID)
+	}
+	c := append(make([]graph.NodeID, 0, len(pub)+1), pub...)
+	s.moved[l] = &c
+	return &c
+}
 
 // Store is the sharded counterpart of the monolithic *graph.Graph +
-// core.Executor snapshot pair: the mutable write side of the graph,
-// partitioned, plus an atomically published composite snapshot. Every
-// Store holds the whole graph, so stores that took the same batches hold
-// the same lists in the same order and decide the next batch the same
-// way.
+// core.Executor snapshot pair: an atomically published composite
+// snapshot, partitioned, plus the lists the batches applied since its
+// publication have moved. The published CSR blocks are the store's only
+// copy of the adjacency; every list no op has moved since is read from
+// them. Every Store holds the whole graph, so stores that took the same
+// batches hold the same lists in the same order and decide the next
+// batch the same way.
 //
 // Concurrency contract: ApplyBatch, its one mutation, and Publish
 // serialize on an internal mutex; any number of goroutines may read the
 // published snapshot (Current / PublishedView) lock-free at any time,
-// including during a batch and a publication. The mutable side has no
-// reader outside the store: its adjacency is read only through a
-// published snapshot.
+// including during a batch and a publication. The moved lists have no
+// reader outside the store: a batch becomes visible only through the
+// next published snapshot.
 type Store struct {
 	part    Partition
 	workers int
@@ -118,7 +158,7 @@ type Store struct {
 	// rejection is lastBatch's decision: nil if it applied, the error it
 	// was rejected with otherwise (see Rejection).
 	rejection error
-	shards    []*shardMut
+	shards    []shardMut
 
 	cur atomic.Pointer[StoreSnapshot]
 
@@ -142,9 +182,11 @@ type Store struct {
 }
 
 // NewStore partitions g into at most shards shards and publishes an
-// initial snapshot. The adjacency is deep-copied: the store and the
-// source graph are independent afterwards. workers bounds the rebuild
-// pool; <= 0 means one goroutine per dirty shard up to GOMAXPROCS.
+// initial snapshot, encoding each shard's CSR block straight from g's
+// lists: the store and the source graph are independent afterwards, and
+// the blocks are the store's one copy of the adjacency. workers bounds
+// the rebuild pool; <= 0 means one goroutine per dirty shard up to
+// GOMAXPROCS.
 func NewStore(g *graph.Graph, shards, workers int) *Store {
 	n := g.NumNodes()
 	st := &Store{
@@ -155,29 +197,57 @@ func NewStore(g *graph.Graph, shards, workers int) *Store {
 		version: g.Version(),
 	}
 	count := st.part.Count(n)
-	st.shards = make([]*shardMut, count)
-	stride := st.part.Stride()
-	for p := 0; p < count; p++ {
-		lo := p * stride
-		hi := min(lo+stride, n)
-		sm := &shardMut{
-			in:         make([][]graph.NodeID, hi-lo),
-			out:        make([][]graph.NodeID, hi-lo),
-			inVersion:  st.version,
-			outVersion: st.version,
-		}
-		for v := lo; v < hi; v++ {
-			if l := g.InNeighbors(graph.NodeID(v)); len(l) > 0 {
-				sm.in[v-lo] = append([]graph.NodeID(nil), l...)
-			}
-			if l := g.OutNeighbors(graph.NodeID(v)); len(l) > 0 {
-				sm.out[v-lo] = append([]graph.NodeID(nil), l...)
-			}
-		}
-		st.shards[p] = sm
+	st.shards = make([]shardMut, count)
+	snap := &StoreSnapshot{
+		n:        n,
+		m:        st.m,
+		version:  st.version,
+		shift:    st.part.shift,
+		csr:      make([]graph.CSRShard, count),
+		versions: make([]uint64, count),
 	}
-	st.Publish()
+	stride := st.part.Stride()
+	var written int64
+	for p := range count {
+		lo, hi := p*stride, min((p+1)*stride, n)
+		sh := &snap.csr[p]
+		sh.InOff, sh.InDst = encodeLists(lo, hi, p, g.InNeighbors)
+		sh.OutOff, sh.OutDst = encodeLists(lo, hi, p, g.OutNeighbors)
+		written += int64(len(sh.InDst) + len(sh.OutDst))
+		snap.versions[p] = st.version
+		st.shards[p] = shardMut{in: side{version: st.version}, out: side{version: st.version}}
+	}
+	st.cur.Store(snap)
+	st.publications.Add(1)
+	st.shardsRebuilt.Add(int64(count))
+	st.edgesReEncoded.Add(written)
 	return st
+}
+
+// encodeLists packs the lists of nodes [lo, hi), one side of shard p,
+// into CSR offsets and destinations, in neighbor order.
+func encodeLists(lo, hi, p int, lists func(graph.NodeID) []graph.NodeID) ([]uint32, []graph.NodeID) {
+	var size int64
+	for v := lo; v < hi; v++ {
+		size += int64(len(lists(graph.NodeID(v))))
+	}
+	checkSize(size, p)
+	off := make([]uint32, hi-lo+1)
+	dst := make([]graph.NodeID, size)
+	var pos uint32
+	for v := lo; v < hi; v++ {
+		pos += uint32(copy(dst[pos:], lists(graph.NodeID(v))))
+		off[v-lo+1] = pos
+	}
+	return off, dst
+}
+
+// checkSize panics when one side of shard p would hold more entries than
+// its 32-bit offsets address.
+func checkSize(size int64, p int) {
+	if size > math.MaxUint32 {
+		panic(fmt.Sprintf("shard: %d edges overflow shard %d's 32-bit offsets", size, p))
+	}
 }
 
 // NewEmpty returns a store with n isolated nodes partitioned into at most
@@ -190,54 +260,20 @@ func NewEmpty(n, shards, workers int) *Store {
 }
 
 // Restore rebuilds a Store from checkpointed per-shard CSR blocks — the
-// decode side of the durable write plane (internal/persist). The given
-// blocks become the published snapshot directly (no re-encode), and the
-// mutable adjacency is deep-copied out of them so later mutations never
-// write into the snapshot's storage. version and lastBatch restore the
-// mutation counter and the apply-once watermark the checkpoint captured;
-// replaying the write-ahead log tail through ApplyBatch then brings the
-// store to the crash point. Every block must pass CheckBlock. workers
-// bounds the rebuild pool as in NewStore.
+// decode side of the durable write plane (internal/persist). The store
+// adopts the given blocks as its published snapshot and its one copy of
+// the adjacency, with no re-encode and no copy; ops never write into
+// them. version and lastBatch restore the mutation counter and the
+// apply-once watermark the checkpoint captured; replaying the write-ahead
+// log tail through ApplyBatch then brings the store to the crash point.
+// Every block must pass CheckBlock. workers bounds the rebuild pool as in
+// NewStore.
 func Restore(n int, m int64, version, lastBatch uint64, shift uint32, csr []graph.CSRShard, shardVersions []uint64, workers int) (*Store, error) {
 	if n < 0 || m < 0 {
 		return nil, fmt.Errorf("shard: restore with n=%d m=%d", n, m)
 	}
-	stride := 1 << shift
-	wantShards := (n + stride - 1) / stride
-	if len(csr) != wantShards || len(shardVersions) != wantShards {
-		return nil, fmt.Errorf("shard: restore with %d shards / %d versions for %d nodes at stride %d, want %d",
-			len(csr), len(shardVersions), n, stride, wantShards)
-	}
-	st := &Store{
-		part:      Partition{shift: shift},
-		workers:   workers,
-		n:         n,
-		m:         m,
-		version:   version,
-		lastBatch: lastBatch,
-	}
-	st.shards = make([]*shardMut, wantShards)
-	for p := range csr {
-		sh := &csr[p]
-		if err := CheckBlock(*sh, p, shift, n); err != nil {
-			return nil, fmt.Errorf("shard: restore: %w", err)
-		}
-		local := len(sh.InOff) - 1
-		sm := &shardMut{
-			in:         make([][]graph.NodeID, local),
-			out:        make([][]graph.NodeID, local),
-			inVersion:  shardVersions[p],
-			outVersion: shardVersions[p],
-		}
-		for l := 0; l < local; l++ {
-			if in := sh.InDst[sh.InOff[l]:sh.InOff[l+1]]; len(in) > 0 {
-				sm.in[l] = append([]graph.NodeID(nil), in...)
-			}
-			if out := sh.OutDst[sh.OutOff[l]:sh.OutOff[l+1]]; len(out) > 0 {
-				sm.out[l] = append([]graph.NodeID(nil), out...)
-			}
-		}
-		st.shards[p] = sm
+	if len(shardVersions) != len(csr) {
+		return nil, fmt.Errorf("shard: restore with %d shards and %d versions", len(csr), len(shardVersions))
 	}
 	snap := &StoreSnapshot{
 		n:         n,
@@ -246,10 +282,22 @@ func Restore(n int, m int64, version, lastBatch uint64, shift uint32, csr []grap
 		lastBatch: lastBatch,
 		shift:     shift,
 		csr:       csr,
-		versions:  append([]uint64(nil), shardVersions...),
+		versions:  slices.Clone(shardVersions),
 	}
 	if err := snap.Validate(); err != nil {
 		return nil, fmt.Errorf("shard: restore: %w", err)
+	}
+	st := &Store{
+		part:      Partition{shift: shift},
+		workers:   workers,
+		n:         n,
+		m:         m,
+		version:   version,
+		lastBatch: lastBatch,
+		shards:    make([]shardMut, len(csr)),
+	}
+	for p, v := range snap.versions {
+		st.shards[p] = shardMut{in: side{version: v}, out: side{version: v}}
 	}
 	st.cur.Store(snap)
 	st.publications.Add(1)
@@ -261,8 +309,8 @@ func Restore(n int, m int64, version, lastBatch uint64, shift uint32, csr []grap
 // serves — so that queries run on it with the same code as on a store's
 // own snapshot. Like Restore it takes csr as given, one block per shard
 // at the 1<<shift stride, each already checked by CheckBlock; unlike
-// Restore it builds no mutable side. shardVersions, aligned with csr,
-// are the versions ShardVersion reports.
+// Restore it builds no write side. shardVersions, aligned with csr, are
+// the versions ShardVersion reports.
 func Assemble(n int, m int64, version, lastBatch uint64, shift uint32, csr []graph.CSRShard, shardVersions []uint64) *StoreSnapshot {
 	return &StoreSnapshot{n: n, m: m, version: version, lastBatch: lastBatch, shift: shift, csr: csr, versions: shardVersions}
 }
@@ -297,18 +345,28 @@ func (st *Store) checkNode(v graph.NodeID) error {
 }
 
 // lists returns u's out-list and v's in-list, the two lists an op on the
-// edge u -> v changes, with the shards holding them.
+// edge u -> v changes, as the moved copies the op edits, with the shards
+// holding them.
 func (st *Store) lists(u, v graph.NodeID) (su, sv *shardMut, out, in *[]graph.NodeID) {
-	su, sv = st.shards[st.part.ShardOf(u)], st.shards[st.part.ShardOf(v)]
-	return su, sv, &su.out[st.part.LocalOf(u)], &sv.in[st.part.LocalOf(v)]
+	pub := st.cur.Load()
+	su, sv = &st.shards[st.part.ShardOf(u)], &st.shards[st.part.ShardOf(v)]
+	out = su.out.edit(int32(st.part.LocalOf(u)), pub.OutNeighbors(u))
+	in = sv.in.edit(int32(st.part.LocalOf(v)), pub.InNeighbors(v))
+	return su, sv, out, in
+}
+
+// outList returns u's out-list as the ops applied so far left it,
+// copying nothing.
+func (st *Store) outList(u graph.NodeID) []graph.NodeID {
+	return st.shards[st.part.ShardOf(u)].out.list(int32(st.part.LocalOf(u)), st.cur.Load().OutNeighbors(u))
 }
 
 // touch records a change to u's out-side and v's in-side under a new
 // store version: the dirtiness signals Publish compares.
 func (st *Store) touch(su, sv *shardMut) {
 	st.version++
-	su.outVersion = st.version
-	sv.inVersion = st.version
+	su.out.version = st.version
+	sv.in.version = st.version
 }
 
 // addEdgeLocked inserts u -> v with (*graph.Graph).AddEdge's semantics:
@@ -345,10 +403,12 @@ func (st *Store) removeEdgeLocked(u, v graph.NodeID) (at [2]int, err error) {
 	if err := st.checkNode(v); err != nil {
 		return at, err
 	}
-	su, sv, out, in := st.lists(u, v)
-	if at[0] = graph.RemoveOne(out, v); at[0] < 0 {
+	// Look before copying: a removal that fails moves no list.
+	if !slices.Contains(st.outList(u), v) {
 		return at, fmt.Errorf("shard: edge %d -> %d not found", u, v)
 	}
+	su, sv, out, in := st.lists(u, v)
+	at[0] = graph.RemoveOne(out, v)
 	if at[1] = graph.RemoveOne(in, u); at[1] < 0 {
 		panic("shard: adjacency lists out of sync")
 	}
@@ -495,32 +555,32 @@ func (st *Store) SubscribeApplied(fn func(id uint64, ops []graph.EdgeOp)) {
 }
 
 // Validate checks cross-shard invariants: edge-count agreement between
-// the in- and out-sides and every destination id in range. O(n+m),
-// intended for tests.
+// the in- and out-sides and every destination id in range, over every
+// list as the ops applied so far left it (its moved copy, or else its
+// published list). O(n+m), intended for tests.
 func (st *Store) Validate() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	pub := st.cur.Load()
 	var nIn, nOut int64
 	counts := make(map[[2]graph.NodeID]int64)
-	for p, sm := range st.shards {
+	for p := range st.shards {
+		sm := &st.shards[p]
 		base := p * st.part.Stride()
-		for l, lst := range sm.out {
-			u := graph.NodeID(base + l)
-			for _, v := range lst {
+		for l := 0; l < min(st.part.Stride(), st.n-base); l++ {
+			x := graph.NodeID(base + l)
+			for _, v := range sm.out.list(int32(l), pub.OutNeighbors(x)) {
 				if err := st.checkNode(v); err != nil {
-					return fmt.Errorf("shard %d: out[%d] invalid: %w", p, u, err)
+					return fmt.Errorf("shard %d: out[%d] invalid: %w", p, x, err)
 				}
-				counts[[2]graph.NodeID{u, v}]++
+				counts[[2]graph.NodeID{x, v}]++
 				nOut++
 			}
-		}
-		for l, lst := range sm.in {
-			v := graph.NodeID(base + l)
-			for _, u := range lst {
+			for _, u := range sm.in.list(int32(l), pub.InNeighbors(x)) {
 				if err := st.checkNode(u); err != nil {
-					return fmt.Errorf("shard %d: in[%d] invalid: %w", p, v, err)
+					return fmt.Errorf("shard %d: in[%d] invalid: %w", p, x, err)
 				}
-				counts[[2]graph.NodeID{u, v}]--
+				counts[[2]graph.NodeID{u, x}]--
 				nIn++
 			}
 		}

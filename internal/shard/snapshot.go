@@ -3,8 +3,9 @@ package shard
 import (
 	"context"
 	"fmt"
-	"math"
+	"maps"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -196,31 +197,36 @@ func (st *Store) PublishView(ctx context.Context) (graph.VersionedView, error) {
 	return st.PublishCtx(ctx)
 }
 
-// Publish re-encodes every shard side (in-lists or out-lists) that moved
+// Publish rebuilds every shard side (in-lists or out-lists) that moved
 // since the last publication and atomically publishes the new composite
-// snapshot. Cost is O(changed sides' nodes+edges + shard count), not
-// O(n+m): untouched shards, and the unmoved side of a touched shard, are
-// shared with the previous snapshot by reference. Distinct
-// dirty shards rebuild concurrently on a pool bounded by the store's
-// worker limit. Publish serializes against ApplyBatch and itself; a
-// publish with no pending mutations returns the current snapshot
-// untouched.
+// snapshot. Each moved side is spliced from the previous snapshot's side
+// and the lists ops have moved: the runs of unmoved nodes between them
+// are bulk-copied with their offsets shifted, and the moved lists copied
+// in at their nodes' places. Cost is O(changed sides' nodes+edges +
+// shard count), not O(n+m): untouched shards, and the unmoved side of a
+// touched shard, are shared with the previous snapshot by reference.
+// Distinct dirty shards rebuild concurrently on a pool bounded by the
+// store's worker limit. Publish serializes against ApplyBatch and
+// itself; a publish with no pending mutations returns the current
+// snapshot untouched.
 func (st *Store) Publish() *StoreSnapshot {
 	snap, _ := st.PublishCtx(context.Background())
 	return snap
 }
 
 // PublishCtx is Publish with cancellation: the rebuild worker pool
-// checkpoints ctx between shard re-encodes, and a canceled publication is
+// checkpoints ctx between shard rebuilds, and a canceled publication is
 // abandoned before the atomic store — the previously published snapshot
-// (returned alongside the error) stays current and the mutable side keeps
-// its dirty-shard versions, so the next publication simply redoes the
-// work. Cancellation can delay visibility of mutations, never corrupt it.
+// (returned alongside the error) stays current, and the store keeps its
+// moved lists and dirty-side versions, so the next publication simply
+// redoes the work. The moved lists are dropped only once the snapshot
+// they were spliced into is current. Cancellation can delay visibility
+// of mutations, never corrupt it.
 func (st *Store) PublishCtx(ctx context.Context) (*StoreSnapshot, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	prev := st.cur.Load()
-	if prev != nil && prev.version == st.version {
+	if prev.version == st.version {
 		st.noopPublishes.Add(1)
 		return prev, nil
 	}
@@ -238,11 +244,11 @@ func (st *Store) PublishCtx(ctx context.Context) (*StoreSnapshot, error) {
 		versions:  make([]uint64, len(st.shards)),
 	}
 	dirty := make([]int, 0, len(st.shards))
-	for p, sm := range st.shards {
+	for p := range st.shards {
 		// A shard is clean iff its version matches what the previous
 		// snapshot encoded (every op that touches a shard bumps its
 		// version).
-		if prev != nil && prev.versions[p] == sm.version() {
+		if prev.versions[p] == st.shards[p].version() {
 			next.csr[p] = prev.csr[p]
 			next.versions[p] = prev.versions[p]
 			continue
@@ -257,22 +263,23 @@ func (st *Store) PublishCtx(ctx context.Context) (*StoreSnapshot, error) {
 	st.shardsRebuilt.Add(int64(len(dirty)))
 	st.shardsReused.Add(int64(len(st.shards) - len(dirty)))
 	st.cur.Store(next)
-	if prev != nil {
-		st.gc.track(prev, next)
+	for _, p := range dirty {
+		st.shards[p].in.moved, st.shards[p].out.moved = nil, nil
 	}
+	st.gc.track(prev, next)
 	return next, nil
 }
 
 // rebuildParallelThreshold is the total edge count (in + out entries
-// across the dirty shards) below which rebuild encodes serially: the
-// common small-batch publication touches a handful of shards whose
-// re-encode is a few KB of copies, cheaper than any goroutine fan-out.
-// Mirrors snapshotParallelThreshold on the monolithic build.
+// across the dirty shards' moved sides) below which rebuild runs
+// serially: the common small-batch publication touches a handful of
+// shards whose splice is a few KB of copies, cheaper than any goroutine
+// fan-out. Mirrors snapshotParallelThreshold on the monolithic build.
 const rebuildParallelThreshold = 1 << 16
 
-// rebuild encodes the dirty shards into next, fanning out across the
+// rebuild splices the dirty shards into next, fanning out across the
 // worker pool when there is enough work to amortize it. Workers check ctx
-// between shard encodes (one shard is the cancellation granularity); on
+// between shards (one shard is the cancellation granularity); on
 // cancellation the partially filled next is abandoned by the caller.
 func (st *Store) rebuild(ctx context.Context, prev, next *StoreSnapshot, dirty []int) error {
 	workers := st.workers
@@ -283,18 +290,17 @@ func (st *Store) rebuild(ctx context.Context, prev, next *StoreSnapshot, dirty [
 		workers = len(dirty)
 	}
 	if workers > 1 {
-		// Cheap pre-pass (a len() sum over the lists of the sides to
-		// encode): skip the fan-out when there is not enough copying to
-		// amortize it.
+		// Cheap pre-pass (the previous sizes of the sides to rebuild):
+		// skip the fan-out when there is not enough copying to amortize
+		// it.
 		var work int64
 		for _, p := range dirty {
-			sm := st.shards[p]
-			in, out := sm.moved(prev, p)
+			in, out := st.shards[p].moved(prev, p)
 			if in {
-				work += entries(sm.in)
+				work += int64(len(prev.csr[p].InDst))
 			}
 			if out {
-				work += entries(sm.out)
+				work += int64(len(prev.csr[p].OutDst))
 			}
 		}
 		if work < rebuildParallelThreshold {
@@ -311,7 +317,7 @@ func (st *Store) rebuild(ctx context.Context, prev, next *StoreSnapshot, dirty [
 					return err
 				}
 			}
-			st.encodeShard(prev, next, p)
+			st.rebuildShard(prev, next, p)
 		}
 		return nil
 	}
@@ -336,7 +342,7 @@ func (st *Store) rebuild(ctx context.Context, prev, next *StoreSnapshot, dirty [
 				if i >= len(dirty) {
 					return
 				}
-				st.encodeShard(prev, next, dirty[i])
+				st.rebuildShard(prev, next, dirty[i])
 			}
 		}()
 	}
@@ -350,59 +356,60 @@ func (st *Store) rebuild(ctx context.Context, prev, next *StoreSnapshot, dirty [
 // moved reports which sides of shard p moved since prev encoded it: a
 // side no op has touched since then still equals prev's block side.
 func (sm *shardMut) moved(prev *StoreSnapshot, p int) (in, out bool) {
-	if prev == nil {
-		return true, true
-	}
-	return sm.inVersion > prev.versions[p], sm.outVersion > prev.versions[p]
+	return sm.in.version > prev.versions[p], sm.out.version > prev.versions[p]
 }
 
-// encodeShard builds shard p's CSR from its mutable adjacency, preserving
-// neighbor order exactly. Only the sides that moved since prev are
-// re-encoded; the other side shares prev's arrays.
-func (st *Store) encodeShard(prev, next *StoreSnapshot, p int) {
-	sm := st.shards[p]
+// rebuildShard builds shard p's next block, preserving neighbor order
+// exactly: each side that moved since prev is spliced from prev's side
+// and its moved lists; the other side shares prev's arrays.
+func (st *Store) rebuildShard(prev, next *StoreSnapshot, p int) {
+	sm := &st.shards[p]
 	in, out := sm.moved(prev, p)
-	var sh graph.CSRShard
-	var copied int64
+	sh := prev.csr[p]
+	var written int64
 	if in {
-		sh.InOff, sh.InDst = encodeSide(sm.in, p)
-		copied += int64(len(sh.InDst))
-	} else {
-		sh.InOff, sh.InDst = prev.csr[p].InOff, prev.csr[p].InDst
+		sh.InOff, sh.InDst = splice(sh.InOff, sh.InDst, sm.in.moved, p)
+		written += int64(len(sh.InDst))
 	}
 	if out {
-		sh.OutOff, sh.OutDst = encodeSide(sm.out, p)
-		copied += int64(len(sh.OutDst))
-	} else {
-		sh.OutOff, sh.OutDst = prev.csr[p].OutOff, prev.csr[p].OutDst
+		sh.OutOff, sh.OutDst = splice(sh.OutOff, sh.OutDst, sm.out.moved, p)
+		written += int64(len(sh.OutDst))
 	}
 	next.csr[p] = sh
 	next.versions[p] = sm.version()
-	st.edgesReEncoded.Add(copied)
+	st.edgesReEncoded.Add(written)
 }
 
-// encodeSide packs one side's lists of shard p into CSR offsets and
-// destinations.
-func encodeSide(lists [][]graph.NodeID, p int) ([]uint32, []graph.NodeID) {
-	m := entries(lists)
-	if m > math.MaxUint32 {
-		panic(fmt.Sprintf("shard: %d edges overflow shard %d's 32-bit offsets", m, p))
+// splice builds one side of shard p's next block from its previous
+// offsets and destinations and the lists moved since, keyed by local
+// index. The runs of nodes between moved ones are bulk-copied, their
+// offsets shifted by the running change in length; each moved list is
+// copied in at its node's place.
+func splice(off []uint32, dst []graph.NodeID, moved map[int32]*[]graph.NodeID, p int) ([]uint32, []graph.NodeID) {
+	locals := slices.Sorted(maps.Keys(moved))
+	size := int64(len(dst))
+	for _, l := range locals {
+		size += int64(len(*moved[l])) - int64(off[l+1]-off[l])
 	}
-	off := make([]uint32, len(lists)+1)
-	dst := make([]graph.NodeID, m)
-	var pos uint32
-	for l, lst := range lists {
-		pos += uint32(copy(dst[pos:], lst))
-		off[l+1] = pos
+	checkSize(size, p)
+	nOff := make([]uint32, len(off))
+	nDst := make([]graph.NodeID, size)
+	var delta uint32 // nOff[i] - off[i] for the run in hand, mod 2^32
+	from := 0        // the run in hand starts at node from
+	for _, l := range locals {
+		copy(nDst[nOff[from]:], dst[off[from]:off[l]])
+		for i := from + 1; i <= int(l); i++ {
+			nOff[i] = off[i] + delta
+		}
+		list := *moved[l]
+		copy(nDst[nOff[l]:], list)
+		nOff[l+1] = nOff[l] + uint32(len(list))
+		delta = nOff[l+1] - off[l+1]
+		from = int(l) + 1
 	}
-	return off, dst
-}
-
-// entries returns the number of list entries on one side of a shard.
-func entries(lists [][]graph.NodeID) int64 {
-	var m int64
-	for _, l := range lists {
-		m += int64(len(l))
+	copy(nDst[nOff[from]:], dst[off[from]:])
+	for i := from + 1; i < len(off); i++ {
+		nOff[i] = off[i] + delta
 	}
-	return m
+	return nOff, nDst
 }
